@@ -16,18 +16,6 @@
 //!   pool is ≥ 2× faster in wall-clock than the serial runner, with
 //!   bit-identical output points.
 //!
-//! The sweep also measures the **partitioned simulation core** itself: a
-//! big-topology cell (256 clients in the full run) executed once on the
-//! serial event loop and again on 2/4/8 cooperating event loops
-//! (`SfsConfig::sim_threads`), every partitioned run asserted bit-identical
-//! to the serial one and the wall clock recorded per thread count.  The
-//! ≥ 2× speedup assert only arms in the full run on hosts that actually
-//! offer ≥ 4 CPUs; a smoke cell (or a smaller host) records the measured
-//! ratio as skipped instead of silently passing — or flakily failing on a
-//! noisy shared runner.  `--sim-threads N` additionally runs every curve
-//! point on N event loops (the points stay bit-identical by construction,
-//! which the parity suites pin).
-//!
 //! The sweep also records the **stability ablation** — the three ways the
 //! write path can promise durability, measured over the SFS mix and the file
 //! copy: `sync` (the paper's synchronous FILE_SYNC writes), `nvram`
@@ -47,7 +35,6 @@
 //! ```text
 //! cargo run --release -p wg-bench --bin sfs_sweep                   # full sweep
 //! cargo run --release -p wg-bench --bin sfs_sweep -- --smoke --clients 4 --shards 4 --spindles 6 --overlap
-//! cargo run --release -p wg-bench --bin sfs_sweep -- --smoke --sim-threads 2 --clients 8 --shards 4
 //! cargo run --release -p wg-bench --bin sfs_sweep -- --smoke --stability all --unified-cache
 //! cargo run --release -p wg-bench --bin sfs_sweep -- --clients 8 --lans --threads 8
 //! cargo run --release -p wg-bench --bin sfs_sweep -- --out other.json
@@ -124,7 +111,6 @@ impl Curve {
             ("serial_wall_ms", json::number(self.serial_wall_ms)),
             ("parallel_wall_ms", json::number(self.parallel_wall_ms)),
             ("threads", self.threads.to_string()),
-            ("sim_threads", self.config.sim_threads.to_string()),
             ("host_parallelism", host_parallelism().to_string()),
             ("parallel_speedup", json::number(self.parallel_speedup())),
             ("points", json::array(&points)),
@@ -193,114 +179,6 @@ fn run_curve(label: &str, config: SfsConfig, loads: &[f64], threads: usize) -> C
         parallel_wall_ms,
         threads,
     }
-}
-
-/// The big-topology partitioned-core cell: one scaled configuration run on
-/// the serial event loop and then on each of `thread_counts` cooperating
-/// event loops, every partitioned run asserted bit-identical to the serial
-/// one, with the wall clock recorded per thread count.
-///
-/// The ≥ 2× speedup assert is only armed when `assert_speedup` is set (the
-/// full run) *and* the host offers ≥ 4 CPUs; otherwise the cell records the
-/// assert as skipped, with the measured ratio — never as passed.  A smoke
-/// cell is too small to measure wall clock reliably on a shared runner, so
-/// it always records instead of asserting.
-fn run_parallel_core_cell(
-    clients: usize,
-    secs: u64,
-    load: f64,
-    thread_counts: &[usize],
-    assert_speedup: bool,
-) -> String {
-    let mut config = SfsConfig::scaled(load, WritePolicy::Gathering, clients);
-    config.duration = wg_simcore::Duration::from_secs(secs);
-
-    let serial_start = Instant::now();
-    let serial = SfsSweep::new(config.clone())
-        .run_stats(&[load])
-        .pop()
-        .expect("one point");
-    let serial_wall_ms = serial_start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(serial.clamped_past, 0, "serial big-topology run clamped");
-    println!(
-        "parallel_core: {clients} clients, {secs}s @ {load:.0} ops/s — serial \
-         {serial_wall_ms:.1} ms, achieved {:.1} ops/s",
-        serial.point.achieved_ops_per_sec
-    );
-
-    let mut runs: Vec<String> = Vec::new();
-    let mut best_speedup = 0.0f64;
-    for &n in thread_counts {
-        let start = Instant::now();
-        let par = SfsSweep::new(config.clone().with_sim_threads(n))
-            .run_stats(&[load])
-            .pop()
-            .expect("one point");
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        // Bit-identity of the partitioned run: the non-negotiable invariant.
-        assert!(
-            par.point.achieved_ops_per_sec == serial.point.achieved_ops_per_sec
-                && par.point.avg_latency_ms == serial.point.avg_latency_ms
-                && par.point.server_cpu_percent == serial.point.server_cpu_percent,
-            "partitioned run on {n} event loops diverged from serial"
-        );
-        assert_eq!(par.per_client_achieved_ops, serial.per_client_achieved_ops);
-        assert_eq!(par.issued, serial.issued);
-        assert_eq!(par.completed, serial.completed);
-        assert_eq!(par.retransmissions, serial.retransmissions);
-        assert_eq!(par.gave_up, serial.gave_up);
-        assert_eq!(par.name_mints, serial.name_mints);
-        assert_eq!(par.evicted_in_progress, 0);
-        assert_eq!(par.materializations, 0);
-        assert_eq!(par.clamped_past, 0, "partitioned run clamped an event");
-        let speedup = serial_wall_ms / wall_ms.max(1e-9);
-        best_speedup = best_speedup.max(speedup);
-        println!(
-            "parallel_core: sim_threads {n} — {wall_ms:.1} ms ({speedup:.2}x), \
-             bit-identical to serial"
-        );
-        runs.push(json::object(&[
-            ("sim_threads", n.to_string()),
-            ("wall_ms", json::number(wall_ms)),
-            ("speedup_vs_serial", json::number(speedup)),
-        ]));
-    }
-
-    let host = host_parallelism();
-    let speedup_assert = if host < 4 {
-        println!(
-            "parallel_core: host offers {host} CPU(s); recording the wall \
-             clocks without asserting the >=2x speedup"
-        );
-        format!("skipped: host offers {host} CPU(s)")
-    } else if !assert_speedup {
-        println!(
-            "parallel_core: smoke cell; recording {best_speedup:.2}x without \
-             asserting the >=2x speedup"
-        );
-        format!("skipped: smoke cell ({best_speedup:.2}x)")
-    } else {
-        assert!(
-            best_speedup >= 2.0,
-            "partitioned big-topology speedup {best_speedup:.2}x < 2x on a \
-             {host}-CPU host"
-        );
-        "passed".to_string()
-    };
-    json::object(&[
-        ("clients", clients.to_string()),
-        ("duration_secs", secs.to_string()),
-        ("offered_ops_per_sec", json::number(load)),
-        (
-            "achieved_ops_per_sec",
-            json::number(serial.point.achieved_ops_per_sec),
-        ),
-        ("host_parallelism", host.to_string()),
-        ("serial_wall_ms", json::number(serial_wall_ms)),
-        ("runs", json::array(&runs)),
-        ("best_speedup", json::number(best_speedup)),
-        ("speedup_assert", json::string(&speedup_assert)),
-    ])
 }
 
 /// One stability-ablation cell over the SFS mix: the workload run to
@@ -755,7 +633,6 @@ fn main() {
     let mut inode_groups = scaled_defaults.inode_groups;
     let mut read_caching = scaled_defaults.read_caching;
     let mut threads = 4usize;
-    let mut sim_threads = scaled_defaults.sim_threads;
     let mut secs: Option<u64> = None;
     let mut loads: Option<Vec<f64>> = None;
     let mut smoke = false;
@@ -810,13 +687,6 @@ fn main() {
                     .parse()
                     .expect("--threads needs a number");
             }
-            "--sim-threads" => {
-                sim_threads = iter
-                    .next()
-                    .expect("--sim-threads needs a count")
-                    .parse()
-                    .expect("--sim-threads needs a number");
-            }
             "--secs" => {
                 secs = Some(
                     iter.next()
@@ -862,7 +732,7 @@ fn main() {
             other => panic!(
                 "unknown argument {other}; use --smoke, --out PATH, --clients N, \
                  --shards N, --cores N, --spindles N, --inode-groups N, \
-                 --threads N, --sim-threads N, --secs N, --loads A,B,C, \
+                 --threads N, --secs N, --loads A,B,C, \
                  --overlap/--no-overlap, --lans/--no-lans, \
                  --read-caching/--no-read-caching, --stability MODE, \
                  --unified-cache, --cache-pages N, --dirty-ratio X"
@@ -881,8 +751,7 @@ fn main() {
         }
     });
     let duration = wg_simcore::Duration::from_secs(secs);
-    let mut baseline_config =
-        SfsConfig::figure2(0.0, WritePolicy::Gathering).with_sim_threads(sim_threads);
+    let mut baseline_config = SfsConfig::figure2(0.0, WritePolicy::Gathering);
     baseline_config.duration = duration;
     let mut current_config = SfsConfig::scaled(0.0, WritePolicy::Gathering, clients)
         .with_shards(shards)
@@ -891,8 +760,7 @@ fn main() {
         .with_io_overlap(overlap)
         .with_per_client_lans(lans)
         .with_inode_groups(inode_groups)
-        .with_read_caching(read_caching)
-        .with_sim_threads(sim_threads);
+        .with_read_caching(read_caching);
     current_config.duration = duration;
 
     let baseline = run_curve("baseline", baseline_config, &loads, threads);
@@ -942,18 +810,9 @@ fn main() {
         }
     }
 
-    // The partitioned-core cell: big topology in the full run, scaled down
-    // in smoke so CI still exercises the serial-vs-partitioned race.
-    let parallel_core = if smoke {
-        run_parallel_core_cell(32, 2, 600.0, &[2, 4], false)
-    } else {
-        run_parallel_core_cell(256, 5, 2000.0, &[2, 4, 8], true)
-    };
-
     let sfs_scale = json::object(&[
         ("baseline", baseline.to_json()),
         ("current", current.to_json()),
-        ("parallel_core", parallel_core),
         (
             "knee_shift",
             json::object(&[

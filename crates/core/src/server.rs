@@ -59,7 +59,7 @@ fn saturate_u32(v: u64) -> u32 {
 
 /// Seed of the write/commit boot-instance verifier.  The live verifier is
 /// this seed plus the crash count — a pure function of observable server
-/// history, so serial and partitioned drivers mint bit-identical verifiers.
+/// history, so replaying the same run mints the same verifiers.
 const BOOT_VERIFIER_SEED: u64 = 0x1994_0606;
 
 /// Pages one background write-behind pass drains from the unified cache

@@ -18,7 +18,7 @@
 //!   strict seqid monotonicity per owner; conflicting ranges are denied.
 //! * A lease that is not renewed within `lease_duration` expires *lazily but
 //!   deterministically*: every state operation first sweeps its shard, so
-//!   expiry happens at the same simulated instant in every schedule.
+//!   expiry happens at the same simulated instant in every run.
 //! * A server crash moves all held locks into a *reclaimable image* and opens
 //!   a grace window: during grace only reclaims of imaged locks are admitted,
 //!   anything else gets a counted soft rejection ([`NfsStatus::Grace`]) and
@@ -31,9 +31,9 @@
 //! writer's lease had expired).  Both are asserted zero by every sweep and
 //! test.
 //!
-//! All containers are `BTreeMap`s: state operations run on the hub island of
-//! the partitioned core, and orderless iteration (e.g. a `HashMap` sweep)
-//! must never be a source of schedule-dependent behaviour.
+//! All containers are `BTreeMap`s: expiry sweeps and crash images iterate
+//! them, and orderless iteration (e.g. a `HashMap` with a randomly seeded
+//! hasher) would let the same inputs produce different runs.
 
 use std::collections::BTreeMap;
 
@@ -237,7 +237,7 @@ impl ClientStateTable {
     fn sweep_shard(&mut self, idx: usize, now: SimTime) {
         let shard = &mut self.shards[idx];
         // BTreeMap: expiry order is client-id order, identical in every
-        // schedule.
+        // run.
         let expired: Vec<ClientId> = shard
             .clients
             .iter()

@@ -67,22 +67,6 @@ impl MediumParams {
         bytes.div_ceil(self.mtu_payload as usize) as u32
     }
 
-    /// Conservative lookahead window of a segment built on this medium: a
-    /// strict lower bound on the delay between a transmit at `t` and its
-    /// arrival.  Any real datagram carries at least one payload byte on top
-    /// of the empty-datagram serialisation charged here, so arrivals land
-    /// strictly *after* `t + lookahead()` — the inequality the parallel
-    /// simulation core's horizon protocol relies on (see
-    /// `wg_simcore::parallel`).
-    pub fn lookahead(&self) -> Duration {
-        let l = self.serialisation_time(0) + self.propagation;
-        assert!(
-            !l.is_zero(),
-            "a zero-lookahead medium cannot bound cross-partition arrivals"
-        );
-        l
-    }
-
     /// Pure serialisation time of a datagram of `bytes` payload bytes
     /// (fragment headers and inter-packet gaps included, propagation
     /// excluded).

@@ -1,10 +1,9 @@
 //! An adaptive calendar-queue pending-event set.
 //!
-//! Both simulator cores — the serial [`crate::EventQueue`] and the
-//! partitioned [`crate::parallel::KeyedQueue`] — used to sit on a
-//! `BinaryHeap`.  At millions of events per second the heap itself becomes
-//! the hot path: every push and pop sifts ~128-byte entries across
-//! `O(log n)` levels, and the sift traffic (not the comparisons) dominates.
+//! The simulator's [`crate::EventQueue`] used to sit on a `BinaryHeap`.  At
+//! millions of events per second the heap itself becomes the hot path:
+//! every push and pop sifts ~128-byte entries across `O(log n)` levels, and
+//! the sift traffic (not the comparisons) dominates.
 //! A calendar queue (Brown, CACM 1988) replaces the heap with a
 //! power-of-two array of *buckets* indexed by event time, giving amortised
 //! O(1) schedule and pop: an event moves exactly once on the way in and
@@ -34,14 +33,12 @@
 //!
 //! # Determinism
 //!
-//! Pop order is the whole contract: the golden tables and every
-//! partitioned parity suite pin it bit-for-bit.  The queue therefore
-//! never orders by bucket position alone — buckets are kept sorted by the
-//! **full key** (`(time, seq)` for the serial queue, the five-field
-//! lineage key for the partitioned one), and two events can only collide
-//! into the same slot when their times are close, so "earliest virtual
-//! slot, then smallest key within the bucket" reproduces the global key
-//! order exactly.  Because the scan always returns the true global
+//! Pop order is the whole contract: the golden tables pin it bit-for-bit.
+//! The queue therefore never orders by bucket position alone — buckets are
+//! kept sorted by the **full key** (`(time, seq)` for [`crate::EventQueue`]),
+//! and two events can only collide into the same slot when their times are
+//! close, so "earliest virtual slot, then smallest key within the bucket"
+//! reproduces the global key order exactly.  Because the scan always returns the true global
 //! minimum, bucket count and width are *pure performance knobs*: a resize
 //! can never change pop order, which is what makes the adaptive part safe.
 //!
@@ -62,7 +59,7 @@ use std::collections::VecDeque;
 ///
 /// The ordering must be *time-major*: `a < b` whenever
 /// `a.time_ns() < b.time_ns()`.  Ties at the same instant may be broken by
-/// any further fields (insertion sequence, lineage) — the calendar only
+/// any further fields (such as an insertion sequence) — the calendar only
 /// relies on "smaller key never fires later".
 pub trait CalKey: Copy + Ord {
     /// The absolute firing time, in nanoseconds.
@@ -90,8 +87,8 @@ pub struct CalStats {
 }
 
 impl CalStats {
-    /// Fold a partition queue's counters into an accumulated view: counts
-    /// add, high-water marks take the maximum.
+    /// Fold another queue's counters into an accumulated view: counts add,
+    /// high-water marks take the maximum.
     pub fn absorb(&mut self, other: &CalStats) {
         self.buckets = self.buckets.max(other.buckets);
         self.resizes += other.resizes;
@@ -119,8 +116,8 @@ const RECAL_POPS: u64 = 256;
 ///
 /// See the [module docs](self) for the structure; the public surface is
 /// deliberately minimal — the simulator-facing API (clamping, sequence
-/// minting, `clamped_past` accounting) lives in the wrappers
-/// ([`crate::EventQueue`], [`crate::parallel::KeyedQueue`]).
+/// minting, `clamped_past` accounting) lives in the wrapper,
+/// [`crate::EventQueue`].
 pub struct CalendarQueue<K, E> {
     /// `buckets[(t >> shift) & mask]`, each sorted ascending by key.
     buckets: Vec<VecDeque<(K, E)>>,
@@ -377,13 +374,6 @@ impl<K: CalKey, E> CalendarQueue<K, E> {
         Some((k, e))
     }
 
-    /// Visit every pending event in no particular order (bound scans).
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &E)> {
-        self.buckets
-            .iter()
-            .flat_map(|b| b.iter().map(|(k, e)| (k, e)))
-    }
-
     /// Resize when occupancy leaves the `[nb/4, 2*nb]` band, and
     /// recalibrate the bucket width from the observed mean inter-pop gap
     /// both then and periodically (every [`RECAL_POPS`] pops) — a run
@@ -476,8 +466,8 @@ impl<K: CalKey, E> CalendarQueue<K, E> {
 pub(crate) mod heap_oracle {
     //! The previous `BinaryHeap` pending-event set, kept as the reference
     //! oracle for the differential fuzz suites: it is exactly the
-    //! implementation `EventQueue`/`KeyedQueue` shipped with before the
-    //! calendar queue, made generic over the key.
+    //! implementation `EventQueue` shipped with before the calendar queue,
+    //! made generic over the key.
 
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;

@@ -31,7 +31,6 @@ pub mod calq;
 pub mod cpu;
 pub mod fault;
 pub mod fxmap;
-pub mod parallel;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -42,7 +41,6 @@ pub use calq::{CalKey, CalStats, CalendarQueue};
 pub use cpu::{Cpu, MultiCpu};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use parallel::{BoundCell, Key, KeyedQueue, Mailbox, Monitor, OpWindow};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::{Counter, LatencyStat, Utilization};

@@ -1034,7 +1034,7 @@ impl Ufs {
         if self.cache_armed() {
             // Rebuild the cache accounting from the surviving (all clean)
             // pages.  Recency is re-seeded in (ino, lbn) order — arbitrary
-            // but deterministic, so partitioned replays stay bit-identical.
+            // but deterministic, so replays stay bit-identical.
             self.lru.clear();
             self.lru_index.clear();
             self.cache_dirty = 0;

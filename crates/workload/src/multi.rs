@@ -39,8 +39,6 @@ use wg_simcore::{CalStats, Duration, EventQueue, SimTime};
 use crate::results::{FileCopyResult, MultiClientResult};
 use crate::system::NetworkKind;
 
-mod par;
-
 /// Configuration of one multi-client scale-out run.
 #[derive(Clone, Debug)]
 pub struct MultiClientConfig {
@@ -76,10 +74,6 @@ pub struct MultiClientConfig {
     /// Pipelined storage-stack execution on the server (see
     /// [`wg_server::ServerConfig::io_overlap`]).
     pub io_overlap: bool,
-    /// Number of cooperating event loops the run executes on (`0` or `1`
-    /// keeps the serial loop).  Results are bit-identical either way; see
-    /// [`wg_simcore::parallel`].
-    pub sim_threads: usize,
     /// Pages of the server's bounded unified buffer cache (`0`, the default,
     /// keeps the paper's unbounded delayed-write pool).
     pub cache_pages: u64,
@@ -117,7 +111,6 @@ impl MultiClientConfig {
             cores: 1,
             per_client_lans: false,
             io_overlap: false,
-            sim_threads: 0,
             cache_pages: 0,
             dirty_ratio: 0.5,
             stability: StabilityMode::Stable,
@@ -176,12 +169,6 @@ impl MultiClientConfig {
     /// Enable pipelined storage-stack execution on the server.
     pub fn with_io_overlap(mut self, on: bool) -> Self {
         self.io_overlap = on;
-        self
-    }
-
-    /// Run on `n` cooperating event loops (`0` or `1` keeps the serial loop).
-    pub fn with_sim_threads(mut self, n: usize) -> Self {
-        self.sim_threads = n;
         self
     }
 
@@ -339,18 +326,6 @@ impl ClientLans {
         }
     }
 
-    /// Hand the segment media to a partitioned driver, which distributes
-    /// them over its per-segment event loops and returns them via
-    /// [`ClientLans::restore_media`] when the run finishes.
-    pub(crate) fn take_media(&mut self) -> Vec<Medium> {
-        std::mem::take(&mut self.media)
-    }
-
-    /// Put the segment media back after a partitioned run.
-    pub(crate) fn restore_media(&mut self, media: Vec<Medium>) {
-        self.media = media;
-    }
-
     /// The segment a client transmits and receives on.
     pub(crate) fn medium_mut(&mut self, client: usize) -> &mut Medium {
         let idx = if self.media.len() > 1 { client } else { 0 };
@@ -445,12 +420,6 @@ pub struct MultiClientSystem {
     queue: EventQueue<Ev>,
     started_at: SimTime,
     events_processed: u64,
-    /// Events scheduled / clamped by the partitioned executor's keyed queues
-    /// (the serial queue keeps its own counters).
-    par_scheduled_total: u64,
-    par_clamped_past: u64,
-    /// Scheduler-health counters banked from partitioned runs' queues.
-    par_sched: CalStats,
 }
 
 impl MultiClientSystem {
@@ -541,9 +510,6 @@ impl MultiClientSystem {
             queue: EventQueue::new(),
             started_at: SimTime::ZERO,
             events_processed: 0,
-            par_scheduled_total: 0,
-            par_clamped_past: 0,
-            par_sched: CalStats::default(),
             slots,
             layouts,
             server,
@@ -571,18 +537,8 @@ impl MultiClientSystem {
         }
     }
 
-    /// Run every client to completion and return the scale-out result.  With
-    /// [`MultiClientConfig::sim_threads`] `≥ 2` the topology is partitioned
-    /// into per-segment event loops (see [`wg_simcore::parallel`]); the
-    /// result is bit-identical either way.
+    /// Run every client to completion and return the scale-out result.
     pub fn run(&mut self) -> MultiClientResult {
-        if self.config.sim_threads >= 2 {
-            return par::run_partitioned(self);
-        }
-        self.run_serial()
-    }
-
-    fn run_serial(&mut self) -> MultiClientResult {
         self.events_processed = 0;
         for client in 0..self.slots.len() {
             self.queue
@@ -813,25 +769,21 @@ impl MultiClientSystem {
         self.events_processed
     }
 
-    /// Events ever scheduled, across the serial queue and any partitioned
-    /// run's keyed queues.
+    /// Events ever scheduled.
     pub fn scheduled_total(&self) -> u64 {
-        self.queue.scheduled_total() + self.par_scheduled_total
+        self.queue.scheduled_total()
     }
 
     /// Events scheduled into the simulated past (must stay zero; see
     /// [`EventQueue::clamped_past`]).
     pub fn clamped_past(&self) -> u64 {
-        self.queue.clamped_past() + self.par_clamped_past
+        self.queue.clamped_past()
     }
 
-    /// Scheduler-health counters of the pending-event set: the serial
-    /// queue's calendar geometry folded with any partitioned run's queues
-    /// (counts add, high-water marks take the maximum).
+    /// Scheduler-health counters of the pending-event set (calendar
+    /// geometry, resizes, depth high-water, direct-search fallbacks).
     pub fn sched_stats(&self) -> CalStats {
-        let mut stats = self.queue.sched_stats();
-        stats.absorb(&self.par_sched);
-        stats
+        self.queue.sched_stats()
     }
 
     /// The configuration the system was built with.

@@ -59,8 +59,6 @@ use crate::multi::ClientLans;
 use crate::results::{MultiClientResult, SfsPoint};
 use crate::system::NetworkKind;
 
-mod par;
-
 /// The operation mix, as percentages that sum to 100.
 #[derive(Clone, Copy, Debug, serde::Serialize)]
 pub struct SfsMix {
@@ -223,12 +221,6 @@ pub struct SfsConfig {
     /// Attempts after which an unanswered call is abandoned and counted in
     /// `gave_up` — a counted failure, never a silent success.
     pub max_retransmits: u32,
-    /// Worker threads driving one run's event loops.  `0` or `1` (the
-    /// default) keeps the serial loop; `≥ 2` partitions the topology into
-    /// per-LAN-segment event loops plus a server/disk island synchronised by
-    /// conservative lookahead ([`wg_simcore::parallel`]), bit-identical to
-    /// the serial run.
-    pub sim_threads: usize,
     /// Pages of the server's bounded unified buffer cache (`0`, the default,
     /// keeps the paper's unbounded delayed-write pool and replays every
     /// original figure point byte-for-byte).
@@ -292,7 +284,6 @@ impl SfsConfig {
             loss_probability: 0.0,
             retry_initial_timeout: Duration::from_millis(700),
             max_retransmits: 8,
-            sim_threads: 0,
             cache_pages: 0,
             dirty_ratio: 0.5,
             stability: StabilityMode::Stable,
@@ -400,13 +391,6 @@ impl SfsConfig {
         self
     }
 
-    /// Drive the run with `n` cooperating event loops (`≤ 1` keeps the
-    /// serial driver).  Results are bit-identical either way.
-    pub fn with_sim_threads(mut self, n: usize) -> Self {
-        self.sim_threads = n;
-        self
-    }
-
     /// Arm the server's bounded unified buffer cache with `pages` pages
     /// (`0` disarms it).
     pub fn with_unified_cache(mut self, pages: u64) -> Self {
@@ -495,7 +479,7 @@ enum OpKind {
     Setattr,
     Statfs,
     /// COMMIT chasing an unstable write burst (never drawn from the mix;
-    /// queued by [`SfsGenerator::finish_write`] under
+    /// queued behind the burst by [`SfsGenerator::next_call`] under
     /// [`StabilityMode::Unstable`]).
     Commit,
     /// Lease registration/renewal (never drawn from the mix; issued by the
@@ -766,55 +750,27 @@ impl SfsGenerator {
         Xid(xid)
     }
 
-    /// Mint the successor name of a rotating scratch slot (counted in
-    /// `name_mints`); [`SfsGenerator::install_rotated`] installs the created
-    /// file once the server island has created it.
-    fn mint_rotation_name(&mut self, idx: usize) -> String {
-        let slot = self.write_files[idx].slot;
-        let generation = self.write_files[idx].generation + 1;
-        self.name_mints += 1;
-        scratch_file_name(self.client as usize, slot, generation)
-    }
-
-    /// Point a rotating slot at the freshly created zero-length file.
-    fn install_rotated(&mut self, idx: usize, handle: FileHandle) {
-        let slot = self.write_files[idx].slot;
-        let generation = self.write_files[idx].generation + 1;
-        self.write_files[idx] = ScratchFile {
-            handle,
-            offset: 0,
-            slot,
-            generation,
-        };
-    }
-
     /// Rotate a scratch slot to a fresh zero-length file, creating it in the
     /// exported filesystem out-of-band (the same way pre-population does).
     /// Keeps every append offset inside the UFS file cap no matter how long
-    /// or write-hot the run is.
+    /// or write-hot the run is.  The successor's name is a counted mint.
     fn rotate_scratch(&mut self, idx: usize, server: &mut NfsServer) {
-        let name = self.mint_rotation_name(idx);
+        let ScratchFile {
+            slot, generation, ..
+        } = self.write_files[idx];
+        let name = scratch_file_name(self.client as usize, slot, generation + 1);
+        self.name_mints += 1;
         let root = server.fs().root();
         let ino = server
             .fs_mut()
             .create(root, &name, 0o644, 0)
             .expect("scratch rotation name is fresh");
-        let handle = server.handle_for_ino(ino).expect("live inode");
-        self.install_rotated(idx, handle);
-    }
-
-    /// Whether the next operation this stream draws *could* have to rotate a
-    /// scratch slot (a server-island filesystem mutation).  Conservative: a
-    /// fresh burst start might pick any slot, so any slot near the cap
-    /// answers yes.  Mid-burst chunks never rotate.
-    fn could_rotate(&self, config: &SfsConfig) -> bool {
-        if !self.burst_queue.is_empty() {
-            return false;
-        }
-        let burst_len = config.write_burst.max(1) as u64;
-        self.write_files
-            .iter()
-            .any(|f| f.offset + burst_len * CHUNK > config.scratch_file_limit)
+        self.write_files[idx] = ScratchFile {
+            handle: server.handle_for_ino(ino).expect("live inode"),
+            offset: 0,
+            slot,
+            generation: generation + 1,
+        };
     }
 
     fn pick_file<'a>(&mut self, shared: &'a SharedFiles) -> &'a (Arc<str>, FileHandle, u64) {
@@ -832,78 +788,6 @@ impl SfsGenerator {
         config: &SfsConfig,
         server: &mut NfsServer,
     ) -> NfsCall {
-        match self.next_call_step(now, shared, config) {
-            CallStep::Ready(call) => call,
-            CallStep::NeedsRotation { xid, idx } => {
-                self.rotate_scratch(idx, server);
-                self.finish_write(now, xid, idx, config.write_burst.max(1), config.stability)
-            }
-        }
-    }
-
-    /// Build the write-burst head against slot `idx` (post-rotation, if one
-    /// was needed), queueing the follow-on chunks and stamping the ring.
-    /// Under [`StabilityMode::Unstable`] every chunk is tagged
-    /// `WRITE(UNSTABLE)` and one whole-file `COMMIT` is queued behind the
-    /// burst, making the burst's durability one batched flush — the NFSv3
-    /// shape — instead of `burst` synchronous commits.
-    fn finish_write(
-        &mut self,
-        now: SimTime,
-        xid: Xid,
-        idx: usize,
-        burst: usize,
-        stability: StabilityMode,
-    ) -> NfsCall {
-        let burst_len = burst as u64;
-        let ScratchFile {
-            handle: fh,
-            offset: start,
-            ..
-        } = self.write_files[idx];
-        self.write_files[idx].offset = start + burst_len * CHUNK;
-        debug_assert!(start + burst_len * CHUNK <= u32::MAX as u64);
-        let stable_how = match stability {
-            StabilityMode::Stable => StableHow::FileSync,
-            StabilityMode::Unstable => StableHow::Unstable,
-        };
-        // The COMMIT pops after the last chunk of the burst (the queue pops
-        // from the back, so it is pushed first).
-        if stability == StabilityMode::Unstable {
-            self.burst_queue.push(NfsCallBody::Commit(CommitArgs {
-                file: fh,
-                offset: 0,
-                count: 0,
-            }));
-        }
-        // Queue the follow-on chunks in reverse so popping yields ascending
-        // offsets.
-        for i in (1..burst_len).rev() {
-            let offset = start + i * CHUNK;
-            let fill = (offset / CHUNK) as u8;
-            self.burst_queue.push(NfsCallBody::Write(
-                WriteArgs::fill(fh, offset as u32, fill, CHUNK as u32).with_stability(stable_how),
-            ));
-        }
-        let fill = (start / CHUNK) as u8;
-        let body = NfsCallBody::Write(
-            WriteArgs::fill(fh, start as u32, fill, CHUNK as u32).with_stability(stable_how),
-        );
-        self.outstanding.insert(xid.0, now, OpKind::Write);
-        NfsCall::new(xid, body)
-    }
-
-    /// Advance the stream to its next call, stopping just before a scratch
-    /// rotation: the serial driver rotates inline ([`SfsGenerator::next_call`]),
-    /// the partitioned driver ships the create to the server island and
-    /// resumes with [`SfsGenerator::finish_write`].  Both paths draw the RNG
-    /// identically.
-    fn next_call_step(
-        &mut self,
-        now: SimTime,
-        shared: &SharedFiles,
-        config: &SfsConfig,
-    ) -> CallStep {
         // Drain an in-progress write burst first: LADDIS writes whole files
         // in consecutive 8 KB chunks, so write operations arrive in bursts
         // (under unstable stability the burst's trailing COMMIT rides the
@@ -916,7 +800,7 @@ impl SfsGenerator {
                 OpKind::Write
             };
             self.outstanding.insert(xid.0, now, kind);
-            return CallStep::Ready(NfsCall::new(xid, body));
+            return NfsCall::new(xid, body);
         }
         // Scale the write weight down by the burst length so that writes stay
         // at their configured share of *operations* even though each burst
@@ -948,12 +832,53 @@ impl SfsGenerator {
             OpKind::Write => {
                 // Start a burst of sequential appending writes to one of the
                 // scratch files: every chunk allocates fresh blocks, as the
-                // file-writing phases of LADDIS do.
+                // file-writing phases of LADDIS do.  A slot the burst would
+                // carry past the rotation limit rotates to a fresh file first.
                 let idx = self.rng.next_below(self.write_files.len() as u64) as usize;
-                if self.write_files[idx].offset + burst as u64 * CHUNK > config.scratch_file_limit {
-                    return CallStep::NeedsRotation { xid, idx };
+                let burst_len = burst as u64;
+                if self.write_files[idx].offset + burst_len * CHUNK > config.scratch_file_limit {
+                    self.rotate_scratch(idx, server);
                 }
-                return CallStep::Ready(self.finish_write(now, xid, idx, burst, config.stability));
+                let ScratchFile {
+                    handle: fh,
+                    offset: start,
+                    ..
+                } = self.write_files[idx];
+                self.write_files[idx].offset = start + burst_len * CHUNK;
+                debug_assert!(start + burst_len * CHUNK <= u32::MAX as u64);
+                // Under `StabilityMode::Unstable` every chunk is tagged
+                // `WRITE(UNSTABLE)` and one whole-file `COMMIT` is queued
+                // behind the burst, making the burst's durability one
+                // batched flush — the NFSv3 shape — instead of `burst`
+                // synchronous commits.
+                let stable_how = match config.stability {
+                    StabilityMode::Stable => StableHow::FileSync,
+                    StabilityMode::Unstable => StableHow::Unstable,
+                };
+                // The COMMIT pops after the last chunk of the burst (the
+                // queue pops from the back, so it is pushed first).
+                if config.stability == StabilityMode::Unstable {
+                    self.burst_queue.push(NfsCallBody::Commit(CommitArgs {
+                        file: fh,
+                        offset: 0,
+                        count: 0,
+                    }));
+                }
+                // Queue the follow-on chunks in reverse so popping yields
+                // ascending offsets.
+                for i in (1..burst_len).rev() {
+                    let offset = start + i * CHUNK;
+                    let fill = (offset / CHUNK) as u8;
+                    self.burst_queue.push(NfsCallBody::Write(
+                        WriteArgs::fill(fh, offset as u32, fill, CHUNK as u32)
+                            .with_stability(stable_how),
+                    ));
+                }
+                let fill = (start / CHUNK) as u8;
+                NfsCallBody::Write(
+                    WriteArgs::fill(fh, start as u32, fill, CHUNK as u32)
+                        .with_stability(stable_how),
+                )
             }
             OpKind::Getattr => {
                 let &(_, fh, _) = self.pick_file(shared);
@@ -1006,7 +931,7 @@ impl SfsGenerator {
             }
         };
         self.outstanding.insert(xid.0, now, kind);
-        CallStep::Ready(NfsCall::new(xid, body))
+        NfsCall::new(xid, body)
     }
 
     /// The client-state call of one lease tick, if the stream still runs its
@@ -1067,8 +992,7 @@ impl SfsGenerator {
     }
 
     /// Apply a lease-protocol reply to the client state machine.  Pure local
-    /// mutation — never transmits — so both drivers call it inline from
-    /// their reply arms without affecting partitioned lookahead.
+    /// mutation: it never transmits.
     fn on_state_reply(&mut self, body: &NfsReplyBody) {
         match body {
             NfsReplyBody::Renew(StatusReply::Ok(ok)) => {
@@ -1138,10 +1062,11 @@ impl SfsGenerator {
 }
 
 /// First lease tick of `client`: one renew interval in, plus a per-client
-/// nanosecond skew.  The skew keeps tick keys distinct (deterministic order
-/// in both drivers, no measure-zero tie against the continuous arrival
-/// draws) while still landing the whole fleet's renewals inside a window
-/// that is microseconds wide — which at 10 000 clients *is* the storm.
+/// nanosecond skew.  The skew gives every stream's ticks their own instants
+/// (no same-instant ties between streams, none against the continuous
+/// arrival draws) while still landing the whole fleet's renewals inside a
+/// window that is microseconds wide — which at 10 000 clients *is* the
+/// storm.  It is model behaviour: every leased run's numbers depend on it.
 fn lease_tick_origin(renew: Duration, client: usize) -> SimTime {
     SimTime::ZERO + renew + Duration::from_nanos(client as u64 + 1)
 }
@@ -1151,15 +1076,6 @@ fn lease_tick_origin(renew: Duration, client: usize) -> SimTime {
 fn churn_origin(churn: Duration, client: usize, clients: usize) -> SimTime {
     let stagger = churn.as_nanos() / clients.max(1) as u64 * client as u64;
     SimTime::ZERO + churn + Duration::from_nanos(stagger + client as u64 + 1)
-}
-
-/// One step of a generator stream: either the call is ready, or the drawn
-/// write must rotate its scratch slot first — a filesystem mutation the
-/// serial driver performs inline and the partitioned driver ships to the
-/// server island.
-enum CallStep {
-    Ready(NfsCall),
-    NeedsRotation { xid: Xid, idx: usize },
 }
 
 enum Ev {
@@ -1193,12 +1109,6 @@ pub struct SfsSystem {
     issued: u64,
     completed: u64,
     events_processed: u64,
-    /// Events scheduled / past-clamps accumulated by partitioned runs (the
-    /// serial path's live in `queue`; accessors report the sum).
-    par_scheduled_total: u64,
-    par_clamped_past: u64,
-    /// Scheduler-health counters banked from partitioned runs' queues.
-    par_sched: CalStats,
 }
 
 impl SfsSystem {
@@ -1321,9 +1231,6 @@ impl SfsSystem {
             issued: 0,
             completed: 0,
             events_processed: 0,
-            par_scheduled_total: 0,
-            par_clamped_past: 0,
-            par_sched: CalStats::default(),
             server,
             config,
         }
@@ -1359,29 +1266,8 @@ impl SfsSystem {
         }
     }
 
-    /// Run the measurement and produce one figure point.  With
-    /// [`SfsConfig::sim_threads`] `≥ 2` the topology is partitioned into
-    /// cooperating event loops ([`par`]); results are bit-identical either
-    /// way.
+    /// Run the measurement and produce one figure point.
     pub fn run(&mut self) -> SfsPoint {
-        let point = if self.config.sim_threads >= 2 {
-            par::run_partitioned(self)
-        } else {
-            self.run_serial()
-        };
-        if self.config.leases {
-            // Deterministic post-run expiry sweep (identical after either
-            // driver): any stream that stopped renewing — lease-dead after a
-            // give-up, or churn-killed — has its lease expire here and its
-            // state reclaimed as orphans.
-            self.server
-                .expire_leases(SimTime::ZERO + self.config.duration);
-        }
-        point
-    }
-
-    /// The reference single-threaded event loop.
-    fn run_serial(&mut self) -> SfsPoint {
         self.events_processed = 0;
         for client in 0..self.generators.len() {
             let gap = {
@@ -1577,10 +1463,18 @@ impl SfsSystem {
                 }
             }
         }
-        self.point()
+        let point = self.point();
+        if self.config.leases {
+            // Deterministic post-run expiry sweep: any stream that stopped
+            // renewing — lease-dead after a give-up, or churn-killed — has
+            // its lease expire here and its state reclaimed as orphans.
+            self.server
+                .expire_leases(SimTime::ZERO + self.config.duration);
+        }
+        point
     }
 
-    /// The figure point of the finished run (shared by both drivers).
+    /// The figure point of the finished run.
     fn point(&self) -> SfsPoint {
         let measured = self.config.duration;
         SfsPoint {
@@ -1745,26 +1639,22 @@ impl SfsSystem {
         self.events_processed
     }
 
-    /// Total events ever scheduled, across the serial queue and any
-    /// partitioned run's per-partition queues.
+    /// Total events ever scheduled.
     pub fn scheduled_total(&self) -> u64 {
-        self.queue.scheduled_total() + self.par_scheduled_total
+        self.queue.scheduled_total()
     }
 
-    /// Events scheduled into the past and clamped (serial queue plus every
-    /// partitioned queue).  Always zero in a healthy model; sweeps assert it
-    /// per cell the same way they assert `evicted_in_progress`.
+    /// Events scheduled into the past and clamped.  Always zero in a healthy
+    /// model; sweeps assert it per cell the same way they assert
+    /// `evicted_in_progress`.
     pub fn clamped_past(&self) -> u64 {
-        self.queue.clamped_past() + self.par_clamped_past
+        self.queue.clamped_past()
     }
 
-    /// Scheduler-health counters of the pending-event set: the serial
-    /// queue's calendar geometry folded with any partitioned run's queues
-    /// (counts add, high-water marks take the maximum).
+    /// Scheduler-health counters of the pending-event set (calendar
+    /// geometry, resizes, depth high-water, direct-search fallbacks).
     pub fn sched_stats(&self) -> CalStats {
-        let mut stats = self.queue.sched_stats();
-        stats.absorb(&self.par_sched);
-        stats
+        self.queue.sched_stats()
     }
 }
 
@@ -2226,20 +2116,6 @@ mod tests {
         assert_eq!(stats.unstable_writes, 0);
         assert_eq!(stats.commits, 0);
         assert_eq!(stats.forced_file_sync, 0);
-    }
-
-    #[test]
-    fn unstable_partitioned_run_is_bit_identical_to_serial() {
-        let config = quick_config(300.0, WritePolicy::Gathering)
-            .with_clients(2)
-            .with_per_client_lans(true)
-            .with_unified_cache(2048)
-            .with_stability(StabilityMode::Unstable);
-        let serial = SfsSystem::new(config.clone()).run();
-        let parallel = SfsSystem::new(config.with_sim_threads(2)).run();
-        assert_eq!(serial.achieved_ops_per_sec, parallel.achieved_ops_per_sec);
-        assert_eq!(serial.avg_latency_ms, parallel.avg_latency_ms);
-        assert_eq!(serial.server_cpu_percent, parallel.server_cpu_percent);
     }
 
     #[test]

@@ -9,8 +9,6 @@ use wg_simcore::{CalStats, Duration, EventQueue, FaultKind, FaultPlan, SimTime, 
 
 use crate::results::FileCopyResult;
 
-mod par;
-
 /// Which network the experiment runs over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum NetworkKind {
@@ -66,9 +64,10 @@ pub struct ExperimentConfig {
     /// knobs, used by fault tests to force a give-up quickly.  `None` keeps
     /// [`wg_client::ClientConfig::default`].
     pub client_retry: Option<(Duration, u32)>,
-    /// Number of cooperating event loops the run executes on (`0` or `1`
-    /// keeps the serial loop).  Results are bit-identical either way; see
-    /// [`wg_simcore::parallel`].
+    /// Inert: the simulator never reads it, and every run executes on the
+    /// one serial event loop.  It is kept only because the benchmark
+    /// package's traced copy replay (`benchmark/src/traced.rs`) still checks
+    /// it; remove the two together.
     pub sim_threads: usize,
     /// Pages of the server's bounded unified buffer cache (`0`, the default,
     /// keeps the paper's unbounded delayed-write pool — every table cell is
@@ -163,12 +162,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Run on `n` cooperating event loops (`0` or `1` keeps the serial loop).
-    pub fn with_sim_threads(mut self, n: usize) -> Self {
-        self.sim_threads = n;
-        self
-    }
-
     /// Arm the server's bounded unified buffer cache with `pages` pages
     /// (`0` disarms it and restores the paper's unbounded pool).
     pub fn with_unified_cache(mut self, pages: u64) -> Self {
@@ -209,15 +202,6 @@ pub struct FileCopySystem {
     completed_at: Option<SimTime>,
     started_at: SimTime,
     events_processed: u64,
-    /// Time of the last event a partitioned run processed; stands in for the
-    /// serial queue's clock when a faulted cell never completes.
-    par_now: SimTime,
-    /// Events scheduled / clamped by the partitioned executor's keyed queues
-    /// (the serial queue keeps its own counters).
-    par_scheduled_total: u64,
-    par_clamped_past: u64,
-    /// Scheduler-health counters banked from partitioned runs' queues.
-    par_sched: CalStats,
 }
 
 impl FileCopySystem {
@@ -285,10 +269,6 @@ impl FileCopySystem {
             completed_at: None,
             started_at: SimTime::ZERO,
             events_processed: 0,
-            par_now: SimTime::ZERO,
-            par_scheduled_total: 0,
-            par_clamped_past: 0,
-            par_sched: CalStats::default(),
             client,
             server,
             config,
@@ -300,25 +280,21 @@ impl FileCopySystem {
         self.events_processed
     }
 
-    /// Total events ever scheduled, across the serial queue and any
-    /// partitioned run's keyed queues.
+    /// Total events ever scheduled.
     pub fn scheduled_total(&self) -> u64 {
-        self.queue.scheduled_total() + self.par_scheduled_total
+        self.queue.scheduled_total()
     }
 
     /// Events scheduled into the simulated past (must stay zero; see
     /// [`EventQueue::clamped_past`]).
     pub fn clamped_past(&self) -> u64 {
-        self.queue.clamped_past() + self.par_clamped_past
+        self.queue.clamped_past()
     }
 
-    /// Scheduler-health counters of the pending-event set: the serial
-    /// queue's calendar geometry folded with any partitioned run's queues
-    /// (counts add, high-water marks take the maximum).
+    /// Scheduler-health counters of the pending-event set (calendar
+    /// geometry, resizes, depth high-water, direct-search fallbacks).
     pub fn sched_stats(&self) -> CalStats {
-        let mut stats = self.queue.sched_stats();
-        stats.absorb(&self.par_sched);
-        stats
+        self.queue.sched_stats()
     }
 
     /// Upper bound on events one copy may process before the run is declared
@@ -337,13 +313,6 @@ impl FileCopySystem {
     /// for every event, so the steady-state loop performs no per-event
     /// allocation.
     pub fn run(&mut self) -> FileCopyResult {
-        if self.config.sim_threads >= 2 {
-            return par::run_partitioned(self);
-        }
-        self.run_serial()
-    }
-
-    fn run_serial(&mut self) -> FileCopyResult {
         self.events_processed = 0;
         self.queue
             .schedule_at(SimTime::ZERO, Ev::Client(ClientInput::Start));
@@ -488,9 +457,7 @@ impl FileCopySystem {
             self.client.stats().bytes_acked,
             self.config.file_size
         );
-        let completed_at = self
-            .completed_at
-            .unwrap_or_else(|| self.queue.now().max(self.par_now));
+        let completed_at = self.completed_at.unwrap_or(self.queue.now());
         let elapsed = completed_at.since(self.started_at);
         let elapsed = if elapsed.is_zero() {
             Duration::from_nanos(1)
