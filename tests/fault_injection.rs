@@ -396,6 +396,57 @@ fn sfs_chaos_schedule_accounts_for_every_call() {
     assert_eq!(issued, completed + unstable.gave_up());
 }
 
+#[test]
+fn partitioned_unstable_sfs_replays_the_crash_schedule_bit_for_bit() {
+    // The NFSv3 write path under the seeded crash schedule, 2% steady loss
+    // and a clean network partition (every datagram dropped for 400 ms at
+    // t = 5 s): WRITE(UNSTABLE)+COMMIT through a bounded 4096-page cache.
+    // Run twice from the same seed, background writeback, COMMIT flushes,
+    // the boot-verifier bump and the retransmissions after each reboot and
+    // after the partition heals must replay bit for bit.
+    let horizon = Duration::from_secs(8);
+    let make = || {
+        let plan = FaultPlan::seeded_crashes(0xC4A5, Duration::from_secs(3), horizon).at(
+            SimTime::ZERO + Duration::from_secs(5),
+            FaultKind::LossBurst {
+                duration: Duration::from_millis(400),
+                probability: 1.0,
+                segment: None,
+            },
+        );
+        let mut config = SfsConfig::figure2(400.0, WritePolicy::Gathering)
+            .with_fault_plan(plan)
+            .with_loss(0.02)
+            .with_unified_cache(4096)
+            .with_stability(StabilityMode::Unstable);
+        config.duration = horizon;
+        SfsSystem::new(config)
+    };
+    let mut first = make();
+    let point = first.run();
+    let stats = first.server().stats();
+    assert!(stats.crashes >= 1, "the seeded schedule never crashed");
+    assert!(stats.unstable_writes > 0, "no write ever went UNSTABLE");
+    assert!(stats.commits > 0, "no COMMIT was ever processed");
+    assert!(first.retransmissions() > 0);
+    assert_eq!(stats.lost_acked_bytes, 0);
+    let (issued, completed) = first.counts();
+    assert_eq!(issued, completed + first.gave_up());
+
+    let mut replay = make();
+    let again = replay.run();
+    assert_eq!(format!("{point:?}"), format!("{again:?}"));
+    assert_eq!(replay.counts(), first.counts());
+    assert_eq!(replay.events_processed(), first.events_processed());
+    assert_eq!(replay.retransmissions(), first.retransmissions());
+    assert_eq!(replay.gave_up(), first.gave_up());
+    assert_eq!(replay.clamped_past(), 0);
+    assert_eq!(
+        format!("{:?}", replay.server().stats()),
+        format!("{stats:?}")
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Give-up is a counted failure, never a silent success.
 // ---------------------------------------------------------------------------
