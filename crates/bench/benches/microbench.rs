@@ -115,37 +115,24 @@ fn bench_server() {
             let root = server.fs().root();
             let ino = server.fs_mut().create(root, "t", 0o644, 0).unwrap();
             let fh = server.handle_for_ino(ino).unwrap();
-            let mut queue = wg_simcore::EventQueue::new();
-            for i in 0..64u64 {
+            // Spaced widely enough that the slow (standard) policy never
+            // overruns the socket buffer: the benchmark measures per-request
+            // processing cost, not overload behaviour.
+            let writes = (0..64u64).map(|i| {
                 let call = NfsCall::new(
                     Xid(i as u32),
                     NfsCallBody::Write(WriteArgs::new(fh, (i * 8192) as u32, vec![1u8; 8192])),
                 );
-                let size = call.wire_size();
-                // Spaced widely enough that the slow (standard) policy never
-                // overruns the socket buffer: the benchmark measures
-                // per-request processing cost, not overload behaviour.
-                queue.schedule_at(
-                    SimTime::from_micros(i * 2_000),
-                    ServerInput::Datagram {
-                        client: 0,
-                        call,
-                        wire_size: size,
-                        fragments: 2,
-                    },
-                );
-            }
-            let mut replies = 0usize;
-            while let Some((t, input)) = queue.pop() {
-                for action in server.handle(t, input) {
-                    match action {
-                        wg_server::ServerAction::Wakeup { at, token } => {
-                            queue.schedule_at(at, ServerInput::Wakeup { token });
-                        }
-                        wg_server::ServerAction::Reply { .. } => replies += 1,
-                    }
-                }
-            }
+                let wire_size = call.wire_size();
+                let datagram = ServerInput::Datagram {
+                    client: 0,
+                    call,
+                    wire_size,
+                    fragments: 2,
+                };
+                (SimTime::from_micros(i * 2_000), datagram)
+            });
+            let replies = server.run_script(writes).len();
             assert!(replies >= 32, "server answered only {replies} of 64 writes");
             replies
         });

@@ -340,7 +340,7 @@ impl FileWriterClient {
     ///
     /// Orchestrators driving millions of events reuse one scratch vector
     /// across the whole run instead of allocating a fresh `Vec` per event —
-    /// see `FileCopySystem::run`.
+    /// see the workload crate's `harness` loop.
     pub fn handle_into(
         &mut self,
         now: SimTime,
@@ -683,9 +683,13 @@ mod tests {
         NfsReply::new(xid, NfsReplyBody::Attr(StatusReply::Ok(Fattr::default())))
     }
 
-    /// Drive a client against a perfect zero-latency server that answers each
-    /// write after `service` time.
-    fn run_against_ideal_server(mut client: FileWriterClient, service: Duration) -> ClientStats {
+    /// Drive `client` to completion against a scripted server: `serve` sees
+    /// each call as it is sent and returns the delay and reply to deliver,
+    /// or `None` to lose the call.
+    fn drive(
+        client: &mut FileWriterClient,
+        mut serve: impl FnMut(SimTime, &NfsCall) -> Option<(Duration, NfsReply)>,
+    ) {
         let mut queue = wg_simcore::EventQueue::new();
         queue.schedule_at(SimTime::ZERO, ClientInput::Start);
         let mut guard = 0u64;
@@ -695,7 +699,9 @@ mod tests {
             for action in client.handle(t, input) {
                 match action {
                     ClientAction::Send { at, call } => {
-                        queue.schedule_at(at + service, ClientInput::Reply(ok_reply(call.xid)));
+                        if let Some((delay, reply)) = serve(at, &call) {
+                            queue.schedule_at(at + delay, ClientInput::Reply(reply));
+                        }
                     }
                     ClientAction::Wakeup { at, token } => {
                         queue.schedule_at(at, ClientInput::Wakeup { token });
@@ -708,6 +714,12 @@ mod tests {
             }
         }
         assert!(client.is_done());
+    }
+
+    /// Drive a client against a perfect server that answers each write
+    /// after `service` time.
+    fn run_against_ideal_server(mut client: FileWriterClient, service: Duration) -> ClientStats {
+        drive(&mut client, |_, call| Some((service, ok_reply(call.xid))));
         client.stats()
     }
 
@@ -777,39 +789,21 @@ mod tests {
             generate_cost: Duration::from_micros(50),
             ..ClientConfig::default()
         };
-        let mut client = FileWriterClient::new(cfg, handle());
-        let mut queue = wg_simcore::EventQueue::new();
-        queue.schedule_at(SimTime::ZERO, ClientInput::Start);
-        let mut in_flight = 0usize;
-        let mut max_in_flight = 0usize;
-        while let Some((t, input)) = queue.pop() {
-            // A reply being delivered takes one request out of flight.
-            if matches!(input, ClientInput::Reply(_)) {
-                in_flight = in_flight.saturating_sub(1);
-            }
-            for action in client.handle(t, input) {
-                match action {
-                    ClientAction::Send { at, call } => {
-                        in_flight += 1;
-                        max_in_flight = max_in_flight.max(in_flight);
-                        queue.schedule_at(
-                            at + Duration::from_millis(20),
-                            ClientInput::Reply(ok_reply(call.xid)),
-                        );
-                    }
-                    ClientAction::Wakeup { at, token } => {
-                        queue.schedule_at(at, ClientInput::Wakeup { token })
-                    }
-                    ClientAction::Completed { .. } => {}
-                }
-            }
-            if client.is_done() {
-                break;
-            }
-        }
-        assert!(client.is_done());
-        // 3 biods plus the blocked application process itself.
-        assert!(max_in_flight <= 4, "window grew to {max_in_flight}");
+        let service = Duration::from_millis(20);
+        let mut sends = Vec::new();
+        drive(&mut FileWriterClient::new(cfg, handle()), |at, call| {
+            sends.push(at);
+            Some((service, ok_reply(call.xid)))
+        });
+        // A request is in flight from its send until its reply lands.
+        let max_in_flight = sends
+            .iter()
+            .map(|&t| sends.iter().filter(|&&s| s <= t && s + service > t).count())
+            .max()
+            .unwrap_or(0);
+        // 3 biods plus the blocked application process itself, and the
+        // window is really used.
+        assert_eq!(max_in_flight, 4, "window reached {max_in_flight}");
     }
 
     #[test]
@@ -820,32 +814,13 @@ mod tests {
             pattern: AccessPattern::Random { seed: 42 },
             ..ClientConfig::default()
         };
-        let mut client = FileWriterClient::new(cfg, handle());
         let mut offsets = Vec::new();
-        let mut queue = wg_simcore::EventQueue::new();
-        queue.schedule_at(SimTime::ZERO, ClientInput::Start);
-        while let Some((t, input)) = queue.pop() {
-            for action in client.handle(t, input) {
-                match action {
-                    ClientAction::Send { at, call } => {
-                        if let NfsCallBody::Write(w) = &call.body {
-                            offsets.push(w.offset as u64);
-                        }
-                        queue.schedule_at(
-                            at + Duration::from_millis(1),
-                            ClientInput::Reply(ok_reply(call.xid)),
-                        );
-                    }
-                    ClientAction::Wakeup { at, token } => {
-                        queue.schedule_at(at, ClientInput::Wakeup { token })
-                    }
-                    ClientAction::Completed { .. } => {}
-                }
+        drive(&mut FileWriterClient::new(cfg, handle()), |_, call| {
+            if let NfsCallBody::Write(w) = &call.body {
+                offsets.push(w.offset as u64);
             }
-            if client.is_done() {
-                break;
-            }
-        }
+            Some((Duration::from_millis(1), ok_reply(call.xid)))
+        });
         offsets.sort_unstable();
         let expected: Vec<u64> = (0..20u64).map(|b| b * 8192).collect();
         assert_eq!(offsets, expected);
@@ -869,37 +844,15 @@ mod tests {
             ..ClientConfig::default()
         };
         let mut client = FileWriterClient::new(cfg, handle());
-        let mut queue = wg_simcore::EventQueue::new();
-        queue.schedule_at(SimTime::ZERO, ClientInput::Start);
         let mut sends: Vec<(SimTime, Xid)> = Vec::new();
-        while let Some((t, input)) = queue.pop() {
-            for action in client.handle(t, input) {
-                match action {
-                    ClientAction::Send { at, call } => {
-                        sends.push((at, call.xid));
-                        // Drop the first two transmissions of the first xid;
-                        // answer everything else promptly.
-                        let drops_for_this_xid =
-                            sends.iter().filter(|(_, x)| *x == call.xid).count();
-                        let is_first_xid = call.xid == sends[0].1;
-                        if !(is_first_xid && drops_for_this_xid <= 2) {
-                            queue.schedule_at(
-                                at + Duration::from_millis(5),
-                                ClientInput::Reply(ok_reply(call.xid)),
-                            );
-                        }
-                    }
-                    ClientAction::Wakeup { at, token } => {
-                        queue.schedule_at(at, ClientInput::Wakeup { token })
-                    }
-                    ClientAction::Completed { .. } => {}
-                }
-            }
-            if client.is_done() {
-                break;
-            }
-        }
-        assert!(client.is_done());
+        drive(&mut client, |at, call| {
+            sends.push((at, call.xid));
+            // Drop the first two transmissions of the first xid; answer
+            // everything else promptly.
+            let sent_so_far = sends.iter().filter(|(_, x)| *x == call.xid).count();
+            let dropped = call.xid == sends[0].1 && sent_so_far <= 2;
+            (!dropped).then(|| (Duration::from_millis(5), ok_reply(call.xid)))
+        });
         let stats = client.stats();
         assert_eq!(stats.retransmissions, 2);
         assert_eq!(stats.bytes_acked, 16 * 1024);
@@ -926,20 +879,8 @@ mod tests {
             ..ClientConfig::default()
         };
         let mut client = FileWriterClient::new(cfg, handle());
-        let mut queue = wg_simcore::EventQueue::new();
-        queue.schedule_at(SimTime::ZERO, ClientInput::Start);
         // Never answer anything.
-        while let Some((t, input)) = queue.pop() {
-            for action in client.handle(t, input) {
-                if let ClientAction::Wakeup { at, token } = action {
-                    queue.schedule_at(at, ClientInput::Wakeup { token });
-                }
-            }
-            if client.is_done() {
-                break;
-            }
-        }
-        assert!(client.is_done());
+        drive(&mut client, |_, _| None);
         let stats = client.stats();
         assert_eq!(stats.retransmissions, 3);
         assert_eq!(stats.bytes_acked, 0);
@@ -949,61 +890,39 @@ mod tests {
     }
 
     /// A toy unstable-mode server: acknowledges writes `UNSTABLE` under the
-    /// current verifier, answers COMMIT with the current verifier, and can be
-    /// "crashed" (verifier bump) at a scheduled time.
+    /// current verifier, answers COMMIT with the current verifier, and
+    /// "crashes" (verifier bump) just before acknowledging the given write.
     fn run_unstable_client(
         mut client: FileWriterClient,
         crash_after_writes: Option<u64>,
     ) -> FileWriterClient {
-        let mut queue = wg_simcore::EventQueue::new();
-        queue.schedule_at(SimTime::ZERO, ClientInput::Start);
         let mut verf = 100u64;
         let mut writes_seen = 0u64;
-        let mut guard = 0u64;
-        while let Some((t, input)) = queue.pop() {
-            guard += 1;
-            assert!(guard < 100_000, "runaway unstable client simulation");
-            for action in client.handle(t, input) {
-                match action {
-                    ClientAction::Send { at, call } => {
-                        let body = match &call.body {
-                            NfsCallBody::Write(_) => {
-                                writes_seen += 1;
-                                if Some(writes_seen) == crash_after_writes {
-                                    // The server reboots: cached data dies,
-                                    // the next boot mints a new verifier.
-                                    verf += 1;
-                                }
-                                NfsReplyBody::WriteVerf(StatusReply::Ok(wg_nfsproto::WriteVerfOk {
-                                    attributes: Fattr::default(),
-                                    committed: StableHow::Unstable,
-                                    verf,
-                                }))
-                            }
-                            NfsCallBody::Commit(_) => {
-                                NfsReplyBody::Commit(StatusReply::Ok(wg_nfsproto::CommitOk {
-                                    attributes: Fattr::default(),
-                                    verf,
-                                }))
-                            }
-                            other => panic!("unexpected call {other:?}"),
-                        };
-                        queue.schedule_at(
-                            at + Duration::from_millis(1),
-                            ClientInput::Reply(NfsReply::new(call.xid, body)),
-                        );
+        drive(&mut client, |_, call| {
+            let body = match &call.body {
+                NfsCallBody::Write(_) => {
+                    writes_seen += 1;
+                    if Some(writes_seen) == crash_after_writes {
+                        // The server reboots: cached data dies, the next
+                        // boot mints a new verifier.
+                        verf += 1;
                     }
-                    ClientAction::Wakeup { at, token } => {
-                        queue.schedule_at(at, ClientInput::Wakeup { token });
-                    }
-                    ClientAction::Completed { .. } => {}
+                    NfsReplyBody::WriteVerf(StatusReply::Ok(wg_nfsproto::WriteVerfOk {
+                        attributes: Fattr::default(),
+                        committed: StableHow::Unstable,
+                        verf,
+                    }))
                 }
-            }
-            if client.is_done() {
-                break;
-            }
-        }
-        assert!(client.is_done());
+                NfsCallBody::Commit(_) => {
+                    NfsReplyBody::Commit(StatusReply::Ok(wg_nfsproto::CommitOk {
+                        attributes: Fattr::default(),
+                        verf,
+                    }))
+                }
+                other => panic!("unexpected call {other:?}"),
+            };
+            Some((Duration::from_millis(1), NfsReply::new(call.xid, body)))
+        });
         client
     }
 
@@ -1096,38 +1015,19 @@ mod tests {
             ..ClientConfig::default()
         };
         let mut client = FileWriterClient::new(cfg, handle());
-        let mut queue = wg_simcore::EventQueue::new();
-        queue.schedule_at(SimTime::ZERO, ClientInput::Start);
-        while let Some((t, input)) = queue.pop() {
-            for action in client.handle(t, input) {
-                match action {
-                    ClientAction::Send { at, call } => {
-                        let body = match &call.body {
-                            NfsCallBody::Write(_) => {
-                                NfsReplyBody::WriteVerf(StatusReply::Ok(wg_nfsproto::WriteVerfOk {
-                                    attributes: Fattr::default(),
-                                    committed: StableHow::FileSync,
-                                    verf: 7,
-                                }))
-                            }
-                            other => panic!("no COMMIT expected, got {other:?}"),
-                        };
-                        queue.schedule_at(
-                            at + Duration::from_millis(1),
-                            ClientInput::Reply(NfsReply::new(call.xid, body)),
-                        );
-                    }
-                    ClientAction::Wakeup { at, token } => {
-                        queue.schedule_at(at, ClientInput::Wakeup { token });
-                    }
-                    ClientAction::Completed { .. } => {}
+        drive(&mut client, |_, call| {
+            let body = match &call.body {
+                NfsCallBody::Write(_) => {
+                    NfsReplyBody::WriteVerf(StatusReply::Ok(wg_nfsproto::WriteVerfOk {
+                        attributes: Fattr::default(),
+                        committed: StableHow::FileSync,
+                        verf: 7,
+                    }))
                 }
-            }
-            if client.is_done() {
-                break;
-            }
-        }
-        assert!(client.is_done());
+                other => panic!("no COMMIT expected, got {other:?}"),
+            };
+            Some((Duration::from_millis(1), NfsReply::new(call.xid, body)))
+        });
         assert_eq!(client.stats().commits_sent, 0);
         assert_eq!(client.stats().bytes_acked, 32 * 1024);
         assert_eq!(client.acked_writes().len(), 4);

@@ -428,7 +428,7 @@ impl NfsServer {
     ///
     /// Orchestrators driving millions of events reuse one scratch vector
     /// across the whole run instead of allocating a fresh `Vec` per event —
-    /// see `FileCopySystem::run`.
+    /// see the workload crate's `harness` loop.
     pub fn handle_into(
         &mut self,
         now: SimTime,
@@ -1595,6 +1595,35 @@ impl NfsServer {
         self.occupy_nfsd(nfsd, done, actions);
     }
 
+    /// Drive the server alone through a script: deliver each input at its
+    /// time (same-instant inputs in order), run the server's own wake-ups
+    /// until none remain, and return every reply with the time it was handed
+    /// to the network.  The whole-system counterpart, with clients and a
+    /// network, is the workload harness.
+    pub fn run_script(
+        &mut self,
+        inputs: impl IntoIterator<Item = (SimTime, ServerInput)>,
+    ) -> Vec<(SimTime, NfsReply)> {
+        let mut queue = wg_simcore::EventQueue::new();
+        for (t, input) in inputs {
+            queue.schedule_at(t, input);
+        }
+        let mut actions = Vec::new();
+        let mut replies = Vec::new();
+        while let Some((t, input)) = queue.pop() {
+            self.handle_into(t, input, &mut actions);
+            for action in actions.drain(..) {
+                match action {
+                    ServerAction::Wakeup { at, token } => {
+                        queue.schedule_at(at, ServerInput::Wakeup { token });
+                    }
+                    ServerAction::Reply { at, reply, .. } => replies.push((at, reply)),
+                }
+            }
+        }
+        replies
+    }
+
     /// Force any still-deferred state out to stable storage (used at the end
     /// of an experiment and by tests).  Returns the time everything is stable.
     pub fn quiesce(&mut self, now: SimTime, actions: &mut Vec<ServerAction>) -> SimTime {
@@ -1838,31 +1867,6 @@ mod tests {
         }
     }
 
-    /// Drive the server until it has no outstanding wake-ups, collecting
-    /// replies.  Inputs are injected at the given times.
-    fn run_to_completion(
-        server: &mut NfsServer,
-        mut inputs: Vec<(SimTime, ServerInput)>,
-    ) -> Vec<(SimTime, NfsReply)> {
-        let mut queue = wg_simcore::EventQueue::new();
-        inputs.sort_by_key(|(t, _)| *t);
-        for (t, input) in inputs {
-            queue.schedule_at(t, input);
-        }
-        let mut replies = Vec::new();
-        while let Some((t, input)) = queue.pop() {
-            for action in server.handle(t, input) {
-                match action {
-                    ServerAction::Wakeup { at, token } => {
-                        queue.schedule_at(at, ServerInput::Wakeup { token });
-                    }
-                    ServerAction::Reply { at, reply, .. } => replies.push((at, reply)),
-                }
-            }
-        }
-        replies
-    }
-
     fn make_server(policy: WritePolicy) -> (NfsServer, InodeNumber) {
         let mut cfg = ServerConfig::standard();
         cfg.policy = policy;
@@ -1876,7 +1880,7 @@ mod tests {
     fn standard_write_replies_after_data_and_metadata_are_stable() {
         let (mut server, ino) = make_server(WritePolicy::Standard);
         let call = write_call(&server, ino, 1, 0, 8192);
-        let replies = run_to_completion(&mut server, vec![(SimTime::ZERO, datagram(call))]);
+        let replies = server.run_script(vec![(SimTime::ZERO, datagram(call))]);
         assert_eq!(replies.len(), 1);
         let (at, reply) = &replies[0];
         assert!(reply.body.is_ok());
@@ -1898,7 +1902,7 @@ mod tests {
                 (SimTime::from_millis(i), datagram(call))
             })
             .collect();
-        let replies = run_to_completion(&mut server, inputs);
+        let replies = server.run_script(inputs);
         assert_eq!(replies.len(), 8);
         assert!(replies.iter().all(|(_, r)| r.body.is_ok()));
         // All replies carry the same mtime (single metadata update).
@@ -1929,7 +1933,7 @@ mod tests {
                 (SimTime::from_millis(i), datagram(call))
             })
             .collect();
-        let replies = run_to_completion(&mut server, inputs);
+        let replies = server.run_script(inputs);
         let xids: Vec<u32> = replies.iter().map(|(_, r)| r.xid.0).collect();
         assert_eq!(xids, vec![200, 201, 202, 203, 204]);
         // And reply times never decrease.
@@ -1949,7 +1953,7 @@ mod tests {
                 (SimTime::from_millis(i), datagram(call))
             })
             .collect();
-        let replies = run_to_completion(&mut server, inputs);
+        let replies = server.run_script(inputs);
         let xids: Vec<u32> = replies.iter().map(|(_, r)| r.xid.0).collect();
         assert_eq!(xids, vec![303, 302, 301, 300]);
     }
@@ -1958,7 +1962,7 @@ mod tests {
     fn lone_write_pays_the_procrastination_penalty_but_still_commits() {
         let (mut server, ino) = make_server(WritePolicy::Gathering);
         let call = write_call(&server, ino, 1, 0, 8192);
-        let replies = run_to_completion(&mut server, vec![(SimTime::ZERO, datagram(call))]);
+        let replies = server.run_script(vec![(SimTime::ZERO, datagram(call))]);
         assert_eq!(replies.len(), 1);
         // The reply waited for the 8 ms procrastination plus the flush.
         assert!(replies[0].0 > SimTime::from_millis(8 + 10));
@@ -1976,7 +1980,7 @@ mod tests {
                 (SimTime::ZERO, datagram(call))
             })
             .collect();
-        let replies = run_to_completion(&mut server, inputs);
+        let replies = server.run_script(inputs);
         assert_eq!(replies.len(), 4);
         let last = replies.iter().map(|(t, _)| *t).max().unwrap();
         // Four writes, each needing two disk transactions of ~10-17 ms,
@@ -1989,7 +1993,7 @@ mod tests {
     fn dangerous_mode_replies_fast_but_leaves_uncommitted_data() {
         let (mut server, ino) = make_server(WritePolicy::DangerousAsync);
         let call = write_call(&server, ino, 1, 0, 8192);
-        let replies = run_to_completion(&mut server, vec![(SimTime::ZERO, datagram(call))]);
+        let replies = server.run_script(vec![(SimTime::ZERO, datagram(call))]);
         assert_eq!(replies.len(), 1);
         assert!(replies[0].0 < SimTime::from_millis(2));
         // The crash-recovery contract is violated: dirty bytes linger with no
@@ -2007,7 +2011,7 @@ mod tests {
                 (SimTime::from_millis(i), datagram(call))
             })
             .collect();
-        let replies = run_to_completion(&mut server, inputs);
+        let replies = server.run_script(inputs);
         assert_eq!(replies.len(), 4);
         // The first write went to disk alone (8 KB), later arrivals were
         // gathered during that window.
@@ -2020,16 +2024,13 @@ mod tests {
         let (mut server, ino) = make_server(WritePolicy::Gathering);
         let call = write_call(&server, ino, 42, 0, 8192);
         let dup = call.clone();
-        let replies = run_to_completion(
-            &mut server,
-            vec![
-                (SimTime::ZERO, datagram(call)),
-                // Retransmission arrives while the original is still gathered.
-                (SimTime::from_millis(2), datagram(dup.clone())),
-                // And again long after the reply went out.
-                (SimTime::from_millis(200), datagram(dup)),
-            ],
-        );
+        let replies = server.run_script(vec![
+            (SimTime::ZERO, datagram(call)),
+            // Retransmission arrives while the original is still gathered.
+            (SimTime::from_millis(2), datagram(dup.clone())),
+            // And again long after the reply went out.
+            (SimTime::from_millis(200), datagram(dup)),
+        ]);
         // Original reply + replay of the cached reply; the in-progress
         // duplicate was dropped silently.
         assert_eq!(replies.len(), 2);
@@ -2066,7 +2067,7 @@ mod tests {
         }
         // The retransmission arrives while the original is still gathered.
         inputs.push((SimTime::from_millis(5), datagram(write)));
-        let replies = run_to_completion(&mut server, inputs);
+        let replies = server.run_script(inputs);
         // One reply per getattr, exactly one for the write: the
         // retransmission was recognised as in progress and dropped.
         assert_eq!(replies.len(), 11);
@@ -2092,7 +2093,7 @@ mod tests {
             Xid(1),
             NfsCallBody::Statfs(wg_nfsproto::GetattrArgs { file: root_fh }),
         );
-        let replies = run_to_completion(&mut server, vec![(SimTime::ZERO, datagram(call))]);
+        let replies = server.run_script(vec![(SimTime::ZERO, datagram(call))]);
         assert_eq!(replies.len(), 1);
         match &replies[0].1.body {
             NfsReplyBody::Statfs(StatusReply::Ok(s)) => {
@@ -2129,7 +2130,7 @@ mod tests {
                 inputs.push((SimTime::from_millis(fi as u64 + w), datagram(call)));
             }
         }
-        let replies = run_to_completion(&mut server, inputs);
+        let replies = server.run_script(inputs);
         assert_eq!(replies.len(), 40);
         assert!(replies.iter().all(|(_, r)| r.body.is_ok()));
         assert_eq!(server.uncommitted_bytes(), 0);
@@ -2156,14 +2157,11 @@ mod tests {
         let ino = server.fs_mut().create(root, "t", 0o644, 0).unwrap();
         let call = write_call(&server, ino, 7, 0, 8192);
         let dup = call.clone();
-        let replies = run_to_completion(
-            &mut server,
-            vec![
-                (SimTime::ZERO, datagram(call)),
-                (SimTime::from_millis(2), datagram(dup.clone())),
-                (SimTime::from_millis(200), datagram(dup)),
-            ],
-        );
+        let replies = server.run_script(vec![
+            (SimTime::ZERO, datagram(call)),
+            (SimTime::from_millis(2), datagram(dup.clone())),
+            (SimTime::from_millis(200), datagram(dup)),
+        ]);
         assert_eq!(replies.len(), 2);
         assert_eq!(server.stats().duplicate_requests, 2);
         let mut fs = server.fs().clone();
@@ -2188,7 +2186,7 @@ mod tests {
                     (SimTime::from_micros(i * 200), datagram(call))
                 })
                 .collect();
-            let replies = run_to_completion(&mut server, inputs);
+            let replies = server.run_script(inputs);
             (server, replies)
         };
         let (serial_srv, serial_replies) = run(false);
@@ -2237,7 +2235,7 @@ mod tests {
                     (SimTime::from_millis(i), datagram(call))
                 })
                 .collect();
-            let replies = run_to_completion(&mut server, inputs);
+            let replies = server.run_script(inputs);
             (server, replies)
         };
         let (serial_srv, serial_replies) = run(false);
@@ -2260,7 +2258,7 @@ mod tests {
         let call = write_call(&server, ino, 9, 0, 1024);
         let root = server.fs().root();
         server.fs_mut().remove(root, "target", 5).unwrap();
-        let replies = run_to_completion(&mut server, vec![(SimTime::ZERO, datagram(call))]);
+        let replies = server.run_script(vec![(SimTime::ZERO, datagram(call))]);
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].1.body.status(), NfsStatus::Stale);
     }
@@ -2327,7 +2325,7 @@ mod tests {
             .enumerate()
             .map(|(i, c)| (SimTime::from_millis(i as u64 * 30), datagram(c)))
             .collect();
-        let replies = run_to_completion(&mut server, inputs);
+        let replies = server.run_script(inputs);
         assert_eq!(replies.len(), 8);
         assert!(replies.iter().all(|(_, r)| r.body.is_ok()), "{replies:#?}");
         assert_eq!(server.stats().other_ops_completed.events(), 8);
@@ -2349,7 +2347,7 @@ mod tests {
                 (SimTime::ZERO, datagram(call))
             })
             .collect();
-        let replies = run_to_completion(&mut server, inputs);
+        let replies = server.run_script(inputs);
         assert!(server.socket_drops() > 0);
         assert!(replies.len() < 10);
     }
@@ -2358,7 +2356,7 @@ mod tests {
     fn quiesce_flushes_orphaned_batches() {
         let (mut server, ino) = make_server(WritePolicy::DangerousAsync);
         let call = write_call(&server, ino, 1, 0, 8192);
-        run_to_completion(&mut server, vec![(SimTime::ZERO, datagram(call))]);
+        server.run_script(vec![(SimTime::ZERO, datagram(call))]);
         assert!(server.uncommitted_bytes() > 0);
         // Dangerous mode never flushes on its own; quiesce only drains the
         // gathering queues, so dirty bytes remain: exactly the data a crash
@@ -2381,7 +2379,7 @@ mod tests {
                 (SimTime::from_millis(i / 2), datagram(call))
             })
             .collect();
-        let replies = run_to_completion(&mut server, inputs);
+        let replies = server.run_script(inputs);
         assert_eq!(replies.len(), 8);
         // With NVRAM the data writes complete quickly and the metadata was
         // amortised across the batch.
@@ -2435,7 +2433,7 @@ mod tests {
     fn unstable_write_replies_fast_and_commit_makes_it_stable() {
         let (mut server, ino) = make_unstable_server(false);
         let call = unstable_write_call(&server, ino, 1, 0, 8192);
-        let replies = run_to_completion(&mut server, vec![(SimTime::ZERO, datagram(call))]);
+        let replies = server.run_script(vec![(SimTime::ZERO, datagram(call))]);
         // The write reply is the v3-style verifier reply, well before any
         // disk I/O could have finished, and marked UNSTABLE.
         let (at, reply) = &replies[0];
@@ -2448,13 +2446,12 @@ mod tests {
         }
         assert!(*at < SimTime::from_millis(5), "reply at {at:?}");
         assert_eq!(server.stats().unstable_writes, 1);
-        // run_to_completion drives the write-behind wake-ups too, so by the
+        // run_script drives the write-behind wake-ups too, so by the
         // time the queue drains the data is on disk even without a COMMIT.
         assert_eq!(server.uncommitted_bytes(), 0);
         // A COMMIT over stable data is cheap and echoes the same verifier.
         let commit = commit_call(&server, ino, 2);
-        let replies =
-            run_to_completion(&mut server, vec![(SimTime::from_secs(1), datagram(commit))]);
+        let replies = server.run_script(vec![(SimTime::from_secs(1), datagram(commit))]);
         match &replies[0].1.body {
             NfsReplyBody::Commit(StatusReply::Ok(ok)) => {
                 assert_eq!(ok.verf, server.boot_verifier());
@@ -2490,13 +2487,10 @@ mod tests {
         let (mut server, ino) = make_unstable_server(false);
         let write = unstable_write_call(&server, ino, 1, 0, 8192);
         let commit = commit_call(&server, ino, 2);
-        run_to_completion(
-            &mut server,
-            vec![
-                (SimTime::ZERO, datagram(write)),
-                (SimTime::from_millis(1), datagram(commit)),
-            ],
-        );
+        server.run_script(vec![
+            (SimTime::ZERO, datagram(write)),
+            (SimTime::from_millis(1), datagram(commit)),
+        ]);
         server.crash(SimTime::from_secs(1));
         assert_eq!(server.stats().lost_unstable_bytes, 0);
         assert_eq!(server.stats().lost_acked_bytes, 0);
@@ -2507,8 +2501,7 @@ mod tests {
         let (mut server, ino) = make_unstable_server(true);
         server.set_battery(false, SimTime::ZERO);
         let call = unstable_write_call(&server, ino, 1, 0, 8192);
-        let replies =
-            run_to_completion(&mut server, vec![(SimTime::from_millis(1), datagram(call))]);
+        let replies = server.run_script(vec![(SimTime::from_millis(1), datagram(call))]);
         // The reply still speaks v3 (the client asked UNSTABLE) but reports
         // FILE_SYNC: the data went synchronously through the write-through
         // board, so no COMMIT is owed and a crash loses nothing.
@@ -2528,7 +2521,7 @@ mod tests {
         let recovered = server.recovering_until();
         server.set_battery(true, recovered);
         let call = unstable_write_call(&server, ino, 2, 0, 8192);
-        run_to_completion(&mut server, vec![(recovered, datagram(call))]);
+        server.run_script(vec![(recovered, datagram(call))]);
         assert_eq!(server.stats().unstable_writes, 1);
     }
 

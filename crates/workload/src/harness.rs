@@ -1,0 +1,355 @@
+//! The one serial event loop every workload driver runs on.
+//!
+//! A driver is a client [`Population`] — the file-writer fleet behind the
+//! copy and multi-client systems, or the SFS generator streams — plugged
+//! into a [`Harness`] that owns everything else: the event queue, the LAN
+//! fan-in ([`ClientLans`]), the server, the fault plan and the scheduler
+//! counters.  The harness pops events in `(time, insertion)` order, hands
+//! client events to the population, runs server events and carries their
+//! replies back over the addressed client's segment, and applies injected
+//! faults.  A population only decides what its clients do.
+
+use wg_net::medium::{Direction, MediumParams};
+use wg_net::{Medium, TransmitOutcome};
+use wg_nfsproto::{NfsCall, NfsReply};
+use wg_server::{NfsServer, ServerAction, ServerConfig, ServerInput, WritePolicy};
+use wg_simcore::{EventQueue, FaultKind, FaultPlan, SimTime};
+
+use crate::system::NetworkKind;
+
+/// The paper's standard server for a driver cell: `policy` and `nfsds`, with
+/// the procrastination interval of the cell's network.  Drivers layer their
+/// storage, dispatch and cache knobs on top.
+pub(crate) fn server_config(
+    network: NetworkKind,
+    policy: WritePolicy,
+    nfsds: usize,
+) -> ServerConfig {
+    ServerConfig {
+        policy,
+        nfsds,
+        ..ServerConfig::standard()
+    }
+    .with_procrastination(network.params().procrastination)
+}
+
+/// The clients of one run: what they do when their events fire.
+pub(crate) trait Population {
+    /// A client-side event (start, timer, reply delivery, ...).
+    type Event;
+
+    /// Schedule the clients' first events.  Runs before the fault plan is
+    /// queued, so a client event and a fault at the same instant fire
+    /// client first.
+    fn start(&mut self, core: &mut Core<Self::Event>);
+
+    /// The event that delivers `reply` to `client`.
+    fn reply(client: u32, reply: NfsReply) -> Self::Event;
+
+    /// Handle one client event at `now`.
+    fn handle(&mut self, now: SimTime, event: Self::Event, core: &mut Core<Self::Event>);
+}
+
+/// One queued event: a population's client event, a server input, or a
+/// fault-plan event.
+pub(crate) enum Ev<E> {
+    Client(E),
+    Server(ServerInput),
+    /// An injected fault fires (scheduled only when the plan is non-empty).
+    Fault(FaultKind),
+    /// The NVRAM battery comes back after a `BatteryFailure`.
+    BatteryRepair,
+}
+
+/// The network fan-in of a run: one segment shared by every client, or one
+/// private LAN per client, every segment terminating at the one server.
+pub(crate) struct ClientLans {
+    media: Vec<Medium>,
+}
+
+impl ClientLans {
+    /// Build a loss-free fan-in: `clients` private segments when
+    /// `per_client` is set, one shared segment otherwise.  Loss windows
+    /// injected later draw from each segment's zero-seeded stream.
+    pub(crate) fn new(params: &MediumParams, clients: usize, per_client: bool) -> Self {
+        let count = if per_client { clients.max(1) } else { 1 };
+        ClientLans {
+            media: (0..count).map(|_| Medium::new(params.clone())).collect(),
+        }
+    }
+
+    /// Build the fan-in with every segment dropping datagrams at
+    /// `loss_probability`.  Each segment's loss stream is seeded from
+    /// `(seed, segment index)` alone — never from construction order or
+    /// wall-clock — so a sweep cell built on a worker thread draws exactly
+    /// the loss pattern the same cell draws in a serial sweep.
+    pub(crate) fn with_loss(
+        params: &MediumParams,
+        clients: usize,
+        per_client: bool,
+        loss_probability: f64,
+        seed: u64,
+    ) -> Self {
+        let count = if per_client { clients.max(1) } else { 1 };
+        ClientLans {
+            media: (0..count)
+                .map(|segment| {
+                    Medium::with_loss(
+                        params.clone(),
+                        loss_probability,
+                        Self::segment_seed(seed, segment),
+                    )
+                })
+                .collect(),
+        }
+    }
+
+    /// Per-segment rng seed: a splitmix-style mix of the base seed and the
+    /// segment index, so adjacent segments do not share prefixes.
+    fn segment_seed(seed: u64, segment: usize) -> u64 {
+        let mut z = seed
+            .wrapping_add(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((segment as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Open a loss window on one segment (`Some(idx)`, clamped into range) or
+    /// on every segment (`None`).
+    fn inject_loss_window(
+        &mut self,
+        segment: Option<usize>,
+        from: SimTime,
+        until: SimTime,
+        probability: f64,
+    ) {
+        match segment {
+            Some(idx) => {
+                let idx = idx.min(self.media.len() - 1);
+                self.media[idx].inject_loss_window(from, until, probability);
+            }
+            None => {
+                for medium in &mut self.media {
+                    medium.inject_loss_window(from, until, probability);
+                }
+            }
+        }
+    }
+
+    /// The segment a client transmits and receives on.
+    fn medium_mut(&mut self, client: usize) -> &mut Medium {
+        let idx = if self.media.len() > 1 { client } else { 0 };
+        &mut self.media[idx]
+    }
+
+    /// Number of distinct segments.
+    pub(crate) fn segments(&self) -> usize {
+        self.media.len()
+    }
+
+    /// Datagrams dropped on every segment, both directions.
+    pub(crate) fn lost_datagrams(&self) -> u64 {
+        self.media.iter().map(Medium::lost_datagrams).sum()
+    }
+}
+
+/// Everything a population acts on: the queue, the LAN fan-in and the
+/// server.
+pub(crate) struct Core<E> {
+    pub(crate) server: NfsServer,
+    pub(crate) lans: ClientLans,
+    queue: EventQueue<Ev<E>>,
+}
+
+impl<E> Core<E> {
+    /// Schedule a client event.
+    pub(crate) fn schedule(&mut self, at: SimTime, event: E) {
+        self.queue.schedule_at(at, Ev::Client(event));
+    }
+
+    /// Send `call` from `client` at `at` over the client's segment.  A
+    /// datagram the network drops never arrives; recovering it is the
+    /// client's business.
+    pub(crate) fn send(&mut self, at: SimTime, client: usize, call: NfsCall) {
+        let size = call.wire_size();
+        let medium = self.lans.medium_mut(client);
+        let fragments = medium.params().fragments_for(size);
+        if let TransmitOutcome::Delivered { arrives_at } =
+            medium.transmit(at, size, Direction::ToServer)
+        {
+            self.queue.schedule_at(
+                arrives_at,
+                Ev::Server(ServerInput::Datagram {
+                    client: client as u32,
+                    call,
+                    wire_size: size,
+                    fragments,
+                }),
+            );
+        }
+    }
+
+    /// The simulated time of the last popped event.
+    pub(crate) fn now(&self) -> SimTime {
+        self.queue.now()
+    }
+
+    /// The event queue, for its counters.
+    pub(crate) fn queue(&self) -> &EventQueue<Ev<E>> {
+        &self.queue
+    }
+
+    fn fault(&mut self, t: SimTime, kind: FaultKind) {
+        match kind {
+            FaultKind::ServerCrash => {
+                self.server.crash(t);
+            }
+            FaultKind::BatteryFailure { repair_after } => {
+                self.server.set_battery(false, t);
+                self.queue.schedule_at(t + repair_after, Ev::BatteryRepair);
+            }
+            FaultKind::DiskDegrade {
+                duration,
+                stall,
+                retries,
+            } => {
+                self.server.inject_disk_fault(t, duration, stall, retries);
+            }
+            FaultKind::LossBurst {
+                duration,
+                probability,
+                segment,
+            } => {
+                self.lans
+                    .inject_loss_window(segment, t, t + duration, probability);
+            }
+        }
+    }
+}
+
+/// A population wired to the server through one deterministic event loop.
+pub(crate) struct Harness<P: Population> {
+    pub(crate) core: Core<P::Event>,
+    pub(crate) clients: P,
+    faults: FaultPlan,
+    events_processed: u64,
+}
+
+impl<P: Population> Harness<P> {
+    /// Wire `clients` to `server` over `lans`.  An empty fault plan schedules
+    /// nothing, so the run is identical to one without the fault layer.
+    pub(crate) fn new(server: NfsServer, lans: ClientLans, clients: P, faults: FaultPlan) -> Self {
+        Harness {
+            core: Core {
+                server,
+                lans,
+                queue: EventQueue::new(),
+            },
+            clients,
+            faults,
+            events_processed: 0,
+        }
+    }
+
+    /// Number of events processed by the most recent [`Harness::run`].
+    pub(crate) fn events_processed(&self) -> u64 {
+        self.events_processed
+    }
+
+    /// Run until the queue drains.  Every event the run schedules is either
+    /// handled or still pending when the queue empties, so `max_events` is a
+    /// runaway guard (a retransmission storm that never converges), not a
+    /// horizon.  The server-action buffer is allocated once, so the steady
+    /// loop performs no per-event allocation.
+    pub(crate) fn run(&mut self, max_events: u64) {
+        self.events_processed = 0;
+        self.clients.start(&mut self.core);
+        for event in self.faults.events() {
+            self.core.queue.schedule_at(event.at, Ev::Fault(event.kind));
+        }
+        let core = &mut self.core;
+        let mut server_actions: Vec<ServerAction> = Vec::new();
+        while let Some((t, ev)) = core.queue.pop() {
+            self.events_processed += 1;
+            assert!(
+                self.events_processed < max_events,
+                "runaway simulation: {} events without draining (simulated time {t:?}, \
+                 {} events still queued, {} scheduled in total)",
+                self.events_processed,
+                core.queue.len(),
+                core.queue.scheduled_total(),
+            );
+            match ev {
+                Ev::Client(event) => self.clients.handle(t, event, core),
+                Ev::Server(input) => {
+                    core.server.handle_into(t, input, &mut server_actions);
+                    for action in server_actions.drain(..) {
+                        match action {
+                            ServerAction::Wakeup { at, token } => core
+                                .queue
+                                .schedule_at(at, Ev::Server(ServerInput::Wakeup { token })),
+                            ServerAction::Reply { at, client, reply } => {
+                                let size = reply.wire_size();
+                                if let TransmitOutcome::Delivered { arrives_at } = core
+                                    .lans
+                                    .medium_mut(client as usize)
+                                    .transmit(at, size, Direction::ToClient)
+                                {
+                                    core.queue.schedule_at(
+                                        arrives_at,
+                                        Ev::Client(P::reply(client, reply)),
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+                Ev::Fault(kind) => core.fault(t, kind),
+                Ev::BatteryRepair => {
+                    core.server.set_battery(true, t);
+                }
+            }
+        }
+    }
+}
+
+/// The scheduler and server readouts every driver exposes, delegated to its
+/// `harness` field.
+macro_rules! harness_readouts {
+    () => {
+        /// Number of events processed by the most recent run.
+        pub fn events_processed(&self) -> u64 {
+            self.harness.events_processed()
+        }
+
+        /// Total events ever scheduled.
+        pub fn scheduled_total(&self) -> u64 {
+            self.harness.core.queue().scheduled_total()
+        }
+
+        /// Events scheduled into the simulated past and clamped (must stay
+        /// zero; see [`wg_simcore::EventQueue::clamped_past`]).
+        pub fn clamped_past(&self) -> u64 {
+            self.harness.core.queue().clamped_past()
+        }
+
+        /// Scheduler-health counters of the pending-event set (calendar
+        /// geometry, resizes, depth high-water, direct-search fallbacks).
+        pub fn sched_stats(&self) -> wg_simcore::CalStats {
+            self.harness.core.queue().sched_stats()
+        }
+
+        /// Datagrams the network dropped, over every LAN segment and both
+        /// directions (injected loss and loss windows).
+        pub fn lost_datagrams(&self) -> u64 {
+            self.harness.core.lans.lost_datagrams()
+        }
+
+        /// The server, for post-run inspection (data integrity, stats).
+        pub fn server(&self) -> &wg_server::NfsServer {
+            &self.harness.core.server
+        }
+    };
+}
+pub(crate) use harness_readouts;

@@ -1,12 +1,15 @@
 //! # wg-workload — experiment orchestration and load generation
 //!
 //! This crate assembles complete client ⇄ network ⇄ server systems out of the
-//! component models and runs the experiments of the paper's evaluation:
+//! component models and runs the experiments of the paper's evaluation.
+//! Every system is a client population plugged into one serial event loop
+//! (the private `harness` module), which owns the event queue, the LAN
+//! fan-in, the [`wg_server::NfsServer`], the fault plan and the scheduler
+//! counters:
 //!
 //! * [`system`] — the single-client 10 MB file-copy system behind Tables 1–6
-//!   and Figure 1: a [`wg_client::FileWriterClient`], a shared
-//!   [`wg_net::Medium`] (Ethernet or FDDI) and a [`wg_server::NfsServer`]
-//!   wired together through one deterministic event loop.
+//!   and Figure 1: one [`wg_client::FileWriterClient`] on one Ethernet or
+//!   FDDI segment, the one-client case of the multi-client writer fleet.
 //! * [`multi`] — the N-client scale-out system reproducing the paper's
 //!   "several clients" remarks: independent salted write streams sharing one
 //!   medium (or riding per-client LAN segments) into one server, with
@@ -24,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod harness;
 pub mod multi;
 pub mod results;
 pub mod sfs;

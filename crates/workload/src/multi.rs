@@ -4,14 +4,15 @@
 //! "several clients", because independent write streams give the server more
 //! company to gather per metadata flush — but its tables only measure one
 //! client.  [`MultiClientSystem`] runs N [`FileWriterClient`]s against one
-//! shared [`Medium`] and one [`NfsServer`], each client copying its own byte
+//! shared [`wg_net::Medium`] and one [`NfsServer`], each client copying its own byte
 //! budget into its own files, and reports per-client plus aggregate
 //! [`FileCopyResult`]s and a fairness readout ([`MultiClientResult`]).
 //!
-//! The `client` field of [`ServerInput::Datagram`] — plumbed through the
+//! The `client` field of [`wg_server::ServerInput::Datagram`] — plumbed through the
 //! server and duplicate request cache since the beginning but always 0 in the
 //! single-client system — finally carries real client ids here, and replies
-//! are routed back by the id the server echoes in [`ServerAction::Reply`].
+//! are routed back by the id the server echoes in
+//! [`wg_server::ServerAction::Reply`].
 //!
 //! GB-scale budgets do not fit one UFS file (12 direct + 2048 indirect 8 KB
 //! blocks ≈ 16 MB), so each client writes a chain of segment files of at most
@@ -23,19 +24,18 @@
 //!
 //! Everything rides the zero-copy datapath: payloads are fill patterns salted
 //! per client (see [`wg_client::ClientConfig::fill_salt`]), so a million-op
-//! multi-client run allocates no payload bytes and [`verify_on_disk`]
-//! (`MultiClientSystem::verify_on_disk`) can attribute every landed block to
+//! multi-client run allocates no payload bytes and
+//! [`MultiClientSystem::verify_on_disk`] can attribute every landed block to
 //! the client that wrote it.
 
 use std::collections::VecDeque;
 
-use wg_client::{ClientAction, ClientConfig, ClientInput, FileWriterClient};
-use wg_net::medium::{Direction, MediumParams};
-use wg_net::{Medium, TransmitOutcome};
-use wg_nfsproto::{FileHandle, StableHow};
-use wg_server::{NfsServer, ServerAction, ServerConfig, ServerInput, StabilityMode, WritePolicy};
-use wg_simcore::{CalStats, Duration, EventQueue, SimTime};
+use wg_client::{ClientAction, ClientConfig, ClientInput, ClientStats, FileWriterClient};
+use wg_nfsproto::{FileHandle, NfsReply, StableHow};
+use wg_server::{NfsServer, StabilityMode, WritePolicy};
+use wg_simcore::{Duration, FaultPlan, SimTime};
 
+use crate::harness::{harness_readouts, server_config, ClientLans, Core, Harness, Population};
 use crate::results::{FileCopyResult, MultiClientResult};
 use crate::system::NetworkKind;
 
@@ -251,175 +251,204 @@ impl MultiClientConfig {
     }
 }
 
-/// The network fan-in of an N-client system: one segment shared by every
-/// client, or one private LAN per client, every segment terminating at the
-/// one server.  Shared by [`MultiClientSystem`] and the SFS scale-out system
-/// ([`crate::sfs::SfsSystem`]) so the two load harnesses model the same
-/// topology.
-pub(crate) struct ClientLans {
-    media: Vec<Medium>,
+/// The writer configuration every fleet client starts from: the paper's
+/// client with `biods` write-behind daemons copying `file_size` bytes in
+/// the cell's stability regime, optionally with overridden retry knobs.
+pub(crate) fn writer_config(
+    biods: usize,
+    file_size: u64,
+    stability: StabilityMode,
+    retry: Option<(Duration, u32)>,
+) -> ClientConfig {
+    let (initial_timeout, max_retransmits) = retry.unwrap_or_else(|| {
+        let paper = ClientConfig::default();
+        (paper.initial_timeout, paper.max_retransmits)
+    });
+    ClientConfig {
+        biods,
+        file_size,
+        stability: match stability {
+            StabilityMode::Stable => StableHow::FileSync,
+            StabilityMode::Unstable => StableHow::Unstable,
+        },
+        initial_timeout,
+        max_retransmits,
+        ..ClientConfig::default()
+    }
 }
 
-impl ClientLans {
-    /// Build the fan-in: `clients` private segments when `per_client` is set,
-    /// one shared segment otherwise.
-    pub(crate) fn new(params: &MediumParams, clients: usize, per_client: bool) -> Self {
-        Self::with_loss(params, clients, per_client, 0.0, 0)
-    }
+/// Acked bytes, retransmissions, give-ups and paced COMMITs summed over
+/// segment writers.
+#[derive(Clone, Copy, Default)]
+struct SegmentTotals {
+    bytes_acked: u64,
+    retransmissions: u64,
+    gave_up: u64,
+    paced_commits: u64,
+}
 
-    /// Build the fan-in with every segment dropping datagrams at
-    /// `loss_probability`.  Each segment's loss stream is seeded from
-    /// `(seed, segment index)` alone — never from construction order or
-    /// wall-clock — so a sweep cell built on a worker thread draws exactly
-    /// the loss pattern the same cell draws in a serial sweep.
-    pub(crate) fn with_loss(
-        params: &MediumParams,
-        clients: usize,
-        per_client: bool,
-        loss_probability: f64,
-        seed: u64,
-    ) -> Self {
-        let count = if per_client { clients.max(1) } else { 1 };
-        ClientLans {
-            media: (0..count)
-                .map(|segment| {
-                    Medium::with_loss(
-                        params.clone(),
-                        loss_probability,
-                        Self::segment_seed(seed, segment),
-                    )
-                })
-                .collect(),
+impl SegmentTotals {
+    fn plus(self, stats: &ClientStats) -> Self {
+        SegmentTotals {
+            bytes_acked: self.bytes_acked + stats.bytes_acked,
+            retransmissions: self.retransmissions + stats.retransmissions,
+            gave_up: self.gave_up + stats.gave_up,
+            paced_commits: self.paced_commits + stats.paced_commits,
         }
     }
-
-    /// Per-segment rng seed: a splitmix-style mix of the base seed and the
-    /// segment index, so adjacent segments do not share prefixes.
-    fn segment_seed(seed: u64, segment: usize) -> u64 {
-        let mut z = seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((segment as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Open a loss window on one segment (`Some(idx)`, clamped into range) or
-    /// on every segment (`None`).
-    pub(crate) fn inject_loss_window(
-        &mut self,
-        segment: Option<usize>,
-        from: SimTime,
-        until: SimTime,
-        probability: f64,
-    ) {
-        match segment {
-            Some(idx) => {
-                let idx = idx.min(self.media.len() - 1);
-                self.media[idx].inject_loss_window(from, until, probability);
-            }
-            None => {
-                for medium in &mut self.media {
-                    medium.inject_loss_window(from, until, probability);
-                }
-            }
-        }
-    }
-
-    /// The segment a client transmits and receives on.
-    pub(crate) fn medium_mut(&mut self, client: usize) -> &mut Medium {
-        let idx = if self.media.len() > 1 { client } else { 0 };
-        &mut self.media[idx]
-    }
-
-    /// Number of distinct segments.
-    pub(crate) fn segments(&self) -> usize {
-        self.media.len()
-    }
 }
 
-/// Events flowing through the combined system.
-enum Ev {
-    Client(usize, ClientInput),
-    Server(ServerInput),
-}
-
-/// Per-client bookkeeping: the live writer plus the accumulated stats of the
-/// segments it already finished.
-struct ClientSlot {
+/// One client of a [`WriterFleet`]: the live writer plus the segment files
+/// it has yet to write.
+pub(crate) struct WriterSlot {
     writer: FileWriterClient,
-    /// Segments not yet started: front = next.
-    pending: VecDeque<(FileHandle, u64)>,
-    /// Index of the segment the live writer is on.
-    segment: usize,
-    /// Acked bytes of *finished* segments; the live writer's are folded in on
-    /// its `Completed` action (see [`ClientSlot::bytes_acked`]).
-    finished_bytes_acked: u64,
-    finished_retransmissions: u64,
-    finished_gave_up: u64,
-    finished_paced_commits: u64,
+    /// Segments not yet started, each with its writer's configuration:
+    /// front = next.
+    pending: VecDeque<(FileHandle, ClientConfig)>,
+    /// Totals of the segments already finished; the live writer holds the
+    /// rest.
+    finished: SegmentTotals,
     completed_at: Option<SimTime>,
 }
 
-impl ClientSlot {
-    /// Total acknowledged bytes, including the live writer's.  An incomplete
-    /// client (stalled mid-segment) must still report what it did transfer —
-    /// that partial count is exactly what diagnosing a dead multi-client cell
+impl WriterSlot {
+    /// A client that writes `chain` in order, one writer per segment.
+    pub(crate) fn new(chain: Vec<(FileHandle, ClientConfig)>) -> Self {
+        let mut chain = VecDeque::from(chain);
+        let (handle, config) = chain.pop_front().expect("a chain has a first segment");
+        WriterSlot {
+            writer: FileWriterClient::new(config, handle),
+            pending: chain,
+            finished: SegmentTotals::default(),
+            completed_at: None,
+        }
+    }
+
+    /// Totals over every segment, the live writer's included.  An
+    /// incomplete client (stalled mid-segment) still reports what it did
+    /// transfer — that partial count is exactly what diagnosing a dead cell
     /// needs.
-    fn bytes_acked(&self) -> u64 {
-        let live = if self.completed_at.is_some() {
-            // The final segment's stats were folded in on completion; the
-            // writer still holds them, so don't count them twice.
-            0
-        } else {
-            self.writer.stats().bytes_acked
-        };
-        self.finished_bytes_acked + live
+    fn totals(&self) -> SegmentTotals {
+        self.finished.plus(&self.writer.stats())
+    }
+}
+
+/// The file-writer population: every client writes its chain of segment
+/// files with a [`FileWriterClient`], rolling to the next segment when the
+/// previous one's `close(2)` returns.  The single-client copy is the
+/// one-client, one-segment case.
+pub(crate) struct WriterFleet {
+    slots: Vec<WriterSlot>,
+    /// Action buffer reused across every client event.
+    actions: Vec<ClientAction>,
+}
+
+impl WriterFleet {
+    pub(crate) fn new(slots: Vec<WriterSlot>) -> Self {
+        WriterFleet {
+            slots,
+            actions: Vec::new(),
+        }
     }
 
-    /// Total retransmissions, including the live writer's.
-    fn retransmissions(&self) -> u64 {
-        let live = if self.completed_at.is_some() {
-            0
-        } else {
-            self.writer.stats().retransmissions
-        };
-        self.finished_retransmissions + live
+    /// The live writer of `client`.
+    pub(crate) fn writer(&self, client: usize) -> &FileWriterClient {
+        &self.slots[client].writer
     }
 
-    /// Total abandoned writes, including the live writer's.
-    fn gave_up(&self) -> u64 {
-        let live = if self.completed_at.is_some() {
-            0
-        } else {
-            self.writer.stats().gave_up
-        };
-        self.finished_gave_up + live
+    /// The run's elapsed time (until the last client finished, or `now`)
+    /// and one table-cell row per client.  A row's throughput, retries and
+    /// completion are the client's own; the server-side quantities are
+    /// shared, so they are taken over the whole run to keep the rows
+    /// comparable.
+    pub(crate) fn results(
+        &self,
+        biods: usize,
+        server: &NfsServer,
+        now: SimTime,
+    ) -> (Duration, Vec<FileCopyResult>) {
+        let last_completion = self
+            .slots
+            .iter()
+            .filter_map(|s| s.completed_at)
+            .max()
+            .unwrap_or(now);
+        let elapsed = last_completion
+            .since(SimTime::ZERO)
+            .max(Duration::from_nanos(1));
+        let device = server.device_stats();
+        let rows = self
+            .slots
+            .iter()
+            .map(|slot| {
+                let totals = slot.totals();
+                let client_elapsed = slot
+                    .completed_at
+                    .unwrap_or(now)
+                    .since(SimTime::ZERO)
+                    .as_secs_f64()
+                    .max(1e-9);
+                FileCopyResult {
+                    biods,
+                    client_write_kb_per_sec: totals.bytes_acked as f64 / 1024.0 / client_elapsed,
+                    server_cpu_percent: server.cpu_utilization_percent(elapsed),
+                    disk_kb_per_sec: device.kb_per_sec(elapsed),
+                    disk_trans_per_sec: device.transfers_per_sec(elapsed),
+                    elapsed_secs: client_elapsed,
+                    mean_batch_size: server.stats().mean_batch_size(),
+                    retransmissions: totals.retransmissions,
+                    gave_up: totals.gave_up,
+                    completed: slot.completed_at.is_some() && totals.gave_up == 0,
+                }
+            })
+            .collect();
+        (elapsed, rows)
+    }
+}
+
+impl Population for WriterFleet {
+    type Event = (usize, ClientInput);
+
+    fn start(&mut self, core: &mut Core<Self::Event>) {
+        for client in 0..self.slots.len() {
+            core.schedule(SimTime::ZERO, (client, ClientInput::Start));
+        }
     }
 
-    /// Total interval-paced COMMITs, including the live writer's.
-    fn paced_commits(&self) -> u64 {
-        let live = if self.completed_at.is_some() {
-            0
-        } else {
-            self.writer.stats().paced_commits
-        };
-        self.finished_paced_commits + live
+    fn reply(client: u32, reply: NfsReply) -> Self::Event {
+        (client as usize, ClientInput::Reply(reply))
+    }
+
+    fn handle(&mut self, now: SimTime, event: Self::Event, core: &mut Core<Self::Event>) {
+        let (client, input) = event;
+        let slot = &mut self.slots[client];
+        slot.writer.handle_into(now, input, &mut self.actions);
+        for action in self.actions.drain(..) {
+            match action {
+                ClientAction::Send { at, call } => core.send(at, client, call),
+                ClientAction::Wakeup { at, token } => {
+                    core.schedule(at, (client, ClientInput::Wakeup { token }))
+                }
+                ClientAction::Completed { at } => match slot.pending.pop_front() {
+                    // Roll to the next segment file: a fresh writer with the
+                    // next xid generation, started at this close's return.
+                    Some((handle, config)) => {
+                        slot.finished = slot.finished.plus(&slot.writer.stats());
+                        slot.writer = FileWriterClient::new(config, handle);
+                        core.schedule(at, (client, ClientInput::Start));
+                    }
+                    None => slot.completed_at = Some(at),
+                },
+            }
+        }
     }
 }
 
 /// The assembled N-client system.
 pub struct MultiClientSystem {
     config: MultiClientConfig,
-    slots: Vec<ClientSlot>,
     layouts: Vec<Vec<(String, u64)>>,
-    server: NfsServer,
-    /// One shared segment, or one segment per client when
-    /// [`MultiClientConfig::per_client_lans`] is set.
-    lans: ClientLans,
-    queue: EventQueue<Ev>,
-    started_at: SimTime,
-    events_processed: u64,
+    harness: Harness<WriterFleet>,
 }
 
 impl MultiClientSystem {
@@ -447,19 +476,12 @@ impl MultiClientSystem {
             segment_stride,
             config.xids_per_segment()
         );
-        let medium_params = config.network.params();
-        let mut server_config = ServerConfig {
-            policy: config.policy,
-            nfsds: config.nfsds,
-            ..ServerConfig::standard()
-        };
-        server_config.storage.prestoserve = config.prestoserve;
-        server_config.storage.spindles = config.spindles;
-        server_config.procrastination = medium_params.procrastination;
-        server_config.shards = config.shards.max(1);
-        server_config.cores = config.cores.max(1);
-        server_config.io_overlap = config.io_overlap;
-        server_config = server_config
+        let mut server_config = server_config(config.network, config.policy, config.nfsds)
+            .with_presto(config.prestoserve)
+            .with_spindles(config.spindles)
+            .with_shards(config.shards)
+            .with_cores(config.cores)
+            .with_io_overlap(config.io_overlap)
             .with_unified_cache(config.cache_pages)
             .with_dirty_ratio(config.dirty_ratio)
             .with_stability(config.stability);
@@ -470,49 +492,44 @@ impl MultiClientSystem {
         let mut server = NfsServer::new(server_config);
 
         let root = server.fs().root();
-        let mut slots = Vec::with_capacity(config.clients);
-        let mut layouts = Vec::with_capacity(config.clients);
-        for client in 0..config.clients {
-            let layout = config.layout(client);
-            let mut pending: VecDeque<(FileHandle, u64)> = layout
-                .iter()
-                .map(|(name, size)| {
-                    let ino = server
-                        .fs_mut()
-                        .create(root, name, 0o644, 0)
-                        .expect("fresh namespace");
-                    (server.handle_for_ino(ino).expect("live inode"), *size)
-                })
-                .collect();
-            let (handle, size) = pending.pop_front().unwrap_or((
-                // A zero-byte budget still gets a writer so the slot completes
-                // immediately through the normal path.
-                server.root_handle(),
-                0,
-            ));
-            let writer =
-                FileWriterClient::new(Self::client_config(&config, client, 0, size), handle);
-            slots.push(ClientSlot {
-                writer,
-                pending,
-                segment: 0,
-                finished_bytes_acked: 0,
-                finished_retransmissions: 0,
-                finished_gave_up: 0,
-                finished_paced_commits: 0,
-                completed_at: None,
-            });
-            layouts.push(layout);
-        }
-        let lans = ClientLans::new(&medium_params, config.clients, config.per_client_lans);
+        let layouts: Vec<_> = (0..config.clients).map(|c| config.layout(c)).collect();
+        let slots = layouts
+            .iter()
+            .enumerate()
+            .map(|(client, layout)| {
+                let mut chain: Vec<_> = layout
+                    .iter()
+                    .enumerate()
+                    .map(|(segment, (name, size))| {
+                        let ino = server
+                            .fs_mut()
+                            .create(root, name, 0o644, 0)
+                            .expect("fresh namespace");
+                        (
+                            server.handle_for_ino(ino).expect("live inode"),
+                            Self::client_config(&config, client, segment, *size),
+                        )
+                    })
+                    .collect();
+                if chain.is_empty() {
+                    // A zero-byte budget still gets a writer so the slot
+                    // completes immediately through the normal path.
+                    chain.push((
+                        server.root_handle(),
+                        Self::client_config(&config, client, 0, 0),
+                    ));
+                }
+                WriterSlot::new(chain)
+            })
+            .collect();
+        let lans = ClientLans::new(
+            &config.network.params(),
+            config.clients,
+            config.per_client_lans,
+        );
         MultiClientSystem {
-            lans,
-            queue: EventQueue::new(),
-            started_at: SimTime::ZERO,
-            events_processed: 0,
-            slots,
+            harness: Harness::new(server, lans, WriterFleet::new(slots), FaultPlan::new()),
             layouts,
-            server,
             config,
         }
     }
@@ -524,181 +541,32 @@ impl MultiClientSystem {
         file_size: u64,
     ) -> ClientConfig {
         ClientConfig {
-            biods: config.biods,
-            file_size,
             xid_base: config.xid_base(client, segment),
             fill_salt: MultiClientConfig::fill_salt(client),
-            stability: match config.stability {
-                StabilityMode::Stable => StableHow::FileSync,
-                StabilityMode::Unstable => StableHow::Unstable,
-            },
             commit_interval: config.commit_interval,
-            ..ClientConfig::default()
+            ..writer_config(config.biods, file_size, config.stability, None)
         }
     }
 
     /// Run every client to completion and return the scale-out result.
     pub fn run(&mut self) -> MultiClientResult {
-        self.events_processed = 0;
-        for client in 0..self.slots.len() {
-            self.queue
-                .schedule_at(SimTime::ZERO, Ev::Client(client, ClientInput::Start));
-        }
-        let max_events = self.max_events();
-        let mut client_actions: Vec<ClientAction> = Vec::new();
-        let mut server_actions: Vec<ServerAction> = Vec::new();
-        while let Some((t, ev)) = self.queue.pop() {
-            self.events_processed += 1;
-            assert!(
-                self.events_processed < max_events,
-                "runaway multi-client simulation at {t:?}"
-            );
-            match ev {
-                Ev::Client(client, input) => {
-                    self.slots[client]
-                        .writer
-                        .handle_into(t, input, &mut client_actions);
-                    self.apply_client_actions(client, &mut client_actions);
-                }
-                Ev::Server(input) => {
-                    self.server.handle_into(t, input, &mut server_actions);
-                    self.apply_server_actions(&mut server_actions);
-                }
-            }
-        }
+        self.harness.run(self.max_events());
         self.result()
     }
 
-    fn apply_client_actions(&mut self, client: usize, actions: &mut Vec<ClientAction>) {
-        for action in actions.drain(..) {
-            match action {
-                ClientAction::Send { at, call } => {
-                    let size = call.wire_size();
-                    let medium = self.lans.medium_mut(client);
-                    let fragments = medium.params().fragments_for(size);
-                    match medium.transmit(at, size, Direction::ToServer) {
-                        TransmitOutcome::Delivered { arrives_at } => {
-                            self.queue.schedule_at(
-                                arrives_at,
-                                Ev::Server(ServerInput::Datagram {
-                                    client: client as u32,
-                                    call,
-                                    wire_size: size,
-                                    fragments,
-                                }),
-                            );
-                        }
-                        TransmitOutcome::Lost => {}
-                    }
-                }
-                ClientAction::Wakeup { at, token } => {
-                    self.queue
-                        .schedule_at(at, Ev::Client(client, ClientInput::Wakeup { token }));
-                }
-                ClientAction::Completed { at } => {
-                    let slot = &mut self.slots[client];
-                    let stats = slot.writer.stats();
-                    slot.finished_bytes_acked += stats.bytes_acked;
-                    slot.finished_retransmissions += stats.retransmissions;
-                    slot.finished_gave_up += stats.gave_up;
-                    slot.finished_paced_commits += stats.paced_commits;
-                    if let Some((handle, size)) = slot.pending.pop_front() {
-                        // Roll to the next segment file: a fresh writer with
-                        // the next xid generation, started at this close's
-                        // return time.
-                        slot.segment += 1;
-                        slot.writer = FileWriterClient::new(
-                            Self::client_config(&self.config, client, slot.segment, size),
-                            handle,
-                        );
-                        self.queue
-                            .schedule_at(at, Ev::Client(client, ClientInput::Start));
-                    } else {
-                        slot.completed_at = Some(at);
-                    }
-                }
-            }
-        }
-    }
-
-    fn apply_server_actions(&mut self, actions: &mut Vec<ServerAction>) {
-        for action in actions.drain(..) {
-            match action {
-                ServerAction::Wakeup { at, token } => {
-                    self.queue
-                        .schedule_at(at, Ev::Server(ServerInput::Wakeup { token }));
-                }
-                ServerAction::Reply { at, client, reply } => {
-                    let size = reply.wire_size();
-                    match self.lans.medium_mut(client as usize).transmit(
-                        at,
-                        size,
-                        Direction::ToClient,
-                    ) {
-                        TransmitOutcome::Delivered { arrives_at } => {
-                            self.queue.schedule_at(
-                                arrives_at,
-                                Ev::Client(client as usize, ClientInput::Reply(reply)),
-                            );
-                        }
-                        TransmitOutcome::Lost => {}
-                    }
-                }
-            }
-        }
-    }
-
     fn result(&self) -> MultiClientResult {
-        let last_completion = self
-            .slots
-            .iter()
-            .filter_map(|s| s.completed_at)
-            .max()
-            .unwrap_or(self.queue.now());
-        let elapsed = last_completion.since(self.started_at);
-        let elapsed = if elapsed.is_zero() {
-            Duration::from_nanos(1)
-        } else {
-            elapsed
-        };
-        let device = self.server.device_stats();
-        let total_gave_up: u64 = self.slots.iter().map(|s| s.gave_up()).sum();
-        let all_completed =
-            self.slots.iter().all(|s| s.completed_at.is_some()) && total_gave_up == 0;
+        let fleet = &self.harness.clients;
+        let (elapsed, clients) =
+            fleet.results(self.config.biods, self.server(), self.harness.core.now());
+        let total_gave_up: u64 = clients.iter().map(|c| c.gave_up).sum();
+        let all_completed = clients.iter().all(|c| c.completed);
         // On a loss-free fan-in every client must finish; a lossy or faulted
         // run may legitimately end with counted give-ups instead.
         debug_assert!(
             all_completed || total_gave_up > 0,
             "a client never finished its byte budget"
         );
-        let clients: Vec<FileCopyResult> = self
-            .slots
-            .iter()
-            .map(|slot| {
-                let completed = slot.completed_at.is_some() && slot.gave_up() == 0;
-                let client_elapsed = slot
-                    .completed_at
-                    .unwrap_or(self.queue.now())
-                    .since(self.started_at)
-                    .as_secs_f64()
-                    .max(1e-9);
-                FileCopyResult {
-                    biods: self.config.biods,
-                    client_write_kb_per_sec: slot.bytes_acked() as f64 / 1024.0 / client_elapsed,
-                    // Server-side quantities are shared; report them over the
-                    // whole run so the per-client rows stay comparable.
-                    server_cpu_percent: self.server.cpu_utilization_percent(elapsed),
-                    disk_kb_per_sec: device.kb_per_sec(elapsed),
-                    disk_trans_per_sec: device.transfers_per_sec(elapsed),
-                    elapsed_secs: client_elapsed,
-                    mean_batch_size: self.server.stats().mean_batch_size(),
-                    retransmissions: slot.retransmissions(),
-                    gave_up: slot.gave_up(),
-                    completed,
-                }
-            })
-            .collect();
-        let total_bytes_acked: u64 = self.slots.iter().map(|s| s.bytes_acked()).sum();
+        let total_bytes_acked: u64 = fleet.slots.iter().map(|s| s.totals().bytes_acked).sum();
         let rates: Vec<f64> = clients.iter().map(|c| c.client_write_kb_per_sec).collect();
         MultiClientResult {
             aggregate_kb_per_sec: total_bytes_acked as f64 / 1024.0 / elapsed.as_secs_f64(),
@@ -717,7 +585,7 @@ impl MultiClientSystem {
     /// byte.  Catches cross-client bleed, lost writes and mis-routed replies.
     /// Assumes a loss-free run (every write acknowledged).
     pub fn verify_on_disk(&self) -> Result<(), String> {
-        let mut fs = self.server.fs().clone();
+        let mut fs = self.server().fs().clone();
         let root = fs.root();
         let block = fs.params().block_size;
         for (client, layout) in self.layouts.iter().enumerate() {
@@ -753,37 +621,17 @@ impl MultiClientSystem {
         Ok(())
     }
 
-    /// The server, for post-run inspection.
-    pub fn server(&self) -> &NfsServer {
-        &self.server
-    }
+    harness_readouts!();
 
     /// Interval-paced COMMITs sent across all clients (zero unless
     /// [`MultiClientConfig::commit_interval`] is armed).
     pub fn paced_commits(&self) -> u64 {
-        self.slots.iter().map(|s| s.paced_commits()).sum()
-    }
-
-    /// Number of events processed by the most recent run.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Events ever scheduled.
-    pub fn scheduled_total(&self) -> u64 {
-        self.queue.scheduled_total()
-    }
-
-    /// Events scheduled into the simulated past (must stay zero; see
-    /// [`EventQueue::clamped_past`]).
-    pub fn clamped_past(&self) -> u64 {
-        self.queue.clamped_past()
-    }
-
-    /// Scheduler-health counters of the pending-event set (calendar
-    /// geometry, resizes, depth high-water, direct-search fallbacks).
-    pub fn sched_stats(&self) -> CalStats {
-        self.queue.sched_stats()
+        self.harness
+            .clients
+            .slots
+            .iter()
+            .map(|s| s.totals().paced_commits)
+            .sum()
     }
 
     /// The configuration the system was built with.
@@ -795,18 +643,19 @@ impl MultiClientSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Ev;
 
     /// Pin the driver event's footprint.  Every schedule moves one `Ev` by
     /// value into the calendar queue and every pop moves it back out, so a
     /// grown variant taxes the whole event loop.  The size is set by the
-    /// largest payload (a `ServerInput` carrying an `NfsCall`); box a new
-    /// large variant instead of raising this pin.
+    /// largest payload (a client index plus a reply-bearing `ClientInput`);
+    /// box a new large variant instead of raising this pin.
     #[test]
     fn driver_event_stays_within_its_pinned_footprint() {
         assert!(
-            std::mem::size_of::<Ev>() <= 112,
+            std::mem::size_of::<Ev<(usize, ClientInput)>>() <= 112,
             "Ev grew to {} bytes; box the large variant",
-            std::mem::size_of::<Ev>()
+            std::mem::size_of::<Ev<(usize, ClientInput)>>()
         );
     }
 

@@ -43,19 +43,15 @@
 use std::sync::Arc;
 use wg_simcore::FxHashMap;
 
-use wg_net::medium::Direction;
-use wg_net::TransmitOutcome;
 use wg_nfsproto::{
     CommitArgs, CreateArgs, DirOpArgs, FileHandle, GetattrArgs, LockArgs, NfsCall, NfsCallBody,
     NfsReply, NfsReplyBody, NfsStatus, ReadArgs, ReaddirArgs, RenewArgs, Sattr, StableHow,
     StatusReply, WriteArgs, Xid,
 };
-use wg_server::{NfsServer, ServerAction, ServerConfig, ServerInput, StabilityMode, WritePolicy};
-use wg_simcore::{
-    CalStats, Duration, EventQueue, FaultKind, FaultPlan, LatencyStat, SimRng, SimTime,
-};
+use wg_server::{NfsServer, StabilityMode, WritePolicy};
+use wg_simcore::{Duration, FaultPlan, LatencyStat, SimRng, SimTime};
 
-use crate::multi::ClientLans;
+use crate::harness::{harness_readouts, server_config, ClientLans, Core, Harness, Population};
 use crate::results::{MultiClientResult, SfsPoint};
 use crate::system::NetworkKind;
 
@@ -1078,16 +1074,12 @@ fn churn_origin(churn: Duration, client: usize, clients: usize) -> SimTime {
     SimTime::ZERO + churn + Duration::from_nanos(stagger + client as u64 + 1)
 }
 
-enum Ev {
+/// Client-side events of the SFS streams.
+enum SfsEvent {
     NextArrival(usize),
-    Server(ServerInput),
     Reply(u32, NfsReply),
     /// Retry timer of one call: `(client, xid, attempts already made)`.
     RetryCheck(usize, u32, u32),
-    /// An injected fault fires (scheduled only when the plan is non-empty).
-    Fault(FaultKind),
-    /// The NVRAM battery comes back after a `BatteryFailure`.
-    BatteryRepair,
     /// One client's lease tick: register/renew/lock/reclaim, then
     /// self-reschedule (scheduled only when [`SfsConfig::leases`]).
     LeaseTick(usize),
@@ -1096,19 +1088,169 @@ enum Ev {
     ChurnTick(usize),
 }
 
-/// One SFS-style measurement run: N generator streams, their LAN fan-in and
-/// the server, wired through one deterministic event loop.
-pub struct SfsSystem {
+/// The SFS population: N generator streams over one shared namespace.
+struct SfsClients {
     config: SfsConfig,
-    server: NfsServer,
-    lans: ClientLans,
-    queue: EventQueue<Ev>,
     shared: SharedFiles,
     generators: Vec<SfsGenerator>,
+    /// Response times of every stream's operations, in completion order.
     latency: LatencyStat,
-    issued: u64,
-    completed: u64,
-    events_processed: u64,
+    /// End of the measured window: arrivals and ticks stop here.
+    end: SimTime,
+    /// With no injected faults and no loss the retry machinery is fully
+    /// disarmed (no cloned calls, no timers, no extra events): the run
+    /// replays the pre-fault harness event for event.
+    faults_armed: bool,
+}
+
+impl SfsClients {
+    /// Produce the next call of a stream and count it issued.
+    fn generate(&mut self, now: SimTime, client: usize, server: &mut NfsServer) -> NfsCall {
+        let generator = &mut self.generators[client];
+        generator.issued += 1;
+        generator.next_call(now, &self.shared, &self.config, server)
+    }
+
+    /// Sum a per-stream counter over every stream.
+    fn sum(&self, counter: impl Fn(&SfsGenerator) -> u64) -> u64 {
+        self.generators.iter().map(counter).sum()
+    }
+
+    /// Send a fresh call.  With the fault layer armed, retain a copy first
+    /// so the retry timer can re-send it; the timer chain always ends in a
+    /// reply or a counted give-up.
+    fn issue(&mut self, t: SimTime, client: usize, call: NfsCall, core: &mut Core<SfsEvent>) {
+        if self.faults_armed {
+            let xid = call.xid.0;
+            self.generators[client]
+                .retry_calls
+                .insert(xid, call.clone());
+            core.schedule(
+                t + self.config.retry_initial_timeout,
+                SfsEvent::RetryCheck(client, xid, 0),
+            );
+        }
+        core.send(t, client, call);
+    }
+}
+
+impl Population for SfsClients {
+    type Event = SfsEvent;
+
+    fn start(&mut self, core: &mut Core<SfsEvent>) {
+        for (client, generator) in self.generators.iter_mut().enumerate() {
+            let gap = Duration::from_secs_f64(generator.rng.exponential(generator.mean_gap));
+            core.schedule(SimTime::ZERO + gap, SfsEvent::NextArrival(client));
+        }
+        // Lease machinery is armed the same way as the retry layer: off (the
+        // default) schedules no ticks, touches no state and replays the
+        // stateless harness event for event.
+        if self.config.leases {
+            let clients = self.generators.len();
+            for client in 0..clients {
+                core.schedule(
+                    lease_tick_origin(self.config.lease_renew_interval, client),
+                    SfsEvent::LeaseTick(client),
+                );
+            }
+            if self.config.churn_interval > Duration::ZERO {
+                for client in 0..clients {
+                    core.schedule(
+                        churn_origin(self.config.churn_interval, client, clients),
+                        SfsEvent::ChurnTick(client),
+                    );
+                }
+            }
+        }
+    }
+
+    fn reply(client: u32, reply: NfsReply) -> SfsEvent {
+        SfsEvent::Reply(client, reply)
+    }
+
+    fn handle(&mut self, t: SimTime, event: SfsEvent, core: &mut Core<SfsEvent>) {
+        match event {
+            SfsEvent::NextArrival(client) => {
+                if t < self.end {
+                    let call = self.generate(t, client, &mut core.server);
+                    self.issue(t, client, call, core);
+                    let generator = &mut self.generators[client];
+                    let gap =
+                        Duration::from_secs_f64(generator.rng.exponential(generator.mean_gap));
+                    core.schedule(t + gap, SfsEvent::NextArrival(client));
+                }
+            }
+            SfsEvent::Reply(client, reply) => {
+                let generator = &mut self.generators[client as usize];
+                if let Some((sent, kind)) = generator.outstanding.take(reply.xid.0) {
+                    if matches!(kind, OpKind::Renew | OpKind::Lock) {
+                        // Lease-protocol traffic: drive the client state
+                        // machine, never the throughput counters.
+                        generator.lease.completed += 1;
+                        generator.on_state_reply(&reply.body);
+                    } else {
+                        let latency = t.since(sent);
+                        self.latency.record(latency);
+                        generator.latency.record(latency);
+                        generator.completed += 1;
+                    }
+                    if self.faults_armed {
+                        generator.retry_calls.remove(&reply.xid.0);
+                    }
+                }
+            }
+            SfsEvent::RetryCheck(client, xid, attempt) => {
+                let generator = &mut self.generators[client];
+                if !generator.outstanding.contains(xid) {
+                    // Answered (or lapped) while the timer was in flight.
+                    generator.retry_calls.remove(&xid);
+                } else if attempt >= self.config.max_retransmits {
+                    // Exhausted: abandon the call as a counted failure —
+                    // never a silent success.
+                    generator.outstanding.take(xid);
+                    generator.retry_calls.remove(&xid);
+                    generator.gave_up += 1;
+                } else if let Some(call) = generator.retry_calls.get(&xid).cloned() {
+                    generator.retransmissions += 1;
+                    core.send(t, client, call);
+                    // Exponential backoff, capped so the shift can't
+                    // overflow on large attempt caps.
+                    let backoff = self
+                        .config
+                        .retry_initial_timeout
+                        .saturating_mul(1u64 << (attempt + 1).min(10));
+                    core.schedule(t + backoff, SfsEvent::RetryCheck(client, xid, attempt + 1));
+                }
+            }
+            SfsEvent::LeaseTick(client) => {
+                if t < self.end {
+                    if let Some(call) = self.generators[client].lease_tick_call(t, &self.shared) {
+                        self.issue(t, client, call, core);
+                    }
+                    // A lease-dead stream stops ticking; the server's expiry
+                    // sweep reclaims its records.
+                    if !self.generators[client].lease.dead {
+                        core.schedule(
+                            t + self.config.lease_renew_interval,
+                            SfsEvent::LeaseTick(client),
+                        );
+                    }
+                }
+            }
+            SfsEvent::ChurnTick(client) => {
+                if t < self.end {
+                    self.generators[client].lease_reboot();
+                    core.schedule(t + self.config.churn_interval, SfsEvent::ChurnTick(client));
+                }
+            }
+        }
+    }
+}
+
+/// One SFS-style measurement run: N generator streams, their LAN fan-in and
+/// the server, wired through the shared event loop.
+pub struct SfsSystem {
+    harness: Harness<SfsClients>,
 }
 
 impl SfsSystem {
@@ -1123,35 +1265,28 @@ impl SfsSystem {
             config.scratch_file_limit <= 16 * 1024 * 1024,
             "scratch_file_limit must stay inside the ≈16 MB UFS file cap"
         );
-        let medium_params = config.network.params();
-        let mut server_config = ServerConfig {
-            policy: config.policy,
-            nfsds: config.nfsds,
-            // The DEC 3800 of Figures 2/3 is a faster machine than the cost
-            // table's reference; reflect that so the curves reach a few
-            // hundred ops/sec before CPU saturation.
-            cpu_speed: 1.6,
-            ..ServerConfig::standard()
-        };
-        server_config.storage.prestoserve = config.prestoserve;
-        server_config.storage.spindles = config.spindles;
-        server_config.procrastination = medium_params.procrastination;
-        server_config.shards = config.shards.max(1);
-        server_config.cores = config.cores.max(1);
-        server_config.io_overlap = config.io_overlap;
-        server_config.inode_groups = config.inode_groups.max(1);
-        server_config.read_caching = config.read_caching;
         assert!(
             !config.leases || config.lease_renew_interval > Duration::ZERO,
             "lease_renew_interval must be non-zero when leases are armed"
         );
-        server_config = server_config
+        let mut server_config = server_config(config.network, config.policy, config.nfsds)
+            .with_presto(config.prestoserve)
+            .with_spindles(config.spindles)
+            .with_shards(config.shards)
+            .with_cores(config.cores)
+            .with_io_overlap(config.io_overlap)
+            .with_inode_groups(config.inode_groups)
+            .with_read_caching(config.read_caching)
             .with_unified_cache(config.cache_pages)
             .with_dirty_ratio(config.dirty_ratio)
             .with_stability(config.stability)
             .with_leases(config.leases)
             .with_lease_duration(config.lease_duration)
             .with_grace_period(config.grace_period);
+        // The DEC 3800 of Figures 2/3 is a faster machine than the cost
+        // table's reference; reflect that so the curves reach a few hundred
+        // ops/sec before CPU saturation.
+        server_config.cpu_speed = 1.6;
         let mut server = NfsServer::new(server_config);
 
         let root = server.fs().root();
@@ -1212,287 +1347,74 @@ impl SfsSystem {
                 lease: LeaseState::new(client as u32),
             });
         }
-        let root_handle = server.root_handle();
-        SfsSystem {
-            lans: ClientLans::with_loss(
-                &medium_params,
-                clients,
-                config.per_client_lans,
-                config.loss_probability,
-                config.loss_seed(),
-            ),
-            queue: EventQueue::new(),
+        let lans = ClientLans::with_loss(
+            &config.network.params(),
+            clients,
+            config.per_client_lans,
+            config.loss_probability,
+            config.loss_seed(),
+        );
+        let faults = config.fault_plan.clone();
+        let population = SfsClients {
             shared: SharedFiles {
-                root: root_handle,
+                root: server.root_handle(),
                 files,
             },
             generators,
             latency: LatencyStat::new(),
-            issued: 0,
-            completed: 0,
-            events_processed: 0,
-            server,
+            end: SimTime::ZERO + config.duration,
+            faults_armed: config.faults_enabled(),
             config,
+        };
+        SfsSystem {
+            harness: Harness::new(server, lans, population, faults),
         }
+    }
+
+    fn generators(&self) -> &[SfsGenerator] {
+        &self.harness.clients.generators
     }
 
     /// Generate one call of a client's stream without transmitting it — the
     /// hook the allocation probes drive the hot loop through.
     pub fn generate_one(&mut self, now: SimTime, client: usize) -> NfsCall {
-        let call =
-            self.generators[client].next_call(now, &self.shared, &self.config, &mut self.server);
-        self.generators[client].issued += 1;
-        self.issued += 1;
-        call
-    }
-
-    /// Transmit one call toward the server on the client's LAN segment.
-    fn transmit_call(&mut self, t: SimTime, client: usize, call: NfsCall) {
-        let size = call.wire_size();
-        let medium = self.lans.medium_mut(client);
-        let fragments = medium.params().fragments_for(size);
-        if let TransmitOutcome::Delivered { arrives_at } =
-            medium.transmit(t, size, Direction::ToServer)
-        {
-            self.queue.schedule_at(
-                arrives_at,
-                Ev::Server(ServerInput::Datagram {
-                    client: client as u32,
-                    call,
-                    wire_size: size,
-                    fragments,
-                }),
-            );
-        }
+        let harness = &mut self.harness;
+        harness
+            .clients
+            .generate(now, client, &mut harness.core.server)
     }
 
     /// Run the measurement and produce one figure point.
     pub fn run(&mut self) -> SfsPoint {
-        self.events_processed = 0;
-        for client in 0..self.generators.len() {
-            let gap = {
-                let generator = &mut self.generators[client];
-                Duration::from_secs_f64(generator.rng.exponential(generator.mean_gap))
-            };
-            self.queue
-                .schedule_at(SimTime::ZERO + gap, Ev::NextArrival(client));
-        }
-        // With no injected faults and no loss the retry machinery is fully
-        // disarmed (no cloned calls, no timers, no extra events) and the
-        // plan schedules nothing: the run replays the pre-fault harness
-        // event for event.
-        let faults_armed = self.config.faults_enabled();
-        let retry_timeout = self.config.retry_initial_timeout;
-        // Lease machinery is armed the same way: off (the default) schedules
-        // no ticks, touches no state and replays the stateless harness event
-        // for event.
-        if self.config.leases {
-            for client in 0..self.generators.len() {
-                self.queue.schedule_at(
-                    lease_tick_origin(self.config.lease_renew_interval, client),
-                    Ev::LeaseTick(client),
-                );
-            }
-            if self.config.churn_interval > Duration::ZERO {
-                let clients = self.generators.len();
-                for client in 0..clients {
-                    self.queue.schedule_at(
-                        churn_origin(self.config.churn_interval, client, clients),
-                        Ev::ChurnTick(client),
-                    );
-                }
-            }
-        }
-        if !self.config.fault_plan.is_empty() {
-            let events: Vec<_> = self.config.fault_plan.events().to_vec();
-            for event in events {
-                self.queue.schedule_at(event.at, Ev::Fault(event.kind));
-            }
-        }
-        let end = SimTime::ZERO + self.config.duration;
-        // Scratch buffer reused across every server event (see
-        // `FileCopySystem::run` for the same pattern on the copy loop).
-        let mut server_actions: Vec<ServerAction> = Vec::new();
-        while let Some((t, ev)) = self.queue.pop() {
-            self.events_processed += 1;
-            assert!(
-                self.events_processed < 100_000_000 * self.generators.len() as u64,
-                "runaway SFS simulation"
-            );
-            match ev {
-                Ev::NextArrival(client) => {
-                    if t < end {
-                        let call = self.generate_one(t, client);
-                        if faults_armed {
-                            // Retain a copy so the retry timer can re-send an
-                            // unanswered call; the timer chain always ends in
-                            // a reply or a counted give-up.
-                            let xid = call.xid.0;
-                            self.generators[client]
-                                .retry_calls
-                                .insert(xid, call.clone());
-                            self.queue
-                                .schedule_at(t + retry_timeout, Ev::RetryCheck(client, xid, 0));
-                        }
-                        self.transmit_call(t, client, call);
-                        let generator = &mut self.generators[client];
-                        let gap =
-                            Duration::from_secs_f64(generator.rng.exponential(generator.mean_gap));
-                        self.queue.schedule_at(t + gap, Ev::NextArrival(client));
-                    }
-                }
-                Ev::Server(input) => {
-                    self.server.handle_into(t, input, &mut server_actions);
-                    for action in server_actions.drain(..) {
-                        match action {
-                            ServerAction::Wakeup { at, token } => {
-                                self.queue
-                                    .schedule_at(at, Ev::Server(ServerInput::Wakeup { token }));
-                            }
-                            ServerAction::Reply { at, client, reply } => {
-                                let size = reply.wire_size();
-                                if let TransmitOutcome::Delivered { arrives_at } = self
-                                    .lans
-                                    .medium_mut(client as usize)
-                                    .transmit(at, size, Direction::ToClient)
-                                {
-                                    self.queue.schedule_at(arrives_at, Ev::Reply(client, reply));
-                                }
-                            }
-                        }
-                    }
-                }
-                Ev::Reply(client, reply) => {
-                    let generator = &mut self.generators[client as usize];
-                    if let Some((sent, kind)) = generator.outstanding.take(reply.xid.0) {
-                        if matches!(kind, OpKind::Renew | OpKind::Lock) {
-                            // Lease-protocol traffic: drive the client state
-                            // machine, never the throughput counters.
-                            generator.lease.completed += 1;
-                            generator.on_state_reply(&reply.body);
-                        } else {
-                            let latency = t.since(sent);
-                            self.latency.record(latency);
-                            generator.latency.record(latency);
-                            generator.completed += 1;
-                            self.completed += 1;
-                        }
-                        if faults_armed {
-                            generator.retry_calls.remove(&reply.xid.0);
-                        }
-                    }
-                }
-                Ev::RetryCheck(client, xid, attempt) => {
-                    let generator = &mut self.generators[client];
-                    if !generator.outstanding.contains(xid) {
-                        // Answered (or lapped) while the timer was in flight.
-                        generator.retry_calls.remove(&xid);
-                    } else if attempt >= self.config.max_retransmits {
-                        // Exhausted: abandon the call as a counted failure —
-                        // never a silent success.
-                        generator.outstanding.take(xid);
-                        generator.retry_calls.remove(&xid);
-                        generator.gave_up += 1;
-                    } else if let Some(call) = generator.retry_calls.get(&xid).cloned() {
-                        generator.retransmissions += 1;
-                        self.transmit_call(t, client, call);
-                        // Exponential backoff, capped so the shift can't
-                        // overflow on large attempt caps.
-                        let backoff = retry_timeout.saturating_mul(1u64 << (attempt + 1).min(10));
-                        self.queue
-                            .schedule_at(t + backoff, Ev::RetryCheck(client, xid, attempt + 1));
-                    }
-                }
-                Ev::Fault(kind) => match kind {
-                    FaultKind::ServerCrash => {
-                        self.server.crash(t);
-                    }
-                    FaultKind::BatteryFailure { repair_after } => {
-                        self.server.set_battery(false, t);
-                        self.queue.schedule_at(t + repair_after, Ev::BatteryRepair);
-                    }
-                    FaultKind::DiskDegrade {
-                        duration,
-                        stall,
-                        retries,
-                    } => {
-                        self.server.inject_disk_fault(t, duration, stall, retries);
-                    }
-                    FaultKind::LossBurst {
-                        duration,
-                        probability,
-                        segment,
-                    } => {
-                        self.lans
-                            .inject_loss_window(segment, t, t + duration, probability);
-                    }
-                },
-                Ev::BatteryRepair => {
-                    self.server.set_battery(true, t);
-                }
-                Ev::LeaseTick(client) => {
-                    if t < end {
-                        let call = self.generators[client].lease_tick_call(t, &self.shared);
-                        if let Some(call) = call {
-                            if faults_armed {
-                                let xid = call.xid.0;
-                                self.generators[client]
-                                    .retry_calls
-                                    .insert(xid, call.clone());
-                                self.queue
-                                    .schedule_at(t + retry_timeout, Ev::RetryCheck(client, xid, 0));
-                            }
-                            self.transmit_call(t, client, call);
-                        }
-                        // A lease-dead stream stops ticking; the server's
-                        // expiry sweep reclaims its records.
-                        if !self.generators[client].lease.dead {
-                            self.queue.schedule_at(
-                                t + self.config.lease_renew_interval,
-                                Ev::LeaseTick(client),
-                            );
-                        }
-                    }
-                }
-                Ev::ChurnTick(client) => {
-                    if t < end {
-                        self.generators[client].lease_reboot();
-                        self.queue
-                            .schedule_at(t + self.config.churn_interval, Ev::ChurnTick(client));
-                    }
-                }
-            }
-        }
+        self.harness.run(100_000_000 * self.clients() as u64);
         let point = self.point();
-        if self.config.leases {
+        if self.config().leases {
             // Deterministic post-run expiry sweep: any stream that stopped
             // renewing — lease-dead after a give-up, or churn-killed — has
             // its lease expire here and its state reclaimed as orphans.
-            self.server
-                .expire_leases(SimTime::ZERO + self.config.duration);
+            let end = self.harness.clients.end;
+            self.harness.core.server.expire_leases(end);
         }
         point
     }
 
     /// The figure point of the finished run.
     fn point(&self) -> SfsPoint {
-        let measured = self.config.duration;
+        let clients = &self.harness.clients;
+        let measured = clients.config.duration;
         SfsPoint {
-            offered_ops_per_sec: self.config.offered_ops_per_sec,
-            achieved_ops_per_sec: self.completed as f64 / measured.as_secs_f64(),
-            avg_latency_ms: self.latency.mean().as_millis_f64(),
-            server_cpu_percent: self.server.cpu_utilization_percent(measured),
+            offered_ops_per_sec: clients.config.offered_ops_per_sec,
+            achieved_ops_per_sec: clients.sum(|g| g.completed) as f64 / measured.as_secs_f64(),
+            avg_latency_ms: clients.latency.mean().as_millis_f64(),
+            server_cpu_percent: self.server().cpu_utilization_percent(measured),
         }
     }
 
-    /// The server, for post-run inspection.
-    pub fn server(&self) -> &NfsServer {
-        &self.server
-    }
+    harness_readouts!();
 
     /// The configuration the system was built with.
     pub fn config(&self) -> &SfsConfig {
-        &self.config
+        &self.harness.clients.config
     }
 
     /// Drain the server after the measured window: flush the unified cache
@@ -1500,42 +1422,47 @@ impl SfsSystem {
     /// With the cache disarmed this changes nothing; with it armed it is how
     /// a sweep cell proves no acknowledged data was left volatile.
     pub fn quiesce_server(&mut self) {
-        let at = self.queue.now().max(SimTime::ZERO + self.config.duration);
+        let at = self.harness.core.now().max(self.harness.clients.end);
         let mut actions = Vec::new();
-        self.server.quiesce(at, &mut actions);
+        self.harness.core.server.quiesce(at, &mut actions);
+    }
+
+    /// Sum a per-stream counter over every stream.
+    fn sum(&self, counter: impl Fn(&SfsGenerator) -> u64) -> u64 {
+        self.harness.clients.sum(counter)
     }
 
     /// Operations issued and completed, across all client streams.
     pub fn counts(&self) -> (u64, u64) {
-        (self.issued, self.completed)
+        (self.sum(|g| g.issued), self.sum(|g| g.completed))
     }
 
     /// Calls abandoned after the retransmit budget, across all streams.
     /// When the fault layer is armed every issued call ends up either
     /// completed or here: `issued == completed + gave_up`.
     pub fn gave_up(&self) -> u64 {
-        self.generators.iter().map(|g| g.gave_up).sum()
+        self.sum(|g| g.gave_up)
     }
 
     /// Calls re-sent by the retry timers, across all streams.
     pub fn retransmissions(&self) -> u64 {
-        self.generators.iter().map(|g| g.retransmissions).sum()
+        self.sum(|g| g.retransmissions)
     }
 
     /// Number of generator streams.
     pub fn clients(&self) -> usize {
-        self.generators.len()
+        self.generators().len()
     }
 
     /// Number of distinct LAN segments feeding the server.
     pub fn lan_segments(&self) -> usize {
-        self.lans.segments()
+        self.harness.core.lans.segments()
     }
 
     /// Achieved operations per second of each client stream.
     pub fn per_client_achieved_ops(&self) -> Vec<f64> {
-        let secs = self.config.duration.as_secs_f64().max(1e-9);
-        self.generators
+        let secs = self.config().duration.as_secs_f64().max(1e-9);
+        self.generators()
             .iter()
             .map(|g| g.completed as f64 / secs)
             .collect()
@@ -1543,7 +1470,7 @@ impl SfsSystem {
 
     /// Mean response time of each client stream, in milliseconds.
     pub fn per_client_avg_latency_ms(&self) -> Vec<f64> {
-        self.generators
+        self.generators()
             .iter()
             .map(|g| g.latency.mean().as_millis_f64())
             .collect()
@@ -1558,7 +1485,7 @@ impl SfsSystem {
     /// names and scratch-file rotations) — everything else in steady-state op
     /// generation is allocation-free.
     pub fn name_mints(&self) -> u64 {
-        self.generators.iter().map(|g| g.name_mints).sum()
+        self.sum(|g| g.name_mints)
     }
 
     /// Lease-protocol calls issued and replies applied, across all streams
@@ -1566,60 +1493,54 @@ impl SfsSystem {
     /// achieved ops).
     pub fn lease_counts(&self) -> (u64, u64) {
         (
-            self.generators.iter().map(|g| g.lease.issued).sum(),
-            self.generators.iter().map(|g| g.lease.completed).sum(),
+            self.sum(|g| g.lease.issued),
+            self.sum(|g| g.lease.completed),
         )
     }
 
     /// Soft rejections clients observed while the server was in grace.
     pub fn grace_denials(&self) -> u64 {
-        self.generators.iter().map(|g| g.lease.grace_denied).sum()
+        self.sum(|g| g.lease.grace_denied)
     }
 
     /// Hard lock denials clients observed (conflict, seqid, refused reclaim,
     /// expiry).
     pub fn lock_denials(&self) -> u64 {
-        self.generators.iter().map(|g| g.lease.lock_denied).sum()
+        self.sum(|g| g.lease.lock_denied)
     }
 
     /// Fresh lock grants and grace-window reclaims confirmed by replies,
     /// across all streams.
     pub fn lock_grants(&self) -> (u64, u64) {
         (
-            self.generators.iter().map(|g| g.lease.locks_granted).sum(),
-            self.generators
-                .iter()
-                .map(|g| g.lease.reclaims_granted)
-                .sum(),
+            self.sum(|g| g.lease.locks_granted),
+            self.sum(|g| g.lease.reclaims_granted),
         )
     }
 
     /// Server reboots observed by clients through RENEW verifier changes.
     pub fn observed_server_reboots(&self) -> u64 {
-        self.generators.iter().map(|g| g.lease.server_reboots).sum()
+        self.sum(|g| g.lease.server_reboots)
     }
 
     /// Churn reboots the client fleet performed.
     pub fn churn_reboots(&self) -> u64 {
-        self.generators.iter().map(|g| g.lease.churns).sum()
+        self.sum(|g| g.lease.churns)
     }
 
     /// Streams that went lease-dead (stopped renewing after a give-up).
     pub fn lease_dead_streams(&self) -> usize {
-        self.generators.iter().filter(|g| g.lease.dead).count()
+        self.generators().iter().filter(|g| g.lease.dead).count()
     }
 
     /// Outstanding-ring slots reclaimed from calls that never got a reply.
     pub fn stale_overwrites(&self) -> u64 {
-        self.generators
-            .iter()
-            .map(|g| g.outstanding.stale_overwrites)
-            .sum()
+        self.sum(|g| g.outstanding.stale_overwrites)
     }
 
     /// Largest append offset any scratch write file currently holds.
     pub fn max_scratch_offset(&self) -> u64 {
-        self.generators
+        self.generators()
             .iter()
             .flat_map(|g| g.write_files.iter().map(|f| f.offset))
             .max()
@@ -1628,33 +1549,10 @@ impl SfsSystem {
 
     /// How many scratch-file rotations have happened across all streams.
     pub fn scratch_rotations(&self) -> u64 {
-        self.generators
+        self.generators()
             .iter()
             .flat_map(|g| g.write_files.iter().map(|f| f.generation as u64))
             .sum()
-    }
-
-    /// Number of events processed by the most recent [`SfsSystem::run`].
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Total events ever scheduled.
-    pub fn scheduled_total(&self) -> u64 {
-        self.queue.scheduled_total()
-    }
-
-    /// Events scheduled into the past and clamped.  Always zero in a healthy
-    /// model; sweeps assert it per cell the same way they assert
-    /// `evicted_in_progress`.
-    pub fn clamped_past(&self) -> u64 {
-        self.queue.clamped_past()
-    }
-
-    /// Scheduler-health counters of the pending-event set (calendar
-    /// geometry, resizes, depth high-water, direct-search fallbacks).
-    pub fn sched_stats(&self) -> CalStats {
-        self.queue.sched_stats()
     }
 }
 
@@ -1781,18 +1679,20 @@ impl SfsSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Ev;
+    use wg_simcore::FaultKind;
 
     /// Pin the driver event's footprint.  Every schedule moves one `Ev` by
     /// value into the calendar queue and every pop moves it back out, so a
     /// grown variant taxes the whole event loop.  The size is set by the
-    /// largest payload (a `ServerInput` carrying an `NfsCall` or a reply-bearing `Ev::Reply`); box a new
-    /// large variant instead of raising this pin.
+    /// largest payload (a reply-bearing `SfsEvent::Reply`); box a new large
+    /// variant instead of raising this pin.
     #[test]
     fn driver_event_stays_within_its_pinned_footprint() {
         assert!(
-            std::mem::size_of::<Ev>() <= 112,
+            std::mem::size_of::<Ev<SfsEvent>>() <= 112,
             "Ev grew to {} bytes; box the large variant",
-            std::mem::size_of::<Ev>()
+            std::mem::size_of::<Ev<SfsEvent>>()
         );
     }
 

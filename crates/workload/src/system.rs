@@ -1,12 +1,12 @@
 //! The single-client file-copy system (Tables 1–6, Figure 1).
 
-use wg_client::{ClientAction, ClientConfig, ClientInput, FileWriterClient};
-use wg_net::medium::Direction;
-use wg_net::{Medium, MediumParams, TransmitOutcome};
-use wg_nfsproto::StableHow;
-use wg_server::{NfsServer, ServerAction, ServerConfig, ServerInput, StabilityMode, WritePolicy};
-use wg_simcore::{CalStats, Duration, EventQueue, FaultKind, FaultPlan, SimTime, Trace};
+use wg_client::FileWriterClient;
+use wg_net::MediumParams;
+use wg_server::{NfsServer, ServerConfig, StabilityMode, WritePolicy};
+use wg_simcore::{Duration, FaultPlan, Trace};
 
+use crate::harness::{harness_readouts, server_config, ClientLans, Harness};
+use crate::multi::{writer_config, WriterFleet, WriterSlot};
 use crate::results::FileCopyResult;
 
 /// Which network the experiment runs over.
@@ -182,26 +182,11 @@ impl ExperimentConfig {
     }
 }
 
-/// Events flowing through the combined system.
-enum Ev {
-    Client(ClientInput),
-    Server(ServerInput),
-    /// An injected fault fires (scheduled only when the plan is non-empty).
-    Fault(FaultKind),
-    /// The NVRAM battery comes back after a `BatteryFailure`.
-    BatteryRepair,
-}
-
-/// The assembled single-client system.
+/// The assembled single-client system: the one-client, one-segment case of
+/// the writer fleet that [`crate::MultiClientSystem`] scales out.
 pub struct FileCopySystem {
     config: ExperimentConfig,
-    client: FileWriterClient,
-    server: NfsServer,
-    medium: Medium,
-    queue: EventQueue<Ev>,
-    completed_at: Option<SimTime>,
-    started_at: SimTime,
-    events_processed: u64,
+    harness: Harness<WriterFleet>,
 }
 
 impl FileCopySystem {
@@ -219,19 +204,12 @@ impl FileCopySystem {
         config: ExperimentConfig,
         customize: impl FnOnce(&mut ServerConfig),
     ) -> Self {
-        let medium_params = config.network.params();
-        let mut server_config = ServerConfig {
-            policy: config.policy,
-            nfsds: config.nfsds,
-            ..ServerConfig::standard()
-        };
-        server_config.storage.prestoserve = config.prestoserve;
-        server_config.storage.spindles = config.spindles;
-        server_config.procrastination = medium_params.procrastination;
-        server_config.shards = config.shards;
-        server_config.cores = config.cores;
-        server_config.io_overlap = config.io_overlap;
-        server_config = server_config
+        let mut server_config = server_config(config.network, config.policy, config.nfsds)
+            .with_presto(config.prestoserve)
+            .with_spindles(config.spindles)
+            .with_shards(config.shards)
+            .with_cores(config.cores)
+            .with_io_overlap(config.io_overlap)
             .with_unified_cache(config.cache_pages)
             .with_dirty_ratio(config.dirty_ratio)
             .with_stability(config.stability);
@@ -249,53 +227,26 @@ impl FileCopySystem {
             .expect("fresh filesystem");
         let handle = server.handle_for_ino(ino).expect("live inode");
 
-        let mut client_config = ClientConfig {
-            biods: config.biods,
-            file_size: config.file_size,
-            stability: match config.stability {
-                StabilityMode::Stable => StableHow::FileSync,
-                StabilityMode::Unstable => StableHow::Unstable,
-            },
-            ..ClientConfig::default()
-        };
-        if let Some((initial_timeout, max_retransmits)) = config.client_retry {
-            client_config.initial_timeout = initial_timeout;
-            client_config.max_retransmits = max_retransmits;
-        }
-        let client = FileWriterClient::new(client_config, handle);
+        let client_config = writer_config(
+            config.biods,
+            config.file_size,
+            config.stability,
+            config.client_retry,
+        );
+        let client = WriterSlot::new(vec![(handle, client_config)]);
+        let lans = ClientLans::new(&config.network.params(), 1, false);
         FileCopySystem {
-            medium: Medium::new(medium_params),
-            queue: EventQueue::new(),
-            completed_at: None,
-            started_at: SimTime::ZERO,
-            events_processed: 0,
-            client,
-            server,
+            harness: Harness::new(
+                server,
+                lans,
+                WriterFleet::new(vec![client]),
+                config.fault_plan.clone(),
+            ),
             config,
         }
     }
 
-    /// Number of events processed by the most recent [`FileCopySystem::run`].
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Total events ever scheduled.
-    pub fn scheduled_total(&self) -> u64 {
-        self.queue.scheduled_total()
-    }
-
-    /// Events scheduled into the simulated past (must stay zero; see
-    /// [`EventQueue::clamped_past`]).
-    pub fn clamped_past(&self) -> u64 {
-        self.queue.clamped_past()
-    }
-
-    /// Scheduler-health counters of the pending-event set (calendar
-    /// geometry, resizes, depth high-water, direct-search fallbacks).
-    pub fn sched_stats(&self) -> CalStats {
-        self.queue.sched_stats()
-    }
+    harness_readouts!();
 
     /// Upper bound on events one copy may process before the run is declared
     /// runaway.  A 10 MB copy needs ~13 k events, so this is four orders of
@@ -309,174 +260,34 @@ impl FileCopySystem {
     /// The loop drains the queue fully: after the client completes, the only
     /// remaining events are bounded housekeeping wake-ups (nfsd-free timers,
     /// gather continuations), and letting them run keeps the server's final
-    /// statistics consistent.  Action buffers are allocated once and reused
-    /// for every event, so the steady-state loop performs no per-event
-    /// allocation.
+    /// statistics consistent.
     pub fn run(&mut self) -> FileCopyResult {
-        self.events_processed = 0;
-        self.queue
-            .schedule_at(SimTime::ZERO, Ev::Client(ClientInput::Start));
-        // An empty plan schedules nothing: the queue contents — and therefore
-        // the whole run — are identical to a build without the fault layer.
-        if !self.config.fault_plan.is_empty() {
-            let events: Vec<_> = self.config.fault_plan.events().to_vec();
-            for event in events {
-                self.queue.schedule_at(event.at, Ev::Fault(event.kind));
-            }
-        }
-        let mut client_actions: Vec<ClientAction> = Vec::new();
-        let mut server_actions: Vec<ServerAction> = Vec::new();
-        while let Some((t, ev)) = self.queue.pop() {
-            self.events_processed += 1;
-            if self.events_processed >= Self::MAX_EVENTS {
-                panic!(
-                    "runaway simulation: {} events without draining \
-                     (simulated time {t:?}, client done: {}, {} events still queued, \
-                     {} scheduled in total)",
-                    self.events_processed,
-                    self.completed_at.is_some(),
-                    self.queue.len(),
-                    self.queue.scheduled_total(),
-                );
-            }
-            match ev {
-                Ev::Client(input) => {
-                    self.client.handle_into(t, input, &mut client_actions);
-                    self.apply_client_actions(&mut client_actions);
-                }
-                Ev::Server(input) => {
-                    self.server.handle_into(t, input, &mut server_actions);
-                    self.apply_server_actions(&mut server_actions);
-                }
-                Ev::Fault(kind) => self.apply_fault(t, kind),
-                Ev::BatteryRepair => {
-                    self.server.set_battery(true, t);
-                }
-            }
-        }
+        self.harness.run(Self::MAX_EVENTS);
         self.result()
     }
 
-    fn apply_fault(&mut self, t: SimTime, kind: FaultKind) {
-        match kind {
-            FaultKind::ServerCrash => {
-                self.server.crash(t);
-            }
-            FaultKind::BatteryFailure { repair_after } => {
-                self.server.set_battery(false, t);
-                self.queue.schedule_at(t + repair_after, Ev::BatteryRepair);
-            }
-            FaultKind::DiskDegrade {
-                duration,
-                stall,
-                retries,
-            } => {
-                self.server.inject_disk_fault(t, duration, stall, retries);
-            }
-            // The single-client system has one network segment; a burst aimed
-            // at a specific segment index still lands on it.
-            FaultKind::LossBurst {
-                duration,
-                probability,
-                segment: _,
-            } => {
-                self.medium.inject_loss_window(t, t + duration, probability);
-            }
-        }
-    }
-
-    fn apply_client_actions(&mut self, actions: &mut Vec<ClientAction>) {
-        for action in actions.drain(..) {
-            match action {
-                ClientAction::Send { at, call } => {
-                    let size = call.wire_size();
-                    let fragments = self.medium.params().fragments_for(size);
-                    match self.medium.transmit(at, size, Direction::ToServer) {
-                        TransmitOutcome::Delivered { arrives_at } => {
-                            self.queue.schedule_at(
-                                arrives_at,
-                                Ev::Server(ServerInput::Datagram {
-                                    client: 0,
-                                    call,
-                                    wire_size: size,
-                                    fragments,
-                                }),
-                            );
-                        }
-                        TransmitOutcome::Lost => {}
-                    }
-                }
-                ClientAction::Wakeup { at, token } => {
-                    self.queue
-                        .schedule_at(at, Ev::Client(ClientInput::Wakeup { token }));
-                }
-                ClientAction::Completed { at } => {
-                    self.completed_at = Some(at);
-                }
-            }
-        }
-    }
-
-    fn apply_server_actions(&mut self, actions: &mut Vec<ServerAction>) {
-        for action in actions.drain(..) {
-            match action {
-                ServerAction::Wakeup { at, token } => {
-                    self.queue
-                        .schedule_at(at, Ev::Server(ServerInput::Wakeup { token }));
-                }
-                ServerAction::Reply { at, reply, .. } => {
-                    let size = reply.wire_size();
-                    match self.medium.transmit(at, size, Direction::ToClient) {
-                        TransmitOutcome::Delivered { arrives_at } => {
-                            self.queue
-                                .schedule_at(arrives_at, Ev::Client(ClientInput::Reply(reply)));
-                        }
-                        TransmitOutcome::Lost => {}
-                    }
-                }
-            }
-        }
-    }
-
     fn result(&self) -> FileCopyResult {
-        let gave_up = self.client.stats().gave_up;
-        // A copy only counts as completed when every byte was acknowledged:
-        // a client that abandoned writes after exhausting its retransmits
-        // reports a counted failure, never a silent success.
-        let completed = self.completed_at.is_some() && gave_up == 0;
+        let (_, rows) =
+            self.harness
+                .clients
+                .results(self.config.biods, self.server(), self.harness.core.now());
+        let result = rows[0];
         // A drained event queue with the client still unfinished means the
         // simulation lost work (a dropped wake-up, an orphaned write): surface
-        // it immediately in debug builds, and flag it in the result so sweeps
-        // can't mistake a dead cell for a slow one.  Under an injected fault
-        // schedule an incomplete cell is a legitimate outcome (that is what
-        // the chaos sweep measures), so the assert only covers fault-free
-        // runs.
+        // it immediately in debug builds; the result's `completed` flag keeps
+        // sweeps from mistaking a dead cell for a slow one.  A copy that gave
+        // up on writes reports a counted failure, never a silent success.
+        // Under an injected fault schedule an incomplete cell is a legitimate
+        // outcome (that is what the chaos sweep measures), so the assert only
+        // covers fault-free runs.
         debug_assert!(
-            completed || !self.config.fault_plan.is_empty(),
-            "file copy did not complete: {} bytes acked of {}, {gave_up} writes given up",
-            self.client.stats().bytes_acked,
-            self.config.file_size
+            result.completed || !self.config.fault_plan.is_empty(),
+            "file copy did not complete: {} bytes acked of {}, {} writes given up",
+            self.client().stats().bytes_acked,
+            self.config.file_size,
+            result.gave_up
         );
-        let completed_at = self.completed_at.unwrap_or(self.queue.now());
-        let elapsed = completed_at.since(self.started_at);
-        let elapsed = if elapsed.is_zero() {
-            Duration::from_nanos(1)
-        } else {
-            elapsed
-        };
-        let device = self.server.device_stats();
-        FileCopyResult {
-            biods: self.config.biods,
-            client_write_kb_per_sec: self.client.stats().write_kb_per_sec(),
-            server_cpu_percent: self.server.cpu_utilization_percent(elapsed),
-            disk_kb_per_sec: device.kb_per_sec(elapsed),
-            disk_trans_per_sec: device.transfers_per_sec(elapsed),
-            elapsed_secs: elapsed.as_secs_f64(),
-            mean_batch_size: self.server.stats().mean_batch_size(),
-            retransmissions: self.client.stats().retransmissions,
-            gave_up,
-            completed,
-        }
+        result
     }
 
     /// Recovery oracle: re-read every byte range the client saw acknowledged
@@ -486,12 +297,13 @@ impl FileCopySystem {
     /// when an acknowledged write was lost (the
     /// [`wg_server::WritePolicy::DangerousAsync`] failure mode).
     pub fn lost_acked_bytes_on_disk(&self) -> u64 {
-        let mut fs = self.server.fs().clone();
+        let mut fs = self.server().fs().clone();
         let root = fs.root();
         let ino = fs.lookup(root, "copy-target").expect("target file exists");
+        let client = self.client();
         let mut lost = 0u64;
-        for &(offset, len) in self.client.acked_writes() {
-            let fill = self.client.fill_byte_for(offset);
+        for &(offset, len) in client.acked_writes() {
+            let fill = client.fill_byte_for(offset);
             let data = fs.read(ino, offset, len).expect("acked range readable");
             lost += data.to_vec().iter().filter(|&&b| b != fill).count() as u64;
         }
@@ -500,17 +312,12 @@ impl FileCopySystem {
 
     /// The server's event trace (enable with [`ExperimentConfig::with_trace`]).
     pub fn trace(&self) -> &Trace {
-        self.server.trace()
-    }
-
-    /// The server, for post-run inspection (data integrity checks, stats).
-    pub fn server(&self) -> &NfsServer {
-        &self.server
+        self.server().trace()
     }
 
     /// The client, for post-run inspection.
     pub fn client(&self) -> &FileWriterClient {
-        &self.client
+        self.harness.clients.writer(0)
     }
 
     /// The experiment configuration.
@@ -527,18 +334,21 @@ pub fn run_cell(config: ExperimentConfig) -> FileCopyResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Ev;
+    use wg_client::ClientInput;
 
     /// Pin the driver event's footprint.  Every schedule moves one `Ev` by
     /// value into the calendar queue and every pop moves it back out, so a
-    /// grown variant taxes the whole event loop.  The size is set by the
-    /// largest payload (a `ServerInput` carrying an `NfsCall`); box a new
-    /// large variant instead of raising this pin.
+    /// grown variant taxes the whole event loop.  The copy rides the writer
+    /// fleet's event, whose size is set by its largest payload (a client
+    /// index plus a reply-bearing `ClientInput`); box a new large variant
+    /// instead of raising this pin.
     #[test]
     fn driver_event_stays_within_its_pinned_footprint() {
         assert!(
-            std::mem::size_of::<Ev>() <= 104,
+            std::mem::size_of::<Ev<(usize, ClientInput)>>() <= 112,
             "Ev grew to {} bytes; box the large variant",
-            std::mem::size_of::<Ev>()
+            std::mem::size_of::<Ev<(usize, ClientInput)>>()
         );
     }
 

@@ -8,55 +8,49 @@
 //! fully committed"), while "dangerous mode" explicitly abandons it.  These
 //! tests check both sides.
 
-use wg_nfsproto::{NfsCall, NfsCallBody, WriteArgs, Xid};
-use wg_server::{NfsServer, ServerAction, ServerConfig, ServerInput, WritePolicy};
-use wg_simcore::{EventQueue, SimTime};
+use wg_nfsproto::{FileHandle, NfsCall, NfsCallBody, WriteArgs, Xid};
+use wg_server::{NfsServer, ServerConfig, ServerInput, WritePolicy};
+use wg_simcore::SimTime;
 use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind};
 
-/// Drive a bare server with a burst of writes and return, per reply, the time
-/// it was sent together with the device-idle time at that moment (if the
-/// device still has queued work past the reply, data the reply covers might
-/// not be stable).
-fn run_burst(policy: WritePolicy, writes: u64) -> (NfsServer, Vec<SimTime>) {
+fn datagram(call: NfsCall) -> ServerInput {
+    let wire_size = call.wire_size();
+    ServerInput::Datagram {
+        client: 0,
+        call,
+        wire_size,
+        fragments: 2,
+    }
+}
+
+/// A bare server with one empty file, ready for a scripted burst.
+fn server_with_file(policy: WritePolicy) -> (NfsServer, FileHandle) {
     let mut cfg = ServerConfig::standard();
     cfg.policy = policy;
     let mut server = NfsServer::new(cfg);
     let root = server.fs().root();
     let ino = server.fs_mut().create(root, "f", 0o644, 0).unwrap();
     let fh = server.handle_for_ino(ino).unwrap();
+    (server, fh)
+}
 
-    let mut queue = EventQueue::new();
-    for i in 0..writes {
-        let call = NfsCall::new(
-            Xid(i as u32),
-            NfsCallBody::Write(WriteArgs::new(fh, (i * 8192) as u32, vec![i as u8; 8192])),
-        );
-        let size = call.wire_size();
-        queue.schedule_at(
-            SimTime::from_millis(i),
-            ServerInput::Datagram {
-                client: 0,
-                call,
-                wire_size: size,
-                fragments: 2,
-            },
-        );
-    }
-    let mut reply_times = Vec::new();
-    while let Some((t, input)) = queue.pop() {
-        for action in server.handle(t, input) {
-            match action {
-                ServerAction::Wakeup { at, token } => {
-                    queue.schedule_at(at, ServerInput::Wakeup { token })
-                }
-                ServerAction::Reply { at, reply, .. } => {
-                    assert!(reply.body.is_ok());
-                    reply_times.push(at);
-                }
-            }
-        }
-    }
-    (server, reply_times)
+/// One 8 KB write of block `i` at `at`, filled with `fill`.
+fn write_at(fh: FileHandle, i: u64, at: SimTime, fill: u8) -> (SimTime, ServerInput) {
+    let args = WriteArgs::new(fh, (i * 8192) as u32, vec![fill; 8192]);
+    (
+        at,
+        datagram(NfsCall::new(Xid(i as u32), NfsCallBody::Write(args))),
+    )
+}
+
+/// Drive a bare server with a burst of writes, one per millisecond, and
+/// return it with the time each (successful) reply was sent.
+fn run_burst(policy: WritePolicy, writes: u64) -> (NfsServer, Vec<SimTime>) {
+    let (mut server, fh) = server_with_file(policy);
+    let burst = (0..writes).map(|i| write_at(fh, i, SimTime::from_millis(i), i as u8));
+    let replies = server.run_script(burst);
+    assert!(replies.iter().all(|(_, reply)| reply.body.is_ok()));
+    (server, replies.into_iter().map(|(at, _)| at).collect())
 }
 
 #[test]
@@ -140,47 +134,16 @@ fn gathered_replies_share_one_mtime() {
     // The paper: "all the replies have the same file modify time in the
     // returned file attributes" — the observable sign that one metadata
     // update covered the whole batch.
-    let (_, _) = run_burst(WritePolicy::Gathering, 8);
-    let mut cfg = ServerConfig::standard();
-    cfg.policy = WritePolicy::Gathering;
-    let mut server = NfsServer::new(cfg);
-    let root = server.fs().root();
-    let ino = server.fs_mut().create(root, "f", 0o644, 0).unwrap();
-    let fh = server.handle_for_ino(ino).unwrap();
-    let mut queue = EventQueue::new();
-    for i in 0..8u64 {
-        let call = NfsCall::new(
-            Xid(i as u32),
-            NfsCallBody::Write(WriteArgs::new(fh, (i * 8192) as u32, vec![0u8; 8192])),
-        );
-        let size = call.wire_size();
-        queue.schedule_at(
-            SimTime::from_micros(i * 500),
-            ServerInput::Datagram {
-                client: 0,
-                call,
-                wire_size: size,
-                fragments: 2,
-            },
-        );
-    }
-    let mut mtimes = Vec::new();
-    while let Some((t, input)) = queue.pop() {
-        for action in server.handle(t, input) {
-            match action {
-                ServerAction::Wakeup { at, token } => {
-                    queue.schedule_at(at, ServerInput::Wakeup { token })
-                }
-                ServerAction::Reply { reply, .. } => {
-                    if let wg_nfsproto::NfsReplyBody::Attr(wg_nfsproto::StatusReply::Ok(f)) =
-                        reply.body
-                    {
-                        mtimes.push(f.mtime);
-                    }
-                }
-            }
-        }
-    }
+    let (mut server, fh) = server_with_file(WritePolicy::Gathering);
+    let burst = (0..8u64).map(|i| write_at(fh, i, SimTime::from_micros(i * 500), 0));
+    let mtimes: Vec<_> = server
+        .run_script(burst)
+        .into_iter()
+        .filter_map(|(_, reply)| match reply.body {
+            wg_nfsproto::NfsReplyBody::Attr(wg_nfsproto::StatusReply::Ok(f)) => Some(f.mtime),
+            _ => None,
+        })
+        .collect();
     assert_eq!(mtimes.len(), 8);
     assert!(
         mtimes.windows(2).all(|w| w[0] == w[1]),

@@ -487,29 +487,6 @@ fn exhausted_retransmits_are_counted_never_silent() {
 // duplicate request cache.
 // ---------------------------------------------------------------------------
 
-/// Drive a bare server to completion, collecting replies.
-fn drive(server: &mut NfsServer, inputs: Vec<(SimTime, ServerInput)>) -> Vec<SimTime> {
-    let mut queue = wg_simcore::EventQueue::new();
-    for (t, input) in inputs {
-        queue.schedule_at(t, input);
-    }
-    let mut replies = Vec::new();
-    while let Some((t, input)) = queue.pop() {
-        for action in server.handle(t, input) {
-            match action {
-                ServerAction::Wakeup { at, token } => {
-                    queue.schedule_at(at, ServerInput::Wakeup { token });
-                }
-                ServerAction::Reply { at, reply, .. } => {
-                    assert!(reply.body.is_ok());
-                    replies.push(at);
-                }
-            }
-        }
-    }
-    replies
-}
-
 #[test]
 fn retransmission_of_a_pre_crash_gathered_write_re_executes_safely() {
     // The zero-byte-write family of crash bugs: a write is gathered (in the
@@ -577,7 +554,8 @@ fn retransmission_of_a_pre_crash_gathered_write_re_executes_safely() {
             fragments: 6,
         },
     ));
-    let replies = drive(&mut server, inputs);
+    let replies = server.run_script(inputs);
+    assert!(replies.iter().all(|(_, reply)| reply.body.is_ok()));
     assert_eq!(
         replies.len(),
         1,

@@ -3,114 +3,44 @@
 //! timeout/backoff machinery, the duplicate request cache keeps re-executed
 //! work correct, and the file still ends up intact.
 
-use wg_client::{ClientAction, ClientConfig, ClientInput, FileWriterClient};
-use wg_server::{NfsServer, ServerAction, ServerConfig, ServerInput, WritePolicy};
-use wg_simcore::{Duration, EventQueue, SimRng, SimTime};
+use wg_server::{NfsServer, ServerConfig, ServerInput, WritePolicy};
+use wg_simcore::{Duration, FaultKind, FaultPlan, SimTime};
+use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind};
 
-enum Ev {
-    Client(ClientInput),
-    Server(ServerInput),
+/// A copy over a network that drops a fraction `loss` of the datagrams in
+/// each direction for the whole run.  Short retransmit timeouts keep the
+/// test fast while still exercising backoff.
+fn run_lossy(policy: WritePolicy, file_size: u64, biods: usize, loss: f64) -> FileCopySystem {
+    let lossy = FaultPlan::new().at(
+        SimTime::ZERO,
+        FaultKind::LossBurst {
+            duration: Duration::from_secs(3600),
+            probability: loss,
+            segment: None,
+        },
+    );
+    let mut system = FileCopySystem::new(
+        ExperimentConfig::new(NetworkKind::Fddi, biods, policy)
+            .with_file_size(file_size)
+            .with_fault_plan(lossy)
+            .with_client_retry(Duration::from_millis(120), 20),
+    );
+    assert!(system.run().completed);
+    system
 }
 
-/// Wire the client and server together with a lossy "network" that drops a
-/// fraction of datagrams in each direction and otherwise delivers after a
-/// fixed delay.  Returns the client, the server and the number of datagrams
-/// dropped.
-fn run_lossy(
-    policy: WritePolicy,
-    file_size: u64,
-    biods: usize,
-    loss: f64,
-    seed: u64,
-) -> (FileWriterClient, NfsServer, u64) {
-    let mut server_cfg = ServerConfig::standard();
-    server_cfg.policy = policy;
-    let mut server = NfsServer::new(server_cfg);
-    let root = server.fs().root();
-    let ino = server
-        .fs_mut()
-        .create(root, "lossy-target", 0o644, 0)
-        .unwrap();
-    let handle = server.handle_for_ino(ino).unwrap();
-
-    let client_cfg = ClientConfig {
-        biods,
-        file_size,
-        // Short timeouts keep the test fast while still exercising backoff.
-        initial_timeout: Duration::from_millis(120),
-        backoff_factor: 2.0,
-        max_retransmits: 20,
-        ..ClientConfig::default()
-    };
-    let mut client = FileWriterClient::new(client_cfg, handle);
-
-    let mut rng = SimRng::seed_from(seed);
-    let delay = Duration::from_millis(1);
-    let mut dropped = 0u64;
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    queue.schedule_at(SimTime::ZERO, Ev::Client(ClientInput::Start));
-    let mut guard = 0u64;
-    while let Some((t, ev)) = queue.pop() {
-        guard += 1;
-        assert!(guard < 5_000_000, "runaway lossy simulation");
-        match ev {
-            Ev::Client(input) => {
-                for action in client.handle(t, input) {
-                    match action {
-                        ClientAction::Send { at, call } => {
-                            if rng.chance(loss) {
-                                dropped += 1;
-                                continue;
-                            }
-                            let size = call.wire_size();
-                            queue.schedule_at(
-                                at + delay,
-                                Ev::Server(ServerInput::Datagram {
-                                    client: 0,
-                                    call,
-                                    wire_size: size,
-                                    fragments: 2,
-                                }),
-                            );
-                        }
-                        ClientAction::Wakeup { at, token } => {
-                            queue.schedule_at(at, Ev::Client(ClientInput::Wakeup { token }))
-                        }
-                        ClientAction::Completed { .. } => {}
-                    }
-                }
-            }
-            Ev::Server(input) => {
-                for action in server.handle(t, input) {
-                    match action {
-                        ServerAction::Wakeup { at, token } => {
-                            queue.schedule_at(at, Ev::Server(ServerInput::Wakeup { token }))
-                        }
-                        ServerAction::Reply { at, reply, .. } => {
-                            if rng.chance(loss) {
-                                dropped += 1;
-                                continue;
-                            }
-                            queue.schedule_at(at + delay, Ev::Client(ClientInput::Reply(reply)));
-                        }
-                    }
-                }
-            }
-        }
-        if client.is_done() && queue.is_empty() {
-            break;
-        }
-    }
-    (client, server, dropped)
+fn target_size(server: &NfsServer) -> u64 {
+    let mut fs = server.fs().clone();
+    let ino = fs.lookup(fs.root(), "copy-target").unwrap();
+    fs.getattr(ino).unwrap().size
 }
 
 #[test]
 fn lossy_network_is_survived_by_retransmission() {
     for policy in [WritePolicy::Standard, WritePolicy::Gathering] {
-        let (client, server, dropped) = run_lossy(policy, 256 * 1024, 4, 0.10, 42);
-        assert!(client.is_done());
-        assert!(dropped > 0, "the loss injector never fired");
-        let stats = client.stats();
+        let system = run_lossy(policy, 256 * 1024, 4, 0.10);
+        assert!(system.lost_datagrams() > 0, "the loss injector never fired");
+        let stats = system.client().stats();
         assert!(
             stats.retransmissions > 0,
             "{policy:?}: no retransmissions despite loss"
@@ -122,132 +52,58 @@ fn lossy_network_is_survived_by_retransmission() {
         );
         // The file is complete and correct on the server despite duplicates
         // and losses.
-        let mut fs = server.fs().clone();
-        let root = fs.root();
-        let ino = fs.lookup(root, "lossy-target").unwrap();
-        assert_eq!(fs.getattr(ino).unwrap().size, 256 * 1024);
-        for block in 0..(256 / 8) as u64 {
-            let data = fs.read(ino, block * 8192, 8192).unwrap().to_vec();
-            assert!(
-                data.iter().all(|&b| b == block as u8),
-                "block {block} corrupt"
-            );
-        }
-        assert_eq!(server.uncommitted_bytes(), 0);
+        assert_eq!(target_size(system.server()), 256 * 1024);
+        assert_eq!(system.lost_acked_bytes_on_disk(), 0, "{policy:?}: corrupt");
+        assert_eq!(system.server().uncommitted_bytes(), 0);
     }
 }
 
 #[test]
 fn duplicate_requests_from_retransmission_are_absorbed() {
-    let (client, server, _) = run_lossy(WritePolicy::Gathering, 128 * 1024, 2, 0.20, 7);
-    assert!(client.is_done());
+    let system = run_lossy(WritePolicy::Gathering, 128 * 1024, 2, 0.20);
     // With 20% loss and a small window, retransmissions definitely happened;
     // some of them raced the original and were recognised as duplicates.
-    assert!(client.stats().retransmissions > 0);
-    let dupes = server.stats().duplicate_requests;
-    let replies = server.stats().replies_sent;
+    assert!(system.client().stats().retransmissions > 0);
     // Every original request was answered exactly once per distinct xid the
     // server executed: replies may exceed the block count only because cached
     // replies were replayed to late retransmissions, never because a write was
     // executed twice.
-    assert_eq!(
-        server
-            .fs()
-            .clone()
-            .getattr(
-                server
-                    .fs()
-                    .clone()
-                    .lookup(server.fs().root(), "lossy-target")
-                    .unwrap()
-            )
-            .unwrap()
-            .size,
-        128 * 1024
+    assert_eq!(target_size(system.server()), 128 * 1024);
+    assert!(
+        system.server().stats().replies_sent >= 16,
+        "at least one reply per block"
     );
-    assert!(replies >= 16, "at least one reply per block");
-    let _ = dupes;
 }
 
 #[test]
 fn loss_free_runs_never_retransmit() {
-    let (client, _, dropped) = run_lossy(WritePolicy::Gathering, 128 * 1024, 4, 0.0, 1);
-    assert_eq!(dropped, 0);
-    assert_eq!(client.stats().retransmissions, 0);
-    assert_eq!(client.stats().bytes_acked, 128 * 1024);
+    let system = run_lossy(WritePolicy::Gathering, 128 * 1024, 4, 0.0);
+    assert_eq!(system.lost_datagrams(), 0);
+    assert_eq!(system.client().stats().retransmissions, 0);
+    assert_eq!(system.client().stats().bytes_acked, 128 * 1024);
 }
 
 #[test]
 fn tiny_socket_buffer_forces_drops_and_recovery() {
     // A server with a pathologically small socket buffer drops bursts; the
     // client's retransmission recovers them and the copy still completes.
-    let mut server_cfg = ServerConfig::standard();
-    server_cfg.policy = WritePolicy::Gathering;
-    server_cfg.socket_buffer_bytes = 18_000; // two 8 KB writes at most
-    server_cfg.nfsds = 1;
-    let mut server = NfsServer::new(server_cfg);
-    let root = server.fs().root();
-    let ino = server.fs_mut().create(root, "t", 0o644, 0).unwrap();
-    let handle = server.handle_for_ino(ino).unwrap();
-    let client_cfg = ClientConfig {
-        biods: 8,
-        file_size: 256 * 1024,
-        initial_timeout: Duration::from_millis(150),
-        ..ClientConfig::default()
-    };
-    let mut client = FileWriterClient::new(client_cfg, handle);
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    queue.schedule_at(SimTime::ZERO, Ev::Client(ClientInput::Start));
-    while let Some((t, ev)) = queue.pop() {
-        match ev {
-            Ev::Client(input) => {
-                for action in client.handle(t, input) {
-                    match action {
-                        ClientAction::Send { at, call } => {
-                            let size = call.wire_size();
-                            queue.schedule_at(
-                                at + Duration::from_micros(700),
-                                Ev::Server(ServerInput::Datagram {
-                                    client: 0,
-                                    call,
-                                    wire_size: size,
-                                    fragments: 2,
-                                }),
-                            );
-                        }
-                        ClientAction::Wakeup { at, token } => {
-                            queue.schedule_at(at, Ev::Client(ClientInput::Wakeup { token }))
-                        }
-                        ClientAction::Completed { .. } => {}
-                    }
-                }
-            }
-            Ev::Server(input) => {
-                for action in server.handle(t, input) {
-                    match action {
-                        ServerAction::Wakeup { at, token } => {
-                            queue.schedule_at(at, Ev::Server(ServerInput::Wakeup { token }))
-                        }
-                        ServerAction::Reply { at, reply, .. } => queue.schedule_at(
-                            at + Duration::from_micros(700),
-                            Ev::Client(ClientInput::Reply(reply)),
-                        ),
-                    }
-                }
-            }
-        }
-        if client.is_done() && queue.is_empty() {
-            break;
-        }
-    }
-    assert!(client.is_done());
+    let mut system = FileCopySystem::new_customized(
+        ExperimentConfig::new(NetworkKind::Fddi, 8, WritePolicy::Gathering)
+            .with_file_size(256 * 1024)
+            .with_client_retry(Duration::from_millis(150), 10),
+        |server| {
+            server.socket_buffer_bytes = 18_000; // two 8 KB writes at most
+            server.nfsds = 1;
+        },
+    );
+    assert!(system.run().completed);
     assert!(
-        server.socket_drops() > 0,
+        system.server().socket_drops() > 0,
         "the tiny buffer never overflowed"
     );
-    assert!(client.stats().retransmissions > 0);
-    assert_eq!(client.stats().bytes_acked, 256 * 1024);
-    assert_eq!(server.uncommitted_bytes(), 0);
+    assert!(system.client().stats().retransmissions > 0);
+    assert_eq!(system.client().stats().bytes_acked, 256 * 1024);
+    assert_eq!(system.server().uncommitted_bytes(), 0);
 }
 
 #[test]
@@ -312,7 +168,7 @@ fn retransmitted_state_ops_hit_the_dupcache_not_the_state_table() {
             }),
         )
     };
-    let ms = wg_simcore::SimTime::from_millis;
+    let ms = SimTime::from_millis;
     let inputs = vec![
         // Register the lease, then park a gathered WRITE whose reply is
         // deferred through the procrastination window.
@@ -331,21 +187,7 @@ fn retransmitted_state_ops_hit_the_dupcache_not_the_state_table() {
         (ms(42), dg(lock(102, 2))),
     ];
 
-    let mut queue: EventQueue<ServerInput> = EventQueue::new();
-    for (t, input) in inputs {
-        queue.schedule_at(t, input);
-    }
-    let mut replies = Vec::new();
-    while let Some((t, input)) = queue.pop() {
-        for action in server.handle(t, input) {
-            match action {
-                ServerAction::Wakeup { at, token } => {
-                    queue.schedule_at(at, ServerInput::Wakeup { token });
-                }
-                ServerAction::Reply { at, reply, .. } => replies.push((at, reply)),
-            }
-        }
-    }
+    let replies = server.run_script(inputs);
 
     let by_xid = |x: u32| replies.iter().filter(|(_, r)| r.xid == Xid(x)).count();
     // The gathered write answered once; its in-window retransmit was dropped.

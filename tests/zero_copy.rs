@@ -14,37 +14,27 @@
 use wg_nfsproto::payload::materialize_count;
 use wg_nfsproto::{NfsCall, NfsCallBody, NfsReply, NfsReplyBody, Payload, ReadArgs, StatusReply};
 use wg_nfsproto::{WriteArgs, Xid};
-use wg_server::{NfsServer, ServerAction, ServerConfig, ServerInput, WritePolicy};
+use wg_server::{NfsServer, ServerConfig, ServerInput, WritePolicy};
 use wg_simcore::SimTime;
 use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind};
 
-/// Drive a server until its event queue drains, collecting replies.
+/// Drive a server through scripted calls, collecting its replies.
 fn run_server(server: &mut NfsServer, inputs: Vec<(SimTime, NfsCall)>) -> Vec<NfsReply> {
-    let mut queue = wg_simcore::EventQueue::new();
-    for (t, call) in inputs {
+    let script = inputs.into_iter().map(|(t, call)| {
         let wire_size = call.wire_size();
-        queue.schedule_at(
-            t,
-            ServerInput::Datagram {
-                client: 0,
-                call,
-                wire_size,
-                fragments: 2,
-            },
-        );
-    }
-    let mut replies = Vec::new();
-    while let Some((t, input)) = queue.pop() {
-        for action in server.handle(t, input) {
-            match action {
-                ServerAction::Wakeup { at, token } => {
-                    queue.schedule_at(at, ServerInput::Wakeup { token });
-                }
-                ServerAction::Reply { reply, .. } => replies.push(reply),
-            }
-        }
-    }
-    replies
+        let datagram = ServerInput::Datagram {
+            client: 0,
+            call,
+            wire_size,
+            fragments: 2,
+        };
+        (t, datagram)
+    });
+    server
+        .run_script(script)
+        .into_iter()
+        .map(|(_, reply)| reply)
+        .collect()
 }
 
 #[test]
