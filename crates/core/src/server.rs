@@ -708,8 +708,8 @@ impl NfsServer {
                 Err(e) => NfsReplyBody::DirOp(StatusReply::Err(fs_error_to_status(e))),
             },
             NfsCallBody::Readdir(a) => {
-                // The filesystem memoises the listing behind an Arc; the reply
-                // (and any cached replay of it) shares that allocation.
+                // The filesystem hands out an O(1) snapshot of its listing;
+                // the reply (and any cached replay of it) shares its names.
                 match ino_from_handle(&self.fs, &a.dir).and_then(|dir| self.fs.readdir(dir)) {
                     Ok(names) => NfsReplyBody::Readdir(StatusReply::Ok(names)),
                     Err(e) => NfsReplyBody::Readdir(StatusReply::Err(fs_error_to_status(e))),

@@ -12,6 +12,8 @@
 //!   ([`procs`]),
 //! * ONC RPC call/reply framing with transaction ids used for duplicate
 //!   request detection ([`rpc`]),
+//! * [`DirListing`], the sorted READDIR name list that replies share by
+//!   snapshot ([`listing`]),
 //! * a convenience [`message`] layer that bundles a complete request or reply
 //!   as one Rust value plus its wire size, which is what the network and
 //!   socket-buffer models operate on.
@@ -25,6 +27,7 @@
 
 pub mod attr;
 pub mod handle;
+pub mod listing;
 pub mod message;
 pub mod payload;
 pub mod procs;
@@ -32,6 +35,7 @@ pub mod rpc;
 
 pub use attr::{Fattr, FileType, NfsStatus, Sattr, Timeval};
 pub use handle::FileHandle;
+pub use listing::DirListing;
 pub use message::{NfsCall, NfsCallBody, NfsReply, NfsReplyBody, WireMessage};
 pub use payload::Payload;
 pub use procs::{

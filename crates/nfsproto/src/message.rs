@@ -12,6 +12,7 @@
 use std::sync::OnceLock;
 
 use crate::attr::{Fattr, NfsStatus, Sattr};
+use crate::listing::DirListing;
 use crate::procs::{
     CommitArgs, CommitOk, CreateArgs, DirOpArgs, DirOpOk, GetattrArgs, LockArgs, LockOk,
     ProcNumber, ReadArgs, ReadOk, ReaddirArgs, RenewArgs, RenewOk, SetattrArgs, StatfsOk,
@@ -23,7 +24,7 @@ use wg_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
 
 /// Wire size of an XDR variable-length opaque (or string) of `len` bytes:
 /// the length word plus the data padded to a 4-byte boundary.
-fn opaque_wire_size(len: usize) -> usize {
+pub(crate) fn opaque_wire_size(len: usize) -> usize {
     4 + len.div_ceil(4) * 4
 }
 
@@ -264,9 +265,9 @@ pub enum NfsReplyBody {
     Status(NfsStatus),
     /// READDIR reply: names only (entries are summarised as a name list in
     /// this reproduction; cookies and eof handling live in the server model).
-    /// The list is shared so caching or replaying the reply never clones the
-    /// names.
-    Readdir(StatusReply<std::sync::Arc<Vec<std::sync::Arc<str>>>>),
+    /// The listing is a snapshot, so caching or replaying the reply never
+    /// clones the names.
+    Readdir(StatusReply<DirListing>),
     /// STATFS reply.
     Statfs(StatusReply<StatfsOk>),
     /// WRITE reply carrying stability + boot verifier, emitted only by a
@@ -331,13 +332,7 @@ impl NfsReplyBody {
             NfsReplyBody::Attr(StatusReply::Ok(_)) => 4 + fattr_wire_size(),
             NfsReplyBody::DirOp(StatusReply::Ok(_)) => 4 + NFS_FHSIZE + fattr_wire_size(),
             NfsReplyBody::Read(StatusReply::Ok(r)) => 4 + fattr_wire_size() + r.data.xdr_size(),
-            NfsReplyBody::Readdir(StatusReply::Ok(names)) => {
-                4 + 4
-                    + names
-                        .iter()
-                        .map(|n| opaque_wire_size(n.len()))
-                        .sum::<usize>()
-            }
+            NfsReplyBody::Readdir(StatusReply::Ok(names)) => 4 + names.xdr_size(),
             NfsReplyBody::Statfs(StatusReply::Ok(_)) => 4 + 20,
             // status + fattr + stable_how word + 8-byte verifier.
             NfsReplyBody::WriteVerf(StatusReply::Ok(_)) => 4 + fattr_wire_size() + 4 + 8,
@@ -476,6 +471,19 @@ mod tests {
         FileHandle::new(1, 10, 1)
     }
 
+    fn listing(names: &[&str]) -> DirListing {
+        DirListing::from_sorted(names.iter().map(|n| (*n).into())).expect("sorted names")
+    }
+
+    /// A READDIR listing spanning several runs, with name lengths 1..=7 so
+    /// every XDR padding case appears.
+    fn many_runs() -> DirListing {
+        let names: std::collections::BTreeSet<std::sync::Arc<str>> = (0..300)
+            .map(|i| format!("{i:0w$}", w = 1 + i % 7).into())
+            .collect();
+        DirListing::from_sorted(names).expect("a set iterates in order")
+    }
+
     #[test]
     fn write_call_roundtrip_and_size() {
         let call = NfsCall::new(
@@ -583,7 +591,8 @@ mod tests {
             })),
             NfsReplyBody::Status(NfsStatus::Ok),
             NfsReplyBody::Status(NfsStatus::Stale),
-            NfsReplyBody::Readdir(StatusReply::Ok(vec!["a".into(), "b".into()].into())),
+            NfsReplyBody::Readdir(StatusReply::Ok(listing(&["a", "b"]))),
+            NfsReplyBody::Readdir(StatusReply::Ok(many_runs())),
             NfsReplyBody::Statfs(StatusReply::Ok(StatfsOk {
                 tsize: 8192,
                 bsize: 8192,
@@ -728,9 +737,9 @@ mod tests {
             })),
             NfsReplyBody::Read(StatusReply::Err(NfsStatus::Io)),
             NfsReplyBody::Status(NfsStatus::Stale),
-            NfsReplyBody::Readdir(StatusReply::Ok(
-                vec!["a".into(), "file_with_longer_name".into()].into(),
-            )),
+            NfsReplyBody::Readdir(StatusReply::Ok(listing(&["a", "file_with_longer_name"]))),
+            NfsReplyBody::Readdir(StatusReply::Ok(many_runs())),
+            NfsReplyBody::Readdir(StatusReply::Ok(DirListing::default())),
             NfsReplyBody::Readdir(StatusReply::Err(NfsStatus::NotDir)),
             NfsReplyBody::Statfs(StatusReply::Ok(StatfsOk {
                 tsize: 8192,

@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use wg_nfsproto::DirListing;
 use wg_simcore::FxHashMap;
 
 use wg_disk::DiskRequest;
@@ -388,8 +389,11 @@ impl Ufs {
         let node = Inode::new(ino, generation, kind, mode, now_nanos);
         self.inodes.insert(ino, node);
         let d = self.inode_mut(dir)?;
-        d.entries.insert(Arc::from(name), ino);
-        d.listing = None;
+        let name: Arc<str> = Arc::from(name);
+        if let Some(listing) = &mut d.listing {
+            listing.insert(Arc::clone(&name));
+        }
+        d.entries.insert(name, ino);
         d.mtime_nanos = now_nanos;
         d.inode_dirty = true;
         d.mtime_only_dirty = false;
@@ -432,33 +436,34 @@ impl Ufs {
         }
         let d = self.inode_mut(dir)?;
         d.entries.remove(name);
-        d.listing = None;
+        if let Some(listing) = &mut d.listing {
+            listing.remove(name);
+        }
         d.mtime_nanos = now_nanos;
         d.inode_dirty = true;
         d.mtime_only_dirty = false;
         Ok(())
     }
 
-    /// List the names in a directory.
+    /// List the names in a directory, as an O(1) snapshot.
     ///
-    /// The listing is memoised per directory and shared by reference count:
-    /// repeated READDIRs of an unchanged directory (the common SFS-mix case)
-    /// return the same `Arc` instead of cloning every name, and the proto
-    /// layer's READDIR reply carries it onward without another copy.  Any
-    /// entry change invalidates the cache.  Names are `Arc<str>` end to end,
-    /// so even a rebuild after an invalidation only bumps refcounts.
-    pub fn readdir(&mut self, dir: InodeNumber) -> Result<Arc<Vec<Arc<str>>>, FsError> {
+    /// The directory's first readdir builds its [`DirListing`] in one pass
+    /// over the entries; creates and removes then keep it current, so each
+    /// later readdir is a reference-count bump and each change copies only
+    /// the part a snapshot still shares.  The proto layer's READDIR reply
+    /// (and the duplicate request cache behind it) carries the snapshot
+    /// onward without copying names.  Building at first readdir rather than
+    /// at create keeps directories nobody lists free of the cost.
+    pub fn readdir(&mut self, dir: InodeNumber) -> Result<DirListing, FsError> {
         self.counters.namespace_ops += 1;
         let d = self.inode_mut(dir)?;
         if d.kind != FileKind::Directory {
             return Err(FsError::NotADirectory);
         }
-        if let Some(listing) = &d.listing {
-            return Ok(Arc::clone(listing));
-        }
-        let listing = Arc::new(d.entries.keys().cloned().collect::<Vec<Arc<str>>>());
-        d.listing = Some(Arc::clone(&listing));
-        Ok(listing)
+        let listing = d.listing.get_or_insert_with(|| {
+            DirListing::from_sorted(d.entries.keys().cloned()).expect("map keys are sorted")
+        });
+        Ok(listing.clone())
     }
 
     /// Attributes of an inode.
@@ -1411,7 +1416,7 @@ mod tests {
         ));
         assert!(matches!(u.read(d, 0, 10), Err(FsError::IsADirectory)));
         u.create(d, "inner", 0o644, 1).unwrap();
-        assert_eq!(*u.readdir(d).unwrap(), vec![Arc::<str>::from("inner")]);
+        assert!(u.readdir(d).unwrap().iter().map(|n| &**n).eq(["inner"]));
         assert_eq!(u.remove(root, "dir", 2), Err(FsError::NotEmpty));
         u.remove(d, "inner", 3).unwrap();
         u.remove(root, "dir", 4).unwrap();
@@ -1419,25 +1424,48 @@ mod tests {
 
     #[test]
     fn readdir_shares_the_listing_until_the_directory_changes() {
+        let names = |l: &DirListing| l.iter().map(|n| n.to_string()).collect::<Vec<_>>();
         let mut u = fs();
         let root = u.root();
         u.create(root, "a", 0o644, 0).unwrap();
         let first = u.readdir(root).unwrap();
-        let second = u.readdir(root).unwrap();
         assert!(
-            Arc::ptr_eq(&first, &second),
+            first.ptr_eq(&u.readdir(root).unwrap()),
             "unchanged directory must share one listing"
         );
         u.create(root, "b", 0o644, 1).unwrap();
-        let third = u.readdir(root).unwrap();
-        assert!(!Arc::ptr_eq(&second, &third), "create must invalidate");
-        assert_eq!(*third, vec![Arc::<str>::from("a"), Arc::<str>::from("b")]);
-        // The old Arc still holds the snapshot the earlier reply carried.
-        assert_eq!(*second, vec![Arc::<str>::from("a")]);
+        let second = u.readdir(root).unwrap();
         u.remove(root, "a", 2).unwrap();
-        let fourth = u.readdir(root).unwrap();
-        assert!(!Arc::ptr_eq(&third, &fourth), "remove must invalidate");
-        assert_eq!(*fourth, vec![Arc::<str>::from("b")]);
+        let third = u.readdir(root).unwrap();
+        // Each snapshot keeps exactly what the directory held when taken.
+        assert_eq!(names(&first), ["a"]);
+        assert_eq!(names(&second), ["a", "b"]);
+        assert_eq!(names(&third), ["b"]);
+
+        // A large directory: a create or remove after a readdir leaves the
+        // earlier snapshot intact, and the new listing shares every run of
+        // names with it but the one the change touched.
+        for i in 0..1000 {
+            u.create(root, &format!("f{i:04}"), 0o644, 3).unwrap();
+        }
+        let before = u.readdir(root).unwrap();
+        assert!(before.ptr_eq(&u.readdir(root).unwrap()));
+        u.create(root, "f0500x", 0o644, 4).unwrap();
+        let created = u.readdir(root).unwrap();
+        u.remove(root, "f0250", 5).unwrap();
+        let removed = u.readdir(root).unwrap();
+        assert_eq!(
+            (before.len(), created.len(), removed.len()),
+            (1001, 1002, 1001)
+        );
+        assert!(!before.iter().any(|n| &n[..] == "f0500x"));
+        assert!(created.iter().any(|n| &n[..] == "f0250"));
+        assert!(u.inode(root).unwrap().entries.keys().eq(removed.iter()));
+        for (old, new) in [(&before, &created), (&created, &removed)] {
+            assert!(!old.ptr_eq(new));
+            assert_eq!(old.runs_not_shared_with(new), 1, "one run copied");
+            assert_eq!(new.runs_not_shared_with(old), 1, "one run copied");
+        }
     }
 
     #[test]

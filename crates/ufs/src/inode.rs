@@ -10,6 +10,7 @@
 use crate::params::FsParams;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use wg_nfsproto::DirListing;
 
 /// Number of direct block pointers in an FFS inode.
 pub const NDADDR: usize = 12;
@@ -322,13 +323,12 @@ pub struct Inode {
     /// address), stored densely by `lbn - NDADDR`.
     pub indirect_map: IndirectMap,
     /// Directory entries (name -> inode), present only for directories.
-    /// Names are refcounted so rebuilding the memoised listing clones
-    /// pointers, not string bytes.
+    /// Names are refcounted, so the READDIR listing shares their bytes.
     pub entries: BTreeMap<Arc<str>, InodeNumber>,
-    /// Memoised READDIR listing, shared with every reply that carries it and
-    /// invalidated whenever `entries` changes.  `None` until the first
-    /// readdir after a change.
-    pub listing: Option<Arc<Vec<Arc<str>>>>,
+    /// The READDIR listing of `entries`' names.  `None` until the
+    /// directory's first readdir builds it; from then on every entry change
+    /// updates it in place, and each reply holds a snapshot of it.
+    pub listing: Option<DirListing>,
     /// Cached data blocks keyed by logical block index.
     pub blocks: BlockMap,
     /// `true` if the on-disk inode no longer matches this in-memory copy

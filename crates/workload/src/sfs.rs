@@ -49,7 +49,7 @@ use wg_nfsproto::{
     StatusReply, WriteArgs, Xid,
 };
 use wg_server::{NfsServer, StabilityMode, WritePolicy};
-use wg_simcore::{Duration, FaultPlan, LatencyStat, SimRng, SimTime};
+use wg_simcore::{Duration, FaultPlan, SimRng, SimTime};
 
 use crate::harness::{harness_readouts, server_config, ClientLans, Core, Harness, Population};
 use crate::results::{MultiClientResult, SfsPoint};
@@ -508,7 +508,10 @@ struct RingSlot {
 /// The outstanding-call table of one generator stream: a pre-sized ring
 /// keyed by xid offset.  Xids are handed out sequentially, so the slot of a
 /// call is simply `(xid - base) mod capacity`; inserting and removing is an
-/// index, not a hash, and the ring never allocates after construction.
+/// index, not a hash.  Construction only reserves the capacity: slots are
+/// filled as the xid sequence first reaches them, so a stream that issues
+/// few calls never touches most of its ring, and the ring still never
+/// allocates after construction.
 ///
 /// A call that never gets a reply (dropped datagram, socket overflow)
 /// leaves its slot occupied until the xid sequence laps the ring — at which
@@ -542,13 +545,7 @@ impl OutstandingRing {
         OutstandingRing {
             base,
             mask: capacity - 1,
-            slots: vec![
-                RingSlot {
-                    xid: 0,
-                    entry: None
-                };
-                capacity
-            ],
+            slots: Vec::with_capacity(capacity),
             stale_overwrites: 0,
         }
     }
@@ -559,6 +556,16 @@ impl OutstandingRing {
 
     fn insert(&mut self, xid: u32, sent: SimTime, kind: OpKind) {
         let idx = self.slot_index(xid);
+        if idx >= self.slots.len() {
+            // Within the reserved capacity: never reallocates.
+            self.slots.resize(
+                idx + 1,
+                RingSlot {
+                    xid: 0,
+                    entry: None,
+                },
+            );
+        }
         let slot = &mut self.slots[idx];
         if slot.entry.is_some() {
             self.stale_overwrites += 1;
@@ -569,7 +576,7 @@ impl OutstandingRing {
 
     fn take(&mut self, xid: u32) -> Option<(SimTime, OpKind)> {
         let idx = self.slot_index(xid);
-        let slot = &mut self.slots[idx];
+        let slot = self.slots.get_mut(idx)?;
         if slot.xid == xid {
             slot.entry.take()
         } else {
@@ -580,8 +587,9 @@ impl OutstandingRing {
     /// Whether a call is still awaiting its reply (used by the retry timer
     /// to tell "unanswered" from "answered while the timer was in flight").
     fn contains(&self, xid: u32) -> bool {
-        let slot = &self.slots[self.slot_index(xid)];
-        slot.xid == xid && slot.entry.is_some()
+        self.slots
+            .get(self.slot_index(xid))
+            .is_some_and(|slot| slot.xid == xid && slot.entry.is_some())
     }
 }
 
@@ -675,6 +683,29 @@ impl LeaseState {
     }
 }
 
+/// Running sum and count of response times.  SFS reports only the mean,
+/// so no sample is kept.
+#[derive(Default)]
+struct MeanLatency {
+    sum: Duration,
+    count: u64,
+}
+
+impl MeanLatency {
+    fn record(&mut self, latency: Duration) {
+        self.sum += latency;
+        self.count += 1;
+    }
+
+    /// The mean in whole nanoseconds, rounded down (zero when empty).
+    fn mean(&self) -> Duration {
+        match self.count {
+            0 => Duration::ZERO,
+            n => Duration::from_nanos(self.sum.as_nanos() / n),
+        }
+    }
+}
+
 /// One independent load-generator stream: its own RNG, xid window,
 /// scratch-file namespace, outstanding-call ring and latency accumulator.
 struct SfsGenerator {
@@ -690,7 +721,7 @@ struct SfsGenerator {
     /// arrival before a new operation is drawn from the mix.
     burst_queue: Vec<NfsCallBody>,
     outstanding: OutstandingRing,
-    latency: LatencyStat,
+    latency: MeanLatency,
     issued: u64,
     completed: u64,
     /// Name-minting allocations this stream performed (fresh CREATE names and
@@ -1093,8 +1124,8 @@ struct SfsClients {
     config: SfsConfig,
     shared: SharedFiles,
     generators: Vec<SfsGenerator>,
-    /// Response times of every stream's operations, in completion order.
-    latency: LatencyStat,
+    /// Response times of every stream's operations.
+    latency: MeanLatency,
     /// End of the measured window: arrivals and ticks stop here.
     end: SimTime,
     /// With no injected faults and no loss the retry machinery is fully
@@ -1337,7 +1368,7 @@ impl SfsSystem {
                 create_counter: 0,
                 burst_queue: Vec::new(),
                 outstanding: OutstandingRing::new(base, expected_ops, clients >= 1024),
-                latency: LatencyStat::new(),
+                latency: MeanLatency::default(),
                 issued: 0,
                 completed: 0,
                 name_mints: 0,
@@ -1361,7 +1392,7 @@ impl SfsSystem {
                 files,
             },
             generators,
-            latency: LatencyStat::new(),
+            latency: MeanLatency::default(),
             end: SimTime::ZERO + config.duration,
             faults_armed: config.faults_enabled(),
             config,
@@ -1817,7 +1848,7 @@ mod tests {
         assert_eq!(ring.take(XID_ORIGIN), None);
         assert_eq!(ring.take(XID_ORIGIN + 2), None);
         // A never-answered call's slot is reclaimed when the ring laps.
-        let capacity = ring.slots.len() as u32;
+        let capacity = (ring.mask + 1) as u32;
         ring.insert(XID_ORIGIN + 1 + capacity, t, OpKind::Lookup);
         assert_eq!(ring.stale_overwrites, 1);
         assert_eq!(

@@ -35,6 +35,9 @@ pub enum XdrError {
         /// The unrecognised discriminant.
         value: u32,
     },
+    /// A value decoded cleanly but breaks a rule of the type it decodes
+    /// to; the text names the type and the rule.
+    InvalidValue(&'static str),
     /// The full message was decoded but bytes remained in the buffer.
     TrailingBytes(usize),
 }
@@ -60,6 +63,7 @@ impl fmt::Display for XdrError {
             XdrError::InvalidEnum { type_name, value } => {
                 write!(f, "invalid discriminant {value} for XDR enum {type_name}")
             }
+            XdrError::InvalidValue(rule) => write!(f, "invalid XDR value: {rule}"),
             XdrError::TrailingBytes(n) => write!(f, "{n} trailing bytes after XDR message"),
         }
     }
@@ -94,5 +98,8 @@ mod tests {
         .contains("10"));
         assert!(XdrError::NonZeroPadding.to_string().contains("padding"));
         assert!(XdrError::InvalidUtf8.to_string().contains("UTF-8"));
+        assert!(XdrError::InvalidValue("names unsorted")
+            .to_string()
+            .contains("names unsorted"));
     }
 }
