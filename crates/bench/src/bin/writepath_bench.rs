@@ -37,7 +37,7 @@ struct CellMeasurement {
     /// Past-time clamps observed by the cell's queue(s); recorded via the
     /// shared provenance stamp and always expected to be zero.
     clamped_past: u64,
-    /// The calendar queue's health counters for the cell's run(s).
+    /// The event queue's health counters for the cell's run(s).
     sched: CalStats,
 }
 

@@ -265,11 +265,10 @@ pub mod report {
     /// same way everywhere: the run's `clamped_past` count (events silently
     /// clamped into the past — always asserted zero, recorded anyway), the
     /// host parallelism the wall-clock numbers were measured under, and the
-    /// calendar queue's health counters (geometry, resizes, depth high-water,
-    /// direct-search fallbacks) so a wall-clock shift can be read against the
-    /// scheduler's behaviour in the same cell.  The sweep binaries append
-    /// this to each cell's fields instead of hand-rolling the entries, so the
-    /// stamps can't drift apart.
+    /// event queue's pending-event high-water mark, so a wall-clock shift can
+    /// be read against the scheduler's load in the same cell.  The sweep
+    /// binaries append this to each cell's fields instead of hand-rolling
+    /// the entries, so the stamps can't drift apart.
     pub fn stamp_cell(
         fields: &mut Vec<(&'static str, String)>,
         clamped_past: u64,
@@ -277,10 +276,7 @@ pub mod report {
     ) {
         fields.push(("clamped_past", clamped_past.to_string()));
         fields.push(("host_parallelism", host_parallelism().to_string()));
-        fields.push(("sched_buckets", sched.buckets.to_string()));
-        fields.push(("sched_resizes", sched.resizes.to_string()));
         fields.push(("sched_max_depth", sched.max_depth.to_string()));
-        fields.push(("sched_rotations", sched.rotations.to_string()));
     }
 
     /// Index just past a JSON string that starts at `at` (which must hold the

@@ -5,7 +5,10 @@
 //!
 //! * [`SimTime`] / [`Duration`] — a nanosecond-resolution virtual clock,
 //! * [`EventQueue`] — a deterministic future-event list (ties broken by
-//!   insertion order, so identical inputs always produce identical runs),
+//!   insertion order, so identical inputs always produce identical runs): a
+//!   binary heap of packed 16-byte `(time, seq, slot)` keys over a recycled
+//!   slab that parks each event once, with [`CalStats`] reporting its
+//!   pending-event high-water mark,
 //! * [`Cpu`] / [`MultiCpu`] — shared processor resources with busy-time
 //!   accounting, used to model server (and client) CPU utilisation; a one-core
 //!   [`MultiCpu`] is bit-identical to [`Cpu`],
@@ -27,7 +30,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calq;
+#[cfg(test)]
+mod calq;
 pub mod cpu;
 pub mod fault;
 pub mod fxmap;
@@ -37,11 +41,10 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use calq::{CalKey, CalStats, CalendarQueue};
 pub use cpu::{Cpu, MultiCpu};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use queue::EventQueue;
+pub use queue::{CalStats, EventQueue};
 pub use rng::SimRng;
 pub use stats::{Counter, LatencyStat, Utilization};
 pub use time::{Duration, SimTime};

@@ -334,8 +334,8 @@ macro_rules! harness_readouts {
             self.harness.core.queue().clamped_past()
         }
 
-        /// Scheduler-health counters of the pending-event set (calendar
-        /// geometry, resizes, depth high-water, direct-search fallbacks).
+        /// Scheduler-health counters of the event queue: the pending-event
+        /// high-water mark (`max_depth`; the other two fields are inert).
         pub fn sched_stats(&self) -> wg_simcore::CalStats {
             self.harness.core.queue().sched_stats()
         }

@@ -646,8 +646,8 @@ mod tests {
     use crate::harness::Ev;
 
     /// Pin the driver event's footprint.  Every schedule moves one `Ev` by
-    /// value into the calendar queue and every pop moves it back out, so a
-    /// grown variant taxes the whole event loop.  The size is set by the
+    /// value into the event queue's slab and every pop moves it back out, so
+    /// a grown variant taxes the whole event loop.  The size is set by the
     /// largest payload (a client index plus a reply-bearing `ClientInput`);
     /// box a new large variant instead of raising this pin.
     #[test]

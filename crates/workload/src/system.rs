@@ -338,8 +338,8 @@ mod tests {
     use wg_client::ClientInput;
 
     /// Pin the driver event's footprint.  Every schedule moves one `Ev` by
-    /// value into the calendar queue and every pop moves it back out, so a
-    /// grown variant taxes the whole event loop.  The copy rides the writer
+    /// value into the event queue's slab and every pop moves it back out, so
+    /// a grown variant taxes the whole event loop.  The copy rides the writer
     /// fleet's event, whose size is set by its largest payload (a client
     /// index plus a reply-bearing `ClientInput`); box a new large variant
     /// instead of raising this pin.

@@ -9,15 +9,16 @@
 //!   cores, overlapped I/O, inode groups, read caching) beats the
 //!   single-generator baseline at the same offered load,
 //! * and the hot-loop allocation contract: steady-state op generation
-//!   (LOOKUP / READ / GETATTR / WRITE bursts) performs **zero** heap
-//!   allocations, pinned by a counting global allocator, not by eyeball.
+//!   (LOOKUP / READ / GETATTR / WRITE bursts) and the event queue's
+//!   schedule/pop cycle perform **zero** heap allocations, pinned by a
+//!   counting global allocator, not by eyeball.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use wg_nfsproto::payload::materialize_count;
 use wg_server::WritePolicy;
-use wg_simcore::{Duration, SimTime};
+use wg_simcore::{Duration, EventQueue, SimRng, SimTime};
 use wg_workload::sfs::SfsSystem;
 use wg_workload::{SfsConfig, SfsMix, SfsSweep};
 
@@ -109,6 +110,38 @@ fn steady_state_generation_performs_no_heap_allocation() {
     );
     // The generator-level counter agrees: nothing was minted either.
     assert_eq!(system.name_mints(), mints_before);
+}
+
+#[test]
+fn event_queue_hold_loop_performs_no_heap_allocation() {
+    // The classic hold model at a fleet-sized depth: pop the earliest event
+    // and reschedule it a random hold later.  Once the heap, the slab and
+    // the free list have reached the depth, a schedule reuses the slot its
+    // pop just vacated.
+    const DEPTH: u64 = 4096;
+    let mut rng = SimRng::seed_from(4096);
+    let mut queue = EventQueue::new();
+    for event in 0..DEPTH {
+        queue.schedule_at(SimTime::from_nanos(rng.next_below(2_000_000)), event);
+    }
+    let mut hold = |queue: &mut EventQueue<u64>| {
+        let (_, event) = queue.pop().expect("the hold loop keeps the queue full");
+        let delay = Duration::from_nanos(rng.next_below(2_000_000));
+        queue.schedule_in(delay, std::hint::black_box(event));
+    };
+    for _ in 0..10_000 {
+        hold(&mut queue);
+    }
+    let before = allocations();
+    for _ in 0..100_000 {
+        hold(&mut queue);
+    }
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "the event queue allocated {delta} times over 100k schedule/pop pairs"
+    );
+    assert_eq!(queue.len() as u64, DEPTH);
 }
 
 #[test]
