@@ -1,7 +1,7 @@
 //! Ablation studies of the design choices the paper discusses:
 //!
 //! * §6.6 — the procrastination interval (a sweep around the 8 ms / 5 ms the
-//!   paper chose empirically), and the [SIVA93] "first write as the latency
+//!   paper chose empirically), and the \[SIVA93\] "first write as the latency
 //!   device" alternative.
 //! * §6.7 — FIFO vs LIFO reply ordering.
 //! * §6.5 — the mbuf hunter (socket-buffer scan) on and off.

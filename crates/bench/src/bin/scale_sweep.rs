@@ -2,7 +2,7 @@
 //! the sharded-server and pipelined-storage PRs, shard-count, core-count,
 //! spindle-count and I/O-overlap axes — up to a 1 GB aggregate.
 //!
-//! Each cell runs a [`wg_workload::MultiClientSystem`], verifies the data
+//! Each cell runs a [`wg_workload::FileCopySystem`] fleet, verifies the data
 //! landed correctly (every block carries its writer's salted fill byte),
 //! asserts that no `InProgress` duplicate-cache entry was ever evicted (the
 //! §6.9 orphaned-write hazard), asserts the zero-copy datapath never
@@ -32,7 +32,7 @@ use wg_nfsproto::payload::materialize_count;
 use wg_server::WritePolicy;
 use wg_simcore::Duration;
 use wg_workload::results::json;
-use wg_workload::{MultiClientConfig, MultiClientSystem, NetworkKind};
+use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind};
 
 /// One timed sweep cell.
 struct ScaleCell {
@@ -152,9 +152,9 @@ struct SweepAxes {
 
 fn run_cell(clients: usize, mb_per_client: u64, axes: &SweepAxes) -> ScaleCell {
     let build = |overlap: bool| {
-        MultiClientSystem::new(
-            MultiClientConfig::new(NetworkKind::Fddi, clients, 4, WritePolicy::Gathering)
-                .with_bytes_per_client(mb_per_client * 1024 * 1024)
+        FileCopySystem::new(
+            ExperimentConfig::fleet(NetworkKind::Fddi, clients, 4, WritePolicy::Gathering)
+                .with_file_size(mb_per_client * 1024 * 1024)
                 .with_shards(axes.shards)
                 .with_cores(axes.cores)
                 .with_spindles(axes.spindles)
@@ -173,12 +173,13 @@ fn run_cell(clients: usize, mb_per_client: u64, axes: &SweepAxes) -> ScaleCell {
             twin_result.completed,
             "{clients}x{mb_per_client}MB serial twin did not complete"
         );
-        twin_result.aggregate_kb_per_sec
+        twin_result.client_write_kb_per_sec
     });
     let start = Instant::now();
     let materialized_before = materialize_count();
     let mut system = build(axes.overlap);
-    let result = system.run();
+    system.run();
+    let result = system.fleet_result();
     let wall = start.elapsed();
     assert!(
         result.completed,

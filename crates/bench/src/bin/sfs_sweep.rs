@@ -47,8 +47,7 @@ use wg_server::{StabilityMode, WritePolicy};
 use wg_workload::results::json;
 use wg_workload::sfs::SfsSystem;
 use wg_workload::{
-    ExperimentConfig, FileCopySystem, MultiClientConfig, MultiClientSystem, NetworkKind, SfsConfig,
-    SfsRunStats, SfsSweep,
+    ExperimentConfig, FileCopySystem, NetworkKind, SfsConfig, SfsRunStats, SfsSweep,
 };
 
 /// Offered loads of the full sweep: the figure range plus enough headroom to
@@ -416,13 +415,14 @@ fn run_commit_pacing_cell(
     cache_pages: u64,
     file_mb: u64,
 ) -> String {
-    let config = MultiClientConfig::new(NetworkKind::Fddi, 4, 4, WritePolicy::Gathering)
-        .with_bytes_per_client(file_mb * 1024 * 1024)
+    let config = ExperimentConfig::fleet(NetworkKind::Fddi, 4, 4, WritePolicy::Gathering)
+        .with_file_size(file_mb * 1024 * 1024)
         .with_unified_cache(cache_pages)
         .with_stability(StabilityMode::Unstable)
         .with_commit_interval(commit_interval);
-    let mut system = MultiClientSystem::new(config);
-    let result = system.run();
+    let mut system = FileCopySystem::new(config);
+    system.run();
+    let result = system.fleet_result();
     let stats = system.server().stats();
     let paced = system.paced_commits();
 

@@ -14,8 +14,7 @@
 //! [`TableSpec`] captures the configuration of each table;
 //! [`run_table`] executes every cell and returns rows shaped like the paper's.
 //! The binaries (`tables`, `figure1`, `figure2_3`, `ablations`) print the
-//! regenerated artefacts; the Criterion benches exercise reduced-size versions
-//! of the same code paths so `cargo bench` tracks their cost over time.
+//! regenerated artefacts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -161,7 +160,7 @@ pub fn rows_for(results: &[FileCopyResult]) -> Vec<TableRow> {
 }
 
 /// Run every cell of a table.  `file_size` lets callers trade fidelity for
-/// runtime (the paper uses 10 MB; the Criterion benches use less).
+/// runtime (the paper uses 10 MB; the golden tests use 1 MB).
 pub fn run_table(spec: &TableSpec, file_size: u64) -> TableOutput {
     run_table_with(spec, file_size, |_| {})
 }

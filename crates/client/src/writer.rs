@@ -87,16 +87,6 @@ impl Default for ClientConfig {
     }
 }
 
-impl ClientConfig {
-    /// The paper's 10 MB copy with a given number of biods.
-    pub fn ten_megabyte_copy(biods: usize) -> Self {
-        ClientConfig {
-            biods,
-            ..ClientConfig::default()
-        }
-    }
-}
-
 /// Inputs delivered to the client by the orchestrator.
 #[derive(Clone, Debug)]
 pub enum ClientInput {
@@ -323,8 +313,9 @@ impl FileWriterClient {
         &self.uncommitted
     }
 
-    /// The fill byte this client writes into the block at `offset` (see
-    /// [`FileWriterClient::send_write`]'s payload construction).
+    /// The fill byte this client writes into the block at `offset`: the
+    /// block index plus [`ClientConfig::fill_salt`], as every WRITE's payload
+    /// is built.
     pub fn fill_byte_for(&self, offset: u64) -> u8 {
         ((offset / self.config.chunk_size) as u8).wrapping_add(self.config.fill_salt)
     }

@@ -10,7 +10,7 @@ pub enum WritePolicy {
     Standard,
     /// The paper's write-gathering algorithm (§6.8).
     Gathering,
-    /// The [SIVA93] variant: use the first write's own data transfer as the
+    /// The \[SIVA93\] variant: use the first write's own data transfer as the
     /// latency window instead of procrastinating.
     FirstWriteLatency,
     /// "Dangerous mode": reply once the data is in volatile memory.  Violates
@@ -66,22 +66,6 @@ impl StorageConfig {
         StorageConfig {
             spindles: 1,
             prestoserve: false,
-        }
-    }
-
-    /// A single RZ26 disk behind Prestoserve.
-    pub fn single_rz26_presto() -> Self {
-        StorageConfig {
-            spindles: 1,
-            prestoserve: true,
-        }
-    }
-
-    /// The 3-disk stripe set of Tables 5 and 6.
-    pub fn striped_rz26(prestoserve: bool) -> Self {
-        StorageConfig {
-            spindles: 3,
-            prestoserve,
         }
     }
 }
@@ -164,9 +148,6 @@ pub struct ServerConfig {
     /// Procrastination interval (normally taken from the network medium: 8 ms
     /// Ethernet, 5 ms FDDI).
     pub procrastination: Duration,
-    /// Maximum number of times an nfsd procrastinates before it must become
-    /// the metadata writer (the paper uses exactly one).
-    pub max_procrastinations: u32,
     /// Whether the "mbuf hunter" socket-buffer scan is enabled (§6.5).
     pub mbuf_hunter: bool,
     /// Socket buffer capacity in bytes (OSF/1 default: 256 KB).  This is the
@@ -270,7 +251,6 @@ impl ServerConfig {
             reply_order: ReplyOrder::Fifo,
             storage: StorageConfig::single_rz26(),
             procrastination: Duration::from_millis(8),
-            max_procrastinations: 1,
             mbuf_hunter: true,
             socket_buffer_bytes: 256 * 1024,
             costs: CostParams::default(),
@@ -360,13 +340,6 @@ impl ServerConfig {
         self
     }
 
-    /// Set the boot time a crashed server spends before recovery replay (see
-    /// [`ServerConfig::reboot_time`]).
-    pub fn with_reboot_time(mut self, d: Duration) -> Self {
-        self.reboot_time = d;
-        self
-    }
-
     /// Arm the bounded unified buffer cache with `pages` 8 KB pages (see
     /// [`ServerConfig::unified_cache`]).  `pages == 0` disarms it.
     pub fn with_unified_cache(mut self, pages: u64) -> Self {
@@ -428,8 +401,10 @@ mod tests {
         assert_eq!(std.policy, WritePolicy::Standard);
         assert_eq!(std.reply_order, ReplyOrder::Fifo);
         assert_eq!(std.socket_buffer_bytes, 256 * 1024);
-        assert_eq!(std.max_procrastinations, 1);
-        // The paper's machine: one dispatch queue, one CPU, serial driver.
+        // The paper's machine: one RZ26 without Presto, one dispatch queue,
+        // one CPU, serial driver.
+        assert_eq!(std.storage.spindles, 1);
+        assert!(!std.storage.prestoserve);
         assert_eq!(std.shards, 1);
         assert_eq!(std.cores, 1);
         assert!(!std.io_overlap);
@@ -480,16 +455,6 @@ mod tests {
         assert!(leased.leases);
         assert_eq!(leased.lease_duration, Duration::from_millis(750));
         assert_eq!(leased.grace_period, Duration::from_millis(400));
-    }
-
-    #[test]
-    fn storage_presets() {
-        assert_eq!(StorageConfig::single_rz26().spindles, 1);
-        assert!(!StorageConfig::single_rz26().prestoserve);
-        assert!(StorageConfig::single_rz26_presto().prestoserve);
-        let s = StorageConfig::striped_rz26(true);
-        assert_eq!(s.spindles, 3);
-        assert!(s.prestoserve);
     }
 
     #[test]

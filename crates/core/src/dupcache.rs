@@ -3,7 +3,7 @@
 //! NFS clients retransmit requests they have not seen a reply for; a server
 //! that blindly re-executes a retransmitted non-idempotent request (CREATE,
 //! REMOVE, and — with gathering — WRITE whose reply is still pending) produces
-//! wrong answers or wasted work.  [JUSZ89] introduced the now-standard
+//! wrong answers or wasted work.  \[JUSZ89\] introduced the now-standard
 //! duplicate request cache: recently executed (xid, client) pairs are
 //! remembered together with their replies so a retransmission can be answered
 //! from the cache, and requests still *in progress* (for example a gathered

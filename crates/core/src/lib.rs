@@ -22,7 +22,7 @@
 //!   a transport-dependent interval if nobody else is around; otherwise become
 //!   the metadata writer, flush gathered data with `VOP_SYNCDATA`, flush
 //!   metadata once with `VOP_FSYNC`, and send every pending reply FIFO.
-//! * [`WritePolicy::FirstWriteLatency`] — the [SIVA93] alternative the paper
+//! * [`WritePolicy::FirstWriteLatency`] — the \[SIVA93\] alternative the paper
 //!   compares against: the first write's own synchronous data transfer is the
 //!   latency window during which other writes may arrive.
 //! * [`WritePolicy::DangerousAsync`] — "dangerous mode": reply after the data

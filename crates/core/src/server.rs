@@ -1335,7 +1335,7 @@ impl NfsServer {
     }
 
     /// The gathering path (§6.8), also used — with the latency window replaced
-    /// by the first write's own data transfer — for the [SIVA93] comparison
+    /// by the first write's own data transfer — for the \[SIVA93\] comparison
     /// policy.
     #[allow(clippy::too_many_arguments)]
     fn gathering_write(

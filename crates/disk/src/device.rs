@@ -130,8 +130,8 @@ impl SpindleStats {
 /// spindle that owns its address (for a stripe set, each piece joins its own
 /// member's queue) and the returned completion time reflects only that
 /// queue's service clock.  Pieces of *different* logical requests therefore
-/// interleave per spindle instead of chaining on a set-wide [`free_at`]
-/// (`BlockDevice::free_at`).  Callers that want the old serial behaviour
+/// interleave per spindle instead of chaining on a set-wide
+/// [`BlockDevice::free_at`].  Callers that want the old serial behaviour
 /// simply submit each request at the previous one's completion time — which
 /// is exactly what the non-overlapped server I/O loop does.
 pub trait BlockDevice {

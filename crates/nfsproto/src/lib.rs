@@ -1,7 +1,7 @@
 //! # wg-nfsproto — ONC RPC framing and the NFS version 2 protocol
 //!
 //! The paper's server speaks the Sun NFS version 2 protocol over ONC RPC/UDP
-//! ([SAND85]).  This crate defines, from scratch:
+//! (\[SAND85\]).  This crate defines, from scratch:
 //!
 //! * the NFS v2 on-the-wire data types — file handles, [`Fattr`] file
 //!   attributes, [`Sattr`] settable attributes, [`NfsStatus`] result codes

@@ -3,7 +3,7 @@
 //! NFS v2 requests travel as RPC *call* messages and come back as RPC *reply*
 //! messages.  The transaction id ([`Xid`]) chosen by the client is what the
 //! server's duplicate request cache keys on when a retransmission arrives
-//! ([JUSZ89]); the reproduction therefore carries real xids end to end.
+//! (\[JUSZ89\]); the reproduction therefore carries real xids end to end.
 
 use wg_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
 

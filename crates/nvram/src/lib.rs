@@ -1,6 +1,6 @@
 //! # wg-nvram — a Prestoserve-style NVRAM write accelerator
 //!
-//! Prestoserve ([MORA90], [PRES93]) is a board of battery-backed RAM plus a
+//! Prestoserve (\[MORA90\], \[PRES93\]) is a board of battery-backed RAM plus a
 //! driver ("Presto") that sits between the filesystem and the disk driver.  A
 //! synchronous write completes as soon as the data has been *copied into
 //! NVRAM*; Presto later drains dirty NVRAM to the disk with its own
@@ -10,7 +10,7 @@
 //! 1. The write latency seen by the filesystem is a memory-copy latency, not a
 //!    disk latency — so the paper's §6.6 observation that "the first write is
 //!    done faster than other writes can arrive" holds and the first-write-as-
-//!    latency-device gathering of [SIVA93] cannot work.
+//!    latency-device gathering of \[SIVA93\] cannot work.
 //! 2. Repeated writes to the same disk blocks (the inode block a stream of
 //!    NFS writes keeps updating) *overwrite in place* in NVRAM, so they cost
 //!    one eventual disk transfer, not one per update — Presto's own form of

@@ -1,6 +1,6 @@
 //! Write clustering.
 //!
-//! [MCVO91] extended SunOS UFS so that physically contiguous dirty blocks are
+//! \[MCVO91\] extended SunOS UFS so that physically contiguous dirty blocks are
 //! written with one large transfer instead of one per block; the paper's UFS
 //! had the equivalent extension with 64 KB maximum transfers.  Gathered NFS
 //! writes only pay off fully if the data flush is clustered: eight gathered

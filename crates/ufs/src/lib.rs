@@ -2,7 +2,7 @@
 //!
 //! The paper's server sits on top of "a BSD 4.3 filesystem (UFS) with
 //! extensions that cluster reads and writes into larger device request sizes
-//! (up to 64K)" in the style of McVoy & Kleiman ([MCVO91]).  Write gathering
+//! (up to 64K)" in the style of McVoy & Kleiman (\[MCVO91\]).  Write gathering
 //! is entirely about how many *disk transactions* that filesystem issues for a
 //! burst of NFS writes, so this crate reproduces the parts of UFS that
 //! determine the transaction count and layout:

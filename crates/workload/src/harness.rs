@@ -1,7 +1,7 @@
 //! The one serial event loop every workload driver runs on.
 //!
 //! A driver is a client [`Population`] — the file-writer fleet behind the
-//! copy and multi-client systems, or the SFS generator streams — plugged
+//! file-copy system, or the SFS generator streams — plugged
 //! into a [`Harness`] that owns everything else: the event queue, the LAN
 //! fan-in ([`ClientLans`]), the server, the fault plan and the scheduler
 //! counters.  The harness pops events in `(time, insertion)` order, hands

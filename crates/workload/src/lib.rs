@@ -7,13 +7,14 @@
 //! fan-in, the [`wg_server::NfsServer`], the fault plan and the scheduler
 //! counters:
 //!
-//! * [`system`] — the single-client 10 MB file-copy system behind Tables 1–6
-//!   and Figure 1: one [`wg_client::FileWriterClient`] on one Ethernet or
-//!   FDDI segment, the one-client case of the multi-client writer fleet.
-//! * [`multi`] — the N-client scale-out system reproducing the paper's
-//!   "several clients" remarks: independent salted write streams sharing one
-//!   medium (or riding per-client LAN segments) into one server, with
-//!   per-client, aggregate and fairness results.
+//! * [`system`] — the file-copy system behind Tables 1–6 and Figure 1 and
+//!   the paper's "several clients" remarks: one [`ExperimentConfig`] and one
+//!   [`FileCopySystem`] run a writer fleet of N clients, each copying its
+//!   own byte budget into a chain of segment files with an independent
+//!   salted write stream, over one shared medium or per-client LAN
+//!   segments.  The paper's copy is the one-client, one-file case; a fleet
+//!   adds per-client, aggregate and fairness results
+//!   ([`MultiClientResult`]).
 //! * [`sfs`] — a SPEC SFS 1.0 (LADDIS)-like mixed-operation load generator
 //!   and the throughput/latency sweep behind Figures 2 and 3, scalable to N
 //!   independent generator streams over the same per-client LAN topology
@@ -28,12 +29,11 @@
 #![warn(missing_docs)]
 
 mod harness;
-pub mod multi;
+mod multi;
 pub mod results;
 pub mod sfs;
 pub mod system;
 
-pub use multi::{MultiClientConfig, MultiClientSystem};
 pub use results::{FileCopyResult, MultiClientResult, SfsPoint, TableRow};
 pub use sfs::{SfsConfig, SfsMix, SfsRunStats, SfsSweep};
 pub use system::{ExperimentConfig, FileCopySystem, NetworkKind};

@@ -6,7 +6,7 @@
 //! proprietary harness; what matters for the reproduction is its *shape*:
 //!
 //! * a fixed operation mix in which writes are a small (≈15 %) but expensive
-//!   fraction ([WITT93]),
+//!   fraction (\[WITT93\]),
 //! * an offered load swept upward until the server saturates,
 //! * the reported curve of achieved ops/sec vs average latency.
 //!
@@ -23,9 +23,9 @@
 //! [`SfsConfig::clients`] grows the harness to N independent generator
 //! streams — per-client RNG salt, xid partition and scratch-file namespace —
 //! optionally over per-client LAN segments
-//! ([`SfsConfig::per_client_lans`], the topology of
-//! [`crate::MultiClientSystem`]), feeding one server configured with the full
-//! shard/core/spindle/overlap stack.  The defaults (`clients = 1`, shared
+//! ([`SfsConfig::per_client_lans`], the topology of a
+//! [`crate::FileCopySystem`] fleet), feeding one server configured with the
+//! full shard/core/spindle/overlap stack.  The defaults (`clients = 1`, shared
 //! LAN, one shard, one core, serial driver) reproduce the original
 //! single-generator points exactly.
 //!

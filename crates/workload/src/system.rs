@@ -1,4 +1,7 @@
-//! The single-client file-copy system (Tables 1–6, Figure 1).
+//! The file-copy system behind Tables 1–6, Figure 1 and the paper's
+//! "several clients" remark: a writer fleet of one or more clients, each
+//! copying its byte budget into its own files (see the private `multi`
+//! module for the fleet itself).
 
 use wg_client::FileWriterClient;
 use wg_net::MediumParams;
@@ -6,8 +9,8 @@ use wg_server::{NfsServer, ServerConfig, StabilityMode, WritePolicy};
 use wg_simcore::{Duration, FaultPlan, Trace};
 
 use crate::harness::{harness_readouts, server_config, ClientLans, Harness};
-use crate::multi::{writer_config, WriterFleet, WriterSlot};
-use crate::results::FileCopyResult;
+use crate::multi::{fill_salt, FileName, WriterFleet};
+use crate::results::{FileCopyResult, MultiClientResult};
 
 /// Which network the experiment runs over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -28,12 +31,16 @@ impl NetworkKind {
     }
 }
 
-/// Configuration of one file-copy experiment cell.
+/// Configuration of one file-copy experiment cell: the paper's copy, or a
+/// fleet of clients each copying its own byte budget.
 #[derive(Clone, Debug)]
 pub struct ExperimentConfig {
-    /// Network medium.
+    /// Network medium (shared by every client unless
+    /// [`ExperimentConfig::per_client_lans`] is set).
     pub network: NetworkKind,
-    /// Client biod count (the column of the tables).
+    /// Number of concurrent clients (1 in the paper's tables).
+    pub clients: usize,
+    /// Client biod count (the column of the tables), per client.
     pub biods: usize,
     /// Server write policy (Standard vs Gathering is the with/without split of
     /// every table).
@@ -42,9 +49,15 @@ pub struct ExperimentConfig {
     pub prestoserve: bool,
     /// Number of server disk spindles (1 or 3).
     pub spindles: usize,
-    /// Bytes the client writes (10 MB in the paper).
+    /// Bytes each client writes (10 MB in the paper).
     pub file_size: u64,
-    /// Number of server nfsds (8 in the paper's file-copy experiments).
+    /// Largest single file a client writes before rolling to the next
+    /// segment file (must fit UFS's single-indirect limit of ≈16 MB).
+    /// `u64::MAX`, the copy's default, writes the whole budget to one file.
+    pub file_limit: u64,
+    /// Number of server nfsds: 8 in the paper's file-copy experiments, and
+    /// `max(8, 4 × clients)` in a fleet, since each file being gathered can
+    /// hold one nfsd in its procrastination window.
     pub nfsds: usize,
     /// Server request-path shards (1 = the paper's monolithic dispatch).
     pub shards: usize,
@@ -54,13 +67,17 @@ pub struct ExperimentConfig {
     /// [`wg_server::ServerConfig::io_overlap`]).  `false` is the paper's
     /// serial driver.
     pub io_overlap: bool,
+    /// Give every client its own network segment (one LAN per client, all
+    /// feeding the one server) instead of contending on a single shared
+    /// medium — the paper's private-segment topology scaled out.
+    pub per_client_lans: bool,
     /// Record a Figure-1 style event trace on the server.
     pub trace: bool,
     /// Fault-injection schedule.  Empty (the default) means the fault layer
     /// is completely inert: no events are scheduled and the run is
     /// bit-identical to one built before the layer existed.
     pub fault_plan: FaultPlan,
-    /// Override of the client's `(initial_timeout, max_retransmits)` retry
+    /// Override of the clients' `(initial_timeout, max_retransmits)` retry
     /// knobs, used by fault tests to force a give-up quickly.  `None` keeps
     /// [`wg_client::ClientConfig::default`].
     pub client_retry: Option<(Duration, u32)>,
@@ -79,24 +96,41 @@ pub struct ExperimentConfig {
     /// The write-stability regime of the cell: [`StabilityMode::Stable`] is
     /// the paper's world (every WRITE durable before its reply);
     /// [`StabilityMode::Unstable`] issues NFSv3-style `WRITE(UNSTABLE)` from
-    /// the client and `COMMIT` at close.
+    /// the clients and `COMMIT` at each file's close.
     pub stability: StabilityMode,
+    /// Periodic COMMIT pacing (unstable mode): each client COMMITs once this
+    /// many bytes sit uncommitted instead of only at close.  `0` (the
+    /// default) keeps close-only commits.
+    pub commit_interval: u64,
 }
 
 impl ExperimentConfig {
-    /// The paper's default 10 MB copy cell.
+    /// The paper's default 10 MB copy cell: one client writing one file.
     pub fn new(network: NetworkKind, biods: usize, policy: WritePolicy) -> Self {
         ExperimentConfig {
+            file_limit: u64::MAX,
+            ..Self::fleet(network, 1, biods, policy)
+        }
+    }
+
+    /// A fleet of `clients` clients (at least one), each copying the paper's
+    /// 10 MB in 8 MB segment files, served by `max(8, 4 × clients)` nfsds.
+    pub fn fleet(network: NetworkKind, clients: usize, biods: usize, policy: WritePolicy) -> Self {
+        let clients = clients.max(1);
+        ExperimentConfig {
             network,
+            clients,
             biods,
             policy,
             prestoserve: false,
             spindles: 1,
             file_size: 10 * 1024 * 1024,
-            nfsds: 8,
+            file_limit: 8 * 1024 * 1024,
+            nfsds: 8.max(4 * clients),
             shards: 1,
             cores: 1,
             io_overlap: false,
+            per_client_lans: false,
             trace: false,
             fault_plan: FaultPlan::new(),
             client_retry: None,
@@ -104,6 +138,7 @@ impl ExperimentConfig {
             cache_pages: 0,
             dirty_ratio: 0.5,
             stability: StabilityMode::Stable,
+            commit_interval: 0,
         }
     }
 
@@ -119,9 +154,15 @@ impl ExperimentConfig {
         self
     }
 
-    /// Use a smaller file (keeps unit tests fast).
+    /// Set the bytes each client writes (smaller keeps unit tests fast).
     pub fn with_file_size(mut self, bytes: u64) -> Self {
         self.file_size = bytes;
+        self
+    }
+
+    /// Set the per-segment file size cap.
+    pub fn with_file_limit(mut self, bytes: u64) -> Self {
+        self.file_limit = bytes;
         self
     }
 
@@ -149,14 +190,20 @@ impl ExperimentConfig {
         self
     }
 
+    /// Give every client its own network segment.
+    pub fn with_per_client_lans(mut self, on: bool) -> Self {
+        self.per_client_lans = on;
+        self
+    }
+
     /// Attach a fault-injection schedule to the run.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
     }
 
-    /// Override the client's retry knobs (initial retransmit timeout and the
-    /// attempt cap after which it gives up).
+    /// Override the clients' retry knobs (initial retransmit timeout and the
+    /// attempt cap after which they give up).
     pub fn with_client_retry(mut self, initial_timeout: Duration, max_retransmits: u32) -> Self {
         self.client_retry = Some((initial_timeout, max_retransmits));
         self
@@ -180,18 +227,26 @@ impl ExperimentConfig {
         self.stability = mode;
         self
     }
+
+    /// Pace COMMITs every `bytes` of uncommitted data (see
+    /// [`ExperimentConfig::commit_interval`]; `0` keeps close-only).
+    pub fn with_commit_interval(mut self, bytes: u64) -> Self {
+        self.commit_interval = bytes;
+        self
+    }
 }
 
-/// The assembled single-client system: the one-client, one-segment case of
-/// the writer fleet that [`crate::MultiClientSystem`] scales out.
+/// The assembled file-copy system: every client of the cell, its LAN
+/// segment(s) and one server exporting the clients' files.
 pub struct FileCopySystem {
     config: ExperimentConfig,
     harness: Harness<WriterFleet>,
 }
 
 impl FileCopySystem {
-    /// Build the system: the server exports a fresh filesystem containing the
-    /// target file, the client is parameterised by the biod count.
+    /// Build the system: the server exports a fresh filesystem holding every
+    /// client's files, created outside the measured window (the paper
+    /// measures the data transfer of an established copy).
     pub fn new(config: ExperimentConfig) -> Self {
         Self::new_customized(config, |_| {})
     }
@@ -204,6 +259,9 @@ impl FileCopySystem {
         config: ExperimentConfig,
         customize: impl FnOnce(&mut ServerConfig),
     ) -> Self {
+        // Checked before the server exists: an oversized segment count must
+        // fail here, not size a data region for its budget.
+        let strides = config.xid_strides();
         let mut server_config = server_config(config.network, config.policy, config.nfsds)
             .with_presto(config.prestoserve)
             .with_spindles(config.spindles)
@@ -213,101 +271,167 @@ impl FileCopySystem {
             .with_unified_cache(config.cache_pages)
             .with_dirty_ratio(config.dirty_ratio)
             .with_stability(config.stability);
+        // GB-scale aggregates must fit the data region; keep the default
+        // geometry unless the cell actually needs more.
+        let aggregate = config.clients as u64 * config.file_size;
+        server_config.data_capacity = server_config.data_capacity.max(aggregate + aggregate / 4);
         customize(&mut server_config);
         let mut server = NfsServer::new(server_config);
         if config.trace {
             server.enable_trace();
         }
-        // The target file is created outside the measured window (the paper
-        // measures the data transfer of an established copy).
-        let root = server.fs().root();
-        let ino = server
-            .fs_mut()
-            .create(root, "copy-target", 0o644, 0)
-            .expect("fresh filesystem");
-        let handle = server.handle_for_ino(ino).expect("live inode");
-
-        let client_config = writer_config(
-            config.biods,
-            config.file_size,
-            config.stability,
-            config.client_retry,
+        let fleet = WriterFleet::new(&config, strides, &mut server);
+        let lans = ClientLans::new(
+            &config.network.params(),
+            config.clients,
+            config.per_client_lans,
         );
-        let client = WriterSlot::new(vec![(handle, client_config)]);
-        let lans = ClientLans::new(&config.network.params(), 1, false);
         FileCopySystem {
-            harness: Harness::new(
-                server,
-                lans,
-                WriterFleet::new(vec![client]),
-                config.fault_plan.clone(),
-            ),
+            harness: Harness::new(server, lans, fleet, config.fault_plan.clone()),
             config,
         }
     }
 
     harness_readouts!();
 
-    /// Upper bound on events one copy may process before the run is declared
-    /// runaway.  A 10 MB copy needs ~13 k events, so this is four orders of
-    /// magnitude of headroom; hitting it means the system is re-scheduling
+    /// The name of segment file `segment` of `client` on the server.
+    pub fn file_name(client: usize, segment: u64) -> String {
+        FileName::new(client, segment).as_str().to_owned()
+    }
+
+    /// Upper bound on events one run may process before it is declared
+    /// runaway, scaled with the aggregate byte budget.  A 10 MB copy needs
+    /// ~13 k events, and every cell gets at least 50 M: four orders of
+    /// magnitude of headroom.  Hitting it means the system is re-scheduling
     /// work without making progress (e.g. a retransmission storm that never
     /// converges), not that the experiment is merely large.
-    const MAX_EVENTS: u64 = 50_000_000;
+    fn max_events(&self) -> u64 {
+        let aggregate_mb = self.config.clients as u64 * self.config.file_size / (1024 * 1024);
+        5_000_000 * aggregate_mb.max(10)
+    }
 
-    /// Run the copy to completion and return the table-cell result.
+    /// Run every client to completion and return the whole cell as one
+    /// table-cell result: every client's acknowledged bytes over the span
+    /// until the last one finished (for the paper's one-client copy, that
+    /// client's own row).
     ///
-    /// The loop drains the queue fully: after the client completes, the only
+    /// The loop drains the queue fully: after the clients complete, the only
     /// remaining events are bounded housekeeping wake-ups (nfsd-free timers,
     /// gather continuations), and letting them run keeps the server's final
     /// statistics consistent.
     pub fn run(&mut self) -> FileCopyResult {
-        self.harness.run(Self::MAX_EVENTS);
-        self.result()
-    }
-
-    fn result(&self) -> FileCopyResult {
-        let (_, rows) =
-            self.harness
-                .clients
-                .results(self.config.biods, self.server(), self.harness.core.now());
-        let result = rows[0];
-        // A drained event queue with the client still unfinished means the
+        self.harness.run(self.max_events());
+        let (cell, _) = self.results();
+        // A drained event queue with a client still unfinished means the
         // simulation lost work (a dropped wake-up, an orphaned write): surface
         // it immediately in debug builds; the result's `completed` flag keeps
-        // sweeps from mistaking a dead cell for a slow one.  A copy that gave
-        // up on writes reports a counted failure, never a silent success.
-        // Under an injected fault schedule an incomplete cell is a legitimate
-        // outcome (that is what the chaos sweep measures), so the assert only
-        // covers fault-free runs.
+        // sweeps from mistaking a dead cell for a slow one.  A client that
+        // gave up on writes reports a counted failure, never a silent
+        // success.  Under an injected fault schedule an incomplete cell is a
+        // legitimate outcome (that is what the chaos sweep measures), so the
+        // assert only covers fault-free runs.
         debug_assert!(
-            result.completed || !self.config.fault_plan.is_empty(),
+            cell.completed || !self.config.fault_plan.is_empty(),
             "file copy did not complete: {} bytes acked of {}, {} writes given up",
-            self.client().stats().bytes_acked,
-            self.config.file_size,
-            result.gave_up
+            self.harness.clients.totals().bytes_acked,
+            self.config.clients as u64 * self.config.file_size,
+            cell.gave_up
         );
-        result
+        cell
     }
 
-    /// Recovery oracle: re-read every byte range the client saw acknowledged
-    /// and count the bytes whose content no longer matches the fill pattern
-    /// that was written.  Zero for every policy that honours the NFS
+    /// The whole-cell result and one row per client.
+    fn results(&self) -> (FileCopyResult, Vec<FileCopyResult>) {
+        self.harness
+            .clients
+            .results(self.config.biods, self.server(), self.harness.core.now())
+    }
+
+    /// The per-client, aggregate and fairness view of the run.
+    pub fn fleet_result(&self) -> MultiClientResult {
+        let (cell, clients) = self.results();
+        let rates: Vec<f64> = clients.iter().map(|c| c.client_write_kb_per_sec).collect();
+        MultiClientResult {
+            aggregate_kb_per_sec: cell.client_write_kb_per_sec,
+            total_bytes_acked: self.harness.clients.totals().bytes_acked,
+            elapsed_secs: cell.elapsed_secs,
+            fairness: MultiClientResult::jain_fairness(&rates),
+            min_client_kb_per_sec: rates.iter().copied().fold(f64::INFINITY, f64::min),
+            max_client_kb_per_sec: rates.iter().copied().fold(0.0, f64::max),
+            completed: cell.completed,
+            clients,
+        }
+    }
+
+    /// Recovery oracle: re-read every byte range a client saw acknowledged
+    /// in the file it is writing (its whole file, for the paper's copy) and
+    /// count the bytes whose content no longer matches the fill pattern that
+    /// was written.  Zero for every policy that honours the NFS
     /// stable-storage rule, no matter what the fault plan did; positive only
     /// when an acknowledged write was lost (the
     /// [`wg_server::WritePolicy::DangerousAsync`] failure mode).
     pub fn lost_acked_bytes_on_disk(&self) -> u64 {
         let mut fs = self.server().fs().clone();
         let root = fs.root();
-        let ino = fs.lookup(root, "copy-target").expect("target file exists");
-        let client = self.client();
         let mut lost = 0u64;
-        for &(offset, len) in client.acked_writes() {
-            let fill = client.fill_byte_for(offset);
-            let data = fs.read(ino, offset, len).expect("acked range readable");
-            lost += data.to_vec().iter().filter(|&&b| b != fill).count() as u64;
+        for (client, slot) in self.harness.clients.slots.iter().enumerate() {
+            let name = FileName::new(client, slot.segment);
+            let ino = fs.lookup(root, name.as_str()).expect("target file exists");
+            for &(offset, len) in slot.writer.acked_writes() {
+                let fill = slot.writer.fill_byte_for(offset);
+                let data = fs.read(ino, offset, len).expect("acked range readable");
+                lost += data.to_vec().iter().filter(|&&b| b != fill).count() as u64;
+            }
         }
         lost
+    }
+
+    /// Check every client's data on the server: each segment file must exist
+    /// at its full size and every block must carry that client's salted fill
+    /// byte.  Catches cross-client bleed, lost writes and mis-routed replies.
+    /// Assumes a loss-free run (every write acknowledged).
+    pub fn verify_on_disk(&self) -> Result<(), String> {
+        let mut fs = self.server().fs().clone();
+        let root = fs.root();
+        let block = fs.params().block_size;
+        for client in 0..self.config.clients {
+            let salt = fill_salt(client);
+            for segment in 0..self.config.segments_per_client() {
+                let name = Self::file_name(client, segment);
+                let size = self.config.segment_size(segment);
+                let ino = fs
+                    .lookup(root, &name)
+                    .map_err(|e| format!("client {client}: {name} missing: {e}"))?;
+                let attrs = fs
+                    .getattr(ino)
+                    .map_err(|e| format!("client {client}: {name} getattr: {e}"))?;
+                if attrs.size != size {
+                    return Err(format!(
+                        "client {client}: {name} is {} bytes, expected {size}",
+                        attrs.size
+                    ));
+                }
+                for lbn in 0..size.div_ceil(block) {
+                    let want = (lbn as u8).wrapping_add(salt);
+                    let got = fs
+                        .read(ino, lbn * block, block)
+                        .map_err(|e| format!("client {client}: {name} read: {e}"))?;
+                    if got.data.iter_bytes().any(|b| b != want) {
+                        return Err(format!(
+                            "client {client}: {name} block {lbn} does not carry \
+                             fill byte {want:#04x} (cross-client bleed or lost write)"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Interval-paced COMMITs sent across all clients (zero unless
+    /// [`ExperimentConfig::commit_interval`] is armed).
+    pub fn paced_commits(&self) -> u64 {
+        self.harness.clients.totals().paced_commits
     }
 
     /// The server's event trace (enable with [`ExperimentConfig::with_trace`]).
@@ -315,9 +439,10 @@ impl FileCopySystem {
         self.server().trace()
     }
 
-    /// The client, for post-run inspection.
+    /// The first client's live writer, for post-run inspection (the paper's
+    /// copy has only this one).
     pub fn client(&self) -> &FileWriterClient {
-        self.harness.clients.writer(0)
+        &self.harness.clients.slots[0].writer
     }
 
     /// The experiment configuration.
@@ -382,7 +507,7 @@ mod tests {
         assert_eq!(system.server().uncommitted_bytes(), 0);
         let mut fs = system.server().fs().clone();
         let root = fs.root();
-        let ino = fs.lookup(root, "copy-target").unwrap();
+        let ino = fs.lookup(root, &FileCopySystem::file_name(0, 0)).unwrap();
         assert_eq!(fs.getattr(ino).unwrap().size, SMALL);
         // Spot-check the block fill pattern written by the client.
         let block7 = fs.read(ino, 7 * 8192, 8192).unwrap().to_vec();
@@ -411,7 +536,7 @@ mod tests {
         assert_eq!(system.lost_acked_bytes_on_disk(), 0);
         let mut fs = system.server().fs().clone();
         let root = fs.root();
-        let ino = fs.lookup(root, "copy-target").unwrap();
+        let ino = fs.lookup(root, &FileCopySystem::file_name(0, 0)).unwrap();
         assert_eq!(fs.getattr(ino).unwrap().size, SMALL);
     }
 
@@ -532,7 +657,7 @@ mod tests {
         // And the file is intact.
         let mut fs = system.server().fs().clone();
         let root = fs.root();
-        let ino = fs.lookup(root, "copy-target").unwrap();
+        let ino = fs.lookup(root, &FileCopySystem::file_name(0, 0)).unwrap();
         assert_eq!(fs.getattr(ino).unwrap().size, SMALL);
         assert_eq!(system.server().uncommitted_bytes(), 0);
     }

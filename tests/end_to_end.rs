@@ -45,7 +45,7 @@ fn every_configuration_completes_and_preserves_data() {
                     // Functional check: every block carries its fill pattern.
                     let mut fs = system.server().fs().clone();
                     let root = fs.root();
-                    let ino = fs.lookup(root, "copy-target").unwrap();
+                    let ino = fs.lookup(root, &FileCopySystem::file_name(0, 0)).unwrap();
                     assert_eq!(fs.getattr(ino).unwrap().size, FILE);
                     for block in [0u64, 1, 63, 127] {
                         let data = fs.read(ino, block * 8192, 8192).unwrap().to_vec();

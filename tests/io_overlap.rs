@@ -11,9 +11,7 @@
 use wg_disk::{BlockDevice, DiskRequest, StripeSet};
 use wg_server::WritePolicy;
 use wg_simcore::SimTime;
-use wg_workload::{
-    ExperimentConfig, FileCopySystem, MultiClientConfig, MultiClientSystem, NetworkKind,
-};
+use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind};
 
 /// A scattered mix of cluster-sized and small requests spanning the stripe.
 fn workload(n: u64) -> Vec<DiskRequest> {
@@ -130,16 +128,17 @@ fn overlapped_sharded_stripe_run_beats_the_disk_floored_serial_cell() {
     // topology with the serial driver.  The serial cells are disk-floored;
     // overlap must buy real aggregate throughput.
     let run = |overlap: bool| {
-        let mut system = MultiClientSystem::new(
-            MultiClientConfig::new(NetworkKind::Fddi, 4, 4, WritePolicy::Gathering)
-                .with_bytes_per_client(4 * 1024 * 1024)
+        let mut system = FileCopySystem::new(
+            ExperimentConfig::fleet(NetworkKind::Fddi, 4, 4, WritePolicy::Gathering)
+                .with_file_size(4 * 1024 * 1024)
                 .with_shards(4)
                 .with_cores(4)
                 .with_per_client_lans(true)
                 .with_spindles(3)
                 .with_io_overlap(overlap),
         );
-        let result = system.run();
+        system.run();
+        let result = system.fleet_result();
         assert!(result.completed);
         system.verify_on_disk().expect("per-client data intact");
         assert_eq!(system.server().dupcache_evicted_in_progress(), 0);

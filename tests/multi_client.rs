@@ -2,7 +2,7 @@
 //!
 //! N clients share one medium and one server, each copying its own byte
 //! budget into its own segment files with a client-specific salted fill
-//! pattern.  These tests pin the contract of `MultiClientSystem`: every
+//! pattern.  These tests pin the contract of a `FileCopySystem` fleet: every
 //! client's acknowledged bytes are on disk under its own salt (no
 //! cross-client bleed, no mis-routed replies), incomplete clients are loud,
 //! symmetric clients are treated fairly, and the whole run stays on the
@@ -10,7 +10,7 @@
 
 use wg_nfsproto::payload::materialize_count;
 use wg_server::WritePolicy;
-use wg_workload::{MultiClientConfig, MultiClientSystem, NetworkKind};
+use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind};
 
 const MB: u64 = 1024 * 1024;
 
@@ -19,12 +19,13 @@ fn every_clients_acked_bytes_are_on_disk_with_no_cross_client_bleed() {
     let before = materialize_count();
     // Four clients, two segment files each (2 MB budget over a 1 MB file
     // limit), so the segment-rollover path is exercised too.
-    let mut system = MultiClientSystem::new(
-        MultiClientConfig::new(NetworkKind::Fddi, 4, 4, WritePolicy::Gathering)
-            .with_bytes_per_client(2 * MB)
+    let mut system = FileCopySystem::new(
+        ExperimentConfig::fleet(NetworkKind::Fddi, 4, 4, WritePolicy::Gathering)
+            .with_file_size(2 * MB)
             .with_file_limit(MB),
     );
-    let result = system.run();
+    system.run();
+    let result = system.fleet_result();
     assert!(result.completed, "a client failed to finish");
     assert_eq!(result.clients.len(), 4);
     assert_eq!(result.total_bytes_acked, 4 * 2 * MB);
@@ -57,16 +58,17 @@ fn sharded_server_keeps_zero_copy_and_per_client_integrity() {
     // The same contract as the monolithic run, against a sharded server: four
     // clients on four private LANs, four request-path shards, two cores.
     let before = materialize_count();
-    let mut system = MultiClientSystem::new(
-        MultiClientConfig::new(NetworkKind::Fddi, 4, 4, WritePolicy::Gathering)
-            .with_bytes_per_client(2 * MB)
+    let mut system = FileCopySystem::new(
+        ExperimentConfig::fleet(NetworkKind::Fddi, 4, 4, WritePolicy::Gathering)
+            .with_file_size(2 * MB)
             .with_file_limit(MB)
             .with_shards(4)
             .with_cores(2)
             .with_per_client_lans(true),
     );
     assert_eq!(system.server().shard_count(), 4);
-    let result = system.run();
+    system.run();
+    let result = system.fleet_result();
     assert!(result.completed, "a client failed to finish");
     assert_eq!(result.total_bytes_acked, 4 * 2 * MB);
     for (i, client) in result.clients.iter().enumerate() {
@@ -95,11 +97,12 @@ fn sharded_server_keeps_zero_copy_and_per_client_integrity() {
 #[test]
 fn contention_shows_up_per_client_but_not_in_the_aggregate() {
     let run = |clients: usize| {
-        MultiClientSystem::new(
-            MultiClientConfig::new(NetworkKind::Fddi, clients, 4, WritePolicy::Gathering)
-                .with_bytes_per_client(MB),
-        )
-        .run()
+        let mut system = FileCopySystem::new(
+            ExperimentConfig::fleet(NetworkKind::Fddi, clients, 4, WritePolicy::Gathering)
+                .with_file_size(MB),
+        );
+        system.run();
+        system.fleet_result()
     };
     let solo = run(1);
     let four = run(4);

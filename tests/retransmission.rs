@@ -31,7 +31,9 @@ fn run_lossy(policy: WritePolicy, file_size: u64, biods: usize, loss: f64) -> Fi
 
 fn target_size(server: &NfsServer) -> u64 {
     let mut fs = server.fs().clone();
-    let ino = fs.lookup(fs.root(), "copy-target").unwrap();
+    let ino = fs
+        .lookup(fs.root(), &FileCopySystem::file_name(0, 0))
+        .unwrap();
     fs.getattr(ino).unwrap().size
 }
 

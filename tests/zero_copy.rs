@@ -181,7 +181,7 @@ fn fill_payload_data_still_lands_in_the_filesystem() {
     assert_eq!(materialize_count(), before);
     let mut fs = system.server().fs().clone();
     let root = fs.root();
-    let ino = fs.lookup(root, "copy-target").unwrap();
+    let ino = fs.lookup(root, &FileCopySystem::file_name(0, 0)).unwrap();
     for block in [0u64, 7, 31] {
         let data = fs.read(ino, block * 8192, 8192).unwrap().to_vec();
         assert!(
