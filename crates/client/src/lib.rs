@@ -22,5 +22,5 @@
 pub mod writer;
 
 pub use writer::{
-    AccessPattern, ClientAction, ClientConfig, ClientInput, ClientStats, FileWriterClient,
+    ClientAction, ClientConfig, ClientInput, ClientStats, FileWriterClient, TimerKind,
 };

@@ -1,4 +1,4 @@
-//! The sequential / random file-writer client.
+//! The sequential file-writer client.
 
 use wg_simcore::FxHashMap;
 
@@ -6,21 +6,13 @@ use wg_nfsproto::{
     CommitArgs, FileHandle, NfsCall, NfsCallBody, NfsReply, NfsReplyBody, StableHow, StatusReply,
     WriteArgs, Xid,
 };
-use wg_simcore::{Duration, SimRng, SimTime};
+use wg_simcore::{Duration, SimTime};
 
-/// In what order the client writes the file's blocks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AccessPattern {
-    /// Block 0, 1, 2, ... — the common file-transfer case the paper optimises.
-    Sequential,
-    /// A deterministic pseudo-random permutation of the blocks (§6.11: random
-    /// access gathers metadata just as well; data clustering is up to the
-    /// filesystem).
-    Random {
-        /// Seed for the permutation.
-        seed: u64,
-    },
-}
+/// Bytes per write request (8 KB, the NFS v2 maximum).
+const CHUNK_SIZE: u64 = 8192;
+
+/// Multiplier applied to the retransmission timeout after each retransmission.
+const BACKOFF_FACTOR: f64 = 2.0;
 
 /// Client configuration.
 #[derive(Clone, Debug)]
@@ -30,19 +22,13 @@ pub struct ClientConfig {
     pub biods: usize,
     /// Total bytes to write (the paper copies a 10 MB file).
     pub file_size: u64,
-    /// Bytes per write request (8 KB, the NFS v2 maximum).
-    pub chunk_size: u64,
     /// Client-side CPU time to produce one chunk and traverse the client NFS
     /// code ("a reasonably quick single threaded client" spends little here).
     pub generate_cost: Duration,
     /// Initial retransmission timeout (the paper quotes 1.1 s).
     pub initial_timeout: Duration,
-    /// Multiplier applied to the timeout after each retransmission.
-    pub backoff_factor: f64,
     /// Give up after this many retransmissions of one request.
     pub max_retransmits: u32,
-    /// Access pattern.
-    pub pattern: AccessPattern,
     /// Base value for generated transaction ids (lets multiple clients share
     /// a server without xid collisions).
     pub xid_base: u32,
@@ -73,12 +59,9 @@ impl Default for ClientConfig {
         ClientConfig {
             biods: 4,
             file_size: 10 * 1024 * 1024,
-            chunk_size: 8192,
             generate_cost: Duration::from_micros(300),
             initial_timeout: Duration::from_millis(1100),
-            backoff_factor: 2.0,
             max_retransmits: 10,
-            pattern: AccessPattern::Sequential,
             xid_base: 0x0001_0000,
             fill_salt: 0,
             stability: StableHow::FileSync,
@@ -96,8 +79,8 @@ pub enum ClientInput {
     Reply(NfsReply),
     /// A timer requested via [`ClientAction::Wakeup`] fired.
     Wakeup {
-        /// Token identifying the timer.
-        token: u64,
+        /// Which timer fired.
+        token: TimerKind,
     },
 }
 
@@ -115,8 +98,8 @@ pub enum ClientAction {
     Wakeup {
         /// When to wake the client.
         at: SimTime,
-        /// Token to echo back.
-        token: u64,
+        /// The timer to echo back.
+        token: TimerKind,
     },
     /// The transfer finished (all data written and acknowledged, i.e. the
     /// `close(2)` returned).
@@ -169,14 +152,24 @@ impl ClientStats {
     }
 }
 
-/// What a timer token means.
-#[derive(Clone, Copy, Debug)]
-enum TimerKind {
+/// A writer's timer.  Each wake-up carries its own meaning.  Only a
+/// retransmission wake-up outlives its purpose — a writer has one chunk
+/// wake-up pending while it generates and none once it finishes — and one
+/// that fires after its request was answered, or after its writer finished
+/// and the next segment's writer took over, names a request that is no
+/// longer outstanding and is a no-op.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TimerKind {
     /// The application finished generating a chunk.
     GenerateDone,
-    /// A retransmission timer for the given xid (and the attempt number it
-    /// was armed for, so stale timers can be ignored).
-    Retransmit { xid: Xid, attempt: u32 },
+    /// The retransmission timer of request `xid`, armed when it was sent
+    /// after `attempt` retransmissions (a later send makes it stale).
+    Retransmit {
+        /// The request the timer guards.
+        xid: Xid,
+        /// The attempt the timer was armed for.
+        attempt: u32,
+    },
 }
 
 /// What an outstanding request is (drives reply handling and retransmission).
@@ -197,7 +190,6 @@ struct Outstanding {
     app_blocking: bool,
     /// Index of the biod carrying it, if any.
     biod: Option<usize>,
-    first_sent: SimTime,
 }
 
 /// Where the application process is in its run.
@@ -227,8 +219,6 @@ pub struct FileWriterClient {
     outstanding: FxHashMap<Xid, Outstanding>,
     app: AppState,
     next_xid: u32,
-    timers: FxHashMap<u64, TimerKind>,
-    next_token: u64,
     stats: ClientStats,
     blocked_since: Option<SimTime>,
     /// Every `(offset, len)` the server acknowledged, in acknowledgement
@@ -254,25 +244,14 @@ impl FileWriterClient {
     /// Create a client that will write `config.file_size` bytes to the file
     /// identified by `handle`.
     pub fn new(config: ClientConfig, handle: FileHandle) -> Self {
-        let blocks = config.file_size.div_ceil(config.chunk_size);
-        let mut order: Vec<u64> = (0..blocks).collect();
-        if let AccessPattern::Random { seed } = config.pattern {
-            let mut rng = SimRng::seed_from(seed);
-            // Fisher-Yates shuffle.
-            for i in (1..order.len()).rev() {
-                let j = rng.next_below(i as u64 + 1) as usize;
-                order.swap(i, j);
-            }
-        }
+        let blocks = config.file_size.div_ceil(CHUNK_SIZE);
         FileWriterClient {
             biod_busy: vec![false; config.biods],
-            remaining: order,
+            remaining: (0..blocks).collect(),
             next_block_cursor: 0,
             outstanding: FxHashMap::default(),
             app: AppState::Idle,
             next_xid: config.xid_base,
-            timers: FxHashMap::default(),
-            next_token: 0,
             stats: ClientStats::default(),
             blocked_since: None,
             acked_writes: Vec::with_capacity(blocks as usize),
@@ -317,7 +296,7 @@ impl FileWriterClient {
     /// block index plus [`ClientConfig::fill_salt`], as every WRITE's payload
     /// is built.
     pub fn fill_byte_for(&self, offset: u64) -> u8 {
-        ((offset / self.config.chunk_size) as u8).wrapping_add(self.config.fill_salt)
+        ((offset / CHUNK_SIZE) as u8).wrapping_add(self.config.fill_salt)
     }
 
     /// Process one input, producing actions for the orchestrator.
@@ -344,24 +323,13 @@ impl FileWriterClient {
                 self.start_generating(now, actions);
             }
             ClientInput::Reply(reply) => self.on_reply(now, reply, actions),
-            ClientInput::Wakeup { token } => {
-                if let Some(kind) = self.timers.remove(&token) {
-                    match kind {
-                        TimerKind::GenerateDone => self.on_chunk_ready(now, actions),
-                        TimerKind::Retransmit { xid, attempt } => {
-                            self.on_retransmit_timer(now, xid, attempt, actions)
-                        }
-                    }
-                }
-            }
+            ClientInput::Wakeup {
+                token: TimerKind::GenerateDone,
+            } => self.on_chunk_ready(now, actions),
+            ClientInput::Wakeup {
+                token: TimerKind::Retransmit { xid, attempt },
+            } => self.on_retransmit_timer(now, xid, attempt, actions),
         }
-    }
-
-    fn schedule(&mut self, at: SimTime, kind: TimerKind, actions: &mut Vec<ClientAction>) {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.timers.insert(token, kind);
-        actions.push(ClientAction::Wakeup { at, token });
     }
 
     fn start_generating(&mut self, now: SimTime, actions: &mut Vec<ClientAction>) {
@@ -370,22 +338,18 @@ impl FileWriterClient {
             return;
         }
         self.app = AppState::Generating;
-        self.schedule(
-            now + self.config.generate_cost,
-            TimerKind::GenerateDone,
-            actions,
-        );
+        actions.push(ClientAction::Wakeup {
+            at: now + self.config.generate_cost,
+            token: TimerKind::GenerateDone,
+        });
     }
 
     /// The application produced a chunk that must go to the wire.
     fn on_chunk_ready(&mut self, now: SimTime, actions: &mut Vec<ClientAction>) {
         let block = self.remaining[self.next_block_cursor];
         self.next_block_cursor += 1;
-        let offset = block * self.config.chunk_size;
-        let len = self
-            .config
-            .chunk_size
-            .min(self.config.file_size - offset.min(self.config.file_size));
+        let offset = block * CHUNK_SIZE;
+        let len = CHUNK_SIZE.min(self.config.file_size - offset.min(self.config.file_size));
         let xid = Xid(self.next_xid);
         self.next_xid += 1;
 
@@ -404,7 +368,6 @@ impl FileWriterClient {
                 attempt: 0,
                 app_blocking,
                 biod: idle_biod,
-                first_sent: now,
             },
         );
         self.stats.requests_sent += 1;
@@ -431,8 +394,7 @@ impl FileWriterClient {
                 // end-to-end tests can verify data integrity at the server.
                 // Carried as a fill pattern — no payload bytes are allocated
                 // anywhere on the simulated datapath.
-                let fill = ((out.offset / self.config.chunk_size) as u8)
-                    .wrapping_add(self.config.fill_salt);
+                let fill = self.fill_byte_for(out.offset);
                 NfsCallBody::Write(
                     WriteArgs::fill(self.handle, out.offset as u32, fill, out.len as u32)
                         .with_stability(self.config.stability),
@@ -451,16 +413,15 @@ impl FileWriterClient {
         // Arm the retransmission timer for this attempt.
         let mut timeout = self.config.initial_timeout.as_secs_f64();
         for _ in 0..out.attempt {
-            timeout *= self.config.backoff_factor;
+            timeout *= BACKOFF_FACTOR;
         }
-        self.schedule(
-            now + Duration::from_secs_f64(timeout),
-            TimerKind::Retransmit {
+        actions.push(ClientAction::Wakeup {
+            at: now + Duration::from_secs_f64(timeout),
+            token: TimerKind::Retransmit {
                 xid,
                 attempt: out.attempt,
             },
-            actions,
-        );
+        });
     }
 
     fn on_reply(&mut self, now: SimTime, reply: NfsReply, actions: &mut Vec<ClientAction>) {
@@ -516,7 +477,6 @@ impl FileWriterClient {
             }
             _ => {}
         }
-        let _ = out.first_sent;
     }
 
     /// Interval pacing: once `commit_interval` bytes sit uncommitted, issue
@@ -531,24 +491,33 @@ impl FileWriterClient {
         if pending < self.config.commit_interval {
             return;
         }
-        let xid = Xid(self.next_xid);
-        self.next_xid += 1;
-        self.outstanding.insert(
-            xid,
-            Outstanding {
-                kind: ReqKind::Commit,
-                offset: 0,
-                len: 0,
-                attempt: 0,
-                app_blocking: false,
-                biod: None,
-                first_sent: now,
-            },
-        );
-        self.stats.commits_sent += 1;
         self.stats.paced_commits += 1;
         self.paced_commit_inflight = true;
+        self.send_commit(now, false, actions);
+    }
+
+    /// Send a whole-file COMMIT, with the application blocked on it or not;
+    /// returns its xid.
+    fn send_commit(
+        &mut self,
+        now: SimTime,
+        app_blocking: bool,
+        actions: &mut Vec<ClientAction>,
+    ) -> Xid {
+        let xid = Xid(self.next_xid);
+        self.next_xid += 1;
+        let commit = Outstanding {
+            kind: ReqKind::Commit,
+            offset: 0,
+            len: 0,
+            attempt: 0,
+            app_blocking,
+            biod: None,
+        };
+        self.outstanding.insert(xid, commit);
+        self.stats.commits_sent += 1;
         self.send_request(now, xid, actions);
+        xid
     }
 
     /// A COMMIT succeeded with verifier `verf`: uncommitted ranges whose
@@ -566,7 +535,7 @@ impl FileWriterClient {
                 // re-sent write will count these bytes again.
                 self.stats.bytes_acked -= len;
                 self.stats.resent_bytes += len;
-                requeue.push(offset / self.config.chunk_size);
+                requeue.push(offset / CHUNK_SIZE);
             }
         }
         self.uncommitted.clear();
@@ -628,24 +597,9 @@ impl FileWriterClient {
         // COMMIT for whatever is still volatile; the application blocks on
         // it like on any request it sends itself.
         if !self.uncommitted.is_empty() && !self.commit_gave_up {
-            let xid = Xid(self.next_xid);
-            self.next_xid += 1;
-            self.outstanding.insert(
-                xid,
-                Outstanding {
-                    kind: ReqKind::Commit,
-                    offset: 0,
-                    len: 0,
-                    attempt: 0,
-                    app_blocking: true,
-                    biod: None,
-                    first_sent: now,
-                },
-            );
-            self.stats.commits_sent += 1;
+            let xid = self.send_commit(now, true, actions);
             self.app = AppState::BlockedOnRequest(xid);
             self.blocked_since.get_or_insert(now);
-            self.send_request(now, xid, actions);
             return;
         }
         self.finish(now, actions);
@@ -676,11 +630,12 @@ mod tests {
 
     /// Drive `client` to completion against a scripted server: `serve` sees
     /// each call as it is sent and returns the delay and reply to deliver,
-    /// or `None` to lose the call.
+    /// or `None` to lose the call.  Returns the inputs still queued when the
+    /// client finished.
     fn drive(
         client: &mut FileWriterClient,
         mut serve: impl FnMut(SimTime, &NfsCall) -> Option<(Duration, NfsReply)>,
-    ) {
+    ) -> Vec<ClientInput> {
         let mut queue = wg_simcore::EventQueue::new();
         queue.schedule_at(SimTime::ZERO, ClientInput::Start);
         let mut guard = 0u64;
@@ -705,6 +660,7 @@ mod tests {
             }
         }
         assert!(client.is_done());
+        std::iter::from_fn(|| queue.pop().map(|(_, input)| input)).collect()
     }
 
     /// Drive a client against a perfect server that answers each write
@@ -798,40 +754,11 @@ mod tests {
     }
 
     #[test]
-    fn random_pattern_covers_every_block_exactly_once() {
-        let cfg = ClientConfig {
-            file_size: 160 * 1024, // 20 blocks
-            biods: 4,
-            pattern: AccessPattern::Random { seed: 42 },
-            ..ClientConfig::default()
-        };
-        let mut offsets = Vec::new();
-        drive(&mut FileWriterClient::new(cfg, handle()), |_, call| {
-            if let NfsCallBody::Write(w) = &call.body {
-                offsets.push(w.offset as u64);
-            }
-            Some((Duration::from_millis(1), ok_reply(call.xid)))
-        });
-        offsets.sort_unstable();
-        let expected: Vec<u64> = (0..20u64).map(|b| b * 8192).collect();
-        assert_eq!(offsets, expected);
-        // But the issue order was not sequential.
-        let cfg2 = ClientConfig {
-            file_size: 160 * 1024,
-            pattern: AccessPattern::Random { seed: 42 },
-            ..ClientConfig::default()
-        };
-        let c2 = FileWriterClient::new(cfg2, handle());
-        assert_ne!(c2.remaining, (0..20u64).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn lost_requests_are_retransmitted_with_backoff() {
         let cfg = ClientConfig {
             file_size: 16 * 1024, // 2 chunks
             biods: 0,
             initial_timeout: Duration::from_millis(100),
-            backoff_factor: 2.0,
             ..ClientConfig::default()
         };
         let mut client = FileWriterClient::new(cfg, handle());
@@ -878,6 +805,43 @@ mod tests {
         // The abandoned request is a *counted* failure, never silent success.
         assert_eq!(stats.gave_up, 1);
         assert!(client.acked_writes().is_empty());
+    }
+
+    #[test]
+    fn a_finished_writers_wakeups_fire_nothing_in_the_next_writer() {
+        // A writer finishes its segment with the retransmission wake-ups of
+        // its answered writes still pending, as a rolling fleet client does
+        // at every segment's close.
+        let segment = |xid_base| {
+            let cfg = ClientConfig {
+                file_size: 64 * 1024,
+                xid_base,
+                ..ClientConfig::default()
+            };
+            FileWriterClient::new(cfg, handle())
+        };
+        let mut old = segment(0x1000);
+        let stale = drive(&mut old, |_, call| {
+            Some((Duration::from_millis(1), ok_reply(call.xid)))
+        });
+        assert!(!stale.is_empty(), "the finished writer left no wake-ups");
+        // The next segment's writer gets its first write out, with that
+        // write's retransmission wake-up and the next chunk's pending.
+        let mut fresh = segment(0x2000);
+        let started = fresh.handle(old.stats().completed_at, ClientInput::Start);
+        let Some(&ClientAction::Wakeup { at, token }) = started.first() else {
+            panic!("the fresh writer did not start generating");
+        };
+        fresh.handle(at, ClientInput::Wakeup { token });
+        assert_eq!(fresh.stats().requests_sent, 1);
+        // None of the finished writer's wake-ups may act on the fresh
+        // writer: no retransmission, no early chunk.
+        for input in stale {
+            let actions = fresh.handle(at, input);
+            assert!(actions.is_empty(), "a stale timer acted: {actions:?}");
+        }
+        assert_eq!(fresh.stats().requests_sent, 1);
+        assert_eq!(fresh.stats().retransmissions, 0);
     }
 
     /// A toy unstable-mode server: acknowledges writes `UNSTABLE` under the

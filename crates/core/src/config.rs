@@ -200,20 +200,12 @@ pub struct ServerConfig {
     /// of different shards, overlap on independent spindles of a stripe set.
     /// `false` is bit-identical to the pre-pipeline server.
     pub io_overlap: bool,
-    /// How long a crashed server takes to boot before NVRAM recovery replay
-    /// begins (kernel boot + fsck of a clean journal + mount).  Only
-    /// exercised when a fault plan injects a crash; it has no effect on a
-    /// fault-free run.
-    pub reboot_time: Duration,
-    /// Arm the bounded unified buffer cache (see
-    /// [`wg_ufs::FsParams::cache_pages`]).  Off by default: the paper's
-    /// server has an effectively unbounded cache and no write-behind, which
-    /// is exactly what the golden tables pin.  Required for
-    /// `WRITE(UNSTABLE)` to be honoured — without a managed cache there is
-    /// no write-behind machinery to make unstable data stable later.
-    pub unified_cache: bool,
-    /// Capacity of the unified cache in 8 KB pages, used only when
-    /// [`ServerConfig::unified_cache`] is set.
+    /// Capacity of the bounded unified buffer cache in 8 KB pages (see
+    /// [`wg_ufs::FsParams::cache_pages`]).  `0` (the default) disarms it:
+    /// the paper's server has an effectively unbounded cache and no
+    /// write-behind, which is exactly what the golden tables pin.  An armed
+    /// cache is required for `WRITE(UNSTABLE)` to be honoured — without it
+    /// there is no write-behind machinery to make unstable data stable later.
     pub cache_pages: u64,
     /// Fraction of the unified cache that may be dirty before writers are
     /// throttled (see [`wg_ufs::FsParams::dirty_ratio`]).
@@ -262,9 +254,7 @@ impl ServerConfig {
             shards: 1,
             cores: 1,
             io_overlap: false,
-            reboot_time: Duration::from_secs(1),
-            unified_cache: false,
-            cache_pages: 4096,
+            cache_pages: 0,
             dirty_ratio: 0.5,
             stability: StabilityMode::Stable,
             writeback_interval: Duration::from_millis(100),
@@ -341,12 +331,9 @@ impl ServerConfig {
     }
 
     /// Arm the bounded unified buffer cache with `pages` 8 KB pages (see
-    /// [`ServerConfig::unified_cache`]).  `pages == 0` disarms it.
+    /// [`ServerConfig::cache_pages`]).  `pages == 0` disarms it.
     pub fn with_unified_cache(mut self, pages: u64) -> Self {
-        self.unified_cache = pages > 0;
-        if pages > 0 {
-            self.cache_pages = pages;
-        }
+        self.cache_pages = pages;
         self
     }
 
@@ -410,7 +397,7 @@ mod tests {
         assert!(!std.io_overlap);
         // The unified cache and unstable writes post-date the paper: off by
         // default so every golden table keeps its original write path.
-        assert!(!std.unified_cache);
+        assert_eq!(std.cache_pages, 0);
         assert_eq!(std.stability, StabilityMode::Stable);
         // Likewise the client-state layer: the paper's server is stateless.
         assert!(!std.leases);
@@ -442,12 +429,11 @@ mod tests {
             .with_dirty_ratio(0.25)
             .with_stability(StabilityMode::Unstable)
             .with_writeback_interval(Duration::from_millis(40));
-        assert!(cell.unified_cache);
         assert_eq!(cell.cache_pages, 512);
         assert_eq!(cell.dirty_ratio, 0.25);
         assert_eq!(cell.stability, StabilityMode::Unstable);
         assert_eq!(cell.writeback_interval, Duration::from_millis(40));
-        assert!(!ServerConfig::standard().with_unified_cache(0).unified_cache);
+        assert_eq!(cell.with_unified_cache(0).cache_pages, 0);
         let leased = ServerConfig::standard()
             .with_leases(true)
             .with_lease_duration(Duration::from_millis(750))

@@ -54,6 +54,6 @@ pub use config::{CostParams, ReplyOrder, ServerConfig, StabilityMode, StorageCon
 pub use dupcache::DuplicateRequestCache;
 pub use gather::{FileGather, GatherPhase, PendingWrite};
 pub use handles::{attributes_to_fattr, fs_error_to_status, handle_for, ino_from_handle};
-pub use server::{ClientId, NfsServer, ServerAction, ServerInput};
+pub use server::{ClientId, NfsServer, ServerAction, ServerInput, WakeToken};
 pub use state::{ClientStateTable, StateStats};
 pub use stats::ServerStats;

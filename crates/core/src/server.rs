@@ -66,6 +66,10 @@ const BOOT_VERIFIER_SEED: u64 = 0x1994_0606;
 /// (64 × 8 KB = 512 KB, a few clustered transfers per pass).
 const WRITEBACK_BATCH_PAGES: u64 = 64;
 
+/// How long a crashed server takes to boot before NVRAM recovery replay
+/// begins (kernel boot + fsck of a clean journal + mount).
+const REBOOT_TIME: Duration = Duration::from_secs(1);
+
 use crate::config::{ReplyOrder, ServerConfig, WritePolicy};
 use crate::dupcache::{DupState, DuplicateRequestCache};
 use crate::gather::{FileGather, GatherPhase, PendingWrite};
@@ -93,8 +97,8 @@ pub enum ServerInput {
     },
     /// A timer previously requested via [`ServerAction::Wakeup`] fired.
     Wakeup {
-        /// The token identifying what to continue.
-        token: u64,
+        /// What to continue, as the server armed it.
+        token: WakeToken,
     },
 }
 
@@ -106,7 +110,7 @@ pub enum ServerAction {
         /// When to wake the server.
         at: SimTime,
         /// Token to echo back.
-        token: u64,
+        token: WakeToken,
     },
     /// Transmit a reply to a client, starting at the given time.
     Reply {
@@ -119,8 +123,18 @@ pub enum ServerAction {
     },
 }
 
-/// What a wake-up token means.
-#[derive(Clone, Copy, Debug)]
+/// A server timer: what to continue when it fires, and the boot instance
+/// that armed it.  A crash forgets every continuation, so a token armed
+/// before it is a no-op when it fires after the reboot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WakeToken {
+    reason: WakeReason,
+    /// The boot verifier of the instance that armed the timer.
+    boot: u64,
+}
+
+/// What a server timer continues.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum WakeReason {
     /// An nfsd of the given shard became free; pull more work from that
     /// shard's socket queue.
@@ -132,6 +146,47 @@ enum WakeReason {
     /// batch of dirty pages to stable storage and reschedule while dirty
     /// pages remain.
     Writeback,
+}
+
+/// The request an nfsd is serving: who sent it, under which xid, when it
+/// arrived, and the nfsd answering it.
+#[derive(Clone, Copy, Debug)]
+struct Request {
+    nfsd: usize,
+    client: ClientId,
+    xid: Xid,
+    arrived: SimTime,
+}
+
+/// `(inode, logical block)`s acknowledged while their data was still
+/// volatile: the debt a crash collects.
+#[derive(Default)]
+struct AckedBlocks(BTreeSet<(InodeNumber, u64)>);
+
+impl AckedBlocks {
+    /// Record the blocks that `len` bytes at `offset` touch.
+    fn record(&mut self, ino: InodeNumber, offset: u64, len: u64, block_size: u64) {
+        if len > 0 {
+            let lbns = offset / block_size..=(offset + len - 1) / block_size;
+            self.0.extend(lbns.map(|lbn| (ino, lbn)));
+        }
+    }
+
+    /// Forget the blocks wholly or partly inside `[from, to)`: they are
+    /// stable now.
+    fn forget(&mut self, ino: InodeNumber, from: u64, to: u64, block_size: u64) {
+        let (first, last) = (from / block_size, to.div_ceil(block_size));
+        self.0
+            .retain(|&(i, lbn)| i != ino || lbn < first || lbn >= last);
+    }
+
+    /// Bytes of the recorded blocks that `fs` still holds dirty — what a
+    /// crash at this instant loses — after which the ledger is empty.
+    fn take_lost(&mut self, fs: &Ufs) -> u64 {
+        let acked = std::mem::take(&mut self.0).into_iter();
+        let dirty = acked.filter(|&(ino, lbn)| fs.block_is_dirty(ino, lbn));
+        dirty.count() as u64 * fs.params().block_size
+    }
 }
 
 /// A request sitting in the socket buffer.
@@ -181,8 +236,6 @@ pub struct NfsServer {
     nfsds: Vec<Nfsd>,
     gathers: FxHashMap<InodeNumber, FileGather>,
     vnode_locks: FxHashMap<InodeNumber, SimTime>,
-    wake_reasons: FxHashMap<u64, WakeReason>,
-    next_token: u64,
     stats: ServerStats,
     trace: Trace,
     /// Scratch buffer for the pipelined I/O loop's completion reap; reused
@@ -195,12 +248,12 @@ pub struct NfsServer {
     /// Logical blocks whose write was *acknowledged* while the data was still
     /// volatile — only [`WritePolicy::DangerousAsync`] ever populates this.
     /// The crash oracle walks it to count acknowledged-write loss.
-    acked_volatile: FxHashMap<InodeNumber, BTreeSet<u64>>,
+    acked_volatile: AckedBlocks,
     /// Logical blocks acknowledged with `UNSTABLE` semantics and not yet
     /// covered by a COMMIT.  The crash oracle walks it to count the loss the
     /// NFSv3 contract *permits* ([`ServerStats::lost_unstable_bytes`]) —
     /// clients holding a mismatching verifier re-send this data.
-    unstable_acked: FxHashMap<InodeNumber, BTreeSet<u64>>,
+    unstable_acked: AckedBlocks,
     /// The current boot instance's write verifier (changes on every crash).
     boot_verifier: u64,
     /// Whether the NVRAM battery is healthy (always true for plain disks).
@@ -275,11 +328,7 @@ impl NfsServer {
             data_capacity: config.data_capacity,
             inode_groups: config.inode_groups.max(1) as u64,
             read_caching: config.read_caching,
-            cache_pages: if config.unified_cache {
-                config.cache_pages
-            } else {
-                0
-            },
+            cache_pages: config.cache_pages,
             dirty_ratio: config.dirty_ratio,
             ..wg_ufs::FsParams::default()
         };
@@ -292,14 +341,12 @@ impl NfsServer {
             nfsds,
             gathers: FxHashMap::default(),
             vnode_locks: FxHashMap::default(),
-            wake_reasons: FxHashMap::default(),
-            next_token: 0,
             stats: ServerStats::new(),
             trace: Trace::disabled(),
             io_completions: Vec::new(),
             recovering_until: SimTime::ZERO,
-            acked_volatile: FxHashMap::default(),
-            unstable_acked: FxHashMap::default(),
+            acked_volatile: AckedBlocks::default(),
+            unstable_acked: AckedBlocks::default(),
             boot_verifier: BOOT_VERIFIER_SEED,
             battery_ok: true,
             writeback_scheduled: false,
@@ -364,15 +411,6 @@ impl NfsServer {
     /// CPU utilisation percentage over an observed span.
     pub fn cpu_utilization_percent(&self, observed: Duration) -> f64 {
         self.cpu.utilization_percent(observed)
-    }
-
-    /// Clear measurement state (device stats, CPU busy time, server stats)
-    /// without touching filesystem contents.  Called by the harness between
-    /// the warm-up/setup phase and the measured phase.
-    pub fn reset_measurement(&mut self) {
-        self.device.reset_stats();
-        self.cpu = MultiCpu::with_speed(self.config.cores.max(1), self.config.cpu_speed);
-        self.stats = ServerStats::new();
     }
 
     /// The number of datagrams dropped because a shard's socket buffer was
@@ -444,19 +482,17 @@ impl NfsServer {
             } => {
                 self.on_datagram(now, client, call, wire_size, fragments, actions);
             }
-            ServerInput::Wakeup { token } => {
-                if let Some(reason) = self.wake_reasons.remove(&token) {
-                    match reason {
-                        WakeReason::NfsdFree { shard } => {
-                            self.dispatch(now, shard, actions);
-                        }
-                        WakeReason::GatherContinue { nfsd, ino } => {
-                            self.continue_gather(now, nfsd, ino, actions);
-                        }
-                        WakeReason::Writeback => self.background_writeback(now, actions),
+            ServerInput::Wakeup { token } if token.boot == self.boot_verifier => {
+                match token.reason {
+                    WakeReason::NfsdFree { shard } => self.dispatch(now, shard, actions),
+                    WakeReason::GatherContinue { nfsd, ino } => {
+                        self.continue_gather(now, nfsd, ino, actions);
                     }
+                    WakeReason::Writeback => self.background_writeback(now, actions),
                 }
             }
+            // Armed before a crash: the continuation died with it.
+            ServerInput::Wakeup { .. } => {}
         }
     }
 
@@ -502,7 +538,7 @@ impl NfsServer {
     ) {
         // A crashed or recovering server hears nothing: the NIC is down and
         // the socket does not exist yet.  Clients find out via their
-        // retransmission timers, exactly as with a lost datagram.
+        // retransmission timeouts, exactly as with a lost datagram.
         if now < self.recovering_until {
             self.stats.dropped_during_recovery += 1;
             return;
@@ -581,15 +617,9 @@ impl NfsServer {
             .next()
     }
 
-    fn schedule_wakeup(
-        &mut self,
-        at: SimTime,
-        reason: WakeReason,
-        actions: &mut Vec<ServerAction>,
-    ) {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.wake_reasons.insert(token, reason);
+    fn schedule_wakeup(&self, at: SimTime, reason: WakeReason, actions: &mut Vec<ServerAction>) {
+        let boot = self.boot_verifier;
+        let token = WakeToken { reason, boot };
         actions.push(ServerAction::Wakeup { at, token });
     }
 
@@ -599,6 +629,19 @@ impl NfsServer {
         self.nfsds[nfsd].free_at = until;
         let shard = self.nfsds[nfsd].shard;
         self.schedule_wakeup(until, WakeReason::NfsdFree { shard }, actions);
+    }
+
+    /// Answer `req` once its work is done at `done`, and keep its nfsd busy
+    /// until the reply has gone out.
+    fn reply_and_release(
+        &mut self,
+        done: SimTime,
+        req: Request,
+        body: NfsReplyBody,
+        actions: &mut Vec<ServerAction>,
+    ) {
+        let reply_at = self.finish_reply(done, req, body, actions);
+        self.occupy_nfsd(req.nfsd, reply_at, actions);
     }
 
     fn vnode_free(&self, ino: InodeNumber) -> SimTime {
@@ -636,31 +679,15 @@ impl NfsServer {
             .saturating_mul(fragments as u64)
             + self.config.costs.rpc_dispatch;
         let t = self.cpu.run(now, cost);
-        let xid = call.xid;
+        let req = Request {
+            nfsd,
+            client,
+            xid: call.xid,
+            arrived,
+        };
         match call.body {
-            NfsCallBody::Write(args) => {
-                self.handle_write(t, nfsd, client, xid, arrived, args, actions)
-            }
-            // A state op against a disarmed state layer is refused outright
-            // (a v2 server with no lockd): the table must stay empty so the
-            // default configuration remains stateless.
-            body @ (NfsCallBody::Renew(_) | NfsCallBody::Lock(_) | NfsCallBody::Unlock(_))
-                if !self.config.leases =>
-            {
-                let reply_body = match body {
-                    NfsCallBody::Renew(_) => {
-                        NfsReplyBody::Renew(StatusReply::Err(NfsStatus::Denied))
-                    }
-                    NfsCallBody::Lock(_) => NfsReplyBody::Lock(StatusReply::Err(NfsStatus::Denied)),
-                    _ => NfsReplyBody::Status(NfsStatus::Denied),
-                };
-                let done = self.cpu.run(t, self.config.costs.lightweight_op);
-                self.stats.other_ops_completed.record(0);
-                let reply_at =
-                    self.finish_reply(done, nfsd, client, xid, arrived, reply_body, actions);
-                self.occupy_nfsd(nfsd, reply_at, actions);
-            }
-            other => self.handle_simple(t, nfsd, client, xid, arrived, other, actions),
+            NfsCallBody::Write(args) => self.handle_write(t, req, args, actions),
+            other => self.handle_simple(t, req, other, actions),
         }
     }
 
@@ -668,14 +695,10 @@ impl NfsServer {
     // Non-write operations
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
     fn handle_simple(
         &mut self,
         t: SimTime,
-        nfsd: usize,
-        client: ClientId,
-        xid: Xid,
-        arrived: SimTime,
+        req: Request,
         body: NfsCallBody,
         actions: &mut Vec<ServerAction>,
     ) {
@@ -831,7 +854,8 @@ impl NfsServer {
                     }
                     self.vnode_locks.insert(ino, done);
                     self.stats.commits += 1;
-                    self.commit_clears_unstable(ino, from, to);
+                    let block_size = self.fs.params().block_size;
+                    self.unstable_acked.forget(ino, from, to, block_size);
                     match self.fs.getattr(ino) {
                         Ok(attrs) => NfsReplyBody::Commit(StatusReply::Ok(CommitOk {
                             attributes: attributes_to_fattr(self.fs.fsid(), &attrs),
@@ -844,9 +868,18 @@ impl NfsServer {
             },
             // Client-state ops (lease renewal and byte-range locks).  All
             // three are pure table operations at lightweight-op CPU cost —
-            // no storage I/O, matching lockd/statd behaviour.
-            // `process_request` bounces them with `Denied` before we get
-            // here when the state layer is disarmed.
+            // no storage I/O, matching lockd/statd behaviour.  A disarmed
+            // state layer refuses them outright (a v2 server with no lockd):
+            // the table must stay empty so the default stays stateless.
+            NfsCallBody::Renew(_) if !self.config.leases => {
+                NfsReplyBody::Renew(StatusReply::Err(NfsStatus::Denied))
+            }
+            NfsCallBody::Lock(_) if !self.config.leases => {
+                NfsReplyBody::Lock(StatusReply::Err(NfsStatus::Denied))
+            }
+            NfsCallBody::Unlock(_) if !self.config.leases => {
+                NfsReplyBody::Status(NfsStatus::Denied)
+            }
             NfsCallBody::Renew(a) => {
                 let in_grace = self.state.renew(a.client_id, a.verifier, t);
                 NfsReplyBody::Renew(StatusReply::Ok(RenewOk {
@@ -862,8 +895,7 @@ impl NfsServer {
             NfsCallBody::Write(_) => unreachable!("writes are handled by handle_write"),
         };
         self.stats.other_ops_completed.record(0);
-        let reply_at = self.finish_reply(done, nfsd, client, xid, arrived, reply_body, actions);
-        self.occupy_nfsd(nfsd, reply_at, actions);
+        self.reply_and_release(done, req, reply_body, actions);
     }
 
     fn attr_reply(&mut self, fh: &wg_nfsproto::FileHandle) -> StatusReply<wg_nfsproto::Fattr> {
@@ -976,17 +1008,13 @@ impl NfsServer {
     }
 
     /// Build the reply, charge the send cost, record statistics and hand the
-    /// reply to the orchestrator.  The `nfsd` names the thread completing the
-    /// request; its shard's dupcache partition — the one that routed the call
-    /// — records the reply.
-    #[allow(clippy::too_many_arguments)]
+    /// reply to the orchestrator.  The request's `nfsd` names the thread
+    /// completing it; its shard's dupcache partition — the one that routed
+    /// the call — records the reply.
     fn finish_reply(
         &mut self,
         done: SimTime,
-        nfsd: usize,
-        client: ClientId,
-        xid: Xid,
-        arrived: SimTime,
+        req: Request,
         body: NfsReplyBody,
         actions: &mut Vec<ServerAction>,
     ) -> SimTime {
@@ -994,17 +1022,18 @@ impl NfsServer {
         // i.e. in this event's future; account the cost without reserving the
         // serial CPU ahead of other requests (see `run_io_plan`).
         let at = self.cpu.run_overlapped(done, self.config.costs.reply_send);
-        let reply = NfsReply::new(xid, body);
+        let reply = NfsReply::new(req.xid, body);
         // Cloning the reply for the cache shares the payload (Payload is
         // either a pattern or an Arc), so this is cheap even for READ data.
-        let shard = self.nfsds[nfsd].shard;
+        let shard = self.nfsds[req.nfsd].shard;
         self.shards[shard]
             .dupcache
-            .complete(client, xid, Arc::new(reply.clone()));
+            .complete(req.client, req.xid, Arc::new(reply.clone()));
         self.stats.replies_sent += 1;
-        self.stats.residence.record(at.since(arrived));
+        self.stats.residence.record(at.since(req.arrived));
         self.trace
-            .record(at, TraceKind::ReplySent, xid.0 as u64, "");
+            .record(at, TraceKind::ReplySent, req.xid.0 as u64, "");
+        let client = req.client;
         actions.push(ServerAction::Reply { at, client, reply });
         at
     }
@@ -1013,30 +1042,18 @@ impl NfsServer {
     // The write path
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
     fn handle_write(
         &mut self,
         t: SimTime,
-        nfsd: usize,
-        client: ClientId,
-        xid: Xid,
-        arrived: SimTime,
+        req: Request,
         args: WriteArgs,
         actions: &mut Vec<ServerAction>,
     ) {
         let ino = match ino_from_handle(&self.fs, &args.file) {
             Ok(ino) => ino,
             Err(e) => {
-                let reply_at = self.finish_reply(
-                    t,
-                    nfsd,
-                    client,
-                    xid,
-                    arrived,
-                    NfsReplyBody::Attr(StatusReply::Err(fs_error_to_status(e))),
-                    actions,
-                );
-                self.occupy_nfsd(nfsd, reply_at, actions);
+                let body = NfsReplyBody::Attr(StatusReply::Err(fs_error_to_status(e)));
+                self.reply_and_release(t, req, body, actions);
                 return;
             }
         };
@@ -1044,17 +1061,9 @@ impl NfsServer {
         // state revoked, and its writes are refused with `Expired` until it
         // re-registers (unregistered clients keep writing statelessly, as in
         // plain v2).  One untaken branch when the state layer is disarmed.
-        if self.config.leases && !self.state.write_admitted(client, t) {
-            let reply_at = self.finish_reply(
-                t,
-                nfsd,
-                client,
-                xid,
-                arrived,
-                NfsReplyBody::Attr(StatusReply::Err(NfsStatus::Expired)),
-                actions,
-            );
-            self.occupy_nfsd(nfsd, reply_at, actions);
+        if self.config.leases && !self.state.write_admitted(req.client, t) {
+            let body = NfsReplyBody::Attr(StatusReply::Err(NfsStatus::Expired));
+            self.reply_and_release(t, req, body, actions);
             return;
         }
         // NFSv3-style stability routing rides in front of the paper's policy
@@ -1066,22 +1075,18 @@ impl NfsServer {
         // the paper's experiments) take the original paths untouched.
         if args.stable_how() == StableHow::Unstable {
             if self.unstable_write_allowed() {
-                self.unstable_write(t, nfsd, client, xid, arrived, ino, &args, actions);
+                self.unstable_write(t, req, ino, &args, actions);
             } else {
                 self.stats.forced_file_sync += 1;
-                self.standard_write(t, nfsd, client, xid, arrived, ino, &args, true, actions);
+                self.standard_write(t, req, ino, &args, true, actions);
             }
             return;
         }
         match self.config.policy {
-            WritePolicy::Standard => {
-                self.standard_write(t, nfsd, client, xid, arrived, ino, &args, false, actions)
-            }
-            WritePolicy::DangerousAsync => {
-                self.dangerous_write(t, nfsd, client, xid, arrived, ino, &args, actions)
-            }
+            WritePolicy::Standard => self.standard_write(t, req, ino, &args, false, actions),
+            WritePolicy::DangerousAsync => self.dangerous_write(t, req, ino, &args, actions),
             WritePolicy::Gathering | WritePolicy::FirstWriteLatency => {
-                self.gathering_write(t, nfsd, client, xid, arrived, ino, &args, actions)
+                self.gathering_write(t, req, ino, &args, actions)
             }
         }
     }
@@ -1092,7 +1097,12 @@ impl NfsServer {
     /// write-through as the only stable path, so the server degrades to
     /// synchronous FILE_SYNC exactly as the real board does.
     fn unstable_write_allowed(&self) -> bool {
-        self.config.unified_cache && (self.battery_ok || !self.config.storage.prestoserve)
+        self.unified_cache() && (self.battery_ok || !self.config.storage.prestoserve)
+    }
+
+    /// Whether the bounded unified cache (and its write-behind) is armed.
+    fn unified_cache(&self) -> bool {
+        self.config.cache_pages > 0
     }
 
     fn write_copy_cost(&self, len: usize) -> Duration {
@@ -1105,14 +1115,10 @@ impl NfsServer {
     /// [`NfsReplyBody::WriteVerf`] carrying `committed = FILE_SYNC` — used
     /// when an `UNSTABLE` request was promoted, so the client learns no
     /// COMMIT is needed.
-    #[allow(clippy::too_many_arguments)]
     fn standard_write(
         &mut self,
         t: SimTime,
-        nfsd: usize,
-        client: ClientId,
-        xid: Xid,
-        arrived: SimTime,
+        req: Request,
         ino: InodeNumber,
         args: &WriteArgs,
         verf_reply: bool,
@@ -1149,9 +1155,8 @@ impl NfsServer {
                     NfsReplyBody::Attr(self.attr_reply(&args.file))
                 };
                 self.stats.writes_completed.record(args.data.len() as u64);
-                self.stats.write_residence.record(done.since(arrived));
-                let reply_at = self.finish_reply(done, nfsd, client, xid, arrived, body, actions);
-                self.occupy_nfsd(nfsd, reply_at, actions);
+                self.stats.write_residence.record(done.since(req.arrived));
+                self.reply_and_release(done, req, body, actions);
             }
             Err(e) => {
                 let status = fs_error_to_status(e);
@@ -1160,8 +1165,7 @@ impl NfsServer {
                 } else {
                     NfsReplyBody::Attr(StatusReply::Err(status))
                 };
-                let reply_at = self.finish_reply(t1, nfsd, client, xid, arrived, body, actions);
-                self.occupy_nfsd(nfsd, reply_at, actions);
+                self.reply_and_release(t1, req, body, actions);
             }
         }
     }
@@ -1172,14 +1176,10 @@ impl NfsServer {
     /// write ever pays inline is the dirty-ratio throttle's forced writeback
     /// — the writer drains part of the backlog it helped create, which *is*
     /// the memory-pressure stall the bench measures.
-    #[allow(clippy::too_many_arguments)]
     fn unstable_write(
         &mut self,
         t: SimTime,
-        nfsd: usize,
-        client: ClientId,
-        xid: Xid,
-        arrived: SimTime,
+        req: Request,
         ino: InodeNumber,
         args: &WriteArgs,
         actions: &mut Vec<ServerAction>,
@@ -1200,18 +1200,12 @@ impl NfsServer {
                     self.run_io_plan(t1, out.io.data.iter())
                 };
                 self.vnode_locks.insert(ino, done);
-                if !args.data.is_empty() {
-                    let block_size = self.fs.params().block_size;
-                    let first = args.offset as u64 / block_size;
-                    let last = (args.offset as u64 + args.data.len() as u64 - 1) / block_size;
-                    let blocks = self.unstable_acked.entry(ino).or_default();
-                    for lbn in first..=last {
-                        blocks.insert(lbn);
-                    }
-                }
+                let (offset, len) = (args.offset as u64, args.data.len() as u64);
+                let block_size = self.fs.params().block_size;
+                self.unstable_acked.record(ino, offset, len, block_size);
                 self.stats.unstable_writes += 1;
-                self.stats.writes_completed.record(args.data.len() as u64);
-                self.stats.write_residence.record(done.since(arrived));
+                self.stats.writes_completed.record(len);
+                self.stats.write_residence.record(done.since(req.arrived));
                 let body = NfsReplyBody::WriteVerf(match self.fs.getattr(ino) {
                     Ok(attrs) => StatusReply::Ok(WriteVerfOk {
                         attributes: attributes_to_fattr(self.fs.fsid(), &attrs),
@@ -1220,45 +1214,20 @@ impl NfsServer {
                     }),
                     Err(e) => StatusReply::Err(fs_error_to_status(e)),
                 });
-                let reply_at = self.finish_reply(done, nfsd, client, xid, arrived, body, actions);
-                self.occupy_nfsd(nfsd, reply_at, actions);
+                self.reply_and_release(done, req, body, actions);
                 self.ensure_writeback_scheduled(done, actions);
             }
             Err(e) => {
-                let reply_at = self.finish_reply(
-                    t1,
-                    nfsd,
-                    client,
-                    xid,
-                    arrived,
-                    NfsReplyBody::WriteVerf(StatusReply::Err(fs_error_to_status(e))),
-                    actions,
-                );
-                self.occupy_nfsd(nfsd, reply_at, actions);
+                let body = NfsReplyBody::WriteVerf(StatusReply::Err(fs_error_to_status(e)));
+                self.reply_and_release(t1, req, body, actions);
             }
-        }
-    }
-
-    /// Drop unstable-acked tracking for blocks a COMMIT just made stable.
-    fn commit_clears_unstable(&mut self, ino: InodeNumber, from: u64, to: u64) {
-        let Some(blocks) = self.unstable_acked.get_mut(&ino) else {
-            return;
-        };
-        let block_size = self.fs.params().block_size;
-        let first = from / block_size;
-        let last = to.div_ceil(block_size);
-        blocks.retain(|&lbn| lbn < first || lbn >= last);
-        if blocks.is_empty() {
-            self.unstable_acked.remove(&ino);
         }
     }
 
     /// Put a write-behind pass on the timer wheel unless one is already
     /// pending or there is nothing dirty to drain.
     fn ensure_writeback_scheduled(&mut self, now: SimTime, actions: &mut Vec<ServerAction>) {
-        if !self.config.unified_cache
-            || self.writeback_scheduled
-            || self.fs.dirty_resident_pages() == 0
+        if !self.unified_cache() || self.writeback_scheduled || self.fs.dirty_resident_pages() == 0
         {
             return;
         }
@@ -1275,7 +1244,7 @@ impl NfsServer {
     /// configured) and reschedule while dirty pages remain.
     fn background_writeback(&mut self, now: SimTime, actions: &mut Vec<ServerAction>) {
         self.writeback_scheduled = false;
-        if !self.config.unified_cache {
+        if !self.unified_cache() {
             return;
         }
         let reqs = self.fs.writeback_batch(WRITEBACK_BATCH_PAGES);
@@ -1286,14 +1255,10 @@ impl NfsServer {
     }
 
     /// "Dangerous mode": reply as soon as the data is in volatile memory.
-    #[allow(clippy::too_many_arguments)]
     fn dangerous_write(
         &mut self,
         t: SimTime,
-        nfsd: usize,
-        client: ClientId,
-        xid: Xid,
-        arrived: SimTime,
+        req: Request,
         ino: InodeNumber,
         args: &WriteArgs,
         actions: &mut Vec<ServerAction>,
@@ -1313,38 +1278,27 @@ impl NfsServer {
                 if !out.io.data.is_empty() {
                     self.run_io_plan(t1, out.io.data.iter());
                 }
-                self.stats.writes_completed.record(args.data.len() as u64);
-                self.stats.write_residence.record(t1.since(arrived));
+                let (offset, len) = (args.offset as u64, args.data.len() as u64);
+                self.stats.writes_completed.record(len);
+                self.stats.write_residence.record(t1.since(req.arrived));
                 // The reply about to go out promises stability the data does
                 // not have; remember which blocks the crash oracle must check.
-                if !args.data.is_empty() {
-                    let block_size = self.fs.params().block_size;
-                    let first = args.offset as u64 / block_size;
-                    let last = (args.offset as u64 + args.data.len() as u64 - 1) / block_size;
-                    let blocks = self.acked_volatile.entry(ino).or_default();
-                    for lbn in first..=last {
-                        blocks.insert(lbn);
-                    }
-                }
+                let block_size = self.fs.params().block_size;
+                self.acked_volatile.record(ino, offset, len, block_size);
                 NfsReplyBody::Attr(self.attr_reply(&args.file))
             }
             Err(e) => NfsReplyBody::Attr(StatusReply::Err(fs_error_to_status(e))),
         };
-        let reply_at = self.finish_reply(t1, nfsd, client, xid, arrived, body, actions);
-        self.occupy_nfsd(nfsd, reply_at, actions);
+        self.reply_and_release(t1, req, body, actions);
     }
 
     /// The gathering path (§6.8), also used — with the latency window replaced
     /// by the first write's own data transfer — for the \[SIVA93\] comparison
     /// policy.
-    #[allow(clippy::too_many_arguments)]
     fn gathering_write(
         &mut self,
         t: SimTime,
-        nfsd: usize,
-        client: ClientId,
-        xid: Xid,
-        arrived: SimTime,
+        req: Request,
         ino: InodeNumber,
         args: &WriteArgs,
         actions: &mut Vec<ServerAction>,
@@ -1370,19 +1324,12 @@ impl NfsServer {
         let out = match outcome {
             Ok(out) => out,
             Err(e) => {
-                let reply_at = self.finish_reply(
-                    t1,
-                    nfsd,
-                    client,
-                    xid,
-                    arrived,
-                    NfsReplyBody::Attr(StatusReply::Err(fs_error_to_status(e))),
-                    actions,
-                );
-                self.occupy_nfsd(nfsd, reply_at, actions);
+                let body = NfsReplyBody::Attr(StatusReply::Err(fs_error_to_status(e)));
+                self.reply_and_release(t1, req, body, actions);
                 return;
             }
         };
+        let nfsd = req.nfsd;
         // For the accelerated path the data goes to NVRAM right now.
         let mut t2 = if out.io.data.is_empty() {
             t1
@@ -1394,39 +1341,32 @@ impl NfsServer {
         // Queue this write's descriptor.
         let gather = self.gathers.entry(ino).or_default();
         gather.push(PendingWrite {
-            client,
-            xid,
+            client: req.client,
+            xid: req.xid,
             offset: args.offset as u64,
             len: args.data.len() as u64,
-            arrived,
+            arrived: req.arrived,
         });
         self.stats.writes_completed.record(args.data.len() as u64);
 
-        // Can we leave the metadata update to somebody else?
-        if self.gathers[&ino].can_join() {
+        // Can we leave the metadata update to somebody else: a responsible
+        // nfsd still procrastinating, or (the mbuf hunter) the nfsd that will
+        // serve a follow-on write already waiting in the socket buffer?
+        let handoff = if self.gathers[&ino].can_join() {
+            Some("joined existing gather")
+        } else if self.config.mbuf_hunter {
+            t2 = self.cpu.run(t2, self.config.costs.mbuf_hunt);
+            let found = self.socket_buffer_has_write_for(ino);
+            found.then_some("mbuf hunter found follow-on write")
+        } else {
+            None
+        };
+        if let Some(how) = handoff {
             self.stats.writes_gathered += 1;
-            self.trace.record(
-                t2,
-                TraceKind::ReplyDeferred,
-                xid.0 as u64,
-                "joined existing gather",
-            );
+            let xid = req.xid.0 as u64;
+            self.trace.record(t2, TraceKind::ReplyDeferred, xid, how);
             self.occupy_nfsd(nfsd, t2, actions);
             return;
-        }
-        if self.config.mbuf_hunter {
-            t2 = self.cpu.run(t2, self.config.costs.mbuf_hunt);
-            if self.socket_buffer_has_write_for(ino) {
-                self.stats.writes_gathered += 1;
-                self.trace.record(
-                    t2,
-                    TraceKind::ReplyDeferred,
-                    xid.0 as u64,
-                    "mbuf hunter found follow-on write",
-                );
-                self.occupy_nfsd(nfsd, t2, actions);
-                return;
-            }
         }
 
         // Nobody to hand off to: take responsibility.
@@ -1587,7 +1527,13 @@ impl NfsServer {
                 Err(e) => NfsReplyBody::Attr(StatusReply::Err(fs_error_to_status(*e))),
             };
             self.stats.write_residence.record(done.since(w.arrived));
-            done = self.finish_reply(done, nfsd, w.client, w.xid, w.arrived, body, actions);
+            let req = Request {
+                nfsd,
+                client: w.client,
+                xid: w.xid,
+                arrived: w.arrived,
+            };
+            done = self.finish_reply(done, req, body, actions);
         }
         if let Some(g) = self.gathers.get_mut(&ino) {
             g.finish(nfsd);
@@ -1650,7 +1596,7 @@ impl NfsServer {
         }
         // Drain whatever the unified cache still holds dirty (unstable data
         // no COMMIT covered); with the cache disarmed the batch is empty.
-        if self.config.unified_cache {
+        if self.unified_cache() {
             let reqs = self.fs.writeback_batch(u64::MAX);
             if !reqs.is_empty() {
                 done = done.max(self.run_io_plan(now, reqs.iter()));
@@ -1692,45 +1638,24 @@ impl NfsServer {
     /// counts the ones that die with the crash into
     /// [`ServerStats::lost_acked_bytes`].  Battery-backed NVRAM survives and
     /// is replayed to disk ([`BlockDevice::crash_recover`]) during the boot
-    /// window; the server accepts no traffic until the later of
-    /// `now + reboot_time` and the replay's completion, which is returned.
+    /// window; the server accepts no traffic until the later of a one-second
+    /// boot and the replay's completion, which is returned.
     pub fn crash(&mut self, now: SimTime) -> SimTime {
         self.stats.crashes += 1;
         // --- Recovery oracle bookkeeping -------------------------------
-        let block_size = self.fs.params().block_size;
-        let mut lost = 0u64;
-        for (&ino, lbns) in self.acked_volatile.iter() {
-            for &lbn in lbns {
-                if self.fs.block_is_dirty(ino, lbn) {
-                    lost += block_size;
-                }
-            }
-        }
-        self.stats.lost_acked_bytes += lost;
-        self.acked_volatile.clear();
+        self.stats.lost_acked_bytes += self.acked_volatile.take_lost(&self.fs);
         // Unstable-acked data dying with the crash is loss the protocol
         // *permits*: counted separately, and the verifier change below is
         // what tells clients to re-send it.
-        let mut lost_unstable = 0u64;
-        for (&ino, lbns) in self.unstable_acked.iter() {
-            for &lbn in lbns {
-                if self.fs.block_is_dirty(ino, lbn) {
-                    lost_unstable += block_size;
-                }
-            }
-        }
-        self.stats.lost_unstable_bytes += lost_unstable;
-        self.unstable_acked.clear();
+        self.stats.lost_unstable_bytes += self.unstable_acked.take_lost(&self.fs);
+        // The new boot verifier also turns every pending wake-up (ends of
+        // procrastination, nfsd-free dispatches, write-behind) into a no-op.
         self.boot_verifier = BOOT_VERIFIER_SEED.wrapping_add(self.stats.crashes);
         self.writeback_scheduled = false;
         // --- Discard volatile state ------------------------------------
         self.stats.discarded_dirty_bytes += self.fs.crash_discard_volatile();
         self.gathers.clear();
         self.vnode_locks.clear();
-        // Pending wake-ups (procrastination timers, nfsd-free dispatches)
-        // become stale: the orchestrator will still deliver them, but with
-        // their reasons forgotten they are no-ops.
-        self.wake_reasons.clear();
         let shard_count = self.shards.len();
         let dup_entries = self.config.dupcache_entries.max(1).div_ceil(shard_count);
         let sockbuf_bytes = (self.config.socket_buffer_bytes / shard_count).max(9 * 1024);
@@ -1743,7 +1668,7 @@ impl NfsServer {
         }
         // --- Boot + NVRAM recovery replay ------------------------------
         let replay_done = self.device.crash_recover(now);
-        let recovered = (now + self.config.reboot_time).max(replay_done);
+        let recovered = (now + REBOOT_TIME).max(replay_done);
         debug_assert_eq!(
             self.device.pending_stable_bytes(),
             0,

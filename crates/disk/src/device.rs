@@ -105,8 +105,7 @@ pub struct SpindleStats {
     /// Transfers and busy time of this spindle alone.
     pub stats: DeviceStats,
     /// Deepest FIFO queue this spindle ever held (requests enqueued but not
-    /// yet completed, including the one in service) since the last stats
-    /// reset.
+    /// yet completed, including the one in service).
     pub max_queue_depth: u64,
 }
 
@@ -146,14 +145,7 @@ pub trait BlockDevice {
         self.submit(now, req)
     }
 
-    /// Enqueue a batch of requests, all at the same instant `now`, returning
-    /// each request's completion time in submission order.  Pieces of
-    /// distinct requests interleave per spindle.
-    fn submit_batch(&mut self, now: SimTime, reqs: &[DiskRequest]) -> Vec<SimTime> {
-        reqs.iter().map(|&r| self.submit_at(now, r)).collect()
-    }
-
-    /// Aggregate statistics since construction (or the last reset).
+    /// Aggregate statistics since construction.
     fn stats(&self) -> DeviceStats;
 
     /// Per-spindle breakdown of the same statistics (one entry per member
@@ -165,10 +157,6 @@ pub trait BlockDevice {
             max_queue_depth: 0,
         }]
     }
-
-    /// Clear accumulated statistics (used between experiment phases so that
-    /// file-creation setup I/O does not pollute the measured copy phase).
-    fn reset_stats(&mut self);
 
     /// The time at which the device becomes idle given everything submitted
     /// so far.

@@ -182,11 +182,6 @@ impl BlockDevice for Disk {
         }]
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = DeviceStats::new();
-        self.max_queue_depth = 0;
-    }
-
     fn free_at(&self) -> SimTime {
         self.busy_until
     }
@@ -271,8 +266,6 @@ mod tests {
         let stats = disk.stats();
         assert_eq!(stats.transfers.events(), 2);
         assert_eq!(stats.transfers.bytes(), 8192 + 4096);
-        disk.reset_stats();
-        assert_eq!(disk.stats().transfers.events(), 0);
     }
 
     #[test]
@@ -311,8 +304,6 @@ mod tests {
         assert_eq!(spindles.len(), 1);
         assert_eq!(spindles[0].max_queue_depth, 3);
         assert_eq!(spindles[0].stats.transfers.events(), 3);
-        disk.reset_stats();
-        assert_eq!(disk.max_queue_depth(), 0);
     }
 
     #[test]
@@ -325,11 +316,14 @@ mod tests {
             DiskRequest::write(300_000_000, 8192),
             DiskRequest::write(500_000_000, 8192),
         ];
-        let mut serial = Vec::new();
-        for &r in &reqs {
-            serial.push(chained.submit(SimTime::ZERO, r));
-        }
-        let batch = batched.submit_batch(SimTime::ZERO, &reqs);
+        let serial: Vec<SimTime> = reqs
+            .iter()
+            .map(|&r| chained.submit(SimTime::ZERO, r))
+            .collect();
+        let batch: Vec<SimTime> = reqs
+            .iter()
+            .map(|&r| batched.submit_at(SimTime::ZERO, r))
+            .collect();
         assert_eq!(serial, batch);
         // FIFO: completions are monotone in submission order.
         assert!(batch.windows(2).all(|w| w[0] <= w[1]));

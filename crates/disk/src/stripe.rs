@@ -114,12 +114,6 @@ impl BlockDevice for StripeSet {
         self.disks.iter().flat_map(|d| d.spindle_stats()).collect()
     }
 
-    fn reset_stats(&mut self) {
-        for d in &mut self.disks {
-            d.reset_stats();
-        }
-    }
-
     fn free_at(&self) -> SimTime {
         self.disks
             .iter()
@@ -212,8 +206,6 @@ mod tests {
         assert_eq!(stats.transfers.events(), 3);
         assert_eq!(stats.transfers.bytes(), 192 * 1024);
         assert!(stats.busy.busy_time() > Duration::ZERO);
-        set.reset_stats();
-        assert_eq!(set.stats().transfers.events(), 0);
     }
 
     #[test]
@@ -232,8 +224,11 @@ mod tests {
             clock = chained.submit(clock, r);
         }
         let mut batched = StripeSet::three_rz26();
-        let completions = batched.submit_batch(SimTime::ZERO, &reqs);
-        let batch_done = completions.iter().copied().max().unwrap();
+        let batch_done = reqs
+            .iter()
+            .map(|&r| batched.submit_at(SimTime::ZERO, r))
+            .max()
+            .unwrap();
         assert!(
             batch_done.as_secs_f64() < clock.as_secs_f64() * 0.6,
             "batched {batch_done} vs chained {clock}"

@@ -438,13 +438,6 @@ impl<D: BlockDevice> BlockDevice for Presto<D> {
         self.disk.spindle_stats()
     }
 
-    fn reset_stats(&mut self) {
-        self.disk.reset_stats();
-        self.accepted = DeviceStats::new();
-        self.declined = 0;
-        self.absorbed_bytes = 0;
-    }
-
     fn free_at(&self) -> SimTime {
         self.disk.free_at()
     }
@@ -643,16 +636,10 @@ mod tests {
     }
 
     #[test]
-    fn describe_and_reset() {
-        let mut p = presto();
-        p.submit(SimTime::ZERO, DiskRequest::write(0, 8192));
+    fn describe_names_the_board_and_its_disk() {
+        let p = presto();
         assert!(p.describe().contains("Presto"));
         assert!(p.describe().contains("RZ26"));
-        p.flush_all(SimTime::from_secs(1));
-        p.reset_stats();
-        assert_eq!(p.stats().transfers.events(), 0);
-        assert_eq!(p.accepted_stats().transfers.events(), 0);
-        assert_eq!(p.absorbed_bytes(), 0);
     }
 
     #[test]

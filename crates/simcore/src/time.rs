@@ -131,12 +131,6 @@ impl Duration {
         Duration((s * 1e9).round() as u64)
     }
 
-    /// Construct from fractional microseconds.  Negative and non-finite inputs
-    /// are clamped to zero.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_secs_f64(us / 1e6)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -150,11 +144,6 @@ impl Duration {
     /// The span as fractional milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// The span as fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
     }
 
     /// Saturating subtraction.
@@ -299,7 +288,6 @@ mod tests {
         assert!((d.as_millis_f64() - 1.0).abs() < 1e-9);
         assert_eq!(Duration::from_secs_f64(-3.0), Duration::ZERO);
         assert_eq!(Duration::from_secs_f64(f64::NAN), Duration::ZERO);
-        assert_eq!(Duration::from_micros_f64(250.0), Duration::from_micros(250));
     }
 
     #[test]

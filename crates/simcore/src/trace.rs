@@ -12,13 +12,6 @@ use crate::time::SimTime;
 /// The category of a traced event, mirroring the annotations in Figure 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum TraceKind {
-    /// A client application write entered the client kernel (hand-off to biod
-    /// or blocking send).
-    ClientWriteIssued,
-    /// The client application process blocked because no biod was available.
-    ClientBlocked,
-    /// The client application process resumed after a reply freed a biod.
-    ClientUnblocked,
     /// A write request datagram arrived at the server socket buffer.
     RequestArrived,
     /// A request was dropped because the server socket buffer was full.
@@ -35,10 +28,6 @@ pub enum TraceKind {
     MetadataToDisk,
     /// A reply left the server.
     ReplySent,
-    /// A reply arrived back at the client.
-    ReplyReceived,
-    /// A client retransmitted a request after a timeout.
-    Retransmit,
 }
 
 /// One traced event.
@@ -167,7 +156,7 @@ mod tests {
         t.record(SimTime::from_millis(4), TraceKind::ReplySent, 1, "");
         assert_eq!(t.events().len(), 4);
         assert_eq!(t.count_of(TraceKind::DataToDisk), 1);
-        assert_eq!(t.count_of(TraceKind::Retransmit), 0);
+        assert_eq!(t.count_of(TraceKind::RequestDropped), 0);
         assert_eq!(
             t.events_of(TraceKind::RequestArrived)
                 .next()
@@ -181,7 +170,7 @@ mod tests {
     fn render_contains_one_line_per_event() {
         let mut t = Trace::enabled();
         t.record(SimTime::from_millis(1), TraceKind::ReplySent, 7, "fifo");
-        t.record(SimTime::from_millis(2), TraceKind::ReplyReceived, 7, "");
+        t.record(SimTime::from_millis(2), TraceKind::RequestArrived, 7, "");
         let text = t.render();
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("ReplySent"));

@@ -225,7 +225,8 @@ impl Ufs {
 
     /// Evict clean pages in LRU order until residency fits `cache_pages`.
     /// Dirty pages are skipped — they are cleaned by writeback, never
-    /// discarded.
+    /// discarded.  An evicted page leaves memory, not the file: its contents
+    /// are on the disk, and the next read of it pays a disk read for them.
     fn cache_evict_clean(&mut self) {
         let capacity = self.params.cache_pages;
         if self.lru_index.len() as u64 <= capacity {
@@ -249,8 +250,12 @@ impl Ufs {
             }
         }
         for (tick, ino, lbn) in to_evict {
-            if let Some(n) = self.inodes.get_mut(&ino) {
-                n.blocks.remove(lbn);
+            if let Some(block) = self
+                .inodes
+                .get_mut(&ino)
+                .and_then(|n| n.blocks.get_mut(lbn))
+            {
+                block.resident = false;
             }
             self.lru.remove(&tick);
             self.lru_index.remove(&(ino, lbn));
@@ -644,6 +649,7 @@ impl Ufs {
                             phys,
                             data: BlockData::Fill(byte),
                             dirty: true,
+                            resident: true,
                         },
                     );
                 }
@@ -652,6 +658,7 @@ impl Ufs {
                         phys,
                         data: BlockData::Fill(0),
                         dirty: false,
+                        resident: true,
                     });
                     block.phys = phys;
                     let bytes = block.data.make_bytes(block_size as usize);
@@ -662,6 +669,7 @@ impl Ufs {
                         WriteSource::Fill { byte, .. } => bytes[dst_from..dst_to].fill(byte),
                     }
                     block.dirty = true;
+                    block.resident = true;
                 }
             }
             if cache_armed {
@@ -891,29 +899,33 @@ impl Ufs {
             let from = offset.max(block_start);
             let to = end.min(block_start + block_size);
             let seg_len = to - from;
-            if let Some(block) = n.blocks.get(lbn) {
-                if cache_armed {
-                    hits.push(lbn);
-                }
-                match &block.data {
-                    BlockData::Fill(byte) => acc.push_fill(*byte, seg_len),
-                    BlockData::Bytes(buf) => {
-                        acc.push_shared(buf, (from - block_start) as usize, seg_len as usize)
+            let block = n.blocks.get(lbn);
+            match block {
+                Some(b) if b.resident => {
+                    if cache_armed {
+                        hits.push(lbn);
                     }
                 }
-            } else if let Some(phys) = n.block_addr(lbn) {
-                // Mapped on disk but not cached: a real server would read it;
-                // report the miss so the caller charges disk latency.  The
-                // returned bytes for such blocks are zeros (the simulation only
-                // materialises contents for blocks written through the cache).
-                misses.push(DiskRequest::read(phys, block_size));
-                if cache_reads {
-                    missed_blocks.push((lbn, phys));
+                // Mapped on disk but not resident: a real server would read
+                // it; report the miss so the caller charges disk latency.
+                _ => {
+                    if let Some(phys) = n.block_addr(lbn) {
+                        misses.push(DiskRequest::read(phys, block_size));
+                        if cache_reads {
+                            missed_blocks.push((lbn, phys));
+                        }
+                    }
                 }
-                acc.push_fill(0, seg_len);
-            } else {
-                // Unmapped blocks are holes: zeros, no I/O.
-                acc.push_fill(0, seg_len);
+            }
+            // The contents of an evicted block are what was written to it;
+            // those of a block never written through the cache (a
+            // pre-populated file) read as zeros, as do holes.
+            match block.map(|b| &b.data) {
+                Some(BlockData::Fill(byte)) => acc.push_fill(*byte, seg_len),
+                Some(BlockData::Bytes(buf)) => {
+                    acc.push_shared(buf, (from - block_start) as usize, seg_len as usize)
+                }
+                None => acc.push_fill(0, seg_len),
             }
         }
         // With read caching on, the blocks this read fetched from disk stay
@@ -932,14 +944,13 @@ impl Ufs {
         if !missed_blocks.is_empty() {
             let n = self.inode_mut(ino)?;
             for &(lbn, phys) in &missed_blocks {
-                n.blocks.insert(
-                    lbn,
-                    CachedBlock {
-                        phys,
-                        data: BlockData::Fill(0),
-                        dirty: false,
-                    },
-                );
+                let block = n.blocks.get_or_insert_with(lbn, || CachedBlock {
+                    phys,
+                    data: BlockData::Fill(0),
+                    dirty: false,
+                    resident: true,
+                });
+                block.resident = true;
             }
         }
         if cache_armed {
@@ -1038,15 +1049,16 @@ impl Ufs {
         }
         if self.cache_armed() {
             // Rebuild the cache accounting from the surviving (all clean)
-            // pages.  Recency is re-seeded in (ino, lbn) order — arbitrary
-            // but deterministic, so replays stay bit-identical.
+            // resident pages.  Recency is re-seeded in (ino, lbn) order —
+            // arbitrary but deterministic, so replays stay bit-identical.
             self.lru.clear();
             self.lru_index.clear();
             self.cache_dirty = 0;
             let mut inos: Vec<InodeNumber> = self.inodes.keys().copied().collect();
             inos.sort_unstable();
             for ino in inos {
-                let lbns: Vec<u64> = self.inodes[&ino].blocks.keys().collect();
+                let blocks = self.inodes[&ino].blocks.iter();
+                let lbns: Vec<u64> = blocks.filter(|(_, b)| b.resident).map(|(l, _)| l).collect();
                 for lbn in lbns {
                     self.cache_touch(ino, lbn);
                 }
@@ -1583,6 +1595,25 @@ mod tests {
         assert_eq!(u.read(f, BS, BS).unwrap().misses.len(), 1);
         // A recent block is still resident.
         assert!(u.read(f, 5 * BS, BS).unwrap().misses.is_empty());
+    }
+
+    #[test]
+    fn evicted_page_keeps_its_contents_on_disk() {
+        // A one-page cache: once block 0 is written back, writing block 1
+        // evicts it.
+        let mut u = bounded(1, 1.0, false);
+        let root = u.root();
+        let f = u.create(root, "f", 0o644, 0).unwrap();
+        u.write(f, 0, &vec![0xABu8; BS as usize], WriteFlags::DelayData, 0)
+            .unwrap();
+        assert_eq!(u.writeback_batch(1).len(), 1);
+        u.write(f, BS, &vec![1u8; BS as usize], WriteFlags::Sync, 1)
+            .unwrap();
+        assert_eq!(u.counters().cache_evictions, 1);
+        // Reading it back pays one disk read and returns what was written.
+        let read = u.read(f, 0, BS).unwrap();
+        assert_eq!(read.misses.len(), 1);
+        assert_eq!(read.to_vec(), vec![0xABu8; BS as usize]);
     }
 
     #[test]

@@ -91,8 +91,9 @@ impl BlockData {
     }
 }
 
-/// One cached file block: its physical disk address, its contents, and
-/// whether it is dirty (written but not yet flushed to the disk).
+/// One file block the filesystem knows the contents of: its physical disk
+/// address, its contents, whether it is dirty (written but not yet flushed
+/// to the disk) and whether it is resident in memory.
 #[derive(Clone, Debug)]
 pub struct CachedBlock {
     /// Physical byte address of the block on the device.
@@ -101,6 +102,9 @@ pub struct CachedBlock {
     pub data: BlockData,
     /// `true` if the cached contents have not been written to the device.
     pub dirty: bool,
+    /// `false` once the bounded cache evicted the (clean) page: its contents
+    /// live on only on the disk, so the next read of it pays a disk read.
+    pub resident: bool,
 }
 
 /// Cached data blocks keyed by logical block index.
@@ -416,15 +420,6 @@ impl Inode {
         mapped * 16 // 8 KB block = 16 sectors
     }
 
-    /// Iterate over the logical indices of dirty cached blocks, in order.
-    pub fn dirty_block_indices(&self) -> Vec<u64> {
-        self.blocks
-            .iter()
-            .filter(|(_, b)| b.dirty)
-            .map(|(lbn, _)| lbn)
-            .collect()
-    }
-
     /// `true` if any metadata (inode or indirect block) is dirty beyond a
     /// bare mtime update.
     pub fn has_dirty_metadata(&self) -> bool {
@@ -481,24 +476,6 @@ mod tests {
         assert!(!ino.has_dirty_metadata()); // mtime-only changes may be async
         ino.indirect_dirty = true;
         assert!(ino.has_dirty_metadata());
-
-        ino.blocks.insert(
-            3,
-            CachedBlock {
-                phys: 100,
-                data: BlockData::Fill(0),
-                dirty: true,
-            },
-        );
-        ino.blocks.insert(
-            1,
-            CachedBlock {
-                phys: 200,
-                data: BlockData::Bytes(vec![0; 8192].into()),
-                dirty: false,
-            },
-        );
-        assert_eq!(ino.dirty_block_indices(), vec![3]);
     }
 
     #[test]

@@ -133,6 +133,18 @@ const SCRATCH_SLOTS: usize = 32;
 /// Size of one write burst chunk (NFS v2 clients write in 8 KB blocks).
 const CHUNK: u64 = 8192;
 
+/// Number of consecutive sequential 8 KB writes issued when a write is drawn
+/// from the mix.  LADDIS writes whole files in sequential chunks, which is
+/// the burstiness write gathering exploits; each write in the burst still
+/// counts as one NFS operation so the mix percentages hold.
+const WRITE_BURST: usize = 8;
+
+/// The network of the paper's SFS runs (Figures 2 and 3).
+const NETWORK: NetworkKind = NetworkKind::Fddi;
+
+/// Server nfsds in the Figures 2–3 configuration.
+const NFSDS: usize = 32;
+
 /// First xid of client 0's window (kept from the single-client harness so
 /// default runs replay identically).
 const XID_ORIGIN: u32 = 0x2000_0000;
@@ -140,8 +152,6 @@ const XID_ORIGIN: u32 = 0x2000_0000;
 /// Configuration of one SFS-style measurement point.
 #[derive(Clone, Debug)]
 pub struct SfsConfig {
-    /// Network medium (the paper's SFS runs use FDDI).
-    pub network: NetworkKind,
     /// Server write policy.
     pub policy: WritePolicy,
     /// Prestoserve acceleration (Figure 3).
@@ -149,8 +159,6 @@ pub struct SfsConfig {
     /// Server spindles (the Figure 2/3 server has a large disk farm; several
     /// spindles keep the disk from being the first bottleneck).
     pub spindles: usize,
-    /// Number of nfsds (32 in the figures' configuration).
-    pub nfsds: usize,
     /// *Total* offered load in operations per second, split evenly across the
     /// generator streams.
     pub offered_ops_per_sec: f64,
@@ -163,11 +171,6 @@ pub struct SfsConfig {
     pub file_size: u64,
     /// Operation mix.
     pub mix: SfsMix,
-    /// Number of consecutive sequential 8 KB writes issued when a write is
-    /// drawn from the mix.  LADDIS writes whole files in sequential chunks,
-    /// which is the burstiness write gathering exploits; each write in the
-    /// burst still counts as one NFS operation so the mix percentages hold.
-    pub write_burst: usize,
     /// RNG seed (runs are deterministic per seed; each client stream derives
     /// its own generator from this).
     pub seed: u64,
@@ -253,20 +256,17 @@ impl SfsConfig {
     /// A Figure 2-style configuration at a given offered load.
     pub fn figure2(offered_ops_per_sec: f64, policy: WritePolicy) -> Self {
         SfsConfig {
-            network: NetworkKind::Fddi,
             policy,
             prestoserve: false,
             // The Figure 2/3 server is a DEC 3800 with "20 DISKS, 5 SCSI
             // BUSES"; six spindles keeps the disk farm from being the first
             // bottleneck without simulating all twenty.
             spindles: 6,
-            nfsds: 32,
             offered_ops_per_sec,
             duration: Duration::from_secs(20),
             file_count: 200,
             file_size: 128 * 1024,
             mix: SfsMix::laddis(),
-            write_burst: 8,
             seed: 1993,
             clients: 1,
             per_client_lans: false,
@@ -648,10 +648,6 @@ struct LeaseState {
     /// throughput counters so state traffic never inflates achieved ops).
     issued: u64,
     completed: u64,
-    /// Soft rejections observed while the server was in grace.
-    grace_denied: u64,
-    /// Hard lock denials (conflict, stale seqid, refused reclaim, expiry).
-    lock_denied: u64,
     /// Fresh lock grants / grace-window reclaims confirmed by replies.
     locks_granted: u64,
     reclaims_granted: u64,
@@ -673,8 +669,6 @@ impl LeaseState {
             dead: false,
             issued: 0,
             completed: 0,
-            grace_denied: 0,
-            lock_denied: 0,
             locks_granted: 0,
             reclaims_granted: 0,
             server_reboots: 0,
@@ -707,7 +701,7 @@ impl MeanLatency {
 }
 
 /// One independent load-generator stream: its own RNG, xid window,
-/// scratch-file namespace, outstanding-call ring and latency accumulator.
+/// scratch-file namespace and outstanding-call ring.
 struct SfsGenerator {
     client: u32,
     rng: SimRng,
@@ -721,7 +715,6 @@ struct SfsGenerator {
     /// arrival before a new operation is drawn from the mix.
     burst_queue: Vec<NfsCallBody>,
     outstanding: OutstandingRing,
-    latency: MeanLatency,
     issued: u64,
     completed: u64,
     /// Name-minting allocations this stream performed (fresh CREATE names and
@@ -831,10 +824,9 @@ impl SfsGenerator {
         }
         // Scale the write weight down by the burst length so that writes stay
         // at their configured share of *operations* even though each burst
-        // start expands into `write_burst` of them.
-        let burst = config.write_burst.max(1);
+        // start expands into `WRITE_BURST` of them.
         let mut weights = config.mix.weights();
-        weights[2] /= burst as f64;
+        weights[2] /= WRITE_BURST as f64;
         let kind = OP_KINDS[self.rng.pick_weighted(&weights)];
         let xid = self.take_xid();
         let body = match kind {
@@ -862,7 +854,7 @@ impl SfsGenerator {
                 // file-writing phases of LADDIS do.  A slot the burst would
                 // carry past the rotation limit rotates to a fresh file first.
                 let idx = self.rng.next_below(self.write_files.len() as u64) as usize;
-                let burst_len = burst as u64;
+                let burst_len = WRITE_BURST as u64;
                 if self.write_files[idx].offset + burst_len * CHUNK > config.scratch_file_limit {
                     self.rotate_scratch(idx, server);
                 }
@@ -876,7 +868,7 @@ impl SfsGenerator {
                 // Under `StabilityMode::Unstable` every chunk is tagged
                 // `WRITE(UNSTABLE)` and one whole-file `COMMIT` is queued
                 // behind the burst, making the burst's durability one
-                // batched flush — the NFSv3 shape — instead of `burst`
+                // batched flush — the NFSv3 shape — instead of `WRITE_BURST`
                 // synchronous commits.
                 let stable_how = match config.stability {
                     StabilityMode::Stable => StableHow::FileSync,
@@ -1052,16 +1044,16 @@ impl SfsGenerator {
                 self.lease.phase = LeasePhase::Active;
             }
             NfsReplyBody::Lock(StatusReply::Err(status)) => match status {
-                NfsStatus::Grace => self.lease.grace_denied += 1,
+                // A soft rejection inside the grace window: the next tick
+                // tries again.
+                NfsStatus::Grace => {}
                 NfsStatus::Expired => {
                     // Lease lapsed server-side: drop everything and
                     // re-register from scratch.
-                    self.lease.lock_denied += 1;
                     self.lease.lock_held = false;
                     self.lease.phase = LeasePhase::Unregistered;
                 }
                 _ => {
-                    self.lease.lock_denied += 1;
                     if self.lease.phase == LeasePhase::Reclaiming {
                         // Reclaim refused (window closed, image forfeited):
                         // the old lock is gone; re-acquire fresh.
@@ -1220,9 +1212,7 @@ impl Population for SfsClients {
                         generator.lease.completed += 1;
                         generator.on_state_reply(&reply.body);
                     } else {
-                        let latency = t.since(sent);
-                        self.latency.record(latency);
-                        generator.latency.record(latency);
+                        self.latency.record(t.since(sent));
                         generator.completed += 1;
                     }
                     if self.faults_armed {
@@ -1289,7 +1279,7 @@ impl SfsSystem {
     pub fn new(config: SfsConfig) -> Self {
         let clients = config.clients.max(1);
         assert!(
-            config.scratch_file_limit >= config.write_burst.max(1) as u64 * CHUNK,
+            config.scratch_file_limit >= WRITE_BURST as u64 * CHUNK,
             "scratch_file_limit must hold at least one write burst"
         );
         assert!(
@@ -1300,7 +1290,7 @@ impl SfsSystem {
             !config.leases || config.lease_renew_interval > Duration::ZERO,
             "lease_renew_interval must be non-zero when leases are armed"
         );
-        let mut server_config = server_config(config.network, config.policy, config.nfsds)
+        let mut server_config = server_config(NETWORK, config.policy, NFSDS)
             .with_presto(config.prestoserve)
             .with_spindles(config.spindles)
             .with_shards(config.shards)
@@ -1368,7 +1358,6 @@ impl SfsSystem {
                 create_counter: 0,
                 burst_queue: Vec::new(),
                 outstanding: OutstandingRing::new(base, expected_ops, clients >= 1024),
-                latency: MeanLatency::default(),
                 issued: 0,
                 completed: 0,
                 name_mints: 0,
@@ -1379,7 +1368,7 @@ impl SfsSystem {
             });
         }
         let lans = ClientLans::with_loss(
-            &config.network.params(),
+            &NETWORK.params(),
             clients,
             config.per_client_lans,
             config.loss_probability,
@@ -1499,14 +1488,6 @@ impl SfsSystem {
             .collect()
     }
 
-    /// Mean response time of each client stream, in milliseconds.
-    pub fn per_client_avg_latency_ms(&self) -> Vec<f64> {
-        self.generators()
-            .iter()
-            .map(|g| g.latency.mean().as_millis_f64())
-            .collect()
-    }
-
     /// Jain's fairness index over per-client achieved throughput.
     pub fn fairness(&self) -> f64 {
         MultiClientResult::jain_fairness(&self.per_client_achieved_ops())
@@ -1527,17 +1508,6 @@ impl SfsSystem {
             self.sum(|g| g.lease.issued),
             self.sum(|g| g.lease.completed),
         )
-    }
-
-    /// Soft rejections clients observed while the server was in grace.
-    pub fn grace_denials(&self) -> u64 {
-        self.sum(|g| g.lease.grace_denied)
-    }
-
-    /// Hard lock denials clients observed (conflict, seqid, refused reclaim,
-    /// expiry).
-    pub fn lock_denials(&self) -> u64 {
-        self.sum(|g| g.lease.lock_denied)
     }
 
     /// Fresh lock grants and grace-window reclaims confirmed by replies,

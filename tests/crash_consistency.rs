@@ -150,3 +150,22 @@ fn gathered_replies_share_one_mtime() {
         "mtimes differ: {mtimes:?}"
     );
 }
+
+#[test]
+fn bounded_cache_copy_keeps_evicted_pages_on_disk() {
+    // The paper's copy through a 64-page unified cache: most of the file is
+    // written back and evicted long before the copy ends, and every
+    // acknowledged byte must still read back from the disk.
+    let mut system = FileCopySystem::new(
+        ExperimentConfig::new(NetworkKind::Fddi, 4, WritePolicy::Gathering)
+            .with_file_size(1024 * 1024)
+            .with_unified_cache(64),
+    );
+    assert!(system.run().completed);
+    assert!(system.server().fs().counters().cache_evictions > 0);
+    assert_eq!(system.server().stats().lost_acked_bytes, 0);
+    assert_eq!(system.lost_acked_bytes_on_disk(), 0);
+    system
+        .verify_on_disk()
+        .expect("evicted pages keep their contents");
+}

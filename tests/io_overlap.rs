@@ -73,8 +73,11 @@ fn queued_batch_moves_identical_bytes_and_never_finishes_later_than_serial() {
     // Overlapped: the whole plan is enqueued at once; every piece joins its
     // own spindle's FIFO queue.
     let mut queued_set = StripeSet::three_rz26();
-    let completions = queued_set.submit_batch(SimTime::ZERO, &reqs);
-    let queued_done = completions.iter().copied().max().expect("non-empty");
+    let queued_done = reqs
+        .iter()
+        .map(|&req| queued_set.submit_at(SimTime::ZERO, req))
+        .max()
+        .expect("non-empty");
 
     // Exactly the same physical work per spindle...
     let serial_spindles = serial_set.spindle_stats();

@@ -124,3 +124,21 @@ fn contention_shows_up_per_client_but_not_in_the_aggregate() {
         solo.aggregate_kb_per_sec
     );
 }
+
+#[test]
+fn segment_rolls_fire_no_stale_retransmission_timers() {
+    // One fault-free client rolling through 200 segment files of 16 KB: at
+    // every roll the finished writer's retransmission timers are still
+    // pending and land on the next segment's writer.  None may fire one of
+    // its timers — a spurious retransmission is a duplicate at the server.
+    let mut system = FileCopySystem::new(
+        ExperimentConfig::fleet(NetworkKind::Fddi, 1, 4, WritePolicy::Gathering)
+            .with_file_size(200 * 16 * 1024)
+            .with_file_limit(16 * 1024),
+    );
+    let cell = system.run();
+    assert!(cell.completed);
+    assert_eq!(cell.retransmissions, 0);
+    assert_eq!(system.server().stats().duplicate_requests, 0);
+    system.verify_on_disk().expect("every segment intact");
+}
