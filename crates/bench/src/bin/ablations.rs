@@ -13,6 +13,7 @@
 //! cargo run --release -p wg-bench --bin ablations -- --file-mb 2
 //! ```
 
+use wg_bench::cli::flag_value;
 use wg_server::{ReplyOrder, ServerConfig, WritePolicy};
 use wg_simcore::Duration;
 use wg_workload::{ExperimentConfig, FileCopyResult, FileCopySystem, NetworkKind};
@@ -29,7 +30,7 @@ fn main() {
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--file-mb" => file_mb = iter.next().and_then(|v| v.parse().ok()).unwrap_or(4),
+            "--file-mb" => file_mb = flag_value(&mut iter, &arg),
             other => panic!("unknown argument {other}; use --file-mb N"),
         }
     }

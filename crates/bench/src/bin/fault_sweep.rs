@@ -1,7 +1,7 @@
 //! Chaos sweep: the SFS workload and the file copy run under injected
 //! faults — periodic server crashes with NVRAM-replay reboots, datagram
-//! loss, and an NVRAM battery failure — with the recovery oracle asserted
-//! on every cell.
+//! loss, and an NVRAM battery failure — with the recovery oracle audited on
+//! every cell.
 //!
 //! The oracle is the headline robustness claim: after every crash the
 //! server walks the write data it acknowledged and counts any byte that was
@@ -11,10 +11,12 @@
 //! deliberately unsafe `DangerousAsync` mode is allowed a positive count,
 //! and the sweep records it rather than hiding it.
 //!
-//! Every cell also re-asserts the standing health invariants: zero
-//! `InProgress` duplicate-cache evictions (§6.9) and zero payload
-//! materialisations (the zero-copy datapath), both of which must survive
-//! crash/reboot and retransmission storms.
+//! The drivers' `run()` audits that oracle together with the standing
+//! health invariants — zero `InProgress` duplicate-cache evictions (§6.9),
+//! zero events clamped into the past, and every issued call answered or
+//! counted given up.  The sweep itself asserts zero payload
+//! materialisations (the zero-copy datapath) and re-reads every
+//! acknowledged copy range from the recovered disk.
 //!
 //! Results are merged into `BENCH_writepath.json` under the `"faults"` key;
 //! the other bench binaries preserve it when they rewrite the file.
@@ -25,6 +27,7 @@
 //! cargo run --release -p wg-bench --bin fault_sweep -- --out other.json
 //! ```
 
+use wg_bench::cli::flag_value;
 use wg_bench::report::{stamp_cell, upsert_object};
 use wg_server::{StabilityMode, WritePolicy};
 use wg_simcore::{Duration, FaultKind, FaultPlan, SimTime};
@@ -77,35 +80,10 @@ fn run_sfs_cell(
     let gave_up = system.gave_up();
     let stats = system.server().stats();
     let evicted = system.server().dupcache_evicted_in_progress();
-
-    // The recovery oracle and the standing health invariants, per cell.
-    assert_eq!(
-        stats.lost_acked_bytes, 0,
-        "{label}: a safe policy lost acknowledged write data across a crash"
-    );
-    assert_eq!(
-        evicted, 0,
-        "{label}: dupcache evicted an InProgress entry (§6.9 hazard)"
-    );
     assert_eq!(
         materializations, 0,
         "{label}: the zero-copy datapath materialised a payload"
     );
-    assert_eq!(
-        system.clamped_past(),
-        0,
-        "{label}: an event was scheduled into the past and silently clamped"
-    );
-    // With the fault layer armed, the client-side retry machinery drives
-    // every issued call to a counted outcome.  (Unarmed cells legitimately
-    // end with calls still queued at the cutoff.)
-    if crash_interval_secs > 0.0 || loss > 0.0 {
-        assert_eq!(
-            issued,
-            completed + gave_up,
-            "{label}: an issued call neither completed nor was counted given up"
-        );
-    }
 
     println!(
         "{label:<26} achieved {:>7.1} ops/s  latency {:>8.2} ms  crashes {:>2}  \
@@ -196,25 +174,12 @@ fn run_unstable_battery_cell(label: &str, load: f64, secs: u64) -> String {
         "{label}: the healthy-battery phases never spoke WRITE(UNSTABLE)+COMMIT"
     );
     assert_eq!(
-        stats.lost_acked_bytes, 0,
-        "{label}: acknowledged write data was lost across the battery outage"
-    );
-    assert_eq!(
         uncommitted, 0,
         "{label}: the quiesce left acknowledged-unstable bytes uncommitted"
     );
     assert_eq!(
-        evicted, 0,
-        "{label}: dupcache evicted an InProgress entry (§6.9 hazard)"
-    );
-    assert_eq!(
         materializations, 0,
         "{label}: the zero-copy datapath materialised a payload"
-    );
-    assert_eq!(
-        system.clamped_past(),
-        0,
-        "{label}: an event was scheduled into the past and silently clamped"
     );
 
     println!(
@@ -268,17 +233,8 @@ fn run_copy_cell(label: &str, policy: WritePolicy, presto: bool, file_mb: u64) -
     );
     let result = system.run();
     let stats = system.server().stats();
-    assert_eq!(
-        system.clamped_past(),
-        0,
-        "{label}: an event was scheduled into the past and silently clamped"
-    );
     let safe = policy != WritePolicy::DangerousAsync;
     if safe {
-        assert_eq!(
-            stats.lost_acked_bytes, 0,
-            "{label}: a safe policy lost acknowledged write data"
-        );
         assert_eq!(
             system.lost_acked_bytes_on_disk(),
             0,
@@ -333,24 +289,10 @@ fn main() {
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--out" => out_path = iter.next().expect("--out needs a path"),
+            "--out" => out_path = flag_value(&mut iter, &arg),
             "--smoke" => smoke = true,
-            "--secs" => {
-                secs = Some(
-                    iter.next()
-                        .expect("--secs needs a count")
-                        .parse()
-                        .expect("--secs needs a number"),
-                );
-            }
-            "--load" => {
-                load = Some(
-                    iter.next()
-                        .expect("--load needs a value")
-                        .parse()
-                        .expect("--load needs a number"),
-                );
-            }
+            "--secs" => secs = Some(flag_value(&mut iter, &arg)),
+            "--load" => load = Some(flag_value(&mut iter, &arg)),
             other => {
                 panic!("unknown argument {other}; use --smoke, --out PATH, --secs N, --load N")
             }

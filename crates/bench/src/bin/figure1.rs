@@ -6,6 +6,7 @@
 //! cargo run --release -p wg-bench --bin figure1 -- --kb 256   # shorter trace
 //! ```
 
+use wg_bench::cli::flag_value;
 use wg_server::WritePolicy;
 use wg_simcore::TraceKind;
 use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind};
@@ -15,7 +16,7 @@ fn main() {
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--kb" => kb = iter.next().and_then(|v| v.parse().ok()).unwrap_or(512),
+            "--kb" => kb = flag_value(&mut iter, &arg),
             other => panic!("unknown argument {other}; use --kb N"),
         }
     }

@@ -8,6 +8,7 @@
 //! cargo run --release -p wg-bench --bin figure2_3 -- --secs 30    # longer runs
 //! ```
 
+use wg_bench::cli::flag_value;
 use wg_bench::{render_figure, run_figure};
 use wg_server::WritePolicy;
 
@@ -17,8 +18,8 @@ fn main() {
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--figure" => figure = iter.next().and_then(|v| v.parse().ok()),
-            "--secs" => secs = iter.next().and_then(|v| v.parse().ok()).unwrap_or(15),
+            "--figure" => figure = Some(flag_value(&mut iter, &arg)),
+            "--secs" => secs = flag_value(&mut iter, &arg),
             other => panic!("unknown argument {other}; use --figure 2|3, --secs N"),
         }
     }

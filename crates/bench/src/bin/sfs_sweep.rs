@@ -4,8 +4,9 @@
 //! streams over per-client LANs through the sharded, multi-core, pipelined
 //! server (the `"current"` curve).
 //!
-//! Every point is checked for a clean run: zero `InProgress` duplicate-cache
-//! evictions (the §6.9 orphaned-write hazard) and zero payload
+//! Every point is checked for a clean run: its `run()` audits the safety
+//! oracles, zero `InProgress` duplicate-cache evictions (the §6.9
+//! orphaned-write hazard) among them, and the sweep asserts zero payload
 //! materialisations (the zero-copy datapath).  In a full (non-`--smoke`) run
 //! the sweep also asserts the headline results:
 //!
@@ -25,8 +26,9 @@
 //! the unstable mode in the **memory-pressure regime** (cache smaller than
 //! the working set) and asserts the bounded cache actually evicts and
 //! throttles instead of silently behaving like the old infinite store.
-//! Every cell ends with an unmount-style quiesce and asserts zero
-//! acknowledged-and-lost bytes and zero bytes left uncommitted.
+//! Every cell ends with an unmount-style quiesce and asserts zero bytes left
+//! uncommitted; its `run()` has already audited zero acknowledged-and-lost
+//! bytes.
 //!
 //! Results are merged into `BENCH_writepath.json` under the `"sfs_scale"`
 //! and `"stability"` keys (the other bench binaries preserve them when they
@@ -42,6 +44,7 @@
 
 use std::time::Instant;
 
+use wg_bench::cli::{flag_value, parse_list};
 use wg_bench::report::{host_parallelism, stamp_cell, upsert_object};
 use wg_server::{StabilityMode, WritePolicy};
 use wg_workload::results::json;
@@ -139,20 +142,8 @@ fn run_curve(label: &str, config: SfsConfig, loads: &[f64], threads: usize) -> C
     }
     for s in &stats {
         assert_eq!(
-            s.evicted_in_progress, 0,
-            "{label} @ {} ops/s: dupcache evicted an InProgress entry: a \
-             deferred gathered-write reply could have been orphaned (§6.9)",
-            s.point.offered_ops_per_sec
-        );
-        assert_eq!(
             s.materializations, 0,
             "{label} @ {} ops/s: the zero-copy datapath materialised a payload",
-            s.point.offered_ops_per_sec
-        );
-        assert_eq!(
-            s.clamped_past, 0,
-            "{label} @ {} ops/s: an event was scheduled into the past and \
-             silently clamped",
             s.point.offered_ops_per_sec
         );
         println!(
@@ -215,10 +206,6 @@ fn run_stability_sfs_cell(
     let fs = system.server().fs().counters();
 
     assert_eq!(
-        stats.lost_acked_bytes, 0,
-        "{label}: acknowledged write data was lost without a crash"
-    );
-    assert_eq!(
         uncommitted, 0,
         "{label}: the quiesce left acknowledged-unstable bytes uncommitted"
     );
@@ -226,15 +213,9 @@ fn run_stability_sfs_cell(
         stats.forced_file_sync, 0,
         "{label}: the server downgraded an unstable write with a healthy battery"
     );
-    assert_eq!(evicted, 0, "{label}: dupcache evicted an InProgress entry");
     assert_eq!(
         materializations, 0,
         "{label}: the zero-copy datapath materialised a payload"
-    );
-    assert_eq!(
-        system.clamped_past(),
-        0,
-        "{label}: an event was scheduled into the past and silently clamped"
     );
     match stability {
         StabilityMode::Unstable => {
@@ -334,11 +315,6 @@ fn run_stability_copy_cell(
     let stats = system.server().stats();
     let client = system.client().stats();
 
-    assert!(result.completed, "{label}: the copy did not complete");
-    assert_eq!(
-        stats.lost_acked_bytes, 0,
-        "{label}: acknowledged write data was lost without a crash"
-    );
     assert_eq!(
         system.lost_acked_bytes_on_disk(),
         0,
@@ -352,11 +328,6 @@ fn run_stability_copy_cell(
     assert!(
         system.client().uncommitted_ranges().is_empty(),
         "{label}: the client still tracks uncommitted ranges after close"
-    );
-    assert_eq!(
-        system.clamped_past(),
-        0,
-        "{label}: an event was scheduled into the past and silently clamped"
     );
     if stability == StabilityMode::Unstable {
         assert!(
@@ -426,23 +397,13 @@ fn run_commit_pacing_cell(
     let stats = system.server().stats();
     let paced = system.paced_commits();
 
-    assert!(result.completed, "{label}: a client never finished");
     system
         .verify_on_disk()
         .unwrap_or_else(|e| panic!("{label}: on-disk verification failed: {e}"));
     assert_eq!(
-        stats.lost_acked_bytes, 0,
-        "{label}: acknowledged write data was lost without a crash"
-    );
-    assert_eq!(
         system.server().uncommitted_bytes(),
         0,
         "{label}: the run ended with acknowledged-unstable bytes uncommitted"
-    );
-    assert_eq!(
-        system.clamped_past(),
-        0,
-        "{label}: an event was scheduled into the past and silently clamped"
     );
     if commit_interval == 0 {
         assert_eq!(paced, 0, "{label}: pacing fired with the knob off");
@@ -612,12 +573,6 @@ fn run_stability_ablation(
     ])
 }
 
-fn parse_list(s: &str) -> Vec<f64> {
-    s.split(',')
-        .map(|v| v.trim().parse().expect("comma-separated numbers"))
-        .collect()
-}
-
 fn main() {
     let mut out_path = "BENCH_writepath.json".to_string();
     // Flag defaults come from the one canonical definition of the scaled
@@ -643,60 +598,18 @@ fn main() {
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--out" => out_path = iter.next().expect("--out needs a path"),
+            "--out" => out_path = flag_value(&mut iter, &arg),
             "--smoke" => smoke = true,
-            "--clients" => {
-                clients = iter
-                    .next()
-                    .expect("--clients needs a count")
-                    .parse()
-                    .expect("--clients needs a number");
-            }
-            "--shards" => {
-                shards = iter
-                    .next()
-                    .expect("--shards needs a count")
-                    .parse()
-                    .expect("--shards needs a number");
-            }
-            "--cores" => {
-                cores = iter
-                    .next()
-                    .expect("--cores needs a count")
-                    .parse()
-                    .expect("--cores needs a number");
-            }
-            "--spindles" => {
-                spindles = iter
-                    .next()
-                    .expect("--spindles needs a count")
-                    .parse()
-                    .expect("--spindles needs a number");
-            }
-            "--inode-groups" => {
-                inode_groups = iter
-                    .next()
-                    .expect("--inode-groups needs a count")
-                    .parse()
-                    .expect("--inode-groups needs a number");
-            }
-            "--threads" => {
-                threads = iter
-                    .next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("--threads needs a number");
-            }
-            "--secs" => {
-                secs = Some(
-                    iter.next()
-                        .expect("--secs needs a count")
-                        .parse()
-                        .expect("--secs needs a number"),
-                );
-            }
+            "--clients" => clients = flag_value(&mut iter, &arg),
+            "--shards" => shards = flag_value(&mut iter, &arg),
+            "--cores" => cores = flag_value(&mut iter, &arg),
+            "--spindles" => spindles = flag_value(&mut iter, &arg),
+            "--inode-groups" => inode_groups = flag_value(&mut iter, &arg),
+            "--threads" => threads = flag_value(&mut iter, &arg),
+            "--secs" => secs = Some(flag_value(&mut iter, &arg)),
             "--loads" => {
-                loads = Some(parse_list(&iter.next().expect("--loads needs a list")));
+                let list: String = flag_value(&mut iter, &arg);
+                loads = Some(parse_list(&arg, &list));
             }
             // The scaled topology is the default; the bare flags exist so CI
             // invocations can spell the configuration out, and the --no-*
@@ -708,27 +621,15 @@ fn main() {
             "--read-caching" => read_caching = true,
             "--no-read-caching" => read_caching = false,
             "--stability" => {
-                stability = iter.next().expect("--stability needs stable|unstable|all");
+                stability = flag_value(&mut iter, &arg);
                 assert!(
                     matches!(stability.as_str(), "stable" | "unstable" | "all"),
                     "--stability needs stable|unstable|all, got {stability}"
                 );
             }
             "--unified-cache" => unified_cache = true,
-            "--cache-pages" => {
-                cache_pages = iter
-                    .next()
-                    .expect("--cache-pages needs a count")
-                    .parse()
-                    .expect("--cache-pages needs a number");
-            }
-            "--dirty-ratio" => {
-                dirty_ratio = iter
-                    .next()
-                    .expect("--dirty-ratio needs a ratio")
-                    .parse()
-                    .expect("--dirty-ratio needs a number");
-            }
+            "--cache-pages" => cache_pages = flag_value(&mut iter, &arg),
+            "--dirty-ratio" => dirty_ratio = flag_value(&mut iter, &arg),
             other => panic!(
                 "unknown argument {other}; use --smoke, --out PATH, --clients N, \
                  --shards N, --cores N, --spindles N, --inode-groups N, \

@@ -2,16 +2,18 @@
 //! reboot churn, and server crashes with grace-period recovery, all over the
 //! sharded client-state layer — the robustness grid for the state manager.
 //!
-//! Two oracles are asserted on every cell, leases armed or not:
+//! Every cell's run is audited by [`SfsSystem::run`] itself, leases armed
+//! or not, and the cell records the oracles' values:
 //!
 //! * **Grace leak** — a fresh (non-reclaim) lock admitted during the grace
 //!   window that conflicts with a reclaimable pre-crash lock
 //!   (`grace_conflicts`), or a write accepted under an expired lease
 //!   (`expired_lease_writes`).  Both must be zero everywhere: the grace
 //!   period exists precisely so neither can happen.
-//! * **Recovery** — the PR 6 crash oracle (`lost_acked_bytes`) and the
-//!   standing health invariants (zero `InProgress` dupcache evictions, zero
-//!   events clamped into the past) must survive the state machinery.
+//! * **Recovery** — the crash oracle (`lost_acked_bytes`), the standing
+//!   health invariants (zero `InProgress` dupcache evictions, zero events
+//!   clamped into the past) and, in the lossy and crashing cells, every
+//!   workload and lease call answered or counted given up.
 //!
 //! The headline cell is the 10 000-client lease storm: every client
 //! registering, renewing and locking against the sharded table while the SFS
@@ -28,6 +30,7 @@
 //! cargo run --release -p wg-bench --bin state_sweep -- --out other.json
 //! ```
 
+use wg_bench::cli::flag_value;
 use wg_bench::report::{stamp_cell, upsert_object};
 use wg_server::WritePolicy;
 use wg_simcore::{Duration, FaultPlan};
@@ -35,47 +38,18 @@ use wg_workload::results::json;
 use wg_workload::sfs::SfsSystem;
 use wg_workload::SfsConfig;
 
-/// The two state oracles plus the standing health invariants, asserted the
-/// same way on every cell.
-fn assert_state_oracles(label: &str, system: &SfsSystem) {
-    let st = system.server().state_stats();
-    assert_eq!(
-        st.grace_conflicts, 0,
-        "{label}: a fresh lock granted during grace conflicted with a \
-         reclaimable pre-crash lock"
-    );
-    assert_eq!(
-        st.expired_lease_writes, 0,
-        "{label}: a write was accepted under an expired lease"
-    );
-    assert_eq!(
-        system.server().stats().lost_acked_bytes,
-        0,
-        "{label}: acknowledged write data was lost across a crash"
-    );
-    assert_eq!(
-        system.server().dupcache_evicted_in_progress(),
-        0,
-        "{label}: dupcache evicted an InProgress entry (§6.9 hazard)"
-    );
-    assert_eq!(
-        system.clamped_past(),
-        0,
-        "{label}: an event was scheduled into the past and silently clamped"
-    );
-}
-
 /// The per-cell state readout: grant/renewal/reclaim counters, the oracle
 /// values (always zero, recorded anyway so the report shows they were
 /// measured), and the table footprint.
 fn state_fields(system: &SfsSystem) -> Vec<(&'static str, String)> {
     let st = system.server().state_stats();
     let clients = system.config().clients.max(1) as u64;
-    let (issued, completed) = system.lease_counts();
+    let (issued, completed, gave_up) = system.lease_counts();
     let (fresh, reclaimed) = system.lock_grants();
     vec![
         ("lease_ops_issued", issued.to_string()),
         ("lease_ops_completed", completed.to_string()),
+        ("lease_ops_gave_up", gave_up.to_string()),
         ("leases_granted", st.leases_granted.to_string()),
         ("renewals", st.renewals.to_string()),
         ("leases_expired", st.leases_expired.to_string()),
@@ -158,7 +132,6 @@ fn run_state_cell(
     }
     let mut system = SfsSystem::new(config);
     let point = system.run();
-    assert_state_oracles(label, &system);
     let st = system.server().state_stats();
     assert!(
         st.leases_granted >= clients as u64,
@@ -240,7 +213,6 @@ fn run_abandoned_cell(label: &str, clients: usize, load: f64, secs: u64) -> Stri
     config.duration = Duration::from_secs(secs);
     let mut system = SfsSystem::new(config);
     let point = system.run();
-    assert_state_oracles(label, &system);
     let st = system.server().state_stats();
     let dead = system.lease_dead_streams();
     if dead > 0 {
@@ -309,7 +281,6 @@ fn run_storm_cell(label: &str, clients: usize, load: f64, secs: u64) -> String {
 
     let mut off = SfsSystem::new(base.clone());
     let off_point = off.run();
-    assert_state_oracles(&format!("{label}_off"), &off);
     assert_eq!(
         off.server().state_stats(),
         &wg_server::StateStats::default(),
@@ -329,7 +300,6 @@ fn run_storm_cell(label: &str, clients: usize, load: f64, secs: u64) -> String {
         Duration::from_millis(500),
     ));
     let on_point = on.run();
-    assert_state_oracles(&format!("{label}_on"), &on);
     let st = on.server().state_stats();
     let registered = on.server().active_lease_clients();
     assert!(
@@ -407,32 +377,11 @@ fn main() {
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--out" => out_path = iter.next().expect("--out needs a path"),
+            "--out" => out_path = flag_value(&mut iter, &arg),
             "--smoke" => smoke = true,
-            "--secs" => {
-                secs = Some(
-                    iter.next()
-                        .expect("--secs needs a count")
-                        .parse()
-                        .expect("--secs needs a number"),
-                );
-            }
-            "--load" => {
-                load = Some(
-                    iter.next()
-                        .expect("--load needs a value")
-                        .parse()
-                        .expect("--load needs a number"),
-                );
-            }
-            "--storm-clients" => {
-                storm_clients = Some(
-                    iter.next()
-                        .expect("--storm-clients needs a count")
-                        .parse()
-                        .expect("--storm-clients needs a number"),
-                );
-            }
+            "--secs" => secs = Some(flag_value(&mut iter, &arg)),
+            "--load" => load = Some(flag_value(&mut iter, &arg)),
+            "--storm-clients" => storm_clients = Some(flag_value(&mut iter, &arg)),
             other => panic!(
                 "unknown argument {other}; use --smoke, --out PATH, --secs N, \
                  --load N, --storm-clients N"

@@ -7,46 +7,22 @@
 //! cargo run --release -p wg-bench --bin tables -- --json      # machine readable
 //! ```
 
+use wg_bench::cli::flag_value;
 use wg_bench::{run_table, table_spec, TABLES};
 
-struct Args {
-    table: Option<u8>,
-    file_mb: u64,
-    json: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        table: None,
-        file_mb: 10,
-        json: false,
-    };
+fn main() {
+    let (mut table, mut file_mb, mut as_json) = (None::<u8>, 10u64, false);
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--table" => {
-                args.table = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .or_else(|| panic!("--table needs a number 1-6"));
-            }
-            "--file-mb" => {
-                args.file_mb = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--file-mb needs a number"));
-            }
-            "--json" => args.json = true,
+            "--table" => table = Some(flag_value(&mut iter, &arg)),
+            "--file-mb" => file_mb = flag_value(&mut iter, &arg),
+            "--json" => as_json = true,
             other => panic!("unknown argument {other}; use --table N, --file-mb M, --json"),
         }
     }
-    args
-}
-
-fn main() {
-    let args = parse_args();
-    let file_size = args.file_mb * 1024 * 1024;
-    let specs: Vec<_> = match args.table {
+    let file_size = file_mb * 1024 * 1024;
+    let specs: Vec<_> = match table {
         Some(n) => {
             vec![*table_spec(n).unwrap_or_else(|| panic!("the paper has tables 1-6, not {n}"))]
         }
@@ -54,7 +30,7 @@ fn main() {
     };
     for spec in specs {
         let output = run_table(&spec, file_size);
-        if args.json {
+        if as_json {
             use wg_workload::results::json;
             let cells = |results: &[wg_workload::FileCopyResult]| {
                 json::array(&results.iter().map(|r| r.to_json()).collect::<Vec<_>>())

@@ -17,6 +17,7 @@
 
 use std::time::Instant;
 
+use wg_bench::cli::flag_value;
 use wg_bench::report::{carry_unknown_keys, extract_object, stamp_cell};
 use wg_server::WritePolicy;
 use wg_simcore::CalStats;
@@ -150,14 +151,10 @@ fn main() {
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--out" => out_path = iter.next().expect("--out needs a path"),
+            "--out" => out_path = flag_value(&mut iter, &arg),
             "--record-baseline" => record_baseline = true,
-            "--file-mb" => {
-                file_mb = iter.next().and_then(|v| v.parse().ok()).expect("--file-mb needs a number")
-            }
-            "--sfs-secs" => {
-                sfs_secs = iter.next().and_then(|v| v.parse().ok()).expect("--sfs-secs needs a number")
-            }
+            "--file-mb" => file_mb = flag_value(&mut iter, &arg),
+            "--sfs-secs" => sfs_secs = flag_value(&mut iter, &arg),
             other => panic!("unknown argument {other}; use --out PATH, --record-baseline, --file-mb N, --sfs-secs N"),
         }
     }

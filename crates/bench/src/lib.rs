@@ -245,6 +245,58 @@ pub fn render_figure(figure: u8, without: &[SfsPoint], with: &[SfsPoint]) -> Str
     out
 }
 
+/// Command-line parsing shared by the bench binaries.
+pub mod cli {
+    use std::str::FromStr;
+
+    /// Parse the value that follows `flag` on the command line.  A missing
+    /// or unparsable value panics with a message naming the flag.
+    pub fn flag_value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+        let text = args
+            .next()
+            .unwrap_or_else(|| panic!("{flag} needs a value"));
+        text.parse()
+            .unwrap_or_else(|_| panic!("{flag} cannot parse {text:?}"))
+    }
+
+    /// Parse `flag`'s comma-separated list of values (`--loads 300,900`).
+    pub fn parse_list<T: FromStr>(flag: &str, text: &str) -> Vec<T> {
+        text.split(',')
+            .map(|v| {
+                v.trim()
+                    .parse()
+                    .unwrap_or_else(|_| panic!("{flag} needs a comma-separated list, got {text:?}"))
+            })
+            .collect()
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn values_and_lists_parse() {
+            assert_eq!(
+                flag_value::<u64>(&mut ["12".to_string()].into_iter(), "--secs"),
+                12
+            );
+            assert_eq!(parse_list::<f64>("--loads", "300, 900"), [300.0, 900.0]);
+        }
+
+        #[test]
+        #[should_panic(expected = "--secs needs a value")]
+        fn a_missing_value_names_its_flag() {
+            flag_value::<u64>(&mut std::iter::empty(), "--secs");
+        }
+
+        #[test]
+        #[should_panic(expected = "--shards cannot parse \"four\"")]
+        fn an_unparsable_value_names_its_flag() {
+            flag_value::<usize>(&mut ["four".to_string()].into_iter(), "--shards");
+        }
+    }
+}
+
 /// Helpers for the hand-rolled JSON trajectory report (`BENCH_writepath.json`).
 ///
 /// The build environment has no JSON-parsing dependency, and the file is
@@ -262,7 +314,8 @@ pub mod report {
 
     /// The provenance block every recorded bench cell must carry, spelled the
     /// same way everywhere: the run's `clamped_past` count (events silently
-    /// clamped into the past — always asserted zero, recorded anyway), the
+    /// clamped into the past — always zero, since the drivers' `run()`
+    /// audits it, and recorded anyway), the
     /// host parallelism the wall-clock numbers were measured under, and the
     /// event queue's pending-event high-water mark, so a wall-clock shift can
     /// be read against the scheduler's load in the same cell.  The sweep

@@ -286,6 +286,11 @@ impl FileWriterClient {
         &self.acked_writes
     }
 
+    /// The finished client's [`FileWriterClient::acked_writes`], moved out.
+    pub fn into_acked_writes(self) -> Vec<(u64, u64)> {
+        self.acked_writes
+    }
+
     /// Ranges acknowledged with `UNSTABLE` semantics and not yet covered by a
     /// matching COMMIT (empty for v2-mode clients and after a clean close).
     pub fn uncommitted_ranges(&self) -> &[(u64, u64, u64)] {

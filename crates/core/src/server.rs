@@ -163,13 +163,30 @@ struct Request {
 #[derive(Default)]
 struct AckedBlocks(BTreeSet<(InodeNumber, u64)>);
 
+/// The logical blocks that `len` bytes at `offset` touch.
+fn touched_blocks(offset: u64, len: u64, block_size: u64) -> std::ops::Range<u64> {
+    match len {
+        0 => 0..0,
+        _ => offset / block_size..(offset + len).div_ceil(block_size),
+    }
+}
+
 impl AckedBlocks {
     /// Record the blocks that `len` bytes at `offset` touch.
     fn record(&mut self, ino: InodeNumber, offset: u64, len: u64, block_size: u64) {
-        if len > 0 {
-            let lbns = offset / block_size..=(offset + len - 1) / block_size;
-            self.0.extend(lbns.map(|lbn| (ino, lbn)));
-        }
+        let lbns = touched_blocks(offset, len, block_size);
+        self.0.extend(lbns.map(|lbn| (ino, lbn)));
+    }
+
+    /// Record the blocks of a stable reply's `len` bytes at `offset` that
+    /// `fs` still holds dirty as the reply goes out: stability the reply
+    /// promises and the data does not have.  Every stable-reply path calls
+    /// this, so the crash oracle holds each policy to the rule, not only the
+    /// one that breaks it by design.
+    fn record_dirty(&mut self, fs: &Ufs, ino: InodeNumber, offset: u64, len: u64) {
+        let lbns = touched_blocks(offset, len, fs.params().block_size);
+        let dirty = lbns.filter(|&lbn| fs.block_is_dirty(ino, lbn));
+        self.0.extend(dirty.map(|lbn| (ino, lbn)));
     }
 
     /// Forget the blocks wholly or partly inside `[from, to)`: they are
@@ -245,9 +262,10 @@ pub struct NfsServer {
     /// While `now < recovering_until` the server is down (crashed, rebooting
     /// or replaying NVRAM) and every arriving datagram is dropped.
     recovering_until: SimTime,
-    /// Logical blocks whose write was *acknowledged* while the data was still
-    /// volatile — only [`WritePolicy::DangerousAsync`] ever populates this.
-    /// The crash oracle walks it to count acknowledged-write loss.
+    /// Logical blocks whose write was *acknowledged* as stable while the data
+    /// was still volatile, recorded on every stable-reply path — by design
+    /// only [`WritePolicy::DangerousAsync`] populates it.  The crash oracle
+    /// walks it to count acknowledged-write loss.
     acked_volatile: AckedBlocks,
     /// Logical blocks acknowledged with `UNSTABLE` semantics and not yet
     /// covered by a COMMIT.  The crash oracle walks it to count the loss the
@@ -357,8 +375,7 @@ impl NfsServer {
         }
     }
 
-    /// Enable event tracing (used by the Figure 1 harness and the
-    /// `timeline_trace` example).
+    /// Enable event tracing (used by the Figure 1 harness).
     pub fn enable_trace(&mut self) {
         self.trace = Trace::enabled();
     }
@@ -1142,6 +1159,8 @@ impl NfsServer {
                     self.stats.metadata_flushes += 1;
                 }
                 self.vnode_locks.insert(ino, done);
+                let (offset, len) = (args.offset as u64, args.data.len() as u64);
+                self.acked_volatile.record_dirty(&self.fs, ino, offset, len);
                 let body = if verf_reply {
                     NfsReplyBody::WriteVerf(match self.attr_reply(&args.file) {
                         StatusReply::Ok(attributes) => StatusReply::Ok(WriteVerfOk {
@@ -1283,8 +1302,7 @@ impl NfsServer {
                 self.stats.write_residence.record(t1.since(req.arrived));
                 // The reply about to go out promises stability the data does
                 // not have; remember which blocks the crash oracle must check.
-                let block_size = self.fs.params().block_size;
-                self.acked_volatile.record(ino, offset, len, block_size);
+                self.acked_volatile.record_dirty(&self.fs, ino, offset, len);
                 NfsReplyBody::Attr(self.attr_reply(&args.file))
             }
             Err(e) => NfsReplyBody::Attr(StatusReply::Err(fs_error_to_status(e))),
@@ -1527,6 +1545,8 @@ impl NfsServer {
                 Err(e) => NfsReplyBody::Attr(StatusReply::Err(fs_error_to_status(*e))),
             };
             self.stats.write_residence.record(done.since(w.arrived));
+            self.acked_volatile
+                .record_dirty(&self.fs, ino, w.offset, w.len);
             let req = Request {
                 nfsd,
                 client: w.client,
@@ -1634,8 +1654,8 @@ impl NfsServer {
     /// request caches, the per-file gather table, vnode locks, pending timer
     /// continuations and the nfsds' in-flight work.  Before discarding the
     /// buffer cache, the recovery oracle walks every block a reply promised
-    /// was stable while it was still volatile (dangerous mode's debt) and
-    /// counts the ones that die with the crash into
+    /// was stable while it was still volatile (by design, only dangerous
+    /// mode's debt) and counts the ones that die with the crash into
     /// [`ServerStats::lost_acked_bytes`].  Battery-backed NVRAM survives and
     /// is replayed to disk ([`BlockDevice::crash_recover`]) during the boot
     /// window; the server accepts no traffic until the later of a one-second
@@ -2405,6 +2425,26 @@ mod tests {
         // counted separately from the dangerous-mode oracle.
         assert_eq!(server.stats().lost_unstable_bytes, 4 * 8192);
         assert_eq!(server.stats().lost_acked_bytes, 0);
+    }
+
+    #[test]
+    fn ack_ledger_records_only_the_blocks_a_stable_reply_leaves_dirty() {
+        let (mut server, ino) = make_server(WritePolicy::Standard);
+        let block = server.fs().params().block_size;
+        let fs = server.fs_mut();
+        fs.write(ino, 0, &vec![1u8; block as usize], WriteFlags::DelayData, 1)
+            .unwrap();
+        fs.write(ino, block, &vec![2u8; block as usize], WriteFlags::Sync, 2)
+            .unwrap();
+        let mut ledger = AckedBlocks::default();
+        // A reply over the delayed block promises stability it lacks; a
+        // reply over the synchronously written one owes nothing.
+        ledger.record_dirty(server.fs(), ino, 0, block);
+        ledger.record_dirty(server.fs(), ino, block, block);
+        assert_eq!(ledger.0.iter().collect::<Vec<_>>(), vec![&(ino, 0)]);
+        // A crash now loses exactly the dirty block, and empties the ledger.
+        assert_eq!(ledger.take_lost(server.fs()), block);
+        assert!(ledger.0.is_empty());
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! server against a gathering server for a 4-biod sequential writer: write
 //! requests arriving, data and metadata going to disk, and replies leaving.
 //! [`Trace`] records exactly that information from the simulation so the
-//! `figure1` harness (and the `timeline_trace` example) can print the same
-//! picture.
+//! `figure1` harness can print the same picture.
 
 use crate::time::SimTime;
 

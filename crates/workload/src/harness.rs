@@ -312,6 +312,99 @@ impl<P: Population> Harness<P> {
             }
         }
     }
+
+    /// The end-of-run audit both drivers' `run()` ends in: read the safety
+    /// oracles off the server and the queue, add the clients' `ledger`, and
+    /// panic with one line naming every broken oracle, its count and
+    /// `config` (the cell's repro).  `faults_armed` says whether the run
+    /// injected faults or loss.
+    pub(crate) fn audit(&self, config: &dyn std::fmt::Debug, faults_armed: bool, ledger: Ledger) {
+        let server = &self.core.server;
+        let state = server.state_stats();
+        let oracles = Oracles {
+            policy: server.config().policy,
+            faults_armed,
+            lost_acked_bytes: server.stats().lost_acked_bytes,
+            evicted_in_progress: server.dupcache_evicted_in_progress(),
+            grace_conflicts: state.grace_conflicts,
+            expired_lease_writes: state.expired_lease_writes,
+            clamped_past: self.core.queue.clamped_past(),
+            ledger,
+        };
+        let broken = oracles.violations();
+        if !broken.is_empty() {
+            let named: Vec<String> = broken.iter().map(|(n, c)| format!("{n}={c}")).collect();
+            panic!("run audit failed: {} in {config:?}", named.join(", "));
+        }
+    }
+}
+
+/// Calls neither answered nor counted given up (or counted twice) among
+/// `(issued, completed, gave_up)`.
+fn unaccounted((issued, completed, gave_up): (u64, u64, u64)) -> u64 {
+    issued.abs_diff(completed + gave_up)
+}
+
+/// The clients' side of the audit.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Ledger {
+    /// Workload calls (the SFS mix): issued, completed, given up.
+    pub(crate) calls: (u64, u64, u64),
+    /// Lease-protocol calls (RENEW and LOCK): issued, completed, given up.
+    pub(crate) lease_calls: (u64, u64, u64),
+    /// Clients that never finished their copy.
+    pub(crate) unfinished_clients: u64,
+}
+
+/// The safety oracles of one finished run.
+struct Oracles {
+    policy: WritePolicy,
+    faults_armed: bool,
+    /// Acknowledged write bytes a crash destroyed.
+    lost_acked_bytes: u64,
+    /// `InProgress` duplicate-cache entries evicted (§6.9).
+    evicted_in_progress: u64,
+    /// Fresh locks granted in grace over a reclaimable pre-crash lock.
+    grace_conflicts: u64,
+    /// Writes admitted under an expired lease.
+    expired_lease_writes: u64,
+    /// Events scheduled into the simulated past.
+    clamped_past: u64,
+    ledger: Ledger,
+}
+
+impl Oracles {
+    /// Every broken oracle with its count.  Only `DangerousAsync` may lose
+    /// acknowledged writes.  Calls must balance only once the fault layer's
+    /// retry chains have drained them (a disarmed run may end with calls in
+    /// a socket buffer), and a copy must finish only when nothing was
+    /// injected.
+    fn violations(&self) -> Vec<(&'static str, u64)> {
+        let unless = |exempt: bool, count: u64| if exempt { 0 } else { count };
+        let (armed, ledger) = (self.faults_armed, &self.ledger);
+        let lost = unless(
+            self.policy == WritePolicy::DangerousAsync,
+            self.lost_acked_bytes,
+        );
+        let calls = unless(!armed, unaccounted(ledger.calls));
+        let lease_calls = unless(!armed, unaccounted(ledger.lease_calls));
+        [
+            ("lost_acked_bytes", lost),
+            ("evicted_in_progress", self.evicted_in_progress),
+            ("grace_conflicts", self.grace_conflicts),
+            ("expired_lease_writes", self.expired_lease_writes),
+            ("clamped_past", self.clamped_past),
+            ("call_conservation", calls),
+            ("lease_call_conservation", lease_calls),
+            (
+                "unfinished_clients",
+                unless(armed, ledger.unfinished_clients),
+            ),
+        ]
+        .into_iter()
+        .filter(|&(_, count)| count > 0)
+        .collect()
+    }
 }
 
 /// The scheduler and server readouts every driver exposes, delegated to its
@@ -353,3 +446,87 @@ macro_rules! harness_readouts {
     };
 }
 pub(crate) use harness_readouts;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The violations of a gathering run, with the fault layer `armed` or
+    /// not, once `edit` has broken it.
+    fn broken(armed: bool, edit: impl FnOnce(&mut Oracles)) -> Vec<(&'static str, u64)> {
+        let mut oracles = Oracles {
+            policy: WritePolicy::Gathering,
+            faults_armed: armed,
+            lost_acked_bytes: 0,
+            evicted_in_progress: 0,
+            grace_conflicts: 0,
+            expired_lease_writes: 0,
+            clamped_past: 0,
+            ledger: Ledger::default(),
+        };
+        edit(&mut oracles);
+        oracles.violations()
+    }
+
+    /// One call short of balancing: 5 issued, 3 completed, 1 given up.
+    const SHORT: (u64, u64, u64) = (5, 3, 1);
+
+    #[test]
+    fn each_broken_oracle_is_reported_alone_with_its_count() {
+        assert!(broken(false, |_| {}).is_empty() && broken(true, |_| {}).is_empty());
+        let lost = broken(false, |o| o.lost_acked_bytes = 8192);
+        assert_eq!(lost, [("lost_acked_bytes", 8192)]);
+        let evicted = broken(true, |o| o.evicted_in_progress = 2);
+        assert_eq!(evicted, [("evicted_in_progress", 2)]);
+        let grace = broken(false, |o| o.grace_conflicts = 3);
+        assert_eq!(grace, [("grace_conflicts", 3)]);
+        let expired = broken(true, |o| o.expired_lease_writes = 4);
+        assert_eq!(expired, [("expired_lease_writes", 4)]);
+        let clamped = broken(false, |o| o.clamped_past = 5);
+        assert_eq!(clamped, [("clamped_past", 5)]);
+        let calls = broken(true, |o| o.ledger.calls = SHORT);
+        assert_eq!(calls, [("call_conservation", 1)]);
+        let lease_calls = broken(true, |o| o.ledger.lease_calls = SHORT);
+        assert_eq!(lease_calls, [("lease_call_conservation", 1)]);
+        let unfinished = broken(false, |o| o.ledger.unfinished_clients = 6);
+        assert_eq!(unfinished, [("unfinished_clients", 6)]);
+    }
+
+    #[test]
+    fn dangerous_async_exempts_lost_acked_bytes_and_nothing_else() {
+        let dangerous = |o: &mut Oracles| {
+            o.policy = WritePolicy::DangerousAsync;
+            o.lost_acked_bytes = 1 << 21;
+        };
+        assert!(broken(true, dangerous).is_empty());
+        let also_clamped = broken(true, |o| {
+            dangerous(o);
+            o.clamped_past = 1;
+            o.ledger.calls = SHORT;
+        });
+        assert_eq!(
+            also_clamped,
+            [("clamped_past", 1), ("call_conservation", 1)]
+        );
+    }
+
+    #[test]
+    fn call_conservation_is_skipped_while_the_fault_layer_is_disarmed() {
+        // A disarmed run may end with calls still in a socket buffer.
+        let short = |o: &mut Oracles| {
+            o.ledger.calls = SHORT;
+            o.ledger.lease_calls = SHORT;
+        };
+        assert!(broken(false, short).is_empty());
+        assert_eq!(broken(true, short).len(), 2);
+    }
+
+    #[test]
+    fn an_unfinished_copy_is_reported_only_without_faults() {
+        let unfinished = |o: &mut Oracles| o.ledger.unfinished_clients = 1;
+        assert_eq!(broken(false, unfinished), [("unfinished_clients", 1)]);
+        // Under an injected fault an incomplete copy is a legitimate
+        // outcome (a client gave up), counted in its result.
+        assert!(broken(true, unfinished).is_empty());
+    }
+}

@@ -8,7 +8,7 @@ use wg_net::MediumParams;
 use wg_server::{NfsServer, ServerConfig, StabilityMode, WritePolicy};
 use wg_simcore::{Duration, FaultPlan, Trace};
 
-use crate::harness::{harness_readouts, server_config, ClientLans, Harness};
+use crate::harness::{harness_readouts, server_config, ClientLans, Harness, Ledger};
 use crate::multi::{fill_salt, FileName, WriterFleet};
 use crate::results::{FileCopyResult, MultiClientResult};
 
@@ -319,24 +319,22 @@ impl FileCopySystem {
     /// remaining events are bounded housekeeping wake-ups (nfsd-free timers,
     /// gather continuations), and letting them run keeps the server's final
     /// statistics consistent.
+    ///
+    /// The run ends in the harness audit, which panics if a safety oracle
+    /// broke or if, with no fault injected, a client is left unfinished: a
+    /// drained event queue with a client still writing means the simulation
+    /// lost work (a dropped wake-up, an orphaned write).  Under an injected
+    /// fault an incomplete cell is a legitimate outcome, counted in the
+    /// result's `completed` and `gave_up`.
     pub fn run(&mut self) -> FileCopyResult {
         self.harness.run(self.max_events());
-        let (cell, _) = self.results();
-        // A drained event queue with a client still unfinished means the
-        // simulation lost work (a dropped wake-up, an orphaned write): surface
-        // it immediately in debug builds; the result's `completed` flag keeps
-        // sweeps from mistaking a dead cell for a slow one.  A client that
-        // gave up on writes reports a counted failure, never a silent
-        // success.  Under an injected fault schedule an incomplete cell is a
-        // legitimate outcome (that is what the chaos sweep measures), so the
-        // assert only covers fault-free runs.
-        debug_assert!(
-            cell.completed || !self.config.fault_plan.is_empty(),
-            "file copy did not complete: {} bytes acked of {}, {} writes given up",
-            self.harness.clients.totals().bytes_acked,
-            self.config.clients as u64 * self.config.file_size,
-            cell.gave_up
-        );
+        let (cell, clients) = self.results();
+        let ledger = Ledger {
+            unfinished_clients: clients.iter().filter(|c| !c.completed).count() as u64,
+            ..Ledger::default()
+        };
+        let faults_armed = !self.config.fault_plan.is_empty();
+        self.harness.audit(&self.config, faults_armed, ledger);
         cell
     }
 
@@ -363,24 +361,29 @@ impl FileCopySystem {
         }
     }
 
-    /// Recovery oracle: re-read every byte range a client saw acknowledged
-    /// in the file it is writing (its whole file, for the paper's copy) and
-    /// count the bytes whose content no longer matches the fill pattern that
-    /// was written.  Zero for every policy that honours the NFS
-    /// stable-storage rule, no matter what the fault plan did; positive only
-    /// when an acknowledged write was lost (the
-    /// [`wg_server::WritePolicy::DangerousAsync`] failure mode).
+    /// Recovery oracle: re-read every byte range a client saw acknowledged,
+    /// in its closed segment files and in the one it is writing (its whole
+    /// file, for the paper's copy), and count the bytes whose content no
+    /// longer matches the fill pattern that was written.  Zero for every
+    /// policy that honours the NFS stable-storage rule, no matter what the
+    /// fault plan did; positive only when an acknowledged write was lost
+    /// (the [`wg_server::WritePolicy::DangerousAsync`] failure mode).
     pub fn lost_acked_bytes_on_disk(&self) -> u64 {
         let mut fs = self.server().fs().clone();
         let root = fs.root();
         let mut lost = 0u64;
         for (client, slot) in self.harness.clients.slots.iter().enumerate() {
-            let name = FileName::new(client, slot.segment);
-            let ino = fs.lookup(root, name.as_str()).expect("target file exists");
-            for &(offset, len) in slot.writer.acked_writes() {
-                let fill = slot.writer.fill_byte_for(offset);
-                let data = fs.read(ino, offset, len).expect("acked range readable");
-                lost += data.to_vec().iter().filter(|&&b| b != fill).count() as u64;
+            let closed = slot.closed_acked.iter().map(Vec::as_slice);
+            let segments = closed.chain([slot.writer.acked_writes()]);
+            for (segment, acked) in segments.enumerate() {
+                let name = FileName::new(client, segment as u64);
+                let ino = fs.lookup(root, name.as_str()).expect("target file exists");
+                for &(offset, len) in acked {
+                    // Every segment of a client carries the client's salt.
+                    let fill = slot.writer.fill_byte_for(offset);
+                    let data = fs.read(ino, offset, len).expect("acked range readable");
+                    lost += data.to_vec().iter().filter(|&&b| b != fill).count() as u64;
+                }
             }
         }
         lost
@@ -522,8 +525,7 @@ mod tests {
                 .with_unified_cache(4096)
                 .with_stability(StabilityMode::Unstable),
         );
-        let result = system.run();
-        assert!(result.completed);
+        system.run();
         let stats = system.server().stats();
         assert!(stats.unstable_writes > 0, "no WRITE(UNSTABLE) reached disk");
         assert!(stats.commits > 0, "the close never issued a COMMIT");
@@ -553,7 +555,6 @@ mod tests {
         };
         let stable = run(StabilityMode::Stable);
         let unstable = run(StabilityMode::Unstable);
-        assert!(stable.completed && unstable.completed);
         // Acking from the cache and batching durability into one COMMIT must
         // beat per-write synchronous commits on a standard-policy server.
         assert!(
@@ -640,7 +641,6 @@ mod tests {
                     .with_file_size(SMALL),
             );
             let result = system.run();
-            assert!(result.completed);
             let device = system.server().device_stats();
             (result, device.transfers.bytes(), system)
         };

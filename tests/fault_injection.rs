@@ -4,10 +4,13 @@
 //! disk and partitions the network — all deterministically — and after every
 //! crash the recovery oracle walks what the server acknowledged: under every
 //! policy that honours the NFS stable-storage rule, **no acknowledged write
-//! is ever lost**, no matter what the schedule did.  Dangerous mode's losses
-//! are counted and reported, never hidden.  And with no faults scheduled,
-//! the entire fault layer must be invisible: a run with an empty plan is
-//! bit-identical to a run that never heard of fault plans.
+//! is ever lost**, no matter what the schedule did.  The drivers' `run()`
+//! audits that oracle (with the dupcache, state, scheduler and
+//! call-conservation oracles) on every run below; these tests add the
+//! on-disk twin, which re-reads every acknowledged byte.  Dangerous mode's
+//! losses are counted and reported, never hidden.  And with no faults
+//! scheduled, the entire fault layer must be invisible: a run with an empty
+//! plan is bit-identical to a run that never heard of fault plans.
 
 use wg_nfsproto::{NfsCall, NfsCallBody, WriteArgs, Xid};
 use wg_server::{NfsServer, ServerAction, ServerConfig, ServerInput, StabilityMode, WritePolicy};
@@ -84,12 +87,6 @@ fn safe_policies_lose_no_acknowledged_write_across_a_crash() {
         let result = system.run();
         let stats = system.server().stats();
         assert_eq!(stats.crashes, 1, "{label}: the crash did not fire");
-        // Server-side oracle: nothing the server acknowledged was volatile
-        // at the moment it died.
-        assert_eq!(
-            stats.lost_acked_bytes, 0,
-            "{label}: acknowledged write data died with the crash"
-        );
         // Client-side oracle: every byte the client saw acknowledged is
         // readable from the recovered file system with the right contents.
         assert_eq!(
@@ -104,11 +101,6 @@ fn safe_policies_lose_no_acknowledged_write_across_a_crash() {
         assert!(
             result.retransmissions > 0,
             "{label}: the crash was survived without a single retransmit?"
-        );
-        assert_eq!(
-            system.server().dupcache_evicted_in_progress(),
-            0,
-            "{label}: §6.9 hazard across reboot"
         );
     }
 }
@@ -130,6 +122,26 @@ fn dangerous_mode_losses_are_counted_not_hidden() {
     );
     assert!(system.lost_acked_bytes_on_disk() > 0);
     assert!(stats.discarded_dirty_bytes >= stats.lost_acked_bytes);
+}
+
+#[test]
+fn the_on_disk_twin_re_reads_closed_segment_files() {
+    // A segmented dangerous copy finishes (0.22 s) long before the crash
+    // (700 ms), with none of its data on disk: every one of its eight
+    // 256 KB segment files lost everything acknowledged.  The twin must
+    // re-read the seven closed files, not just the live one.
+    let crash = FaultPlan::new().at(SimTime::from_millis(700), FaultKind::ServerCrash);
+    let mut system = FileCopySystem::new(
+        ExperimentConfig::fleet(NetworkKind::Fddi, 1, 8, WritePolicy::DangerousAsync)
+            .with_file_size(2 * 1024 * 1024)
+            .with_file_limit(256 * 1024)
+            .with_fault_plan(crash),
+    );
+    assert!(system.run().completed);
+    assert_eq!(system.server().stats().lost_acked_bytes, 2 * 1024 * 1024);
+    // Block 0 of each segment carries fill byte 0, which a lost block also
+    // reads back as, so the twin sees every block but those eight.
+    assert_eq!(system.lost_acked_bytes_on_disk(), (256 - 8) * 8192);
 }
 
 // ---------------------------------------------------------------------------
@@ -172,10 +184,6 @@ fn crash_during_writeback_loses_nothing_acknowledged_in_any_durable_mode() {
         let stats = system.server().stats();
         assert_eq!(stats.crashes, 1, "{label}: the crash did not fire");
         assert_eq!(
-            stats.lost_acked_bytes, 0,
-            "{label}: acknowledged write data died with the crash"
-        );
-        assert_eq!(
             system.lost_acked_bytes_on_disk(),
             0,
             "{label}: acknowledged data missing from the recovered disk"
@@ -191,7 +199,6 @@ fn crash_during_writeback_loses_nothing_acknowledged_in_any_durable_mode() {
             0,
             "{label}: volatile data survived the close"
         );
-        assert_eq!(system.server().dupcache_evicted_in_progress(), 0, "{label}");
     }
 }
 
@@ -217,8 +224,7 @@ fn uncommitted_unstable_data_is_counted_and_recovered_by_the_client() {
         stats.lost_unstable_bytes > 0,
         "the crash found no uncommitted unstable data — it missed the writeback window"
     );
-    // The permitted loss is never an acknowledged loss.
-    assert_eq!(stats.lost_acked_bytes, 0);
+    // The permitted loss is never an acknowledged loss: run() audits that.
 
     // Client-side recovery: the post-reboot COMMIT came back with a fresh
     // boot verifier, voiding the pre-crash acknowledgements.
@@ -267,7 +273,6 @@ fn battery_failure_degrades_but_loses_nothing() {
     assert_eq!(result.gave_up, 0);
     // Write-through mode honours the stable-storage rule by construction;
     // the drain on failure keeps everything previously acknowledged safe.
-    assert_eq!(stats.lost_acked_bytes, 0);
     assert_eq!(system.lost_acked_bytes_on_disk(), 0);
 
     // A healthy-battery run of the same copy is faster: the failure window
@@ -304,7 +309,6 @@ fn transient_disk_faults_retry_and_complete() {
         stats.disk_retries > 0,
         "the degradation window saw no transfers"
     );
-    assert_eq!(stats.lost_acked_bytes, 0);
     assert_eq!(system.lost_acked_bytes_on_disk(), 0);
 }
 
@@ -330,17 +334,13 @@ fn sfs_chaos_schedule_accounts_for_every_call() {
         .with_fault_plan(plan.clone())
         .with_loss(0.02);
     config.duration = horizon;
+    // run() audits that nothing vanishes: every issued call either
+    // completed or was counted as given up — never silently dropped.
     let mut system = SfsSystem::new(config);
     let point = system.run();
     let stats = system.server().stats();
-    let (issued, completed) = system.counts();
     assert!(stats.crashes >= 1, "the seeded schedule never crashed");
     assert!(system.retransmissions() > 0);
-    assert_eq!(stats.lost_acked_bytes, 0);
-    assert_eq!(system.server().dupcache_evicted_in_progress(), 0);
-    // Nothing vanishes: every issued call either completed or was counted
-    // as given up — never silently dropped.
-    assert_eq!(issued, completed + system.gave_up());
     assert!(point.achieved_ops_per_sec > 0.0);
 
     // The same seed replays to the same run, byte for byte.
@@ -351,7 +351,7 @@ fn sfs_chaos_schedule_accounts_for_every_call() {
     let mut replay = SfsSystem::new(config);
     let again = replay.run();
     assert_eq!(format!("{point:?}"), format!("{again:?}"));
-    assert_eq!(replay.counts(), (issued, completed));
+    assert_eq!(replay.counts(), system.counts());
     assert_eq!(replay.gave_up(), system.gave_up());
 
     // The Prestoserve figure: a battery failure mid-run, still no loss.
@@ -365,11 +365,7 @@ fn sfs_chaos_schedule_accounts_for_every_call() {
     config.duration = Duration::from_secs(6);
     let mut presto = SfsSystem::new(config);
     presto.run();
-    let stats = presto.server().stats();
-    assert_eq!(stats.battery_failures, 1);
-    assert_eq!(stats.lost_acked_bytes, 0);
-    let (issued, completed) = presto.counts();
-    assert_eq!(issued, completed + presto.gave_up());
+    assert_eq!(presto.server().stats().battery_failures, 1);
 
     // The NFSv3 write path under the same seeded crashes and steady loss:
     // WRITE(UNSTABLE)+COMMIT through a bounded 4096-page cache.  Background
@@ -391,9 +387,6 @@ fn sfs_chaos_schedule_accounts_for_every_call() {
     assert!(stats.crashes >= 1, "the seeded schedule never crashed");
     assert!(stats.unstable_writes > 0, "no write ever went UNSTABLE");
     assert!(stats.commits > 0, "no COMMIT was ever processed");
-    assert_eq!(stats.lost_acked_bytes, 0);
-    let (issued, completed) = unstable.counts();
-    assert_eq!(issued, completed + unstable.gave_up());
 }
 
 #[test]
@@ -429,9 +422,6 @@ fn partitioned_unstable_sfs_replays_the_crash_schedule_bit_for_bit() {
     assert!(stats.unstable_writes > 0, "no write ever went UNSTABLE");
     assert!(stats.commits > 0, "no COMMIT was ever processed");
     assert!(first.retransmissions() > 0);
-    assert_eq!(stats.lost_acked_bytes, 0);
-    let (issued, completed) = first.counts();
-    assert_eq!(issued, completed + first.gave_up());
 
     let mut replay = make();
     let again = replay.run();
@@ -440,7 +430,6 @@ fn partitioned_unstable_sfs_replays_the_crash_schedule_bit_for_bit() {
     assert_eq!(replay.events_processed(), first.events_processed());
     assert_eq!(replay.retransmissions(), first.retransmissions());
     assert_eq!(replay.gave_up(), first.gave_up());
-    assert_eq!(replay.clamped_past(), 0);
     assert_eq!(
         format!("{:?}", replay.server().stats()),
         format!("{stats:?}")
@@ -602,22 +591,15 @@ fn leases_survive_crashes_with_a_clean_state_oracle() {
     let mut system = SfsSystem::new(config);
     system.run();
 
-    let stats = system.server().stats();
-    assert!(stats.crashes >= 2, "the schedule never crashed");
-    assert!(system.observed_server_reboots() > 0);
-    // The durability contract holds with state traffic in the mix.
-    assert_eq!(stats.lost_acked_bytes, 0);
-    assert_eq!(system.server().dupcache_evicted_in_progress(), 0);
-    let (issued, completed) = system.counts();
-    assert_eq!(issued, completed + system.gave_up());
-
-    // The state oracle: zero violations across every crash and grace window.
-    let st = system.server().state_stats();
-    assert_eq!(
-        st.grace_conflicts, 0,
-        "lock granted over an unreclaimed hold"
+    // run() audits the durability contract, call conservation and the
+    // state oracle (no lock granted over an unreclaimed hold, no write
+    // admitted on a dead lease) across every crash and grace window.
+    assert!(
+        system.server().stats().crashes >= 2,
+        "the schedule never crashed"
     );
-    assert_eq!(st.expired_lease_writes, 0, "write admitted on a dead lease");
+    assert!(system.observed_server_reboots() > 0);
+    let st = system.server().state_stats();
     // Recovery actually happened: leases re-registered after reboots and at
     // least one lock made it through a grace-window reclaim.
     assert!(st.leases_granted > 0);
@@ -633,19 +615,7 @@ fn abandoned_leases_expire_and_their_locks_are_orphaned() {
     // Streams that exhaust their retransmission budget give up and go
     // lease-dead: they stop renewing.  The server-side expiry sweep must
     // collect every such lease and orphan its locks — nothing may leak.
-    let secs = 8u64;
-    let mut config = SfsConfig::figure2(300.0, WritePolicy::Gathering)
-        .with_shards(4)
-        .with_leases(true)
-        .with_lease_timing(
-            Duration::from_millis(300),
-            Duration::from_millis(900),
-            Duration::from_millis(300),
-        )
-        .with_loss(0.08)
-        .with_retry(Duration::from_millis(150), 2);
-    config.duration = Duration::from_secs(secs);
-    let mut system = SfsSystem::new(config);
+    let mut system = abandoning_streams(1, 300.0, 8);
     system.run();
 
     assert!(
@@ -661,9 +631,39 @@ fn abandoned_leases_expire_and_their_locks_are_orphaned() {
         "{dead} dead streams but the expiry sweep never fired"
     );
     assert!(st.state_orphaned > 0, "expired leases left no orphan trail");
-    // The oracle and the table invariant hold through the churn.
-    assert_eq!(st.grace_conflicts, 0);
-    assert_eq!(st.expired_lease_writes, 0);
-    assert_eq!(system.server().stats().lost_acked_bytes, 0);
+    // The table invariant holds through the churn.
     assert!(system.server().held_locks() <= system.server().active_lease_clients());
+}
+
+/// `clients` leased streams at `load` ops/s for `secs` under 8 % loss with
+/// a two-retry budget, on a 4-way-sharded server: some calls give up.
+fn abandoning_streams(clients: usize, load: f64, secs: u64) -> SfsSystem {
+    let mut config = SfsConfig::figure2(load, WritePolicy::Gathering)
+        .with_clients(clients)
+        .with_shards(4)
+        .with_leases(true)
+        .with_lease_timing(
+            Duration::from_millis(300),
+            Duration::from_millis(900),
+            Duration::from_millis(300),
+        )
+        .with_loss(0.08)
+        .with_retry(Duration::from_millis(150), 2);
+    config.duration = Duration::from_secs(secs);
+    SfsSystem::new(config)
+}
+
+#[test]
+fn abandoned_lease_calls_are_counted_on_the_lease_ledger() {
+    // The abandoned-streams cell of `state_sweep --smoke`.  A RENEW or LOCK
+    // that gives up is a lease call, so it must land in the lease ledger,
+    // never in the workload's `gave_up`; run() audits that both ledgers
+    // balance (issued = completed + gave up), which a misfiled give-up
+    // breaks on both.
+    let mut system = abandoning_streams(16, 150.0, 4);
+    system.run();
+    let (_, _, lease_gave_up) = system.lease_counts();
+    assert!(lease_gave_up > 0, "no RENEW or LOCK was abandoned");
+    assert!(system.gave_up() > 0, "no workload call was abandoned");
+    assert!(system.lease_dead_streams() > 0);
 }
