@@ -8,7 +8,8 @@
 //!   insertion order, so identical inputs always produce identical runs): a
 //!   binary heap of packed 16-byte `(time, seq, slot)` keys over a recycled
 //!   slab that parks each event once, with [`CalStats`] reporting its
-//!   pending-event high-water mark,
+//!   pending-event high-water mark; a [`Reservation`] holds an event's
+//!   place in that order until the event is scheduled into it,
 //! * [`Cpu`] / [`MultiCpu`] — shared processor resources with busy-time
 //!   accounting, used to model server (and client) CPU utilisation; a one-core
 //!   [`MultiCpu`] is bit-identical to [`Cpu`],
@@ -44,7 +45,7 @@ pub mod trace;
 pub use cpu::{Cpu, MultiCpu};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use queue::{CalStats, EventQueue};
+pub use queue::{CalStats, EventQueue, Reservation};
 pub use rng::SimRng;
 pub use stats::{Counter, LatencyStat, Utilization};
 pub use time::{Duration, SimTime};

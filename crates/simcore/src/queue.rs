@@ -33,6 +33,17 @@
 //! instead of 16, enough to make the scheduler the hot path.  It is kept in
 //! the tests as the reference implementation the differential fuzz pins the
 //! pop order against.
+//!
+//! # Reserved places
+//!
+//! [`EventQueue::reserve`] mints the `(time, sequence)` place an event
+//! scheduled now would take, without queueing anything, and
+//! [`EventQueue::schedule_reserved`] puts an event in that place later, as
+//! long as the queue has not popped past it.  An event scheduled through a
+//! reservation pops exactly where it would have popped had it been
+//! scheduled when the place was minted, so a caller can keep a backlog of
+//! timers outside the queue and queue only the next one due.  A place that
+//! is never scheduled only skips its sequence number.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -74,6 +85,22 @@ fn key_time(key: u128) -> SimTime {
 #[inline]
 fn key_slot(key: u128) -> usize {
     (key as usize) & ((1 << SLOT_BITS) - 1)
+}
+
+/// The insertion sequence of a packed key.
+#[inline]
+fn key_seq(key: u128) -> u64 {
+    ((key >> SLOT_BITS) as u64) & ((1 << SEQ_BITS) - 1)
+}
+
+/// A place in an [`EventQueue`]'s pop order: a firing time and an insertion
+/// sequence, minted by [`EventQueue::reserve`] and filled by
+/// [`EventQueue::schedule_reserved`].  Places order by time, then sequence,
+/// exactly as the events in them pop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Reservation {
+    at: SimTime,
+    seq: u64,
 }
 
 /// Scheduler-health counters of one [`EventQueue`].
@@ -119,7 +146,13 @@ pub struct EventQueue<E> {
     /// Vacant slab slots, most recently vacated last.
     free: Vec<usize>,
     now: SimTime,
-    /// Events ever scheduled, which is also the next insertion sequence.
+    /// One past the sequence of the most recently popped event (0 before
+    /// the first pop): a place at `now` with a smaller sequence has passed,
+    /// and so has every place before `now`.
+    unpassed_seq: u64,
+    /// The next insertion sequence: places ever reserved.
+    next_seq: u64,
+    /// Events ever scheduled (reserved places left empty do not count).
     scheduled_total: u64,
     clamped_past: u64,
 }
@@ -138,6 +171,8 @@ impl<E> EventQueue<E> {
             slab: Vec::new(),
             free: Vec::new(),
             now: SimTime::ZERO,
+            unpassed_seq: 0,
+            next_seq: 0,
             scheduled_total: 0,
             clamped_past: 0,
         }
@@ -149,12 +184,24 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedule `event` at the absolute instant `at`.
+    /// Schedule `event` at the absolute instant `at`: reserve the next place
+    /// at `at` and fill it at once.
     ///
     /// Scheduling in the past is a logic error in the caller; the event is
     /// clamped to `now` so time never goes backwards, and the clamp is visible
     /// in debug builds via a debug assertion.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        // A place reserved now has not passed: no need to check it.
+        let place = self.reserve(at);
+        self.fill(place, event);
+    }
+
+    /// Mint the place an event scheduled at `at` now would take, without
+    /// queueing anything.  Reserving consumes a sequence number whether or
+    /// not the place is ever filled, so every later place orders after it.
+    ///
+    /// A past `at` is clamped to `now` as in [`EventQueue::schedule_at`].
+    pub fn reserve(&mut self, at: SimTime) -> Reservation {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at:?} < {:?}",
@@ -163,13 +210,38 @@ impl<E> EventQueue<E> {
         if at < self.now {
             self.clamped_past += 1;
         }
-        let at = at.max(self.now);
         // Tie-break invariant: the sequence is strictly monotone over the
-        // queue's lifetime — same-instant events pop in schedule order
-        // *because* later schedules mint larger sequence numbers.  `pack`
-        // asserts it fits its 40 bits: 2^40 schedules is about three days
-        // of host time at the fastest recorded 4.66M events/s.
-        let seq = self.scheduled_total;
+        // queue's lifetime — same-instant events pop in reservation order
+        // *because* later reservations mint larger sequence numbers.  `pack`
+        // asserts it fits its 40 bits: 2^40 places is about three days of
+        // host time at the fastest recorded 4.66M events/s.
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Reservation {
+            at: at.max(self.now),
+            seq,
+        }
+    }
+
+    /// Put `event` in a place minted earlier by [`EventQueue::reserve`]: it
+    /// pops exactly where an event scheduled at the reservation would have.
+    ///
+    /// # Panics
+    ///
+    /// If the queue has already popped the event in `place` or one after it:
+    /// the event would pop out of order.
+    pub fn schedule_reserved(&mut self, place: Reservation, event: E) {
+        let passed = place.at < self.now || (place.at == self.now && place.seq < self.unpassed_seq);
+        assert!(
+            !passed,
+            "the reserved place {place:?} has already passed (now {:?})",
+            self.now
+        );
+        self.fill(place, event);
+    }
+
+    /// Queue `event` in `place`.
+    fn fill(&mut self, place: Reservation, event: E) {
         self.scheduled_total += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -181,7 +253,7 @@ impl<E> EventQueue<E> {
                 self.slab.len() - 1
             }
         };
-        self.heap.push(Reverse(pack(at, seq, slot)));
+        self.heap.push(Reverse(pack(place.at, place.seq, slot)));
     }
 
     /// Schedule `event` after a delay relative to the current time.
@@ -200,6 +272,7 @@ impl<E> EventQueue<E> {
         self.free.push(slot);
         debug_assert!(at >= self.now);
         self.now = at;
+        self.unpassed_seq = key_seq(key) + 1;
         Some((at, event))
     }
 
@@ -218,7 +291,8 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled (for run statistics / debugging).
+    /// Total number of events ever scheduled (for run statistics /
+    /// debugging).  A reserved place counts once an event fills it.
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
     }
@@ -418,6 +492,7 @@ pub(crate) mod tests {
         let key = pack(SimTime::MAX, max_seq, max_slot);
         assert_eq!(key, u128::MAX);
         assert_eq!(key_time(key), SimTime::MAX);
+        assert_eq!(key_seq(key), max_seq);
         assert_eq!(key_slot(key), max_slot);
         let key = pack(SimTime::from_nanos(7), 0, max_slot);
         assert_eq!(
@@ -439,7 +514,7 @@ pub(crate) mod tests {
     #[should_panic(expected = "event sequence")]
     fn a_queue_that_exhausts_its_sequence_field_panics() {
         let mut q = EventQueue::new();
-        q.scheduled_total = (1 << SEQ_BITS) - 1;
+        q.next_seq = (1 << SEQ_BITS) - 1;
         q.schedule_at(SimTime::ZERO, ());
         q.schedule_at(SimTime::ZERO, ());
     }
@@ -536,5 +611,90 @@ pub(crate) mod tests {
             }
             assert_eq!(oracle.len(), 0);
         }
+    }
+
+    #[test]
+    fn differential_fuzz_reserved_places() {
+        // Some events are reserved at one step and scheduled several steps
+        // later, before their place passes; others are reserved and never
+        // scheduled.  The oracle receives each scheduled event at its
+        // reservation step, so the queue must pop as if every reserved
+        // event had been scheduled then, and the places left empty must
+        // leave no trace.
+        for seed in 1..=10u64 {
+            let mut rng = crate::SimRng::seed_from(seed.wrapping_mul(0x2545_F491_4F6C_DD1D));
+            let mut q = EventQueue::new();
+            let mut oracle: HeapQueue<(SimTime, u64), u64> = HeapQueue::new();
+            // Reserved places still waiting for their event, with the
+            // oracle key and the event they will carry.
+            let mut pending: Vec<(Reservation, (SimTime, u64))> = Vec::new();
+            let (mut seq, mut scheduled) = (0u64, 0u64);
+            for step in 0..4_000 {
+                let at = match rng.next_below(8) {
+                    0 => q.now(),
+                    1..=5 => q.now() + Duration::from_nanos(rng.next_below(1 << 18)),
+                    _ => q.now() + Duration::from_nanos(rng.next_below(1 << 30)),
+                };
+                match rng.next_below(12) {
+                    0..=3 => {
+                        q.schedule_at(at, seq);
+                        oracle.schedule((at, seq), seq);
+                        scheduled += 1;
+                    }
+                    4..=5 => {
+                        let place = q.reserve(at);
+                        oracle.schedule((at, seq), seq);
+                        pending.push((place, (at, seq)));
+                    }
+                    6 => {
+                        // Reserved and never scheduled.
+                        q.reserve(at);
+                    }
+                    7..=8 if !pending.is_empty() => {
+                        let i = rng.next_below(pending.len() as u64) as usize;
+                        let (place, (_, event)) = pending.swap_remove(i);
+                        q.schedule_reserved(place, event);
+                        scheduled += 1;
+                    }
+                    _ => {
+                        // The next event due may still be waiting in a
+                        // reserved place: fill it before it passes.
+                        let due = oracle.peek_key().copied();
+                        if let Some(i) = pending.iter().position(|&(_, key)| Some(key) == due) {
+                            let (place, (_, event)) = pending.swap_remove(i);
+                            q.schedule_reserved(place, event);
+                            scheduled += 1;
+                        }
+                        let got = q.pop();
+                        let want = oracle.pop().map(|((t, _), e)| (t, e));
+                        assert_eq!(got, want, "seed {seed} diverged at step {step}");
+                    }
+                }
+                seq += 1;
+            }
+            for (place, (_, event)) in pending.drain(..) {
+                q.schedule_reserved(place, event);
+                scheduled += 1;
+            }
+            while let Some(got) = q.pop() {
+                assert_eq!(Some(got), oracle.pop().map(|((t, _), e)| (t, e)));
+            }
+            assert_eq!(oracle.len(), 0);
+            assert_eq!(q.scheduled_total(), scheduled, "empty places were counted");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "has already passed")]
+    fn scheduling_into_a_passed_place_panics() {
+        let mut q = EventQueue::new();
+        let place = q.reserve(SimTime::from_millis(5));
+        let later = q.reserve(SimTime::from_millis(5));
+        q.schedule_reserved(place, "first");
+        assert_eq!(q.pop(), Some((SimTime::from_millis(5), "first")));
+        // The next place at the same instant is still open, but the one
+        // just popped has passed.
+        q.schedule_reserved(later, "later");
+        q.schedule_reserved(place, "again");
     }
 }

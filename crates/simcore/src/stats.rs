@@ -118,11 +118,36 @@ impl Utilization {
     }
 }
 
+/// Sub-buckets per power of two of [`LatencyStat::percentile`]'s histogram,
+/// as a bit count.
+const SUB_BITS: u32 = 5;
+
+/// Sub-buckets per power of two.
+const SUBS: usize = 1 << SUB_BITS;
+
+/// Histogram buckets: one per value below [`SUBS`], then [`SUBS`] per power
+/// of two up to `2^64`.
+const BUCKETS: usize = SUBS * (u64::BITS - SUB_BITS + 1) as usize;
+
+/// The log-linear histogram bucket of a sample of `ns` nanoseconds: a value
+/// below [`SUBS`] has its own bucket, a larger one shares a bucket with the
+/// values that agree with it in its leading `SUB_BITS + 1` bits.  Monotone
+/// in the value, so the samples of one bucket are a contiguous run of the
+/// sorted sample set.
+fn bucket(ns: u64) -> usize {
+    if ns < SUBS as u64 {
+        return ns as usize;
+    }
+    let msb = u64::BITS - 1 - ns.leading_zeros();
+    let sub = (ns >> (msb - SUB_BITS)) as usize & (SUBS - 1);
+    (msb - SUB_BITS + 1) as usize * SUBS + sub
+}
+
 /// Accumulates request latencies and reports summary statistics.
 ///
-/// Samples are stored so exact percentiles can be computed; runs in this
-/// repository are small enough (at most a few hundred thousand operations) that
-/// storing raw samples is simpler and more accurate than a histogram sketch.
+/// Samples are stored so exact percentiles can be computed: 8 bytes per
+/// completed operation, which a sketch of bounded size could only
+/// approximate.
 #[derive(Clone, Debug, Default, serde::Serialize)]
 pub struct LatencyStat {
     samples: Vec<Duration>,
@@ -178,15 +203,33 @@ impl LatencyStat {
     /// The `p`-th percentile (0 ≤ p ≤ 100) using nearest-rank on the sorted
     /// sample set.  Returns zero when empty.
     ///
-    /// Selects the rank in O(n) on a copy instead of sorting it: the element
-    /// at a rank is the same whichever way the rest is ordered.
+    /// Selects the rank in O(n) without copying the sample set: it counts
+    /// the samples into log-linear buckets, finds the bucket that holds the
+    /// rank, and selects inside a copy of that bucket's samples alone.  The
+    /// buckets are monotone in the value, so the result is the exact
+    /// element at the rank.
     pub fn percentile(&self, p: f64) -> Duration {
         if self.samples.is_empty() {
             return Duration::ZERO;
         }
-        let mut samples = self.samples.clone();
-        let rank = Self::rank(p, samples.len());
-        *samples.select_nth_unstable(rank).1
+        let rank = Self::rank(p, self.samples.len());
+        let mut counts = [0usize; BUCKETS];
+        for sample in &self.samples {
+            counts[bucket(sample.as_nanos())] += 1;
+        }
+        // Skip whole buckets below the rank.
+        let (mut held, mut below) = (0, 0);
+        while below + counts[held] <= rank {
+            below += counts[held];
+            held += 1;
+        }
+        let mut bucket_samples = Vec::with_capacity(counts[held]);
+        bucket_samples.extend(
+            self.samples
+                .iter()
+                .filter(|sample| bucket(sample.as_nanos()) == held),
+        );
+        *bucket_samples.select_nth_unstable(rank - below).1
     }
 
     /// The nearest-rank index of the `p`-th percentile among `n > 0`
@@ -281,24 +324,65 @@ mod tests {
     }
 
     #[test]
+    fn histogram_buckets_are_monotone_and_in_range() {
+        let mut edges: Vec<u64> = (0..64).map(|b| 1u64 << b).collect();
+        edges.extend(edges.clone().iter().map(|e| e - 1));
+        edges.extend(edges.clone().iter().map(|e| e + 1));
+        edges.extend([0, 1_000, 390_000, 50_000_000, u64::MAX - 1, u64::MAX]);
+        edges.sort_unstable();
+        let buckets: Vec<usize> = edges.iter().map(|&ns| bucket(ns)).collect();
+        assert!(buckets.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(bucket(u64::MAX), BUCKETS - 1);
+        assert_eq!(bucket(SUBS as u64 - 1) + 1, bucket(SUBS as u64));
+    }
+
+    /// An accumulator holding `samples` nanosecond values, built directly
+    /// so values near `u64::MAX` need not fit the running sum.
+    fn holding(samples: impl IntoIterator<Item = u64>) -> LatencyStat {
+        LatencyStat {
+            samples: samples.into_iter().map(Duration::from_nanos).collect(),
+            sum: Duration::ZERO,
+        }
+    }
+
+    #[test]
     fn selected_percentiles_match_the_full_sort() {
         // Seeded sample sets of awkward sizes, with heavy duplication (a
-        // deterministic service time repeats) and a long tail.
+        // deterministic service time repeats) and a long tail; then all
+        // samples equal, one deterministic value dominating, and values
+        // crowding the top of the range.
         let mut rng = crate::SimRng::seed_from(0x5EED);
+        let mut sets: Vec<(String, LatencyStat)> = Vec::new();
         for n in [1usize, 2, 3, 10, 99, 100, 101, 1000, 4097] {
-            let mut l = LatencyStat::new();
-            for _ in 0..n {
-                let ns = match rng.next_below(4) {
+            let samples: Vec<u64> = (0..n)
+                .map(|_| match rng.next_below(4) {
                     0 => 390_000,
                     1 => rng.next_below(1_000),
                     _ => rng.next_below(50_000_000),
-                };
-                l.record(Duration::from_nanos(ns));
-            }
+                })
+                .collect();
+            sets.push((format!("mixed n {n}"), holding(samples)));
+        }
+        sets.push(("all equal".into(), holding([390_000; 1000])));
+        let dominated: Vec<u64> = (0..4097)
+            .map(|_| match rng.next_below(100) {
+                0..=94 => 390_000,
+                _ => rng.next_below(50_000_000),
+            })
+            .collect();
+        sets.push(("dominated".into(), holding(dominated)));
+        let top: Vec<u64> = (0..1000)
+            .map(|_| match rng.next_below(4) {
+                0 => u64::MAX,
+                _ => u64::MAX - rng.next_below(1 << 62),
+            })
+            .collect();
+        sets.push(("near u64::MAX".into(), holding(top)));
+        for (label, l) in &sets {
             for p in [
                 0.0, 0.1, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0, -5.0, 150.0,
             ] {
-                assert_eq!(l.percentile(p), l.percentile_by_sort(p), "n {n}, p {p}");
+                assert_eq!(l.percentile(p), l.percentile_by_sort(p), "{label}, p {p}");
             }
         }
     }

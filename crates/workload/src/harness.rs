@@ -13,7 +13,7 @@ use wg_net::medium::{Direction, MediumParams};
 use wg_net::{Medium, TransmitOutcome};
 use wg_nfsproto::{NfsCall, NfsReply};
 use wg_server::{NfsServer, ServerAction, ServerConfig, ServerInput, WritePolicy};
-use wg_simcore::{EventQueue, FaultKind, FaultPlan, SimTime};
+use wg_simcore::{EventQueue, FaultKind, FaultPlan, Reservation, SimTime};
 
 use crate::system::NetworkKind;
 
@@ -166,6 +166,17 @@ impl<E> Core<E> {
     /// Schedule a client event.
     pub(crate) fn schedule(&mut self, at: SimTime, event: E) {
         self.queue.schedule_at(at, Ev::Client(event));
+    }
+
+    /// Reserve the place a client event scheduled at `at` now would take
+    /// (see [`EventQueue::reserve`]).
+    pub(crate) fn reserve(&mut self, at: SimTime) -> Reservation {
+        self.queue.reserve(at)
+    }
+
+    /// Schedule a client event into a place reserved earlier.
+    pub(crate) fn schedule_reserved(&mut self, place: Reservation, event: E) {
+        self.queue.schedule_reserved(place, Ev::Client(event));
     }
 
     /// Send `call` from `client` at `at` over the client's segment.  A

@@ -34,12 +34,26 @@
 //! Steady-state op generation performs no per-operation heap allocation for
 //! LOOKUP / READ / GETATTR / WRITE-burst traffic: file names are interned
 //! `Arc<str>`s picked by index, write payloads are fill patterns, and the
-//! outstanding-call table is a pre-sized ring keyed by xid offset rather
-//! than a hash map.  Only CREATE mints a fresh name (it has to — every
-//! created file needs a unique name) and scratch-file rotation allocates a
-//! generation name; both are counted in [`SfsSystem::name_mints`] so tests
-//! can pin "nothing else allocates".
+//! outstanding-call table is a window over the stream's sequential xids
+//! rather than a hash map, sized by the calls in flight.  Only CREATE mints
+//! a fresh name (it has to — every created file needs a unique name) and
+//! scratch-file rotation allocates a generation name; both are counted in
+//! [`SfsSystem::name_mints`] so tests can pin "nothing else allocates".
+//!
+//! # Retry timers
+//!
+//! With the fault layer armed every call gets a retry check one timeout
+//! after it is sent, and every re-send a check one doubled timeout later.
+//! Most calls are answered long before their check is due, so a stream
+//! keeps its checks outside the event queue: one FIFO per retry attempt
+//! level, each entry a [`Reservation`] of the place the check would have
+//! taken in the queue.  Only each level's head is queued; when it fires it
+//! skips the entries whose call was answered meanwhile and queues the next
+//! live one in its reserved place.  Every check that can act fires exactly
+//! where a check per call would have, and the ones that would find their
+//! call answered never enter the queue.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use wg_simcore::FxHashMap;
 
@@ -49,7 +63,7 @@ use wg_nfsproto::{
     StatusReply, WriteArgs, Xid,
 };
 use wg_server::{NfsServer, StabilityMode, WritePolicy};
-use wg_simcore::{Duration, FaultPlan, SimRng, SimTime};
+use wg_simcore::{Duration, FaultPlan, Reservation, SimRng, SimTime};
 
 use crate::harness::{
     harness_readouts, server_config, ClientLans, Core, Harness, Ledger, Population,
@@ -457,11 +471,12 @@ impl SfsConfig {
         XID_ORIGIN + self.xid_stride() * client as u32
     }
 
-    /// Expected operations one client stream issues over the run, used to
-    /// size its outstanding-call ring.
-    fn expected_ops_per_client(&self) -> u64 {
-        let per_client = self.offered_ops_per_sec.max(0.0) / self.clients.max(1) as f64;
-        (per_client * self.duration.as_secs_f64()).ceil() as u64
+    /// Delay from a send to its retry check: the initial timeout for a
+    /// fresh call (`level` 0), doubled per re-send, with the shift capped
+    /// so it cannot overflow on large attempt caps.
+    fn retry_delay(&self, level: u32) -> Duration {
+        self.retry_initial_timeout
+            .saturating_mul(1u64 << level.min(10))
     }
 }
 
@@ -500,98 +515,55 @@ const OP_KINDS: [OpKind; 9] = [
     OpKind::Statfs,
 ];
 
-/// One slot of the outstanding-call ring.
-#[derive(Clone)]
-struct RingSlot {
-    xid: u32,
-    entry: Option<(SimTime, OpKind)>,
+/// The outstanding-call table of one generator stream: a window over its
+/// sequential xids, from the oldest unanswered call to the newest.  Xids
+/// are handed out one after another, so a call's entry is simply at
+/// `xid - front`; inserting and removing is an index, not a hash.  Answered
+/// entries are emptied in place and popped once they reach the front, so
+/// the window spans the calls in flight: one unanswered call holds it open
+/// at 16 bytes per later call, and nothing grows with run length.
+#[derive(Default)]
+struct XidWindow {
+    /// Xid of the front entry.
+    front: u32,
+    /// `(sent, kind)` of each call from `front` on; `None` once answered.
+    calls: VecDeque<Option<(SimTime, OpKind)>>,
 }
 
-/// The outstanding-call table of one generator stream: a pre-sized ring
-/// keyed by xid offset.  Xids are handed out sequentially, so the slot of a
-/// call is simply `(xid - base) mod capacity`; inserting and removing is an
-/// index, not a hash.  Construction only reserves the capacity: slots are
-/// filled as the xid sequence first reaches them, so a stream that issues
-/// few calls never touches most of its ring, and the ring still never
-/// allocates after construction.
-///
-/// A call that never gets a reply (dropped datagram, socket overflow)
-/// leaves its slot occupied until the xid sequence laps the ring — at which
-/// point the stale slot is reclaimed and counted in `stale_overwrites`,
-/// which is exactly the bookkeeping a hash map would have silently leaked.
-struct OutstandingRing {
-    base: u32,
-    mask: usize,
-    slots: Vec<RingSlot>,
-    stale_overwrites: u64,
-}
-
-impl OutstandingRing {
-    fn new(base: u32, expected_ops: u64, compact: bool) -> Self {
-        // Twice the expectation plus slack covers Poisson variance, so a
-        // default-length run never laps the ring and ring semantics stay
-        // identical to the old hash map's; the clamp bounds memory for
-        // extreme offered loads.  `compact` (huge fleets: ≥ 1024 streams)
-        // shrinks the slack and floor so a 10 000-client storm cell costs
-        // kilobytes per stream instead of the default 4096-slot floor —
-        // per-stream expectations are tiny there, so the ring still never
-        // laps.
-        let (slack, floor) = if compact {
-            (256, 1 << 8)
-        } else {
-            (4096, 1 << 12)
-        };
-        let capacity = (expected_ops.saturating_mul(2) + slack)
-            .next_power_of_two()
-            .clamp(floor, 1 << 20) as usize;
-        OutstandingRing {
-            base,
-            mask: capacity - 1,
-            slots: Vec::with_capacity(capacity),
-            stale_overwrites: 0,
-        }
+impl XidWindow {
+    fn index(&self, xid: u32) -> Option<usize> {
+        let idx = xid.wrapping_sub(self.front) as usize;
+        (idx < self.calls.len()).then_some(idx)
     }
 
-    fn slot_index(&self, xid: u32) -> usize {
-        xid.wrapping_sub(self.base) as usize & self.mask
-    }
-
+    /// Open an entry for the stream's next xid.
     fn insert(&mut self, xid: u32, sent: SimTime, kind: OpKind) {
-        let idx = self.slot_index(xid);
-        if idx >= self.slots.len() {
-            // Within the reserved capacity: never reallocates.
-            self.slots.resize(
-                idx + 1,
-                RingSlot {
-                    xid: 0,
-                    entry: None,
-                },
-            );
+        if self.calls.is_empty() {
+            self.front = xid;
         }
-        let slot = &mut self.slots[idx];
-        if slot.entry.is_some() {
-            self.stale_overwrites += 1;
-        }
-        slot.xid = xid;
-        slot.entry = Some((sent, kind));
+        assert_eq!(
+            xid,
+            self.front.wrapping_add(self.calls.len() as u32),
+            "xids enter the window in sequence"
+        );
+        self.calls.push_back(Some((sent, kind)));
     }
 
+    /// Retire a call, returning its entry if it was still unanswered.
     fn take(&mut self, xid: u32) -> Option<(SimTime, OpKind)> {
-        let idx = self.slot_index(xid);
-        let slot = self.slots.get_mut(idx)?;
-        if slot.xid == xid {
-            slot.entry.take()
-        } else {
-            None
+        let idx = self.index(xid)?;
+        let entry = self.calls[idx].take();
+        while let Some(None) = self.calls.front() {
+            self.calls.pop_front();
+            self.front = self.front.wrapping_add(1);
         }
+        entry
     }
 
     /// Whether a call is still awaiting its reply (used by the retry timer
     /// to tell "unanswered" from "answered while the timer was in flight").
     fn contains(&self, xid: u32) -> bool {
-        self.slots
-            .get(self.slot_index(xid))
-            .is_some_and(|slot| slot.xid == xid && slot.entry.is_some())
+        self.index(xid).is_some_and(|idx| self.calls[idx].is_some())
     }
 }
 
@@ -705,8 +677,8 @@ impl MeanLatency {
     }
 }
 
-/// One independent load-generator stream: its own RNG, xid window,
-/// scratch-file namespace and outstanding-call ring.
+/// One independent load-generator stream: its own RNG, xid range,
+/// scratch-file namespace and window of calls in flight.
 struct SfsGenerator {
     client: u32,
     rng: SimRng,
@@ -719,7 +691,7 @@ struct SfsGenerator {
     /// Remaining bodies of an in-progress write burst; drained one per
     /// arrival before a new operation is drawn from the mix.
     burst_queue: Vec<NfsCallBody>,
-    outstanding: OutstandingRing,
+    outstanding: XidWindow,
     issued: u64,
     completed: u64,
     /// Name-minting allocations this stream performed (fresh CREATE names and
@@ -736,6 +708,11 @@ struct SfsGenerator {
     /// otherwise never touched, keeping the steady-state loop allocation-free
     /// and bit-identical to the pre-fault harness.
     retry_calls: FxHashMap<u32, NfsCall>,
+    /// Pending retry checks, one FIFO per attempt level reached so far,
+    /// each entry the reserved place of one check and the xid it checks.  A
+    /// level's head is the one check of that level in the event queue.
+    /// Populated only when [`SfsConfig::faults_enabled`].
+    retry_timers: Vec<VecDeque<(Reservation, u32)>>,
     /// Lease/lock client state (inert unless [`SfsConfig::leases`]).
     lease: LeaseState,
 }
@@ -804,7 +781,7 @@ impl SfsGenerator {
     }
 
     /// Produce the next call of this stream, stamping its send time into the
-    /// outstanding ring at insertion (one code path: a call dropped before
+    /// outstanding window at insertion (one code path: a call dropped before
     /// arrival still carries the time it was really sent).
     fn next_call(
         &mut self,
@@ -1106,8 +1083,9 @@ fn churn_origin(churn: Duration, client: usize, clients: usize) -> SimTime {
 enum SfsEvent {
     NextArrival(usize),
     Reply(u32, NfsReply),
-    /// Retry timer of one call: `(client, xid, attempts already made)`.
-    RetryCheck(usize, u32, u32),
+    /// The head retry check of one attempt level of one client:
+    /// `(client, attempts already made)`.
+    RetryCheck(usize, u32),
     /// One client's lease tick: register/renew/lock/reclaim, then
     /// self-reschedule (scheduled only when [`SfsConfig::leases`]).
     LeaseTick(usize),
@@ -1153,12 +1131,71 @@ impl SfsClients {
             self.generators[client]
                 .retry_calls
                 .insert(xid, call.clone());
-            core.schedule(
-                t + self.config.retry_initial_timeout,
-                SfsEvent::RetryCheck(client, xid, 0),
-            );
+            self.arm_retry(t, client, 0, xid, core);
         }
         core.send(t, client, call);
+    }
+
+    /// Reserve the retry check of `xid` at `level`, one retry delay after
+    /// `t`, at the back of the level's FIFO.  Entries of one level are
+    /// reserved in pop order with one delay, so the FIFO stays in place
+    /// order; only a check that becomes its level's head is queued now.
+    fn arm_retry(
+        &mut self,
+        t: SimTime,
+        client: usize,
+        level: u32,
+        xid: u32,
+        core: &mut Core<SfsEvent>,
+    ) {
+        let place = core.reserve(t + self.config.retry_delay(level));
+        let levels = &mut self.generators[client].retry_timers;
+        if levels.len() <= level as usize {
+            levels.resize_with(level as usize + 1, VecDeque::new);
+        }
+        let timers = &mut levels[level as usize];
+        timers.push_back((place, xid));
+        if timers.len() == 1 {
+            core.schedule_reserved(place, SfsEvent::RetryCheck(client, level));
+        }
+    }
+
+    /// The head check of `level` fired at `t`: act on its call as a check
+    /// per call would, then queue the level's next check whose call is
+    /// still unanswered in its reserved place, dropping the answered ones.
+    fn retry_check(&mut self, t: SimTime, client: usize, level: u32, core: &mut Core<SfsEvent>) {
+        let generator = &mut self.generators[client];
+        let (_, xid) = generator.retry_timers[level as usize]
+            .pop_front()
+            .expect("a firing retry check is its level's head");
+        // A call answered while its check was queued needs nothing: the
+        // reply already dropped its retained copy.
+        if generator.outstanding.contains(xid) {
+            if level >= self.config.max_retransmits {
+                // Exhausted: abandon the call as a counted failure — never a
+                // silent success — on the ledger it was issued on.
+                let kind = generator.outstanding.take(xid).map(|(_, kind)| kind);
+                generator.retry_calls.remove(&xid);
+                if matches!(kind, Some(OpKind::Renew | OpKind::Lock)) {
+                    generator.lease.gave_up += 1;
+                } else {
+                    generator.gave_up += 1;
+                }
+            } else if let Some(call) = generator.retry_calls.get(&xid).cloned() {
+                generator.retransmissions += 1;
+                core.send(t, client, call);
+                self.arm_retry(t, client, level + 1, xid, core);
+            }
+        }
+        let generator = &mut self.generators[client];
+        let timers = &mut generator.retry_timers[level as usize];
+        while let Some(&(place, xid)) = timers.front() {
+            if generator.outstanding.contains(xid) {
+                core.schedule_reserved(place, SfsEvent::RetryCheck(client, level));
+                break;
+            }
+            timers.pop_front();
+        }
     }
 }
 
@@ -1225,34 +1262,7 @@ impl Population for SfsClients {
                     }
                 }
             }
-            SfsEvent::RetryCheck(client, xid, attempt) => {
-                let generator = &mut self.generators[client];
-                if !generator.outstanding.contains(xid) {
-                    // Answered (or lapped) while the timer was in flight.
-                    generator.retry_calls.remove(&xid);
-                } else if attempt >= self.config.max_retransmits {
-                    // Exhausted: abandon the call as a counted failure —
-                    // never a silent success — on the ledger it was issued
-                    // on.
-                    let kind = generator.outstanding.take(xid).map(|(_, kind)| kind);
-                    generator.retry_calls.remove(&xid);
-                    if matches!(kind, Some(OpKind::Renew | OpKind::Lock)) {
-                        generator.lease.gave_up += 1;
-                    } else {
-                        generator.gave_up += 1;
-                    }
-                } else if let Some(call) = generator.retry_calls.get(&xid).cloned() {
-                    generator.retransmissions += 1;
-                    core.send(t, client, call);
-                    // Exponential backoff, capped so the shift can't
-                    // overflow on large attempt caps.
-                    let backoff = self
-                        .config
-                        .retry_initial_timeout
-                        .saturating_mul(1u64 << (attempt + 1).min(10));
-                    core.schedule(t + backoff, SfsEvent::RetryCheck(client, xid, attempt + 1));
-                }
-            }
+            SfsEvent::RetryCheck(client, level) => self.retry_check(t, client, level, core),
             SfsEvent::LeaseTick(client) => {
                 if t < self.end {
                     if let Some(call) = self.generators[client].lease_tick_call(t, &self.shared) {
@@ -1332,7 +1342,6 @@ impl SfsSystem {
             files.push((Arc::<str>::from(name), handle, config.file_size));
         }
         let stride = config.xid_stride();
-        let expected_ops = config.expected_ops_per_client();
         let mean_gap = clients as f64 / config.offered_ops_per_sec.max(1e-9);
         let mut generators = Vec::with_capacity(clients);
         for client in 0..clients {
@@ -1367,13 +1376,14 @@ impl SfsSystem {
                 created_names: Vec::new(),
                 create_counter: 0,
                 burst_queue: Vec::new(),
-                outstanding: OutstandingRing::new(base, expected_ops, clients >= 1024),
+                outstanding: XidWindow::default(),
                 issued: 0,
                 completed: 0,
                 name_mints: 0,
                 retransmissions: 0,
                 gave_up: 0,
                 retry_calls: FxHashMap::default(),
+                retry_timers: Vec::new(),
                 lease: LeaseState::new(client as u32),
             });
         }
@@ -1405,13 +1415,20 @@ impl SfsSystem {
         &self.harness.clients.generators
     }
 
-    /// Generate one call of a client's stream without transmitting it — the
-    /// hook the allocation probes drive the hot loop through.
+    /// Generate one call of a client's stream without transmitting it, and
+    /// retire it from the stream's window of calls in flight as an instant
+    /// reply would — the hook the allocation probes drive the hot loop
+    /// through.  The window stays empty between calls, so the probe sees
+    /// generation plus one insert and take in a true steady state.
     pub fn generate_one(&mut self, now: SimTime, client: usize) -> NfsCall {
         let harness = &mut self.harness;
-        harness
+        let call = harness
             .clients
-            .generate(now, client, &mut harness.core.server)
+            .generate(now, client, &mut harness.core.server);
+        harness.clients.generators[client]
+            .outstanding
+            .take(call.xid.0);
+        call
     }
 
     /// Run the measurement and produce one figure point.  The run ends in
@@ -1557,11 +1574,6 @@ impl SfsSystem {
     /// Streams that went lease-dead (stopped renewing after a give-up).
     pub fn lease_dead_streams(&self) -> usize {
         self.generators().iter().filter(|g| g.lease.dead).count()
-    }
-
-    /// Outstanding-ring slots reclaimed from calls that never got a reply.
-    pub fn stale_overwrites(&self) -> u64 {
-        self.sum(|g| g.outstanding.stale_overwrites)
     }
 
     /// Largest append offset any scratch write file currently holds.
@@ -1835,25 +1847,37 @@ mod tests {
     }
 
     #[test]
-    fn outstanding_ring_inserts_takes_and_reclaims() {
-        let mut ring = OutstandingRing::new(XID_ORIGIN, 16, false);
+    fn xid_window_retires_calls_in_any_order() {
+        let mut window = XidWindow::default();
         let t = SimTime::ZERO + Duration::from_millis(5);
-        ring.insert(XID_ORIGIN, t, OpKind::Read);
-        ring.insert(XID_ORIGIN + 1, t, OpKind::Write);
-        assert_eq!(ring.take(XID_ORIGIN), Some((t, OpKind::Read)));
-        // Double-take and unknown xids miss.
-        assert_eq!(ring.take(XID_ORIGIN), None);
-        assert_eq!(ring.take(XID_ORIGIN + 2), None);
-        // A never-answered call's slot is reclaimed when the ring laps.
-        let capacity = (ring.mask + 1) as u32;
-        ring.insert(XID_ORIGIN + 1 + capacity, t, OpKind::Lookup);
-        assert_eq!(ring.stale_overwrites, 1);
-        assert_eq!(
-            ring.take(XID_ORIGIN + 1 + capacity),
-            Some((t, OpKind::Lookup))
-        );
-        // The lapped xid no longer matches.
-        assert_eq!(ring.take(XID_ORIGIN + 1), None);
+        let kinds = [OpKind::Read, OpKind::Write, OpKind::Lookup, OpKind::Commit];
+        for (i, &kind) in kinds.iter().enumerate() {
+            window.insert(XID_ORIGIN + i as u32, t, kind);
+        }
+        // Out-of-order replies: the later calls retire, the front stays at
+        // the oldest unanswered one.
+        assert_eq!(window.take(XID_ORIGIN + 2), Some((t, OpKind::Lookup)));
+        assert_eq!(window.take(XID_ORIGIN + 1), Some((t, OpKind::Write)));
+        assert_eq!((window.front, window.calls.len()), (XID_ORIGIN, 4));
+        // A second take of the same xid, and xids on either side of the
+        // window, miss.
+        assert_eq!(window.take(XID_ORIGIN + 2), None);
+        assert_eq!(window.take(XID_ORIGIN + 4), None);
+        assert_eq!(window.take(XID_ORIGIN - 1), None);
+        assert!(!window.contains(XID_ORIGIN + 1) && window.contains(XID_ORIGIN));
+        // Retiring the front advances it past every call already answered.
+        assert_eq!(window.take(XID_ORIGIN), Some((t, OpKind::Read)));
+        assert_eq!((window.front, window.calls.len()), (XID_ORIGIN + 3, 1));
+        // The next xid opens behind the last unanswered call.
+        window.insert(XID_ORIGIN + 4, t, OpKind::Getattr);
+        assert_eq!(window.take(XID_ORIGIN + 4), Some((t, OpKind::Getattr)));
+        assert_eq!(window.take(XID_ORIGIN + 3), Some((t, OpKind::Commit)));
+        // Every call answered: the window is empty, and the next call
+        // starts a fresh one.
+        assert!(window.calls.is_empty());
+        assert!(!window.contains(XID_ORIGIN + 3));
+        window.insert(XID_ORIGIN + 5, t, OpKind::Statfs);
+        assert_eq!((window.front, window.calls.len()), (XID_ORIGIN + 5, 1));
     }
 
     #[test]

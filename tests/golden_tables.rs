@@ -8,7 +8,10 @@
 //! layout, then each cell's full-precision result record.  The fleet
 //! snapshot pins the per-client and aggregate results of three writer-fleet
 //! cells (segment rollover; sharded, striped and overlapped with per-client
-//! LANs; unstable with paced COMMITs).
+//! LANs; unstable with paced COMMITs).  The faulted-SFS snapshot pins one
+//! LADDIS stream with the retry layer armed: WRITE(UNSTABLE) through a small
+//! unified cache, datagram loss and a crash every 5 s, so retransmission,
+//! give-ups and duplicate-cache replay all show in its numbers.
 //!
 //! To regenerate after an *intentional* simulation change:
 //!
@@ -18,7 +21,9 @@
 
 use wg_bench::{run_table_with, TABLES};
 use wg_server::{ServerConfig, StabilityMode, WritePolicy};
-use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind};
+use wg_simcore::{Duration, FaultPlan};
+use wg_workload::sfs::SfsSystem;
+use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind, SfsConfig};
 
 const TABLES_GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -27,6 +32,10 @@ const TABLES_GOLDEN: &str = concat!(
 const FLEET_GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/golden/writer_fleet.txt"
+);
+const SFS_FAULTED_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/sfs_faulted.txt"
 );
 const MB: u64 = 1024 * 1024;
 
@@ -125,4 +134,43 @@ fn writer_fleet_results_match_golden() {
         })
         .collect();
     check_golden(FLEET_GOLDEN, &rendered, "the writer-fleet results");
+}
+
+#[test]
+fn faulted_sfs_run_matches_golden() {
+    // The shape of the benchmark's `sfs_crash` workload at 60 s: every
+    // lost or crash-dropped call is re-sent by the retry timers until it is
+    // answered or given up.
+    let secs = Duration::from_secs(60);
+    let mut config = SfsConfig::figure2(250.0, WritePolicy::Gathering)
+        .with_stability(StabilityMode::Unstable)
+        .with_unified_cache(256)
+        .with_dirty_ratio(0.1)
+        .with_loss(0.01)
+        .with_fault_plan(FaultPlan::crash_every(Duration::from_secs(5), secs));
+    config.duration = secs;
+    config.seed = 31;
+    let mut system = SfsSystem::new(config);
+    let point = system.run();
+    let (issued, completed) = system.counts();
+    let stats = system.server().stats();
+    let residence = &stats.residence;
+    let rendered = format!(
+        "250 ops/s WRITE(UNSTABLE), 256-page cache, dirty ratio 0.1, 1% loss, \
+         crash every 5 s, 60 s, seed 31\n\
+         point {}\n\
+         calls issued={issued} completed={completed} gave_up={} retransmissions={}\n\
+         server duplicate_requests={} dropped_during_recovery={} lost_unstable_bytes={}\n\
+         residence count={} mean_ns={} p99_ns={}\n",
+        point.to_json(),
+        system.gave_up(),
+        system.retransmissions(),
+        stats.duplicate_requests,
+        stats.dropped_during_recovery,
+        stats.lost_unstable_bytes,
+        residence.count(),
+        residence.mean().as_nanos(),
+        residence.percentile(99.0).as_nanos(),
+    );
+    check_golden(SFS_FAULTED_GOLDEN, &rendered, "the faulted SFS run");
 }
