@@ -15,6 +15,12 @@
 //! [`run_table`] executes every cell and returns rows shaped like the paper's.
 //! The binaries (`tables`, `figure1`, `figure2_3`, `ablations`) print the
 //! regenerated artefacts.
+//!
+//! Two binaries record the perf trajectory in `BENCH_writepath.json`
+//! through [`report`], a small JSON value type: `writepath_bench` times the
+//! canonical write-path cells, and `sweep` runs the extension experiments
+//! (`faults`, `scale`, `sfs_scale`, `stability`, `state_storms`), each cell
+//! recording its fields by name from a [`metrics`] snapshot of its run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -297,348 +303,8 @@ pub mod cli {
     }
 }
 
-/// Helpers for the hand-rolled JSON trajectory report (`BENCH_writepath.json`).
-///
-/// The build environment has no JSON-parsing dependency, and the file is
-/// written only by the bench binaries (`writepath_bench`, `scale_sweep`), so
-/// a brace-matching scan over their own output is reliable.  Both binaries
-/// share these helpers: one scanner, not two drifting copies.
-pub mod report {
-    /// CPUs the host actually offers the process (1 when unknown).  Stamped
-    /// into every recorded cell so wall-clock numbers can be read in context.
-    pub fn host_parallelism() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
-    /// The provenance block every recorded bench cell must carry, spelled the
-    /// same way everywhere: the run's `clamped_past` count (events silently
-    /// clamped into the past — always zero, since the drivers' `run()`
-    /// audits it, and recorded anyway), the
-    /// host parallelism the wall-clock numbers were measured under, and the
-    /// event queue's pending-event high-water mark, so a wall-clock shift can
-    /// be read against the scheduler's load in the same cell.  The sweep
-    /// binaries append this to each cell's fields instead of hand-rolling
-    /// the entries, so the stamps can't drift apart.
-    pub fn stamp_cell(
-        fields: &mut Vec<(&'static str, String)>,
-        clamped_past: u64,
-        sched: &wg_simcore::CalStats,
-    ) {
-        fields.push(("clamped_past", clamped_past.to_string()));
-        fields.push(("host_parallelism", host_parallelism().to_string()));
-        fields.push(("sched_max_depth", sched.max_depth.to_string()));
-    }
-
-    /// Index just past a JSON string that starts at `at` (which must hold the
-    /// opening quote), honouring backslash escapes.
-    fn skip_string(text: &str, at: usize) -> Option<usize> {
-        let bytes = text.as_bytes();
-        debug_assert_eq!(bytes.get(at), Some(&b'"'));
-        let mut i = at + 1;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'\\' => i += 2,
-                b'"' => return Some(i + 1),
-                _ => i += 1,
-            }
-        }
-        None
-    }
-
-    /// Index just past the JSON value that starts at `at` — an object or
-    /// array (brace-matched, with strings skipped so braces inside names
-    /// can't unbalance the count), a string, or a scalar.
-    fn skip_value(text: &str, at: usize) -> Option<usize> {
-        let bytes = text.as_bytes();
-        match bytes.get(at)? {
-            b'"' => skip_string(text, at),
-            b'{' | b'[' => {
-                let mut depth = 0usize;
-                let mut i = at;
-                while i < bytes.len() {
-                    match bytes[i] {
-                        b'"' => {
-                            i = skip_string(text, i)?;
-                            continue;
-                        }
-                        b'{' | b'[' => depth += 1,
-                        b'}' | b']' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return Some(i + 1);
-                            }
-                        }
-                        _ => {}
-                    }
-                    i += 1;
-                }
-                None
-            }
-            _ => {
-                let mut i = at;
-                while i < bytes.len() && !matches!(bytes[i], b',' | b'}' | b']') {
-                    i += 1;
-                }
-                Some(i)
-            }
-        }
-    }
-
-    /// Walk the *top level* of the report object and return the value span of
-    /// `key` as `(value_start, value_end)`.  Depth-aware on purpose: the
-    /// report nests whole sub-reports (e.g. an `"sfs_scale"` object carrying
-    /// its own `"baseline"`/`"current"` curves), and a naive substring search
-    /// for `"baseline":` would happily land inside one of them.
-    fn top_level_value_span(text: &str, key: &str) -> Option<(usize, usize)> {
-        let bytes = text.as_bytes();
-        let mut i = text.find('{')? + 1;
-        loop {
-            while i < bytes.len() && matches!(bytes[i], b' ' | b'\t' | b'\n' | b'\r' | b',') {
-                i += 1;
-            }
-            if i >= bytes.len() || bytes[i] != b'"' {
-                return None;
-            }
-            let key_start = i;
-            let key_end = skip_string(text, i)?;
-            let this_key = &text[key_start + 1..key_end - 1];
-            i = key_end;
-            while i < bytes.len() && matches!(bytes[i], b' ' | b'\t' | b'\n' | b'\r') {
-                i += 1;
-            }
-            if i >= bytes.len() || bytes[i] != b':' {
-                return None;
-            }
-            i += 1;
-            while i < bytes.len() && matches!(bytes[i], b' ' | b'\t' | b'\n' | b'\r') {
-                i += 1;
-            }
-            let value_start = i;
-            let value_end = skip_value(text, i)?;
-            if this_key == key {
-                return Some((value_start, value_end));
-            }
-            i = value_end;
-        }
-    }
-
-    /// Every `(key, value_start, value_end)` entry of the report's top level,
-    /// in file order.  Stops (returning what it has) at the first malformed
-    /// entry, mirroring [`top_level_value_span`]'s bail-out behaviour.
-    fn top_level_entries(text: &str) -> Vec<(String, usize, usize)> {
-        let bytes = text.as_bytes();
-        let mut out = Vec::new();
-        let Some(open) = text.find('{') else {
-            return out;
-        };
-        let mut i = open + 1;
-        loop {
-            while i < bytes.len() && matches!(bytes[i], b' ' | b'\t' | b'\n' | b'\r' | b',') {
-                i += 1;
-            }
-            if i >= bytes.len() || bytes[i] != b'"' {
-                return out;
-            }
-            let key_start = i;
-            let Some(key_end) = skip_string(text, i) else {
-                return out;
-            };
-            let key = text[key_start + 1..key_end - 1].to_string();
-            i = key_end;
-            while i < bytes.len() && matches!(bytes[i], b' ' | b'\t' | b'\n' | b'\r') {
-                i += 1;
-            }
-            if i >= bytes.len() || bytes[i] != b':' {
-                return out;
-            }
-            i += 1;
-            while i < bytes.len() && matches!(bytes[i], b' ' | b'\t' | b'\n' | b'\r') {
-                i += 1;
-            }
-            let value_start = i;
-            let Some(value_end) = skip_value(text, i) else {
-                return out;
-            };
-            out.push((key, value_start, value_end));
-            i = value_end;
-        }
-    }
-
-    /// Every top-level `(key, value)` pair of a report whose key is *not* in
-    /// `known`, values verbatim.  A bench binary rewriting the shared report
-    /// passes the keys it owns and re-emits everything else unchanged — so a
-    /// section written by another (possibly newer) binary survives the
-    /// rewrite even though this binary has never heard its name.
-    pub fn carry_unknown_keys(text: &str, known: &[&str]) -> Vec<(String, String)> {
-        top_level_entries(text)
-            .into_iter()
-            .filter(|(key, _, _)| !known.contains(&key.as_str()))
-            .map(|(key, start, end)| (key, text[start..end].to_string()))
-            .collect()
-    }
-
-    /// Extract a top-level `"key":{...}` object (including its braces), if
-    /// present.  Only the report's own top level is searched; identically
-    /// named keys nested inside other objects are never matched.
-    pub fn extract_object(text: &str, key: &str) -> Option<String> {
-        let (start, end) = top_level_value_span(text, key)?;
-        if text.as_bytes()[start] == b'{' {
-            Some(text[start..end].to_string())
-        } else {
-            None
-        }
-    }
-
-    /// Replace (or insert) a top-level `"key":{...}` object in a report,
-    /// returning the new text (newline-terminated).  An empty `text` becomes
-    /// a fresh single-key object.  Like [`extract_object`], only genuine
-    /// top-level keys are replaced — a nested namesake stays untouched.
-    pub fn upsert_object(text: &str, key: &str, value: &str) -> String {
-        let trimmed = text.trim_end();
-        if trimmed.is_empty() {
-            return format!("{{\"{key}\":{value}}}\n");
-        }
-        if let Some((start, end)) = top_level_value_span(trimmed, key) {
-            format!("{}{}{}\n", &trimmed[..start], value, &trimmed[end..])
-        } else {
-            let end = trimmed.rfind('}').expect("report is a JSON object");
-            let body = trimmed[..end].trim_end();
-            let sep = if body.ends_with('{') { "" } else { "," };
-            format!("{body}{sep}\"{key}\":{value}}}\n")
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn extract_finds_nested_objects() {
-            let text = r#"{"a":{"x":{"y":1}},"b":{"z":2}}"#;
-            assert_eq!(extract_object(text, "a"), Some(r#"{"x":{"y":1}}"#.into()));
-            assert_eq!(extract_object(text, "b"), Some(r#"{"z":2}"#.into()));
-            assert_eq!(extract_object(text, "c"), None);
-        }
-
-        #[test]
-        fn upsert_replaces_and_inserts() {
-            let fresh = upsert_object("", "scale", "{\"k\":1}");
-            assert_eq!(fresh, "{\"scale\":{\"k\":1}}\n");
-            let inserted = upsert_object("{\"a\":{\"x\":1}}", "scale", "{\"k\":2}");
-            assert_eq!(inserted, "{\"a\":{\"x\":1},\"scale\":{\"k\":2}}\n");
-            let replaced = upsert_object(&inserted, "scale", "{\"k\":3}");
-            assert_eq!(replaced, "{\"a\":{\"x\":1},\"scale\":{\"k\":3}}\n");
-            // Keys after the replaced one survive.
-            let middle = upsert_object("{\"scale\":{\"k\":4},\"z\":{\"w\":5}}", "scale", "{}");
-            assert_eq!(middle, "{\"scale\":{},\"z\":{\"w\":5}}\n");
-        }
-
-        #[test]
-        fn nested_namesakes_are_never_matched() {
-            // The sfs_scale sub-report nests its own "baseline" and "current"
-            // curves; extraction of the top-level "baseline" must not land on
-            // them even when sfs_scale comes first.
-            let text = concat!(
-                r#"{"sfs_scale":{"baseline":{"nested":1},"current":{"nested":2}},"#,
-                r#""baseline":{"real":3}}"#
-            );
-            assert_eq!(
-                extract_object(text, "baseline"),
-                Some(r#"{"real":3}"#.into())
-            );
-            assert_eq!(extract_object(text, "nested"), None);
-            // Upserting the top-level key leaves the nested namesake alone.
-            let updated = upsert_object(text, "baseline", r#"{"real":4}"#);
-            assert!(updated.contains(r#""baseline":{"nested":1}"#));
-            assert!(updated.contains(r#""baseline":{"real":4}"#));
-        }
-
-        #[test]
-        fn sfs_scale_and_scale_keys_do_not_collide() {
-            let text = r#"{"sfs_scale":{"baseline":{"p":1}},"scale":{"c2_mb1":{"q":2}}}"#;
-            assert_eq!(
-                extract_object(text, "scale"),
-                Some(r#"{"c2_mb1":{"q":2}}"#.into())
-            );
-            assert_eq!(
-                extract_object(text, "sfs_scale"),
-                Some(r#"{"baseline":{"p":1}}"#.into())
-            );
-            // A scale rewrite keeps the sfs_scale curves verbatim.
-            let updated = upsert_object(text, "scale", r#"{"c2_mb1":{"q":9}}"#);
-            assert!(updated.contains(r#""sfs_scale":{"baseline":{"p":1}}"#));
-            assert!(updated.contains(r#""scale":{"c2_mb1":{"q":9}}"#));
-        }
-
-        #[test]
-        fn unknown_keys_are_carried_generically() {
-            // A key this code has never heard of — the way a newer binary's
-            // section (say "faults") looks to an older one — must survive a
-            // rewrite verbatim, whatever its value shape.
-            let text = concat!(
-                r#"{"bench":"writepath","baseline":{"x":1},"#,
-                r#""mystery_section":{"cells":[{"a":1},{"b":2}],"note":"odd } brace"},"#,
-                r#""count":42}"#
-            );
-            let carried = carry_unknown_keys(text, &["bench", "baseline"]);
-            assert_eq!(carried.len(), 2);
-            assert_eq!(carried[0].0, "mystery_section");
-            assert_eq!(
-                carried[0].1,
-                r#"{"cells":[{"a":1},{"b":2}],"note":"odd } brace"}"#
-            );
-            // Non-object values are carried too.
-            assert_eq!(carried[1], ("count".to_string(), "42".to_string()));
-            // Knowing every key means nothing is carried; an empty file the
-            // same.
-            assert!(
-                carry_unknown_keys(text, &["bench", "baseline", "mystery_section", "count"])
-                    .is_empty()
-            );
-            assert!(carry_unknown_keys("", &[]).is_empty());
-        }
-
-        #[test]
-        fn stability_key_rides_alongside_the_existing_sections() {
-            // sfs_sweep writes both "sfs_scale" and "stability"; a binary
-            // that owns neither must carry both verbatim, and upserting
-            // "stability" must leave its neighbours untouched.
-            let text = concat!(
-                r#"{"bench":"writepath","faults":{"grid":{"c":1}},"#,
-                r#""stability":{"sfs":{"sync":{"lost_acked_bytes":0},"#,
-                r#""unstable":{"commits":17}},"copy":{"unstable":{"kb":1637}}},"#,
-                r#""sfs_scale":{"baseline":{"p":1}}}"#
-            );
-            let carried = carry_unknown_keys(text, &["bench", "faults"]);
-            assert_eq!(carried.len(), 2);
-            assert_eq!(carried[0].0, "stability");
-            assert!(carried[0].1.contains(r#""commits":17"#));
-            assert_eq!(carried[1].0, "sfs_scale");
-            assert_eq!(
-                extract_object(text, "stability").as_deref(),
-                Some(&carried[0].1[..])
-            );
-            // The nested "sync" cell is not a top-level key.
-            assert_eq!(extract_object(text, "sync"), None);
-            let updated = upsert_object(text, "stability", r#"{"sfs":{}}"#);
-            assert!(updated.contains(r#""stability":{"sfs":{}}"#));
-            assert!(updated.contains(r#""faults":{"grid":{"c":1}}"#));
-            assert!(updated.contains(r#""sfs_scale":{"baseline":{"p":1}}"#));
-        }
-
-        #[test]
-        fn braces_inside_strings_do_not_unbalance_the_scan() {
-            let text = r#"{"a":{"label":"odd } text { here"},"b":{"v":1}}"#;
-            assert_eq!(extract_object(text, "b"), Some(r#"{"v":1}"#.into()));
-            assert_eq!(
-                extract_object(text, "a"),
-                Some(r#"{"label":"odd } text { here"}"#.into())
-            );
-        }
-    }
-}
+pub mod metrics;
+pub mod report;
 
 /// Reference values transcribed from the paper, used by the harness to print
 /// a paper-vs-measured comparison and by the `table_shapes` integration test

@@ -35,5 +35,5 @@ pub mod sfs;
 pub mod system;
 
 pub use results::{FileCopyResult, MultiClientResult, SfsPoint, TableRow};
-pub use sfs::{SfsConfig, SfsMix, SfsRunStats, SfsSweep};
+pub use sfs::{SfsConfig, SfsMix, SfsSweep};
 pub use system::{ExperimentConfig, FileCopySystem, NetworkKind};

@@ -114,7 +114,6 @@ pub struct SfsPoint {
 /// readable output from these helpers.
 pub mod json {
     use super::{FileCopyResult, MultiClientResult, SfsPoint};
-    use crate::sfs::SfsRunStats;
 
     /// Format an `f64` the way JSON expects (no NaN/inf; stable shortest-ish
     /// representation is fine for harness output).
@@ -146,9 +145,13 @@ pub mod json {
         out
     }
 
-    /// Render a JSON object from pre-rendered `(key, value)` pairs.
+    /// Render a JSON object from pre-rendered `(key, value)` pairs, keys
+    /// escaped like any string.
     pub fn object(fields: &[(&str, String)]) -> String {
-        let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        let body: Vec<String> = fields
+            .iter()
+            .map(|(k, v)| format!("{}:{v}", string(k)))
+            .collect();
         format!("{{{}}}", body.join(","))
     }
 
@@ -203,40 +206,6 @@ pub mod json {
                 ("achieved_ops_per_sec", number(self.achieved_ops_per_sec)),
                 ("avg_latency_ms", number(self.avg_latency_ms)),
                 ("server_cpu_percent", number(self.server_cpu_percent)),
-            ])
-        }
-    }
-
-    impl SfsRunStats {
-        /// The record as a JSON object string: the figure point plus the
-        /// health counters the scale harness asserts on.
-        pub fn to_json(&self) -> String {
-            let per_client: Vec<String> = self
-                .per_client_achieved_ops
-                .iter()
-                .map(|&ops| number(ops))
-                .collect();
-            object(&[
-                (
-                    "offered_ops_per_sec",
-                    number(self.point.offered_ops_per_sec),
-                ),
-                (
-                    "achieved_ops_per_sec",
-                    number(self.point.achieved_ops_per_sec),
-                ),
-                ("avg_latency_ms", number(self.point.avg_latency_ms)),
-                ("server_cpu_percent", number(self.point.server_cpu_percent)),
-                ("per_client_achieved_ops", array(&per_client)),
-                ("fairness", number(self.fairness)),
-                ("evicted_in_progress", self.evicted_in_progress.to_string()),
-                ("materializations", self.materializations.to_string()),
-                ("name_mints", self.name_mints.to_string()),
-                ("issued", self.issued.to_string()),
-                ("completed", self.completed.to_string()),
-                ("retransmissions", self.retransmissions.to_string()),
-                ("gave_up", self.gave_up.to_string()),
-                ("clamped_past", self.clamped_past.to_string()),
             ])
         }
     }

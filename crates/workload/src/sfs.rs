@@ -1594,37 +1594,6 @@ impl SfsSystem {
     }
 }
 
-/// One executed sweep point with the health counters the scale harness
-/// records alongside the figure numbers.
-#[derive(Clone, Debug)]
-pub struct SfsRunStats {
-    /// The figure point itself.
-    pub point: SfsPoint,
-    /// Achieved ops/sec per client stream.
-    pub per_client_achieved_ops: Vec<f64>,
-    /// Jain's fairness index over the per-client achieved throughput.
-    pub fairness: f64,
-    /// `InProgress` duplicate-cache evictions (§6.9; zero, since
-    /// [`SfsSystem::run`] audits it).
-    pub evicted_in_progress: u64,
-    /// Payload materialisations during the run (must be zero on the
-    /// zero-copy datapath).
-    pub materializations: u64,
-    /// Name-minting allocations the generators performed.
-    pub name_mints: u64,
-    /// Operations issued.
-    pub issued: u64,
-    /// Operations completed.
-    pub completed: u64,
-    /// Calls re-sent by the retry timers (0 with the fault layer disarmed).
-    pub retransmissions: u64,
-    /// Calls abandoned after the retransmit budget — counted failures.
-    pub gave_up: u64,
-    /// Events scheduled into the past and silently clamped (zero, since
-    /// [`SfsSystem::run`] audits it).
-    pub clamped_past: u64,
-}
-
 /// A load sweep producing the curve of Figure 2 or Figure 3.
 #[derive(Clone, Debug)]
 pub struct SfsSweep {
@@ -1649,32 +1618,6 @@ impl SfsSweep {
         loads
             .iter()
             .map(|&load| SfsSystem::new(self.point_config(load)).run())
-            .collect()
-    }
-
-    /// Run the sweep serially, collecting the health counters of every point.
-    pub fn run_stats(&self, loads: &[f64]) -> Vec<SfsRunStats> {
-        loads
-            .iter()
-            .map(|&load| {
-                let before = wg_nfsproto::payload::materialize_count();
-                let mut system = SfsSystem::new(self.point_config(load));
-                let point = system.run();
-                let (issued, completed) = system.counts();
-                SfsRunStats {
-                    point,
-                    per_client_achieved_ops: system.per_client_achieved_ops(),
-                    fairness: system.fairness(),
-                    evicted_in_progress: system.server().dupcache_evicted_in_progress(),
-                    materializations: wg_nfsproto::payload::materialize_count() - before,
-                    name_mints: system.name_mints(),
-                    issued,
-                    completed,
-                    retransmissions: system.retransmissions(),
-                    gave_up: system.gave_up(),
-                    clamped_past: system.clamped_past(),
-                }
-            })
             .collect()
     }
 
@@ -2104,18 +2047,18 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_reports_clean_counters() {
-        let sweep = SfsSweep::new(
-            quick_config(0.0, WritePolicy::Gathering)
+    fn a_multi_client_run_reports_clean_counters() {
+        let before = wg_nfsproto::payload::materialize_count();
+        let mut system = SfsSystem::new(
+            quick_config(300.0, WritePolicy::Gathering)
                 .with_clients(2)
                 .with_per_client_lans(true),
         );
-        let stats = sweep.run_stats(&[300.0]);
-        assert_eq!(stats.len(), 1);
-        let s = &stats[0];
-        assert_eq!(s.materializations, 0);
-        assert_eq!(s.per_client_achieved_ops.len(), 2);
-        assert!(s.fairness > 0.8);
-        assert!(s.completed > 0 && s.issued >= s.completed);
+        system.run();
+        assert_eq!(wg_nfsproto::payload::materialize_count() - before, 0);
+        assert_eq!(system.per_client_achieved_ops().len(), 2);
+        assert!(system.fairness() > 0.8);
+        let (issued, completed) = system.counts();
+        assert!(completed > 0 && issued >= completed);
     }
 }

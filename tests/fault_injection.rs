@@ -655,7 +655,7 @@ fn abandoning_streams(clients: usize, load: f64, secs: u64) -> SfsSystem {
 
 #[test]
 fn abandoned_lease_calls_are_counted_on_the_lease_ledger() {
-    // The abandoned-streams cell of `state_sweep --smoke`.  A RENEW or LOCK
+    // The abandoned-streams cell of `sweep state_storms --smoke`.  A RENEW or LOCK
     // that gives up is a lease call, so it must land in the lease ledger,
     // never in the workload's `gave_up`; run() audits that both ledgers
     // balance (issued = completed + gave up), which a misfiled give-up

@@ -179,25 +179,23 @@ fn parallel_sweep_is_bit_identical_across_schedules() {
 #[test]
 fn multi_client_point_is_fair_and_materialisation_free() {
     let before = materialize_count();
-    let sweep = SfsSweep::new(quick_scaled(0.0, 4));
-    let stats = sweep.run_stats(&[800.0]);
+    let mut system = SfsSystem::new(quick_scaled(800.0, 4));
+    system.run();
     assert_eq!(
         materialize_count() - before,
         0,
         "a payload was materialised"
     );
-    let point = &stats[0];
-    assert_eq!(point.materializations, 0);
-    assert_eq!(point.per_client_achieved_ops.len(), 4);
+    let per_client = system.per_client_achieved_ops();
+    assert_eq!(per_client.len(), 4);
     assert!(
-        point.per_client_achieved_ops.iter().all(|&ops| ops > 0.0),
-        "every stream carried load: {:?}",
-        point.per_client_achieved_ops
+        per_client.iter().all(|&ops| ops > 0.0),
+        "every stream carried load: {per_client:?}"
     );
     assert!(
-        point.fairness > 0.9,
+        system.fairness() > 0.9,
         "per-client fairness {} (Jain)",
-        point.fairness
+        system.fairness()
     );
 }
 
