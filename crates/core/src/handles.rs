@@ -101,6 +101,13 @@ mod tests {
         // Wrong filesystem id is also stale.
         let other = Ufs::with_defaults(2);
         assert_eq!(ino_from_handle(&other, &fh2), Err(FsError::StaleInode));
+        // The inode number is the client's to forge: the never-minted 0
+        // and 1, one past the newest inode, u64::MAX and the removed file's
+        // number are all stale, never a panic.
+        for number in [0, 1, ino2 + 1, u64::MAX, ino] {
+            let forged = FileHandle::new(fs.fsid(), number, fh.generation());
+            assert_eq!(ino_from_handle(&fs, &forged), Err(FsError::StaleInode));
+        }
     }
 
     #[test]

@@ -81,8 +81,11 @@ pub struct UfsCounters {
 pub struct Ufs {
     params: FsParams,
     fsid: u32,
-    inodes: FxHashMap<InodeNumber, Inode>,
-    next_ino: InodeNumber,
+    /// Every inode, indexed by its number.  A number is minted as the
+    /// table's length and never reused, so the table is dense: numbers 0
+    /// and 1 and each removed file leave an 8-byte `None`.  Inodes are
+    /// boxed, so growing the table moves pointers, not inodes.
+    inodes: Vec<Option<Box<Inode>>>,
     generation_counter: u32,
     /// Next unallocated offset within the data region, in bytes.
     alloc_cursor: u64,
@@ -106,11 +109,13 @@ impl Ufs {
     /// Create a filesystem with the given geometry; the root directory exists
     /// as inode [`ROOT_INO`].
     pub fn new(fsid: u32, params: FsParams) -> Self {
-        let mut fs = Ufs {
+        let root = Inode::new(ROOT_INO, 1, FileKind::Directory, 0o755, 0);
+        let mut inodes = vec![None; ROOT_INO as usize];
+        inodes.push(Some(Box::new(root)));
+        Ufs {
             params,
             fsid,
-            inodes: FxHashMap::default(),
-            next_ino: ROOT_INO + 1,
+            inodes,
             generation_counter: 1,
             alloc_cursor: 0,
             free_blocks: Vec::new(),
@@ -119,10 +124,7 @@ impl Ufs {
             lru_index: FxHashMap::default(),
             lru_tick: 0,
             cache_dirty: 0,
-        };
-        let root = Inode::new(ROOT_INO, 1, FileKind::Directory, 0o755, 0);
-        fs.inodes.insert(ROOT_INO, root);
-        fs
+        }
     }
 
     /// A filesystem with default geometry.
@@ -161,12 +163,19 @@ impl Ufs {
         self.params.data_capacity / self.params.block_size
     }
 
+    /// The live inode numbered `ino`.  Numbers arrive in client file
+    /// handles, so any `u64` can: 0, 1, one past the newest inode,
+    /// `u64::MAX` and a removed file's number all find no inode.
     fn inode(&self, ino: InodeNumber) -> Result<&Inode, FsError> {
-        self.inodes.get(&ino).ok_or(FsError::StaleInode)
+        let i = usize::try_from(ino).map_err(|_| FsError::StaleInode)?;
+        let slot = self.inodes.get(i).and_then(Option::as_deref);
+        slot.ok_or(FsError::StaleInode)
     }
 
     fn inode_mut(&mut self, ino: InodeNumber) -> Result<&mut Inode, FsError> {
-        self.inodes.get_mut(&ino).ok_or(FsError::StaleInode)
+        let i = usize::try_from(ino).map_err(|_| FsError::StaleInode)?;
+        let slot = self.inodes.get_mut(i).and_then(Option::as_deref_mut);
+        slot.ok_or(FsError::StaleInode)
     }
 
     /// The generation number of a live inode (stale-handle checks compare
@@ -238,23 +247,13 @@ impl Ufs {
             if over == 0 {
                 break;
             }
-            let dirty = self
-                .inodes
-                .get(&ino)
-                .and_then(|n| n.blocks.get(lbn))
-                .map(|b| b.dirty)
-                .unwrap_or(false);
-            if !dirty {
+            if !self.block_is_dirty(ino, lbn) {
                 to_evict.push((tick, ino, lbn));
                 over -= 1;
             }
         }
         for (tick, ino, lbn) in to_evict {
-            if let Some(block) = self
-                .inodes
-                .get_mut(&ino)
-                .and_then(|n| n.blocks.get_mut(lbn))
-            {
+            if let Some(block) = self.block_mut(ino, lbn) {
                 block.resident = false;
             }
             self.lru.remove(&tick);
@@ -277,24 +276,14 @@ impl Ufs {
             if picked.len() as u64 >= max_blocks {
                 break;
             }
-            let dirty = self
-                .inodes
-                .get(&ino)
-                .and_then(|n| n.blocks.get(lbn))
-                .map(|b| b.dirty)
-                .unwrap_or(false);
-            if dirty {
+            if self.block_is_dirty(ino, lbn) {
                 picked.push((ino, lbn));
             }
         }
         let block_size = self.params.block_size;
         let mut extents = Vec::new();
         for (ino, lbn) in picked {
-            if let Some(block) = self
-                .inodes
-                .get_mut(&ino)
-                .and_then(|n| n.blocks.get_mut(lbn))
-            {
+            if let Some(block) = self.block_mut(ino, lbn) {
                 block.dirty = false;
                 extents.push((block.phys, block_size));
                 self.cache_dirty -= 1;
@@ -387,12 +376,11 @@ impl Ufs {
                 return Err(FsError::Exists);
             }
         }
-        let ino = self.next_ino;
-        self.next_ino += 1;
+        let ino = self.inodes.len() as InodeNumber;
         self.generation_counter += 1;
         let generation = self.generation_counter;
         let node = Inode::new(ino, generation, kind, mode, now_nanos);
-        self.inodes.insert(ino, node);
+        self.inodes.push(Some(Box::new(node)));
         let d = self.inode_mut(dir)?;
         let name: Arc<str> = Arc::from(name);
         if let Some(listing) = &mut d.listing {
@@ -422,17 +410,10 @@ impl Ufs {
                 return Err(FsError::NotEmpty);
             }
         }
-        // Free the target's blocks.
-        if let Some(t) = self.inodes.remove(&target) {
-            for addr in t.direct.iter().flatten() {
-                self.free_blocks.push(*addr);
-            }
-            for addr in t.indirect_map.values() {
-                self.free_blocks.push(addr);
-            }
-            if let Some(addr) = t.indirect {
-                self.free_blocks.push(addr);
-            }
+        // Free the target's blocks: ascending lbn, then the indirect block.
+        if let Some(t) = self.inodes[target as usize].take() {
+            self.free_blocks.extend(t.pointers.values());
+            self.free_blocks.extend(t.indirect);
             if self.cache_armed() {
                 for (lbn, b) in t.blocks.iter() {
                     self.cache_forget(target, lbn, b.dirty);
@@ -517,14 +498,9 @@ impl Ufs {
                     let keep_blocks = size.div_ceil(params_block);
                     let drop_from = keep_blocks;
                     for lbn in drop_from..=max_lbn {
-                        if let Some(addr) = n.block_addr(lbn) {
+                        if let Some(addr) = n.pointers.remove(lbn) {
                             freed.push(addr);
-                            if (lbn as usize) < crate::inode::NDADDR {
-                                n.direct[lbn as usize] = None;
-                            } else {
-                                n.indirect_map.remove(lbn);
-                                n.indirect_dirty = true;
-                            }
+                            n.indirect_dirty |= Inode::needs_indirect(lbn);
                             if let Some(b) = n.blocks.remove(lbn) {
                                 dropped.push((lbn, b.dirty));
                             }
@@ -1008,7 +984,8 @@ impl Ufs {
     /// by the crash-consistency checks).
     pub fn dirty_bytes(&self) -> u64 {
         self.inodes
-            .values()
+            .iter()
+            .flatten()
             .map(|n| n.blocks.values().filter(|b| b.dirty).count() as u64 * self.params.block_size)
             .sum()
     }
@@ -1022,11 +999,12 @@ impl Ufs {
     /// `true` if the given logical block of the inode is cached dirty (its
     /// contents exist only in volatile memory and would not survive a crash).
     pub fn block_is_dirty(&self, ino: InodeNumber, lbn: u64) -> bool {
-        self.inodes
-            .get(&ino)
-            .and_then(|n| n.blocks.get(lbn))
-            .map(|b| b.dirty)
-            .unwrap_or(false)
+        let block = self.inode(ino).ok().and_then(|n| n.blocks.get(lbn));
+        block.is_some_and(|b| b.dirty)
+    }
+
+    fn block_mut(&mut self, ino: InodeNumber, lbn: u64) -> Option<&mut CachedBlock> {
+        self.inode_mut(ino).ok()?.blocks.get_mut(lbn)
     }
 
     /// Server crash: discard every volatile (dirty) cached block and all
@@ -1039,7 +1017,7 @@ impl Ufs {
     pub fn crash_discard_volatile(&mut self) -> u64 {
         let block_size = self.params.block_size;
         let mut discarded = 0u64;
-        for n in self.inodes.values_mut() {
+        for n in self.inodes.iter_mut().flatten() {
             let before = n.blocks.len();
             n.blocks.retain(|_, b| !b.dirty);
             discarded += (before - n.blocks.len()) as u64 * block_size;
@@ -1049,19 +1027,18 @@ impl Ufs {
         }
         if self.cache_armed() {
             // Rebuild the cache accounting from the surviving (all clean)
-            // resident pages.  Recency is re-seeded in (ino, lbn) order —
-            // arbitrary but deterministic, so replays stay bit-identical.
+            // resident pages.  Recency is re-seeded in (ino, lbn) order, the
+            // table's own — arbitrary but deterministic, so replays stay
+            // bit-identical.
             self.lru.clear();
             self.lru_index.clear();
             self.cache_dirty = 0;
-            let mut inos: Vec<InodeNumber> = self.inodes.keys().copied().collect();
-            inos.sort_unstable();
-            for ino in inos {
-                let blocks = self.inodes[&ino].blocks.iter();
-                let lbns: Vec<u64> = blocks.filter(|(_, b)| b.resident).map(|(l, _)| l).collect();
-                for lbn in lbns {
-                    self.cache_touch(ino, lbn);
-                }
+            let resident = self.inodes.iter().flatten().flat_map(|n| {
+                let pages = n.blocks.iter().filter(|(_, b)| b.resident);
+                pages.map(|(lbn, _)| (n.ino, lbn))
+            });
+            for (ino, lbn) in resident.collect::<Vec<_>>() {
+                self.cache_touch(ino, lbn);
             }
         }
         discarded
@@ -1318,7 +1295,7 @@ mod tests {
         let got = u.read(f, BS, BS).unwrap();
         match &got.data {
             wg_nfsproto::Payload::Shared(out) => {
-                let n = u.inodes.get(&f).unwrap();
+                let n = u.inode(f).unwrap();
                 let cached = n.blocks.get(1).unwrap().data.shared_bytes().unwrap();
                 assert!(Arc::ptr_eq(out, cached), "aligned read copied the block");
             }
@@ -1519,16 +1496,54 @@ mod tests {
     #[test]
     fn stale_inode_errors_everywhere() {
         let mut u = fs();
-        assert_eq!(u.getattr(999), Err(FsError::StaleInode));
-        assert!(matches!(u.read(999, 0, 1), Err(FsError::StaleInode)));
-        assert!(matches!(
-            u.write(999, 0, b"x", WriteFlags::Sync, 0),
-            Err(FsError::StaleInode)
-        ));
-        assert_eq!(u.sync_data(999, 0, 1), Err(FsError::StaleInode));
-        assert_eq!(u.fsync(999, FsyncFlags::All), Err(FsError::StaleInode));
-        assert_eq!(u.lookup(999, "x"), Err(FsError::StaleInode));
-        assert_eq!(u.readdir(999), Err(FsError::StaleInode));
+        let root = u.root();
+        let removed = u.create(root, "gone", 0o644, 0).unwrap();
+        u.remove(root, "gone", 1).unwrap();
+        // Inode numbers arrive in client file handles, so any u64 can: the
+        // never-minted 0 and 1, one past the newest inode, u64::MAX and a
+        // removed file's number.
+        for ino in [999, 0, 1, removed + 1, u64::MAX, removed] {
+            assert_eq!(u.getattr(ino), Err(FsError::StaleInode));
+            assert_eq!(u.generation_of(ino), Err(FsError::StaleInode));
+            assert!(matches!(u.read(ino, 0, 1), Err(FsError::StaleInode)));
+            assert!(matches!(
+                u.write(ino, 0, b"x", WriteFlags::Sync, 0),
+                Err(FsError::StaleInode)
+            ));
+            assert!(matches!(
+                u.setattr(ino, None, Some(0), 0),
+                Err(FsError::StaleInode)
+            ));
+            assert_eq!(u.sync_data(ino, 0, 1), Err(FsError::StaleInode));
+            assert_eq!(u.fsync(ino, FsyncFlags::All), Err(FsError::StaleInode));
+            assert_eq!(u.lookup(ino, "x"), Err(FsError::StaleInode));
+            assert_eq!(u.create(ino, "x", 0o644, 0), Err(FsError::StaleInode));
+            assert_eq!(u.readdir(ino), Err(FsError::StaleInode));
+        }
+    }
+
+    /// `allocate_block` pops `free_blocks`, so the order `remove` frees a
+    /// file's blocks in decides where every later file lands, and through
+    /// that every simulated number.  The file crosses `NDADDR`, so it holds
+    /// direct pointers, indirect pointers and the indirect block itself.
+    #[test]
+    fn removed_blocks_are_reused_last_freed_first() {
+        let mut u = fs();
+        let root = u.root();
+        let f = u.create(root, "f", 0o644, 0).unwrap();
+        for lbn in 0..14u64 {
+            u.write(f, lbn * BS, &vec![1u8; BS as usize], WriteFlags::Sync, lbn)
+                .unwrap();
+        }
+        let n = u.inode(f).unwrap();
+        let mut expected = vec![n.indirect.unwrap()];
+        expected.extend((0..14).rev().map(|lbn| n.block_addr(lbn).unwrap()));
+        let fresh = u.alloc_cursor + u.params.data_region_start;
+        u.remove(root, "f", 20).unwrap();
+        let reused: Vec<u64> = (0..15).map(|_| u.allocate_block().unwrap()).collect();
+        assert_eq!(reused, expected);
+        // Only then does the allocator cut a new block.
+        assert_eq!(u.allocate_block(), Ok(fresh));
     }
 
     #[test]
