@@ -625,13 +625,13 @@ impl NfsServer {
         }
     }
 
+    /// The lowest-numbered idle nfsd of `shard`.  The constructor deals
+    /// nfsds to shards round-robin, so the shard's own are `shard`, `shard +
+    /// shards`, and so on.
     fn find_idle_nfsd(&self, shard: usize, now: SimTime) -> Option<usize> {
-        self.nfsds
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.shard == shard && d.free_at <= now)
-            .map(|(i, _)| i)
-            .next()
+        (shard..self.nfsds.len())
+            .step_by(self.shards.len())
+            .find(|&i| self.nfsds[i].free_at <= now)
     }
 
     fn schedule_wakeup(&self, at: SimTime, reason: WakeReason, actions: &mut Vec<ServerAction>) {
@@ -1602,14 +1602,10 @@ impl NfsServer {
                 .map(|g| g.pending_count() > 0)
                 .unwrap_or(false)
             {
-                // Flush on the owning shard's first nfsd (shard 0's nfsd 0 in
-                // the unsharded configuration, exactly as before).
-                let shard = self.shard_of_ino(ino);
-                let nfsd = self
-                    .nfsds
-                    .iter()
-                    .position(|d| d.shard == shard)
-                    .expect("every shard has an nfsd");
+                // Flush on the owning shard's first nfsd, which round-robin
+                // dealing numbers as the shard (nfsd 0 in the unsharded
+                // configuration, exactly as before).
+                let nfsd = self.shard_of_ino(ino);
                 self.flush_gathered(now, nfsd, ino, actions);
                 done = done.max(self.nfsds[nfsd].free_at);
             }
