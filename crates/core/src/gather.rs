@@ -1,117 +1,58 @@
-//! The data structures of the gathering algorithm: the active write queue and
-//! per-file gather state.
+//! Per-file server state: the vnode lock and the gathering algorithm's queue
+//! of active writes.
 //!
 //! §6.2 of the paper: "A global array of nfsd state was created so that one
 //! nfsd can ascertain the state of others [...] data structures that package
 //! up active write requests for handoff and a queue of these active
-//! requests."  In this reproduction the per-file [`FileGather`] plays both
-//! roles: it records which nfsd (if any) is currently responsible for the
-//! file's metadata flush and queues the write descriptors whose replies are
-//! pending on that flush.
+//! requests."  In this reproduction one [`Vnode`] per file holds all of it:
+//! when the file's vnode lock frees, whether an nfsd is procrastinating on
+//! the file's behalf, and the writes whose replies wait on its next metadata
+//! flush.
 
 use wg_nfsproto::Xid;
 use wg_simcore::SimTime;
-use wg_ufs::InodeNumber;
 
 /// One write whose data is in the filesystem but whose reply is deferred
 /// until a metadata writer commits it.
-#[derive(Clone, Debug)]
-pub struct PendingWrite {
+#[derive(Debug)]
+pub(crate) struct PendingWrite {
     /// The client that issued the write.
-    pub client: u32,
+    pub(crate) client: u32,
     /// Its transaction id (needed to build the reply and to key the duplicate
     /// request cache).
-    pub xid: Xid,
+    pub(crate) xid: Xid,
     /// Byte offset written.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Bytes written.
-    pub len: u64,
+    pub(crate) len: u64,
     /// When the request arrived at the server (latency accounting).
-    pub arrived: SimTime,
+    pub(crate) arrived: SimTime,
 }
 
-/// Which stage the responsible nfsd is in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GatherPhase {
-    /// The responsible nfsd is procrastinating: new writes for the file may
-    /// still join this batch.
-    Procrastinating,
-    /// The responsible nfsd has snapshotted the batch and is flushing data and
-    /// metadata: new writes must start a new batch.
-    Flushing,
+/// One file's vnode: its lock and its gathering state.
+#[derive(Debug, Default)]
+pub(crate) struct Vnode {
+    /// When the vnode lock is next free.
+    pub(crate) free_at: SimTime,
+    /// Whether an nfsd is procrastinating on this file's behalf, so a write
+    /// that arrives now can leave the metadata flush to it.
+    pub(crate) procrastinating: bool,
+    /// Writes whose replies wait on the next metadata flush, in arrival
+    /// order.
+    pub(crate) pending: Vec<PendingWrite>,
 }
 
-/// Per-file gathering state.
-#[derive(Clone, Debug, Default)]
-pub struct FileGather {
-    /// Writes whose replies are pending on the next metadata flush.
-    pub pending: Vec<PendingWrite>,
-    /// The nfsd that has taken responsibility for the flush, if any, and the
-    /// stage it is in.
-    pub responsible: Option<(usize, GatherPhase)>,
-    /// Lowest offset among pending writes (the `VOP_SYNCDATA` range hint).
-    pub min_offset: u64,
-    /// One past the highest offset among pending writes.
-    pub max_offset: u64,
-}
-
-impl FileGather {
-    /// A gather record with no pending writes.
-    pub fn new() -> Self {
-        FileGather {
-            pending: Vec::new(),
-            responsible: None,
-            min_offset: u64::MAX,
-            max_offset: 0,
-        }
-    }
-
-    /// Queue a write descriptor and widen the flush range hint.
-    pub fn push(&mut self, w: PendingWrite) {
-        self.min_offset = self.min_offset.min(w.offset);
-        self.max_offset = self.max_offset.max(w.offset + w.len);
-        self.pending.push(w);
-    }
-
-    /// `true` if another nfsd can currently rely on someone else flushing:
-    /// there is a responsible nfsd that has not yet snapshotted its batch.
-    pub fn can_join(&self) -> bool {
-        matches!(self.responsible, Some((_, GatherPhase::Procrastinating)))
-    }
-
-    /// Take the whole batch for flushing, returning the descriptors and the
-    /// `(from, to)` range hint, and marking the responsible nfsd as flushing.
-    pub fn take_batch(&mut self, nfsd: usize) -> (Vec<PendingWrite>, u64, u64) {
-        self.responsible = Some((nfsd, GatherPhase::Flushing));
-        let from = if self.pending.is_empty() {
-            0
-        } else {
-            self.min_offset
-        };
-        let to = self.max_offset;
-        self.min_offset = u64::MAX;
-        self.max_offset = 0;
-        (std::mem::take(&mut self.pending), from, to)
-    }
-
-    /// Clear responsibility after a flush completes.  If new writes queued
-    /// while flushing they stay pending for the next batch.
-    pub fn finish(&mut self, nfsd: usize) {
-        if let Some((owner, _)) = self.responsible {
-            if owner == nfsd {
-                self.responsible = None;
-            }
-        }
-    }
-
-    /// Number of pending writes.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
+impl Vnode {
+    /// Take the pending writes for flushing, with the `[from, to)` range
+    /// they cover as the `VOP_SYNCDATA` hint (`(0, 0)` when none are
+    /// pending).
+    pub(crate) fn take_batch(&mut self) -> (Vec<PendingWrite>, u64, u64) {
+        let batch = std::mem::take(&mut self.pending);
+        let from = batch.iter().map(|w| w.offset).min().unwrap_or(0);
+        let to = batch.iter().map(|w| w.offset + w.len).max().unwrap_or(0);
+        (batch, from, to)
     }
 }
-
-/// Key for the per-file gather map.
-pub type GatherKey = InodeNumber;
 
 #[cfg(test)]
 mod tests {
@@ -129,54 +70,47 @@ mod tests {
 
     #[test]
     fn push_tracks_range() {
-        let mut g = FileGather::new();
-        g.push(w(16384, 8192));
-        g.push(w(0, 8192));
-        g.push(w(8192, 8192));
-        assert_eq!(g.pending_count(), 3);
-        assert_eq!(g.min_offset, 0);
-        assert_eq!(g.max_offset, 24576);
+        let mut v = Vnode::default();
+        v.pending.push(w(16384, 8192));
+        v.pending.push(w(0, 8192));
+        v.pending.push(w(8192, 8192));
+        let (batch, from, to) = v.take_batch();
+        assert_eq!(batch.len(), 3);
+        assert_eq!((from, to), (0, 24576));
     }
 
     #[test]
-    fn join_rules_follow_phase() {
-        let mut g = FileGather::new();
-        assert!(!g.can_join());
-        g.responsible = Some((0, GatherPhase::Procrastinating));
-        assert!(g.can_join());
-        g.responsible = Some((0, GatherPhase::Flushing));
-        assert!(!g.can_join());
-        g.responsible = None;
-        assert!(!g.can_join());
+    fn first_batch_syncs_only_the_range_it_wrote() {
+        // A fresh vnode's first batch must not hint `VOP_SYNCDATA` from
+        // offset 0 when no pending write starts there.
+        let mut v = Vnode::default();
+        v.pending.push(w(16384, 8192));
+        v.pending.push(w(8192, 8192));
+        let (_, from, to) = v.take_batch();
+        assert_eq!((from, to), (8192, 24576));
     }
 
     #[test]
     fn take_batch_snapshots_and_resets() {
-        let mut g = FileGather::new();
-        g.push(w(0, 8192));
-        g.push(w(8192, 8192));
-        g.responsible = Some((3, GatherPhase::Procrastinating));
-        let (batch, from, to) = g.take_batch(3);
+        let mut v = Vnode::default();
+        v.pending.push(w(0, 8192));
+        v.pending.push(w(8192, 8192));
+        let (batch, from, to) = v.take_batch();
         assert_eq!(batch.len(), 2);
-        assert_eq!(from, 0);
-        assert_eq!(to, 16384);
-        assert_eq!(g.responsible, Some((3, GatherPhase::Flushing)));
-        assert_eq!(g.pending_count(), 0);
-        // Writes arriving during the flush belong to the next batch.
-        g.push(w(16384, 8192));
-        assert_eq!(g.pending_count(), 1);
-        g.finish(3);
-        assert_eq!(g.responsible, None);
-        // Finishing by a non-owner does not clear someone else's claim.
-        g.responsible = Some((5, GatherPhase::Procrastinating));
-        g.finish(3);
-        assert_eq!(g.responsible, Some((5, GatherPhase::Procrastinating)));
+        assert_eq!((from, to), (0, 16384));
+        assert!(v.pending.is_empty());
+        // Writes arriving during the flush belong to the next batch, whose
+        // range is theirs alone.
+        v.pending.push(w(16384, 8192));
+        let (batch, from, to) = v.take_batch();
+        assert_eq!(batch.len(), 1);
+        assert_eq!((from, to), (16384, 24576));
     }
 
     #[test]
     fn empty_batch_range_is_safe() {
-        let mut g = FileGather::new();
-        let (batch, from, to) = g.take_batch(0);
+        let mut v = Vnode::default();
+        let (batch, from, to) = v.take_batch();
         assert!(batch.is_empty());
         assert_eq!(from, 0);
         assert_eq!(to, 0);

@@ -44,7 +44,7 @@
 
 pub mod config;
 pub mod dupcache;
-pub mod gather;
+mod gather;
 pub mod handles;
 pub mod server;
 pub mod state;
@@ -52,7 +52,6 @@ pub mod stats;
 
 pub use config::{CostParams, ReplyOrder, ServerConfig, StabilityMode, StorageConfig, WritePolicy};
 pub use dupcache::DuplicateRequestCache;
-pub use gather::{FileGather, GatherPhase, PendingWrite};
 pub use handles::{attributes_to_fattr, fs_error_to_status, handle_for, ino_from_handle};
 pub use server::{ClientId, NfsServer, ServerAction, ServerInput, WakeToken};
 pub use state::{ClientStateTable, StateStats};

@@ -12,9 +12,9 @@
 //! shards.  Each shard owns its own incoming socket queue, its own sub-pool
 //! of nfsds and its own duplicate-request-cache partition; an arriving call
 //! is routed to the shard of the inode its file handle names (`ino %
-//! shards`), so everything keyed by inode — the vnode-lock map, the per-file
-//! gather table, the socket-buffer scans of the mbuf hunter — stays local to
-//! one shard.  The filesystem, the storage device and the CPU pool
+//! shards`), so everything keyed by inode — the per-file vnode records (lock
+//! and gather batch), the socket-buffer scans of the mbuf hunter — stays
+//! local to one shard.  The filesystem, the storage device and the CPU pool
 //! ([`wg_simcore::MultiCpu`]) remain shared, as they are on a real multi-core
 //! host.  With `shards = 1` and `cores = 1` the dispatch is byte-identical to
 //! the paper's monolithic single-CPU server.
@@ -33,12 +33,12 @@ use wg_simcore::FxHashMap;
 use wg_disk::{BlockDevice, DeviceStats, Disk, DiskRequest, StripeSet};
 use wg_net::SocketBuffer;
 use wg_nfsproto::{
-    CommitOk, DirOpOk, NfsCall, NfsCallBody, NfsReply, NfsReplyBody, NfsStatus, Payload, ReadOk,
-    RenewOk, StableHow, StatfsOk, StatusReply, WriteArgs, WriteVerfOk, Xid,
+    CommitOk, DirOpOk, Fattr, NfsCall, NfsCallBody, NfsReply, NfsReplyBody, NfsStatus, Payload,
+    ReadOk, RenewOk, StableHow, StatfsOk, StatusReply, WriteArgs, WriteVerfOk, Xid,
 };
 use wg_nvram::{Presto, PrestoParams};
 use wg_simcore::{Duration, MultiCpu, SimTime, Trace, TraceKind};
-use wg_ufs::{FsyncFlags, InodeNumber, Ufs, WriteFlags, WriteSource};
+use wg_ufs::{FsyncFlags, InodeNumber, IoPlan, Ufs, WriteFlags, WriteSource};
 
 /// View a request payload as a filesystem write source without materialising
 /// fill patterns — the hand-off that keeps the whole datapath zero-copy.
@@ -72,7 +72,7 @@ const REBOOT_TIME: Duration = Duration::from_secs(1);
 
 use crate::config::{ReplyOrder, ServerConfig, WritePolicy};
 use crate::dupcache::{DupState, DuplicateRequestCache};
-use crate::gather::{FileGather, GatherPhase, PendingWrite};
+use crate::gather::{PendingWrite, Vnode};
 use crate::handles::{attributes_to_fattr, fs_error_to_status, handle_for, ino_from_handle};
 use crate::state::{ClientStateTable, StateStats};
 use crate::stats::ServerStats;
@@ -87,7 +87,8 @@ pub enum ServerInput {
     Datagram {
         /// Which client sent it.
         client: ClientId,
-        /// The decoded call.
+        /// The call as a typed value: the harness hands it over without
+        /// encoding it, and charges its `wire_size`.
         call: NfsCall,
         /// Its size on the wire (socket-buffer accounting).
         wire_size: usize,
@@ -156,6 +157,21 @@ struct Request {
     client: ClientId,
     xid: Xid,
     arrived: SimTime,
+}
+
+/// How one WRITE is served: the paper's write policy, or the NFSv3-style
+/// stability routing in front of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum WritePath {
+    /// Data and metadata stable before the reply ([`WritePolicy::Standard`],
+    /// and every `UNSTABLE` write the server cannot take lazily).
+    Standard,
+    /// Acknowledged from the unified cache with this boot's verifier.
+    Unstable,
+    /// [`WritePolicy::DangerousAsync`]: acknowledged from volatile memory.
+    Dangerous,
+    /// [`WritePolicy::Gathering`] and [`WritePolicy::FirstWriteLatency`].
+    Gathering,
 }
 
 /// `(inode, logical block)`s acknowledged while their data was still
@@ -231,6 +247,26 @@ struct Shard {
     dupcache: DuplicateRequestCache,
 }
 
+impl Shard {
+    /// One of `shards` empty shards, at boot and after a crash.
+    fn new(config: &ServerConfig, shards: usize) -> Self {
+        // The dupcache entries and the socket-buffer memory are each one
+        // machine-wide pool partitioned across the shards, not multiplied
+        // by them: a sharded server must not buffer (and overload-delay)
+        // four times as much traffic as the monolithic one just because
+        // dispatch is split.  The floor keeps each shard able to hold at
+        // least one full 8 KB write datagram (a shard that can't accept any
+        // write would livelock its clients); with extreme shard counts over
+        // a tiny pool the floor wins and the aggregate exceeds the
+        // configured total.
+        let sockbuf_bytes = (config.socket_buffer_bytes / shards).max(9 * 1024);
+        Shard {
+            sockbuf: SocketBuffer::with_capacity(sockbuf_bytes),
+            dupcache: DuplicateRequestCache::new(config.dupcache_entries.max(1).div_ceil(shards)),
+        }
+    }
+}
+
 /// An active injected disk-degradation window: transfers submitted inside it
 /// fail `retries` times, each failed attempt stalling the request by `stall`,
 /// before the final attempt succeeds.
@@ -251,8 +287,8 @@ pub struct NfsServer {
     cpu: MultiCpu,
     shards: Vec<Shard>,
     nfsds: Vec<Nfsd>,
-    gathers: FxHashMap<InodeNumber, FileGather>,
-    vnode_locks: FxHashMap<InodeNumber, SimTime>,
+    /// Every file's vnode lock and gather batch, kept until a crash.
+    vnodes: FxHashMap<InodeNumber, Vnode>,
     stats: ServerStats,
     trace: Trace,
     /// Scratch buffer for the pipelined I/O loop's completion reap; reused
@@ -323,24 +359,8 @@ impl NfsServer {
                 shard: i % shard_count,
             })
             .collect();
-        // The dupcache partitions split the configured entry budget; each
-        // shard keeps its own incoming queue at the full socket-buffer size
-        // (a real sharded server binds one receive queue per shard).
-        let dup_entries = config.dupcache_entries.max(1).div_ceil(shard_count);
-        // Like the dupcache, the socket-buffer memory is one machine-wide
-        // pool partitioned across the shards, not multiplied by them: a
-        // sharded server must not buffer (and overload-delay) four times as
-        // much traffic as the monolithic one just because dispatch is split.
-        // The floor keeps each shard able to hold at least one full 8 KB
-        // write datagram (a shard that can't accept any write would livelock
-        // its clients); with extreme shard counts over a tiny pool the floor
-        // wins and the aggregate exceeds the configured total.
-        let sockbuf_bytes = (config.socket_buffer_bytes / shard_count).max(9 * 1024);
-        let shards: Vec<Shard> = (0..shard_count)
-            .map(|_| Shard {
-                sockbuf: SocketBuffer::with_capacity(sockbuf_bytes),
-                dupcache: DuplicateRequestCache::new(dup_entries),
-            })
+        let shards = (0..shard_count)
+            .map(|_| Shard::new(&config, shard_count))
             .collect();
         let fs_params = wg_ufs::FsParams {
             data_capacity: config.data_capacity,
@@ -357,8 +377,7 @@ impl NfsServer {
             accelerated,
             shards,
             nfsds,
-            gathers: FxHashMap::default(),
-            vnode_locks: FxHashMap::default(),
+            vnodes: FxHashMap::default(),
             stats: ServerStats::new(),
             trace: Trace::disabled(),
             io_completions: Vec::new(),
@@ -431,9 +450,9 @@ impl NfsServer {
     }
 
     /// The number of datagrams dropped because a shard's socket buffer was
-    /// full, summed over all shards.
+    /// full, over the whole run (crashes included).
     pub fn socket_drops(&self) -> u64 {
-        self.shards.iter().map(|s| s.sockbuf.dropped()).sum()
+        self.stats.socket_drops
     }
 
     /// Number of request-path shards.
@@ -662,7 +681,12 @@ impl NfsServer {
     }
 
     fn vnode_free(&self, ino: InodeNumber) -> SimTime {
-        self.vnode_locks.get(&ino).copied().unwrap_or(SimTime::ZERO)
+        self.vnodes.get(&ino).map_or(SimTime::ZERO, |v| v.free_at)
+    }
+
+    /// The vnode of `ino`, made on first use.
+    fn vnode(&mut self, ino: InodeNumber) -> &mut Vnode {
+        self.vnodes.entry(ino).or_default()
     }
 
     fn process_request(
@@ -724,7 +748,12 @@ impl NfsServer {
         let mut done = self.cpu.run(t, light);
         let reply_body = match body {
             NfsCallBody::Null => NfsReplyBody::Null,
-            NfsCallBody::Getattr(a) => NfsReplyBody::Attr(self.attr_reply(&a.file)),
+            NfsCallBody::Getattr(a) => {
+                NfsReplyBody::Attr(match ino_from_handle(&self.fs, &a.file) {
+                    Ok(ino) => self.fattr(ino),
+                    Err(e) => StatusReply::Err(fs_error_to_status(e)),
+                })
+            }
             // The v2 statfs fields are 32-bit; a large configured
             // `data_capacity` overflows them, so the counts saturate instead
             // of wrapping (a wrapped `blocks` reads as a nearly empty disk).
@@ -738,13 +767,7 @@ impl NfsServer {
             NfsCallBody::Lookup(a) => match ino_from_handle(&self.fs, &a.dir)
                 .and_then(|dir| self.fs.lookup(dir, &a.name))
             {
-                Ok(ino) => match (handle_for(&self.fs, ino), self.fs.getattr(ino)) {
-                    (Ok(fh), Ok(attrs)) => NfsReplyBody::DirOp(StatusReply::Ok(DirOpOk {
-                        file: fh,
-                        attributes: attributes_to_fattr(self.fs.fsid(), &attrs),
-                    })),
-                    _ => NfsReplyBody::DirOp(StatusReply::Err(NfsStatus::Io)),
-                },
+                Ok(ino) => self.dirop(ino),
                 Err(e) => NfsReplyBody::DirOp(StatusReply::Err(fs_error_to_status(e))),
             },
             NfsCallBody::Readdir(a) => {
@@ -795,13 +818,7 @@ impl NfsServer {
                             plan.extend(p);
                         }
                         done = self.run_io_plan(done, plan.data.iter().chain(plan.metadata.iter()));
-                        match (handle_for(&self.fs, ino), self.fs.getattr(ino)) {
-                            (Ok(fh), Ok(attrs)) => NfsReplyBody::DirOp(StatusReply::Ok(DirOpOk {
-                                file: fh,
-                                attributes: attributes_to_fattr(self.fs.fsid(), &attrs),
-                            })),
-                            _ => NfsReplyBody::DirOp(StatusReply::Err(NfsStatus::Io)),
-                        }
+                        self.dirop(ino)
                     }
                     Err(e) => NfsReplyBody::DirOp(StatusReply::Err(fs_error_to_status(e))),
                 }
@@ -833,13 +850,13 @@ impl NfsServer {
                     );
                     done = self.cpu.run(done, copy);
                     done = self.run_io_plan(done, outcome.misses.iter());
-                    let attrs = self.fs.getattr(ino).expect("inode is live");
                     // The payload rides the reply as-is: a fill pattern or a
                     // refcounted view of the buffer cache, never a fresh copy.
-                    NfsReplyBody::Read(StatusReply::Ok(ReadOk {
-                        attributes: attributes_to_fattr(self.fs.fsid(), &attrs),
-                        data: outcome.data,
-                    }))
+                    let data = outcome.data;
+                    NfsReplyBody::Read(
+                        self.fattr(ino)
+                            .map(|attributes| ReadOk { attributes, data }),
+                    )
                 }
                 Err(e) => NfsReplyBody::Read(StatusReply::Err(fs_error_to_status(e))),
             },
@@ -869,17 +886,15 @@ impl NfsServer {
                         done = self.run_io_plan(done, meta_plan.metadata.iter());
                         self.stats.metadata_flushes += 1;
                     }
-                    self.vnode_locks.insert(ino, done);
+                    self.vnode(ino).free_at = done;
                     self.stats.commits += 1;
                     let block_size = self.fs.params().block_size;
                     self.unstable_acked.forget(ino, from, to, block_size);
-                    match self.fs.getattr(ino) {
-                        Ok(attrs) => NfsReplyBody::Commit(StatusReply::Ok(CommitOk {
-                            attributes: attributes_to_fattr(self.fs.fsid(), &attrs),
-                            verf: self.boot_verifier,
-                        })),
-                        Err(e) => NfsReplyBody::Commit(StatusReply::Err(fs_error_to_status(e))),
-                    }
+                    let verf = self.boot_verifier;
+                    NfsReplyBody::Commit(
+                        self.fattr(ino)
+                            .map(|attributes| CommitOk { attributes, verf }),
+                    )
                 }
                 Err(e) => NfsReplyBody::Commit(StatusReply::Err(fs_error_to_status(e))),
             },
@@ -915,11 +930,42 @@ impl NfsServer {
         self.reply_and_release(done, req, reply_body, actions);
     }
 
-    fn attr_reply(&mut self, fh: &wg_nfsproto::FileHandle) -> StatusReply<wg_nfsproto::Fattr> {
-        match ino_from_handle(&self.fs, fh).and_then(|ino| self.fs.getattr(ino)) {
+    /// The attributes a reply carries for `ino`.
+    fn fattr(&self, ino: InodeNumber) -> StatusReply<Fattr> {
+        match self.fs.getattr(ino) {
             Ok(attrs) => StatusReply::Ok(attributes_to_fattr(self.fs.fsid(), &attrs)),
             Err(e) => StatusReply::Err(fs_error_to_status(e)),
         }
+    }
+
+    /// The LOOKUP or CREATE reply naming `ino`.
+    fn dirop(&self, ino: InodeNumber) -> NfsReplyBody {
+        NfsReplyBody::DirOp(match (handle_for(&self.fs, ino), self.fattr(ino)) {
+            (Ok(file), StatusReply::Ok(attributes)) => {
+                StatusReply::Ok(DirOpOk { file, attributes })
+            }
+            _ => StatusReply::Err(NfsStatus::Io),
+        })
+    }
+
+    /// The WRITE reply carrying `attrs`: the v3-style verifier reply, saying
+    /// the data is `committed`, when the client asked for `UNSTABLE`, and the
+    /// plain v2 attribute reply otherwise.
+    fn write_verf(
+        &self,
+        args: &WriteArgs,
+        attrs: StatusReply<Fattr>,
+        committed: StableHow,
+    ) -> NfsReplyBody {
+        if args.stable_how() != StableHow::Unstable {
+            return NfsReplyBody::Attr(attrs);
+        }
+        let verf = self.boot_verifier;
+        NfsReplyBody::WriteVerf(attrs.map(|attributes| WriteVerfOk {
+            attributes,
+            committed,
+            verf,
+        }))
     }
 
     /// The CPU cost of handing one transfer to the storage driver.
@@ -1090,21 +1136,24 @@ impl NfsServer {
         // the request to FILE_SYNC (the reply says so via `committed`).
         // Clients that never mark writes unstable (the default, and all of
         // the paper's experiments) take the original paths untouched.
-        if args.stable_how() == StableHow::Unstable {
-            if self.unstable_write_allowed() {
-                self.unstable_write(t, req, ino, &args, actions);
-            } else {
+        let path = match (args.stable_how(), self.config.policy) {
+            (StableHow::Unstable, _) if self.unstable_write_allowed() => WritePath::Unstable,
+            (StableHow::Unstable, _) => {
                 self.stats.forced_file_sync += 1;
-                self.standard_write(t, req, ino, &args, true, actions);
+                WritePath::Standard
             }
+            (_, WritePolicy::Standard) => WritePath::Standard,
+            (_, WritePolicy::DangerousAsync) => WritePath::Dangerous,
+            (_, WritePolicy::Gathering | WritePolicy::FirstWriteLatency) => WritePath::Gathering,
+        };
+        let Some((t1, io)) = self.vop_write(t, req, ino, &args, path, actions) else {
             return;
-        }
-        match self.config.policy {
-            WritePolicy::Standard => self.standard_write(t, req, ino, &args, false, actions),
-            WritePolicy::DangerousAsync => self.dangerous_write(t, req, ino, &args, actions),
-            WritePolicy::Gathering | WritePolicy::FirstWriteLatency => {
-                self.gathering_write(t, req, ino, &args, actions)
-            }
+        };
+        match path {
+            WritePath::Standard => self.standard_write(t1, io, req, ino, &args, actions),
+            WritePath::Unstable => self.unstable_write(t1, io, req, ino, &args, actions),
+            WritePath::Dangerous => self.dangerous_write(t1, io, req, ino, &args, actions),
+            WritePath::Gathering => self.gathering_write(t1, io, req, ino, &args, actions),
         }
     }
 
@@ -1122,71 +1171,82 @@ impl NfsServer {
         self.config.cache_pages > 0
     }
 
-    fn write_copy_cost(&self, len: usize) -> Duration {
-        self.config.costs.ufs_trip
-            + Duration::from_nanos(self.config.costs.copy_per_byte.as_nanos() * len as u64)
-    }
-
-    /// The baseline path: commit data and metadata synchronously under the
-    /// vnode lock, then reply.  With `verf_reply` the reply is the v3-style
-    /// [`NfsReplyBody::WriteVerf`] carrying `committed = FILE_SYNC` — used
-    /// when an `UNSTABLE` request was promoted, so the client learns no
-    /// COMMIT is needed.
-    fn standard_write(
+    /// VOP_WRITE, the step every write path shares: wait for the vnode lock
+    /// (dangerous mode never takes it), charge the copy plus the path's
+    /// bookkeeping in one CPU step, and hand the data to UFS.  Returns when
+    /// the copy is done and the I/O UFS left to run, having counted the
+    /// write; on an error the nfsd has already replied and `None` comes
+    /// back.
+    fn vop_write(
         &mut self,
         t: SimTime,
         req: Request,
         ino: InodeNumber,
         args: &WriteArgs,
-        verf_reply: bool,
+        path: WritePath,
         actions: &mut Vec<ServerAction>,
-    ) {
-        let lock_at = t.max(self.vnode_free(ino));
-        let t1 = self.cpu.run(lock_at, self.write_copy_cost(args.data.len()));
-        let outcome = self.fs.write(
-            ino,
-            args.offset as u64,
-            write_source(&args.data),
-            WriteFlags::Sync,
-            t1.as_nanos(),
-        );
-        match outcome {
+    ) -> Option<(SimTime, IoPlan)> {
+        let costs = &self.config.costs;
+        let (flags, extra) = match path {
+            WritePath::Standard => (WriteFlags::Sync, Duration::ZERO),
+            WritePath::Unstable | WritePath::Dangerous => (WriteFlags::DelayData, Duration::ZERO),
+            // Accelerated filesystems take gathered data synchronously (it
+            // lands in NVRAM); plain disks keep it delayed in the cache so
+            // the later flush can cluster it.
+            WritePath::Gathering if self.accelerated => {
+                (WriteFlags::SyncDataOnly, costs.gather_bookkeeping)
+            }
+            WritePath::Gathering => (WriteFlags::DelayData, costs.gather_bookkeeping),
+        };
+        let start = match path {
+            WritePath::Dangerous => t,
+            _ => t.max(self.vnode_free(ino)),
+        };
+        let copy = Duration::from_nanos(costs.copy_per_byte.as_nanos() * args.data.len() as u64);
+        let t1 = self.cpu.run(start, costs.ufs_trip + copy + extra);
+        let offset = args.offset as u64;
+        match self
+            .fs
+            .write(ino, offset, write_source(&args.data), flags, t1.as_nanos())
+        {
             Ok(out) => {
-                let done = self.run_io_plan(t1, out.io.data.iter().chain(out.io.metadata.iter()));
-                if !out.io.metadata.is_empty() {
-                    self.trace
-                        .record(done, TraceKind::MetadataToDisk, ino, "inode/indirect");
-                    self.stats.metadata_flushes += 1;
-                }
-                self.vnode_locks.insert(ino, done);
-                let (offset, len) = (args.offset as u64, args.data.len() as u64);
-                self.acked_volatile.record_dirty(&self.fs, ino, offset, len);
-                let body = if verf_reply {
-                    NfsReplyBody::WriteVerf(match self.attr_reply(&args.file) {
-                        StatusReply::Ok(attributes) => StatusReply::Ok(WriteVerfOk {
-                            attributes,
-                            committed: StableHow::FileSync,
-                            verf: self.boot_verifier,
-                        }),
-                        StatusReply::Err(e) => StatusReply::Err(e),
-                    })
-                } else {
-                    NfsReplyBody::Attr(self.attr_reply(&args.file))
-                };
                 self.stats.writes_completed.record(args.data.len() as u64);
-                self.stats.write_residence.record(done.since(req.arrived));
-                self.reply_and_release(done, req, body, actions);
+                Some((t1, out.io))
             }
             Err(e) => {
-                let status = fs_error_to_status(e);
-                let body = if verf_reply {
-                    NfsReplyBody::WriteVerf(StatusReply::Err(status))
-                } else {
-                    NfsReplyBody::Attr(StatusReply::Err(status))
-                };
+                let status = StatusReply::Err(fs_error_to_status(e));
+                let body = self.write_verf(args, status, StableHow::FileSync);
                 self.reply_and_release(t1, req, body, actions);
+                None
             }
         }
+    }
+
+    /// The baseline path: commit data and metadata synchronously under the
+    /// vnode lock, then reply.  A promoted `UNSTABLE` request gets the
+    /// v3-style reply saying `FILE_SYNC`, so the client learns no COMMIT is
+    /// needed.
+    fn standard_write(
+        &mut self,
+        t1: SimTime,
+        io: IoPlan,
+        req: Request,
+        ino: InodeNumber,
+        args: &WriteArgs,
+        actions: &mut Vec<ServerAction>,
+    ) {
+        let done = self.run_io_plan(t1, io.data.iter().chain(io.metadata.iter()));
+        if !io.metadata.is_empty() {
+            self.trace
+                .record(done, TraceKind::MetadataToDisk, ino, "inode/indirect");
+            self.stats.metadata_flushes += 1;
+        }
+        self.vnode(ino).free_at = done;
+        let (offset, len) = (args.offset as u64, args.data.len() as u64);
+        self.acked_volatile.record_dirty(&self.fs, ino, offset, len);
+        self.stats.write_residence.record(done.since(req.arrived));
+        let body = self.write_verf(args, self.fattr(ino), StableHow::FileSync);
+        self.reply_and_release(done, req, body, actions);
     }
 
     /// The NFSv3-style unstable path: land the data in the unified cache,
@@ -1197,50 +1257,23 @@ impl NfsServer {
     /// the memory-pressure stall the bench measures.
     fn unstable_write(
         &mut self,
-        t: SimTime,
+        t1: SimTime,
+        io: IoPlan,
         req: Request,
         ino: InodeNumber,
         args: &WriteArgs,
         actions: &mut Vec<ServerAction>,
     ) {
-        let lock_at = t.max(self.vnode_free(ino));
-        let t1 = self.cpu.run(lock_at, self.write_copy_cost(args.data.len()));
-        match self.fs.write(
-            ino,
-            args.offset as u64,
-            write_source(&args.data),
-            WriteFlags::DelayData,
-            t1.as_nanos(),
-        ) {
-            Ok(out) => {
-                let done = if out.io.data.is_empty() {
-                    t1
-                } else {
-                    self.run_io_plan(t1, out.io.data.iter())
-                };
-                self.vnode_locks.insert(ino, done);
-                let (offset, len) = (args.offset as u64, args.data.len() as u64);
-                let block_size = self.fs.params().block_size;
-                self.unstable_acked.record(ino, offset, len, block_size);
-                self.stats.unstable_writes += 1;
-                self.stats.writes_completed.record(len);
-                self.stats.write_residence.record(done.since(req.arrived));
-                let body = NfsReplyBody::WriteVerf(match self.fs.getattr(ino) {
-                    Ok(attrs) => StatusReply::Ok(WriteVerfOk {
-                        attributes: attributes_to_fattr(self.fs.fsid(), &attrs),
-                        committed: StableHow::Unstable,
-                        verf: self.boot_verifier,
-                    }),
-                    Err(e) => StatusReply::Err(fs_error_to_status(e)),
-                });
-                self.reply_and_release(done, req, body, actions);
-                self.ensure_writeback_scheduled(done, actions);
-            }
-            Err(e) => {
-                let body = NfsReplyBody::WriteVerf(StatusReply::Err(fs_error_to_status(e)));
-                self.reply_and_release(t1, req, body, actions);
-            }
-        }
+        let done = self.run_io_plan(t1, io.data.iter());
+        self.vnode(ino).free_at = done;
+        let (offset, len) = (args.offset as u64, args.data.len() as u64);
+        let block_size = self.fs.params().block_size;
+        self.unstable_acked.record(ino, offset, len, block_size);
+        self.stats.unstable_writes += 1;
+        self.stats.write_residence.record(done.since(req.arrived));
+        let body = self.write_verf(args, self.fattr(ino), StableHow::Unstable);
+        self.reply_and_release(done, req, body, actions);
+        self.ensure_writeback_scheduled(done, actions);
     }
 
     /// Put a write-behind pass on the timer wheel unless one is already
@@ -1267,46 +1300,30 @@ impl NfsServer {
             return;
         }
         let reqs = self.fs.writeback_batch(WRITEBACK_BATCH_PAGES);
-        if !reqs.is_empty() {
-            self.run_io_plan(now, reqs.iter());
-        }
+        self.run_io_plan(now, reqs.iter());
         self.ensure_writeback_scheduled(now, actions);
     }
 
     /// "Dangerous mode": reply as soon as the data is in volatile memory.
     fn dangerous_write(
         &mut self,
-        t: SimTime,
+        t1: SimTime,
+        io: IoPlan,
         req: Request,
         ino: InodeNumber,
         args: &WriteArgs,
         actions: &mut Vec<ServerAction>,
     ) {
-        let t1 = self.cpu.run(t, self.write_copy_cost(args.data.len()));
-        let body = match self.fs.write(
-            ino,
-            args.offset as u64,
-            write_source(&args.data),
-            WriteFlags::DelayData,
-            t1.as_nanos(),
-        ) {
-            Ok(out) => {
-                // Only a dirty-ratio throttle (unified cache armed) ever puts
-                // I/O on a delayed write's plan; run it so blocks the cache
-                // marked clean really reached the device.
-                if !out.io.data.is_empty() {
-                    self.run_io_plan(t1, out.io.data.iter());
-                }
-                let (offset, len) = (args.offset as u64, args.data.len() as u64);
-                self.stats.writes_completed.record(len);
-                self.stats.write_residence.record(t1.since(req.arrived));
-                // The reply about to go out promises stability the data does
-                // not have; remember which blocks the crash oracle must check.
-                self.acked_volatile.record_dirty(&self.fs, ino, offset, len);
-                NfsReplyBody::Attr(self.attr_reply(&args.file))
-            }
-            Err(e) => NfsReplyBody::Attr(StatusReply::Err(fs_error_to_status(e))),
-        };
+        // Only a dirty-ratio throttle (unified cache armed) ever puts I/O on
+        // a delayed write's plan; run it so blocks the cache marked clean
+        // really reached the device.
+        self.run_io_plan(t1, io.data.iter());
+        let (offset, len) = (args.offset as u64, args.data.len() as u64);
+        self.stats.write_residence.record(t1.since(req.arrived));
+        // The reply about to go out promises stability the data does not
+        // have; remember which blocks the crash oracle must check.
+        self.acked_volatile.record_dirty(&self.fs, ino, offset, len);
+        let body = NfsReplyBody::Attr(self.fattr(ino));
         self.reply_and_release(t1, req, body, actions);
     }
 
@@ -1315,62 +1332,33 @@ impl NfsServer {
     /// policy.
     fn gathering_write(
         &mut self,
-        t: SimTime,
+        t1: SimTime,
+        io: IoPlan,
         req: Request,
         ino: InodeNumber,
         args: &WriteArgs,
         actions: &mut Vec<ServerAction>,
     ) {
-        // Hand off the data to UFS.  Accelerated filesystems take the data
-        // synchronously (it lands in NVRAM); plain disks keep it delayed in
-        // the cache so the later flush can cluster it.
-        let flags = if self.accelerated {
-            WriteFlags::SyncDataOnly
-        } else {
-            WriteFlags::DelayData
-        };
-        let lock_at = t.max(self.vnode_free(ino));
-        let cost = self.write_copy_cost(args.data.len()) + self.config.costs.gather_bookkeeping;
-        let t1 = self.cpu.run(lock_at, cost);
-        let outcome = self.fs.write(
-            ino,
-            args.offset as u64,
-            write_source(&args.data),
-            flags,
-            t1.as_nanos(),
-        );
-        let out = match outcome {
-            Ok(out) => out,
-            Err(e) => {
-                let body = NfsReplyBody::Attr(StatusReply::Err(fs_error_to_status(e)));
-                self.reply_and_release(t1, req, body, actions);
-                return;
-            }
-        };
         let nfsd = req.nfsd;
+        let (offset, len) = (args.offset as u64, args.data.len() as u64);
         // For the accelerated path the data goes to NVRAM right now.
-        let mut t2 = if out.io.data.is_empty() {
-            t1
-        } else {
-            self.run_io_plan(t1, out.io.data.iter())
-        };
-        self.vnode_locks.insert(ino, t2);
-
+        let mut t2 = self.run_io_plan(t1, io.data.iter());
         // Queue this write's descriptor.
-        let gather = self.gathers.entry(ino).or_default();
-        gather.push(PendingWrite {
+        let vnode = self.vnode(ino);
+        vnode.free_at = t2;
+        vnode.pending.push(PendingWrite {
             client: req.client,
             xid: req.xid,
-            offset: args.offset as u64,
-            len: args.data.len() as u64,
+            offset,
+            len,
             arrived: req.arrived,
         });
-        self.stats.writes_completed.record(args.data.len() as u64);
+        let procrastinating = vnode.procrastinating;
 
-        // Can we leave the metadata update to somebody else: a responsible
-        // nfsd still procrastinating, or (the mbuf hunter) the nfsd that will
-        // serve a follow-on write already waiting in the socket buffer?
-        let handoff = if self.gathers[&ino].can_join() {
+        // Can we leave the metadata update to somebody else: an nfsd
+        // procrastinating on this file, or (the mbuf hunter) the nfsd that
+        // will serve a follow-on write already waiting in the socket buffer?
+        let handoff = if procrastinating {
             Some("joined existing gather")
         } else if self.config.mbuf_hunter {
             t2 = self.cpu.run(t2, self.config.costs.mbuf_hunt);
@@ -1388,22 +1376,14 @@ impl NfsServer {
         }
 
         // Nobody to hand off to: take responsibility.
-        self.gathers
-            .get_mut(&ino)
-            .expect("gather entry exists")
-            .responsible = Some((nfsd, GatherPhase::Procrastinating));
-
-        match self.config.policy {
+        self.vnode(ino).procrastinating = true;
+        let wake_at = match self.config.policy {
             WritePolicy::FirstWriteLatency => {
                 // [SIVA93]: flush this write's own data immediately; its disk
                 // time is the window in which other writes may arrive.
                 let own_plan = self
                     .fs
-                    .sync_data(
-                        ino,
-                        args.offset as u64,
-                        args.offset as u64 + args.data.len() as u64,
-                    )
+                    .sync_data(ino, offset, offset + len)
                     .unwrap_or_default();
                 let window_end = self.run_io_plan(t2, own_plan.data.iter());
                 self.trace.record(
@@ -1412,17 +1392,11 @@ impl NfsServer {
                     nfsd as u64,
                     "first-write latency window",
                 );
-                self.nfsds[nfsd].free_at = window_end;
-                self.schedule_wakeup(
-                    window_end,
-                    WakeReason::GatherContinue { nfsd, ino },
-                    actions,
-                );
+                window_end
             }
             _ => {
                 // The paper's procrastination: sleep for a transport-dependent
                 // interval hoping company arrives.
-                let wake_at = t2 + self.config.procrastination;
                 if self.trace.is_enabled() {
                     self.trace.record(
                         t2,
@@ -1431,10 +1405,11 @@ impl NfsServer {
                         format!("{} procrastination", self.config.procrastination),
                     );
                 }
-                self.nfsds[nfsd].free_at = wake_at;
-                self.schedule_wakeup(wake_at, WakeReason::GatherContinue { nfsd, ino }, actions);
+                t2 + self.config.procrastination
             }
-        }
+        };
+        self.nfsds[nfsd].free_at = wake_at;
+        self.schedule_wakeup(wake_at, WakeReason::GatherContinue { nfsd, ino }, actions);
     }
 
     fn socket_buffer_has_write_for(&self, ino: InodeNumber) -> bool {
@@ -1452,9 +1427,10 @@ impl NfsServer {
             })
     }
 
-    /// The responsible nfsd's continuation: its procrastination (or
+    /// The procrastinating nfsd's continuation: its procrastination (or
     /// first-write latency window) ended; decide whether to hand off once more
-    /// or to become the metadata writer.
+    /// or to become the metadata writer.  The vnode exists: only a crash
+    /// drops vnodes, and a crash voids this wake-up.
     fn continue_gather(
         &mut self,
         now: SimTime,
@@ -1462,14 +1438,8 @@ impl NfsServer {
         ino: InodeNumber,
         actions: &mut Vec<ServerAction>,
     ) {
-        let Some(gather) = self.gathers.get(&ino) else {
-            self.nfsds[nfsd].free_at = now;
-            let shard = self.nfsds[nfsd].shard;
-            self.dispatch(now, shard, actions);
-            return;
-        };
         // Did company arrive while we slept?
-        if gather.pending_count() > 1 {
+        if self.vnode(ino).pending.len() > 1 {
             self.stats.procrastination_hits += 1;
         } else {
             self.stats.procrastination_misses += 1;
@@ -1478,9 +1448,7 @@ impl NfsServer {
         // follow-on write for this file, the nfsd that will serve it can do
         // the flush and cover our batch too.
         if self.config.mbuf_hunter && self.socket_buffer_has_write_for(ino) {
-            if let Some(g) = self.gathers.get_mut(&ino) {
-                g.responsible = None;
-            }
+            self.vnode(ino).procrastinating = false;
             self.nfsds[nfsd].free_at = now;
             let shard = self.nfsds[nfsd].shard;
             self.dispatch(now, shard, actions);
@@ -1498,12 +1466,11 @@ impl NfsServer {
         ino: InodeNumber,
         actions: &mut Vec<ServerAction>,
     ) {
-        let Some(gather) = self.gathers.get_mut(&ino) else {
-            return;
-        };
-        let (mut batch, from, to) = gather.take_batch(nfsd);
+        let vnode = self.vnode(ino);
+        // Writes that arrive from here on start the next batch.
+        vnode.procrastinating = false;
+        let (mut batch, from, to) = vnode.take_batch();
         if batch.is_empty() {
-            gather.finish(nfsd);
             self.nfsds[nfsd].free_at = now;
             let shard = self.nfsds[nfsd].shard;
             self.dispatch(now, shard, actions);
@@ -1535,15 +1502,8 @@ impl NfsServer {
         if self.config.reply_order == ReplyOrder::Lifo {
             batch.reverse();
         }
-        let fattr = self
-            .fs
-            .getattr(ino)
-            .map(|attrs| attributes_to_fattr(self.fs.fsid(), &attrs));
+        let fattr = self.fattr(ino);
         for w in batch {
-            let body = match &fattr {
-                Ok(f) => NfsReplyBody::Attr(StatusReply::Ok(*f)),
-                Err(e) => NfsReplyBody::Attr(StatusReply::Err(fs_error_to_status(*e))),
-            };
             self.stats.write_residence.record(done.since(w.arrived));
             self.acked_volatile
                 .record_dirty(&self.fs, ino, w.offset, w.len);
@@ -1553,10 +1513,7 @@ impl NfsServer {
                 xid: w.xid,
                 arrived: w.arrived,
             };
-            done = self.finish_reply(done, req, body, actions);
-        }
-        if let Some(g) = self.gathers.get_mut(&ino) {
-            g.finish(nfsd);
+            done = self.finish_reply(done, req, NfsReplyBody::Attr(fattr.clone()), actions);
         }
         self.occupy_nfsd(nfsd, done, actions);
     }
@@ -1593,30 +1550,22 @@ impl NfsServer {
     /// Force any still-deferred state out to stable storage (used at the end
     /// of an experiment and by tests).  Returns the time everything is stable.
     pub fn quiesce(&mut self, now: SimTime, actions: &mut Vec<ServerAction>) -> SimTime {
-        let inos: Vec<InodeNumber> = self.gathers.keys().copied().collect();
+        let pending = self.vnodes.iter().filter(|(_, v)| !v.pending.is_empty());
+        let inos: Vec<InodeNumber> = pending.map(|(&ino, _)| ino).collect();
         let mut done = now;
         for ino in inos {
-            if self
-                .gathers
-                .get(&ino)
-                .map(|g| g.pending_count() > 0)
-                .unwrap_or(false)
-            {
-                // Flush on the owning shard's first nfsd, which round-robin
-                // dealing numbers as the shard (nfsd 0 in the unsharded
-                // configuration, exactly as before).
-                let nfsd = self.shard_of_ino(ino);
-                self.flush_gathered(now, nfsd, ino, actions);
-                done = done.max(self.nfsds[nfsd].free_at);
-            }
+            // Flush on the owning shard's first nfsd, which round-robin
+            // dealing numbers as the shard (nfsd 0 in the unsharded
+            // configuration, exactly as before).
+            let nfsd = self.shard_of_ino(ino);
+            self.flush_gathered(now, nfsd, ino, actions);
+            done = done.max(self.nfsds[nfsd].free_at);
         }
         // Drain whatever the unified cache still holds dirty (unstable data
         // no COMMIT covered); with the cache disarmed the batch is empty.
         if self.unified_cache() {
             let reqs = self.fs.writeback_batch(u64::MAX);
-            if !reqs.is_empty() {
-                done = done.max(self.run_io_plan(now, reqs.iter()));
-            }
+            done = done.max(self.run_io_plan(now, reqs.iter()));
         }
         done.max(self.device.free_at())
     }
@@ -1647,7 +1596,7 @@ impl NfsServer {
     /// Crash the server at `now` and model its reboot.
     ///
     /// Everything volatile dies: the shards' socket buffers and duplicate
-    /// request caches, the per-file gather table, vnode locks, pending timer
+    /// request caches, the vnodes (locks and gather batches), pending timer
     /// continuations and the nfsds' in-flight work.  Before discarding the
     /// buffer cache, the recovery oracle walks every block a reply promised
     /// was stable while it was still volatile (by design, only dangerous
@@ -1670,17 +1619,13 @@ impl NfsServer {
         self.writeback_scheduled = false;
         // --- Discard volatile state ------------------------------------
         self.stats.discarded_dirty_bytes += self.fs.crash_discard_volatile();
-        self.gathers.clear();
-        self.vnode_locks.clear();
+        self.vnodes.clear();
         let shard_count = self.shards.len();
-        let dup_entries = self.config.dupcache_entries.max(1).div_ceil(shard_count);
-        let sockbuf_bytes = (self.config.socket_buffer_bytes / shard_count).max(9 * 1024);
         for shard in self.shards.iter_mut() {
             // The eviction counter is cumulative across the run; bank it
             // before the partition dies with the crash.
             self.pre_crash_evicted_in_progress += shard.dupcache.evicted_in_progress();
-            shard.sockbuf = SocketBuffer::with_capacity(sockbuf_bytes);
-            shard.dupcache = DuplicateRequestCache::new(dup_entries);
+            *shard = Shard::new(&self.config, shard_count);
         }
         // --- Boot + NVRAM recovery replay ------------------------------
         let replay_done = self.device.crash_recover(now);
@@ -2194,6 +2139,40 @@ mod tests {
     }
 
     #[test]
+    fn failed_vop_write_replies_in_the_shape_the_write_asked_for() {
+        // No data blocks at all: every path's VOP_WRITE fails, and the one
+        // error reply keeps a v2 write's attribute reply and an `UNSTABLE`
+        // write's verifier reply apart.
+        let policies = [
+            WritePolicy::Standard,
+            WritePolicy::Gathering,
+            WritePolicy::FirstWriteLatency,
+            WritePolicy::DangerousAsync,
+        ];
+        for policy in policies {
+            let mut cfg = ServerConfig::standard().with_unified_cache(1024);
+            cfg.policy = policy;
+            cfg.data_capacity = 0;
+            let mut server = NfsServer::new(cfg);
+            let root = server.fs().root();
+            let ino = server.fs_mut().create(root, "t", 0o644, 0).unwrap();
+            let stable = write_call(&server, ino, 1, 0, 8192);
+            let unstable = unstable_write_call(&server, ino, 2, 0, 8192);
+            let replies = server.run_script(vec![
+                (SimTime::ZERO, datagram(stable)),
+                (SimTime::from_millis(1), datagram(unstable)),
+            ]);
+            let bodies: Vec<_> = replies.into_iter().map(|(_, r)| r.body).collect();
+            let expected = [
+                NfsReplyBody::Attr(StatusReply::Err(NfsStatus::NoSpc)),
+                NfsReplyBody::WriteVerf(StatusReply::Err(NfsStatus::NoSpc)),
+            ];
+            assert_eq!(bodies, expected, "{policy:?}");
+            assert_eq!(server.stats().writes_completed.events(), 0, "{policy:?}");
+        }
+    }
+
+    #[test]
     fn stale_handle_write_gets_a_stale_error() {
         let (mut server, ino) = make_server(WritePolicy::Gathering);
         let call = write_call(&server, ino, 9, 0, 1024);
@@ -2291,6 +2270,26 @@ mod tests {
         let replies = server.run_script(inputs);
         assert!(server.socket_drops() > 0);
         assert!(replies.len() < 10);
+    }
+
+    #[test]
+    fn socket_drops_survive_a_crash() {
+        let mut cfg = ServerConfig::gathering();
+        cfg.socket_buffer_bytes = 20_000; // room for two queued 8 KB writes
+        cfg.nfsds = 1;
+        let mut server = NfsServer::new(cfg);
+        let root = server.fs().root();
+        let ino = server.fs_mut().create(root, "t", 0o644, 0).unwrap();
+        // The nfsd takes the first of ten writes, two more queue, and the
+        // rest overflow the buffer.
+        for i in 0..10u64 {
+            let call = write_call(&server, ino, 600 + i as u32, i * 8192, 8192);
+            server.handle(SimTime::ZERO, datagram(call));
+        }
+        assert_eq!(server.socket_drops(), 7);
+        // The crash discards the buffers, not the count of what they dropped.
+        server.crash(SimTime::from_millis(1));
+        assert_eq!(server.socket_drops(), 7);
     }
 
     #[test]

@@ -15,47 +15,32 @@
 
 use std::collections::VecDeque;
 
-/// The default socket buffer capacity: 0.25 MB, the DEC OSF/1 maximum the
-/// paper quotes.
-pub const DEFAULT_CAPACITY_BYTES: usize = 256 * 1024;
-
 /// A bounded FIFO of incoming datagrams with byte-capacity accounting.
 #[derive(Clone, Debug)]
 pub struct SocketBuffer<T> {
     entries: VecDeque<(usize, T)>,
     capacity_bytes: usize,
     used_bytes: usize,
-    dropped: u64,
-    accepted: u64,
 }
 
 impl<T> SocketBuffer<T> {
-    /// A buffer with the OSF/1 default capacity of 0.25 MB.
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY_BYTES)
-    }
-
     /// A buffer with an explicit byte capacity.
     pub fn with_capacity(capacity_bytes: usize) -> Self {
         SocketBuffer {
             entries: VecDeque::new(),
             capacity_bytes,
             used_bytes: 0,
-            dropped: 0,
-            accepted: 0,
         }
     }
 
     /// Offer an incoming datagram of `size` bytes.  Returns `true` if it was
     /// queued, `false` if it was dropped because the buffer was full (the
-    /// caller's client will eventually retransmit).
+    /// caller counts the drop; its client will eventually retransmit).
     pub fn offer(&mut self, size: usize, item: T) -> bool {
         if self.used_bytes + size > self.capacity_bytes {
-            self.dropped += 1;
             return false;
         }
         self.used_bytes += size;
-        self.accepted += 1;
         self.entries.push_back((size, item));
         true
     }
@@ -77,50 +62,9 @@ impl<T> SocketBuffer<T> {
         self.entries.iter().map(|(_, item)| item)
     }
 
-    /// Remove and return the first queued datagram matching a predicate,
-    /// preserving the order of the others.  Used by gathering servers that
-    /// pull a matching follow-on write directly out of the socket buffer.
-    pub fn take_matching(&mut self, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
-        let idx = self.entries.iter().position(|(_, item)| pred(item))?;
-        let (size, item) = self.entries.remove(idx)?;
-        self.used_bytes -= size;
-        Some(item)
-    }
-
-    /// Number of queued datagrams.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// `true` if nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Bytes currently queued.
-    pub fn used_bytes(&self) -> usize {
-        self.used_bytes
-    }
-
-    /// The byte capacity.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
-    /// Datagrams dropped because the buffer was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Datagrams accepted into the buffer over its lifetime.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-}
-
-impl<T> Default for SocketBuffer<T> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -130,61 +74,37 @@ mod tests {
 
     #[test]
     fn fifo_order_is_preserved() {
-        let mut sb = SocketBuffer::new();
+        let mut sb = SocketBuffer::with_capacity(500);
         for i in 0..5u32 {
             assert!(sb.offer(100, i));
         }
-        assert_eq!(sb.len(), 5);
         let order: Vec<_> = std::iter::from_fn(|| sb.take()).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
         assert!(sb.is_empty());
-        assert_eq!(sb.used_bytes(), 0);
+        // Taking everything gave the whole capacity back.
+        assert!(sb.offer(500, 5));
     }
 
     #[test]
     fn overflow_drops_and_counts() {
         let mut sb = SocketBuffer::with_capacity(1000);
-        assert!(sb.offer(600, "a"));
-        assert!(!sb.offer(600, "b"));
-        assert!(sb.offer(400, "c"));
-        assert_eq!(sb.dropped(), 1);
-        assert_eq!(sb.accepted(), 2);
-        assert_eq!(sb.used_bytes(), 1000);
-        assert_eq!(sb.capacity_bytes(), 1000);
-    }
-
-    #[test]
-    fn default_capacity_matches_osf1() {
-        let sb: SocketBuffer<u8> = SocketBuffer::new();
-        assert_eq!(sb.capacity_bytes(), 256 * 1024);
+        // "b" overflows; "c" fills the buffer exactly, so "d" cannot fit.
+        let offers = [("a", 600), ("b", 600), ("c", 400), ("d", 1)];
+        let accepted = offers.map(|(item, size)| sb.offer(size, item));
+        assert_eq!(accepted, [true, false, true, false]);
+        let queued: Vec<_> = std::iter::from_fn(|| sb.take()).collect();
+        assert_eq!(queued, vec!["a", "c"]);
     }
 
     #[test]
     fn scan_sees_everything_without_consuming() {
-        let mut sb = SocketBuffer::new();
+        let mut sb = SocketBuffer::with_capacity(30);
         sb.offer(10, 1u32);
         sb.offer(10, 2u32);
         sb.offer(10, 3u32);
         let seen: Vec<_> = sb.scan().copied().collect();
         assert_eq!(seen, vec![1, 2, 3]);
-        assert_eq!(sb.len(), 3);
-    }
-
-    #[test]
-    fn take_matching_pulls_from_the_middle() {
-        let mut sb = SocketBuffer::new();
-        sb.offer(8300, ("file-a", 0u32));
-        sb.offer(8300, ("file-b", 1u32));
-        sb.offer(8300, ("file-a", 2u32));
-        let hit = sb.take_matching(|(f, _)| *f == "file-b");
-        assert_eq!(hit, Some(("file-b", 1)));
-        assert_eq!(sb.len(), 2);
-        assert_eq!(sb.used_bytes(), 2 * 8300);
-        // Remaining order preserved.
-        assert_eq!(sb.take(), Some(("file-a", 0)));
-        assert_eq!(sb.take(), Some(("file-a", 2)));
-        // No match returns None and changes nothing.
-        assert_eq!(sb.take_matching(|_| false), None);
+        assert_eq!(sb.scan().count(), 3);
     }
 
     #[test]
@@ -194,6 +114,6 @@ mod tests {
         assert!(!sb.offer(1, 2u8));
         sb.take();
         assert!(sb.offer(100, 3u8));
-        assert_eq!(sb.dropped(), 1);
+        assert_eq!(sb.take(), Some(3));
     }
 }

@@ -18,9 +18,13 @@
 //!   as one Rust value plus its wire size, which is what the network and
 //!   socket-buffer models operate on.
 //!
-//! The encoding layer exists so the protocol handling in the server is real —
-//! requests cross the simulated network as XDR bytes and are decoded and
-//! validated by the server exactly as a kernel implementation would.
+//! The encoding layer keeps the simulated wire honest about sizes: messages
+//! cross the simulated network as typed values, and the network and socket
+//! buffer charge each one its arithmetic `wire_size()`, which tests pin to
+//! the length of its real XDR encoding.  Bytes exist only in
+//! `to_wire`/`from_wire`, which the round-trip tests,
+//! `wire_sizes_match_real_encodings` and the benchmark's encode/decode
+//! micro replays call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -799,6 +799,14 @@ impl<T> StatusReply<T> {
             StatusReply::Err(s) => *s,
         }
     }
+
+    /// Build a success body from the value, keeping an error status.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> StatusReply<U> {
+        match self {
+            StatusReply::Ok(v) => StatusReply::Ok(f(v)),
+            StatusReply::Err(s) => StatusReply::Err(s),
+        }
+    }
 }
 
 impl<T: XdrEncode> XdrEncode for StatusReply<T> {

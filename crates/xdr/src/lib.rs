@@ -12,9 +12,10 @@
 //!
 //! The encoder appends to a growable byte buffer; the decoder is a cursor over
 //! a byte slice.  Both are written without `unsafe` and both check bounds
-//! explicitly, returning [`XdrError`] on malformed input — the server uses the
-//! decoder on datagrams received "from the network", which in the simulation
-//! are produced by our own client but are still validated as untrusted input.
+//! explicitly, returning [`XdrError`] on malformed input.  The simulated
+//! server never decodes bytes (calls reach it as typed values); the NFS
+//! message round trips use the decoder, and their tests feed it random and
+//! corrupted bytes as untrusted input.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
