@@ -43,6 +43,12 @@ pub(crate) struct Vnode {
 }
 
 impl Vnode {
+    /// Whether the vnode holds writes that no nfsd procrastinates on: a
+    /// batch the mbuf hunter handed to the next WRITE queued for the file.
+    pub(crate) fn handed_off(&self) -> bool {
+        !self.pending.is_empty() && !self.procrastinating
+    }
+
     /// Take the pending writes for flushing, with the `[from, to)` range
     /// they cover as the `VOP_SYNCDATA` hint (`(0, 0)` when none are
     /// pending).

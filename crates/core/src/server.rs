@@ -482,6 +482,14 @@ impl NfsServer {
         self.fs.dirty_bytes()
     }
 
+    /// Writes held in gather batches, their replies deferred to a metadata
+    /// flush.  Non-zero only while an nfsd procrastinates on a batch or a
+    /// queued WRITE for its file has been handed it; once the event queue
+    /// has drained, every one counted is a reply no nfsd will ever send.
+    pub fn held_gather_writes(&self) -> u64 {
+        self.vnodes.values().map(|v| v.pending.len() as u64).sum()
+    }
+
     /// The configuration the server was built with.
     pub fn config(&self) -> &ServerConfig {
         &self.config
@@ -1120,6 +1128,29 @@ impl NfsServer {
                 return;
             }
         };
+        // A batch no nfsd procrastinates on was handed to the next WRITE
+        // for its file (the mbuf hunter saw one queued): this one.  On the
+        // gathering path the write joins the batch and takes it over; on any
+        // other exit it flushes the batch once it has replied.
+        let handed_batch = self.vnodes.get(&ino).is_some_and(Vnode::handed_off);
+        let joined = self.route_write(t, req, ino, &args, actions);
+        if handed_batch && !joined {
+            let nfsd = req.nfsd;
+            self.flush_gathered(self.nfsds[nfsd].free_at, nfsd, ino, actions);
+        }
+    }
+
+    /// Serve a WRITE to `ino` on its path.  Returns whether it joined the
+    /// file's gather batch, which only a write reaching the gathering path
+    /// does.
+    fn route_write(
+        &mut self,
+        t: SimTime,
+        req: Request,
+        ino: InodeNumber,
+        args: &WriteArgs,
+        actions: &mut Vec<ServerAction>,
+    ) -> bool {
         // Lease gate: a *registered* client whose lease has expired had its
         // state revoked, and its writes are refused with `Expired` until it
         // re-registers (unregistered clients keep writing statelessly, as in
@@ -1127,7 +1158,7 @@ impl NfsServer {
         if self.config.leases && !self.state.write_admitted(req.client, t) {
             let body = NfsReplyBody::Attr(StatusReply::Err(NfsStatus::Expired));
             self.reply_and_release(t, req, body, actions);
-            return;
+            return false;
         }
         // NFSv3-style stability routing rides in front of the paper's policy
         // dispatch: a WRITE marked `UNSTABLE` goes to the unified cache and
@@ -1146,15 +1177,16 @@ impl NfsServer {
             (_, WritePolicy::DangerousAsync) => WritePath::Dangerous,
             (_, WritePolicy::Gathering | WritePolicy::FirstWriteLatency) => WritePath::Gathering,
         };
-        let Some((t1, io)) = self.vop_write(t, req, ino, &args, path, actions) else {
-            return;
+        let Some((t1, io)) = self.vop_write(t, req, ino, args, path, actions) else {
+            return false;
         };
         match path {
-            WritePath::Standard => self.standard_write(t1, io, req, ino, &args, actions),
-            WritePath::Unstable => self.unstable_write(t1, io, req, ino, &args, actions),
-            WritePath::Dangerous => self.dangerous_write(t1, io, req, ino, &args, actions),
-            WritePath::Gathering => self.gathering_write(t1, io, req, ino, &args, actions),
+            WritePath::Standard => self.standard_write(t1, io, req, ino, args, actions),
+            WritePath::Unstable => self.unstable_write(t1, io, req, ino, args, actions),
+            WritePath::Dangerous => self.dangerous_write(t1, io, req, ino, args, actions),
+            WritePath::Gathering => self.gathering_write(t1, io, req, ino, args, actions),
         }
+        path == WritePath::Gathering
     }
 
     /// Whether the server will honour `UNSTABLE` semantics right now.  Needs
@@ -1744,9 +1776,13 @@ mod tests {
     }
 
     fn datagram(call: NfsCall) -> ServerInput {
+        datagram_from(1, call)
+    }
+
+    fn datagram_from(client: ClientId, call: NfsCall) -> ServerInput {
         let wire = call.wire_size();
         ServerInput::Datagram {
-            client: 1,
+            client,
             call,
             wire_size: wire,
             fragments: 6,
@@ -2170,6 +2206,97 @@ mod tests {
             assert_eq!(bodies, expected, "{policy:?}");
             assert_eq!(server.stats().writes_completed.events(), 0, "{policy:?}");
         }
+    }
+
+    /// A gathering server with one nfsd, as `edit` configures it, and the
+    /// file "t".  A FILE_SYNC write to "t" makes the nfsd procrastinate; a
+    /// second WRITE for "t" sent at the same instant waits in the socket
+    /// buffer, so the mbuf hunter hands the batch to it when the
+    /// procrastination ends.
+    fn one_nfsd_gathering(edit: impl FnOnce(&mut ServerConfig)) -> (NfsServer, InodeNumber) {
+        let mut cfg = ServerConfig::gathering();
+        cfg.nfsds = 1;
+        edit(&mut cfg);
+        let mut server = NfsServer::new(cfg);
+        let root = server.fs().root();
+        let ino = server.fs_mut().create(root, "t", 0o644, 0).unwrap();
+        (server, ino)
+    }
+
+    /// Run `setup`, then `first` (from client 1) and `handed` at `at`, and
+    /// check that both writes are answered and none is left in a batch.
+    fn assert_handed_batch_is_flushed(
+        mut server: NfsServer,
+        mut inputs: Vec<(SimTime, ServerInput)>,
+        at: SimTime,
+        first: NfsCall,
+        handed: ServerInput,
+    ) -> Vec<NfsReply> {
+        inputs.push((at, datagram(first)));
+        inputs.push((at, handed));
+        let replies: Vec<NfsReply> = server
+            .run_script(inputs)
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect();
+        for xid in [1, 2] {
+            let answered = replies.iter().any(|r| r.xid.0 == xid);
+            assert!(answered, "write {xid} was never answered");
+        }
+        assert_eq!(server.held_gather_writes(), 0);
+        replies
+    }
+
+    #[test]
+    fn an_unstable_write_handed_a_batch_flushes_it() {
+        // With the unified cache the UNSTABLE write takes the unstable
+        // path; without it the server promotes it to FILE_SYNC on the
+        // standard path.  Neither joins the batch.
+        for pages in [1024, 0] {
+            let (server, ino) = one_nfsd_gathering(|c| c.cache_pages = pages);
+            let first = write_call(&server, ino, 1, 0, 8192);
+            let handed = datagram(unstable_write_call(&server, ino, 2, 8192, 8192));
+            assert_handed_batch_is_flushed(server, Vec::new(), SimTime::ZERO, first, handed);
+        }
+    }
+
+    #[test]
+    fn a_lease_refused_write_handed_a_batch_flushes_it() {
+        // Client 7 registers a 100 ms lease and lets it lapse; its write is
+        // refused at the lease gate.
+        let (server, ino) = one_nfsd_gathering(|c| {
+            c.leases = true;
+            c.lease_duration = Duration::from_millis(100);
+        });
+        let renew = NfsCall::new(
+            Xid(9),
+            NfsCallBody::Renew(wg_nfsproto::RenewArgs {
+                client_id: 7,
+                verifier: 1,
+            }),
+        );
+        let setup = vec![(SimTime::ZERO, datagram_from(7, renew))];
+        let lapsed = SimTime::from_millis(200);
+        let first = write_call(&server, ino, 1, 0, 8192);
+        let handed = datagram_from(7, write_call(&server, ino, 2, 8192, 8192));
+        let replies = assert_handed_batch_is_flushed(server, setup, lapsed, first, handed);
+        let refused = replies.iter().find(|r| r.xid.0 == 2).unwrap();
+        let expired = NfsReplyBody::Attr(StatusReply::Err(NfsStatus::Expired));
+        assert_eq!(refused.body, expired);
+    }
+
+    #[test]
+    fn a_failed_write_handed_a_batch_flushes_it() {
+        // One data block: the first write takes it, the handed one finds
+        // the filesystem full and VOP_WRITE replies with an error.
+        let (server, ino) = one_nfsd_gathering(|c| c.data_capacity = 8192);
+        let first = write_call(&server, ino, 1, 0, 8192);
+        let handed = datagram(write_call(&server, ino, 2, 8192, 8192));
+        let replies =
+            assert_handed_batch_is_flushed(server, Vec::new(), SimTime::ZERO, first, handed);
+        let failed = replies.iter().find(|r| r.xid.0 == 2).unwrap();
+        let no_space = NfsReplyBody::Attr(StatusReply::Err(NfsStatus::NoSpc));
+        assert_eq!(failed.body, no_space);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! into a [`Harness`] that owns everything else: the event queue, the LAN
 //! fan-in ([`ClientLans`]), the server, the fault plan and the scheduler
 //! counters.  The harness pops events in `(time, insertion)` order, hands
-//! client events to the population, runs server events and carries their
-//! replies back over the addressed client's segment, and applies injected
-//! faults.  A population only decides what its clients do.
+//! client events to the population, runs server events, sends their replies
+//! over the addressed client's segment, and applies injected faults.  A
+//! population decides what its clients do, including whether a reply that
+//! crossed the wire reaches its client as a queued delivery event or is
+//! settled the moment it is sent (see [`Population::reply`]).
 
 use wg_net::medium::{Direction, MediumParams};
 use wg_net::{Medium, TransmitOutcome};
@@ -43,8 +45,11 @@ pub(crate) trait Population {
     /// client first.
     fn start(&mut self, core: &mut Core<Self::Event>);
 
-    /// The event that delivers `reply` to `client`.
-    fn reply(client: u32, reply: NfsReply) -> Self::Event;
+    /// `reply` to `client` crossed the wire and reaches the client at
+    /// `arrives_at`.  Return the event that delivers it then, or settle it
+    /// now and return `None` when nothing the run does before `arrives_at`
+    /// can tell the difference.
+    fn reply(&mut self, client: u32, reply: NfsReply, arrives_at: SimTime) -> Option<Self::Event>;
 
     /// Handle one client event at `now`.
     fn handle(&mut self, now: SimTime, event: Self::Event, core: &mut Core<Self::Event>);
@@ -307,10 +312,11 @@ impl<P: Population> Harness<P> {
                                     .medium_mut(client as usize)
                                     .transmit(at, size, Direction::ToClient)
                                 {
-                                    core.queue.schedule_at(
-                                        arrives_at,
-                                        Ev::Client(P::reply(client, reply)),
-                                    );
+                                    if let Some(event) =
+                                        self.clients.reply(client, reply, arrives_at)
+                                    {
+                                        core.queue.schedule_at(arrives_at, Ev::Client(event));
+                                    }
                                 }
                             }
                         }
@@ -324,11 +330,12 @@ impl<P: Population> Harness<P> {
         }
     }
 
-    /// The end-of-run audit both drivers' `run()` ends in: read the safety
-    /// oracles off the server and the queue, add the clients' `ledger`, and
-    /// panic with one line naming every broken oracle, its count and
-    /// `config` (the cell's repro).  `faults_armed` says whether the run
-    /// injected faults or loss.
+    /// The end-of-run audit both drivers' `run()` ends in, once the queue
+    /// has drained: read the safety oracles and the orphaned gather writes
+    /// off the server and the queue, add the clients' `ledger`, and panic
+    /// with one line naming every broken oracle, its count and `config` (the
+    /// cell's repro).  `faults_armed` says whether the run injected faults
+    /// or loss.
     pub(crate) fn audit(&self, config: &dyn std::fmt::Debug, faults_armed: bool, ledger: Ledger) {
         let server = &self.core.server;
         let state = server.state_stats();
@@ -340,6 +347,7 @@ impl<P: Population> Harness<P> {
             grace_conflicts: state.grace_conflicts,
             expired_lease_writes: state.expired_lease_writes,
             clamped_past: self.core.queue.clamped_past(),
+            orphaned_gather_writes: server.held_gather_writes(),
             ledger,
         };
         let broken = oracles.violations();
@@ -381,6 +389,9 @@ struct Oracles {
     expired_lease_writes: u64,
     /// Events scheduled into the simulated past.
     clamped_past: u64,
+    /// Writes still held in gather batches.  The queue has drained, so no
+    /// nfsd can still be procrastinating on one: their replies are lost.
+    orphaned_gather_writes: u64,
     ledger: Ledger,
 }
 
@@ -405,6 +416,7 @@ impl Oracles {
             ("grace_conflicts", self.grace_conflicts),
             ("expired_lease_writes", self.expired_lease_writes),
             ("clamped_past", self.clamped_past),
+            ("orphaned_gather_writes", self.orphaned_gather_writes),
             ("call_conservation", calls),
             ("lease_call_conservation", lease_calls),
             (
@@ -473,6 +485,7 @@ mod tests {
             grace_conflicts: 0,
             expired_lease_writes: 0,
             clamped_past: 0,
+            orphaned_gather_writes: 0,
             ledger: Ledger::default(),
         };
         edit(&mut oracles);
@@ -495,6 +508,8 @@ mod tests {
         assert_eq!(expired, [("expired_lease_writes", 4)]);
         let clamped = broken(false, |o| o.clamped_past = 5);
         assert_eq!(clamped, [("clamped_past", 5)]);
+        let orphaned = broken(true, |o| o.orphaned_gather_writes = 7);
+        assert_eq!(orphaned, [("orphaned_gather_writes", 7)]);
         let calls = broken(true, |o| o.ledger.calls = SHORT);
         assert_eq!(calls, [("call_conservation", 1)]);
         let lease_calls = broken(true, |o| o.ledger.lease_calls = SHORT);

@@ -341,8 +341,9 @@ impl Population for WriterFleet {
         }
     }
 
-    fn reply(client: u32, reply: NfsReply) -> Self::Event {
-        (client as usize, ClientInput::Reply(reply))
+    /// Every reply is an event: it drives the writer's window and timers.
+    fn reply(&mut self, client: u32, reply: NfsReply, _: SimTime) -> Option<Self::Event> {
+        Some((client as usize, ClientInput::Reply(reply)))
     }
 
     fn handle(&mut self, now: SimTime, event: Self::Event, core: &mut Core<Self::Event>) {

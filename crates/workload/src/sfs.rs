@@ -52,6 +52,18 @@
 //! live one in its reserved place.  Every check that can act fires exactly
 //! where a check per call would have, and the ones that would find their
 //! call answered never enter the queue.
+//!
+//! # Settled replies
+//!
+//! LADDIS streams are open loop: each sends on its Poisson schedule whatever
+//! the server answers, so a workload reply only stops its call's clock.
+//! With the fault layer disarmed no call is re-sent and no retry check reads
+//! the window of calls in flight, so nothing can observe a reply between
+//! its send and its arrival.  Such a reply is settled as the server sends
+//! it: its call retires with the arrival time as its completion, and no
+//! delivery event is queued.  RENEW and LOCK replies drive the lease
+//! machine, whose next tick must see them only once they have landed, and
+//! every reply of an armed run may race a retry check; both stay events.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -503,6 +515,14 @@ enum OpKind {
     Lock,
 }
 
+impl OpKind {
+    /// Whether the call is lease-protocol traffic (kept off the workload
+    /// counters).
+    fn is_lease(self) -> bool {
+        matches!(self, OpKind::Renew | OpKind::Lock)
+    }
+}
+
 const OP_KINDS: [OpKind; 9] = [
     OpKind::Lookup,
     OpKind::Read,
@@ -549,6 +569,11 @@ impl XidWindow {
         self.calls.push_back(Some((sent, kind)));
     }
 
+    /// The entry of a call still awaiting its reply.
+    fn get(&self, xid: u32) -> Option<(SimTime, OpKind)> {
+        self.calls[self.index(xid)?]
+    }
+
     /// Retire a call, returning its entry if it was still unanswered.
     fn take(&mut self, xid: u32) -> Option<(SimTime, OpKind)> {
         let idx = self.index(xid)?;
@@ -563,7 +588,7 @@ impl XidWindow {
     /// Whether a call is still awaiting its reply (used by the retry timer
     /// to tell "unanswered" from "answered while the timer was in flight").
     fn contains(&self, xid: u32) -> bool {
-        self.index(xid).is_some_and(|idx| self.calls[idx].is_some())
+        self.get(xid).is_some()
     }
 }
 
@@ -1082,6 +1107,8 @@ fn churn_origin(churn: Duration, client: usize, clients: usize) -> SimTime {
 /// Client-side events of the SFS streams.
 enum SfsEvent {
     NextArrival(usize),
+    /// A reply lands: a lease reply, or any reply of a run with the fault
+    /// layer armed (the rest are settled as they are sent).
     Reply(u32, NfsReply),
     /// The head retry check of one attempt level of one client:
     /// `(client, attempts already made)`.
@@ -1104,9 +1131,13 @@ struct SfsClients {
     /// End of the measured window: arrivals and ticks stop here.
     end: SimTime,
     /// With no injected faults and no loss the retry machinery is fully
-    /// disarmed (no cloned calls, no timers, no extra events): the run
-    /// replays the pre-fault harness event for event.
+    /// disarmed (no cloned calls, no timers, no extra events), and workload
+    /// replies are settled as they are sent.
     faults_armed: bool,
+    /// Queue every reply as a delivery event: the reference run the
+    /// differential test holds settlement against.
+    #[cfg(test)]
+    replies_as_events: bool,
 }
 
 impl SfsClients {
@@ -1120,6 +1151,37 @@ impl SfsClients {
     /// Sum a per-stream counter over every stream.
     fn sum(&self, counter: impl Fn(&SfsGenerator) -> u64) -> u64 {
         self.generators.iter().map(counter).sum()
+    }
+
+    /// Retire the call `reply` answers, as its client receives it at `at`:
+    /// a workload call records its completion and latency, a lease call
+    /// drives the lease machine.  A reply whose call is already retired (an
+    /// answer to a re-sent call) changes nothing.
+    fn retire(&mut self, at: SimTime, client: u32, reply: &NfsReply) {
+        let generator = &mut self.generators[client as usize];
+        let Some((sent, kind)) = generator.outstanding.take(reply.xid.0) else {
+            return;
+        };
+        if kind.is_lease() {
+            generator.lease.completed += 1;
+            generator.on_state_reply(&reply.body);
+        } else {
+            self.latency.record(at.since(sent));
+            generator.completed += 1;
+        }
+        if self.faults_armed {
+            generator.retry_calls.remove(&reply.xid.0);
+        }
+    }
+
+    /// Whether a workload reply is settled as it is sent (see the module
+    /// docs): only when the fault layer is disarmed.
+    fn settles_replies(&self) -> bool {
+        #[cfg(test)]
+        if self.replies_as_events {
+            return false;
+        }
+        !self.faults_armed
     }
 
     /// Send a fresh call.  With the fault layer armed, retain a copy first
@@ -1176,7 +1238,7 @@ impl SfsClients {
                 // silent success — on the ledger it was issued on.
                 let kind = generator.outstanding.take(xid).map(|(_, kind)| kind);
                 generator.retry_calls.remove(&xid);
-                if matches!(kind, Some(OpKind::Renew | OpKind::Lock)) {
+                if kind.is_some_and(OpKind::is_lease) {
                     generator.lease.gave_up += 1;
                 } else {
                     generator.gave_up += 1;
@@ -1229,8 +1291,16 @@ impl Population for SfsClients {
         }
     }
 
-    fn reply(client: u32, reply: NfsReply) -> SfsEvent {
-        SfsEvent::Reply(client, reply)
+    fn reply(&mut self, client: u32, reply: NfsReply, arrives_at: SimTime) -> Option<SfsEvent> {
+        let outstanding = &self.generators[client as usize].outstanding;
+        let lease = outstanding
+            .get(reply.xid.0)
+            .is_some_and(|(_, kind)| kind.is_lease());
+        if lease || !self.settles_replies() {
+            return Some(SfsEvent::Reply(client, reply));
+        }
+        self.retire(arrives_at, client, &reply);
+        None
     }
 
     fn handle(&mut self, t: SimTime, event: SfsEvent, core: &mut Core<SfsEvent>) {
@@ -1245,23 +1315,7 @@ impl Population for SfsClients {
                     core.schedule(t + gap, SfsEvent::NextArrival(client));
                 }
             }
-            SfsEvent::Reply(client, reply) => {
-                let generator = &mut self.generators[client as usize];
-                if let Some((sent, kind)) = generator.outstanding.take(reply.xid.0) {
-                    if matches!(kind, OpKind::Renew | OpKind::Lock) {
-                        // Lease-protocol traffic: drive the client state
-                        // machine, never the throughput counters.
-                        generator.lease.completed += 1;
-                        generator.on_state_reply(&reply.body);
-                    } else {
-                        self.latency.record(t.since(sent));
-                        generator.completed += 1;
-                    }
-                    if self.faults_armed {
-                        generator.retry_calls.remove(&reply.xid.0);
-                    }
-                }
-            }
+            SfsEvent::Reply(client, reply) => self.retire(t, client, &reply),
             SfsEvent::RetryCheck(client, level) => self.retry_check(t, client, level, core),
             SfsEvent::LeaseTick(client) => {
                 if t < self.end {
@@ -1404,6 +1458,8 @@ impl SfsSystem {
             latency: MeanLatency::default(),
             end: SimTime::ZERO + config.duration,
             faults_armed: config.faults_enabled(),
+            #[cfg(test)]
+            replies_as_events: false,
             config,
         };
         SfsSystem {
@@ -2044,6 +2100,73 @@ mod tests {
         let mut system = SfsSystem::new(sweep.point_config(250.0));
         system.run();
         assert!(system.retransmissions() > 0);
+    }
+
+    /// Run `config` with its replies settled as shipped (`false`) or every
+    /// reply queued as a delivery event (`true`).
+    fn run_with_replies_as_events(config: &SfsConfig, as_events: bool) -> (SfsSystem, SfsPoint) {
+        let mut system = SfsSystem::new(config.clone());
+        system.harness.clients.replies_as_events = as_events;
+        let point = system.run();
+        (system, point)
+    }
+
+    #[test]
+    fn differential_settled_replies_match_the_event_path() {
+        let figure2 = SfsConfig {
+            duration: Duration::from_secs(3),
+            ..SfsConfig::figure2(250.0, WritePolicy::Gathering)
+        };
+        let leased = SfsConfig {
+            duration: Duration::from_secs(3),
+            file_count: 30,
+            file_size: 64 * 1024,
+            ..SfsConfig::scaled(600.0, WritePolicy::Gathering, 4)
+        }
+        .with_leases(true)
+        .with_lease_timing(
+            Duration::from_millis(200),
+            Duration::from_secs(1),
+            Duration::from_millis(500),
+        );
+        for config in [figure2, leased] {
+            let (settled, settled_point) = run_with_replies_as_events(&config, false);
+            let (queued, queued_point) = run_with_replies_as_events(&config, true);
+            let name = format!("{} client(s)", config.clients);
+            assert_eq!(
+                format!("{settled_point:?}"),
+                format!("{queued_point:?}"),
+                "{name}"
+            );
+            assert_eq!(settled.counts(), queued.counts(), "{name}");
+            let per_client = settled.per_client_achieved_ops();
+            assert_eq!(per_client, queued.per_client_achieved_ops(), "{name}");
+            assert_eq!(settled.lease_counts(), queued.lease_counts(), "{name}");
+            assert_eq!(settled.lease_counts().1 > 0, config.leases, "{name}");
+            let residence = |s: &SfsSystem| {
+                let r = &s.server().stats().residence;
+                (r.mean(), r.percentile(99.0))
+            };
+            assert_eq!(residence(&settled), residence(&queued), "{name}");
+            // Each completed workload call had one reply, and only those
+            // replies were settled; lease replies stayed events.
+            let (_, completed) = settled.counts();
+            assert!(completed > 0, "{name}");
+            let saved = queued.events_processed() - settled.events_processed();
+            assert_eq!(saved, completed, "{name}");
+            let unscheduled = queued.scheduled_total() - settled.scheduled_total();
+            assert_eq!(unscheduled, completed, "{name}");
+        }
+
+        // With the fault layer armed a reply may race a retry check, so
+        // every reply stays an event.
+        let lossy = quick_config(250.0, WritePolicy::Gathering).with_loss(0.01);
+        let (settled, settled_point) = run_with_replies_as_events(&lossy, false);
+        let (queued, queued_point) = run_with_replies_as_events(&lossy, true);
+        assert_eq!(format!("{settled_point:?}"), format!("{queued_point:?}"));
+        assert!(settled.retransmissions() > 0, "the loss rate bit");
+        assert_eq!(settled.events_processed(), queued.events_processed());
+        assert_eq!(settled.scheduled_total(), queued.scheduled_total());
     }
 
     #[test]
