@@ -3,7 +3,9 @@
 //! Times a canonical cell set — the Table 1 cell (Ethernet, 15 biods, 10 MB,
 //! both policies), the Table 3 cell (FDDI, 15 biods, 10 MB, both policies)
 //! and one SFS point — and writes `BENCH_writepath.json` so every PR has a
-//! performance trajectory to compare against.
+//! performance trajectory to compare against.  Each cell runs [`RUNS`] times
+//! and records the median wall clock, so one slow run on a shared host does
+//! not land in the report.
 //!
 //! ```text
 //! cargo run --release -p wg-bench --bin writepath_bench -- --record-baseline
@@ -24,6 +26,25 @@ use wg_server::WritePolicy;
 use wg_simcore::Duration;
 use wg_workload::sfs::SfsSystem;
 use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind, SfsConfig};
+
+/// Times each cell is run; the cell records the median wall clock.
+const RUNS: usize = 5;
+
+/// Run `cell` [`RUNS`] times: the median wall clock in seconds, and the last
+/// run's output (every run simulates the same thing).  Only `cell` itself
+/// is timed; the previous output is dropped after its clock stops.
+fn median_wall<T>(mut cell: impl FnMut() -> T) -> (f64, T) {
+    let mut walls = [0.0; RUNS];
+    let mut last = None;
+    for wall in &mut walls {
+        let start = Instant::now();
+        let output = cell();
+        *wall = start.elapsed().as_secs_f64();
+        last = Some(output);
+    }
+    walls.sort_by(f64::total_cmp);
+    (walls[RUNS / 2], last.expect("at least one run"))
+}
 
 /// One timed cell, from the snapshots of its runs and their wall clock in
 /// seconds: the runs' counts summed, the deepest event queue among them,
@@ -50,25 +71,26 @@ fn cell(wall: f64, runs: &[Json], sim: &str) -> Json {
 /// policies as `run_table` executes them, and one SFS point.
 fn measure(file_mb: u64, sfs_secs: u64) -> Vec<(&'static str, Json)> {
     let copy = |network| {
-        let start = Instant::now();
-        let runs = [WritePolicy::Standard, WritePolicy::Gathering].map(|policy| {
-            let config = ExperimentConfig::new(network, 15, policy);
-            let mut system = FileCopySystem::new(config.with_file_size(file_mb * 1024 * 1024));
-            let result = system.run();
-            (system, result)
+        let (wall, runs) = median_wall(|| {
+            [WritePolicy::Standard, WritePolicy::Gathering].map(|policy| {
+                let config = ExperimentConfig::new(network, 15, policy);
+                let mut system = FileCopySystem::new(config.with_file_size(file_mb * 1024 * 1024));
+                let result = system.run();
+                (system, result)
+            })
         });
-        let wall = start.elapsed().as_secs_f64();
         let runs = runs.map(|(system, result)| metrics::copy(&system, &result));
         cell(wall, &runs, "client_write_kb_per_sec")
     };
     let table1 = copy(NetworkKind::Ethernet);
     let table3 = copy(NetworkKind::Fddi);
-    let start = Instant::now();
-    let mut config = SfsConfig::figure2(800.0, WritePolicy::Gathering);
-    config.duration = Duration::from_secs(sfs_secs);
-    let mut system = SfsSystem::new(config);
-    let point = system.run();
-    let wall = start.elapsed().as_secs_f64();
+    let (wall, (system, point)) = median_wall(|| {
+        let mut config = SfsConfig::figure2(800.0, WritePolicy::Gathering);
+        config.duration = Duration::from_secs(sfs_secs);
+        let mut system = SfsSystem::new(config);
+        let point = system.run();
+        (system, point)
+    });
     let sfs = cell(
         wall,
         &[metrics::sfs(&system, &point)],

@@ -15,12 +15,16 @@
 //! [`FileWriterClient`] reproduces that state machine, including the
 //! retransmission timer with exponential backoff that kicks in when the
 //! server drops a request (socket-buffer overrun) or a datagram is lost.
+//! Its xids, its table of calls in flight and its backoff come from
+//! [`rpc`], which the LADDIS streams of `wg_workload::sfs` share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod rpc;
 pub mod writer;
 
+pub use rpc::{backoff, partition, XidWindow};
 pub use writer::{
     ClientAction, ClientConfig, ClientInput, ClientStats, FileWriterClient, TimerKind,
 };

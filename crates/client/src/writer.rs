@@ -1,6 +1,6 @@
 //! The sequential file-writer client.
 
-use wg_simcore::FxHashMap;
+use std::ops::Range;
 
 use wg_nfsproto::{
     CommitArgs, FileHandle, NfsCall, NfsCallBody, NfsReply, NfsReplyBody, StableHow, StatusReply,
@@ -8,11 +8,10 @@ use wg_nfsproto::{
 };
 use wg_simcore::{Duration, SimTime};
 
+use crate::rpc::{backoff, XidWindow};
+
 /// Bytes per write request (8 KB, the NFS v2 maximum).
 const CHUNK_SIZE: u64 = 8192;
-
-/// Multiplier applied to the retransmission timeout after each retransmission.
-const BACKOFF_FACTOR: f64 = 2.0;
 
 /// Client configuration.
 #[derive(Clone, Debug)]
@@ -25,13 +24,15 @@ pub struct ClientConfig {
     /// Client-side CPU time to produce one chunk and traverse the client NFS
     /// code ("a reasonably quick single threaded client" spends little here).
     pub generate_cost: Duration,
-    /// Initial retransmission timeout (the paper quotes 1.1 s).
+    /// Initial retransmission timeout (the paper quotes 1.1 s), doubled
+    /// per retransmission by [`backoff`].
     pub initial_timeout: Duration,
     /// Give up after this many retransmissions of one request.
     pub max_retransmits: u32,
-    /// Base value for generated transaction ids (lets multiple clients share
-    /// a server without xid collisions).
-    pub xid_base: u32,
+    /// The xids the client numbers its requests with, in order.  Clients
+    /// sharing a server each get their own range ([`crate::partition`]);
+    /// the client panics if its requests use the range up.
+    pub xids: Range<u32>,
     /// Added (wrapping) to the per-block fill byte of every write payload.
     /// Multi-client runs give each client a distinct salt so integrity checks
     /// can tell whose data landed in a block; 0 preserves the single-client
@@ -62,7 +63,7 @@ impl Default for ClientConfig {
             generate_cost: Duration::from_micros(300),
             initial_timeout: Duration::from_millis(1100),
             max_retransmits: 10,
-            xid_base: 0x0001_0000,
+            xids: 0x0001_0000..u32::MAX,
             fill_salt: 0,
             stability: StableHow::FileSync,
             commit_interval: 0,
@@ -179,7 +180,7 @@ enum ReqKind {
     Commit,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Outstanding {
     kind: ReqKind,
     offset: u64,
@@ -216,9 +217,9 @@ pub struct FileWriterClient {
     remaining: Vec<u64>,
     next_block_cursor: usize,
     biod_busy: Vec<bool>,
-    outstanding: FxHashMap<Xid, Outstanding>,
+    /// The requests in flight, which also hands out their xids.
+    outstanding: XidWindow<Outstanding>,
     app: AppState,
-    next_xid: u32,
     stats: ClientStats,
     blocked_since: Option<SimTime>,
     /// Every `(offset, len)` the server acknowledged, in acknowledgement
@@ -249,9 +250,8 @@ impl FileWriterClient {
             biod_busy: vec![false; config.biods],
             remaining: (0..blocks).collect(),
             next_block_cursor: 0,
-            outstanding: FxHashMap::default(),
+            outstanding: XidWindow::new(config.xids.clone()),
             app: AppState::Idle,
-            next_xid: config.xid_base,
             stats: ClientStats::default(),
             blocked_since: None,
             acked_writes: Vec::with_capacity(blocks as usize),
@@ -355,8 +355,6 @@ impl FileWriterClient {
         self.next_block_cursor += 1;
         let offset = block * CHUNK_SIZE;
         let len = CHUNK_SIZE.min(self.config.file_size - offset.min(self.config.file_size));
-        let xid = Xid(self.next_xid);
-        self.next_xid += 1;
 
         // Hand off to an idle biod, or send it ourselves and block.
         let idle_biod = self.biod_busy.iter().position(|b| !b);
@@ -364,17 +362,14 @@ impl FileWriterClient {
         if let Some(b) = idle_biod {
             self.biod_busy[b] = true;
         }
-        self.outstanding.insert(
-            xid,
-            Outstanding {
-                kind: ReqKind::Write,
-                offset,
-                len,
-                attempt: 0,
-                app_blocking,
-                biod: idle_biod,
-            },
-        );
+        let xid = self.outstanding.push(Outstanding {
+            kind: ReqKind::Write,
+            offset,
+            len,
+            attempt: 0,
+            app_blocking,
+            biod: idle_biod,
+        });
         self.stats.requests_sent += 1;
         self.send_request(now, xid, actions);
 
@@ -388,10 +383,10 @@ impl FileWriterClient {
     }
 
     /// (Re-)send the request `xid`.  Its [`Outstanding`] entry must already
-    /// be in the table: the entry's kind/offset/len drive the wire body and
+    /// be in the window: the entry's kind/offset/len drive the wire body and
     /// its current `attempt` drives the retransmission backoff.
     fn send_request(&mut self, now: SimTime, xid: Xid, actions: &mut Vec<ClientAction>) {
-        let out = self.outstanding[&xid].clone();
+        let out = *self.outstanding.get(xid).expect("a request in flight");
         let body = match out.kind {
             ReqKind::Write => {
                 // Deterministic, recognisable payload: the low byte of the
@@ -416,12 +411,8 @@ impl FileWriterClient {
         let call = NfsCall::new(xid, body);
         actions.push(ClientAction::Send { at: now, call });
         // Arm the retransmission timer for this attempt.
-        let mut timeout = self.config.initial_timeout.as_secs_f64();
-        for _ in 0..out.attempt {
-            timeout *= BACKOFF_FACTOR;
-        }
         actions.push(ClientAction::Wakeup {
-            at: now + Duration::from_secs_f64(timeout),
+            at: now + backoff(self.config.initial_timeout, out.attempt),
             token: TimerKind::Retransmit {
                 xid,
                 attempt: out.attempt,
@@ -430,7 +421,7 @@ impl FileWriterClient {
     }
 
     fn on_reply(&mut self, now: SimTime, reply: NfsReply, actions: &mut Vec<ClientAction>) {
-        let Some(out) = self.outstanding.remove(&reply.xid) else {
+        let Some(out) = self.outstanding.take(reply.xid) else {
             // A reply for something already answered (e.g. the reply to a
             // retransmission we had given up on): ignore.
             return;
@@ -509,17 +500,14 @@ impl FileWriterClient {
         app_blocking: bool,
         actions: &mut Vec<ClientAction>,
     ) -> Xid {
-        let xid = Xid(self.next_xid);
-        self.next_xid += 1;
-        let commit = Outstanding {
+        let xid = self.outstanding.push(Outstanding {
             kind: ReqKind::Commit,
             offset: 0,
             len: 0,
             attempt: 0,
             app_blocking,
             biod: None,
-        };
-        self.outstanding.insert(xid, commit);
+        });
         self.stats.commits_sent += 1;
         self.send_request(now, xid, actions);
         xid
@@ -557,7 +545,7 @@ impl FileWriterClient {
         attempt: u32,
         actions: &mut Vec<ClientAction>,
     ) {
-        let Some(out) = self.outstanding.get_mut(&xid) else {
+        let Some(out) = self.outstanding.get_mut(xid) else {
             return; // already answered
         };
         if out.attempt != attempt {
@@ -569,7 +557,7 @@ impl FileWriterClient {
             // unacknowledged — counted, never silently absorbed — and carry
             // on so the run terminates.
             self.stats.gave_up += 1;
-            let out = self.outstanding.remove(&xid).expect("present");
+            let out = self.outstanding.take(xid).expect("present");
             if out.kind == ReqKind::Commit {
                 self.commit_gave_up = true;
                 self.paced_commit_inflight = false;
@@ -817,22 +805,22 @@ mod tests {
         // A writer finishes its segment with the retransmission wake-ups of
         // its answered writes still pending, as a rolling fleet client does
         // at every segment's close.
-        let segment = |xid_base| {
+        let segment = |xids| {
             let cfg = ClientConfig {
                 file_size: 64 * 1024,
-                xid_base,
+                xids,
                 ..ClientConfig::default()
             };
             FileWriterClient::new(cfg, handle())
         };
-        let mut old = segment(0x1000);
+        let mut old = segment(0x1000..0x2000);
         let stale = drive(&mut old, |_, call| {
             Some((Duration::from_millis(1), ok_reply(call.xid)))
         });
         assert!(!stale.is_empty(), "the finished writer left no wake-ups");
         // The next segment's writer gets its first write out, with that
         // write's retransmission wake-up and the next chunk's pending.
-        let mut fresh = segment(0x2000);
+        let mut fresh = segment(0x2000..0x3000);
         let started = fresh.handle(old.stats().completed_at, ClientInput::Start);
         let Some(&ClientAction::Wakeup { at, token }) = started.first() else {
             panic!("the fresh writer did not start generating");
@@ -847,6 +835,22 @@ mod tests {
         }
         assert_eq!(fresh.stats().requests_sent, 1);
         assert_eq!(fresh.stats().retransmissions, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "xid window exhausted")]
+    fn a_writer_panics_at_the_end_of_its_xid_range() {
+        // Eight 8 KB writes in a window of four xids: the fifth write must
+        // not take the xid of the next segment's window.
+        let cfg = ClientConfig {
+            file_size: 64 * 1024,
+            xids: 0x1000..0x1004,
+            ..ClientConfig::default()
+        };
+        let mut client = FileWriterClient::new(cfg, handle());
+        drive(&mut client, |_, call| {
+            Some((Duration::from_millis(1), ok_reply(call.xid)))
+        });
     }
 
     /// A toy unstable-mode server: acknowledges writes `UNSTABLE` under the

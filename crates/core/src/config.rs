@@ -1,5 +1,6 @@
 //! Server configuration: write policy, storage, nfsd pool and CPU cost table.
 
+use wg_nfsproto::StableHow;
 use wg_simcore::Duration;
 
 /// Which write-commit strategy the server uses.
@@ -35,6 +36,16 @@ pub enum StabilityMode {
     Stable,
     /// `WRITE(UNSTABLE)` + `COMMIT` against the unified buffer cache.
     Unstable,
+}
+
+impl StabilityMode {
+    /// The `stable_how` a client of this regime puts on every WRITE.
+    pub fn stable_how(self) -> StableHow {
+        match self {
+            StabilityMode::Stable => StableHow::FileSync,
+            StabilityMode::Unstable => StableHow::Unstable,
+        }
+    }
 }
 
 /// The order in which a gathering server releases a batch of pending replies.
@@ -210,9 +221,11 @@ pub struct ServerConfig {
     /// Fraction of the unified cache that may be dirty before writers are
     /// throttled (see [`wg_ufs::FsParams::dirty_ratio`]).
     pub dirty_ratio: f64,
-    /// The stability semantics this experiment cell runs under (recorded on
-    /// the server config so benches can label cells; the server itself
-    /// honours the `stable_how` of each arriving WRITE).
+    /// Inert: the server honours the `stable_how` of each arriving WRITE,
+    /// and nothing outside this module's tests reads the field (the bench
+    /// cells take their stability label from the driver configs).  It stays
+    /// only because the benchmark package's traced copy replay sets it
+    /// through [`ServerConfig::with_stability`]; remove the two together.
     pub stability: StabilityMode,
     /// Interval between background write-behind passes over the unified
     /// cache's dirty pages.  Each pass drains one batch through the storage

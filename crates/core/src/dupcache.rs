@@ -46,16 +46,14 @@ pub type DupKey = (u32, Xid);
 /// re-runs the write and orphans the deferred reply.  `InProgress` keys are
 /// rotated to the back of the eviction order instead; only if *every* cached
 /// entry is in progress (a pathologically undersized cache) is one forcibly
-/// evicted, and [`DuplicateRequestCache::evicted_in_progress`] counts exactly
-/// those forced evictions so tests and the CI bench smoke can assert zero.
+/// evicted.  [`DuplicateRequestCache::start`] and
+/// [`DuplicateRequestCache::complete`] report each forced eviction, and the
+/// server counts them across crashes so the run audit can assert zero.
 #[derive(Clone, Debug)]
 pub struct DuplicateRequestCache {
     capacity: usize,
     entries: FxHashMap<DupKey, DupState>,
     order: VecDeque<DupKey>,
-    hits: u64,
-    misses: u64,
-    evicted_in_progress: u64,
 }
 
 impl DuplicateRequestCache {
@@ -65,9 +63,6 @@ impl DuplicateRequestCache {
             capacity: capacity.max(1),
             entries: FxHashMap::default(),
             order: VecDeque::new(),
-            hits: 0,
-            misses: 0,
-            evicted_in_progress: 0,
         }
     }
 
@@ -75,32 +70,26 @@ impl DuplicateRequestCache {
     /// execute the request must call [`DuplicateRequestCache::start`].
     ///
     /// A `Done` hit is a reference-count bump, not a reply copy.
-    pub fn lookup(&mut self, client: u32, xid: Xid) -> DupState {
-        match self.entries.get(&(client, xid)) {
-            Some(state) => {
-                self.hits += 1;
-                state.clone()
-            }
-            None => {
-                self.misses += 1;
-                DupState::New
-            }
-        }
+    pub fn lookup(&self, client: u32, xid: Xid) -> DupState {
+        let state = self.entries.get(&(client, xid));
+        state.cloned().unwrap_or(DupState::New)
     }
 
     /// Record that a request has begun executing (or has been queued with a
-    /// deferred reply).
-    pub fn start(&mut self, client: u32, xid: Xid) {
-        self.insert((client, xid), DupState::InProgress);
+    /// deferred reply).  Returns `true` if making room forced an
+    /// `InProgress` entry out.
+    pub fn start(&mut self, client: u32, xid: Xid) -> bool {
+        self.insert((client, xid), DupState::InProgress)
     }
 
     /// Record the reply sent for a request so retransmissions can be answered
-    /// from the cache.
-    pub fn complete(&mut self, client: u32, xid: Xid, reply: Arc<NfsReply>) {
-        self.insert((client, xid), DupState::Done(reply));
+    /// from the cache.  Returns `true` if making room forced an `InProgress`
+    /// entry out.
+    pub fn complete(&mut self, client: u32, xid: Xid, reply: Arc<NfsReply>) -> bool {
+        self.insert((client, xid), DupState::Done(reply))
     }
 
-    fn insert(&mut self, key: DupKey, state: DupState) {
+    fn insert(&mut self, key: DupKey, state: DupState) -> bool {
         let fresh = !self.entries.contains_key(&key);
         // Insert before evicting so the new entry's own state takes part in
         // the InProgress-protection scan below (a fresh `start` must never be
@@ -109,33 +98,35 @@ impl DuplicateRequestCache {
         if fresh {
             self.order.push_back(key);
             if self.order.len() > self.capacity {
-                self.evict_one();
+                return self.evict_one();
             }
         }
+        false
     }
 
     /// Evict one entry, preferring the oldest that is not `InProgress`.
     /// In-progress keys encountered on the way are rotated to the back of the
     /// order (they become the "newest" candidates, mirroring how the real
     /// cache refreshes entries it must keep).  If every entry is in progress
-    /// the front one is evicted anyway — the cache cannot grow — and the
-    /// forced eviction is counted.
-    fn evict_one(&mut self) {
+    /// the front one is evicted anyway — the cache cannot grow — and `true`
+    /// reports the forced eviction.
+    fn evict_one(&mut self) -> bool {
         for _ in 0..self.order.len() {
             let Some(front) = self.order.pop_front() else {
-                return;
+                return false;
             };
             if matches!(self.entries.get(&front), Some(DupState::InProgress)) {
                 self.order.push_back(front);
             } else {
                 self.entries.remove(&front);
-                return;
+                return false;
             }
         }
-        if let Some(front) = self.order.pop_front() {
-            self.entries.remove(&front);
-            self.evicted_in_progress += 1;
-        }
+        let Some(front) = self.order.pop_front() else {
+            return false;
+        };
+        self.entries.remove(&front);
+        true
     }
 
     /// Number of cached transactions.
@@ -146,24 +137,6 @@ impl DuplicateRequestCache {
     /// `true` if the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Lookup hits (retransmissions recognised).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookup misses (fresh requests).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of `InProgress` entries evicted because the entire cache was in
-    /// progress at once.  Any non-zero value means a deferred reply could be
-    /// orphaned by a retransmission; tests and the CI bench smoke assert this
-    /// stays zero.
-    pub fn evicted_in_progress(&self) -> u64 {
-        self.evicted_in_progress
     }
 }
 
@@ -187,8 +160,6 @@ mod tests {
             DupState::Done(r) => assert_eq!(r.xid, Xid(100)),
             other => panic!("expected Done, got {other:?}"),
         }
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -218,15 +189,14 @@ mod tests {
     fn capacity_evicts_oldest_done_entries() {
         let mut c = DuplicateRequestCache::new(3);
         for i in 0..5u32 {
-            c.start(1, Xid(i));
-            c.complete(1, Xid(i), reply(i));
+            assert!(!c.start(1, Xid(i)));
+            assert!(!c.complete(1, Xid(i), reply(i)));
         }
         assert_eq!(c.len(), 3);
         // The two oldest completed entries were evicted and now look new.
         assert_eq!(c.lookup(1, Xid(0)), DupState::New);
         assert_eq!(c.lookup(1, Xid(1)), DupState::New);
         assert!(matches!(c.lookup(1, Xid(4)), DupState::Done(_)));
-        assert_eq!(c.evicted_in_progress(), 0);
     }
 
     #[test]
@@ -234,37 +204,34 @@ mod tests {
         // The §6.9 regression: a gathered write's InProgress entry must outlive
         // a flood of completed transactions that overflows the cache.
         let mut c = DuplicateRequestCache::new(3);
-        c.start(1, Xid(100)); // the deferred gathered write
+        let mut forced = c.start(1, Xid(100)); // the deferred gathered write
         for i in 0..10u32 {
-            c.start(1, Xid(i));
-            c.complete(1, Xid(i), reply(i));
+            forced |= c.start(1, Xid(i));
+            forced |= c.complete(1, Xid(i), reply(i));
         }
         // Done entries churned through every slot, but the retransmission of
         // the pending write is still recognised — it is not re-executed.
         assert_eq!(c.lookup(1, Xid(100)), DupState::InProgress);
         assert_eq!(c.len(), 3);
-        assert_eq!(c.evicted_in_progress(), 0);
         // Once the deferred reply goes out the entry becomes ordinary Done
         // prey and can be evicted by later traffic.
-        c.complete(1, Xid(100), reply(100));
+        forced |= c.complete(1, Xid(100), reply(100));
         for i in 20..24u32 {
-            c.start(1, Xid(i));
-            c.complete(1, Xid(i), reply(i));
+            forced |= c.start(1, Xid(i));
+            forced |= c.complete(1, Xid(i), reply(i));
         }
         assert_eq!(c.lookup(1, Xid(100)), DupState::New);
-        assert_eq!(c.evicted_in_progress(), 0);
+        assert!(!forced, "an in-progress entry was forced out");
     }
 
     #[test]
     fn all_in_progress_cache_forces_eviction_and_counts_it() {
         let mut c = DuplicateRequestCache::new(3);
-        for i in 0..5u32 {
-            c.start(1, Xid(i));
-        }
+        let forced: Vec<bool> = (0..5u32).map(|i| c.start(1, Xid(i))).collect();
         assert_eq!(c.len(), 3);
         // Nothing evictable existed, so the oldest in-progress entries were
-        // forced out — and the hazard is visible on the counter.
-        assert_eq!(c.evicted_in_progress(), 2);
+        // forced out — and each start that forced one reports it.
+        assert_eq!(forced, [false, false, false, true, true]);
         assert_eq!(c.lookup(1, Xid(0)), DupState::New);
         assert_eq!(c.lookup(1, Xid(4)), DupState::InProgress);
     }
@@ -276,11 +243,10 @@ mod tests {
         let mut c = DuplicateRequestCache::new(2);
         c.complete(1, Xid(1), reply(1));
         c.complete(1, Xid(2), reply(2));
-        c.start(1, Xid(3));
+        assert!(!c.start(1, Xid(3)));
         assert_eq!(c.lookup(1, Xid(3)), DupState::InProgress);
         assert_eq!(c.lookup(1, Xid(1)), DupState::New);
         assert!(matches!(c.lookup(1, Xid(2)), DupState::Done(_)));
-        assert_eq!(c.evicted_in_progress(), 0);
     }
 
     #[test]

@@ -321,10 +321,6 @@ pub struct NfsServer {
     writeback_scheduled: bool,
     /// Active injected disk-degradation window, if any.
     disk_fault: Option<DiskFault>,
-    /// `InProgress` dupcache evictions accumulated from shard partitions that
-    /// were discarded by earlier crashes (the live partitions' counts are
-    /// added on top).
-    pre_crash_evicted_in_progress: u64,
     /// Per-client leases, locks and grace-period recovery; only consulted
     /// when [`ServerConfig::leases`] is set (one untaken branch otherwise).
     state: ClientStateTable,
@@ -388,7 +384,6 @@ impl NfsServer {
             battery_ok: true,
             writeback_scheduled: false,
             disk_fault: None,
-            pre_crash_evicted_in_progress: 0,
             state: ClientStateTable::new(shard_count, config.lease_duration, config.grace_period),
             config,
         }
@@ -461,16 +456,11 @@ impl NfsServer {
     }
 
     /// `InProgress` duplicate-cache entries forcibly evicted under capacity
-    /// pressure, summed over every shard's partition.  Non-zero means a
-    /// deferred gathered-write reply could have been orphaned (§6.9); tests
-    /// and the CI bench smoke assert this stays zero.
+    /// pressure, over the whole run (crashes included).  Non-zero means a
+    /// deferred gathered-write reply could have been orphaned (§6.9); the
+    /// run audit asserts this stays zero.
     pub fn dupcache_evicted_in_progress(&self) -> u64 {
-        self.pre_crash_evicted_in_progress
-            + self
-                .shards
-                .iter()
-                .map(|s| s.dupcache.evicted_in_progress())
-                .sum::<u64>()
+        self.stats.evicted_in_progress
     }
 
     /// Bytes of dirty, un-committed data currently in server memory.  For the
@@ -711,7 +701,8 @@ impl NfsServer {
             arrived,
         } = incoming;
         let shard = self.nfsds[nfsd].shard;
-        self.shards[shard].dupcache.start(client, call.xid);
+        let forced = self.shards[shard].dupcache.start(client, call.xid);
+        self.stats.evicted_in_progress += u64::from(forced);
         if self.trace.is_enabled() {
             self.trace.record(
                 now,
@@ -1014,12 +1005,12 @@ impl NfsServer {
     /// interrupt chain on the previous transfer's completion.  With it on,
     /// the plan is *pipelined* (see [`NfsServer::run_io_plan_pipelined`]).
     ///
-    /// These costs are accounted with [`Cpu::run_overlapped`] rather than the
-    /// serialising [`Cpu::run`]: the transfers complete at simulated times in
-    /// the *future* relative to the event being processed, and letting them
-    /// reserve the serial CPU ahead of time would head-of-line block requests
-    /// that in reality would have been dispatched in between.  Utilisation
-    /// accounting is unaffected.
+    /// These costs are accounted with [`MultiCpu::run_overlapped`] rather
+    /// than the serialising [`MultiCpu::run`]: the transfers complete at
+    /// simulated times in the *future* relative to the event being
+    /// processed, and letting them reserve the serial CPU ahead of time
+    /// would head-of-line block requests that in reality would have been
+    /// dispatched in between.  Utilisation accounting is unaffected.
     fn run_io_plan<'a>(
         &mut self,
         start: SimTime,
@@ -1097,9 +1088,9 @@ impl NfsServer {
         // Cloning the reply for the cache shares the payload (Payload is
         // either a pattern or an Arc), so this is cheap even for READ data.
         let shard = self.nfsds[req.nfsd].shard;
-        self.shards[shard]
-            .dupcache
-            .complete(req.client, req.xid, Arc::new(reply.clone()));
+        let dupcache = &mut self.shards[shard].dupcache;
+        let forced = dupcache.complete(req.client, req.xid, Arc::new(reply.clone()));
+        self.stats.evicted_in_progress += u64::from(forced);
         self.stats.replies_sent += 1;
         self.stats.residence.record(at.since(req.arrived));
         self.trace
@@ -1654,9 +1645,6 @@ impl NfsServer {
         self.vnodes.clear();
         let shard_count = self.shards.len();
         for shard in self.shards.iter_mut() {
-            // The eviction counter is cumulative across the run; bank it
-            // before the partition dies with the crash.
-            self.pre_crash_evicted_in_progress += shard.dupcache.evicted_in_progress();
             *shard = Shard::new(&self.config, shard_count);
         }
         // --- Boot + NVRAM recovery replay ------------------------------
@@ -2417,6 +2405,26 @@ mod tests {
         // The crash discards the buffers, not the count of what they dropped.
         server.crash(SimTime::from_millis(1));
         assert_eq!(server.socket_drops(), 7);
+    }
+
+    #[test]
+    fn forced_dupcache_evictions_survive_a_crash() {
+        // A one-entry duplicate cache and two gathering writes taken by two
+        // nfsds at one instant: the second write's entry can only be made
+        // room for by forcing out the first, still in progress.
+        let mut cfg = ServerConfig::gathering();
+        cfg.dupcache_entries = 1;
+        let mut server = NfsServer::new(cfg);
+        let root = server.fs().root();
+        let ino = server.fs_mut().create(root, "t", 0o644, 0).unwrap();
+        for i in 0..2u64 {
+            let call = write_call(&server, ino, 700 + i as u32, i * 8192, 8192);
+            server.handle(SimTime::ZERO, datagram(call));
+        }
+        assert_eq!(server.dupcache_evicted_in_progress(), 1);
+        // The crash discards the cache, not the count of what it evicted.
+        server.crash(SimTime::from_millis(1));
+        assert_eq!(server.dupcache_evicted_in_progress(), 1);
     }
 
     #[test]

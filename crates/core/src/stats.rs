@@ -34,6 +34,10 @@ pub struct ServerStats {
     pub duplicate_requests: u64,
     /// Requests dropped because the socket buffer was full.
     pub socket_drops: u64,
+    /// `InProgress` duplicate-cache entries forced out because a shard's
+    /// whole partition was in progress at once.  Non-zero means a deferred
+    /// gathered-write reply could be orphaned by a retransmission (§6.9).
+    pub evicted_in_progress: u64,
     /// Replies sent in total.
     pub replies_sent: u64,
     /// Injected server crashes survived (fault injection only).

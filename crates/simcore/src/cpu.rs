@@ -5,105 +5,25 @@
 //! the CPU must be modelled as a real contended resource rather than a free
 //! cost annotation.
 //!
-//! [`Cpu`] is a non-preemptive serial resource: a caller that wants `cost`
-//! seconds of processing starting no earlier than `ready` gets the interval
-//! `[max(ready, busy_until), max(ready, busy_until) + cost)`, and the busy time
-//! is accumulated for utilisation reporting.  This matches how nfsd processing
-//! steps occupy a 1993-era single-CPU server.
-//!
-//! [`MultiCpu`] generalises the same contract to N cores: each processing step
-//! runs to completion on whichever core can start it earliest, and utilisation
-//! is reported as aggregate busy time over `cores × observed`.  A one-core
-//! [`MultiCpu`] performs exactly the arithmetic of [`Cpu`], so single-CPU
-//! configurations are bit-identical whichever type models them.
+//! [`MultiCpu`] is a pool of N non-preemptive cores.  A caller that wants
+//! `cost` seconds of processing starting no earlier than `ready` gets it on
+//! whichever core can start it earliest; with one core that is the interval
+//! `[max(ready, busy_until), max(ready, busy_until) + cost)`, which matches
+//! how nfsd processing steps occupy a 1993-era single-CPU server.  Busy time
+//! is accumulated for utilisation reporting, as aggregate busy time over
+//! `cores × observed`.
 
 use crate::stats::Utilization;
 use crate::time::{Duration, SimTime};
-
-/// A serially shared processor with busy-time accounting.
-#[derive(Clone, Debug)]
-pub struct Cpu {
-    busy_until: SimTime,
-    util: Utilization,
-    /// Processing costs are divided by this factor; `1.0` models a single
-    /// processor identical to the cost-table reference machine.
-    speed_factor: f64,
-}
-
-impl Default for Cpu {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Cpu {
-    /// A unit-speed processor.
-    pub fn new() -> Self {
-        Cpu {
-            busy_until: SimTime::ZERO,
-            util: Utilization::new(),
-            speed_factor: 1.0,
-        }
-    }
-
-    /// A processor `factor`× faster than the reference cost table.
-    ///
-    /// Panics if `factor` is not strictly positive and finite.
-    pub fn with_speed(factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "invalid CPU speed factor"
-        );
-        Cpu {
-            busy_until: SimTime::ZERO,
-            util: Utilization::new(),
-            speed_factor: factor,
-        }
-    }
-
-    /// Run a processing step of length `cost` (at reference speed) that cannot
-    /// begin before `ready`.  Returns the completion time.
-    pub fn run(&mut self, ready: SimTime, cost: Duration) -> SimTime {
-        let scaled = Duration::from_secs_f64(cost.as_secs_f64() / self.speed_factor);
-        let start = ready.max(self.busy_until);
-        let end = start + scaled;
-        self.busy_until = end;
-        self.util.add_busy(scaled);
-        end
-    }
-
-    /// Account CPU work without serialising on the processor (used for costs
-    /// that overlap with other work in reality, such as DMA completion
-    /// handling spread across many devices).  Returns `ready + cost` scaled.
-    pub fn run_overlapped(&mut self, ready: SimTime, cost: Duration) -> SimTime {
-        let scaled = Duration::from_secs_f64(cost.as_secs_f64() / self.speed_factor);
-        self.util.add_busy(scaled);
-        ready + scaled
-    }
-
-    /// The earliest time at which a new processing step could start.
-    pub fn free_at(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// Total accumulated busy time.
-    pub fn busy_time(&self) -> Duration {
-        self.util.busy_time()
-    }
-
-    /// Utilisation percentage over an observed span.
-    pub fn utilization_percent(&self, observed: Duration) -> f64 {
-        self.util.percent(observed)
-    }
-}
 
 /// A pool of identical cores with aggregate busy-time accounting.
 ///
 /// Each processing step is non-preemptive and runs on the core that can start
 /// it earliest (lowest index on ties, so runs stay deterministic).  With one
 /// core the arithmetic — start time, completion time, accumulated busy time,
-/// utilisation — is bit-identical to [`Cpu`], which is what lets the sharded
-/// server keep the paper's single-CPU numbers unchanged at `cores = 1`.
+/// utilisation — is that of a single serial processor, which is what lets the
+/// sharded server keep the paper's single-CPU numbers unchanged at
+/// `cores = 1`.
 #[derive(Clone, Debug)]
 pub struct MultiCpu {
     /// Per-core `busy_until` times.
@@ -158,8 +78,9 @@ impl MultiCpu {
         end
     }
 
-    /// Account CPU work without serialising on any core (see
-    /// [`Cpu::run_overlapped`]).  Returns `ready + cost` scaled.
+    /// Account CPU work without serialising on any core (used for costs that
+    /// overlap with other work in reality, such as DMA completion handling
+    /// spread across many devices).  Returns `ready + cost` scaled.
     pub fn run_overlapped(&mut self, ready: SimTime, cost: Duration) -> SimTime {
         let scaled = Duration::from_secs_f64(cost.as_secs_f64() / self.speed_factor);
         self.util.add_busy(scaled);
@@ -190,9 +111,36 @@ impl MultiCpu {
 mod tests {
     use super::*;
 
+    /// A serially shared processor with busy-time accounting: the reference
+    /// a one-core [`MultiCpu`] must match bit for bit.
+    struct Cpu {
+        busy_until: SimTime,
+        util: Utilization,
+        speed_factor: f64,
+    }
+
+    impl Cpu {
+        fn with_speed(factor: f64) -> Self {
+            Cpu {
+                busy_until: SimTime::ZERO,
+                util: Utilization::new(),
+                speed_factor: factor,
+            }
+        }
+
+        fn run(&mut self, ready: SimTime, cost: Duration) -> SimTime {
+            let scaled = Duration::from_secs_f64(cost.as_secs_f64() / self.speed_factor);
+            let start = ready.max(self.busy_until);
+            let end = start + scaled;
+            self.busy_until = end;
+            self.util.add_busy(scaled);
+            end
+        }
+    }
+
     #[test]
     fn serialises_back_to_back_work() {
-        let mut cpu = Cpu::new();
+        let mut cpu = MultiCpu::new(1);
         let t1 = cpu.run(SimTime::ZERO, Duration::from_millis(2));
         assert_eq!(t1, SimTime::from_millis(2));
         // Second request arrives at 1 ms but must wait until 2 ms.
@@ -204,7 +152,7 @@ mod tests {
 
     #[test]
     fn idle_gaps_do_not_count_as_busy() {
-        let mut cpu = Cpu::new();
+        let mut cpu = MultiCpu::new(1);
         cpu.run(SimTime::ZERO, Duration::from_millis(1));
         cpu.run(SimTime::from_millis(9), Duration::from_millis(1));
         assert_eq!(cpu.busy_time(), Duration::from_millis(2));
@@ -213,7 +161,7 @@ mod tests {
 
     #[test]
     fn speed_factor_scales_cost() {
-        let mut fast = Cpu::with_speed(2.0);
+        let mut fast = MultiCpu::with_speed(1, 2.0);
         let end = fast.run(SimTime::ZERO, Duration::from_millis(4));
         assert_eq!(end, SimTime::from_millis(2));
         assert_eq!(fast.busy_time(), Duration::from_millis(2));
@@ -221,7 +169,7 @@ mod tests {
 
     #[test]
     fn overlapped_work_does_not_push_busy_until() {
-        let mut cpu = Cpu::new();
+        let mut cpu = MultiCpu::new(1);
         let end = cpu.run_overlapped(SimTime::from_millis(5), Duration::from_millis(1));
         assert_eq!(end, SimTime::from_millis(6));
         assert_eq!(cpu.free_at(), SimTime::ZERO);
@@ -231,7 +179,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid CPU speed factor")]
     fn zero_speed_panics() {
-        let _ = Cpu::with_speed(0.0);
+        let _ = MultiCpu::with_speed(1, 0.0);
     }
 
     #[test]
@@ -257,11 +205,11 @@ mod tests {
             );
             assert_eq!(a, b);
         }
-        assert_eq!(serial.free_at(), multi.free_at());
-        assert_eq!(serial.busy_time(), multi.busy_time());
+        assert_eq!(serial.busy_until, multi.free_at());
+        assert_eq!(serial.util.busy_time(), multi.busy_time());
         let span = Duration::from_millis(20);
         assert_eq!(
-            serial.utilization_percent(span).to_bits(),
+            serial.util.percent(span).to_bits(),
             multi.utilization_percent(span).to_bits()
         );
     }

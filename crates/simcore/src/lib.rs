@@ -10,9 +10,9 @@
 //!   slab that parks each event once, with [`CalStats`] reporting its
 //!   pending-event high-water mark; a [`Reservation`] holds an event's
 //!   place in that order until the event is scheduled into it,
-//! * [`Cpu`] / [`MultiCpu`] — shared processor resources with busy-time
-//!   accounting, used to model server (and client) CPU utilisation; a one-core
-//!   [`MultiCpu`] is bit-identical to [`Cpu`],
+//! * [`MultiCpu`] — a shared pool of processor cores with busy-time
+//!   accounting, used to model server CPU utilisation; one core models the
+//!   paper's serial CPU,
 //! * [`stats`] — counters, time-weighted utilisation trackers and latency
 //!   histograms used by every table in the paper,
 //! * [`trace`] — an event trace recorder used to regenerate Figure 1,
@@ -31,8 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(test)]
-mod calq;
 pub mod cpu;
 pub mod fault;
 pub mod fxmap;
@@ -42,7 +40,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use cpu::{Cpu, MultiCpu};
+pub use cpu::MultiCpu;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use queue::{CalStats, EventQueue, Reservation};
@@ -63,7 +61,7 @@ mod tests {
             q.pop().map(|(_, e)| e),
             Some((SimTime::ZERO, 1)).map(|(_, e)| e)
         );
-        let _ = Cpu::new();
+        let _ = MultiCpu::new(1);
         let _ = SimRng::seed_from(42);
     }
 }

@@ -317,7 +317,7 @@ impl<E> EventQueue<E> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
     use std::cmp::Ordering;
@@ -347,32 +347,31 @@ pub(crate) mod tests {
 
     /// The `BinaryHeap` of whole `(key, event)` entries that `EventQueue`
     /// shipped with first, ordered by the full key: the reference
-    /// implementation the differential fuzzes here and in `calq` compare
-    /// against.
-    pub(crate) struct HeapQueue<K, E> {
+    /// implementation the differential fuzzes compare against.
+    struct HeapQueue<K, E> {
         heap: BinaryHeap<Entry<K, E>>,
     }
 
     impl<K: Ord, E> HeapQueue<K, E> {
-        pub(crate) fn new() -> Self {
+        fn new() -> Self {
             HeapQueue {
                 heap: BinaryHeap::new(),
             }
         }
 
-        pub(crate) fn schedule(&mut self, key: K, event: E) {
+        fn schedule(&mut self, key: K, event: E) {
             self.heap.push(Entry { key, event });
         }
 
-        pub(crate) fn pop(&mut self) -> Option<(K, E)> {
+        fn pop(&mut self) -> Option<(K, E)> {
             self.heap.pop().map(|e| (e.key, e.event))
         }
 
-        pub(crate) fn peek_key(&self) -> Option<&K> {
+        fn peek_key(&self) -> Option<&K> {
             self.heap.peek().map(|e| &e.key)
         }
 
-        pub(crate) fn len(&self) -> usize {
+        fn len(&self) -> usize {
             self.heap.len()
         }
     }
@@ -393,12 +392,18 @@ pub(crate) mod tests {
 
     #[test]
     fn ties_pop_in_insertion_order() {
-        let mut q = EventQueue::new();
-        for i in 0..100u32 {
-            q.schedule_at(SimTime::from_millis(7), i);
+        for (at, ties) in [
+            (SimTime::from_millis(7), 100u32),
+            (SimTime::from_nanos(42), 1_000),
+        ] {
+            let mut q = EventQueue::new();
+            for i in 0..ties {
+                q.schedule_at(at, i);
+            }
+            let order: Vec<_> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
+            assert_eq!(order, (0..ties).collect::<Vec<_>>());
+            assert!(q.is_empty());
         }
-        let order: Vec<_> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -575,41 +580,55 @@ pub(crate) mod tests {
     fn differential_fuzz_matches_the_heap_oracle() {
         // The full EventQueue surface (clock advance, relative schedules,
         // peeks between pops) against the whole-entry BinaryHeap oracle
-        // keyed `(time, seq)`.  `calq::tests` runs a burstier stream.
-        for seed in 1..=10u64 {
-            let mut rng = crate::SimRng::seed_from(seed * 0xA24B_1DE5);
-            let mut q = EventQueue::new();
-            let mut oracle: HeapQueue<(SimTime, u64), u64> = HeapQueue::new();
-            let mut seq = 0u64;
-            for step in 0..4_000 {
-                match rng.next_below(10) {
-                    0..=5 => {
-                        // Schedule at or after `now` (a past-time schedule
-                        // would trip the debug assertion by design; its
-                        // post-clamp shape is `at == now`, exercised here).
-                        let at = match rng.next_below(8) {
-                            0 => q.now(),
-                            1..=5 => q.now() + Duration::from_nanos(rng.next_below(1 << 18)),
-                            _ => q.now() + Duration::from_nanos(rng.next_below(1 << 34)),
-                        };
-                        q.schedule_at(at, seq);
-                        oracle.schedule((at, seq), seq);
-                        seq += 1;
-                    }
-                    6 => {
-                        assert_eq!(q.peek_time(), oracle.peek_key().map(|(t, _)| *t));
-                    }
-                    _ => {
-                        let got = q.pop();
-                        let want = oracle.pop().map(|((t, _), e)| (t, e));
-                        assert_eq!(got, want, "seed {seed} diverged at step {step}");
+        // keyed `(time, seq)`, in two stream shapes: a steady one, and a
+        // bursty one with same-instant bursts and jumps of up to 2^36 ns.
+        for bursty in [false, true] {
+            for seed in 1..=10u64 {
+                let mut rng = crate::SimRng::seed_from(seed * 0xA24B_1DE5 + u64::from(bursty));
+                let mut q = EventQueue::new();
+                let mut oracle: HeapQueue<(SimTime, u64), u64> = HeapQueue::new();
+                let mut seq = 0u64;
+                let far = if bursty { 1 << 36 } else { 1 << 34 };
+                for step in 0..4_000 {
+                    match rng.next_below(10) {
+                        0..=5 => {
+                            // Schedule at or after `now` (a past-time
+                            // schedule would trip the debug assertion by
+                            // design; its post-clamp shape is `at == now`,
+                            // exercised here).
+                            let at = match rng.next_below(8) {
+                                0 => q.now(),
+                                1..=5 => q.now() + Duration::from_nanos(rng.next_below(1 << 18)),
+                                _ => q.now() + Duration::from_nanos(rng.next_below(far)),
+                            };
+                            // One schedule in four of a bursty stream is a
+                            // burst of 2-9 events at one instant.
+                            let burst = if bursty && rng.next_below(4) == 0 {
+                                rng.next_below(8) + 2
+                            } else {
+                                1
+                            };
+                            for _ in 0..burst {
+                                q.schedule_at(at, seq);
+                                oracle.schedule((at, seq), seq);
+                                seq += 1;
+                            }
+                        }
+                        6 => {
+                            assert_eq!(q.peek_time(), oracle.peek_key().map(|(t, _)| *t));
+                        }
+                        _ => {
+                            let got = q.pop();
+                            let want = oracle.pop().map(|((t, _), e)| (t, e));
+                            assert_eq!(got, want, "seed {seed} diverged at step {step}");
+                        }
                     }
                 }
+                while let Some(got) = q.pop() {
+                    assert_eq!(Some(got), oracle.pop().map(|((t, _), e)| (t, e)));
+                }
+                assert_eq!(oracle.len(), 0);
             }
-            while let Some(got) = q.pop() {
-                assert_eq!(Some(got), oracle.pop().map(|((t, _), e)| (t, e)));
-            }
-            assert_eq!(oracle.len(), 0);
         }
     }
 

@@ -17,7 +17,7 @@
 //! the previous one's `close(2)` returns — the shape of a real bulk copy of
 //! many files.  Every segment's name, size and xid window is a function of
 //! `(client, segment)`; segments reuse the single-client state machine
-//! unchanged, and only the xid base moves per segment so the server's
+//! unchanged, and only the xid window moves per segment so the server's
 //! duplicate request cache never confuses two generations of requests.
 //!
 //! Everything rides the zero-copy datapath: payloads are fill patterns salted
@@ -27,10 +27,13 @@
 //! to the client that wrote it.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
-use wg_client::{ClientAction, ClientConfig, ClientInput, ClientStats, FileWriterClient};
-use wg_nfsproto::{FileHandle, NfsReply, StableHow};
-use wg_server::{NfsServer, StabilityMode};
+use wg_client::{
+    partition, ClientAction, ClientConfig, ClientInput, ClientStats, FileWriterClient,
+};
+use wg_nfsproto::{FileHandle, NfsReply};
+use wg_server::NfsServer;
 use wg_simcore::{Duration, SimTime};
 
 use crate::harness::{Core, Population};
@@ -104,29 +107,31 @@ impl ExperimentConfig {
         self.file_size.saturating_sub(start).min(self.file_limit)
     }
 
-    /// The xid-space partition: the full 32-bit space is split evenly across
-    /// the configured client count, and each client's window is split evenly
-    /// across its segments.  (Duplicate detection is keyed by `(client,
-    /// xid)`, so cross-client collisions would even be harmless — the even
-    /// split simply keeps every request globally unique and debuggable.)
-    /// Returns `(client_stride, segment_stride)`, and panics unless each
-    /// segment's window covers the requests it issues.
-    pub(crate) fn xid_strides(&self) -> (u32, u32) {
-        let segments = self.segments_per_client();
-        let client_stride = u32::MAX / self.clients.max(1) as u32;
-        // Divide in u64: a segment count beyond u32 must collapse the stride
-        // to 1 (and fail the window-width assert), not wrap into another
-        // client's window.
-        let segment_stride = (client_stride as u64 / segments).max(1) as u32;
+    /// The xids of segment `segment` of `client`: the full 32-bit space is
+    /// split evenly across the configured client count, and each client's
+    /// window evenly across its segments.  (Duplicate detection is keyed by
+    /// `(client, xid)`, so cross-client collisions would even be harmless —
+    /// the even split simply keeps every request globally unique and
+    /// debuggable.)
+    pub(crate) fn xid_window(&self, client: usize, segment: u64) -> Range<u32> {
+        let client_xids = partition(0..u32::MAX, self.clients as u64, client as u64);
+        partition(client_xids, self.segments_per_client(), segment)
+    }
+
+    /// Panics unless each segment's xid window covers the requests it
+    /// issues.  A segment count beyond the xid space leaves windows of no
+    /// xid at all, never windows that wrap into another client's.
+    pub(crate) fn check_xid_capacity(&self) {
+        let window = self.xid_window(0, 0).len() as u64;
         assert!(
-            segment_stride as u64 >= self.xids_per_segment(),
-            "xid space too small: {} clients x {segments} segments leaves a \
-             {segment_stride}-xid window per segment but one segment can use {}; \
+            window >= self.xids_per_segment(),
+            "xid space too small: {} clients x {} segments leaves a \
+             {window}-xid window per segment but one segment can use {}; \
              raise file_limit or lower the client count",
             self.clients,
+            self.segments_per_client(),
             self.xids_per_segment()
         );
-        (client_stride, segment_stride)
     }
 
     /// Xids a single segment can consume: one per 8 KB write, plus slack for
@@ -138,7 +143,7 @@ impl ExperimentConfig {
     /// The writer of one segment: the paper's client with the cell's biods,
     /// stability regime and retry knobs, in the segment's xid window and
     /// with its client's fill salt.
-    fn writer_config(&self, strides: (u32, u32), client: usize, segment: u64) -> ClientConfig {
+    fn writer_config(&self, client: usize, segment: u64) -> ClientConfig {
         let paper = ClientConfig::default();
         let (initial_timeout, max_retransmits) = self
             .client_retry
@@ -146,24 +151,15 @@ impl ExperimentConfig {
         ClientConfig {
             biods: self.biods,
             file_size: self.segment_size(segment),
-            stability: match self.stability {
-                StabilityMode::Stable => StableHow::FileSync,
-                StabilityMode::Unstable => StableHow::Unstable,
-            },
+            stability: self.stability.stable_how(),
             initial_timeout,
             max_retransmits,
-            xid_base: xid_base(strides, client, segment),
+            xids: self.xid_window(client, segment),
             fill_salt: fill_salt(client),
             commit_interval: self.commit_interval,
             ..paper
         }
     }
-}
-
-/// First xid of segment `segment` of `client`, given the cell's
-/// [`ExperimentConfig::xid_strides`].
-fn xid_base((client_stride, segment_stride): (u32, u32), client: usize, segment: u64) -> u32 {
-    (client as u32).wrapping_mul(client_stride) + (segment as u32).wrapping_mul(segment_stride)
 }
 
 /// Acked bytes, retransmissions, give-ups and paced COMMITs summed over
@@ -234,14 +230,9 @@ pub(crate) struct WriterFleet {
 
 impl WriterFleet {
     /// Create every client's segment files on `server`'s fresh filesystem
-    /// (outside the measured window) and a writer chain over them, in the
-    /// xid windows `strides` partitions (see
-    /// [`ExperimentConfig::xid_strides`]).
-    pub(crate) fn new(
-        config: &ExperimentConfig,
-        strides: (u32, u32),
-        server: &mut NfsServer,
-    ) -> Self {
+    /// (outside the measured window) and a writer chain over them, each in
+    /// its own xid window (see [`ExperimentConfig::xid_window`]).
+    pub(crate) fn new(config: &ExperimentConfig, server: &mut NfsServer) -> Self {
         let root = server.fs().root();
         let slots = (0..config.clients)
             .map(|client| {
@@ -253,7 +244,7 @@ impl WriterFleet {
                         .expect("fresh namespace");
                     (
                         server.handle_for_ino(ino).expect("live inode"),
-                        config.writer_config(strides, client, segment),
+                        config.writer_config(client, segment),
                     )
                 };
                 let (handle, first) = segment_writer(0);
@@ -377,7 +368,7 @@ impl Population for WriterFleet {
 mod tests {
     use super::*;
     use crate::{FileCopySystem, NetworkKind};
-    use wg_server::WritePolicy;
+    use wg_server::{StabilityMode, WritePolicy};
 
     const MB: u64 = 1024 * 1024;
 
@@ -408,9 +399,8 @@ mod tests {
         );
         // Distinct clients get distinct salts and xid spaces.
         assert_ne!(fill_salt(0), fill_salt(1));
-        let strides = cfg.xid_strides();
         let last_segment = cfg.segments_per_client() - 1;
-        assert!(xid_base(strides, 1, 0) > xid_base(strides, 0, last_segment));
+        assert!(cfg.xid_window(1, 0).start >= cfg.xid_window(0, last_segment).end);
     }
 
     #[test]
@@ -420,22 +410,18 @@ mod tests {
         let cfg = fleet(256, 2)
             .with_file_size(256 * 1024)
             .with_file_limit(128 * 1024);
-        let strides = cfg.xid_strides();
-        let (client_stride, segment_stride) = strides;
-        assert!(segment_stride as u64 >= cfg.xids_per_segment());
-        assert!(client_stride as u64 * 256 <= u32::MAX as u64 + 1);
-        let mut bases: Vec<u32> = (0..256)
+        cfg.check_xid_capacity();
+        let mut windows: Vec<Range<u32>> = (0..256)
             .flat_map(|c| (0..cfg.segments_per_client()).map(move |s| (c, s)))
-            .map(|(c, s)| xid_base(strides, c, s))
+            .map(|(c, s)| cfg.xid_window(c, s))
             .collect();
-        let total = bases.len();
-        bases.sort_unstable();
-        bases.dedup();
-        assert_eq!(bases.len(), total, "xid bases collide");
-        // Consecutive windows never overlap the xids a segment can use.
-        assert!(bases
-            .windows(2)
-            .all(|w| (w[1] - w[0]) as u64 >= cfg.xids_per_segment()));
+        windows.sort_unstable_by_key(|w| w.start);
+        // Every window is wide enough for its segment's writes, and no two
+        // windows share an xid.
+        assert!(windows
+            .iter()
+            .all(|w| w.len() as u64 >= cfg.xids_per_segment()));
+        assert!(windows.windows(2).all(|w| w[0].end <= w[1].start));
     }
 
     #[test]

@@ -261,7 +261,7 @@ impl FileCopySystem {
     ) -> Self {
         // Checked before the server exists: an oversized segment count must
         // fail here, not size a data region for its budget.
-        let strides = config.xid_strides();
+        config.check_xid_capacity();
         let mut server_config = server_config(config.network, config.policy, config.nfsds)
             .with_presto(config.prestoserve)
             .with_spindles(config.spindles)
@@ -269,8 +269,7 @@ impl FileCopySystem {
             .with_cores(config.cores)
             .with_io_overlap(config.io_overlap)
             .with_unified_cache(config.cache_pages)
-            .with_dirty_ratio(config.dirty_ratio)
-            .with_stability(config.stability);
+            .with_dirty_ratio(config.dirty_ratio);
         // GB-scale aggregates must fit the data region; keep the default
         // geometry unless the cell actually needs more.
         let aggregate = config.clients as u64 * config.file_size;
@@ -280,7 +279,7 @@ impl FileCopySystem {
         if config.trace {
             server.enable_trace();
         }
-        let fleet = WriterFleet::new(&config, strides, &mut server);
+        let fleet = WriterFleet::new(&config, &mut server);
         let lans = ClientLans::new(
             &config.network.params(),
             config.clients,
