@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use wg_bench::cli::{flag_value, parse_list};
 use wg_bench::metrics;
-use wg_bench::report::{self, host_parallelism, Json};
+use wg_bench::report::{self, host_parallelism, median_wall, Json};
 use wg_nfsproto::payload::materialize_count;
 use wg_server::{StabilityMode, WritePolicy};
 use wg_simcore::{Duration, FaultKind, FaultPlan, SimTime};
@@ -549,11 +549,11 @@ fn sfs_scale(opts: &Options, _previous: Option<&Json>) -> Json {
     ])
 }
 
-/// One curve: a timed serial pass recording every point, then a timed
-/// parallel pass that must reproduce each point bit for bit.  Returns the
-/// curve and its peak point's (achieved ops/s, mean latency ms).
+/// One curve: an untimed pass that snapshots every point, then the serial
+/// runner and the worker pool, each timed over [`report::RUNS`] runs of the
+/// whole curve, and each of which must reproduce every point bit for bit.
+/// Returns the curve and its peak point's (achieved ops/s, mean latency ms).
 fn curve(label: &str, config: SfsConfig, loads: &[f64], threads: usize) -> (Json, (f64, f64)) {
-    let start = Instant::now();
     let snapshots: Vec<Json> = loads
         .iter()
         .map(|&load| {
@@ -562,19 +562,20 @@ fn curve(label: &str, config: SfsConfig, loads: &[f64], threads: usize) -> (Json
             run_sfs(config, false).1
         })
         .collect();
-    let serial_wall_ms = ms_since(start);
-    let start = Instant::now();
-    let parallel = SfsSweep::new(config).run_parallel(loads, threads);
-    let parallel_wall_ms = ms_since(start);
-    assert_eq!(parallel.len(), snapshots.len(), "{label}: parallel points");
-    for (serial, parallel) in snapshots.iter().zip(&parallel) {
-        assert!(
-            serial.num("achieved_ops_per_sec") == parallel.achieved_ops_per_sec
-                && serial.num("avg_latency_ms") == parallel.avg_latency_ms
-                && serial.num("server_cpu_percent") == parallel.server_cpu_percent,
-            "{label}: parallel sweep diverged from serial at offered {} ops/s",
-            parallel.offered_ops_per_sec
-        );
+    let sweep = SfsSweep::new(config);
+    let (serial_wall, serial) = median_wall(|| sweep.run(loads));
+    let (parallel_wall, parallel) = median_wall(|| sweep.run_parallel(loads, threads));
+    for (pass, points) in [("serial", &serial), ("parallel", &parallel)] {
+        assert_eq!(points.len(), snapshots.len(), "{label}: {pass} points");
+        for (snapshot, point) in snapshots.iter().zip(points) {
+            assert!(
+                snapshot.num("achieved_ops_per_sec") == point.achieved_ops_per_sec
+                    && snapshot.num("avg_latency_ms") == point.avg_latency_ms
+                    && snapshot.num("server_cpu_percent") == point.server_cpu_percent,
+                "{label}: the {pass} sweep diverged from the snapshot at offered {} ops/s",
+                point.offered_ops_per_sec
+            );
+        }
     }
     let points = snapshots
         .iter()
@@ -586,12 +587,12 @@ fn curve(label: &str, config: SfsConfig, loads: &[f64], threads: usize) -> (Json
         .map(|s| (s.num("achieved_ops_per_sec"), s.num("avg_latency_ms")))
         .max_by(|a, b| a.0.total_cmp(&b.0))
         .expect("a curve has points");
-    let speedup = serial_wall_ms / parallel_wall_ms.max(1e-9);
+    let speedup = serial_wall / parallel_wall.max(1e-9);
     let params = [
         ("peak_achieved_ops_per_sec", peak.0.into()),
         ("peak_avg_latency_ms", peak.1.into()),
-        ("serial_wall_ms", serial_wall_ms.into()),
-        ("parallel_wall_ms", parallel_wall_ms.into()),
+        ("serial_wall_ms", (serial_wall * 1e3).into()),
+        ("parallel_wall_ms", (parallel_wall * 1e3).into()),
         ("threads", threads.into()),
         ("parallel_speedup", speedup.into()),
         ("points", Json::Array(points)),

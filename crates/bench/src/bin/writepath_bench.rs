@@ -3,9 +3,10 @@
 //! Times a canonical cell set — the Table 1 cell (Ethernet, 15 biods, 10 MB,
 //! both policies), the Table 3 cell (FDDI, 15 biods, 10 MB, both policies)
 //! and one SFS point — and writes `BENCH_writepath.json` so every PR has a
-//! performance trajectory to compare against.  Each cell runs [`RUNS`] times
-//! and records the median wall clock, so one slow run on a shared host does
-//! not land in the report.
+//! performance trajectory to compare against.  Each cell runs
+//! [`report::RUNS`] times and records the median wall clock
+//! ([`report::median_wall`]), so one slow run on a shared host does not
+//! land in the report.
 //!
 //! ```text
 //! cargo run --release -p wg-bench --bin writepath_bench -- --record-baseline
@@ -17,34 +18,13 @@
 //! normal run preserves any existing `"baseline"` object verbatim, writes the
 //! fresh measurements under `"current"`, and reports per-cell speedups.
 
-use std::time::Instant;
-
 use wg_bench::cli::flag_value;
 use wg_bench::metrics;
-use wg_bench::report::{self, host_parallelism, Json};
+use wg_bench::report::{self, host_parallelism, median_wall, Json};
 use wg_server::WritePolicy;
 use wg_simcore::Duration;
 use wg_workload::sfs::SfsSystem;
 use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind, SfsConfig};
-
-/// Times each cell is run; the cell records the median wall clock.
-const RUNS: usize = 5;
-
-/// Run `cell` [`RUNS`] times: the median wall clock in seconds, and the last
-/// run's output (every run simulates the same thing).  Only `cell` itself
-/// is timed; the previous output is dropped after its clock stops.
-fn median_wall<T>(mut cell: impl FnMut() -> T) -> (f64, T) {
-    let mut walls = [0.0; RUNS];
-    let mut last = None;
-    for wall in &mut walls {
-        let start = Instant::now();
-        let output = cell();
-        *wall = start.elapsed().as_secs_f64();
-        last = Some(output);
-    }
-    walls.sort_by(f64::total_cmp);
-    (walls[RUNS / 2], last.expect("at least one run"))
-}
 
 /// One timed cell, from the snapshots of its runs and their wall clock in
 /// seconds: the runs' counts summed, the deepest event queue among them,

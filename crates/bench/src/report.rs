@@ -20,6 +20,27 @@ pub fn host_parallelism() -> usize {
         .unwrap_or(1)
 }
 
+/// Times [`median_wall`] runs a timed cell.
+pub const RUNS: usize = 5;
+
+/// Run `cell` [`RUNS`] times: the median wall clock in seconds, and the last
+/// run's output (every run simulates the same thing).  Only `cell` itself
+/// is timed; the previous output is dropped after its clock stops.  One run
+/// on a shared host can be several times slower than the next, so a wall
+/// clock recorded in the report is a median, never a single run.
+pub fn median_wall<T>(mut cell: impl FnMut() -> T) -> (f64, T) {
+    let mut walls = [0.0; RUNS];
+    let mut last = None;
+    for wall in &mut walls {
+        let start = std::time::Instant::now();
+        let output = cell();
+        *wall = start.elapsed().as_secs_f64();
+        last = Some(output);
+    }
+    walls.sort_by(f64::total_cmp);
+    (walls[RUNS / 2], last.expect("at least one run"))
+}
+
 /// A JSON value.  Objects keep their keys in file order.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {

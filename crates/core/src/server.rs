@@ -555,8 +555,6 @@ impl NfsServer {
             // partition preserves the retransmission guarantees.
             NfsCallBody::Renew(a) => return a.client_id as usize % self.shards.len(),
             NfsCallBody::Lock(a) => return a.client_id as usize % self.shards.len(),
-            NfsCallBody::Unlock(a) => return a.client_id as usize % self.shards.len(),
-            NfsCallBody::Null => return 0,
         };
         self.shard_of_ino(handle.inode())
     }
@@ -746,7 +744,6 @@ impl NfsServer {
         let light = self.config.costs.lightweight_op;
         let mut done = self.cpu.run(t, light);
         let reply_body = match body {
-            NfsCallBody::Null => NfsReplyBody::Null,
             NfsCallBody::Getattr(a) => {
                 NfsReplyBody::Attr(match ino_from_handle(&self.fs, &a.file) {
                     Ok(ino) => self.fattr(ino),
@@ -897,8 +894,8 @@ impl NfsServer {
                 }
                 Err(e) => NfsReplyBody::Commit(StatusReply::Err(fs_error_to_status(e))),
             },
-            // Client-state ops (lease renewal and byte-range locks).  All
-            // three are pure table operations at lightweight-op CPU cost —
+            // Client-state ops (lease renewal and byte-range locks).  Both
+            // are pure table operations at lightweight-op CPU cost —
             // no storage I/O, matching lockd/statd behaviour.  A disarmed
             // state layer refuses them outright (a v2 server with no lockd):
             // the table must stay empty so the default stays stateless.
@@ -907,9 +904,6 @@ impl NfsServer {
             }
             NfsCallBody::Lock(_) if !self.config.leases => {
                 NfsReplyBody::Lock(StatusReply::Err(NfsStatus::Denied))
-            }
-            NfsCallBody::Unlock(_) if !self.config.leases => {
-                NfsReplyBody::Status(NfsStatus::Denied)
             }
             NfsCallBody::Renew(a) => {
                 let in_grace = self.state.renew(a.client_id, a.verifier, t);
@@ -922,7 +916,6 @@ impl NfsServer {
                 Ok(ok) => NfsReplyBody::Lock(StatusReply::Ok(ok)),
                 Err(status) => NfsReplyBody::Lock(StatusReply::Err(status)),
             },
-            NfsCallBody::Unlock(a) => NfsReplyBody::Status(self.state.unlock(&a, t)),
             NfsCallBody::Write(_) => unreachable!("writes are handled by handle_write"),
         };
         self.stats.other_ops_completed.record(0);
@@ -2353,7 +2346,6 @@ mod tests {
                     name: "new-file".into(),
                 }),
             ),
-            NfsCall::new(Xid(8), NfsCallBody::Null),
         ];
         let inputs: Vec<_> = calls
             .into_iter()
@@ -2361,9 +2353,9 @@ mod tests {
             .map(|(i, c)| (SimTime::from_millis(i as u64 * 30), datagram(c)))
             .collect();
         let replies = server.run_script(inputs);
-        assert_eq!(replies.len(), 8);
+        assert_eq!(replies.len(), 7);
         assert!(replies.iter().all(|(_, r)| r.body.is_ok()), "{replies:#?}");
-        assert_eq!(server.stats().other_ops_completed.events(), 8);
+        assert_eq!(server.stats().other_ops_completed.events(), 7);
     }
 
     #[test]

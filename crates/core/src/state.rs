@@ -15,7 +15,9 @@
 //!   client boot verifier means the client rebooted, so the old incarnation's
 //!   locks are revoked on the spot.
 //! * LOCK grants byte-range locks keyed `(client_id, stateid, seqid)` with
-//!   strict seqid monotonicity per owner; conflicting ranges are denied.
+//!   strict seqid monotonicity per owner; conflicting ranges are denied.  A
+//!   lock is held until its owner's lease expires, the owner reboots or the
+//!   server crashes.
 //! * A lease that is not renewed within `lease_duration` expires *lazily but
 //!   deterministically*: every state operation first sweeps its shard, so
 //!   expiry happens at the same simulated instant in every run.
@@ -37,7 +39,7 @@
 
 use std::collections::BTreeMap;
 
-use wg_nfsproto::{LockArgs, LockOk, NfsStatus, UnlockArgs};
+use wg_nfsproto::{LockArgs, LockOk, NfsStatus};
 use wg_simcore::{Duration, SimTime};
 
 use crate::server::ClientId;
@@ -121,17 +123,15 @@ pub struct StateStats {
     pub locks_granted: u64,
     /// Pre-crash locks successfully reclaimed during grace.
     pub locks_reclaimed: u64,
-    /// Locks released by UNLOCK.
-    pub locks_released: u64,
     /// Non-reclaim state requests soft-rejected during the grace period.
     pub grace_rejections: u64,
     /// Reclaims rejected (outside grace, or not matching the image).
     pub reclaim_rejections: u64,
-    /// Lock/unlock requests rejected for a stale or replayed seqid.
+    /// Lock requests rejected for a stale or replayed seqid.
     pub seqid_rejections: u64,
     /// Lock requests denied by a conflicting held range.
     pub lock_conflicts: u64,
-    /// Lock/unlock requests from unregistered (or expired) clients.
+    /// Lock requests from unregistered (or expired) clients.
     pub expired_state_rejections: u64,
     /// Writes rejected because the writer's registered lease had expired.
     pub expired_write_rejections: u64,
@@ -414,33 +414,6 @@ impl ClientStateTable {
         })
     }
 
-    /// UNLOCK: release a held range.  Releasing a range that is not held
-    /// succeeds idempotently (the seqid is still consumed).
-    pub fn unlock(&mut self, args: &UnlockArgs, now: SimTime) -> NfsStatus {
-        let idx = self.shard_of(args.client_id);
-        self.sweep_shard(idx, now);
-        self.close_grace_if_over(now);
-        let ino = args.file.inode();
-        let wanted = LockRecord::from_args(ino, args.stateid, args.offset, args.count);
-        let Some(record) = self.shards[idx].clients.get_mut(&args.client_id) else {
-            self.stats.expired_state_rejections += 1;
-            return NfsStatus::Expired;
-        };
-        if let Some(last) = record.last_seqid(args.stateid) {
-            if args.seqid <= last {
-                self.stats.seqid_rejections += 1;
-                return NfsStatus::Denied;
-            }
-        }
-        record.consume_seqid(args.stateid, args.seqid);
-        let before = record.locks.len();
-        record.locks.retain(|l| *l != wanted);
-        if record.locks.len() < before {
-            self.stats.locks_released += 1;
-        }
-        NfsStatus::Ok
-    }
-
     /// Gate a WRITE from `client`: admitted unless the client is registered
     /// and its lease has expired (unregistered clients write statelessly, as
     /// in plain v2).  An expired lease is revoked on the spot and the write
@@ -661,30 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn unlock_releases_and_tolerates_unheld_ranges() {
-        let mut s = table();
-        s.renew(1, 7, t(0));
-        assert!(s.lock(&lock_args(1, 10, 1, false), t(1)).is_ok());
-        let unlock = UnlockArgs {
-            file: fh(10),
-            client_id: 1,
-            stateid: 1,
-            seqid: 2,
-            offset: 0,
-            count: 8192,
-        };
-        assert_eq!(s.unlock(&unlock, t(2)), NfsStatus::Ok);
-        assert_eq!(s.stats().locks_released, 1);
-        assert_eq!(s.held_locks(), 0);
-        // Unheld: idempotent success, but the seqid was consumed.
-        let again = UnlockArgs { seqid: 3, ..unlock };
-        assert_eq!(s.unlock(&again, t(3)), NfsStatus::Ok);
-        assert_eq!(s.stats().locks_released, 1);
-        let replay = UnlockArgs { seqid: 3, ..unlock };
-        assert_eq!(s.unlock(&replay, t(4)), NfsStatus::Denied);
-    }
-
-    #[test]
     fn table_bytes_track_registrations() {
         let mut s = table();
         assert_eq!(s.table_bytes(), 0);
@@ -700,7 +649,7 @@ mod tests {
     /// The bounded sweep against a table that forgets every shard's bound
     /// before each call, and so scans on every sweep as the table did
     /// before the bound: random renewals, reboots, locks, reclaims,
-    /// unlocks, admitted writes, crashes and sweeps, at times that span
+    /// admitted writes, crashes and sweeps, at times that span
     /// several leases and step back by up to 20 ms, as completion times on
     /// several cores do, return the same results and leave the same
     /// counters, clients and locks.  The CI release step reruns it at
@@ -731,23 +680,12 @@ mod tests {
                         let renewed = bounded.renew(client, verifier, now);
                         assert_eq!(renewed, full.renew(client, verifier, now), "{at}");
                     }
-                    5..=8 => {
+                    5..=10 => {
                         let args = LockArgs {
                             seqid: seq,
                             ..lock_args(client, ino, 0, rng.chance(0.3))
                         };
                         assert_eq!(bounded.lock(&args, now), full.lock(&args, now), "{at}");
-                    }
-                    9 | 10 => {
-                        let args = UnlockArgs {
-                            file: fh(ino),
-                            client_id: client,
-                            stateid: client,
-                            seqid: seq,
-                            offset: 0,
-                            count: 8192,
-                        };
-                        assert_eq!(bounded.unlock(&args, now), full.unlock(&args, now), "{at}");
                     }
                     11..=13 => {
                         let admitted = bounded.write_admitted(client, now);

@@ -47,9 +47,8 @@ impl DiskParams {
         }
     }
 
-    /// A deliberately slow disk used in tests and ablations (long seeks, low
-    /// media rate) so that disk-bound and CPU-bound behaviours can be told
-    /// apart.
+    /// A deliberately slow disk (long seeks, low media rate) that the tests
+    /// use to tell disk-bound and CPU-bound behaviours apart.
     pub fn slow_test_disk() -> Self {
         DiskParams {
             name: "slow-test".to_string(),

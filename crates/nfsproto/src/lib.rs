@@ -6,12 +6,14 @@
 //! * the NFS v2 on-the-wire data types — file handles, [`Fattr`] file
 //!   attributes, [`Sattr`] settable attributes, [`NfsStatus`] result codes
 //!   ([`attr`], [`handle`]),
-//! * the argument and result structures of the NFS v2 procedures the
-//!   reproduction exercises (WRITE, READ, LOOKUP, GETATTR, SETATTR, CREATE,
-//!   REMOVE, READDIR, STATFS, ...) together with their XDR encodings
-//!   ([`procs`]),
+//! * the argument and result structures of the twelve procedures the
+//!   simulated clients call, together with their XDR encodings
+//!   ([`procs`]): the nine LADDIS operations of NFS v2 (WRITE, READ,
+//!   LOOKUP, GETATTR, SETATTR, CREATE, REMOVE, READDIR, STATFS), plus
+//!   COMMIT, RENEW and LOCK grafted past the v2 range,
 //! * ONC RPC call/reply framing with transaction ids used for duplicate
-//!   request detection ([`rpc`]),
+//!   request detection ([`rpc`]): AUTH_UNIX calls and accepted replies,
+//!   the only framing the simulation exchanges,
 //! * [`DirListing`], the sorted READDIR name list that replies share by
 //!   snapshot ([`listing`]),
 //! * a convenience [`message`] layer that bundles a complete request or reply
@@ -44,10 +46,10 @@ pub use message::{NfsCall, NfsCallBody, NfsReply, NfsReplyBody, WireMessage};
 pub use payload::Payload;
 pub use procs::{
     CommitArgs, CommitOk, CreateArgs, DirOpArgs, DirOpOk, GetattrArgs, LockArgs, LockOk,
-    LookupArgs, ProcNumber, ReadArgs, ReadOk, ReaddirArgs, RemoveArgs, RenewArgs, RenewOk,
-    SetattrArgs, StableHow, StatfsOk, StatusReply, UnlockArgs, WriteArgs, WriteVerf, WriteVerfOk,
+    ProcNumber, ReadArgs, ReadOk, ReaddirArgs, RenewArgs, RenewOk, SetattrArgs, StableHow,
+    StatfsOk, StatusReply, WriteArgs, WriteVerf, WriteVerfOk,
 };
-pub use rpc::{AuthFlavor, RejectReason, RpcCallHeader, RpcReplyHeader, RpcReplyStatus, Xid};
+pub use rpc::{RpcCallHeader, RpcReplyHeader, Xid};
 
 /// Maximum NFS v2 read/write transfer size in bytes (the classic 8 KB limit
 /// that shapes the whole paper: clients emit 8 KB writes, servers see 8 KB

@@ -16,7 +16,7 @@ use crate::listing::DirListing;
 use crate::procs::{
     CommitArgs, CommitOk, CreateArgs, DirOpArgs, DirOpOk, GetattrArgs, LockArgs, LockOk,
     ProcNumber, ReadArgs, ReadOk, ReaddirArgs, RenewArgs, RenewOk, SetattrArgs, StatfsOk,
-    StatusReply, UnlockArgs, WriteArgs, WriteVerfOk,
+    StatusReply, WriteArgs, WriteVerfOk,
 };
 use crate::rpc::{RpcCallHeader, RpcReplyHeader, Xid};
 use crate::NFS_FHSIZE;
@@ -26,30 +26,6 @@ use wg_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
 /// the length word plus the data padded to a 4-byte boundary.
 pub(crate) fn opaque_wire_size(len: usize) -> usize {
     4 + len.div_ceil(4) * 4
-}
-
-/// Wire size of the RPC call header (fixed: the AUTH_UNIX credential the
-/// simulation uses has a constant machine name and no auxiliary gids).
-/// Computed once by encoding a representative header, so the arithmetic can
-/// never drift from the real encoder.
-fn call_header_wire_size() -> usize {
-    static SIZE: OnceLock<usize> = OnceLock::new();
-    *SIZE.get_or_init(|| {
-        let mut enc = XdrEncoder::new();
-        RpcCallHeader::nfs_call(Xid(0), 0).encode(&mut enc);
-        enc.len()
-    })
-}
-
-/// Wire size of the accepted RPC reply header (fixed), computed like
-/// [`call_header_wire_size`].
-fn reply_header_wire_size() -> usize {
-    static SIZE: OnceLock<usize> = OnceLock::new();
-    *SIZE.get_or_init(|| {
-        let mut enc = XdrEncoder::new();
-        RpcReplyHeader::accepted(Xid(0)).encode(&mut enc);
-        enc.len()
-    })
 }
 
 /// Wire size of a full attribute block (fixed at 68 bytes per RFC 1094, but
@@ -76,8 +52,6 @@ fn sattr_wire_size() -> usize {
 /// The typed body of an NFS call.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum NfsCallBody {
-    /// NULL ping.
-    Null,
     /// GETATTR.
     Getattr(GetattrArgs),
     /// SETATTR.
@@ -102,15 +76,12 @@ pub enum NfsCallBody {
     Renew(RenewArgs),
     /// LOCK (lease protocol).
     Lock(LockArgs),
-    /// UNLOCK (lease protocol).
-    Unlock(UnlockArgs),
 }
 
 impl NfsCallBody {
     /// The procedure this body belongs to.
     pub fn procedure(&self) -> ProcNumber {
         match self {
-            NfsCallBody::Null => ProcNumber::Null,
             NfsCallBody::Getattr(_) => ProcNumber::Getattr,
             NfsCallBody::Setattr(_) => ProcNumber::Setattr,
             NfsCallBody::Lookup(_) => ProcNumber::Lookup,
@@ -123,13 +94,11 @@ impl NfsCallBody {
             NfsCallBody::Commit(_) => ProcNumber::Commit,
             NfsCallBody::Renew(_) => ProcNumber::Renew,
             NfsCallBody::Lock(_) => ProcNumber::Lock,
-            NfsCallBody::Unlock(_) => ProcNumber::Unlock,
         }
     }
 
     fn encode_args(&self, enc: &mut XdrEncoder) {
         match self {
-            NfsCallBody::Null => {}
             NfsCallBody::Getattr(a) | NfsCallBody::Statfs(a) => a.encode(enc),
             NfsCallBody::Setattr(a) => a.encode(enc),
             NfsCallBody::Lookup(a) | NfsCallBody::Remove(a) => a.encode(enc),
@@ -140,7 +109,6 @@ impl NfsCallBody {
             NfsCallBody::Commit(a) => a.encode(enc),
             NfsCallBody::Renew(a) => a.encode(enc),
             NfsCallBody::Lock(a) => a.encode(enc),
-            NfsCallBody::Unlock(a) => a.encode(enc),
         }
     }
 
@@ -154,7 +122,6 @@ impl NfsCallBody {
     fn args_wire_size(&self) -> usize {
         const FH: usize = NFS_FHSIZE; // file handles are fixed-size opaques
         match self {
-            NfsCallBody::Null => 0,
             NfsCallBody::Getattr(_) | NfsCallBody::Statfs(_) => FH,
             NfsCallBody::Setattr(_) => FH + sattr_wire_size(),
             NfsCallBody::Lookup(a) | NfsCallBody::Remove(a) => FH + opaque_wire_size(a.name.len()),
@@ -169,14 +136,11 @@ impl NfsCallBody {
             NfsCallBody::Renew(_) => 12,
             // client_id, stateid, seqid, offset, count, reclaim words.
             NfsCallBody::Lock(_) => FH + 24,
-            // client_id, stateid, seqid, offset, count words.
-            NfsCallBody::Unlock(_) => FH + 20,
         }
     }
 
     fn decode_args(proc_: ProcNumber, dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
         Ok(match proc_ {
-            ProcNumber::Null => NfsCallBody::Null,
             ProcNumber::Getattr => NfsCallBody::Getattr(GetattrArgs::decode(dec)?),
             ProcNumber::Setattr => NfsCallBody::Setattr(SetattrArgs::decode(dec)?),
             ProcNumber::Lookup => NfsCallBody::Lookup(DirOpArgs::decode(dec)?),
@@ -189,13 +153,6 @@ impl NfsCallBody {
             ProcNumber::Commit => NfsCallBody::Commit(CommitArgs::decode(dec)?),
             ProcNumber::Renew => NfsCallBody::Renew(RenewArgs::decode(dec)?),
             ProcNumber::Lock => NfsCallBody::Lock(LockArgs::decode(dec)?),
-            ProcNumber::Unlock => NfsCallBody::Unlock(UnlockArgs::decode(dec)?),
-            other => {
-                return Err(XdrError::InvalidEnum {
-                    type_name: "NfsCallBody(procedure)",
-                    value: other.number(),
-                })
-            }
         })
     }
 }
@@ -218,7 +175,11 @@ impl NfsCall {
     /// Serialise to wire bytes (RPC call header + XDR arguments).
     pub fn to_wire(&self) -> WireMessage {
         let mut enc = XdrEncoder::with_capacity(256);
-        RpcCallHeader::nfs_call(self.xid, self.body.procedure().number()).encode(&mut enc);
+        RpcCallHeader {
+            xid: self.xid,
+            procedure: self.body.procedure(),
+        }
+        .encode(&mut enc);
         self.body.encode_args(&mut enc);
         WireMessage {
             bytes: enc.into_bytes(),
@@ -229,8 +190,7 @@ impl NfsCall {
     pub fn from_wire(msg: &WireMessage) -> Result<Self, XdrError> {
         let mut dec = XdrDecoder::new(&msg.bytes);
         let header = RpcCallHeader::decode(&mut dec)?;
-        let proc_ = ProcNumber::from_number(header.procedure)?;
-        let body = NfsCallBody::decode_args(proc_, &mut dec)?;
+        let body = NfsCallBody::decode_args(header.procedure, &mut dec)?;
         if dec.remaining() != 0 {
             return Err(XdrError::TrailingBytes(dec.remaining()));
         }
@@ -246,15 +206,13 @@ impl NfsCall {
     /// `wire_sizes_match_real_encodings` test pins this against
     /// [`NfsCall::to_wire`] for every procedure.
     pub fn wire_size(&self) -> usize {
-        call_header_wire_size() + self.body.args_wire_size()
+        RpcCallHeader::WIRE_SIZE + self.body.args_wire_size()
     }
 }
 
 /// The typed body of an NFS reply.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum NfsReplyBody {
-    /// NULL ping reply.
-    Null,
     /// GETATTR / SETATTR / WRITE reply ("attrstat").
     Attr(StatusReply<Fattr>),
     /// LOOKUP / CREATE reply ("diropres").
@@ -279,8 +237,7 @@ pub enum NfsReplyBody {
     Commit(StatusReply<CommitOk>),
     /// RENEW reply (lease protocol).
     Renew(StatusReply<RenewOk>),
-    /// LOCK reply (lease protocol; UNLOCK answers with
-    /// [`NfsReplyBody::Status`]).
+    /// LOCK reply (lease protocol).
     Lock(StatusReply<LockOk>),
 }
 
@@ -288,7 +245,6 @@ impl NfsReplyBody {
     /// The NFS status carried by the reply.
     pub fn status(&self) -> NfsStatus {
         match self {
-            NfsReplyBody::Null => NfsStatus::Ok,
             NfsReplyBody::Attr(r) => r.status(),
             NfsReplyBody::DirOp(r) => r.status(),
             NfsReplyBody::Read(r) => r.status(),
@@ -309,7 +265,6 @@ impl NfsReplyBody {
 
     fn tag(&self) -> u32 {
         match self {
-            NfsReplyBody::Null => 0,
             NfsReplyBody::Attr(_) => 1,
             NfsReplyBody::DirOp(_) => 2,
             NfsReplyBody::Read(_) => 3,
@@ -328,7 +283,6 @@ impl NfsReplyBody {
     fn results_wire_size(&self) -> usize {
         // Every status-discriminated reply starts with the 4-byte status word.
         match self {
-            NfsReplyBody::Null => 0,
             NfsReplyBody::Attr(StatusReply::Ok(_)) => 4 + fattr_wire_size(),
             NfsReplyBody::DirOp(StatusReply::Ok(_)) => 4 + NFS_FHSIZE + fattr_wire_size(),
             NfsReplyBody::Read(StatusReply::Ok(r)) => 4 + fattr_wire_size() + r.data.xdr_size(),
@@ -380,10 +334,9 @@ impl NfsReply {
     /// (4 bytes) is negligible relative to header sizes.
     pub fn to_wire(&self) -> WireMessage {
         let mut enc = XdrEncoder::with_capacity(128);
-        RpcReplyHeader::accepted(self.xid).encode(&mut enc);
+        RpcReplyHeader { xid: self.xid }.encode(&mut enc);
         enc.put_u32(self.body.tag());
         match &self.body {
-            NfsReplyBody::Null => {}
             NfsReplyBody::Attr(r) => r.encode(&mut enc),
             NfsReplyBody::DirOp(r) => r.encode(&mut enc),
             NfsReplyBody::Read(r) => r.encode(&mut enc),
@@ -406,7 +359,6 @@ impl NfsReply {
         let header = RpcReplyHeader::decode(&mut dec)?;
         let tag = dec.get_u32()?;
         let body = match tag {
-            0 => NfsReplyBody::Null,
             1 => NfsReplyBody::Attr(StatusReply::decode(&mut dec)?),
             2 => NfsReplyBody::DirOp(StatusReply::decode(&mut dec)?),
             3 => NfsReplyBody::Read(StatusReply::decode(&mut dec)?),
@@ -438,7 +390,7 @@ impl NfsReply {
     /// Pure arithmetic — nothing is encoded and nothing is allocated (the
     /// body tag word is included).
     pub fn wire_size(&self) -> usize {
-        reply_header_wire_size() + 4 + self.body.results_wire_size()
+        RpcReplyHeader::WIRE_SIZE + 4 + self.body.results_wire_size()
     }
 }
 
@@ -502,7 +454,6 @@ mod tests {
     #[test]
     fn every_call_body_roundtrips() {
         let bodies = vec![
-            NfsCallBody::Null,
             NfsCallBody::Getattr(GetattrArgs { file: fh() }),
             NfsCallBody::Setattr(SetattrArgs {
                 file: fh(),
@@ -558,14 +509,6 @@ mod tests {
                 count: 8192,
                 reclaim: false,
             }),
-            NfsCallBody::Unlock(UnlockArgs {
-                file: fh(),
-                client_id: 3,
-                stateid: 3,
-                seqid: 2,
-                offset: 0,
-                count: 8192,
-            }),
         ];
         for (i, body) in bodies.into_iter().enumerate() {
             let call = NfsCall::new(Xid(i as u32), body);
@@ -577,7 +520,6 @@ mod tests {
     #[test]
     fn every_reply_body_roundtrips() {
         let replies = vec![
-            NfsReplyBody::Null,
             NfsReplyBody::Attr(StatusReply::Ok(Fattr::default())),
             NfsReplyBody::Attr(StatusReply::Err(NfsStatus::NoSpc)),
             NfsReplyBody::DirOp(StatusReply::Ok(DirOpOk {
@@ -637,7 +579,6 @@ mod tests {
     fn wire_sizes_match_real_encodings() {
         use crate::payload::Payload;
         let calls = vec![
-            NfsCallBody::Null,
             NfsCallBody::Getattr(GetattrArgs { file: fh() }),
             NfsCallBody::Statfs(GetattrArgs { file: fh() }),
             NfsCallBody::Setattr(SetattrArgs {
@@ -699,14 +640,6 @@ mod tests {
                 count: 0,
                 reclaim: true,
             }),
-            NfsCallBody::Unlock(UnlockArgs {
-                file: fh(),
-                client_id: 7,
-                stateid: 7,
-                seqid: 10,
-                offset: 4096,
-                count: 0,
-            }),
         ];
         for body in calls {
             let call = NfsCall::new(Xid(9), body);
@@ -719,7 +652,6 @@ mod tests {
         }
 
         let replies = vec![
-            NfsReplyBody::Null,
             NfsReplyBody::Attr(StatusReply::Ok(Fattr::default())),
             NfsReplyBody::Attr(StatusReply::Err(NfsStatus::NoSpc)),
             NfsReplyBody::DirOp(StatusReply::Ok(DirOpOk {
@@ -788,9 +720,9 @@ mod tests {
 
     #[test]
     fn call_and_reply_cannot_be_confused() {
-        let call = NfsCall::new(Xid(5), NfsCallBody::Null).to_wire();
-        assert!(NfsReply::from_wire(&call).is_err());
-        let reply = NfsReply::new(Xid(5), NfsReplyBody::Null).to_wire();
+        let call = NfsCall::new(Xid(5), NfsCallBody::Getattr(GetattrArgs { file: fh() }));
+        assert!(NfsReply::from_wire(&call.to_wire()).is_err());
+        let reply = NfsReply::new(Xid(5), NfsReplyBody::Status(NfsStatus::Ok)).to_wire();
         assert!(NfsCall::from_wire(&reply).is_err());
     }
 
@@ -804,5 +736,16 @@ mod tests {
         let empty = WireMessage { bytes: vec![] };
         assert!(empty.is_empty());
         assert!(NfsCall::from_wire(&empty).is_err());
+        // Tag 0, the NULL reply's, is no reply the server sends.
+        let mut null_reply = NfsReply::new(Xid(5), NfsReplyBody::Status(NfsStatus::Ok)).to_wire();
+        let tag = RpcReplyHeader::WIRE_SIZE;
+        null_reply.bytes[tag..tag + 4].fill(0);
+        assert_eq!(
+            NfsReply::from_wire(&null_reply),
+            Err(XdrError::InvalidEnum {
+                type_name: "NfsReplyBody(tag)",
+                value: 0
+            })
+        );
     }
 }

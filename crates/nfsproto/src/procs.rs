@@ -1,9 +1,12 @@
-//! NFS v2 procedure numbers and their argument/result structures.
+//! The NFS procedures the simulated clients call, and their argument and
+//! result structures.
 //!
 //! The write-gathering experiments exercise WRITE heavily, but the SPEC SFS
-//! (LADDIS) workload of Figures 2–3 mixes in LOOKUP, GETATTR, READ, READDIR
-//! and the other procedures, so the full v2 procedure table is represented
-//! here and the structures used by the workload all have real XDR encodings.
+//! (LADDIS) workload of Figures 2–3 mixes in the other eight LADDIS
+//! operations (GETATTR, SETATTR, LOOKUP, READ, CREATE, REMOVE, READDIR and
+//! STATFS), and the extensions add COMMIT, RENEW and LOCK.  Those twelve are
+//! represented here, each with a real XDR encoding; the v2 procedures no
+//! client calls are not.
 
 use crate::attr::Sattr;
 use crate::handle::FileHandle;
@@ -11,114 +14,63 @@ use crate::payload::Payload;
 use crate::{Fattr, NfsStatus};
 use wg_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
 
-/// The NFS version 2 procedure numbers (RFC 1094 §2.2).
+/// The procedures the simulated clients call, with their wire numbers: the
+/// nine LADDIS operations keep their NFS version 2 numbers (RFC 1094 §2.2),
+/// and three more are grafted past the v2 range.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum ProcNumber {
-    /// Do nothing (used for pinging).
-    Null,
     /// Get file attributes.
-    Getattr,
+    Getattr = 1,
     /// Set file attributes.
-    Setattr,
-    /// Obsolete root procedure.
-    Root,
+    Setattr = 2,
     /// Look up a file name in a directory.
-    Lookup,
-    /// Read a symbolic link.
-    Readlink,
+    Lookup = 4,
     /// Read from a file.
-    Read,
-    /// Obsolete write-to-cache procedure.
-    Writecache,
+    Read = 6,
     /// Write to a file — the operation this whole repository is about.
-    Write,
+    Write = 8,
     /// Create a file.
-    Create,
+    Create = 9,
     /// Remove a file.
-    Remove,
-    /// Rename a file.
-    Rename,
-    /// Create a hard link.
-    Link,
-    /// Create a symbolic link.
-    Symlink,
-    /// Create a directory.
-    Mkdir,
-    /// Remove a directory.
-    Rmdir,
+    Remove = 10,
     /// Read entries from a directory.
-    Readdir,
+    Readdir = 16,
     /// Get filesystem statistics.
-    Statfs,
+    Statfs = 17,
     /// Commit cached unstable writes to stable storage (the NFSv3 procedure
     /// this reproduction grafts onto the v2 table as number 18, one past the
     /// v2 range, so the paper's procedures keep their original numbers).
-    Commit,
+    Commit = 18,
     /// Register a client and renew its lease (the NFSv4 RENEW/SETCLIENTID
     /// pair collapsed into one procedure, grafted past the v2 range like
     /// COMMIT; carries the client's boot verifier so a changed verifier
     /// doubles as re-registration after a client reboot).
-    Renew,
+    Renew = 19,
     /// Acquire or reclaim a byte-range lock under the client's lease.
-    Lock,
-    /// Release a byte-range lock.
-    Unlock,
+    Lock = 20,
 }
 
 impl ProcNumber {
     /// The wire procedure number.
     pub fn number(self) -> u32 {
-        match self {
-            ProcNumber::Null => 0,
-            ProcNumber::Getattr => 1,
-            ProcNumber::Setattr => 2,
-            ProcNumber::Root => 3,
-            ProcNumber::Lookup => 4,
-            ProcNumber::Readlink => 5,
-            ProcNumber::Read => 6,
-            ProcNumber::Writecache => 7,
-            ProcNumber::Write => 8,
-            ProcNumber::Create => 9,
-            ProcNumber::Remove => 10,
-            ProcNumber::Rename => 11,
-            ProcNumber::Link => 12,
-            ProcNumber::Symlink => 13,
-            ProcNumber::Mkdir => 14,
-            ProcNumber::Rmdir => 15,
-            ProcNumber::Readdir => 16,
-            ProcNumber::Statfs => 17,
-            ProcNumber::Commit => 18,
-            ProcNumber::Renew => 19,
-            ProcNumber::Lock => 20,
-            ProcNumber::Unlock => 21,
-        }
+        self as u32
     }
 
-    /// Parse a wire procedure number.
+    /// Parse a wire procedure number; a number no client calls is refused.
     pub fn from_number(n: u32) -> Result<Self, XdrError> {
         Ok(match n {
-            0 => ProcNumber::Null,
             1 => ProcNumber::Getattr,
             2 => ProcNumber::Setattr,
-            3 => ProcNumber::Root,
             4 => ProcNumber::Lookup,
-            5 => ProcNumber::Readlink,
             6 => ProcNumber::Read,
-            7 => ProcNumber::Writecache,
             8 => ProcNumber::Write,
             9 => ProcNumber::Create,
             10 => ProcNumber::Remove,
-            11 => ProcNumber::Rename,
-            12 => ProcNumber::Link,
-            13 => ProcNumber::Symlink,
-            14 => ProcNumber::Mkdir,
-            15 => ProcNumber::Rmdir,
             16 => ProcNumber::Readdir,
             17 => ProcNumber::Statfs,
             18 => ProcNumber::Commit,
             19 => ProcNumber::Renew,
             20 => ProcNumber::Lock,
-            21 => ProcNumber::Unlock,
             other => {
                 return Err(XdrError::InvalidEnum {
                     type_name: "ProcNumber",
@@ -175,8 +127,8 @@ impl XdrDecode for SetattrArgs {
     }
 }
 
-/// Arguments naming an entry within a directory (LOOKUP, and the directory
-/// halves of CREATE/REMOVE/MKDIR/RMDIR).
+/// Arguments naming an entry within a directory (LOOKUP and REMOVE, and
+/// the directory half of CREATE).
 ///
 /// The name is a refcounted `Arc<str>` rather than an owned `String`: load
 /// generators issue millions of LOOKUPs against a fixed namespace, and an
@@ -205,13 +157,6 @@ impl XdrDecode for DirOpArgs {
         })
     }
 }
-
-/// Arguments of LOOKUP (alias of [`DirOpArgs`], kept as its own name for
-/// call-site clarity).
-pub type LookupArgs = DirOpArgs;
-
-/// Arguments of REMOVE / RMDIR (alias of [`DirOpArgs`]).
-pub type RemoveArgs = DirOpArgs;
 
 /// The successful result of LOOKUP and CREATE: the new handle plus its
 /// attributes.
@@ -316,8 +261,6 @@ pub enum StableHow {
     /// The server may reply once the data is cached in volatile memory; the
     /// client must hold its copy until a matching COMMIT succeeds.
     Unstable,
-    /// Data must be stable but metadata may be deferred.
-    DataSync,
 }
 
 impl StableHow {
@@ -326,7 +269,6 @@ impl StableHow {
         match self {
             StableHow::FileSync => 0,
             StableHow::Unstable => 1,
-            StableHow::DataSync => 2,
         }
     }
 
@@ -336,7 +278,6 @@ impl StableHow {
     pub fn from_wire(v: u32) -> Self {
         match v {
             1 => StableHow::Unstable,
-            2 => StableHow::DataSync,
             _ => StableHow::FileSync,
         }
     }
@@ -557,7 +498,7 @@ pub struct RenewOk {
 impl XdrEncode for RenewOk {
     fn encode(&self, enc: &mut XdrEncoder) {
         enc.put_u64(self.verf);
-        enc.put_u32(self.in_grace as u32);
+        enc.put_bool(self.in_grace);
     }
 }
 
@@ -565,7 +506,7 @@ impl XdrDecode for RenewOk {
     fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
         Ok(RenewOk {
             verf: dec.get_u64()?,
-            in_grace: dec.get_u32()? != 0,
+            in_grace: dec.get_bool()?,
         })
     }
 }
@@ -600,7 +541,7 @@ impl XdrEncode for LockArgs {
         enc.put_u32(self.seqid);
         enc.put_u32(self.offset);
         enc.put_u32(self.count);
-        enc.put_u32(self.reclaim as u32);
+        enc.put_bool(self.reclaim);
     }
 }
 
@@ -613,7 +554,7 @@ impl XdrDecode for LockArgs {
             seqid: dec.get_u32()?,
             offset: dec.get_u32()?,
             count: dec.get_u32()?,
-            reclaim: dec.get_u32()? != 0,
+            reclaim: dec.get_bool()?,
         })
     }
 }
@@ -643,49 +584,7 @@ impl XdrDecode for LockOk {
     }
 }
 
-/// Arguments of UNLOCK: release a byte-range lock.  The reply is a bare
-/// status.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct UnlockArgs {
-    /// Target file.
-    pub file: FileHandle,
-    /// The owning client.
-    pub client_id: u32,
-    /// The lock-owner state identifier.
-    pub stateid: u32,
-    /// Per-owner sequence number (same monotonicity rule as LOCK).
-    pub seqid: u32,
-    /// Start of the range to release.
-    pub offset: u32,
-    /// Length of the range to release.
-    pub count: u32,
-}
-
-impl XdrEncode for UnlockArgs {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.file.encode(enc);
-        enc.put_u32(self.client_id);
-        enc.put_u32(self.stateid);
-        enc.put_u32(self.seqid);
-        enc.put_u32(self.offset);
-        enc.put_u32(self.count);
-    }
-}
-
-impl XdrDecode for UnlockArgs {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(UnlockArgs {
-            file: FileHandle::decode(dec)?,
-            client_id: dec.get_u32()?,
-            stateid: dec.get_u32()?,
-            seqid: dec.get_u32()?,
-            offset: dec.get_u32()?,
-            count: dec.get_u32()?,
-        })
-    }
-}
-
-/// Arguments of CREATE / MKDIR.
+/// Arguments of CREATE.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CreateArgs {
     /// Directory and name to create in.
@@ -843,16 +742,26 @@ mod tests {
 
     #[test]
     fn proc_numbers_roundtrip() {
-        for n in 0..=21u32 {
+        let called = [1, 2, 4, 6, 8, 9, 10, 16, 17, 18, 19, 20];
+        for n in called {
             let p = ProcNumber::from_number(n).unwrap();
             assert_eq!(p.number(), n);
         }
-        assert!(ProcNumber::from_number(22).is_err());
+        // NULL, ROOT, READLINK, WRITECACHE, RENAME, LINK, SYMLINK, MKDIR and
+        // RMDIR, and the two numbers past LOCK: no client calls them.
+        for n in [0, 3, 5, 7, 11, 12, 13, 14, 15, 21, 22] {
+            assert_eq!(
+                ProcNumber::from_number(n),
+                Err(XdrError::InvalidEnum {
+                    type_name: "ProcNumber",
+                    value: n
+                })
+            );
+        }
         assert_eq!(ProcNumber::Write.number(), 8);
         assert_eq!(ProcNumber::Commit.number(), 18);
         assert_eq!(ProcNumber::Renew.number(), 19);
         assert_eq!(ProcNumber::Lock.number(), 20);
-        assert_eq!(ProcNumber::Unlock.number(), 21);
     }
 
     #[test]
@@ -885,18 +794,39 @@ mod tests {
             seqid: 3,
         };
         assert_eq!(from_bytes::<LockOk>(&to_bytes(&lok)).unwrap(), lok);
+    }
 
-        let unlock = UnlockArgs {
+    /// `in_grace` and `reclaim` are XDR booleans: 0 and 1 decode, any other
+    /// word is refused.
+    #[test]
+    fn state_booleans_refuse_words_other_than_0_and_1() {
+        let rok = to_bytes(&RenewOk {
+            verf: 1,
+            in_grace: true,
+        });
+        let lock = to_bytes(&LockArgs {
             file: fh(),
             client_id: 42,
             stateid: 7,
-            seqid: 4,
-            offset: 8192,
-            count: 4096,
+            seqid: 3,
+            offset: 0,
+            count: 0,
+            reclaim: true,
+        });
+        // Each boolean is its message's last word.
+        let two = |mut bytes: Vec<u8>| {
+            let last = bytes.len() - 4;
+            assert_eq!(bytes[last..], [0, 0, 0, 1]);
+            bytes[last..].copy_from_slice(&[0, 0, 0, 2]);
+            bytes
         };
         assert_eq!(
-            from_bytes::<UnlockArgs>(&to_bytes(&unlock)).unwrap(),
-            unlock
+            from_bytes::<RenewOk>(&two(rok)),
+            Err(XdrError::InvalidBool(2))
+        );
+        assert_eq!(
+            from_bytes::<LockArgs>(&two(lock)),
+            Err(XdrError::InvalidBool(2))
         );
     }
 
@@ -915,11 +845,7 @@ mod tests {
         // Unknown junk in the obsolete field degrades to the strongest
         // guarantee, never a weaker one.
         assert_eq!(StableHow::from_wire(99), StableHow::FileSync);
-        for s in [
-            StableHow::FileSync,
-            StableHow::Unstable,
-            StableHow::DataSync,
-        ] {
+        for s in [StableHow::FileSync, StableHow::Unstable] {
             assert_eq!(StableHow::from_wire(s.to_wire()), s);
         }
     }

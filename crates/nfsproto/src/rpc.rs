@@ -5,6 +5,7 @@
 //! server's duplicate request cache keys on when a retransmission arrives
 //! (\[JUSZ89\]); the reproduction therefore carries real xids end to end.
 
+use crate::procs::ProcNumber;
 use wg_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
 
 /// An RPC transaction identifier chosen by the client.
@@ -28,102 +29,84 @@ impl XdrDecode for Xid {
     }
 }
 
-/// RPC authentication flavors.  The reproduction only uses `AUTH_UNIX`
-/// (flavor 1) and `AUTH_NULL` (flavor 0), like the reference port.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum AuthFlavor {
-    /// No authentication.
-    Null,
-    /// Traditional uid/gid credential.
-    Unix,
+const MSG_TYPE_CALL: u32 = 0;
+const MSG_TYPE_REPLY: u32 = 1;
+const RPC_VERSION: u32 = 2;
+const MSG_ACCEPTED: u32 = 0;
+const ACCEPT_SUCCESS: u32 = 0;
+const AUTH_NULL: u32 = 0;
+const AUTH_UNIX: u32 = 1;
+
+/// The AUTH_UNIX credential body every call carries (RFC 1057 §9.2).
+const UNIX_CREDENTIAL: [u8; 32] = [
+    0, 0, 0, 0, // stamp
+    0, 0, 0, 9, b's', b'i', b'm', b'c', b'l', b'i', b'e', b'n', b't', 0, 0, 0, // machine name
+    0, 0, 0, 0, // uid: root
+    0, 0, 0, 0, // gid: root
+    0, 0, 0, 0, // no auxiliary gids
+];
+
+/// Read a word that must be `want`; any other value is refused as an
+/// unknown `type_name`.
+fn expect_word(
+    dec: &mut XdrDecoder<'_>,
+    want: u32,
+    type_name: &'static str,
+) -> Result<(), XdrError> {
+    match dec.get_u32()? {
+        value if value == want => Ok(()),
+        value => Err(XdrError::InvalidEnum { type_name, value }),
+    }
 }
 
-impl AuthFlavor {
-    fn code(self) -> u32 {
-        match self {
-            AuthFlavor::Null => 0,
-            AuthFlavor::Unix => 1,
-        }
-    }
-
-    fn from_code(code: u32) -> Result<Self, XdrError> {
-        match code {
-            0 => Ok(AuthFlavor::Null),
-            1 => Ok(AuthFlavor::Unix),
-            other => Err(XdrError::InvalidEnum {
-                type_name: "AuthFlavor",
-                value: other,
-            }),
-        }
+/// Read an authenticator (flavor and opaque body) that must be `flavor`
+/// with `body`.
+fn expect_auth(
+    dec: &mut XdrDecoder<'_>,
+    flavor: u32,
+    body: &[u8],
+    type_name: &'static str,
+) -> Result<(), XdrError> {
+    expect_word(dec, flavor, type_name)?;
+    match dec.get_opaque()? {
+        got if got == body => Ok(()),
+        _ => Err(XdrError::InvalidValue("RPC authenticator body")),
     }
 }
 
 /// The fixed part of an RPC call message: everything up to (but not
 /// including) the procedure-specific arguments.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+///
+/// Only the transaction id and the procedure vary.  The encoder writes the
+/// rest as constants: RPC version 2, program [`crate::NFS_PROGRAM`] at
+/// version [`crate::NFS_VERSION`], an AUTH_UNIX root credential and an
+/// AUTH_NULL verifier.  The decoder refuses any other value of them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RpcCallHeader {
     /// Transaction id.
     pub xid: Xid,
-    /// RPC version (always 2).
-    pub rpc_version: u32,
-    /// Program number (100003 for NFS).
-    pub program: u32,
-    /// Program version (2 for NFS v2).
-    pub version: u32,
-    /// Procedure number within the program.
-    pub procedure: u32,
-    /// Credential flavor.
-    pub auth: AuthFlavor,
-    /// Caller uid carried in the AUTH_UNIX credential (0 when AUTH_NULL).
-    pub uid: u32,
-    /// Caller gid carried in the AUTH_UNIX credential (0 when AUTH_NULL).
-    pub gid: u32,
+    /// The procedure called.
+    pub procedure: ProcNumber,
 }
 
 impl RpcCallHeader {
-    /// A call header for an NFS v2 procedure using AUTH_UNIX root credentials.
-    pub fn nfs_call(xid: Xid, procedure: u32) -> Self {
-        RpcCallHeader {
-            xid,
-            rpc_version: 2,
-            program: crate::NFS_PROGRAM,
-            version: crate::NFS_VERSION,
-            procedure,
-            auth: AuthFlavor::Unix,
-            uid: 0,
-            gid: 0,
-        }
-    }
+    /// Bytes on the wire: ten words (xid, message type, RPC version,
+    /// program, version, procedure, and the flavor and body length of the
+    /// credential and of the verifier) and the credential body.
+    pub const WIRE_SIZE: usize = 4 * 10 + UNIX_CREDENTIAL.len();
 }
-
-const MSG_TYPE_CALL: u32 = 0;
-const MSG_TYPE_REPLY: u32 = 1;
 
 impl XdrEncode for RpcCallHeader {
     fn encode(&self, enc: &mut XdrEncoder) {
         self.xid.encode(enc);
         enc.put_u32(MSG_TYPE_CALL);
-        enc.put_u32(self.rpc_version);
-        enc.put_u32(self.program);
-        enc.put_u32(self.version);
-        enc.put_u32(self.procedure);
-        // Credential: flavor + opaque body.
-        enc.put_u32(self.auth.code());
-        match self.auth {
-            AuthFlavor::Null => enc.put_opaque(&[]),
-            AuthFlavor::Unix => {
-                // stamp, machine name, uid, gid, gids<> packed as opaque body.
-                let mut body = XdrEncoder::new();
-                body.put_u32(0); // stamp
-                body.put_string("simclient");
-                body.put_u32(self.uid);
-                body.put_u32(self.gid);
-                body.put_u32(0); // no auxiliary gids
-                enc.put_opaque(body.as_bytes());
-            }
-        }
-        // Verifier: AUTH_NULL.
-        enc.put_u32(0);
+        enc.put_u32(RPC_VERSION);
+        enc.put_u32(crate::NFS_PROGRAM);
+        enc.put_u32(crate::NFS_VERSION);
+        enc.put_u32(self.procedure.number());
+        enc.put_u32(AUTH_UNIX);
+        enc.put_opaque(&UNIX_CREDENTIAL);
+        enc.put_u32(AUTH_NULL);
         enc.put_opaque(&[]);
     }
 }
@@ -131,168 +114,52 @@ impl XdrEncode for RpcCallHeader {
 impl XdrDecode for RpcCallHeader {
     fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
         let xid = Xid::decode(dec)?;
-        let msg_type = dec.get_u32()?;
-        if msg_type != MSG_TYPE_CALL {
-            return Err(XdrError::InvalidEnum {
-                type_name: "RpcMessageType(call)",
-                value: msg_type,
-            });
-        }
-        let rpc_version = dec.get_u32()?;
-        let program = dec.get_u32()?;
-        let version = dec.get_u32()?;
-        let procedure = dec.get_u32()?;
-        let auth = AuthFlavor::from_code(dec.get_u32()?)?;
-        let cred_body = dec.get_opaque()?;
-        let (uid, gid) = match auth {
-            AuthFlavor::Null => (0, 0),
-            AuthFlavor::Unix => {
-                let mut body = XdrDecoder::new(&cred_body);
-                let _stamp = body.get_u32()?;
-                let _machine = body.get_string()?;
-                let uid = body.get_u32()?;
-                let gid = body.get_u32()?;
-                (uid, gid)
-            }
-        };
-        // Verifier.
-        let _verf_flavor = dec.get_u32()?;
-        let _verf_body = dec.get_opaque()?;
-        Ok(RpcCallHeader {
-            xid,
-            rpc_version,
-            program,
-            version,
-            procedure,
-            auth,
-            uid,
-            gid,
-        })
+        expect_word(dec, MSG_TYPE_CALL, "RpcMessageType(call)")?;
+        expect_word(dec, RPC_VERSION, "RpcVersion")?;
+        expect_word(dec, crate::NFS_PROGRAM, "RpcProgram")?;
+        expect_word(dec, crate::NFS_VERSION, "RpcProgramVersion")?;
+        let procedure = ProcNumber::from_number(dec.get_u32()?)?;
+        expect_auth(dec, AUTH_UNIX, &UNIX_CREDENTIAL, "RpcCredentialFlavor")?;
+        expect_auth(dec, AUTH_NULL, &[], "RpcVerifierFlavor")?;
+        Ok(RpcCallHeader { xid, procedure })
     }
 }
 
-/// Why an RPC call was rejected.
+/// The fixed part of an RPC reply message.  The server never rejects a
+/// call, so every reply is accepted and successful, with an AUTH_NULL
+/// verifier; only the transaction id varies, and the decoder refuses any
+/// other value of the rest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum RejectReason {
-    /// RPC version mismatch.
-    RpcMismatch,
-    /// Authentication failure.
-    AuthError,
-    /// Program unavailable on this server.
-    ProgramUnavailable,
-    /// Program version not supported.
-    ProgramMismatch,
-    /// Procedure number not recognised.
-    ProcedureUnavailable,
-    /// The arguments could not be decoded.
-    GarbageArgs,
-}
-
-/// The disposition of an RPC reply.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum RpcReplyStatus {
-    /// The call was accepted and executed; procedure results follow.
-    Accepted,
-    /// The call was rejected before execution.
-    Rejected(RejectReason),
-}
-
-/// The fixed part of an RPC reply message.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RpcReplyHeader {
     /// Transaction id copied from the call.
     pub xid: Xid,
-    /// Accept/reject disposition.
-    pub status: RpcReplyStatus,
 }
 
 impl RpcReplyHeader {
-    /// An accepted-reply header for the given transaction.
-    pub fn accepted(xid: Xid) -> Self {
-        RpcReplyHeader {
-            xid,
-            status: RpcReplyStatus::Accepted,
-        }
-    }
+    /// Bytes on the wire: six words (xid, message type, disposition, the
+    /// verifier's flavor and body length, accept status).
+    pub const WIRE_SIZE: usize = 4 * 6;
 }
 
 impl XdrEncode for RpcReplyHeader {
     fn encode(&self, enc: &mut XdrEncoder) {
         self.xid.encode(enc);
         enc.put_u32(MSG_TYPE_REPLY);
-        match self.status {
-            RpcReplyStatus::Accepted => {
-                enc.put_u32(0); // MSG_ACCEPTED
-                enc.put_u32(0); // verifier flavor AUTH_NULL
-                enc.put_opaque(&[]);
-                enc.put_u32(0); // accept status SUCCESS
-            }
-            RpcReplyStatus::Rejected(reason) => {
-                enc.put_u32(1); // MSG_DENIED
-                let code = match reason {
-                    RejectReason::RpcMismatch => 0,
-                    RejectReason::AuthError => 1,
-                    RejectReason::ProgramUnavailable => 2,
-                    RejectReason::ProgramMismatch => 3,
-                    RejectReason::ProcedureUnavailable => 4,
-                    RejectReason::GarbageArgs => 5,
-                };
-                enc.put_u32(code);
-            }
-        }
+        enc.put_u32(MSG_ACCEPTED);
+        enc.put_u32(AUTH_NULL);
+        enc.put_opaque(&[]);
+        enc.put_u32(ACCEPT_SUCCESS);
     }
 }
 
 impl XdrDecode for RpcReplyHeader {
     fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
         let xid = Xid::decode(dec)?;
-        let msg_type = dec.get_u32()?;
-        if msg_type != MSG_TYPE_REPLY {
-            return Err(XdrError::InvalidEnum {
-                type_name: "RpcMessageType(reply)",
-                value: msg_type,
-            });
-        }
-        let disposition = dec.get_u32()?;
-        let status = match disposition {
-            0 => {
-                let _verf_flavor = dec.get_u32()?;
-                let _verf_body = dec.get_opaque()?;
-                let accept = dec.get_u32()?;
-                if accept != 0 {
-                    return Err(XdrError::InvalidEnum {
-                        type_name: "RpcAcceptStatus",
-                        value: accept,
-                    });
-                }
-                RpcReplyStatus::Accepted
-            }
-            1 => {
-                let code = dec.get_u32()?;
-                let reason = match code {
-                    0 => RejectReason::RpcMismatch,
-                    1 => RejectReason::AuthError,
-                    2 => RejectReason::ProgramUnavailable,
-                    3 => RejectReason::ProgramMismatch,
-                    4 => RejectReason::ProcedureUnavailable,
-                    5 => RejectReason::GarbageArgs,
-                    other => {
-                        return Err(XdrError::InvalidEnum {
-                            type_name: "RejectReason",
-                            value: other,
-                        })
-                    }
-                };
-                RpcReplyStatus::Rejected(reason)
-            }
-            other => {
-                return Err(XdrError::InvalidEnum {
-                    type_name: "RpcReplyDisposition",
-                    value: other,
-                })
-            }
-        };
-        Ok(RpcReplyHeader { xid, status })
+        expect_word(dec, MSG_TYPE_REPLY, "RpcMessageType(reply)")?;
+        expect_word(dec, MSG_ACCEPTED, "RpcReplyDisposition")?;
+        expect_auth(dec, AUTH_NULL, &[], "RpcVerifierFlavor")?;
+        expect_word(dec, ACCEPT_SUCCESS, "RpcAcceptStatus")?;
+        Ok(RpcReplyHeader { xid })
     }
 }
 
@@ -303,61 +170,67 @@ mod tests {
 
     #[test]
     fn call_header_roundtrip() {
-        let hdr = RpcCallHeader::nfs_call(Xid(0xABCD), 8);
-        let bytes = to_bytes(&hdr);
-        let back: RpcCallHeader = from_bytes(&bytes).unwrap();
-        assert_eq!(back, hdr);
-        assert_eq!(back.program, crate::NFS_PROGRAM);
-        assert_eq!(back.version, 2);
-        assert_eq!(back.procedure, 8);
-    }
-
-    #[test]
-    fn null_auth_call_roundtrip() {
         let hdr = RpcCallHeader {
-            auth: AuthFlavor::Null,
-            uid: 0,
-            gid: 0,
-            ..RpcCallHeader::nfs_call(Xid(5), 1)
+            xid: Xid(0xABCD),
+            procedure: ProcNumber::Write,
         };
         let bytes = to_bytes(&hdr);
         let back: RpcCallHeader = from_bytes(&bytes).unwrap();
-        assert_eq!(back.auth, AuthFlavor::Null);
+        assert_eq!(back, hdr);
+        assert_eq!(bytes.len(), RpcCallHeader::WIRE_SIZE);
+        // RPC version 2, program 100003, NFS version 2, procedure 8.
+        let word = |i: usize| u32::from_be_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap());
+        assert_eq!([word(2), word(3), word(4), word(5)], [2, 100003, 2, 8]);
     }
 
     #[test]
     fn accepted_reply_roundtrip() {
-        let hdr = RpcReplyHeader::accepted(Xid(42));
+        let hdr = RpcReplyHeader { xid: Xid(42) };
         let bytes = to_bytes(&hdr);
         let back: RpcReplyHeader = from_bytes(&bytes).unwrap();
         assert_eq!(back, hdr);
+        assert_eq!(bytes.len(), RpcReplyHeader::WIRE_SIZE);
     }
 
+    /// A call or reply that differs from the simulation's framing in one
+    /// constant word is refused as an unknown discriminant.
     #[test]
-    fn rejected_reply_roundtrip() {
-        for reason in [
-            RejectReason::RpcMismatch,
-            RejectReason::AuthError,
-            RejectReason::ProgramUnavailable,
-            RejectReason::ProgramMismatch,
-            RejectReason::ProcedureUnavailable,
-            RejectReason::GarbageArgs,
-        ] {
-            let hdr = RpcReplyHeader {
-                xid: Xid(7),
-                status: RpcReplyStatus::Rejected(reason),
-            };
-            let bytes = to_bytes(&hdr);
-            let back: RpcReplyHeader = from_bytes(&bytes).unwrap();
-            assert_eq!(back, hdr);
+    fn foreign_framing_is_refused() {
+        let call = to_bytes(&RpcCallHeader {
+            xid: Xid(1),
+            procedure: ProcNumber::Write,
+        });
+        let reply = to_bytes(&RpcReplyHeader { xid: Xid(1) });
+        type Decode = fn(&[u8]) -> Result<(), XdrError>;
+        let as_call: Decode = |b| from_bytes::<RpcCallHeader>(b).map(drop);
+        let as_reply: Decode = |b| from_bytes::<RpcReplyHeader>(b).map(drop);
+        // (what, message, decoder, index of the changed word, its value)
+        let cases = [
+            ("an AUTH_NULL credential", &call, as_call, 6, 0),
+            ("RPC version 3", &call, as_call, 2, 3),
+            ("program 100005", &call, as_call, 3, 100_005),
+            ("NFS version 3", &call, as_call, 4, 3),
+            ("a MSG_DENIED reply", &reply, as_reply, 2, 1),
+        ];
+        for (what, message, decode, index, value) in cases {
+            let mut bytes = message.clone();
+            bytes[4 * index..4 * index + 4].copy_from_slice(&u32::to_be_bytes(value));
+            assert!(
+                matches!(decode(&bytes), Err(XdrError::InvalidEnum { .. })),
+                "{what}: {:?}",
+                decode(&bytes)
+            );
         }
     }
 
     #[test]
     fn reply_is_not_a_call() {
-        let reply = to_bytes(&RpcReplyHeader::accepted(Xid(1)));
+        let reply = to_bytes(&RpcReplyHeader { xid: Xid(1) });
         assert!(from_bytes::<RpcCallHeader>(&reply).is_err());
-        let call = to_bytes(&RpcCallHeader::nfs_call(Xid(1), 1));
+        let call = to_bytes(&RpcCallHeader {
+            xid: Xid(1),
+            procedure: ProcNumber::Getattr,
+        });
         assert!(from_bytes::<RpcReplyHeader>(&call).is_err());
     }
 }

@@ -830,7 +830,7 @@ impl Ufs {
     }
 
     /// The metadata writes that would be needed right now, without clearing
-    /// dirty state (used by tests and by the server's async-mtime path).
+    /// dirty state (the tests read it to see what a flush would write).
     pub fn pending_metadata(&mut self, ino: InodeNumber) -> Result<Vec<DiskRequest>, FsError> {
         self.metadata_requests(ino, false)
     }

@@ -46,22 +46,12 @@ impl<'a> XdrDecoder<'a> {
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    /// Read a signed 32-bit integer.
-    pub fn get_i32(&mut self) -> Result<i32, XdrError> {
-        Ok(self.get_u32()? as i32)
-    }
-
     /// Read an unsigned 64-bit integer.
     pub fn get_u64(&mut self) -> Result<u64, XdrError> {
         let b = self.take(8)?;
         Ok(u64::from_be_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
-    }
-
-    /// Read a signed 64-bit integer.
-    pub fn get_i64(&mut self) -> Result<i64, XdrError> {
-        Ok(self.get_u64()? as i64)
     }
 
     /// Read a boolean (must be 0 or 1).
@@ -120,9 +110,7 @@ mod tests {
     fn roundtrip_all_primitives() {
         let mut e = XdrEncoder::new();
         e.put_u32(123);
-        e.put_i32(-45);
         e.put_u64(1 << 40);
-        e.put_i64(-(1 << 40));
         e.put_bool(true);
         e.put_opaque(b"hello world");
         e.put_opaque_fixed(&[9; 16]);
@@ -131,9 +119,7 @@ mod tests {
 
         let mut d = XdrDecoder::new(&bytes);
         assert_eq!(d.get_u32().unwrap(), 123);
-        assert_eq!(d.get_i32().unwrap(), -45);
         assert_eq!(d.get_u64().unwrap(), 1 << 40);
-        assert_eq!(d.get_i64().unwrap(), -(1 << 40));
         assert!(d.get_bool().unwrap());
         assert_eq!(d.get_opaque().unwrap(), b"hello world");
         assert_eq!(d.get_opaque_fixed(16).unwrap(), vec![9; 16]);

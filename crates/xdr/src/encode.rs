@@ -48,18 +48,8 @@ impl XdrEncoder {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Append a signed 32-bit integer.
-    pub fn put_i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
     /// Append an unsigned 64-bit integer (XDR "unsigned hyper").
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Append a signed 64-bit integer (XDR "hyper").
-    pub fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
@@ -114,17 +104,8 @@ mod tests {
         e.put_u32(0x0102_0304);
         assert_eq!(e.as_bytes(), &[1, 2, 3, 4]);
         let mut e = XdrEncoder::new();
-        e.put_i32(-1);
-        assert_eq!(e.as_bytes(), &[0xff, 0xff, 0xff, 0xff]);
-        let mut e = XdrEncoder::new();
         e.put_u64(0x0102_0304_0506_0708);
         assert_eq!(e.as_bytes(), &[1, 2, 3, 4, 5, 6, 7, 8]);
-        let mut e = XdrEncoder::new();
-        e.put_i64(-2);
-        assert_eq!(
-            e.as_bytes(),
-            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe]
-        );
     }
 
     #[test]

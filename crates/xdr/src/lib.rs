@@ -1,14 +1,15 @@
 //! # wg-xdr — External Data Representation (XDR, RFC 1014) from scratch
 //!
 //! NFS version 2 and the ONC RPC layer it rides on encode every message with
-//! XDR.  This crate implements the subset of XDR that NFS v2 needs:
+//! XDR.  This crate implements the subset of XDR that the simulated
+//! messages use:
 //!
-//! * 32-bit signed/unsigned integers and 64-bit hyper integers, big-endian,
+//! * 32-bit unsigned integers and 64-bit unsigned hyper integers, big-endian,
 //! * booleans and enums (as 32-bit integers),
 //! * fixed-length and variable-length opaque data (padded to 4-byte
 //!   boundaries),
 //! * strings (variable-length opaque with UTF-8 validation on decode),
-//! * optional data ("pointer" encoding: a boolean followed by the value).
+//! * variable-length arrays (a count followed by the elements).
 //!
 //! The encoder appends to a growable byte buffer; the decoder is a cursor over
 //! a byte slice.  Both are written without `unsafe` and both check bounds
@@ -52,18 +53,6 @@ impl XdrDecode for u32 {
     }
 }
 
-impl XdrEncode for i32 {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_i32(*self);
-    }
-}
-
-impl XdrDecode for i32 {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        dec.get_i32()
-    }
-}
-
 impl XdrEncode for u64 {
     fn encode(&self, enc: &mut XdrEncoder) {
         enc.put_u64(*self);
@@ -85,40 +74,6 @@ impl XdrEncode for bool {
 impl XdrDecode for bool {
     fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
         dec.get_bool()
-    }
-}
-
-impl XdrEncode for String {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_string(self);
-    }
-}
-
-impl XdrDecode for String {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        dec.get_string()
-    }
-}
-
-impl<T: XdrEncode> XdrEncode for Option<T> {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        match self {
-            Some(v) => {
-                enc.put_bool(true);
-                v.encode(enc);
-            }
-            None => enc.put_bool(false),
-        }
-    }
-}
-
-impl<T: XdrDecode> XdrDecode for Option<T> {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        if dec.get_bool()? {
-            Ok(Some(T::decode(dec)?))
-        } else {
-            Ok(None)
-        }
     }
 }
 
@@ -150,20 +105,7 @@ impl<T: XdrDecode> XdrDecode for Vec<T> {
     }
 }
 
-impl<T: XdrEncode> XdrEncode for std::sync::Arc<T> {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        (**self).encode(enc);
-    }
-}
-
-impl<T: XdrDecode> XdrDecode for std::sync::Arc<T> {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(std::sync::Arc::new(T::decode(dec)?))
-    }
-}
-
-// `Arc<str>` is not covered by the blanket `Arc<T>` impls (`str` is
-// unsized); on the wire it is an ordinary XDR string.
+// A shared name (`Arc<str>`) is an ordinary XDR string on the wire.
 impl XdrEncode for std::sync::Arc<str> {
     fn encode(&self, enc: &mut XdrEncoder) {
         enc.put_string(self);
@@ -201,21 +143,30 @@ mod tests {
     #[test]
     fn roundtrip_primitives() {
         assert_eq!(from_bytes::<u32>(&to_bytes(&7u32)).unwrap(), 7);
-        assert_eq!(from_bytes::<i32>(&to_bytes(&-7i32)).unwrap(), -7);
         assert_eq!(from_bytes::<u64>(&to_bytes(&u64::MAX)).unwrap(), u64::MAX);
         assert!(from_bytes::<bool>(&to_bytes(&true)).unwrap());
+        let name: std::sync::Arc<str> = "hello".into();
         assert_eq!(
-            from_bytes::<String>(&to_bytes(&"hello".to_string())).unwrap(),
-            "hello"
+            from_bytes::<std::sync::Arc<str>>(&to_bytes(&name)).unwrap(),
+            name
         );
     }
 
+    /// XDR optional data (`type *name`) is a variable-length array of at
+    /// most one element (RFC 1014 §3.19), so the `Vec` impls carry both of
+    /// its arms: a present value is the word 1 and the value, an absent one
+    /// the word 0.
     #[test]
     fn roundtrip_option_and_vec() {
-        let v: Option<u32> = Some(99);
-        assert_eq!(from_bytes::<Option<u32>>(&to_bytes(&v)).unwrap(), Some(99));
-        let n: Option<u32> = None;
-        assert_eq!(from_bytes::<Option<u32>>(&to_bytes(&n)).unwrap(), None);
+        let present = vec![99u32];
+        assert_eq!(to_bytes(&present), [0, 0, 0, 1, 0, 0, 0, 99]);
+        assert_eq!(
+            from_bytes::<Vec<u32>>(&to_bytes(&present)).unwrap(),
+            present
+        );
+        let absent: Vec<u32> = Vec::new();
+        assert_eq!(to_bytes(&absent), [0, 0, 0, 0]);
+        assert_eq!(from_bytes::<Vec<u32>>(&to_bytes(&absent)).unwrap(), absent);
         let list = vec![1u32, 2, 3, 4];
         assert_eq!(from_bytes::<Vec<u32>>(&to_bytes(&list)).unwrap(), list);
     }
