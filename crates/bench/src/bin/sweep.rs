@@ -1,13 +1,17 @@
-//! One runner for the extension experiments.  Each suite is named after the
-//! `BENCH_writepath.json` key it owns:
+//! One runner for `BENCH_writepath.json`.  Each suite is named after the
+//! report key it owns and runs exactly the cells that key records, so
+//! `sweep KEY` alone reproduces the key:
 //!
+//! * `current`: the canonical write-path cells (the Table 1 and Table 3
+//!   columns at 15 biods, one SFS point), each timed as the median of five
+//!   runs, and their speedup over the report's `"baseline"`;
 //! * `faults`: the SFS workload and the file copy under server crashes,
 //!   datagram loss and an NVRAM battery failure;
-//! * `scale`: writer fleets of 1–4 clients × 64–256 MB on one server
-//!   topology, merged cell by cell beside the other topologies' cells;
+//! * `scale`: writer fleets of 1–4 clients × 64–256 MB on each of the three
+//!   recorded server topologies;
 //! * `sfs_scale`: the Figure 2 curve of the paper's server (`"baseline"`)
-//!   against N streams through the sharded, pipelined server
-//!   (`"current"`), each run serially and on a worker pool;
+//!   against [`SfsConfig::scaled`] (`"current"`), each run serially and on
+//!   one worker per host CPU;
 //! * `stability`: sync vs NVRAM vs `WRITE(UNSTABLE)`+`COMMIT` over the SFS
 //!   mix and the file copy, with a memory-pressure cell and commit pacing;
 //! * `state_storms`: lease renewal storms, client churn and server crashes
@@ -15,21 +19,20 @@
 //!
 //! Every cell records its fields by name from a [`metrics`] snapshot of its
 //! run.  The drivers' `run()` audits the safety oracles on every cell; on
-//! top of that each cell makes its own checks, below, and every run must
-//! leave the zero-copy datapath with no payload materialised.  The runner
-//! prints each cell as one line, loads the report, sets the keys of the
-//! suites it ran in place and writes the report back.
+//! top of that each cell makes its own checks, below, and every run outside
+//! the timed `current` cells must leave the zero-copy datapath with no
+//! payload materialised.  The runner prints each cell as one line, loads
+//! the report, sets the keys of the suites it ran in place and writes the
+//! report back.  `--smoke` runs every suite at CI size.
 //!
 //! ```text
-//! cargo run --release -p wg-bench --bin sweep -- faults
-//! cargo run --release -p wg-bench --bin sweep -- scale --shards 4 --cores 4 --lans
-//! cargo run --release -p wg-bench --bin sweep -- sfs_scale stability --smoke --unified-cache
-//! cargo run --release -p wg-bench --bin sweep -- state_storms --out other.json
+//! cargo run --release -p wg-bench --bin sweep -- current scale sfs_scale faults stability state_storms
+//! cargo run --release -p wg-bench --bin sweep -- current scale --smoke --out other.json
 //! ```
 
 use std::time::Instant;
 
-use wg_bench::cli::{flag_value, parse_list};
+use wg_bench::cli::flag_value;
 use wg_bench::metrics;
 use wg_bench::report::{self, host_parallelism, median_wall, Json};
 use wg_nfsproto::payload::materialize_count;
@@ -38,93 +41,44 @@ use wg_simcore::{Duration, FaultKind, FaultPlan, SimTime};
 use wg_workload::sfs::SfsSystem;
 use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind, SfsConfig, SfsSweep};
 
-const USAGE: &str = "usage: sweep SUITE... [--out PATH] [--smoke] \
-     [--clients N] [--shards N] [--cores N] [--spindles N] [--overlap] [--lans] \
-     [--threads N] [--loads A,B,C] [--unified-cache]; \
-     suites: faults, scale, sfs_scale, stability, state_storms";
+const USAGE: &str = "usage: sweep SUITE... [--out PATH] [--smoke]; \
+     suites: current, faults, scale, sfs_scale, stability, state_storms";
 
-/// A suite: the report key it owns, the flags it reads beyond `--out` and
-/// `--smoke`, and the function that runs it given the key's previous value.
-type Suite = (&'static str, &'static str, RunSuite);
-type RunSuite = fn(&Options, Option<&Json>) -> Json;
+/// A suite: its name and the function that runs it, at smoke size or not,
+/// and sets the report keys it owns.
+type Suite = (&'static str, fn(bool, &mut Json));
 
-const SUITES: [Suite; 5] = [
-    ("faults", "", faults),
-    (
-        "scale",
-        "--shards --cores --spindles --overlap --lans",
-        scale,
-    ),
-    (
-        "sfs_scale",
-        "--clients --shards --cores --spindles --overlap --lans --threads --loads",
-        sfs_scale,
-    ),
-    ("stability", "--unified-cache", stability),
-    ("state_storms", "", state_storms),
+const SUITES: [Suite; 6] = [
+    ("current", current),
+    ("faults", faults),
+    ("scale", scale),
+    ("sfs_scale", sfs_scale),
+    ("stability", stability),
+    ("state_storms", state_storms),
 ];
-
-/// The flags the suites read.  An unset one keeps the suite's own default.
-#[derive(Default)]
-struct Options {
-    smoke: bool,
-    clients: Option<usize>,
-    shards: Option<usize>,
-    cores: Option<usize>,
-    spindles: Option<usize>,
-    overlap: bool,
-    lans: bool,
-    threads: Option<usize>,
-    loads: Option<Vec<f64>>,
-    unified_cache: bool,
-}
 
 fn main() {
     let mut out = "BENCH_writepath.json".to_string();
-    let mut opts = Options::default();
+    let mut smoke = false;
     let mut suites: Vec<&Suite> = Vec::new();
-    let mut knobs: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--out" => out = flag_value(&mut args, &arg),
-            "--smoke" => opts.smoke = true,
-            "--clients" => opts.clients = Some(flag_value(&mut args, &arg)),
-            "--shards" => opts.shards = Some(flag_value(&mut args, &arg)),
-            "--cores" => opts.cores = Some(flag_value(&mut args, &arg)),
-            "--spindles" => opts.spindles = Some(flag_value(&mut args, &arg)),
-            "--overlap" => opts.overlap = true,
-            "--lans" => opts.lans = true,
-            "--threads" => opts.threads = Some(flag_value(&mut args, &arg)),
-            "--loads" => {
-                let list: String = flag_value(&mut args, &arg);
-                opts.loads = Some(parse_list(&arg, &list));
-            }
-            "--unified-cache" => opts.unified_cache = true,
+            "--smoke" => smoke = true,
             name => match SUITES.iter().find(|suite| suite.0 == name) {
                 Some(suite) => suites.push(suite),
                 None => panic!("unknown argument {name}; {USAGE}"),
             },
         }
-        if arg.starts_with("--") && arg != "--out" && arg != "--smoke" {
-            knobs.push(arg);
-        }
     }
     assert!(!suites.is_empty(), "name at least one suite; {USAGE}");
-    for knob in &knobs {
-        let read = |suite: &&Suite| suite.1.split_whitespace().any(|flag| flag == knob);
-        assert!(
-            suites.iter().any(read),
-            "{knob} changes none of the suites named; {USAGE}"
-        );
-    }
 
     // A report that exists but does not parse stops the run before any
     // cell runs, and is left as it is.
     let mut report = report::load(&out).unwrap_or_else(|e| panic!("{e}"));
-    for (key, _, run) in suites {
-        let value = run(&opts, report.get(key));
-        report.set(key, value);
+    for (_, run) in suites {
+        run(smoke, &mut report);
     }
     report::save(&out, &report);
     println!("wrote {out}");
@@ -182,11 +136,6 @@ fn check(name: &str, snapshot: &Json, conditions: &str) {
     }
 }
 
-/// Milliseconds since `start`.
-fn ms_since(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1e3
-}
-
 /// Run a copy cell and snapshot it, with its wall clock (system build
 /// included) and the payloads its run materialised, which must be none.
 fn run_copy(config: ExperimentConfig) -> (FileCopySystem, Json) {
@@ -196,7 +145,7 @@ fn run_copy(config: ExperimentConfig) -> (FileCopySystem, Json) {
     let result = system.run();
     let materializations = materialize_count() - before;
     let mut snapshot = metrics::copy(&system, &result);
-    snapshot.set("wall_ms", ms_since(start).into());
+    snapshot.set("wall_ms", (start.elapsed().as_secs_f64() * 1e3).into());
     snapshot.set("materializations", materializations.into());
     check("the zero-copy datapath", &snapshot, "materializations=0");
     (system, snapshot)
@@ -235,6 +184,88 @@ fn figure(presto: bool, load: f64, secs: u64) -> SfsConfig {
     }
 }
 
+const CURRENT: Layout = &[
+    "wall_ms events_processed scheduled_total events_per_sec sim_client_kb_per_sec",
+    STAMP,
+];
+
+/// `"current"`: the Table 1 and Table 3 columns at 15 biods, both policies
+/// as `run_table` runs them, and one Figure 2 point.  The suite also writes
+/// `bench`, `file_mb` and `sfs_secs` and, when the report holds a
+/// `"baseline"` (recorded once and never rewritten), each cell's
+/// `"speedup"` over it.  A full-size cell must never be slower than its
+/// baseline: a scheduler regression fails the run loudly instead of
+/// silently recording a slower `"current"`.
+fn current(smoke: bool, report: &mut Json) {
+    let (file_mb, sfs_secs) = if smoke { (1, 2) } else { (10, 10) };
+    let copy = |name: &'static str, network| {
+        let (wall, runs) = median_wall(|| {
+            [WritePolicy::Standard, WritePolicy::Gathering].map(|policy| {
+                let config = ExperimentConfig::new(network, 15, policy);
+                let mut system = FileCopySystem::new(config.with_file_size(file_mb * MIB));
+                let result = system.run();
+                (system, result)
+            })
+        });
+        let runs = runs.map(|(system, result)| metrics::copy(&system, &result));
+        (name, timed(name, wall, &runs, "client_write_kb_per_sec"))
+    };
+    let table1 = copy("table1_15biods", NetworkKind::Ethernet);
+    let table3 = copy("table3_15biods", NetworkKind::Fddi);
+    let (wall, (system, point)) = median_wall(|| {
+        let mut system = SfsSystem::new(figure(false, 800.0, sfs_secs));
+        let point = system.run();
+        (system, point)
+    });
+    let name = "sfs_point_800ops";
+    let snapshot = metrics::sfs(&system, &point);
+    let sfs = timed(name, wall, &[snapshot], "achieved_ops_per_sec");
+    let cells = [table1, table3, (name, sfs)];
+
+    let speedups = report.get("baseline").map(|baseline| {
+        let cells = cells.iter().filter_map(|(name, cell)| {
+            let base = baseline.get(name)?.get("wall_ms")?.as_f64()?;
+            let wall = cell.num("wall_ms");
+            let speedup = base / wall.max(1e-9);
+            println!("{name:<30} speedup vs baseline: {speedup}x");
+            assert!(
+                smoke || speedup >= 1.0,
+                "{name}: wall {wall:.1} ms is slower than the recorded baseline \
+                 {base:.1} ms (speedup {speedup:.2}x < 1.0)"
+            );
+            Some((*name, speedup.into()))
+        });
+        Json::object(cells.collect::<Vec<_>>())
+    });
+    report.set("bench", "writepath".into());
+    report.set("file_mb", file_mb.into());
+    report.set("sfs_secs", sfs_secs.into());
+    report.set("current", Json::object(cells));
+    if let Some(speedups) = speedups {
+        report.set("speedup", speedups);
+    }
+}
+
+/// One `current` cell from its runs' snapshots and median wall clock in
+/// seconds: counts summed, the deepest event queue, and as
+/// `sim_client_kb_per_sec` the simulated scalar `sim`, which catches a run
+/// that got faster by simulating something different.
+fn timed(name: &str, wall: f64, runs: &[Json], sim: &str) -> Json {
+    let sum = |field: &str| runs.iter().map(|run| run.num(field)).sum::<f64>();
+    let depth = runs.iter().map(|run| run.num("sched_max_depth"));
+    let events = sum("events_processed");
+    let params = [
+        ("wall_ms", (wall * 1e3).into()),
+        ("events_processed", events.into()),
+        ("scheduled_total", sum("scheduled_total").into()),
+        ("events_per_sec", (events / wall.max(1e-9)).into()),
+        ("sim_client_kb_per_sec", sum(sim).into()),
+        ("clamped_past", sum("clamped_past").into()),
+        ("sched_max_depth", depth.fold(0.0, f64::max).into()),
+    ];
+    record(name, CURRENT, &runs[0], &params)
+}
+
 /// An NVRAM battery that dies a third of the way into a `secs` run and is
 /// repaired a third later.
 fn battery_outage(plan: FaultPlan, secs: u64) -> FaultPlan {
@@ -270,9 +301,9 @@ const FAULT_COPY: Layout = &[
 /// `"faults"`.  Only the deliberately unsafe `DangerousAsync` copy may lose
 /// acknowledged bytes (`lost_acked_bytes`), and the cell records them
 /// rather than hiding them.
-fn faults(opts: &Options, _previous: Option<&Json>) -> Json {
-    let (secs, load) = if opts.smoke { (6, 300.0) } else { (20, 800.0) };
-    let (intervals, losses): (&[f64], &[f64]) = if opts.smoke {
+fn faults(smoke: bool, report: &mut Json) {
+    let (secs, load) = if smoke { (6, 300.0) } else { (20, 800.0) };
+    let (intervals, losses): (&[f64], &[f64]) = if smoke {
         (&[2.0], &[0.0, 0.02])
     } else {
         (&[2.0, 5.0, 10.0], &[0.0, 0.01, 0.05])
@@ -306,7 +337,7 @@ fn faults(opts: &Options, _previous: Option<&Json>) -> Json {
         }
     }
     let mut suite = vec![
-        ("smoke", opts.smoke.into()),
+        ("smoke", smoke.into()),
         ("secs", secs.into()),
         ("offered_ops_per_sec", load.into()),
         ("grid", Json::object(grid)),
@@ -355,7 +386,7 @@ fn faults(opts: &Options, _previous: Option<&Json>) -> Json {
         }
         suite.push((name, record(name, FAULT_COPY, &snapshot, &[])));
     }
-    Json::object(suite)
+    report.set("faults", Json::object(suite));
 }
 
 /// The battery outage on the Prestoserve server speaking
@@ -386,78 +417,84 @@ const SCALE: Layout = &[
      evicted_in_progress materializations serial_twin_kb_per_sec spindle_breakdown",
 ];
 
-/// `"scale"`.  A cell's key names every non-default axis (`_s4`, `_cr4`,
-/// `_sp3`, `_ov`, `_lan`), so sweeps over different topologies never
-/// overwrite each other's cells.
-fn scale(opts: &Options, previous: Option<&Json>) -> Json {
-    let (fleet_sizes, file_mbs): (&[usize], &[u64]) = if opts.smoke {
+/// The server topologies `"scale"` records: shards, cores, spindles,
+/// overlapped I/O and per-client LANs.
+const TOPOLOGIES: [(usize, usize, usize, bool, bool); 3] = [
+    (1, 1, 1, false, false),
+    (4, 4, 1, false, true),
+    (4, 4, 3, true, true),
+];
+
+/// The `"scale"` cells in report order: every topology's writer fleets of
+/// 1, 2 and 4 clients × 64 and 256 MB, or of 2 clients × 1 MB at smoke
+/// size.  A cell's key names every non-default axis of its topology (`_s4`,
+/// `_cr4`, `_sp3`, `_ov`, `_lan`).
+fn scale_cells(smoke: bool) -> Vec<(String, ExperimentConfig)> {
+    let (fleet_sizes, file_mbs): (&[usize], &[u64]) = if smoke {
         (&[2], &[1])
     } else {
         (&[1, 2, 4], &[64, 256])
     };
-    let shards = opts.shards.unwrap_or(1);
-    let cores = opts.cores.unwrap_or(1);
-    let spindles = opts.spindles.unwrap_or(1);
-    let mut cells = previous
-        .cloned()
-        .unwrap_or_else(|| Json::Object(Vec::new()));
-    let axes: String = [
-        (shards > 1, format!("_s{shards}")),
-        (cores > 1, format!("_cr{cores}")),
-        (spindles > 1, format!("_sp{spindles}")),
-        (opts.overlap, "_ov".to_string()),
-        (opts.lans, "_lan".to_string()),
-    ]
-    .into_iter()
-    .filter_map(|(on, axis)| on.then_some(axis))
-    .collect();
-    for &clients in fleet_sizes {
-        for &mb in file_mbs {
-            let name = format!("c{clients}_mb{mb}{axes}");
-            let config =
-                ExperimentConfig::fleet(NetworkKind::Fddi, clients, 4, WritePolicy::Gathering)
-                    .with_file_size(mb * MIB)
-                    .with_shards(shards)
-                    .with_cores(cores)
-                    .with_spindles(spindles)
-                    .with_io_overlap(opts.overlap)
-                    .with_per_client_lans(opts.lans);
-            // An overlapped cell races its serial twin: a serial run also
-            // spreads stripe pieces over every spindle, so only aggregate
-            // throughput shows the pipeline overlaps.
-            let twin = opts.overlap.then(|| {
-                FileCopySystem::new(config.clone().with_io_overlap(false))
-                    .run()
-                    .client_write_kb_per_sec
-            });
-            let (system, snapshot) = run_copy(config);
-            system
-                .verify_on_disk()
-                .expect("multi-client data integrity check failed");
-            if let Some(serial) = twin {
-                let overlapped = snapshot.num("sim_aggregate_kb_per_sec");
-                if spindles > 1 {
-                    assert!(
-                        overlapped > serial,
-                        "{name}: pipelining lost its win: overlap {overlapped:.1} KB/s \
-                         vs serial twin {serial:.1} KB/s"
-                    );
-                } else {
-                    assert!(
-                        overlapped >= serial * 0.999,
-                        "{name}: pipelining slowed a single-spindle run: overlap \
-                         {overlapped:.1} KB/s vs serial twin {serial:.1} KB/s"
-                    );
-                }
+    let mut cells = Vec::new();
+    for (shards, cores, spindles, overlap, lans) in TOPOLOGIES {
+        let axes: String = [
+            (shards > 1, format!("_s{shards}")),
+            (cores > 1, format!("_cr{cores}")),
+            (spindles > 1, format!("_sp{spindles}")),
+            (overlap, "_ov".to_string()),
+            (lans, "_lan".to_string()),
+        ]
+        .into_iter()
+        .filter_map(|(on, axis)| on.then_some(axis))
+        .collect();
+        for &clients in fleet_sizes {
+            for &mb in file_mbs {
+                let config =
+                    ExperimentConfig::fleet(NetworkKind::Fddi, clients, 4, WritePolicy::Gathering)
+                        .with_file_size(mb * MIB)
+                        .with_shards(shards)
+                        .with_cores(cores)
+                        .with_spindles(spindles)
+                        .with_io_overlap(overlap)
+                        .with_per_client_lans(lans);
+                cells.push((format!("c{clients}_mb{mb}{axes}"), config));
             }
-            let twin = (
-                "serial_twin_kb_per_sec",
-                twin.map_or(Json::Null, Json::from),
-            );
-            cells.set(&name, record(&name, SCALE, &snapshot, &[twin]));
         }
     }
     cells
+}
+
+/// `"scale"`.  An overlapped cell races its serial twin: a serial run also
+/// spreads stripe pieces over every spindle, so only aggregate throughput
+/// shows the pipeline overlaps, and the overlapped run must beat it.
+fn scale(smoke: bool, report: &mut Json) {
+    let mut cells = Vec::new();
+    for (name, config) in scale_cells(smoke) {
+        let twin = config.io_overlap.then(|| {
+            FileCopySystem::new(config.clone().with_io_overlap(false))
+                .run()
+                .client_write_kb_per_sec
+        });
+        let (system, snapshot) = run_copy(config);
+        system
+            .verify_on_disk()
+            .expect("multi-client data integrity check failed");
+        if let Some(serial) = twin {
+            let overlapped = snapshot.num("sim_aggregate_kb_per_sec");
+            assert!(
+                overlapped > serial,
+                "{name}: pipelining lost its win: overlap {overlapped:.1} KB/s \
+                 vs serial twin {serial:.1} KB/s"
+            );
+        }
+        let twin = (
+            "serial_twin_kb_per_sec",
+            twin.map_or(Json::Null, Json::from),
+        );
+        let cell = record(&name, SCALE, &snapshot, &[twin]);
+        cells.push((name, cell));
+    }
+    report.set("scale", Json::object(cells));
 }
 
 /// Offered loads of the full `sfs_scale` curves: the figure range plus
@@ -481,30 +518,19 @@ const CURVE: Layout = &[
 
 /// `"sfs_scale"`.  A full run also asserts the headline: the scaled
 /// configuration's peak beats the single-client baseline's by ≥ 1.3× at no
-/// more latency, and, on a host with the cores for it, the worker pool runs
-/// the curve ≥ 2× faster than the serial pass.
-fn sfs_scale(opts: &Options, _previous: Option<&Json>) -> Json {
-    let secs = if opts.smoke { 3 } else { 20 };
-    let loads = opts.loads.clone().unwrap_or_else(|| {
-        if opts.smoke {
-            vec![300.0, 900.0]
-        } else {
-            FULL_LOADS.to_vec()
-        }
-    });
-    let threads = opts.threads.unwrap_or(4);
-    // The scaled stack already overlaps I/O and gives every client its own
-    // LAN, so `--overlap` and `--lans` only restate it here.
-    let scaled = SfsConfig::scaled(0.0, WritePolicy::Gathering, opts.clients.unwrap_or(4));
-    let (shards, cores, spindles) = (scaled.shards, scaled.cores, scaled.spindles);
-    let mut current = scaled
-        .with_shards(opts.shards.unwrap_or(shards))
-        .with_cores(opts.cores.unwrap_or(cores))
-        .with_spindles(opts.spindles.unwrap_or(spindles));
-    current.duration = Duration::from_secs(secs);
+/// more latency, and, on a host with four CPUs or more, the worker pool
+/// runs the curve ≥ 2× faster than the serial pass.
+fn sfs_scale(smoke: bool, report: &mut Json) {
+    let secs = if smoke { 3 } else { 20 };
+    let loads: &[f64] = if smoke { &[300.0, 900.0] } else { &FULL_LOADS };
+    let threads = host_parallelism();
+    let scaled = SfsConfig {
+        duration: Duration::from_secs(secs),
+        ..SfsConfig::scaled(0.0, WritePolicy::Gathering, 4)
+    };
 
-    let (baseline, base_peak) = curve("baseline", figure(false, 0.0, secs), &loads, threads);
-    let (current, cur_peak) = curve("current", current, &loads, threads);
+    let (baseline, base_peak) = curve("baseline", figure(false, 0.0, secs), loads, threads);
+    let (current, cur_peak) = curve("current", scaled, loads, threads);
     let ratio = cur_peak.0 / base_peak.0.max(1e-9);
     let knee_shift = Json::object([
         ("baseline_peak_ops_per_sec", base_peak.0.into()),
@@ -514,7 +540,7 @@ fn sfs_scale(opts: &Options, _previous: Option<&Json>) -> Json {
         ("current_peak_latency_ms", cur_peak.1.into()),
     ]);
     println!("{:<30} {knee_shift}", "knee_shift");
-    if !opts.smoke {
+    if !smoke {
         assert!(
             ratio >= 1.3,
             "the scaled configuration's knee did not shift: {ratio:.2}x < 1.3x"
@@ -526,27 +552,22 @@ fn sfs_scale(opts: &Options, _previous: Option<&Json>) -> Json {
             base_peak.1
         );
         // Parallel and serial points are compared bit for bit on every
-        // run; the wall-clock win needs cores to run the workers on.
-        let host = host_parallelism();
-        if loads.len() >= 8 && threads >= 4 && host >= 4 {
-            let speedup = current.num("parallel_speedup");
-            assert!(
-                speedup >= 2.0,
-                "parallel sweep speedup {speedup:.2}x < 2x on {threads} threads over {} points",
-                loads.len()
-            );
-        } else if host < 4 {
-            println!(
-                "note: host offers {host} CPU(s); recording the parallel wall \
-                 clock without asserting the >=2x speedup"
-            );
-        }
+        // run; the wall-clock win needs cores to run the workers on, and
+        // a cell's `threads` records how many the host offered.
+        let speedup = current.num("parallel_speedup");
+        assert!(
+            threads < 4 || speedup >= 2.0,
+            "parallel sweep speedup {speedup:.2}x < 2x on {threads} threads"
+        );
     }
-    Json::object([
-        ("baseline", baseline),
-        ("current", current),
-        ("knee_shift", knee_shift),
-    ])
+    report.set(
+        "sfs_scale",
+        Json::object([
+            ("baseline", baseline),
+            ("current", current),
+            ("knee_shift", knee_shift),
+        ]),
+    );
 }
 
 /// One curve: an untimed pass that snapshots every point, then the serial
@@ -600,8 +621,7 @@ fn curve(label: &str, config: SfsConfig, loads: &[f64], threads: usize) -> (Json
     (record(label, CURVE, &snapshots[0], &params), peak)
 }
 
-/// Pages of the unified cache in the unstable cells (and in the sync cell
-/// under `--unified-cache`).
+/// Pages of the unified cache in the unstable cells.
 const CACHE_PAGES: u64 = 4096;
 /// Dirty-ratio threshold of the unified cache.
 const DIRTY_RATIO: f64 = 0.5;
@@ -634,22 +654,20 @@ const COMMIT_PACING: Layout = &[
 /// them) and `unstable` (`WRITE(UNSTABLE)` + `COMMIT` over the bounded
 /// unified cache).  Every cell must end with zero bytes uncommitted, and
 /// only the unstable cells may speak the v3 protocol.
-fn stability(opts: &Options, _previous: Option<&Json>) -> Json {
-    let (load, secs, file_mb, pressure_pages) = if opts.smoke {
+fn stability(smoke: bool, report: &mut Json) {
+    let (load, secs, file_mb, pressure_pages) = if smoke {
         (300.0, 3, 1, 64)
     } else {
         (800.0, 10, 4, 128)
     };
-    // `--unified-cache` also bounds the sync cell's page cache; by default
-    // it keeps the paper's write path.
-    let sync_pages = if opts.unified_cache { CACHE_PAGES } else { 0 };
     let (stable, unstable) = (StabilityMode::Stable, StabilityMode::Unstable);
     let (file_sync, v3) = ("unstable_writes=0 commits=0", "unstable_writes>0 commits>0");
 
     // With a healthy battery no cell may downgrade an unstable write.
     let mut sfs = Vec::new();
     for (key, presto, mode, pages, dirty_ratio, checks) in [
-        ("sync", false, stable, sync_pages, DIRTY_RATIO, file_sync),
+        // The sync cell keeps the paper's write path: no page-cache bound.
+        ("sync", false, stable, 0, DIRTY_RATIO, file_sync),
         ("nvram", true, stable, 0, DIRTY_RATIO, file_sync),
         ("unstable", false, unstable, CACHE_PAGES, DIRTY_RATIO, v3),
         // The memory-pressure regime: a cache far smaller than the working
@@ -739,9 +757,9 @@ fn stability(opts: &Options, _previous: Option<&Json>) -> Json {
         pacing.push((key, record(&name, COMMIT_PACING, &snapshot, &[])));
     }
 
-    Json::object([
+    let suite = Json::object([
         ("modes", "all".into()),
-        ("smoke", opts.smoke.into()),
+        ("smoke", smoke.into()),
         ("secs", secs.into()),
         ("offered_ops_per_sec", load.into()),
         ("cache_pages", CACHE_PAGES.into()),
@@ -750,7 +768,8 @@ fn stability(opts: &Options, _previous: Option<&Json>) -> Json {
         ("sfs", Json::object(sfs)),
         ("copy", Json::object(copy)),
         ("commit_pacing", Json::object(pacing)),
-    ])
+    ]);
+    report.set("stability", suite);
 }
 
 const STATE_GRID: Layout = &[
@@ -778,13 +797,13 @@ const LEASE_STORM: Layout = &[
 /// conflicts with a reclaimable pre-crash lock (`grace_conflicts`) and no
 /// write lands on an expired lease (`expired_lease_writes`); both are
 /// audited zero on every run and recorded anyway.
-fn state_storms(opts: &Options, _previous: Option<&Json>) -> Json {
-    let (secs, load, clients) = if opts.smoke {
+fn state_storms(smoke: bool, report: &mut Json) {
+    let (secs, load, clients) = if smoke {
         (4, 150.0, 16)
     } else {
         (10, 400.0, 64)
     };
-    let (renews, churns, crashes): (&[u64], &[u64], &[f64]) = if opts.smoke {
+    let (renews, churns, crashes): (&[u64], &[u64], &[f64]) = if smoke {
         (&[400], &[0, 900], &[0.0, 1.5])
     } else {
         (&[200, 500], &[0, 1100], &[0.0, 2.0])
@@ -876,15 +895,16 @@ fn state_storms(opts: &Options, _previous: Option<&Json>) -> Json {
     );
     let abandoned = record(name, ABANDONED, &snapshot, &[]);
 
-    Json::object([
-        ("smoke", opts.smoke.into()),
+    let suite = Json::object([
+        ("smoke", smoke.into()),
         ("secs", secs.into()),
         ("grid_clients", clients.into()),
         ("offered_ops_per_sec", load.into()),
         ("grid", Json::object(grid)),
         ("abandoned_streams", abandoned),
-        ("lease_storm_10k", lease_storm(opts.smoke)),
-    ])
+        ("lease_storm_10k", lease_storm(smoke)),
+    ]);
+    report.set("state_storms", suite);
 }
 
 /// The 10,000-client lease storm: the scaled SFS stack run twice at one
@@ -972,7 +992,8 @@ mod tests {
     /// Every cell layout, whether a copy run (else an SFS run) snapshots its
     /// cells, and where the committed cells sit: dotted paths in which `*`
     /// stands for every key with the prefix before it, or every array item.
-    const CATALOG: [(Layout, bool, &str); 12] = [
+    const CATALOG: [(Layout, bool, &str); 13] = [
+        (CURRENT, true, "current.*"),
         (
             FAULT_SFS,
             false,
@@ -996,7 +1017,8 @@ mod tests {
     ];
 
     /// The fields cells supply themselves rather than read from a snapshot.
-    const PARAMS: &str = "crash_interval_secs battery_failure serial_twin_kb_per_sec \
+    const PARAMS: &str = "events_per_sec sim_client_kb_per_sec crash_interval_secs \
+         battery_failure serial_twin_kb_per_sec \
          peak_achieved_ops_per_sec peak_avg_latency_ms serial_wall_ms parallel_wall_ms threads \
          parallel_speedup points registered_clients registration_ratio \
          state_bytes_per_registered_client achieved_ops_per_sec_stateless \
@@ -1040,6 +1062,20 @@ mod tests {
                 assert!(keys.eq(fields(layout)), "{cell} is not laid out as {paths}");
             }
         }
+    }
+
+    #[test]
+    fn the_scale_suite_runs_exactly_the_committed_cells() {
+        let report = Json::parse(COMMITTED).expect("the committed report parses");
+        let Some(Json::Object(committed)) = report.get("scale") else {
+            panic!("no committed scale key");
+        };
+        let names: Vec<String> = scale_cells(false)
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        let keys: Vec<&str> = committed.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(names, keys);
     }
 
     #[test]

@@ -16,11 +16,10 @@
 //! The binaries (`tables`, `figure1`, `figure2_3`, `ablations`) print the
 //! regenerated artefacts.
 //!
-//! Two binaries record the perf trajectory in `BENCH_writepath.json`
-//! through [`report`], a small JSON value type: `writepath_bench` times the
-//! canonical write-path cells, and `sweep` runs the extension experiments
-//! (`faults`, `scale`, `sfs_scale`, `stability`, `state_storms`), each cell
-//! recording its fields by name from a [`metrics`] snapshot of its run.
+//! One binary, `sweep`, records `BENCH_writepath.json` through [`report`], a
+//! small JSON value type: one suite per report key (`current`, `faults`,
+//! `scale`, `sfs_scale`, `stability`, `state_storms`), each running exactly
+//! the cells its key records from [`metrics`] snapshots of their runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -265,28 +264,16 @@ pub mod cli {
             .unwrap_or_else(|_| panic!("{flag} cannot parse {text:?}"))
     }
 
-    /// Parse `flag`'s comma-separated list of values (`--loads 300,900`).
-    pub fn parse_list<T: FromStr>(flag: &str, text: &str) -> Vec<T> {
-        text.split(',')
-            .map(|v| {
-                v.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("{flag} needs a comma-separated list, got {text:?}"))
-            })
-            .collect()
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
 
         #[test]
-        fn values_and_lists_parse() {
+        fn a_value_parses() {
             assert_eq!(
                 flag_value::<u64>(&mut ["12".to_string()].into_iter(), "--secs"),
                 12
             );
-            assert_eq!(parse_list::<f64>("--loads", "300, 900"), [300.0, 900.0]);
         }
 
         #[test]
@@ -296,9 +283,9 @@ pub mod cli {
         }
 
         #[test]
-        #[should_panic(expected = "--shards cannot parse \"four\"")]
+        #[should_panic(expected = "--file-mb cannot parse \"four\"")]
         fn an_unparsable_value_names_its_flag() {
-            flag_value::<usize>(&mut ["four".to_string()].into_iter(), "--shards");
+            flag_value::<u64>(&mut ["four".to_string()].into_iter(), "--file-mb");
         }
     }
 }

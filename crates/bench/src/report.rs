@@ -1,12 +1,13 @@
 //! The JSON trajectory report (`BENCH_writepath.json`): a small JSON value
 //! type with a strict parser and a compact printer.
 //!
-//! The build environment has no JSON dependency.  The bench binaries load
-//! the whole report, set the top-level keys they own in place and write it
-//! back, so a key written by another binary survives the rewrite untouched.
-//! Numbers and strings print through [`json::number`] and [`json::string`],
-//! the same helpers the result records use, so a report parsed and printed
-//! back is byte-identical to what the binaries wrote.
+//! The build environment has no JSON dependency.  The `sweep` runner loads
+//! the whole report, sets the top-level keys of the suites it runs in place
+//! and writes it back, so every other key, the recorded `"baseline"`
+//! among them, survives the rewrite untouched.  Numbers and strings print
+//! through [`json::number`] and [`json::string`], the same helpers the
+//! result records use, so a report parsed and printed back is
+//! byte-identical to what the runner wrote.
 
 use std::fmt;
 
@@ -84,13 +85,6 @@ impl Json {
         match fields.iter_mut().find(|(k, _)| k == key) {
             Some((_, slot)) => *slot = value,
             None => fields.push((key.to_string(), value)),
-        }
-    }
-
-    /// Remove `key`, if this is an object that has it.
-    pub fn remove(&mut self, key: &str) {
-        if let Json::Object(fields) = self {
-            fields.retain(|(k, _)| k != key);
         }
     }
 
@@ -317,7 +311,7 @@ impl Parser<'_> {
                 Some(b'r') => '\r',
                 Some(b't') => '\t',
                 // Four hex digits naming a scalar value; surrogate halves
-                // are refused, since the bench binaries never write them.
+                // are refused, since the runner never writes them.
                 Some(b'u') => match self
                     .text
                     .get(self.at + 1..self.at + 5)
@@ -505,8 +499,6 @@ mod tests {
         // A set key keeps its place; the keys after it survive.
         report.set("scale", parse(r#"{"k":2}"#));
         assert_eq!(report.to_string(), r#"{"scale":{"k":2},"z":{"w":5}}"#);
-        report.remove("scale");
-        assert_eq!(report.to_string(), r#"{"z":{"w":5}}"#);
     }
 
     #[test]

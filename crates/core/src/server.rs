@@ -1028,7 +1028,7 @@ impl NfsServer {
 
     /// The pipelined issue loop: pay the driver/Presto trips back-to-back to
     /// *enqueue* every transfer of the plan onto its spindle's own FIFO
-    /// queue ([`BlockDevice::submit_at`]), then reap completions in
+    /// queue ([`BlockDevice::submit`]), then reap completions in
     /// completion order.  Each transfer still costs one interrupt, but a
     /// completion landing while the CPU is finishing the previous handler is
     /// serviced back-to-back — the natural interrupt coalescing of a busy
@@ -1047,7 +1047,7 @@ impl NfsServer {
             let trip = self.driver_trip_cost(req);
             submit_clock = self.cpu.run_overlapped(submit_clock, trip);
             let submit_at = self.disk_fault_delay(submit_clock);
-            let io_done = self.device.submit_at(submit_at, *req);
+            let io_done = self.device.submit(submit_at, *req);
             completions.push(io_done);
             self.trace_data_to_disk(submit_at, req);
         }

@@ -121,29 +121,21 @@ impl SpindleStats {
 /// Implementations are passive service-time models: [`BlockDevice::submit`]
 /// returns the simulated completion time of the request, assuming the device
 /// serves requests in FIFO order.
-///
-/// ## Queued submission
-///
-/// [`BlockDevice::submit_at`] is the *queued* entry point of the pipelined
-/// storage stack: the request is enqueued at `now` on the FIFO queue of the
-/// spindle that owns its address (for a stripe set, each piece joins its own
-/// member's queue) and the returned completion time reflects only that
-/// queue's service clock.  Pieces of *different* logical requests therefore
-/// interleave per spindle instead of chaining on a set-wide
-/// [`BlockDevice::free_at`].  Callers that want the old serial behaviour
-/// simply submit each request at the previous one's completion time — which
-/// is exactly what the non-overlapped server I/O loop does.
 pub trait BlockDevice {
     /// Submit a request at simulated time `now`; returns its completion time.
+    ///
+    /// ## Queued submission
+    ///
+    /// The request is enqueued at `now` on the FIFO queue of the spindle
+    /// that owns its address (for a stripe set, each piece joins its own
+    /// member's queue), and the returned completion time reflects only that
+    /// queue's service clock.  Pieces of *different* logical requests
+    /// therefore interleave per spindle instead of chaining on a set-wide
+    /// [`BlockDevice::free_at`]; this is how the pipelined storage stack
+    /// enqueues a whole plan at once.  Callers that want the serial
+    /// behaviour submit each request at the previous one's completion time,
+    /// which is exactly what the non-overlapped server I/O loop does.
     fn submit(&mut self, now: SimTime, req: DiskRequest) -> SimTime;
-
-    /// Queued submission: enqueue the request at `now` on the owning
-    /// spindle's FIFO queue and return its completion time.  The default
-    /// forwards to [`BlockDevice::submit`], which already has queued
-    /// semantics for the single-spindle and stripe models.
-    fn submit_at(&mut self, now: SimTime, req: DiskRequest) -> SimTime {
-        self.submit(now, req)
-    }
 
     /// Aggregate statistics since construction.
     fn stats(&self) -> DeviceStats;

@@ -15,9 +15,9 @@
 //! * [`BlockDevice`] — the object-safe interface the filesystem and NVRAM
 //!   layers drive, with uniform [`DeviceStats`] (KB/s and transactions/s, the
 //!   two disk columns in every table), queued submission
-//!   ([`BlockDevice::submit_at`]) so pieces of different logical requests
-//!   interleave per spindle, and a per-spindle [`SpindleStats`] breakdown
-//!   for overlap observability.
+//!   ([`BlockDevice::submit`] enqueues on the owning spindle's FIFO queue) so
+//!   pieces of different logical requests interleave per spindle, and a
+//!   per-spindle [`SpindleStats`] breakdown for overlap observability.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

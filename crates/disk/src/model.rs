@@ -46,20 +46,6 @@ impl DiskParams {
             capacity: 1_050_000_000,
         }
     }
-
-    /// A deliberately slow disk (long seeks, low media rate) that the tests
-    /// use to tell disk-bound and CPU-bound behaviours apart.
-    pub fn slow_test_disk() -> Self {
-        DiskParams {
-            name: "slow-test".to_string(),
-            controller_overhead: Duration::from_millis(2),
-            track_to_track_seek: Duration::from_millis(5),
-            average_seek: Duration::from_millis(20),
-            rotation_time: Duration::from_millis(16),
-            media_rate: 1.0e6,
-            capacity: 100_000_000,
-        }
-    }
 }
 
 /// A FIFO, non-preemptive single-spindle disk.
@@ -272,7 +258,16 @@ mod tests {
         let disk = Disk::rz26();
         assert_eq!(disk.describe(), "RZ26");
         assert_eq!(disk.params().capacity, 1_050_000_000);
-        let slow = Disk::new(DiskParams::slow_test_disk());
+        // A deliberately slow disk: long seeks, low media rate.
+        let slow = Disk::new(DiskParams {
+            name: "slow-test".to_string(),
+            controller_overhead: Duration::from_millis(2),
+            track_to_track_seek: Duration::from_millis(5),
+            average_seek: Duration::from_millis(20),
+            rotation_time: Duration::from_millis(16),
+            media_rate: 1.0e6,
+            capacity: 100_000_000,
+        });
         let fast_t = disk.service_time(DiskRequest {
             addr: 300_000_000,
             len: 8192,
@@ -307,7 +302,8 @@ mod tests {
 
     #[test]
     fn submit_at_and_batch_have_queued_fifo_semantics() {
-        // For a single spindle, queued submission is exactly `submit`.
+        // On a single spindle, enqueueing a batch at one instant is exactly
+        // chaining each request on the previous one's completion.
         let mut chained = Disk::rz26();
         let mut batched = Disk::rz26();
         let reqs = [
@@ -315,13 +311,17 @@ mod tests {
             DiskRequest::write(300_000_000, 8192),
             DiskRequest::write(500_000_000, 8192),
         ];
+        let mut clock = SimTime::ZERO;
         let serial: Vec<SimTime> = reqs
             .iter()
-            .map(|&r| chained.submit(SimTime::ZERO, r))
+            .map(|&r| {
+                clock = chained.submit(clock, r);
+                clock
+            })
             .collect();
         let batch: Vec<SimTime> = reqs
             .iter()
-            .map(|&r| batched.submit_at(SimTime::ZERO, r))
+            .map(|&r| batched.submit(SimTime::ZERO, r))
             .collect();
         assert_eq!(serial, batch);
         // FIFO: completions are monotone in submission order.

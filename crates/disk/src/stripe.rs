@@ -226,7 +226,7 @@ mod tests {
         let mut batched = StripeSet::three_rz26();
         let batch_done = reqs
             .iter()
-            .map(|&r| batched.submit_at(SimTime::ZERO, r))
+            .map(|&r| batched.submit(SimTime::ZERO, r))
             .max()
             .unwrap();
         assert!(
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn member_free_at_exposes_per_spindle_clocks() {
         let mut set = StripeSet::three_rz26();
-        set.submit_at(SimTime::ZERO, DiskRequest::write(0, 1024));
+        set.submit(SimTime::ZERO, DiskRequest::write(0, 1024));
         assert!(set.member_free_at(0).unwrap() > SimTime::ZERO);
         assert_eq!(set.member_free_at(1).unwrap(), SimTime::ZERO);
         assert!(set.member_free_at(3).is_none());

@@ -58,9 +58,9 @@ pub struct PrestoParams {
     /// Transfer size Presto uses when draining contiguous dirty data to disk.
     pub drain_transfer: u64,
     /// Drain onto the underlying device with queued submission: each drain
-    /// transfer joins its target spindle's own FIFO queue
-    /// ([`BlockDevice::submit_at`]) instead of waiting for the whole device's
-    /// set-wide [`BlockDevice::free_at`].  On a stripe set this lets
+    /// transfer is submitted at once and joins its target spindle's own FIFO
+    /// queue ([`BlockDevice::submit`]) instead of waiting for the whole
+    /// device's set-wide [`BlockDevice::free_at`].  On a stripe set this lets
     /// concurrent drains proceed on independent spindles; on a single disk it
     /// is behaviourally identical.  `false` (the default) reproduces the
     /// serial drain exactly.
@@ -194,13 +194,6 @@ impl<D: BlockDevice> Presto<D> {
     /// Boot-time recovery replays performed so far.
     pub fn recoveries(&self) -> u64 {
         self.recoveries
-    }
-
-    /// Dirty + in-flight bytes currently occupying NVRAM (after applying
-    /// drain completions up to `now`).
-    pub fn occupancy_at(&mut self, now: SimTime) -> u64 {
-        self.advance(now);
-        self.dirty_bytes + self.inflight_bytes
     }
 
     /// Apply all drain completions that have happened by `now`.
@@ -429,12 +422,12 @@ impl<D: BlockDevice> Presto<D> {
             // Queued drains join the target spindle's own queue at `now`;
             // serial drains wait for the whole device (for a stripe set, the
             // busiest member) to go idle first.
-            let done = if self.params.queued_submission {
-                self.disk.submit_at(now, DiskRequest::write(addr, take))
+            let start = if self.params.queued_submission {
+                now
             } else {
-                self.disk
-                    .submit(now.max(self.disk.free_at()), DiskRequest::write(addr, take))
+                now.max(self.disk.free_at())
             };
+            let done = self.disk.submit(start, DiskRequest::write(addr, take));
             self.inflight_bytes += take;
             // Keep `inflight` sorted by completion time.  Serial drains
             // complete in issue order so this appends; queued drains on a
@@ -627,7 +620,7 @@ mod tests {
         }
         // 512 KB at 40 MB/s is about 13 ms; allow generous overheads.
         assert!(now < SimTime::from_millis(40), "{now:?}");
-        assert!(p.occupancy_at(now) > 0);
+        assert!(p.pending_stable_bytes() > 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`Utilization`] — time-weighted busy-fraction tracking (CPU, disk, link),
 //! * [`LatencyStat`] — mean / min / max / percentile latency accumulation.
 
-use crate::time::{Duration, SimTime};
+use crate::time::Duration;
 
 /// A monotone counter of events and bytes, with rate helpers.
 #[derive(Clone, Debug, Default, serde::Serialize)]
@@ -166,12 +166,6 @@ impl LatencyStat {
         self.samples.push(latency);
     }
 
-    /// Record the latency of an operation given its start time and completion
-    /// time.
-    pub fn record_span(&mut self, start: SimTime, end: SimTime) {
-        self.record(end.since(start));
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> usize {
         self.samples.len()
@@ -262,6 +256,7 @@ impl LatencyStat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimTime;
 
     #[test]
     fn counter_from_totals_matches_replayed_events() {
@@ -390,7 +385,7 @@ mod tests {
     #[test]
     fn latency_record_span_and_merge() {
         let mut a = LatencyStat::new();
-        a.record_span(SimTime::from_millis(1), SimTime::from_millis(4));
+        a.record(SimTime::from_millis(4).since(SimTime::from_millis(1)));
         let mut b = LatencyStat::new();
         b.record(Duration::from_millis(7));
         a.merge(&b);

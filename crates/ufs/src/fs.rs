@@ -692,7 +692,7 @@ impl Ufs {
             WriteFlags::Sync => {
                 let data_reqs = self.flush_extents(ino, first_lbn, last_lbn)?;
                 let metadata = if self.inode(ino)?.has_dirty_metadata() {
-                    self.metadata_requests(ino, true)?
+                    self.metadata_requests(ino)?
                 } else {
                     Vec::new()
                 };
@@ -795,20 +795,15 @@ impl Ufs {
             // sync_data counts itself; do not double count the fsync wrapper.
             self.counters.syncdatas -= 1;
         }
-        let metadata = self.metadata_requests(ino, true)?;
+        let metadata = self.metadata_requests(ino)?;
         plan.metadata.extend(metadata);
         Ok(plan)
     }
 
     /// The metadata writes currently needed for `ino`: the block holding the
-    /// inode (if the inode is dirty) and the indirect block (if dirty).  When
-    /// `clear` is set the dirty flags are reset, modelling the writes being
-    /// issued.
-    fn metadata_requests(
-        &mut self,
-        ino: InodeNumber,
-        clear: bool,
-    ) -> Result<Vec<DiskRequest>, FsError> {
+    /// inode (if the inode is dirty) and the indirect block (if dirty).  The
+    /// dirty flags are reset, modelling the writes being issued.
+    fn metadata_requests(&mut self, ino: InodeNumber) -> Result<Vec<DiskRequest>, FsError> {
         let inode_block_addr = self.params.inode_block_addr(ino);
         let block_size = self.params.block_size;
         let n = self.inode_mut(ino)?;
@@ -821,18 +816,10 @@ impl Ufs {
                 reqs.push(DiskRequest::write(addr, block_size));
             }
         }
-        if clear {
-            n.inode_dirty = false;
-            n.mtime_only_dirty = false;
-            n.indirect_dirty = false;
-        }
+        n.inode_dirty = false;
+        n.mtime_only_dirty = false;
+        n.indirect_dirty = false;
         Ok(reqs)
-    }
-
-    /// The metadata writes that would be needed right now, without clearing
-    /// dirty state (the tests read it to see what a flush would write).
-    pub fn pending_metadata(&mut self, ino: InodeNumber) -> Result<Vec<DiskRequest>, FsError> {
-        self.metadata_requests(ino, false)
     }
 
     /// `VOP_READ`: read up to `len` bytes at `offset`.
@@ -1287,10 +1274,10 @@ mod tests {
             .unwrap();
         assert_eq!(out.io.data.len(), 1);
         assert!(out.io.metadata.is_empty());
-        assert!(!u.pending_metadata(f).unwrap().is_empty());
         let meta = u.fsync(f, FsyncFlags::MetadataOnly).unwrap();
         assert_eq!(meta.metadata.len(), 1);
-        assert!(u.pending_metadata(f).unwrap().is_empty());
+        let again = u.fsync(f, FsyncFlags::MetadataOnly).unwrap();
+        assert!(again.metadata.is_empty());
     }
 
     #[test]

@@ -50,14 +50,6 @@ pub enum BlockData {
 }
 
 impl BlockData {
-    /// Copy `out.len()` bytes starting at `from` into `out`.
-    pub fn copy_range(&self, from: usize, out: &mut [u8]) {
-        match self {
-            BlockData::Fill(byte) => out.fill(*byte),
-            BlockData::Bytes(bytes) => out.copy_from_slice(&bytes[from..from + out.len()]),
-        }
-    }
-
     /// A refcounted view of materialised contents, if the block has any.
     /// Cloning the returned [`Arc`] is how a READ shares the block without
     /// copying it.
@@ -417,17 +409,12 @@ mod tests {
     #[test]
     fn block_data_fill_materialises_lazily() {
         let mut data = BlockData::Fill(7);
-        let mut out = [0u8; 4];
-        data.copy_range(100, &mut out);
-        assert_eq!(out, [7u8; 4]);
-        // Still a fill: copy_range must not materialise.
-        assert_eq!(data, BlockData::Fill(7));
+        assert!(data.shared_bytes().is_none());
         let bytes = data.make_bytes(8192);
         assert_eq!(bytes.len(), 8192);
         bytes[0] = 1;
-        let mut out = [0u8; 2];
-        data.copy_range(0, &mut out);
-        assert_eq!(out, [1, 7]);
+        let bytes = data.shared_bytes().expect("materialised");
+        assert_eq!(bytes[..2], [1, 7]);
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl FsParams {
         addr
     }
 
-    /// Number of whole blocks needed to hold `bytes` bytes.
-    pub fn blocks_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.block_size)
-    }
-
     /// A small-geometry configuration used by tests that want to hit ENOSPC
     /// and indirect-block boundaries quickly.
     pub fn tiny_for_tests() -> Self {
@@ -173,11 +168,6 @@ mod tests {
         let p = FsParams::default();
         assert_eq!(p.inodes_per_block(), 64);
         assert_eq!(p.pointers_per_block(), 2048);
-        assert_eq!(p.blocks_for(0), 0);
-        assert_eq!(p.blocks_for(1), 1);
-        assert_eq!(p.blocks_for(8192), 1);
-        assert_eq!(p.blocks_for(8193), 2);
-        assert_eq!(p.blocks_for(10 * 1024 * 1024), 1280);
     }
 
     #[test]

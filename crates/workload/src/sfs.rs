@@ -1931,12 +1931,20 @@ mod tests {
 
     #[test]
     fn default_cells_never_speak_v3() {
-        let mut system = SfsSystem::new(quick_config(200.0, WritePolicy::Gathering));
-        system.run();
-        let stats = system.server().stats();
-        assert_eq!(stats.unstable_writes, 0);
-        assert_eq!(stats.commits, 0);
-        assert_eq!(stats.forced_file_sync, 0);
+        // The paper's write path, and the same cell over the bounded
+        // unified cache: neither speaks v3, and once quiesced the cached
+        // cell holds nothing uncommitted either.
+        let config = quick_config(200.0, WritePolicy::Gathering);
+        for config in [config.clone(), config.with_unified_cache(4096)] {
+            let pages = config.cache_pages;
+            let mut system = SfsSystem::new(config);
+            system.run();
+            system.quiesce_server();
+            let stats = system.server().stats();
+            let v3 = (stats.unstable_writes, stats.commits, stats.forced_file_sync);
+            assert_eq!(v3, (0, 0, 0), "unstable writes, commits, forced syncs");
+            assert_eq!(system.server().uncommitted_bytes(), 0, "{pages} pages");
+        }
     }
 
     #[test]

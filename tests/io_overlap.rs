@@ -36,7 +36,7 @@ fn per_spindle_completions_are_fifo_monotone_under_queued_submission() {
     let mut member_clocks = vec![SimTime::ZERO; set.width()];
     for (i, &req) in reqs.iter().enumerate() {
         let submitted_at = SimTime::from_micros(i as u64 * 50);
-        let done = set.submit_at(submitted_at, req);
+        let done = set.submit(submitted_at, req);
         assert!(done > submitted_at);
         for (m, clock) in member_clocks.iter_mut().enumerate() {
             let free = set.member_free_at(m).expect("member exists");
@@ -75,7 +75,7 @@ fn queued_batch_moves_identical_bytes_and_never_finishes_later_than_serial() {
     let mut queued_set = StripeSet::three_rz26();
     let queued_done = reqs
         .iter()
-        .map(|&req| queued_set.submit_at(SimTime::ZERO, req))
+        .map(|&req| queued_set.submit(SimTime::ZERO, req))
         .max()
         .expect("non-empty");
 
