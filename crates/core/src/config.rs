@@ -84,63 +84,51 @@ impl StorageConfig {
 /// Per-operation CPU costs, in time on the reference (DEC 3400/3800-class)
 /// processor.
 ///
-/// These are the knobs that make the CPU-utilisation rows of the tables come
-/// out: every RPC costs a dispatch, every link-layer fragment costs
+/// These are the values that make the CPU-utilisation rows of the tables
+/// come out: every RPC costs a dispatch, every link-layer fragment costs
 /// reassembly work, every trip into UFS and every trip through the disk
 /// driver costs cycles, every disk completion costs an interrupt, and copying
 /// into NVRAM costs roughly a byte-copy loop.  Values are calibrated against
 /// the paper's observed utilisations (e.g. ≈11 % CPU at ≈200 KB/s of
 /// non-accelerated writes, ≈40 % at ≈1.1 MB/s through Prestoserve on
 /// Ethernet).
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct CostParams {
+pub(crate) mod costs {
+    use wg_simcore::Duration;
+
     /// Cost of receiving + dispatching one RPC (svc_run, XDR decode of the
     /// header, rfs_dispatch).
-    pub rpc_dispatch: Duration,
+    pub(crate) const RPC_DISPATCH: Duration = Duration::from_micros(180);
     /// Cost of reassembling one link-layer fragment (charged per fragment of
     /// each arriving datagram).
-    pub packet_reassembly: Duration,
+    pub(crate) const PACKET_REASSEMBLY: Duration = Duration::from_micros(60);
     /// Cost of building and transmitting one reply.
-    pub reply_send: Duration,
+    pub(crate) const REPLY_SEND: Duration = Duration::from_micros(120);
     /// Cost of one VOP_* call into the filesystem (argument translation,
     /// buffer-cache lookups), excluding data copies.
-    pub ufs_trip: Duration,
+    pub(crate) const UFS_TRIP: Duration = Duration::from_micros(90);
     /// Copy cost per byte moved between the network buffers and the buffer
     /// cache (or NVRAM): the `uiomove` of the write path.
-    pub copy_per_byte: Duration,
+    pub(crate) const COPY_PER_BYTE: Duration = Duration::from_nanos(20);
     /// Cost of setting up one disk transfer in the driver.
-    pub driver_trip: Duration,
+    pub(crate) const DRIVER_TRIP: Duration = Duration::from_micros(110);
     /// Cost of fielding one disk-completion interrupt.
-    pub interrupt: Duration,
+    pub(crate) const INTERRUPT: Duration = Duration::from_micros(70);
     /// Extra per-request cost of the Prestoserve driver (queueing into NVRAM,
     /// scatter/gather setup).
-    pub presto_trip: Duration,
+    pub(crate) const PRESTO_TRIP: Duration = Duration::from_micros(80);
     /// Cost of the gathering bookkeeping itself: the nfsd state scan, active
     /// write queue manipulation and transport-handle swap ("spending some CPU
     /// cycles trying to be clever", §9).
-    pub gather_bookkeeping: Duration,
+    pub(crate) const GATHER_BOOKKEEPING: Duration = Duration::from_micros(40);
     /// Cost of one pass of the mbuf hunter over the socket buffer.
-    pub mbuf_hunt: Duration,
+    pub(crate) const MBUF_HUNT: Duration = Duration::from_micros(30);
     /// Cost of serving one non-write, non-read NFS operation (lookup, getattr,
     /// readdir entry assembly etc.) beyond the dispatch cost.
-    pub lightweight_op: Duration,
-}
+    pub(crate) const LIGHTWEIGHT_OP: Duration = Duration::from_micros(100);
 
-impl Default for CostParams {
-    fn default() -> Self {
-        CostParams {
-            rpc_dispatch: Duration::from_micros(180),
-            packet_reassembly: Duration::from_micros(60),
-            reply_send: Duration::from_micros(120),
-            ufs_trip: Duration::from_micros(90),
-            copy_per_byte: Duration::from_nanos(20),
-            driver_trip: Duration::from_micros(110),
-            interrupt: Duration::from_micros(70),
-            presto_trip: Duration::from_micros(80),
-            gather_bookkeeping: Duration::from_micros(40),
-            mbuf_hunt: Duration::from_micros(30),
-            lightweight_op: Duration::from_micros(100),
-        }
+    /// The cost of copying `bytes` bytes at [`COPY_PER_BYTE`].
+    pub(crate) fn copy(bytes: u64) -> Duration {
+        Duration::from_nanos(COPY_PER_BYTE.as_nanos() * bytes)
     }
 }
 
@@ -166,8 +154,6 @@ pub struct ServerConfig {
     /// evenly across its shards' incoming queues (with a 9 KB per-shard
     /// floor so every shard can always hold one full write datagram).
     pub socket_buffer_bytes: usize,
-    /// CPU cost table.
-    pub costs: CostParams,
     /// CPU speed relative to the cost-table reference machine (the DEC 3800 of
     /// Figures 2–3 is roughly 1.6× a DEC 3400).
     pub cpu_speed: f64,
@@ -227,22 +213,13 @@ pub struct ServerConfig {
     /// only because the benchmark package's traced copy replay sets it
     /// through [`ServerConfig::with_stability`]; remove the two together.
     pub stability: StabilityMode,
-    /// Interval between background write-behind passes over the unified
-    /// cache's dirty pages.  Each pass drains one batch through the storage
-    /// stack (NVRAM first when Presto is configured) and reschedules itself
-    /// while dirty pages remain.
-    pub writeback_interval: Duration,
-    /// Arm the client-state layer (leases, byte-range locks, grace-period
-    /// recovery; see [`crate::ClientStateTable`]).  Off by default: the
-    /// paper's v2 server is stateless and every golden table pins that —
-    /// with the knob off no state op arrives and the write path takes a
-    /// single untaken branch.
-    pub leases: bool,
-    /// How long a granted lease lives without renewal, used only when
-    /// [`ServerConfig::leases`] is set.
+    /// How long a granted lease lives without renewal (see
+    /// [`crate::ClientStateTable`]).  The table fills only as RENEW and LOCK
+    /// calls arrive; a server no client sends them to stays stateless, as
+    /// the paper's v2 server is.
     pub lease_duration: Duration,
     /// Length of the post-crash grace window during which only reclaims are
-    /// admitted, used only when [`ServerConfig::leases`] is set.
+    /// admitted.
     pub grace_period: Duration,
 }
 
@@ -258,7 +235,6 @@ impl ServerConfig {
             procrastination: Duration::from_millis(8),
             mbuf_hunter: true,
             socket_buffer_bytes: 256 * 1024,
-            costs: CostParams::default(),
             cpu_speed: 1.0,
             dupcache_entries: 512,
             data_capacity: wg_ufs::FsParams::default().data_capacity,
@@ -270,8 +246,6 @@ impl ServerConfig {
             cache_pages: 0,
             dirty_ratio: 0.5,
             stability: StabilityMode::Stable,
-            writeback_interval: Duration::from_millis(100),
-            leases: false,
             lease_duration: Duration::from_secs(30),
             grace_period: Duration::from_secs(15),
         }
@@ -364,19 +338,6 @@ impl ServerConfig {
         self
     }
 
-    /// Set the background write-behind interval of the unified cache (see
-    /// [`ServerConfig::writeback_interval`]).
-    pub fn with_writeback_interval(mut self, d: Duration) -> Self {
-        self.writeback_interval = d;
-        self
-    }
-
-    /// Arm the client-state layer (see [`ServerConfig::leases`]).
-    pub fn with_leases(mut self, on: bool) -> Self {
-        self.leases = on;
-        self
-    }
-
     /// Set the lease duration (see [`ServerConfig::lease_duration`]).
     pub fn with_lease_duration(mut self, d: Duration) -> Self {
         self.lease_duration = d;
@@ -412,8 +373,6 @@ mod tests {
         // default so every golden table keeps its original write path.
         assert_eq!(std.cache_pages, 0);
         assert_eq!(std.stability, StabilityMode::Stable);
-        // Likewise the client-state layer: the paper's server is stateless.
-        assert!(!std.leases);
         assert_eq!(std.lease_duration, Duration::from_secs(30));
         assert_eq!(std.grace_period, Duration::from_secs(15));
         let g = ServerConfig::gathering();
@@ -440,28 +399,24 @@ mod tests {
         let cell = ServerConfig::standard()
             .with_unified_cache(512)
             .with_dirty_ratio(0.25)
-            .with_stability(StabilityMode::Unstable)
-            .with_writeback_interval(Duration::from_millis(40));
+            .with_stability(StabilityMode::Unstable);
         assert_eq!(cell.cache_pages, 512);
         assert_eq!(cell.dirty_ratio, 0.25);
         assert_eq!(cell.stability, StabilityMode::Unstable);
-        assert_eq!(cell.writeback_interval, Duration::from_millis(40));
         assert_eq!(cell.with_unified_cache(0).cache_pages, 0);
         let leased = ServerConfig::standard()
-            .with_leases(true)
             .with_lease_duration(Duration::from_millis(750))
             .with_grace_period(Duration::from_millis(400));
-        assert!(leased.leases);
         assert_eq!(leased.lease_duration, Duration::from_millis(750));
         assert_eq!(leased.grace_period, Duration::from_millis(400));
     }
 
     #[test]
     fn default_costs_are_small_but_nonzero() {
-        let c = CostParams::default();
-        assert!(c.rpc_dispatch > Duration::ZERO);
-        assert!(c.copy_per_byte > Duration::ZERO);
-        assert!(c.rpc_dispatch < Duration::from_millis(1));
-        assert!(c.gather_bookkeeping < c.rpc_dispatch);
+        use costs::*;
+        assert!(RPC_DISPATCH > Duration::ZERO);
+        assert!(COPY_PER_BYTE > Duration::ZERO);
+        assert!(RPC_DISPATCH < Duration::from_millis(1));
+        assert!(GATHER_BOOKKEEPING < RPC_DISPATCH);
     }
 }

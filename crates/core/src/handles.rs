@@ -43,7 +43,6 @@ pub fn fs_error_to_status(err: FsError) -> NfsStatus {
         FsError::IsADirectory => NfsStatus::IsDir,
         FsError::NoSpace => NfsStatus::NoSpc,
         FsError::FileTooLarge => NfsStatus::FBig,
-        FsError::NotEmpty => NfsStatus::NotEmpty,
         FsError::NameTooLong => NfsStatus::NameTooLong,
     }
 }
@@ -122,7 +121,6 @@ mod tests {
         assert_eq!(fs_error_to_status(FsError::IsADirectory), NfsStatus::IsDir);
         assert_eq!(fs_error_to_status(FsError::NoSpace), NfsStatus::NoSpc);
         assert_eq!(fs_error_to_status(FsError::FileTooLarge), NfsStatus::FBig);
-        assert_eq!(fs_error_to_status(FsError::NotEmpty), NfsStatus::NotEmpty);
         assert_eq!(
             fs_error_to_status(FsError::NameTooLong),
             NfsStatus::NameTooLong

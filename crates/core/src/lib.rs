@@ -50,7 +50,7 @@ pub mod server;
 pub mod state;
 pub mod stats;
 
-pub use config::{CostParams, ReplyOrder, ServerConfig, StabilityMode, StorageConfig, WritePolicy};
+pub use config::{ReplyOrder, ServerConfig, StabilityMode, StorageConfig, WritePolicy};
 pub use dupcache::DuplicateRequestCache;
 pub use handles::{attributes_to_fattr, fs_error_to_status, handle_for, ino_from_handle};
 pub use server::{ClientId, NfsServer, ServerAction, ServerInput, WakeToken};

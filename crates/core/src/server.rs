@@ -36,9 +36,9 @@ use wg_nfsproto::{
     CommitOk, DirOpOk, Fattr, NfsCall, NfsCallBody, NfsReply, NfsReplyBody, NfsStatus, Payload,
     ReadOk, RenewOk, StableHow, StatfsOk, StatusReply, WriteArgs, WriteVerfOk, Xid,
 };
-use wg_nvram::{Presto, PrestoParams};
+use wg_nvram::Presto;
 use wg_simcore::{Duration, MultiCpu, SimTime, Trace, TraceKind};
-use wg_ufs::{FsyncFlags, InodeNumber, IoPlan, Ufs, WriteFlags, WriteSource};
+use wg_ufs::{FsyncFlags, InodeNumber, IoPlan, Ufs, WriteFlags, WriteSource, BLOCK_SIZE};
 
 /// View a request payload as a filesystem write source without materialising
 /// fill patterns — the hand-off that keeps the whole datapath zero-copy.
@@ -66,11 +66,17 @@ const BOOT_VERIFIER_SEED: u64 = 0x1994_0606;
 /// (64 × 8 KB = 512 KB, a few clustered transfers per pass).
 const WRITEBACK_BATCH_PAGES: u64 = 64;
 
+/// Interval between background write-behind passes over the unified cache's
+/// dirty pages.  Each pass drains one batch through the storage stack (NVRAM
+/// first when Presto is configured) and reschedules itself while dirty pages
+/// remain.
+const WRITEBACK_INTERVAL: Duration = Duration::from_millis(100);
+
 /// How long a crashed server takes to boot before NVRAM recovery replay
 /// begins (kernel boot + fsck of a clean journal + mount).
 const REBOOT_TIME: Duration = Duration::from_secs(1);
 
-use crate::config::{ReplyOrder, ServerConfig, WritePolicy};
+use crate::config::{costs, ReplyOrder, ServerConfig, WritePolicy};
 use crate::dupcache::{DupState, DuplicateRequestCache};
 use crate::gather::{PendingWrite, Vnode};
 use crate::handles::{attributes_to_fattr, fs_error_to_status, handle_for, ino_from_handle};
@@ -180,17 +186,17 @@ enum WritePath {
 struct AckedBlocks(BTreeSet<(InodeNumber, u64)>);
 
 /// The logical blocks that `len` bytes at `offset` touch.
-fn touched_blocks(offset: u64, len: u64, block_size: u64) -> std::ops::Range<u64> {
+fn touched_blocks(offset: u64, len: u64) -> std::ops::Range<u64> {
     match len {
         0 => 0..0,
-        _ => offset / block_size..(offset + len).div_ceil(block_size),
+        _ => offset / BLOCK_SIZE..(offset + len).div_ceil(BLOCK_SIZE),
     }
 }
 
 impl AckedBlocks {
     /// Record the blocks that `len` bytes at `offset` touch.
-    fn record(&mut self, ino: InodeNumber, offset: u64, len: u64, block_size: u64) {
-        let lbns = touched_blocks(offset, len, block_size);
+    fn record(&mut self, ino: InodeNumber, offset: u64, len: u64) {
+        let lbns = touched_blocks(offset, len);
         self.0.extend(lbns.map(|lbn| (ino, lbn)));
     }
 
@@ -200,15 +206,15 @@ impl AckedBlocks {
     /// this, so the crash oracle holds each policy to the rule, not only the
     /// one that breaks it by design.
     fn record_dirty(&mut self, fs: &Ufs, ino: InodeNumber, offset: u64, len: u64) {
-        let lbns = touched_blocks(offset, len, fs.params().block_size);
+        let lbns = touched_blocks(offset, len);
         let dirty = lbns.filter(|&lbn| fs.block_is_dirty(ino, lbn));
         self.0.extend(dirty.map(|lbn| (ino, lbn)));
     }
 
     /// Forget the blocks wholly or partly inside `[from, to)`: they are
     /// stable now.
-    fn forget(&mut self, ino: InodeNumber, from: u64, to: u64, block_size: u64) {
-        let (first, last) = (from / block_size, to.div_ceil(block_size));
+    fn forget(&mut self, ino: InodeNumber, from: u64, to: u64) {
+        let (first, last) = (from / BLOCK_SIZE, to.div_ceil(BLOCK_SIZE));
         self.0
             .retain(|&(i, lbn)| i != ino || lbn < first || lbn >= last);
     }
@@ -218,7 +224,7 @@ impl AckedBlocks {
     fn take_lost(&mut self, fs: &Ufs) -> u64 {
         let acked = std::mem::take(&mut self.0).into_iter();
         let dirty = acked.filter(|&(ino, lbn)| fs.block_is_dirty(ino, lbn));
-        dirty.count() as u64 * fs.params().block_size
+        dirty.count() as u64 * BLOCK_SIZE
     }
 }
 
@@ -321,8 +327,8 @@ pub struct NfsServer {
     writeback_scheduled: bool,
     /// Active injected disk-degradation window, if any.
     disk_fault: Option<DiskFault>,
-    /// Per-client leases, locks and grace-period recovery; only consulted
-    /// when [`ServerConfig::leases`] is set (one untaken branch otherwise).
+    /// Per-client leases, locks and grace-period recovery, filled by the
+    /// RENEW and LOCK calls that arrive (empty while none do).
     state: ClientStateTable,
 }
 
@@ -332,15 +338,14 @@ impl NfsServer {
     pub fn new(config: ServerConfig) -> Self {
         // A pipelined server also drains NVRAM with queued submission, so
         // Presto's background drains overlap spindles just like plan I/O.
-        let presto_params = PrestoParams::default().with_queued_submission(config.io_overlap);
         let device: Box<dyn BlockDevice> =
             match (config.storage.spindles, config.storage.prestoserve) {
                 (1, false) => Box::new(Disk::rz26()),
-                (1, true) => Box::new(Presto::new(presto_params, Disk::rz26())),
+                (1, true) => Box::new(Presto::new(Disk::rz26(), config.io_overlap)),
                 (n, false) => Box::new(StripeSet::new(n, wg_disk::DiskParams::rz26(), 64 * 1024)),
                 (n, true) => Box::new(Presto::new(
-                    presto_params,
                     StripeSet::new(n, wg_disk::DiskParams::rz26(), 64 * 1024),
+                    config.io_overlap,
                 )),
             };
         let accelerated = config.storage.prestoserve;
@@ -364,7 +369,6 @@ impl NfsServer {
             read_caching: config.read_caching,
             cache_pages: config.cache_pages,
             dirty_ratio: config.dirty_ratio,
-            ..wg_ufs::FsParams::default()
         };
         NfsServer {
             cpu: MultiCpu::with_speed(config.cores.max(1), config.cpu_speed),
@@ -597,7 +601,7 @@ impl NfsServer {
             }
             DupState::Done(reply) => {
                 self.stats.duplicate_requests += 1;
-                let at = self.cpu.run(now, self.config.costs.reply_send);
+                let at = self.cpu.run(now, costs::REPLY_SEND);
                 // The cached reply is shared; cloning it re-uses the payload
                 // allocation (if any) rather than copying it.
                 actions.push(ServerAction::Reply {
@@ -710,12 +714,7 @@ impl NfsServer {
             );
         }
         // Per-fragment reassembly plus RPC dispatch.
-        let cost = self
-            .config
-            .costs
-            .packet_reassembly
-            .saturating_mul(fragments as u64)
-            + self.config.costs.rpc_dispatch;
+        let cost = costs::PACKET_REASSEMBLY.saturating_mul(fragments as u64) + costs::RPC_DISPATCH;
         let t = self.cpu.run(now, cost);
         let req = Request {
             nfsd,
@@ -741,8 +740,7 @@ impl NfsServer {
         actions: &mut Vec<ServerAction>,
     ) {
         let now_nanos = t.as_nanos();
-        let light = self.config.costs.lightweight_op;
-        let mut done = self.cpu.run(t, light);
+        let mut done = self.cpu.run(t, costs::LIGHTWEIGHT_OP);
         let reply_body = match body {
             NfsCallBody::Getattr(a) => {
                 NfsReplyBody::Attr(match ino_from_handle(&self.fs, &a.file) {
@@ -841,10 +839,7 @@ impl NfsServer {
                     // Charge the buffer-cache copy (the simulated uiomove —
                     // the real kernel copies even though the simulator no
                     // longer does) and any disk reads for missed blocks.
-                    let copy = Duration::from_nanos(
-                        self.config.costs.copy_per_byte.as_nanos() * outcome.len() as u64,
-                    );
-                    done = self.cpu.run(done, copy);
+                    done = self.cpu.run(done, costs::copy(outcome.len() as u64));
                     done = self.run_io_plan(done, outcome.misses.iter());
                     // The payload rides the reply as-is: a fill pattern or a
                     // refcounted view of the buffer cache, never a fresh copy.
@@ -871,7 +866,7 @@ impl NfsServer {
                         from + a.count as u64
                     };
                     done = done.max(self.vnode_free(ino));
-                    done = self.cpu.run(done, self.config.costs.ufs_trip);
+                    done = self.cpu.run(done, costs::UFS_TRIP);
                     let data_plan = self.fs.sync_data(ino, from, to).unwrap_or_default();
                     let meta_plan = self
                         .fs
@@ -884,8 +879,7 @@ impl NfsServer {
                     }
                     self.vnode(ino).free_at = done;
                     self.stats.commits += 1;
-                    let block_size = self.fs.params().block_size;
-                    self.unstable_acked.forget(ino, from, to, block_size);
+                    self.unstable_acked.forget(ino, from, to);
                     let verf = self.boot_verifier;
                     NfsReplyBody::Commit(
                         self.fattr(ino)
@@ -896,15 +890,8 @@ impl NfsServer {
             },
             // Client-state ops (lease renewal and byte-range locks).  Both
             // are pure table operations at lightweight-op CPU cost —
-            // no storage I/O, matching lockd/statd behaviour.  A disarmed
-            // state layer refuses them outright (a v2 server with no lockd):
-            // the table must stay empty so the default stays stateless.
-            NfsCallBody::Renew(_) if !self.config.leases => {
-                NfsReplyBody::Renew(StatusReply::Err(NfsStatus::Denied))
-            }
-            NfsCallBody::Lock(_) if !self.config.leases => {
-                NfsReplyBody::Lock(StatusReply::Err(NfsStatus::Denied))
-            }
+            // no storage I/O, matching lockd/statd behaviour.  Only clients
+            // that send them ever enter the table.
             NfsCallBody::Renew(a) => {
                 let in_grace = self.state.renew(a.client_id, a.verifier, t);
                 NfsReplyBody::Renew(StatusReply::Ok(RenewOk {
@@ -966,11 +953,9 @@ impl NfsServer {
     /// data moves by DMA).
     fn driver_trip_cost(&self, req: &DiskRequest) -> Duration {
         if self.accelerated {
-            self.config.costs.driver_trip
-                + self.config.costs.presto_trip
-                + Duration::from_nanos(self.config.costs.copy_per_byte.as_nanos() * req.len)
+            costs::DRIVER_TRIP + costs::PRESTO_TRIP + costs::copy(req.len)
         } else {
-            self.config.costs.driver_trip
+            costs::DRIVER_TRIP
         }
     }
 
@@ -1018,9 +1003,7 @@ impl NfsServer {
             let issue_at = self.cpu.run_overlapped(done, trip);
             let submit_at = self.disk_fault_delay(issue_at);
             let io_done = self.device.submit(submit_at, *req);
-            done = self
-                .cpu
-                .run_overlapped(io_done, self.config.costs.interrupt);
+            done = self.cpu.run_overlapped(io_done, costs::INTERRUPT);
             self.trace_data_to_disk(submit_at, req);
         }
         done
@@ -1054,9 +1037,7 @@ impl NfsServer {
         completions.sort_unstable();
         let mut done = submit_clock;
         for &io_done in completions.iter() {
-            done = self
-                .cpu
-                .run_overlapped(done.max(io_done), self.config.costs.interrupt);
+            done = self.cpu.run_overlapped(done.max(io_done), costs::INTERRUPT);
         }
         self.io_completions = completions;
         done
@@ -1076,7 +1057,7 @@ impl NfsServer {
         // Reply construction usually happens right after an I/O completion,
         // i.e. in this event's future; account the cost without reserving the
         // serial CPU ahead of other requests (see `run_io_plan`).
-        let at = self.cpu.run_overlapped(done, self.config.costs.reply_send);
+        let at = self.cpu.run_overlapped(done, costs::REPLY_SEND);
         let reply = NfsReply::new(req.xid, body);
         // Cloning the reply for the cache shares the payload (Payload is
         // either a pattern or an Arc), so this is cheap even for READ data.
@@ -1138,8 +1119,8 @@ impl NfsServer {
         // Lease gate: a *registered* client whose lease has expired had its
         // state revoked, and its writes are refused with `Expired` until it
         // re-registers (unregistered clients keep writing statelessly, as in
-        // plain v2).  One untaken branch when the state layer is disarmed.
-        if self.config.leases && !self.state.write_admitted(req.client, t) {
+        // plain v2).
+        if !self.state.write_admitted(req.client, t) {
             let body = NfsReplyBody::Attr(StatusReply::Err(NfsStatus::Expired));
             self.reply_and_release(t, req, body, actions);
             return false;
@@ -1202,7 +1183,6 @@ impl NfsServer {
         path: WritePath,
         actions: &mut Vec<ServerAction>,
     ) -> Option<(SimTime, IoPlan)> {
-        let costs = &self.config.costs;
         let (flags, extra) = match path {
             WritePath::Standard => (WriteFlags::Sync, Duration::ZERO),
             WritePath::Unstable | WritePath::Dangerous => (WriteFlags::DelayData, Duration::ZERO),
@@ -1210,16 +1190,16 @@ impl NfsServer {
             // lands in NVRAM); plain disks keep it delayed in the cache so
             // the later flush can cluster it.
             WritePath::Gathering if self.accelerated => {
-                (WriteFlags::SyncDataOnly, costs.gather_bookkeeping)
+                (WriteFlags::SyncDataOnly, costs::GATHER_BOOKKEEPING)
             }
-            WritePath::Gathering => (WriteFlags::DelayData, costs.gather_bookkeeping),
+            WritePath::Gathering => (WriteFlags::DelayData, costs::GATHER_BOOKKEEPING),
         };
         let start = match path {
             WritePath::Dangerous => t,
             _ => t.max(self.vnode_free(ino)),
         };
-        let copy = Duration::from_nanos(costs.copy_per_byte.as_nanos() * args.data.len() as u64);
-        let t1 = self.cpu.run(start, costs.ufs_trip + copy + extra);
+        let copy = costs::copy(args.data.len() as u64);
+        let t1 = self.cpu.run(start, costs::UFS_TRIP + copy + extra);
         let offset = args.offset as u64;
         match self
             .fs
@@ -1283,8 +1263,7 @@ impl NfsServer {
         let done = self.run_io_plan(t1, io.data.iter());
         self.vnode(ino).free_at = done;
         let (offset, len) = (args.offset as u64, args.data.len() as u64);
-        let block_size = self.fs.params().block_size;
-        self.unstable_acked.record(ino, offset, len, block_size);
+        self.unstable_acked.record(ino, offset, len);
         self.stats.unstable_writes += 1;
         self.stats.write_residence.record(done.since(req.arrived));
         let body = self.write_verf(args, self.fattr(ino), StableHow::Unstable);
@@ -1300,11 +1279,7 @@ impl NfsServer {
             return;
         }
         self.writeback_scheduled = true;
-        self.schedule_wakeup(
-            now + self.config.writeback_interval,
-            WakeReason::Writeback,
-            actions,
-        );
+        self.schedule_wakeup(now + WRITEBACK_INTERVAL, WakeReason::Writeback, actions);
     }
 
     /// One background write-behind pass: drain a batch of the oldest dirty
@@ -1377,7 +1352,7 @@ impl NfsServer {
         let handoff = if procrastinating {
             Some("joined existing gather")
         } else if self.config.mbuf_hunter {
-            t2 = self.cpu.run(t2, self.config.costs.mbuf_hunt);
+            t2 = self.cpu.run(t2, costs::MBUF_HUNT);
             let found = self.socket_buffer_has_write_for(ino);
             found.then_some("mbuf hunter found follow-on write")
         } else {
@@ -1495,7 +1470,7 @@ impl NfsServer {
         // VOP_SYNCDATA with the gathered range as a hint, then VOP_FSYNC for
         // the metadata.  Both are skipped naturally when the data already went
         // to NVRAM (sync_data finds nothing dirty).
-        let t1 = self.cpu.run(now, self.config.costs.ufs_trip);
+        let t1 = self.cpu.run(now, costs::UFS_TRIP);
         let data_plan = self.fs.sync_data(ino, from, to).unwrap_or_default();
         let meta_plan = self
             .fs
@@ -1654,7 +1629,7 @@ impl NfsServer {
         self.recovering_until = recovered;
         // Client state is volatile too: held locks move into the reclaimable
         // image, records die, and the grace window opens once the server is
-        // back.  A no-op on the empty table of a disarmed state layer.
+        // back.  A no-op on an empty table.
         self.state.crash(recovered);
         self.trace
             .record(now, TraceKind::RequestDropped, 0, "server crash");
@@ -2245,10 +2220,7 @@ mod tests {
     fn a_lease_refused_write_handed_a_batch_flushes_it() {
         // Client 7 registers a 100 ms lease and lets it lapse; its write is
         // refused at the lease gate.
-        let (server, ino) = one_nfsd_gathering(|c| {
-            c.leases = true;
-            c.lease_duration = Duration::from_millis(100);
-        });
+        let (server, ino) = one_nfsd_gathering(|c| c.lease_duration = Duration::from_millis(100));
         let renew = NfsCall::new(
             Xid(9),
             NfsCallBody::Renew(wg_nfsproto::RenewArgs {
@@ -2264,6 +2236,44 @@ mod tests {
         let refused = replies.iter().find(|r| r.xid.0 == 2).unwrap();
         let expired = NfsReplyBody::Attr(StatusReply::Err(NfsStatus::Expired));
         assert_eq!(refused.body, expired);
+    }
+
+    #[test]
+    fn renew_and_lock_arm_the_lease_table_of_a_default_server() {
+        // No configuration arms the table: the calls that arrive do.
+        let mut server = NfsServer::new(ServerConfig::gathering());
+        let root = server.fs().root();
+        let ino = server.fs_mut().create(root, "locked", 0o644, 0).unwrap();
+        let renew = wg_nfsproto::RenewArgs {
+            client_id: 7,
+            verifier: 1,
+        };
+        let lock = wg_nfsproto::LockArgs {
+            file: server.handle_for_ino(ino).unwrap(),
+            client_id: 7,
+            stateid: 1,
+            seqid: 1,
+            offset: 0,
+            count: 0,
+            reclaim: false,
+        };
+        let replies = server.run_script(vec![
+            (
+                SimTime::ZERO,
+                datagram_from(7, NfsCall::new(Xid(1), NfsCallBody::Renew(renew))),
+            ),
+            (
+                SimTime::from_millis(1),
+                datagram_from(7, NfsCall::new(Xid(2), NfsCallBody::Lock(lock))),
+            ),
+        ]);
+        assert_eq!(replies.len(), 2);
+        for (_, reply) in &replies {
+            assert!(reply.body.is_ok(), "{:?}", reply.body);
+        }
+        assert_eq!(server.state_stats().leases_granted, 1);
+        assert_eq!(server.active_lease_clients(), 1);
+        assert_eq!(server.held_locks(), 1);
     }
 
     #[test]
@@ -2552,7 +2562,7 @@ mod tests {
     #[test]
     fn ack_ledger_records_only_the_blocks_a_stable_reply_leaves_dirty() {
         let (mut server, ino) = make_server(WritePolicy::Standard);
-        let block = server.fs().params().block_size;
+        let block = BLOCK_SIZE;
         let fs = server.fs_mut();
         fs.write(ino, 0, &vec![1u8; block as usize], WriteFlags::DelayData, 1)
             .unwrap();
@@ -2619,9 +2629,7 @@ mod tests {
         let cfg = ServerConfig::standard()
             .with_unified_cache(8)
             .with_dirty_ratio(0.25)
-            .with_stability(crate::config::StabilityMode::Unstable)
-            // Keep write-behind out of the picture for the whole burst.
-            .with_writeback_interval(Duration::from_secs(100));
+            .with_stability(crate::config::StabilityMode::Unstable);
         let mut server = NfsServer::new(cfg);
         let root = server.fs().root();
         let ino = server.fs_mut().create(root, "t", 0o644, 0).unwrap();

@@ -23,7 +23,7 @@
 //!    fall through to the underlying disk at disk speed.
 //!
 //! Presto drains opportunistically: a write that leaves some dirty extent at
-//! least [`PrestoParams::drain_transfer`] bytes long starts a drain, while
+//! least one drain transfer (128 KB) long starts a drain, while
 //! shorter runs wait for company, a flush or space pressure.  The board counts
 //! such extents as extents merge and drain, so the trigger is one comparison
 //! per write, and it sums a write's overlap with dirty data over only the
@@ -42,58 +42,35 @@ use std::collections::{BTreeMap, VecDeque};
 use wg_disk::{BlockDevice, DeviceStats, DiskRequest, IoKind, SpindleStats};
 use wg_simcore::{Duration, SimTime};
 
-/// Configuration of the NVRAM board and its drain policy.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct PrestoParams {
-    /// Usable NVRAM capacity in bytes.
-    pub cache_bytes: u64,
-    /// Largest single request Presto will accept; larger requests bypass the
-    /// cache and go straight to the underlying device.
-    pub max_request: u64,
-    /// Fixed driver overhead per accepted request.
-    pub per_request_overhead: Duration,
-    /// Host-memory-to-NVRAM copy bandwidth in bytes per second (this copy is
-    /// CPU work; the server model charges it to the CPU as well).
-    pub copy_rate: f64,
-    /// Transfer size Presto uses when draining contiguous dirty data to disk.
-    pub drain_transfer: u64,
+/// Usable NVRAM capacity in bytes.
+const CACHE_BYTES: u64 = 1024 * 1024;
+
+/// Largest single request Presto accepts; larger requests bypass the cache
+/// and go straight to the underlying device.
+const MAX_REQUEST: u64 = 8192;
+
+/// Fixed driver overhead per accepted request.
+const PER_REQUEST_OVERHEAD: Duration = Duration::from_micros(120);
+
+/// Host-memory-to-NVRAM copy bandwidth in bytes per second (this copy is CPU
+/// work; the server model charges it to the CPU as well).
+const COPY_RATE: f64 = 40e6;
+
+/// Transfer size Presto uses when draining contiguous dirty data to disk.
+const DRAIN_TRANSFER: u64 = 128 * 1024;
+
+/// The Prestoserve accelerator wrapping an underlying block device.
+#[derive(Debug)]
+pub struct Presto<D: BlockDevice> {
+    disk: D,
     /// Drain onto the underlying device with queued submission: each drain
     /// transfer is submitted at once and joins its target spindle's own FIFO
     /// queue ([`BlockDevice::submit`]) instead of waiting for the whole
     /// device's set-wide [`BlockDevice::free_at`].  On a stripe set this lets
     /// concurrent drains proceed on independent spindles; on a single disk it
-    /// is behaviourally identical.  `false` (the default) reproduces the
-    /// serial drain exactly.
-    pub queued_submission: bool,
-}
-
-impl Default for PrestoParams {
-    fn default() -> Self {
-        PrestoParams {
-            cache_bytes: 1024 * 1024,
-            max_request: 8192,
-            per_request_overhead: Duration::from_micros(120),
-            copy_rate: 40e6,
-            drain_transfer: 128 * 1024,
-            queued_submission: false,
-        }
-    }
-}
-
-impl PrestoParams {
-    /// Enable or disable queued drain submission (see
-    /// [`PrestoParams::queued_submission`]).
-    pub fn with_queued_submission(mut self, on: bool) -> Self {
-        self.queued_submission = on;
-        self
-    }
-}
-
-/// The Prestoserve accelerator wrapping an underlying block device.
-#[derive(Debug)]
-pub struct Presto<D: BlockDevice> {
-    params: PrestoParams,
-    disk: D,
+    /// is behaviourally identical.  `false` reproduces the serial drain
+    /// exactly.
+    queued_submission: bool,
     /// Dirty extents held in NVRAM and not yet issued to the disk, keyed by
     /// start address.  Extents are kept non-overlapping and merged when
     /// adjacent, which is what gives Presto its write-cancellation and
@@ -101,99 +78,40 @@ pub struct Presto<D: BlockDevice> {
     dirty: BTreeMap<u64, u64>,
     /// Bytes covered by `dirty`.
     dirty_bytes: u64,
-    /// Extents in `dirty` of at least [`PrestoParams::drain_transfer`]
-    /// bytes: a write that leaves one starts a drain.  Kept current by
-    /// [`Self::put_extent`] and [`Self::take_extent`], the only writers of
-    /// `dirty`.
+    /// Extents in `dirty` of at least one drain transfer: a write that
+    /// leaves one starts a drain.  Kept current by [`Self::put_extent`] and
+    /// [`Self::take_extent`], the only writers of `dirty`.
     long_extents: usize,
     /// Drain transfers already issued to the disk: `(completion_time, bytes)`
     /// in completion order.  Their bytes still occupy NVRAM until completion.
     inflight: VecDeque<(SimTime, u64)>,
     /// Bytes covered by `inflight`.
     inflight_bytes: u64,
-    /// Accelerator-level statistics (accepted requests and bytes).
-    accepted: DeviceStats,
-    /// Requests declined because they exceeded [`PrestoParams::max_request`].
-    declined: u64,
-    /// Writes (or parts of writes) absorbed because the same bytes were
-    /// already dirty in NVRAM.
-    absorbed_bytes: u64,
     /// `false` while the battery is failed: the board can no longer promise
     /// its contents survive a crash, so Presto degrades to write-through and
     /// every write goes straight to the underlying device.
     battery_healthy: bool,
-    /// Writes forwarded to the disk while degraded to write-through.
-    write_through_writes: u64,
-    /// Boot-time recovery replays performed ([`BlockDevice::crash_recover`]).
-    recoveries: u64,
 }
 
 impl<D: BlockDevice> Presto<D> {
-    /// Wrap `disk` with an accelerator configured by `params`.
-    pub fn new(params: PrestoParams, disk: D) -> Self {
+    /// Wrap `disk` with the 1 MB board, draining with queued submission or,
+    /// as the paper's driver does, serially.
+    pub fn new(disk: D, queued_submission: bool) -> Self {
         Presto {
-            params,
             disk,
+            queued_submission,
             dirty: BTreeMap::new(),
             dirty_bytes: 0,
             long_extents: 0,
             inflight: VecDeque::new(),
             inflight_bytes: 0,
-            accepted: DeviceStats::new(),
-            declined: 0,
-            absorbed_bytes: 0,
             battery_healthy: true,
-            write_through_writes: 0,
-            recoveries: 0,
         }
     }
 
-    /// Wrap `disk` with the default 1 MB board.
+    /// Wrap `disk` with the 1 MB board and its serial drain.
     pub fn with_defaults(disk: D) -> Self {
-        Presto::new(PrestoParams::default(), disk)
-    }
-
-    /// The accelerator configuration.
-    pub fn params(&self) -> &PrestoParams {
-        &self.params
-    }
-
-    /// Access the underlying device (for its statistics).
-    pub fn underlying(&self) -> &D {
-        &self.disk
-    }
-
-    /// Requests declined due to the size limit.
-    pub fn declined(&self) -> u64 {
-        self.declined
-    }
-
-    /// Bytes whose write was absorbed by an overlapping dirty extent (they
-    /// will reach the disk once, not once per overwrite).
-    pub fn absorbed_bytes(&self) -> u64 {
-        self.absorbed_bytes
-    }
-
-    /// Statistics of requests accepted into NVRAM (not underlying disk I/O).
-    pub fn accepted_stats(&self) -> &DeviceStats {
-        &self.accepted
-    }
-
-    /// Whether the battery currently backs the board (see
-    /// [`BlockDevice::set_battery`]).
-    pub fn battery_healthy(&self) -> bool {
-        self.battery_healthy
-    }
-
-    /// Writes forwarded straight to the disk while degraded to write-through
-    /// by a battery failure.
-    pub fn write_through_writes(&self) -> u64 {
-        self.write_through_writes
-    }
-
-    /// Boot-time recovery replays performed so far.
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries
+        Presto::new(disk, false)
     }
 
     /// Apply all drain completions that have happened by `now`.
@@ -211,7 +129,7 @@ impl<D: BlockDevice> Presto<D> {
     /// Put the extent `[addr, addr + len)` into `dirty`, counting it if it
     /// is long enough to drain.
     fn put_extent(&mut self, addr: u64, len: u64) {
-        self.long_extents += usize::from(len >= self.params.drain_transfer);
+        self.long_extents += usize::from(len >= DRAIN_TRANSFER);
         self.dirty.insert(addr, len);
     }
 
@@ -222,7 +140,7 @@ impl<D: BlockDevice> Presto<D> {
             .dirty
             .remove(&addr)
             .expect("a dirty extent starts here");
-        self.long_extents -= usize::from(len >= self.params.drain_transfer);
+        self.long_extents -= usize::from(len >= DRAIN_TRANSFER);
         len
     }
 
@@ -242,20 +160,18 @@ impl<D: BlockDevice> Presto<D> {
     }
 
     /// Insert an extent into the dirty map, merging with neighbours and
-    /// overlaps.  Returns the number of bytes that were not already dirty.
+    /// overlaps.
     ///
     /// Like [`Self::dirty_within`], this visits only the extent starting at
     /// or before `addr` and those starting inside `[addr, addr + len]`.
-    fn insert_dirty(&mut self, addr: u64, len: u64) -> u64 {
+    fn insert_dirty(&mut self, addr: u64, len: u64) {
         if len == 0 {
-            return 0;
+            return;
         }
         let end = addr + len;
         let (mut new_start, mut new_end) = (addr, end);
-        let mut already_covered = 0u64;
         let mut merged_existing_bytes = 0u64;
         let mut merge = |a: u64, l: u64| {
-            already_covered += (a + l).min(end).saturating_sub(a.max(addr));
             merged_existing_bytes += l;
             new_start = new_start.min(a);
             new_end = new_end.max(a + l);
@@ -271,22 +187,18 @@ impl<D: BlockDevice> Presto<D> {
             merge(a, l);
         }
         self.put_extent(new_start, new_end - new_start);
-        let added = new_end - new_start - merged_existing_bytes;
-        self.dirty_bytes += added;
-        self.absorbed_bytes += already_covered;
-        added
+        self.dirty_bytes += new_end - new_start - merged_existing_bytes;
     }
 
     /// The original [`Self::insert_dirty`], which visits every extent below
     /// the new one's end: the differential test's oracle.
     #[cfg(test)]
-    fn insert_dirty_oracle(&mut self, addr: u64, len: u64) -> u64 {
+    fn insert_dirty_oracle(&mut self, addr: u64, len: u64) {
         if len == 0 {
-            return 0;
+            return;
         }
         let mut new_start = addr;
         let mut new_end = addr + len;
-        let mut already_covered = 0u64;
 
         // Collect every existing extent that overlaps or touches [start, end).
         let mut to_remove = Vec::new();
@@ -302,11 +214,6 @@ impl<D: BlockDevice> Presto<D> {
                 continue;
             }
             // Overlapping or adjacent: merge.
-            let overlap_start = a.max(new_start);
-            let overlap_end = e.min(new_end);
-            if overlap_end > overlap_start {
-                already_covered += overlap_end - overlap_start;
-            }
             new_start = new_start.min(a);
             new_end = new_end.max(e);
             to_remove.push(a);
@@ -316,11 +223,7 @@ impl<D: BlockDevice> Presto<D> {
             merged_existing_bytes += self.take_extent(a);
         }
         self.put_extent(new_start, new_end - new_start);
-        let new_total = new_end - new_start;
-        let added = new_total - merged_existing_bytes;
-        self.dirty_bytes += added;
-        self.absorbed_bytes += already_covered;
-        added
+        self.dirty_bytes += new_end - new_start - merged_existing_bytes;
     }
 
     /// A drain is due once some dirty extent is a whole drain transfer long.
@@ -347,9 +250,7 @@ impl<D: BlockDevice> Presto<D> {
     /// oracle of the submit differential test.
     #[cfg(test)]
     fn drain_due_oracle(&self) -> bool {
-        self.dirty
-            .values()
-            .any(|&l| l >= self.params.drain_transfer)
+        self.dirty.values().any(|&l| l >= DRAIN_TRANSFER)
     }
 
     /// [`BlockDevice::submit`], with its two reads of the dirty map passed
@@ -364,16 +265,12 @@ impl<D: BlockDevice> Presto<D> {
         dirty_within: fn(&Self, u64, u64) -> u64,
         drain_due: fn(&Self) -> bool,
     ) -> SimTime {
-        if req.kind == IoKind::Read || req.len > self.params.max_request {
-            if req.kind == IoKind::Write {
-                self.declined += 1;
-            }
+        if req.kind == IoKind::Read || req.len > MAX_REQUEST {
             return self.disk.submit(now, req);
         }
         if !self.battery_healthy {
             // Degraded to write-through: with no battery the board cannot
             // promise stability, so the write must reach the medium itself.
-            self.write_through_writes += 1;
             return self.disk.submit(now.max(self.disk.free_at()), req);
         }
         self.advance(now);
@@ -383,11 +280,9 @@ impl<D: BlockDevice> Presto<D> {
         let new_bytes = req.len.saturating_sub(already);
         let space_at = self.time_for_space(now, new_bytes);
         self.advance(space_at);
-        let copy = Duration::from_secs_f64(req.len as f64 / self.params.copy_rate);
-        let done = space_at + self.params.per_request_overhead + copy;
+        let copy = Duration::from_secs_f64(req.len as f64 / COPY_RATE);
+        let done = space_at + PER_REQUEST_OVERHEAD + copy;
         self.insert_dirty(req.addr, req.len);
-        self.accepted
-            .record_transfer(req.len, self.params.per_request_overhead + copy);
 
         // Opportunistically drain whole-transfer-sized runs; smaller runs wait
         // for more company (or for a flush / space pressure).
@@ -413,7 +308,7 @@ impl<D: BlockDevice> Presto<D> {
                 Some(kv) => kv,
                 None => break,
             };
-            let take = len.min(self.params.drain_transfer);
+            let take = len.min(DRAIN_TRANSFER);
             self.take_extent(addr);
             if take < len {
                 self.put_extent(addr + take, len - take);
@@ -422,7 +317,7 @@ impl<D: BlockDevice> Presto<D> {
             // Queued drains join the target spindle's own queue at `now`;
             // serial drains wait for the whole device (for a stripe set, the
             // busiest member) to go idle first.
-            let start = if self.params.queued_submission {
+            let start = if self.queued_submission {
                 now
             } else {
                 now.max(self.disk.free_at())
@@ -446,7 +341,7 @@ impl<D: BlockDevice> Presto<D> {
         let mut t = now;
         loop {
             self.advance(t);
-            if self.dirty_bytes + self.inflight_bytes + needed <= self.params.cache_bytes {
+            if self.dirty_bytes + self.inflight_bytes + needed <= CACHE_BYTES {
                 return t;
             }
             // Under space pressure the drain must make progress: issue drains
@@ -496,8 +391,7 @@ impl<D: BlockDevice> BlockDevice for Presto<D> {
 
     fn stats(&self) -> DeviceStats {
         // The interesting disk statistics (the tables' "server disk" rows) are
-        // those of the underlying device; accelerator-level acceptance counts
-        // are available via `accepted_stats`.
+        // those of the underlying device.
         self.disk.stats()
     }
 
@@ -512,7 +406,7 @@ impl<D: BlockDevice> BlockDevice for Presto<D> {
     fn describe(&self) -> String {
         format!(
             "Presto({} KB) over {}",
-            self.params.cache_bytes / 1024,
+            CACHE_BYTES / 1024,
             self.disk.describe()
         )
     }
@@ -522,7 +416,6 @@ impl<D: BlockDevice> BlockDevice for Presto<D> {
     /// before the server may accept traffic.  Returns when the replay (and
     /// any drains the crash interrupted) completes.
     fn crash_recover(&mut self, now: SimTime) -> SimTime {
-        self.recoveries += 1;
         let done = self.flush_all(now);
         self.advance(done);
         debug_assert_eq!(self.dirty_bytes + self.inflight_bytes, 0);
@@ -576,7 +469,9 @@ mod tests {
         let mut p = presto();
         let done = p.submit(SimTime::ZERO, DiskRequest::write(100_000_000, 64 * 1024));
         assert!(done > SimTime::from_millis(10));
-        assert_eq!(p.declined(), 1);
+        // The disk took the write itself; the board holds none of it.
+        assert_eq!(p.stats().transfers.bytes(), 64 * 1024);
+        assert_eq!(p.pending_stable_bytes(), 0);
     }
 
     #[test]
@@ -584,7 +479,8 @@ mod tests {
         let mut p = presto();
         let done = p.submit(SimTime::ZERO, DiskRequest::read(200_000_000, 8192));
         assert!(done > SimTime::from_millis(5));
-        assert_eq!(p.declined(), 0);
+        assert_eq!(p.stats().transfers.events(), 1);
+        assert_eq!(p.pending_stable_bytes(), 0);
     }
 
     #[test]
@@ -631,17 +527,22 @@ mod tests {
         let mut p = presto();
         let mut now = SimTime::ZERO;
         for _ in 0..200 {
-            now = p.submit(now, DiskRequest::write(16_000_000, 8192));
+            // Every rewrite lands in NVRAM at copy speed...
+            let done = p.submit(now, DiskRequest::write(16_000_000, 8192));
+            assert!(done < now + Duration::from_millis(1), "{done:?}");
+            now = done;
         }
+        // ...and overwrites the one block the board already holds.
+        assert!(p.pending_stable_bytes() <= 8192);
         let flush_done = p.flush_all(now);
         assert!(flush_done >= now);
-        let disk_writes = p.underlying().stats().transfers.events();
+        let disk = p.stats().transfers;
         assert!(
-            disk_writes <= 3,
-            "inode block hit the disk {disk_writes} times"
+            disk.events() <= 3,
+            "inode block hit the disk {} times",
+            disk.events()
         );
-        assert!(p.absorbed_bytes() >= 190 * 8192);
-        assert_eq!(p.accepted_stats().transfers.events(), 200);
+        assert!(disk.bytes() <= 3 * 8192);
     }
 
     #[test]
@@ -659,7 +560,7 @@ mod tests {
             addr += 8192;
         }
         p.flush_all(now);
-        let stats = p.underlying().stats();
+        let stats = p.stats();
         let mean_transfer = stats.transfers.bytes() as f64 / stats.transfers.events() as f64;
         assert!(
             mean_transfer > 48.0 * 1024.0,
@@ -679,9 +580,11 @@ mod tests {
             now = p.submit(now, DiskRequest::write(addr, 8192));
             addr += 8192;
         }
+        // The board took the writes and holds what it has not drained yet.
+        assert!(p.pending_stable_bytes() > 0);
         let flush_done = p.flush_all(now);
         assert!(flush_done >= now);
-        let disk_stats = p.underlying().stats();
+        let disk_stats = p.stats();
         // 2 MB drained with 128 KB transfers -> roughly 16 disk transactions,
         // far fewer than the 256 8 KB writes accepted.
         assert!(
@@ -690,7 +593,6 @@ mod tests {
             disk_stats.transfers.events()
         );
         assert_eq!(disk_stats.transfers.bytes(), 2 * 1024 * 1024);
-        assert_eq!(p.accepted_stats().transfers.events(), 256);
     }
 
     #[test]
@@ -724,7 +626,7 @@ mod tests {
         }
         let done = p.flush_all(now);
         assert!(done > now);
-        assert_eq!(p.underlying().stats().transfers.bytes(), 64 * 8192);
+        assert_eq!(p.stats().transfers.bytes(), 64 * 8192);
     }
 
     #[test]
@@ -740,19 +642,16 @@ mod tests {
             }
             now
         };
-        let mut serial = Presto::new(PrestoParams::default(), StripeSet::three_rz26());
-        let mut queued = Presto::new(
-            PrestoParams::default().with_queued_submission(true),
-            StripeSet::three_rz26(),
-        );
+        let mut serial = Presto::new(StripeSet::three_rz26(), false);
+        let mut queued = Presto::new(StripeSet::three_rz26(), true);
         let t1 = fill(&mut serial);
         let t2 = fill(&mut queued);
         let serial_done = serial.flush_all(t1);
         let queued_done = queued.flush_all(t2);
         // Same data reaches the platters either way.
         assert_eq!(
-            serial.underlying().stats().transfers.bytes(),
-            queued.underlying().stats().transfers.bytes()
+            serial.stats().transfers.bytes(),
+            queued.stats().transfers.bytes()
         );
         assert!(
             queued_done < serial_done,
@@ -781,8 +680,7 @@ mod tests {
         let recovered = p.crash_recover(now);
         assert!(recovered > now, "replay should take disk time");
         assert_eq!(p.pending_stable_bytes(), 0);
-        assert_eq!(p.underlying().stats().transfers.bytes(), 32 * 8192);
-        assert_eq!(p.recoveries(), 1);
+        assert_eq!(p.stats().transfers.bytes(), 32 * 8192);
     }
 
     #[test]
@@ -791,17 +689,16 @@ mod tests {
         let mut now = p.submit(SimTime::ZERO, DiskRequest::write(0, 8192));
         // Failure: emergency drain empties the board.
         now = p.set_battery(false, now);
-        assert!(!p.battery_healthy());
         assert_eq!(p.pending_stable_bytes(), 0);
+        assert_eq!(p.stats().transfers.bytes(), 8192);
         // Degraded writes go to the disk at disk speed.
         let start = now;
         now = p.submit(now, DiskRequest::write(100_000_000, 8192));
         assert!(now > start + Duration::from_millis(5), "not write-through");
-        assert_eq!(p.write_through_writes(), 1);
+        assert_eq!(p.stats().transfers.bytes(), 2 * 8192);
         assert_eq!(p.pending_stable_bytes(), 0);
         // Repair re-arms the accelerator.
         now = p.set_battery(true, now);
-        assert!(p.battery_healthy());
         let before = now;
         let done = p.submit(now, DiskRequest::write(200_000_000, 8192));
         assert!(done < before + Duration::from_millis(1), "not re-armed");
@@ -826,8 +723,8 @@ mod tests {
 
     /// `insert_dirty` against its original full-scan version: random
     /// overlapping, adjacent and disjoint extents, with drains splitting and
-    /// removing extents in between, leave the same map, byte counts and
-    /// return values.  The CI release step reruns it at optimised speed.
+    /// removing extents in between, leave the same map and byte count.  The
+    /// CI release step reruns it at optimised speed.
     #[test]
     fn differential_fuzz_insert_dirty_matches_the_full_scan_oracle() {
         for seed in 1..=8u64 {
@@ -838,11 +735,8 @@ mod tests {
                 // 512-byte sectors over a 2 MB span keep extents colliding.
                 let addr = rng.next_below(4096) * 512;
                 let len = rng.next_below(65) * 512;
-                assert_eq!(
-                    fast.insert_dirty(addr, len),
-                    oracle.insert_dirty_oracle(addr, len),
-                    "seed {seed} step {step}: insert {addr}+{len}"
-                );
+                fast.insert_dirty(addr, len);
+                oracle.insert_dirty_oracle(addr, len);
                 if rng.chance(0.05) {
                     now += Duration::from_millis(rng.next_below(40));
                     fast.advance(now);
@@ -850,9 +744,9 @@ mod tests {
                     oracle.advance(now);
                     oracle.pump(now);
                 }
-                assert_eq!(fast.dirty, oracle.dirty, "seed {seed} step {step}");
-                assert_eq!(fast.dirty_bytes, oracle.dirty_bytes);
-                assert_eq!(fast.absorbed_bytes, oracle.absorbed_bytes);
+                let at = format!("seed {seed} step {step}: insert {addr}+{len}");
+                assert_eq!(fast.dirty, oracle.dirty, "{at}");
+                assert_eq!(fast.dirty_bytes, oracle.dirty_bytes, "{at}");
             }
         }
     }
@@ -893,11 +787,11 @@ mod tests {
                 let mut submit = |req: DiskRequest| {
                     let covered = oracle.dirty_within_oracle(req.addr, req.len);
                     let held = oracle.dirty_bytes + oracle.inflight_bytes;
-                    let full = held + req.len - covered > oracle.params.cache_bytes;
+                    let full = held + req.len - covered > CACHE_BYTES;
                     squeezed_overlaps += u64::from(covered > 0 && full);
                     let accepted = req.kind == IoKind::Write && req.len <= 8192;
                     let roomy = accepted && oracle.battery_healthy && !full;
-                    let issued = oracle.underlying().stats().transfers.events();
+                    let issued = oracle.stats().transfers.events();
                     let f = fast.submit(now, req);
                     let o = oracle.submit_with(
                         now,
@@ -907,7 +801,7 @@ mod tests {
                     );
                     // A write that found room reaches the disk only through
                     // the drain trigger.
-                    let drained = oracle.underlying().stats().transfers.events() > issued;
+                    let drained = oracle.stats().transfers.events() > issued;
                     triggered_drains += u64::from(roomy && drained);
                     if (stream.saturating_sub(16 * 1024)..=stream).contains(&req.addr) {
                         stream = (req.addr + req.len).max(stream) % (8 << 20);
@@ -941,9 +835,12 @@ mod tests {
                 assert_eq!(f, o, "seed {seed} step {step}: completion time");
                 assert_eq!(fast.dirty, oracle.dirty, "seed {seed} step {step}");
                 assert_eq!(fast.dirty_bytes, oracle.dirty_bytes);
-                assert_eq!(fast.absorbed_bytes, oracle.absorbed_bytes);
                 assert_eq!(fast.inflight, oracle.inflight);
-                let long = fast.dirty.values().filter(|&&l| l >= 128 * 1024).count();
+                let long = fast
+                    .dirty
+                    .values()
+                    .filter(|&&l| l >= DRAIN_TRANSFER)
+                    .count();
                 assert_eq!(fast.long_extents, long, "seed {seed} step {step}");
                 now += Duration::from_micros(rng.next_below(pace));
             }

@@ -24,8 +24,6 @@ pub enum FsError {
     NoSpace,
     /// The file would exceed what a single indirect block can map.
     FileTooLarge,
-    /// A directory being removed still has entries.
-    NotEmpty,
     /// A name exceeded the protocol's length limit.
     NameTooLong,
 }
@@ -40,7 +38,6 @@ impl fmt::Display for FsError {
             FsError::IsADirectory => "is a directory",
             FsError::NoSpace => "no space left on device",
             FsError::FileTooLarge => "file too large",
-            FsError::NotEmpty => "directory not empty",
             FsError::NameTooLong => "file name too long",
         };
         f.write_str(msg)

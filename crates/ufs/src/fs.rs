@@ -11,7 +11,7 @@ use wg_disk::DiskRequest;
 use crate::cluster::cluster_requests;
 use crate::error::FsError;
 use crate::inode::{BlockData, CachedBlock, FileKind, Inode, InodeNumber};
-use crate::params::FsParams;
+use crate::params::{FsParams, BLOCK_SIZE, DATA_REGION_START};
 use crate::vnode::{
     FsyncFlags, IoPlan, ReadAccumulator, ReadOutcome, WriteFlags, WriteOutcome, WriteSource,
 };
@@ -63,7 +63,7 @@ pub struct UfsCounters {
     pub fsyncs: u64,
     /// `VOP_SYNCDATA` calls.
     pub syncdatas: u64,
-    /// Namespace operations (create/lookup/remove/mkdir/readdir/setattr).
+    /// Namespace operations (create/lookup/remove/readdir/setattr).
     pub namespace_ops: u64,
     /// Clean pages evicted by the bounded unified cache (0 while the cache is
     /// unbounded).
@@ -154,13 +154,13 @@ impl Ufs {
 
     /// Free data blocks remaining (approximate, for STATFS).
     pub fn free_block_count(&self) -> u64 {
-        let used = self.alloc_cursor / self.params.block_size - self.free_blocks.len() as u64;
-        (self.params.data_capacity / self.params.block_size).saturating_sub(used)
+        let used = self.alloc_cursor / BLOCK_SIZE - self.free_blocks.len() as u64;
+        self.total_block_count().saturating_sub(used)
     }
 
     /// Total data blocks in the filesystem (for STATFS).
     pub fn total_block_count(&self) -> u64 {
-        self.params.data_capacity / self.params.block_size
+        self.params.data_capacity / BLOCK_SIZE
     }
 
     /// The live inode numbered `ino`.  Numbers arrive in client file
@@ -188,11 +188,11 @@ impl Ufs {
         if let Some(addr) = self.free_blocks.pop() {
             return Ok(addr);
         }
-        if self.alloc_cursor + self.params.block_size > self.params.data_capacity {
+        if self.alloc_cursor + BLOCK_SIZE > self.params.data_capacity {
             return Err(FsError::NoSpace);
         }
-        let addr = self.params.data_region_start + self.alloc_cursor;
-        self.alloc_cursor += self.params.block_size;
+        let addr = DATA_REGION_START + self.alloc_cursor;
+        self.alloc_cursor += BLOCK_SIZE;
         Ok(addr)
     }
 
@@ -280,18 +280,17 @@ impl Ufs {
                 picked.push((ino, lbn));
             }
         }
-        let block_size = self.params.block_size;
         let mut extents = Vec::new();
         for (ino, lbn) in picked {
             if let Some(block) = self.block_mut(ino, lbn) {
                 block.dirty = false;
-                extents.push((block.phys, block_size));
+                extents.push((block.phys, BLOCK_SIZE));
                 self.cache_dirty -= 1;
                 self.counters.writeback_blocks += 1;
             }
         }
         extents.sort_unstable();
-        cluster_requests(extents, self.params.cluster_size)
+        cluster_requests(extents)
     }
 
     /// Enforce the dirty-ratio throttle and the residency bound after a
@@ -341,28 +340,6 @@ impl Ufs {
         mode: u32,
         now_nanos: u64,
     ) -> Result<InodeNumber, FsError> {
-        self.create_node(dir, name, mode, FileKind::Regular, now_nanos)
-    }
-
-    /// Create a directory.  Returns the new inode number.
-    pub fn mkdir(
-        &mut self,
-        dir: InodeNumber,
-        name: &str,
-        mode: u32,
-        now_nanos: u64,
-    ) -> Result<InodeNumber, FsError> {
-        self.create_node(dir, name, mode, FileKind::Directory, now_nanos)
-    }
-
-    fn create_node(
-        &mut self,
-        dir: InodeNumber,
-        name: &str,
-        mode: u32,
-        kind: FileKind,
-        now_nanos: u64,
-    ) -> Result<InodeNumber, FsError> {
         self.counters.namespace_ops += 1;
         if name.is_empty() || name.len() > MAX_NAME_LEN {
             return Err(FsError::NameTooLong);
@@ -379,7 +356,7 @@ impl Ufs {
         let ino = self.inodes.len() as InodeNumber;
         self.generation_counter += 1;
         let generation = self.generation_counter;
-        let node = Inode::new(ino, generation, kind, mode, now_nanos);
+        let node = Inode::new(ino, generation, FileKind::Regular, mode, now_nanos);
         self.inodes.push(Some(Box::new(node)));
         let d = self.inode_mut(dir)?;
         let name: Arc<str> = Arc::from(name);
@@ -393,8 +370,8 @@ impl Ufs {
         Ok(ino)
     }
 
-    /// Remove a file or an empty directory.  The freed inode's blocks return
-    /// to the allocator and later handles to it become stale.
+    /// Remove a file.  The freed inode's blocks return to the allocator and
+    /// later handles to it become stale.
     pub fn remove(&mut self, dir: InodeNumber, name: &str, now_nanos: u64) -> Result<(), FsError> {
         self.counters.namespace_ops += 1;
         let target = {
@@ -404,12 +381,6 @@ impl Ufs {
             }
             *d.entries.get(name).ok_or(FsError::NotFound)?
         };
-        {
-            let t = self.inode(target)?;
-            if t.kind == FileKind::Directory && !t.entries.is_empty() {
-                return Err(FsError::NotEmpty);
-            }
-        }
         // Free the target's blocks: ascending lbn, then the indirect block.
         if let Some(t) = self.inodes[target as usize].take() {
             self.free_blocks.extend(t.pointers.values());
@@ -481,8 +452,6 @@ impl Ufs {
         now_nanos: u64,
     ) -> Result<(FileAttributes, IoPlan), FsError> {
         self.counters.namespace_ops += 1;
-        let params_block = self.params.block_size;
-        let max_lbn = Inode::max_lbn(&self.params);
         let mut freed: Vec<u64> = Vec::new();
         let mut dropped: Vec<(u64, bool)> = Vec::new();
         {
@@ -495,9 +464,8 @@ impl Ufs {
             if let Some(size) = new_size {
                 if size < n.size {
                     // Truncate: drop blocks wholly beyond the new size.
-                    let keep_blocks = size.div_ceil(params_block);
-                    let drop_from = keep_blocks;
-                    for lbn in drop_from..=max_lbn {
+                    let keep_blocks = size.div_ceil(BLOCK_SIZE);
+                    for lbn in keep_blocks..=Inode::MAX_LBN {
                         if let Some(addr) = n.pointers.remove(lbn) {
                             freed.push(addr);
                             n.indirect_dirty |= Inode::needs_indirect(lbn);
@@ -547,8 +515,6 @@ impl Ufs {
         let source = data.into();
         self.counters.writes += 1;
         let cache_armed = self.cache_armed();
-        let block_size = self.params.block_size;
-        let max_lbn = Inode::max_lbn(&self.params);
         let data_len = source.len() as u64;
 
         // Validate and plan allocations first (so ENOSPC leaves no partial
@@ -561,19 +527,16 @@ impl Ufs {
             if source.is_empty() {
                 return Ok(WriteOutcome {
                     io: IoPlan::empty(),
-                    new_size: n.size,
-                    mtime_only: true,
-                    allocated: false,
                 });
             }
-            let last_lbn = (offset + data_len - 1) / block_size;
-            if last_lbn > max_lbn {
+            let last_lbn = (offset + data_len - 1) / BLOCK_SIZE;
+            if last_lbn > Inode::MAX_LBN {
                 return Err(FsError::FileTooLarge);
             }
         }
 
-        let first_lbn = offset / block_size;
-        let last_lbn = (offset + data_len - 1) / block_size;
+        let first_lbn = offset / BLOCK_SIZE;
+        let last_lbn = (offset + data_len - 1) / BLOCK_SIZE;
 
         let mut allocated = false;
 
@@ -604,14 +567,14 @@ impl Ufs {
             };
 
             // Copy the relevant byte range into the cached block.
-            let block_start = lbn * block_size;
+            let block_start = lbn * BLOCK_SIZE;
             let from = offset.max(block_start);
-            let to = (offset + data_len).min(block_start + block_size);
+            let to = (offset + data_len).min(block_start + BLOCK_SIZE);
             let src_from = (from - offset) as usize;
             let src_to = (to - offset) as usize;
             let dst_from = (from - block_start) as usize;
             let dst_to = (to - block_start) as usize;
-            let whole_block = dst_from == 0 && dst_to == block_size as usize;
+            let whole_block = dst_from == 0 && dst_to == BLOCK_SIZE as usize;
 
             let n = self.inode_mut(ino)?;
             let was_dirty = n.blocks.get(lbn).map(|b| b.dirty).unwrap_or(false);
@@ -637,7 +600,7 @@ impl Ufs {
                         resident: true,
                     });
                     block.phys = phys;
-                    let bytes = block.data.make_bytes(block_size as usize);
+                    let bytes = block.data.make_bytes(BLOCK_SIZE as usize);
                     match source {
                         WriteSource::Bytes(src) => {
                             bytes[dst_from..dst_to].copy_from_slice(&src[src_from..src_to])
@@ -657,27 +620,24 @@ impl Ufs {
         }
 
         // Update size and times.
-        let (new_size, mtime_only) = {
-            let n = self.inode_mut(ino)?;
-            let end = offset + data_len;
-            let grew = end > n.size;
-            if grew {
-                n.size = end;
-            }
-            n.mtime_nanos = now_nanos;
-            n.ctime_nanos = now_nanos;
-            let structural_change = allocated || grew;
-            if structural_change {
-                n.inode_dirty = true;
-                n.mtime_only_dirty = false;
-            } else if !n.inode_dirty {
-                // Only the timestamps changed; the reference port flushes this
-                // asynchronously (§4.4).
-                n.inode_dirty = true;
-                n.mtime_only_dirty = true;
-            }
-            (n.size, !structural_change)
-        };
+        let n = self.inode_mut(ino)?;
+        let end = offset + data_len;
+        let grew = end > n.size;
+        if grew {
+            n.size = end;
+        }
+        n.mtime_nanos = now_nanos;
+        n.ctime_nanos = now_nanos;
+        let structural_change = allocated || grew;
+        if structural_change {
+            n.inode_dirty = true;
+            n.mtime_only_dirty = false;
+        } else if !n.inode_dirty {
+            // Only the timestamps changed; the reference port flushes this
+            // asynchronously (§4.4).
+            n.inode_dirty = true;
+            n.mtime_only_dirty = true;
+        }
 
         // Build the I/O plan the flags require.
         let mut io = match flags {
@@ -711,12 +671,7 @@ impl Ufs {
             io.data.extend(forced);
         }
 
-        Ok(WriteOutcome {
-            io,
-            new_size,
-            mtime_only,
-            allocated,
-        })
+        Ok(WriteOutcome { io })
     }
 
     /// Mark the blocks in `[first_lbn, last_lbn]` clean and return the
@@ -727,8 +682,6 @@ impl Ufs {
         first_lbn: u64,
         last_lbn: u64,
     ) -> Result<Vec<DiskRequest>, FsError> {
-        let block_size = self.params.block_size;
-        let cluster = self.params.cluster_size;
         let n = self.inode_mut(ino)?;
         let mut extents = Vec::new();
         let mut cleaned = 0u64;
@@ -737,14 +690,14 @@ impl Ufs {
                 if block.dirty {
                     block.dirty = false;
                     cleaned += 1;
-                    extents.push((block.phys, block_size));
+                    extents.push((block.phys, BLOCK_SIZE));
                 }
             }
         }
         if self.cache_armed() {
             self.cache_dirty -= cleaned;
         }
-        Ok(cluster_requests(extents, cluster))
+        Ok(cluster_requests(extents))
     }
 
     /// `VOP_SYNCDATA`: flush all dirty data blocks whose byte range intersects
@@ -753,8 +706,6 @@ impl Ufs {
     /// becomes the metadata writer.
     pub fn sync_data(&mut self, ino: InodeNumber, from: u64, to: u64) -> Result<IoPlan, FsError> {
         self.counters.syncdatas += 1;
-        let block_size = self.params.block_size;
-        let cluster = self.params.cluster_size;
         let n = self.inode_mut(ino)?;
         let mut extents = Vec::new();
         let mut cleaned = 0u64;
@@ -762,15 +713,15 @@ impl Ufs {
         // i.e. lbns in [from/bs, (to-1)/bs]; walking just that range keeps a
         // flush of a small gathered span O(span), not O(file blocks).
         if to > from {
-            let first_lbn = from / block_size;
-            let last_lbn = (to - 1) / block_size;
+            let first_lbn = from / BLOCK_SIZE;
+            let last_lbn = (to - 1) / BLOCK_SIZE;
             for (lbn, block) in n.blocks.range_mut(first_lbn, last_lbn) {
-                let start = lbn * block_size;
-                let end = start + block_size;
+                let start = lbn * BLOCK_SIZE;
+                let end = start + BLOCK_SIZE;
                 if block.dirty && start < to && end > from {
                     block.dirty = false;
                     cleaned += 1;
-                    extents.push((block.phys, block_size));
+                    extents.push((block.phys, BLOCK_SIZE));
                 }
             }
         }
@@ -778,7 +729,7 @@ impl Ufs {
             self.cache_dirty -= cleaned;
         }
         Ok(IoPlan {
-            data: cluster_requests(extents, cluster),
+            data: cluster_requests(extents),
             metadata: Vec::new(),
         })
     }
@@ -805,15 +756,14 @@ impl Ufs {
     /// dirty flags are reset, modelling the writes being issued.
     fn metadata_requests(&mut self, ino: InodeNumber) -> Result<Vec<DiskRequest>, FsError> {
         let inode_block_addr = self.params.inode_block_addr(ino);
-        let block_size = self.params.block_size;
         let n = self.inode_mut(ino)?;
         let mut reqs = Vec::new();
         if n.inode_dirty {
-            reqs.push(DiskRequest::write(inode_block_addr, block_size));
+            reqs.push(DiskRequest::write(inode_block_addr, BLOCK_SIZE));
         }
         if n.indirect_dirty {
             if let Some(addr) = n.indirect {
-                reqs.push(DiskRequest::write(addr, block_size));
+                reqs.push(DiskRequest::write(addr, BLOCK_SIZE));
             }
         }
         n.inode_dirty = false;
@@ -836,7 +786,6 @@ impl Ufs {
         len: u64,
     ) -> Result<ReadOutcome, FsError> {
         self.counters.reads += 1;
-        let block_size = self.params.block_size;
         let n = self.inode(ino)?;
         if n.kind != FileKind::Regular {
             return Err(FsError::IsADirectory);
@@ -855,12 +804,12 @@ impl Ufs {
         // Resident blocks this read hit — with the bounded cache armed their
         // LRU recency must advance, or a scan would evict the hot set.
         let mut hits: Vec<u64> = Vec::new();
-        let first_lbn = offset / block_size;
-        let last_lbn = (end - 1) / block_size;
+        let first_lbn = offset / BLOCK_SIZE;
+        let last_lbn = (end - 1) / BLOCK_SIZE;
         for lbn in first_lbn..=last_lbn {
-            let block_start = lbn * block_size;
+            let block_start = lbn * BLOCK_SIZE;
             let from = offset.max(block_start);
-            let to = end.min(block_start + block_size);
+            let to = end.min(block_start + BLOCK_SIZE);
             let seg_len = to - from;
             let block = n.blocks.get(lbn);
             match block {
@@ -873,7 +822,7 @@ impl Ufs {
                 // it; report the miss so the caller charges disk latency.
                 _ => {
                     if let Some(phys) = n.block_addr(lbn) {
-                        misses.push(DiskRequest::read(phys, block_size));
+                        misses.push(DiskRequest::read(phys, BLOCK_SIZE));
                         if cache_reads {
                             missed_blocks.push((lbn, phys));
                         }
@@ -944,9 +893,8 @@ impl Ufs {
         now_nanos: u64,
     ) -> Result<InodeNumber, FsError> {
         let ino = self.create(dir, name, 0o644, now_nanos)?;
-        let block_size = self.params.block_size;
-        let blocks = size.div_ceil(block_size);
-        if blocks > 0 && blocks - 1 > Inode::max_lbn(&self.params) {
+        let blocks = size.div_ceil(BLOCK_SIZE);
+        if blocks > 0 && blocks - 1 > Inode::MAX_LBN {
             return Err(FsError::FileTooLarge);
         }
         if Inode::needs_indirect(blocks.saturating_sub(1)) && blocks > 0 {
@@ -973,7 +921,7 @@ impl Ufs {
         self.inodes
             .iter()
             .flatten()
-            .map(|n| n.blocks.values().filter(|b| b.dirty).count() as u64 * self.params.block_size)
+            .map(|n| n.blocks.values().filter(|b| b.dirty).count() as u64 * BLOCK_SIZE)
             .sum()
     }
 
@@ -1002,7 +950,6 @@ impl Ufs {
     /// zero-fill plus a disk-read miss.  Returns the number of data bytes
     /// discarded.
     pub fn crash_discard_volatile(&mut self) -> u64 {
-        let block_size = self.params.block_size;
         let armed = self.cache_armed();
         let mut discarded = 0u64;
         if armed {
@@ -1021,7 +968,7 @@ impl Ufs {
                     .expect("a resident page's inode is live");
                 if n.blocks.get(lbn).is_some_and(|b| b.dirty) {
                     n.blocks.remove(lbn);
-                    discarded += block_size;
+                    discarded += BLOCK_SIZE;
                 } else {
                     self.cache_touch(ino, lbn);
                 }
@@ -1031,7 +978,7 @@ impl Ufs {
             if !armed {
                 let before = n.blocks.len();
                 n.blocks.retain(|_, b| !b.dirty);
-                discarded += (before - n.blocks.len()) as u64 * block_size;
+                discarded += (before - n.blocks.len()) as u64 * BLOCK_SIZE;
             }
             n.inode_dirty = false;
             n.mtime_only_dirty = false;
@@ -1044,12 +991,11 @@ impl Ufs {
     /// cached block of every inode twice: the differential test's oracle.
     #[cfg(test)]
     fn crash_discard_volatile_oracle(&mut self) -> u64 {
-        let block_size = self.params.block_size;
         let mut discarded = 0u64;
         for n in self.inodes.iter_mut().flatten() {
             let before = n.blocks.len();
             n.blocks.retain(|_, b| !b.dirty);
-            discarded += (before - n.blocks.len()) as u64 * block_size;
+            discarded += (before - n.blocks.len()) as u64 * BLOCK_SIZE;
             n.inode_dirty = false;
             n.mtime_only_dirty = false;
             n.indirect_dirty = false;
@@ -1117,12 +1063,12 @@ mod tests {
         let out = u
             .write(f, 0, &vec![7u8; BS as usize], WriteFlags::Sync, 100)
             .unwrap();
-        assert!(out.allocated);
-        assert!(!out.mtime_only);
-        assert_eq!(out.new_size, BS);
+        assert_eq!(u.getattr(f).unwrap().size, BS);
         assert_eq!(out.io.data.len(), 1);
-        // The inode block write (no indirect block needed yet).
+        // The allocation changed the inode, so the plan carries the inode
+        // block write (no indirect block needed yet).
         assert_eq!(out.io.metadata.len(), 1);
+        assert_eq!(out.io.metadata[0].addr, u.params().inode_block_addr(f));
         assert_eq!(out.io.metadata[0].len, BS);
     }
 
@@ -1136,8 +1082,7 @@ mod tests {
         let out = u
             .write(f, 0, &vec![2u8; BS as usize], WriteFlags::Sync, 200)
             .unwrap();
-        assert!(out.mtime_only);
-        assert!(!out.allocated);
+        assert_eq!(u.getattr(f).unwrap().size, BS);
         assert_eq!(out.io.data.len(), 1);
         // §4.4: the inode update for a pure mtime change is asynchronous.
         assert!(out.io.metadata.is_empty());
@@ -1394,7 +1339,13 @@ mod tests {
 
     #[test]
     fn enospc_is_reported() {
-        let mut u = Ufs::new(1, FsParams::tiny_for_tests());
+        let mut u = Ufs::new(
+            1,
+            FsParams {
+                data_capacity: 64 * BS,
+                ..FsParams::default()
+            },
+        );
         let root = u.root();
         let f = u.create(root, "fill", 0o644, 0).unwrap();
         let mut hit_enospc = false;
@@ -1416,7 +1367,7 @@ mod tests {
         let mut u = fs();
         let root = u.root();
         let f = u.create(root, "huge", 0o644, 0).unwrap();
-        let too_far = (Inode::max_lbn(u.params()) + 1) * BS;
+        let too_far = (Inode::MAX_LBN + 1) * BS;
         assert!(matches!(
             u.write(f, too_far, &[1u8; 1], WriteFlags::Sync, 0),
             Err(FsError::FileTooLarge)
@@ -1427,17 +1378,15 @@ mod tests {
     fn directories_reject_data_ops_and_track_entries() {
         let mut u = fs();
         let root = u.root();
-        let d = u.mkdir(root, "dir", 0o755, 0).unwrap();
         assert!(matches!(
-            u.write(d, 0, b"x", WriteFlags::Sync, 0),
+            u.write(root, 0, b"x", WriteFlags::Sync, 0),
             Err(FsError::IsADirectory)
         ));
-        assert!(matches!(u.read(d, 0, 10), Err(FsError::IsADirectory)));
-        u.create(d, "inner", 0o644, 1).unwrap();
-        assert!(u.readdir(d).unwrap().iter().map(|n| &**n).eq(["inner"]));
-        assert_eq!(u.remove(root, "dir", 2), Err(FsError::NotEmpty));
-        u.remove(d, "inner", 3).unwrap();
-        u.remove(root, "dir", 4).unwrap();
+        assert!(matches!(u.read(root, 0, 10), Err(FsError::IsADirectory)));
+        u.create(root, "inner", 0o644, 1).unwrap();
+        assert!(u.readdir(root).unwrap().iter().map(|n| &**n).eq(["inner"]));
+        u.remove(root, "inner", 3).unwrap();
+        assert!(u.readdir(root).unwrap().is_empty());
     }
 
     #[test]
@@ -1567,7 +1516,7 @@ mod tests {
         let n = u.inode(f).unwrap();
         let mut expected = vec![n.indirect.unwrap()];
         expected.extend((0..14).rev().map(|lbn| n.block_addr(lbn).unwrap()));
-        let fresh = u.alloc_cursor + u.params.data_region_start;
+        let fresh = u.alloc_cursor + DATA_REGION_START;
         u.remove(root, "f", 20).unwrap();
         let reused: Vec<u64> = (0..15).map(|_| u.allocate_block().unwrap()).collect();
         assert_eq!(reused, expected);

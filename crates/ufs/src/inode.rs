@@ -9,7 +9,7 @@
 //! are the inode's direct pointers, and the rest are the pointers its single
 //! indirect block holds.
 
-use crate::params::FsParams;
+use crate::params::POINTERS_PER_BLOCK;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wg_nfsproto::DirListing;
@@ -104,10 +104,10 @@ pub struct CachedBlock {
 /// A dense map keyed by logical block index (lbn).
 ///
 /// A file addressable through one single-indirect block spans at most
-/// `NDADDR + pointers_per_block` logical blocks (~2060 under the default
-/// geometry), so the map is a slot vector indexed by lbn: every lookup on
-/// the write datapath is one bounds check and one `Option` discriminant away
-/// from its value, where a `BTreeMap` costs a pointer chase per tree level.
+/// `Inode::MAX_LBN + 1` (2,060) logical blocks, so the map is a slot vector
+/// indexed by lbn: every lookup on the write datapath is one bounds check
+/// and one `Option` discriminant away from its value, where a `BTreeMap`
+/// costs a pointer chase per tree level.
 /// Iteration walks the slots in index order, so every traversal is
 /// ascending-lbn: flush order and free order, and with them the simulated
 /// event order, follow from it.  An inode keeps two: its cached blocks (the
@@ -322,10 +322,8 @@ impl Inode {
     }
 
     /// The highest logical block index representable with a single indirect
-    /// block under the given geometry.
-    pub fn max_lbn(params: &FsParams) -> u64 {
-        NDADDR as u64 + params.pointers_per_block() - 1
-    }
+    /// block.
+    pub const MAX_LBN: u64 = NDADDR as u64 + POINTERS_PER_BLOCK - 1;
 
     /// Number of 512-byte sectors the file occupies (the `blocks` field of
     /// NFS attributes).
@@ -374,10 +372,9 @@ mod tests {
 
     #[test]
     fn max_file_size_with_single_indirect() {
-        let p = FsParams::default();
         // 12 direct + 2048 indirect pointers of 8 KB blocks ≈ 16.1 MB.
-        assert_eq!(Inode::max_lbn(&p), 12 + 2048 - 1);
-        let max_bytes = (Inode::max_lbn(&p) + 1) * p.block_size;
+        assert_eq!(Inode::MAX_LBN, 12 + 2048 - 1);
+        let max_bytes = (Inode::MAX_LBN + 1) * crate::params::BLOCK_SIZE;
         assert!(max_bytes > 16 * 1024 * 1024);
     }
 

@@ -41,5 +41,5 @@ pub use cluster::cluster_requests;
 pub use error::FsError;
 pub use fs::{FileAttributes, Ufs};
 pub use inode::{BlockData, FileKind, Inode, InodeNumber};
-pub use params::FsParams;
+pub use params::{FsParams, BLOCK_SIZE, CLUSTER_SIZE};
 pub use vnode::{FsyncFlags, IoPlan, ReadOutcome, WriteFlags, WriteOutcome, WriteSource};

@@ -1,26 +1,40 @@
 //! Filesystem geometry and policy parameters.
+//!
+//! The geometry is the one the paper's experiments assume: 8 KB blocks,
+//! clustering of contiguous writes into transfers of up to 64 KB, and an
+//! inode region separated from the data region so metadata updates pay a
+//! seek.  Only the capacity, the inode layout and the cache policy vary
+//! between configurations, so only they are [`FsParams`] fields.
 
-/// Geometry and policy of one filesystem instance.
-///
-/// The defaults match the configuration the paper's experiments assume: 8 KB
-/// blocks, clustering of contiguous writes into transfers of up to 64 KB, an
-/// inode region separated from the data region so metadata updates pay a seek.
+/// Filesystem block size in bytes (the unit of allocation and of client
+/// writes; NFS v2 clients emit one write per 8 KB block).
+pub const BLOCK_SIZE: u64 = 8192;
+
+/// Largest clustered transfer the filesystem builds (the McVoy/Kleiman
+/// extension; 64 KB in the paper).
+pub const CLUSTER_SIZE: u64 = 64 * 1024;
+
+/// Bytes each on-disk inode occupies (128 in FFS).
+pub const INODE_SIZE: u64 = 128;
+
+/// Disk byte address where the inode region starts.
+pub const INODE_REGION_START: u64 = 16 * 1024 * 1024;
+
+/// Disk byte address where the data region starts.
+pub const DATA_REGION_START: u64 = 64 * 1024 * 1024;
+
+/// Number of inodes that share one filesystem block (and therefore one
+/// inode-block disk write).
+pub const INODES_PER_BLOCK: u64 = BLOCK_SIZE / INODE_SIZE;
+
+/// Number of block pointers an indirect block holds (4-byte pointers).
+pub const POINTERS_PER_BLOCK: u64 = BLOCK_SIZE / 4;
+
+/// Capacity and policy of one filesystem instance.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct FsParams {
-    /// Filesystem block size in bytes (the unit of allocation and of client
-    /// writes; NFS v2 clients emit one write per 8 KB block).
-    pub block_size: u64,
-    /// Largest clustered transfer the filesystem will build (the McVoy/Kleiman
-    /// extension; 64 KB in the paper).
-    pub cluster_size: u64,
     /// Usable capacity of the data region in bytes.
     pub data_capacity: u64,
-    /// Disk byte address where the inode region starts.
-    pub inode_region_start: u64,
-    /// Disk byte address where the data region starts.
-    pub data_region_start: u64,
-    /// Bytes each on-disk inode occupies (128 in FFS).
-    pub inode_size: u64,
     /// Whether blocks fetched from disk by reads stay resident in the buffer
     /// cache.
     ///
@@ -61,13 +75,8 @@ pub struct FsParams {
 impl Default for FsParams {
     fn default() -> Self {
         FsParams {
-            block_size: 8192,
-            cluster_size: 64 * 1024,
             // Leave room for ~900 MB of data on the 1.05 GB RZ26.
             data_capacity: 900 * 1024 * 1024,
-            inode_region_start: 16 * 1024 * 1024,
-            data_region_start: 64 * 1024 * 1024,
-            inode_size: 128,
             read_caching: false,
             cache_pages: 0,
             dirty_ratio: 0.5,
@@ -77,17 +86,6 @@ impl Default for FsParams {
 }
 
 impl FsParams {
-    /// Number of inodes that share one filesystem block (and therefore one
-    /// inode-block disk write).
-    pub fn inodes_per_block(&self) -> u64 {
-        self.block_size / self.inode_size
-    }
-
-    /// Number of block pointers an indirect block holds (4-byte pointers).
-    pub fn pointers_per_block(&self) -> u64 {
-        self.block_size / 4
-    }
-
     /// Distance between the starts of two consecutive inode groups: seven
     /// 64 KB stripe units.  Being coprime to every stripe width up to 13
     /// (other than 7), consecutive groups walk all members of a stripe set
@@ -97,14 +95,14 @@ impl FsParams {
     /// The disk address of the block containing inode `ino`.
     ///
     /// With a single inode group this is the flat layout
-    /// `region_start + (ino / inodes_per_block) * block_size`; with more,
-    /// inode `ino` lives in group `ino % inode_groups` at span-sized strides
-    /// (see [`FsParams::inode_groups`]).
+    /// `INODE_REGION_START + (ino / INODES_PER_BLOCK) * BLOCK_SIZE`; with
+    /// more, inode `ino` lives in group `ino % inode_groups` at span-sized
+    /// strides (see [`FsParams::inode_groups`]).
     pub fn inode_block_addr(&self, ino: u64) -> u64 {
         let groups = self.inode_groups.max(1);
         let group = ino % groups;
         let slot = ino / groups;
-        let block_offset = (slot / self.inodes_per_block()) * self.block_size;
+        let block_offset = (slot / INODES_PER_BLOCK) * BLOCK_SIZE;
         // A group's slots must stay inside its span: letting them run into
         // the next group's range would silently alias two different inodes
         // onto one disk address, defeating the spreading this layout models.
@@ -112,38 +110,21 @@ impl FsParams {
             groups == 1 || block_offset < Self::INODE_GROUP_SPAN,
             "inode {ino} overflows its group: {groups} groups hold {} inodes \
              each; raise inode_groups or shrink the working set",
-            (Self::INODE_GROUP_SPAN / self.block_size) * self.inodes_per_block()
+            (Self::INODE_GROUP_SPAN / BLOCK_SIZE) * INODES_PER_BLOCK
         );
-        let addr = self.inode_region_start + group * Self::INODE_GROUP_SPAN + block_offset;
+        let addr = INODE_REGION_START + group * Self::INODE_GROUP_SPAN + block_offset;
         // Hard assert (the group count comes straight from CLI flags and
         // release builds strip debug_asserts): an inode block past the data
         // region start would alias onto addresses the data allocator hands
         // out, silently corrupting every seek-distance result.
         assert!(
-            addr < self.data_region_start || groups == 1,
+            addr < DATA_REGION_START || groups == 1,
             "inode {ino} overflows the inode region: {groups} groups need \
              {} bytes but only {} are reserved; lower inode_groups",
             groups * Self::INODE_GROUP_SPAN,
-            self.data_region_start - self.inode_region_start
+            DATA_REGION_START - INODE_REGION_START
         );
         addr
-    }
-
-    /// A small-geometry configuration used by tests that want to hit ENOSPC
-    /// and indirect-block boundaries quickly.
-    pub fn tiny_for_tests() -> Self {
-        FsParams {
-            block_size: 8192,
-            cluster_size: 64 * 1024,
-            data_capacity: 8192 * 64, // 64 data blocks
-            inode_region_start: 1024 * 1024,
-            data_region_start: 2 * 1024 * 1024,
-            inode_size: 128,
-            read_caching: false,
-            cache_pages: 0,
-            dirty_ratio: 0.5,
-            inode_groups: 1,
-        }
     }
 
     /// The number of dirty pages the cache tolerates before throttling
@@ -165,9 +146,8 @@ mod tests {
 
     #[test]
     fn derived_quantities() {
-        let p = FsParams::default();
-        assert_eq!(p.inodes_per_block(), 64);
-        assert_eq!(p.pointers_per_block(), 2048);
+        assert_eq!(INODES_PER_BLOCK, 64);
+        assert_eq!(POINTERS_PER_BLOCK, 2048);
     }
 
     #[test]
@@ -175,7 +155,7 @@ mod tests {
         let p = FsParams::default();
         assert_eq!(p.inode_block_addr(0), p.inode_block_addr(63));
         assert_ne!(p.inode_block_addr(63), p.inode_block_addr(64));
-        assert_eq!(p.inode_block_addr(64) - p.inode_block_addr(0), p.block_size);
+        assert_eq!(p.inode_block_addr(64) - p.inode_block_addr(0), BLOCK_SIZE);
     }
 
     #[test]
@@ -203,7 +183,7 @@ mod tests {
         let flat_members: std::collections::BTreeSet<u64> = (0..64).map(flat_member).collect();
         assert_eq!(flat_members.len(), 1);
         // A group's slots stay inside the inode region.
-        assert!(grouped.inode_block_addr(64 * 63 + 63) < grouped.data_region_start);
+        assert!(grouped.inode_block_addr(64 * 63 + 63) < DATA_REGION_START);
     }
 
     #[test]
@@ -233,10 +213,11 @@ mod tests {
 
     #[test]
     fn regions_do_not_overlap() {
+        // The flat layout's inode blocks fill the inode region from its
+        // start, and every inode the region holds lies below the data.
         let p = FsParams::default();
-        assert!(p.inode_region_start < p.data_region_start);
-        let t = FsParams::tiny_for_tests();
-        assert!(t.inode_region_start < t.data_region_start);
-        assert_eq!(t.data_capacity / t.block_size, 64);
+        assert_eq!(p.inode_block_addr(0), INODE_REGION_START);
+        let fit = (DATA_REGION_START - INODE_REGION_START) / BLOCK_SIZE * INODES_PER_BLOCK;
+        assert!(p.inode_block_addr(fit - 1) + BLOCK_SIZE <= DATA_REGION_START);
     }
 }

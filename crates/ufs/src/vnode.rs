@@ -140,16 +140,6 @@ pub struct WriteOutcome {
     /// Device requests the write requires before it is stable, given the
     /// flags it was issued with (empty for `DelayData`).
     pub io: IoPlan,
-    /// File size after the write.
-    pub new_size: u64,
-    /// `true` if the only inode change was the modification time — the case
-    /// the reference port lets slide with an asynchronous inode update
-    /// (§4.4), i.e. no synchronous metadata write is required even on the
-    /// standard path.
-    pub mtime_only: bool,
-    /// `true` if this write grew the file or allocated blocks (and therefore
-    /// changed the inode beyond mtime).
-    pub allocated: bool,
 }
 
 /// The result of a read.

@@ -171,9 +171,8 @@ fn clustered_transfers_respect_cluster_size() {
             .unwrap();
         }
         let plan = fs.sync_data(ino, 0, u64::MAX).unwrap();
-        let cluster = fs.params().cluster_size;
         for req in &plan.data {
-            assert!(req.len <= cluster, "seed {seed}");
+            assert!(req.len <= wg_ufs::CLUSTER_SIZE, "seed {seed}");
             assert!(req.len % BS == 0, "seed {seed}");
         }
         let total: u64 = plan.data.iter().map(|r| r.len).sum();

@@ -976,8 +976,8 @@ impl SfsGenerator {
                     }
                 }
             },
-            // RENEW errors (a lease-disarmed server answers Denied) leave
-            // the phase untouched; the next tick simply tries again.
+            // Any other reply leaves the phase untouched; the next tick
+            // simply tries again.
             _ => {}
         }
     }
@@ -1281,7 +1281,6 @@ impl SfsSystem {
             .with_read_caching(config.read_caching)
             .with_unified_cache(config.cache_pages)
             .with_dirty_ratio(config.dirty_ratio)
-            .with_leases(config.leases)
             .with_lease_duration(config.lease_duration)
             .with_grace_period(config.grace_period);
         // The DEC 3800 of Figures 2/3 is a faster machine than the cost

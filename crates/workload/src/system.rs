@@ -395,7 +395,8 @@ impl FileCopySystem {
     pub fn verify_on_disk(&self) -> Result<(), String> {
         let mut fs = self.server().fs().clone();
         let root = fs.root();
-        let block = fs.params().block_size;
+        // The writer fills each of its full-size (8 KB) WRITEs with one byte.
+        let block = u64::from(wg_nfsproto::NFS_MAXDATA);
         for client in 0..self.config.clients {
             let salt = fill_salt(client);
             for segment in 0..self.config.segments_per_client() {

@@ -74,6 +74,9 @@ fn client_byte_accounting_matches_server_side() {
     assert_eq!(client.requests_sent, FILE / 8192);
     // The server answered every request exactly once.
     assert_eq!(system.server().stats().replies_sent, FILE / 8192);
+    // A copy client sends no RENEW or LOCK, so the lease table stays empty.
+    assert_eq!(system.server().state_table_bytes(), 0);
+    assert_eq!(system.server().active_lease_clients(), 0);
     // Disk wrote at least the file (data) once; with gathering the metadata
     // overhead is small.
     let disk = system.server().device_stats();
