@@ -4,14 +4,14 @@ use std::ops::Range;
 
 use wg_nfsproto::{
     CommitArgs, FileHandle, NfsCall, NfsCallBody, NfsReply, NfsReplyBody, StableHow, StatusReply,
-    WriteArgs, Xid,
+    WriteArgs, Xid, NFS_MAXDATA,
 };
 use wg_simcore::{Duration, SimTime};
 
 use crate::rpc::{backoff, XidWindow};
 
-/// Bytes per write request (8 KB, the NFS v2 maximum).
-const CHUNK_SIZE: u64 = 8192;
+/// Bytes per write request: one full-size v2 WRITE.
+const CHUNK_SIZE: u64 = NFS_MAXDATA as u64;
 
 /// Client configuration.
 #[derive(Clone, Debug)]

@@ -7,7 +7,7 @@
 //! and errors between the two vocabularies.
 
 use wg_nfsproto::{Fattr, FileHandle, FileType, NfsStatus, Timeval};
-use wg_ufs::{FileAttributes, FileKind, FsError, InodeNumber, Ufs};
+use wg_ufs::{FileAttributes, FileKind, FsError, InodeNumber, Ufs, BLOCK_SIZE};
 
 /// Mint the file handle for a live inode.
 pub fn handle_for(fs: &Ufs, ino: InodeNumber) -> Result<FileHandle, FsError> {
@@ -59,7 +59,7 @@ pub fn attributes_to_fattr(fsid: u32, a: &FileAttributes) -> Fattr {
         uid: a.uid,
         gid: a.gid,
         size: a.size.min(u32::MAX as u64) as u32,
-        blocksize: 8192,
+        blocksize: BLOCK_SIZE as u32,
         rdev: 0,
         blocks: a.sectors.min(u32::MAX as u64) as u32,
         fsid,
@@ -135,7 +135,7 @@ mod tests {
         fs.write(
             ino,
             0,
-            &vec![0u8; 16384],
+            &[0u8; 16384],
             wg_ufs::WriteFlags::Sync,
             5_000_000_000,
         )

@@ -33,24 +33,12 @@ use wg_simcore::FxHashMap;
 use wg_disk::{BlockDevice, DeviceStats, Disk, DiskRequest, StripeSet};
 use wg_net::SocketBuffer;
 use wg_nfsproto::{
-    CommitOk, DirOpOk, Fattr, NfsCall, NfsCallBody, NfsReply, NfsReplyBody, NfsStatus, Payload,
-    ReadOk, RenewOk, StableHow, StatfsOk, StatusReply, WriteArgs, WriteVerfOk, Xid,
+    CommitOk, DirOpOk, Fattr, NfsCall, NfsCallBody, NfsReply, NfsReplyBody, NfsStatus, ReadOk,
+    RenewOk, StableHow, StatfsOk, StatusReply, WriteArgs, WriteVerfOk, Xid, NFS_MAXDATA,
 };
 use wg_nvram::Presto;
 use wg_simcore::{Duration, MultiCpu, SimTime, Trace, TraceKind};
-use wg_ufs::{FsyncFlags, InodeNumber, IoPlan, Ufs, WriteFlags, WriteSource, BLOCK_SIZE};
-
-/// View a request payload as a filesystem write source without materialising
-/// fill patterns — the hand-off that keeps the whole datapath zero-copy.
-fn write_source(payload: &Payload) -> WriteSource<'_> {
-    match payload.as_fill() {
-        Some((byte, len)) => WriteSource::Fill {
-            byte,
-            len: len as u64,
-        },
-        None => WriteSource::Bytes(payload.as_bytes().expect("non-fill payload has bytes")),
-    }
-}
+use wg_ufs::{FsyncFlags, InodeNumber, IoPlan, Ufs, WriteFlags, BLOCK_SIZE};
 
 /// Clamp a 64-bit block count into a 32-bit protocol field.
 fn saturate_u32(v: u64) -> u32 {
@@ -752,8 +740,8 @@ impl NfsServer {
             // `data_capacity` overflows them, so the counts saturate instead
             // of wrapping (a wrapped `blocks` reads as a nearly empty disk).
             NfsCallBody::Statfs(_a) => NfsReplyBody::Statfs(StatusReply::Ok(StatfsOk {
-                tsize: 8192,
-                bsize: 8192,
+                tsize: NFS_MAXDATA,
+                bsize: BLOCK_SIZE as u32,
                 blocks: saturate_u32(self.fs.total_block_count()),
                 bfree: saturate_u32(self.fs.free_block_count()),
                 bavail: saturate_u32(self.fs.free_block_count()),
@@ -1201,10 +1189,7 @@ impl NfsServer {
         let copy = costs::copy(args.data.len() as u64);
         let t1 = self.cpu.run(start, costs::UFS_TRIP + copy + extra);
         let offset = args.offset as u64;
-        match self
-            .fs
-            .write(ino, offset, write_source(&args.data), flags, t1.as_nanos())
-        {
+        match self.fs.write(ino, offset, &args.data, flags, t1.as_nanos()) {
             Ok(out) => {
                 self.stats.writes_completed.record(args.data.len() as u64);
                 Some((t1, out.io))
@@ -2301,6 +2286,33 @@ mod tests {
         assert_eq!(replies[0].1.body.status(), NfsStatus::Stale);
     }
 
+    /// A client may send any READ count; a zero count of a non-empty file
+    /// is answered with no data.
+    #[test]
+    fn zero_count_read_is_answered_with_no_data() {
+        let (mut server, ino) = make_server(WritePolicy::Gathering);
+        let fh = server.handle_for_ino(ino).unwrap();
+        let read = NfsCall::new(
+            Xid(2),
+            NfsCallBody::Read(wg_nfsproto::ReadArgs {
+                file: fh,
+                offset: 0,
+                count: 0,
+                totalcount: 0,
+            }),
+        );
+        let write = datagram(write_call(&server, ino, 1, 0, 8192));
+        let replies = server.run_script(vec![
+            (SimTime::ZERO, write),
+            (SimTime::from_millis(500), datagram(read)),
+        ]);
+        let (_, reply) = replies.iter().find(|(_, r)| r.xid == Xid(2)).unwrap();
+        match &reply.body {
+            NfsReplyBody::Read(StatusReply::Ok(ok)) => assert!(ok.data.is_empty()),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn non_write_operations_are_served() {
         let (mut server, ino) = make_server(WritePolicy::Gathering);
@@ -2564,10 +2576,9 @@ mod tests {
         let (mut server, ino) = make_server(WritePolicy::Standard);
         let block = BLOCK_SIZE;
         let fs = server.fs_mut();
-        fs.write(ino, 0, &vec![1u8; block as usize], WriteFlags::DelayData, 1)
-            .unwrap();
-        fs.write(ino, block, &vec![2u8; block as usize], WriteFlags::Sync, 2)
-            .unwrap();
+        let (ones, twos) = ([1u8; BLOCK_SIZE as usize], [2u8; BLOCK_SIZE as usize]);
+        fs.write(ino, 0, &ones, WriteFlags::DelayData, 1).unwrap();
+        fs.write(ino, block, &twos, WriteFlags::Sync, 2).unwrap();
         let mut ledger = AckedBlocks::default();
         // A reply over the delayed block promises stability it lacks; a
         // reply over the synchronously written one owes nothing.

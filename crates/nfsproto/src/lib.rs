@@ -14,6 +14,9 @@
 //! * ONC RPC call/reply framing with transaction ids used for duplicate
 //!   request detection ([`rpc`]): AUTH_UNIX calls and accepted replies,
 //!   the only framing the simulation exchanges,
+//! * [`Payload`], the bytes a WRITE carries and a READ returns: a fill
+//!   pattern or a shared buffer, the one form simulated bytes take down to
+//!   the filesystem's buffer cache ([`payload`]),
 //! * [`DirListing`], the sorted READDIR name list that replies share by
 //!   snapshot ([`listing`]),
 //! * a convenience [`message`] layer that bundles a complete request or reply
@@ -23,10 +26,10 @@
 //! The encoding layer keeps the simulated wire honest about sizes: messages
 //! cross the simulated network as typed values, and the network and socket
 //! buffer charge each one its arithmetic `wire_size()`, which tests pin to
-//! the length of its real XDR encoding.  Bytes exist only in
-//! `to_wire`/`from_wire`, which the round-trip tests,
-//! `wire_sizes_match_real_encodings` and the benchmark's encode/decode
-//! micro replays call.
+//! the length of its real XDR encoding.  Encoded bytes exist only in
+//! `to_wire`/`from_wire` (a plain `Vec<u8>` and `&[u8]`), which the
+//! round-trip tests, `wire_sizes_match_real_encodings` and the benchmark's
+//! encode/decode micro replays call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +45,7 @@ pub mod rpc;
 pub use attr::{Fattr, FileType, NfsStatus, Sattr, Timeval};
 pub use handle::FileHandle;
 pub use listing::DirListing;
-pub use message::{NfsCall, NfsCallBody, NfsReply, NfsReplyBody, WireMessage};
+pub use message::{NfsCall, NfsCallBody, NfsReply, NfsReplyBody};
 pub use payload::Payload;
 pub use procs::{
     CommitArgs, CommitOk, CreateArgs, DirOpArgs, DirOpOk, GetattrArgs, LockArgs, LockOk,

@@ -3,11 +3,12 @@
 //! The simulation passes complete NFS requests and replies between the client,
 //! network and server models.  [`NfsCall`] and [`NfsReply`] bundle the RPC
 //! transaction id with a typed procedure body, and can be flattened to (and
-//! parsed back from) real wire bytes via [`WireMessage`].  The wire size is
-//! what the network model charges for transmission and what the server
-//! socket-buffer model counts against its capacity, so the sizes here must be
-//! faithful: an 8 KB write really occupies a little more than 8 KB on the
-//! wire once RPC and NFS headers are added.
+//! parsed back from) the real bytes of a UDP datagram with `to_wire` and
+//! `from_wire`.  The wire size is what the network model charges for
+//! transmission and what the server socket-buffer model counts against its
+//! capacity, so the sizes here must be faithful: an 8 KB write really
+//! occupies a little more than 8 KB on the wire once RPC and NFS headers are
+//! added.
 
 use std::sync::OnceLock;
 
@@ -173,7 +174,7 @@ impl NfsCall {
     }
 
     /// Serialise to wire bytes (RPC call header + XDR arguments).
-    pub fn to_wire(&self) -> WireMessage {
+    pub fn to_wire(&self) -> Vec<u8> {
         let mut enc = XdrEncoder::with_capacity(256);
         RpcCallHeader {
             xid: self.xid,
@@ -181,14 +182,12 @@ impl NfsCall {
         }
         .encode(&mut enc);
         self.body.encode_args(&mut enc);
-        WireMessage {
-            bytes: enc.into_bytes(),
-        }
+        enc.into_bytes()
     }
 
     /// Parse a call from wire bytes, validating the RPC header.
-    pub fn from_wire(msg: &WireMessage) -> Result<Self, XdrError> {
-        let mut dec = XdrDecoder::new(&msg.bytes);
+    pub fn from_wire(bytes: &[u8]) -> Result<Self, XdrError> {
+        let mut dec = XdrDecoder::new(bytes);
         let header = RpcCallHeader::decode(&mut dec)?;
         let body = NfsCallBody::decode_args(header.procedure, &mut dec)?;
         if dec.remaining() != 0 {
@@ -332,7 +331,7 @@ impl NfsReply {
     /// xid against their outstanding-call table, but the simulation's decoder
     /// is stateless, so the tag makes parsing self-contained.  The size cost
     /// (4 bytes) is negligible relative to header sizes.
-    pub fn to_wire(&self) -> WireMessage {
+    pub fn to_wire(&self) -> Vec<u8> {
         let mut enc = XdrEncoder::with_capacity(128);
         RpcReplyHeader { xid: self.xid }.encode(&mut enc);
         enc.put_u32(self.body.tag());
@@ -348,14 +347,12 @@ impl NfsReply {
             NfsReplyBody::Renew(r) => r.encode(&mut enc),
             NfsReplyBody::Lock(r) => r.encode(&mut enc),
         }
-        WireMessage {
-            bytes: enc.into_bytes(),
-        }
+        enc.into_bytes()
     }
 
     /// Parse a reply from wire bytes.
-    pub fn from_wire(msg: &WireMessage) -> Result<Self, XdrError> {
-        let mut dec = XdrDecoder::new(&msg.bytes);
+    pub fn from_wire(bytes: &[u8]) -> Result<Self, XdrError> {
+        let mut dec = XdrDecoder::new(bytes);
         let header = RpcReplyHeader::decode(&mut dec)?;
         let tag = dec.get_u32()?;
         let body = match tag {
@@ -391,25 +388,6 @@ impl NfsReply {
     /// body tag word is included).
     pub fn wire_size(&self) -> usize {
         RpcReplyHeader::WIRE_SIZE + 4 + self.body.results_wire_size()
-    }
-}
-
-/// Raw bytes of one NFS message as carried in a UDP datagram.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct WireMessage {
-    /// Encoded bytes.
-    pub bytes: Vec<u8>,
-}
-
-impl WireMessage {
-    /// Size in bytes (excluding UDP/IP headers, which the network model adds).
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// `true` if the message is empty (never the case for valid NFS traffic).
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 }
 
@@ -728,18 +706,14 @@ mod tests {
 
     #[test]
     fn garbage_wire_bytes_are_rejected_not_panicking() {
-        let garbage = WireMessage {
-            bytes: vec![0xFF; 40],
-        };
+        let garbage = vec![0xFF; 40];
         assert!(NfsCall::from_wire(&garbage).is_err());
         assert!(NfsReply::from_wire(&garbage).is_err());
-        let empty = WireMessage { bytes: vec![] };
-        assert!(empty.is_empty());
-        assert!(NfsCall::from_wire(&empty).is_err());
+        assert!(NfsCall::from_wire(&[]).is_err());
         // Tag 0, the NULL reply's, is no reply the server sends.
         let mut null_reply = NfsReply::new(Xid(5), NfsReplyBody::Status(NfsStatus::Ok)).to_wire();
         let tag = RpcReplyHeader::WIRE_SIZE;
-        null_reply.bytes[tag..tag + 4].fill(0);
+        null_reply[tag..tag + 4].fill(0);
         assert_eq!(
             NfsReply::from_wire(&null_reply),
             Err(XdrError::InvalidEnum {

@@ -13,12 +13,19 @@
 //!   call or reply (socket buffer, duplicate request cache, retransmission
 //!   replay) bumps a reference count instead of copying kilobytes.
 //!
+//! The filesystem's buffer cache holds each block as a `Payload` too, so a
+//! WRITE's data is stored and a READ's reply assembled without leaving this
+//! representation: [`Payload::write_at`] stores a write into a block
+//! (copy-on-write), [`Payload::slice`] takes the part of a block a read
+//! covers, and [`Payload::concat`] joins those parts into the reply.
+//!
 //! Equality is *logical* (a `Fill` equals a `Shared` with the same bytes), so
 //! protocol round-trip tests are unaffected by which representation a value
 //! happens to use.  The [`materialize`](Payload::materialize) probe counts
 //! every time a `Fill` is expanded into real bytes; the zero-copy regression
 //! test asserts the count stays at zero across an entire simulated file copy.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -91,20 +98,84 @@ impl Payload {
         self.len() == 0
     }
 
-    /// The backing slice, if the payload is already materialised.
-    pub fn as_bytes(&self) -> Option<&[u8]> {
+    /// The bytes in `range` as a payload of their own.
+    ///
+    /// Part of a fill is a fill, and a range covering a whole shared buffer
+    /// is that buffer (a reference-count bump).  Only part of a shared
+    /// buffer is copied, since an `Arc<[u8]>` cannot be sub-sliced.
+    pub fn slice(&self, range: Range<usize>) -> Payload {
+        debug_assert!(range.end <= self.len(), "{range:?} past {}", self.len());
         match self {
-            Payload::Fill { .. } => None,
-            Payload::Shared(bytes) => Some(bytes),
+            Payload::Fill { byte, .. } => Payload::fill(*byte, range.len() as u32),
+            Payload::Shared(bytes) if range.len() == bytes.len() => {
+                Payload::Shared(Arc::clone(bytes))
+            }
+            Payload::Shared(bytes) => Payload::Shared(bytes[range].into()),
         }
     }
 
-    /// The fill pattern, if the payload is a `Fill`.
-    pub fn as_fill(&self) -> Option<(u8, u32)> {
-        match self {
-            Payload::Fill { byte, len } => Some((*byte, *len)),
-            Payload::Shared(_) => None,
+    /// Overwrite the bytes from offset `at` on with `src`'s.
+    ///
+    /// A `src` as long as this payload replaces it outright, so a
+    /// whole-block write stores the writer's fill or shared buffer without
+    /// copying it.  A shorter one writes into this payload's own bytes,
+    /// expanding a fill first and copying a buffer a reader still shares
+    /// first (copy-on-write), so every reader keeps the bytes it was given.
+    pub fn write_at(&mut self, at: usize, src: Payload) {
+        if at == 0 && src.len() == self.len() {
+            *self = src;
+            return;
         }
+        let dst = &mut self.make_mut()[at..at + src.len()];
+        match src {
+            Payload::Fill { byte, .. } => dst.fill(byte),
+            Payload::Shared(bytes) => dst.copy_from_slice(&bytes),
+        }
+    }
+
+    /// Mutable access to the bytes.  A fill is expanded into a buffer first,
+    /// and a buffer a reader still shares is copied once, so the reader's
+    /// bytes never change under it.
+    ///
+    /// The expansion does not count toward [`materialize_count`]: it gives a
+    /// cached block real bytes to be written into, where the probe counts
+    /// payloads flattened on their way to a reply.
+    fn make_mut(&mut self) -> &mut [u8] {
+        if let Payload::Fill { byte, len } = *self {
+            *self = Payload::Shared(vec![byte; len as usize].into());
+        }
+        match self {
+            Payload::Shared(bytes) => Arc::make_mut(bytes),
+            Payload::Fill { .. } => unreachable!("a fill was expanded above"),
+        }
+    }
+
+    /// One payload holding `pieces`' bytes in order: a read assembled from
+    /// the parts of the blocks it covers.
+    ///
+    /// Adjacent same-byte fills coalesce into one fill, and a lone piece is
+    /// returned as it is (a whole-block `Shared` piece stays the cache's own
+    /// buffer), so neither allocates.  Anything else is flattened once into
+    /// one buffer by [`Payload::append_to`], which counts every fill it
+    /// expands toward [`materialize_count`].
+    pub fn concat(pieces: impl IntoIterator<Item = Payload>) -> Payload {
+        let mut pieces = pieces.into_iter().filter(|piece| !piece.is_empty());
+        let mut joined = pieces.next().unwrap_or_else(Payload::empty);
+        while let Some(piece) = pieces.next() {
+            match (&mut joined, &piece) {
+                (Payload::Fill { byte, len }, Payload::Fill { byte: b, len: n }) if byte == b => {
+                    *len += n
+                }
+                _ => {
+                    let mut flat = Vec::new();
+                    joined.append_to(&mut flat);
+                    piece.append_to(&mut flat);
+                    pieces.for_each(|rest| rest.append_to(&mut flat));
+                    return Payload::from_vec(flat);
+                }
+            }
+        }
+        joined
     }
 
     /// Expand to a concrete byte buffer.
@@ -126,9 +197,9 @@ impl Payload {
     /// Append the payload's bytes to a caller-owned buffer.
     ///
     /// Expanding a `Fill` counts toward [`materialize_count`] exactly like
-    /// [`Payload::materialize`]: this is the honest flattening primitive the
-    /// read path's cold coalescing uses, so the zero-copy probe still catches
-    /// a hot path that degenerates into byte copies.
+    /// [`Payload::materialize`]: this is the honest flattening primitive
+    /// [`Payload::concat`] uses, so the zero-copy probe still catches a hot
+    /// path that degenerates into byte copies.
     pub fn append_to(&self, out: &mut Vec<u8>) {
         match self {
             Payload::Fill { byte, len } => {
@@ -207,16 +278,45 @@ impl From<Vec<u8>> for Payload {
     }
 }
 
+/// Borrowed bytes are copied into a `Shared` buffer as they are, without the
+/// fill detection of [`Payload::from_vec`]: a caller that passes real bytes
+/// (a test, or the benchmark's UFS replay) gets real bytes stored.
 impl From<&[u8]> for Payload {
     fn from(bytes: &[u8]) -> Self {
-        Payload::from_vec(bytes.to_vec())
+        Payload::Shared(bytes.into())
+    }
+}
+
+impl From<&Vec<u8>> for Payload {
+    fn from(bytes: &Vec<u8>) -> Self {
+        Payload::from(bytes.as_slice())
+    }
+}
+
+impl<const N: usize> From<&[u8; N]> for Payload {
+    fn from(bytes: &[u8; N]) -> Self {
+        Payload::from(bytes.as_slice())
+    }
+}
+
+impl From<&Payload> for Payload {
+    fn from(payload: &Payload) -> Self {
+        payload.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
     use wg_xdr::XdrDecoder;
+
+    /// Held by every test that moves the global probe counter or reads it
+    /// for an exact count: cargo runs tests on parallel threads.
+    fn probe_lock() -> MutexGuard<'static, ()> {
+        static PROBE: Mutex<()> = Mutex::new(());
+        PROBE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn fill_and_shared_compare_logically() {
@@ -234,9 +334,14 @@ mod tests {
 
     #[test]
     fn from_vec_detects_uniform_bytes() {
-        assert_eq!(Payload::from_vec(vec![5; 100]).as_fill(), Some((5, 100)));
-        assert!(Payload::from_vec(vec![1, 2]).as_fill().is_none());
+        assert!(matches!(
+            Payload::from_vec(vec![5; 100]),
+            Payload::Fill { byte: 5, len: 100 }
+        ));
+        assert!(matches!(Payload::from_vec(vec![1, 2]), Payload::Shared(_)));
         assert_eq!(Payload::from_vec(Vec::new()).len(), 0);
+        // Borrowed bytes are stored as they are, uniform or not.
+        assert!(matches!(Payload::from(&[5u8; 100]), Payload::Shared(_)));
     }
 
     #[test]
@@ -273,6 +378,7 @@ mod tests {
 
     #[test]
     fn materialize_counts_fill_expansions_only() {
+        let _probe = probe_lock();
         let before = materialize_count();
         let shared = Payload::Shared(vec![3u8; 16].into());
         let bytes = shared.materialize();
@@ -290,6 +396,7 @@ mod tests {
 
     #[test]
     fn append_to_counts_like_materialize() {
+        let _probe = probe_lock();
         let mut out = Vec::new();
         let before = materialize_count();
         Payload::Shared(vec![1u8, 2, 3].into()).append_to(&mut out);
@@ -308,6 +415,7 @@ mod tests {
 
     #[test]
     fn iter_bytes_matches_materialize() {
+        let _probe = probe_lock();
         for payload in [Payload::fill(6, 10), Payload::Shared(vec![1, 2, 3].into())] {
             let collected: Vec<u8> = payload.iter_bytes().collect();
             assert_eq!(&collected[..], &payload.materialize()[..]);
@@ -322,5 +430,84 @@ mod tests {
             panic!("expected shared payloads");
         };
         assert!(Arc::ptr_eq(a, b), "clone must share the allocation");
+    }
+
+    #[test]
+    fn make_mut_expands_a_fill_lazily() {
+        let mut data = Payload::fill(7, 8192);
+        assert!(matches!(data, Payload::Fill { .. }));
+        let bytes = data.make_mut();
+        assert_eq!(bytes.len(), 8192);
+        bytes[0] = 1;
+        assert!(matches!(data, Payload::Shared(_)));
+        assert_eq!(data.slice(0..2), Payload::Shared(vec![1, 7].into()));
+    }
+
+    #[test]
+    fn make_mut_unshares_a_buffer_held_by_a_reader() {
+        let mut data = Payload::Shared(vec![5u8; 16].into());
+        // A reader takes a refcounted view of the block.
+        let reader = data.slice(0..16);
+        // A writer then mutates the block: the reader's snapshot must survive.
+        data.write_at(0, Payload::fill(9, 1));
+        assert_eq!(reader, Payload::fill(5, 16), "reader's view was mutated");
+        let (Payload::Shared(now), Payload::Shared(held)) = (&data, &reader) else {
+            panic!("expected shared payloads");
+        };
+        assert!(!Arc::ptr_eq(now, held), "write did not un-share");
+        assert_eq!(now[0], 9);
+        // With no outstanding reader the next write mutates in place.
+        let before = Arc::as_ptr(now);
+        drop(reader);
+        data.make_mut()[1] = 8;
+        let Payload::Shared(now) = &data else {
+            panic!("expected a shared payload");
+        };
+        assert_eq!(Arc::as_ptr(now), before);
+        assert_eq!(now[..3], [9, 8, 5]);
+        // A write as long as the payload replaces it without copying.
+        data.write_at(0, Payload::fill(3, 16));
+        assert!(matches!(data, Payload::Fill { byte: 3, len: 16 }));
+    }
+
+    #[test]
+    fn concat_coalesces_same_byte_fills_without_alloc() {
+        let pieces = [Payload::fill(7, 4096), Payload::fill(7, 4096)];
+        // Empty pieces are ignored.
+        let joined = Payload::concat(pieces.into_iter().chain([Payload::fill(9, 0)]));
+        assert!(matches!(joined, Payload::Fill { byte: 7, len: 8192 }));
+    }
+
+    #[test]
+    fn concat_passes_a_whole_shared_piece_through() {
+        let buf: Arc<[u8]> = vec![1u8, 2, 3, 4].into();
+        let piece = Payload::Shared(Arc::clone(&buf)).slice(0..4);
+        match Payload::concat([piece]) {
+            Payload::Shared(out) => assert!(Arc::ptr_eq(&out, &buf), "copied a whole-block read"),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn concat_joins_ranges_of_one_buffer() {
+        let block = Payload::Shared((0u8..16).collect());
+        let joined = Payload::concat([block.slice(2..6), block.slice(6..10)]);
+        assert_eq!(joined, Payload::Shared((2u8..10).collect()));
+        assert_eq!(block.slice(2..6), Payload::Shared((2u8..6).collect()));
+    }
+
+    #[test]
+    fn concat_mixes_fills_and_bytes_into_one_payload() {
+        let _probe = probe_lock();
+        let before = materialize_count();
+        let pieces = [
+            Payload::fill(1, 2),
+            Payload::Shared(vec![9u8; 4].into()),
+            Payload::fill(2, 2),
+        ];
+        let flat: Vec<u8> = Payload::concat(pieces).iter_bytes().collect();
+        assert_eq!(flat, vec![1, 1, 9, 9, 9, 9, 2, 2]);
+        assert!(materialize_count() > before, "flattened fills must count");
+        assert_eq!(Payload::concat([]), Payload::empty());
     }
 }

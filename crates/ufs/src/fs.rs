@@ -3,18 +3,16 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use wg_nfsproto::DirListing;
+use wg_nfsproto::{DirListing, Payload};
 use wg_simcore::FxHashMap;
 
 use wg_disk::DiskRequest;
 
 use crate::cluster::cluster_requests;
 use crate::error::FsError;
-use crate::inode::{BlockData, CachedBlock, FileKind, Inode, InodeNumber};
+use crate::inode::{CachedBlock, FileKind, Inode, InodeNumber};
 use crate::params::{FsParams, BLOCK_SIZE, DATA_REGION_START};
-use crate::vnode::{
-    FsyncFlags, IoPlan, ReadAccumulator, ReadOutcome, WriteFlags, WriteOutcome, WriteSource,
-};
+use crate::vnode::{FsyncFlags, IoPlan, ReadOutcome, WriteFlags, WriteOutcome};
 
 /// Maximum file-name length accepted (the NFS v2 limit).
 pub const MAX_NAME_LEN: usize = 255;
@@ -282,13 +280,15 @@ impl Ufs {
         }
         let mut extents = Vec::new();
         for (ino, lbn) in picked {
-            if let Some(block) = self.block_mut(ino, lbn) {
+            let Ok(n) = self.inode_mut(ino) else { continue };
+            if let Some(block) = n.blocks.get_mut(lbn) {
                 block.dirty = false;
-                extents.push((block.phys, BLOCK_SIZE));
-                self.cache_dirty -= 1;
-                self.counters.writeback_blocks += 1;
+                let addr = n.pointers.get(lbn).expect("a cached block is mapped");
+                extents.push((*addr, BLOCK_SIZE));
             }
         }
+        self.cache_dirty -= extents.len() as u64;
+        self.counters.writeback_blocks += extents.len() as u64;
         extents.sort_unstable();
         cluster_requests(extents)
     }
@@ -500,22 +500,24 @@ impl Ufs {
     /// allocating blocks as needed, and return the I/O the chosen flags
     /// require.
     ///
-    /// The source is anything convertible to a [`WriteSource`]: a byte slice,
-    /// or a fill pattern ([`WriteSource::Fill`]) which is stored per block
-    /// without materialising payload bytes — the zero-copy path the simulated
-    /// file-copy workloads take for every whole-block write.
-    pub fn write<'a>(
+    /// The source is anything convertible to a [`Payload`]: a payload
+    /// (shared, not copied) or borrowed bytes (copied once).  Each block's
+    /// part of it is stored with [`Payload::write_at`], so a whole-block fill
+    /// is stored as the pattern — the zero-copy path the simulated workloads
+    /// take for every write — and a block-aligned, block-sized shared
+    /// payload as the writer's buffer.
+    pub fn write(
         &mut self,
         ino: InodeNumber,
         offset: u64,
-        data: impl Into<WriteSource<'a>>,
+        data: impl Into<Payload>,
         flags: WriteFlags,
         now_nanos: u64,
     ) -> Result<WriteOutcome, FsError> {
-        let source = data.into();
+        let data = data.into();
         self.counters.writes += 1;
         let cache_armed = self.cache_armed();
-        let data_len = source.len() as u64;
+        let data_len = data.len() as u64;
 
         // Validate and plan allocations first (so ENOSPC leaves no partial
         // allocation behind for the common whole-block case).
@@ -524,7 +526,7 @@ impl Ufs {
             if n.kind != FileKind::Regular {
                 return Err(FsError::IsADirectory);
             }
-            if source.is_empty() {
+            if data.is_empty() {
                 return Ok(WriteOutcome {
                     io: IoPlan::empty(),
                 });
@@ -553,64 +555,30 @@ impl Ufs {
 
         for lbn in first_lbn..=last_lbn {
             // Ensure the block is mapped.
-            let phys = match self.inode(ino)?.block_addr(lbn) {
-                Some(p) => p,
-                None => {
-                    let p = self.allocate_block()?;
-                    let n = self.inode_mut(ino)?;
-                    if n.map_block(lbn, p) {
-                        n.indirect_dirty = true;
-                    }
-                    allocated = true;
-                    p
+            if self.inode(ino)?.block_addr(lbn).is_none() {
+                let p = self.allocate_block()?;
+                let n = self.inode_mut(ino)?;
+                if n.map_block(lbn, p) {
+                    n.indirect_dirty = true;
                 }
-            };
+                allocated = true;
+            }
 
-            // Copy the relevant byte range into the cached block.
+            // Store this block's part of the data.
             let block_start = lbn * BLOCK_SIZE;
             let from = offset.max(block_start);
             let to = (offset + data_len).min(block_start + BLOCK_SIZE);
-            let src_from = (from - offset) as usize;
-            let src_to = (to - offset) as usize;
-            let dst_from = (from - block_start) as usize;
-            let dst_to = (to - block_start) as usize;
-            let whole_block = dst_from == 0 && dst_to == BLOCK_SIZE as usize;
-
+            let piece = data.slice((from - offset) as usize..(to - offset) as usize);
             let n = self.inode_mut(ino)?;
-            let was_dirty = n.blocks.get(lbn).map(|b| b.dirty).unwrap_or(false);
-            match (source, whole_block) {
-                (WriteSource::Fill { byte, .. }, true) => {
-                    // A fill pattern covering the whole block: store the
-                    // pattern itself — no allocation, no copy.
-                    n.blocks.insert(
-                        lbn,
-                        CachedBlock {
-                            phys,
-                            data: BlockData::Fill(byte),
-                            dirty: true,
-                            resident: true,
-                        },
-                    );
-                }
-                _ => {
-                    let block = n.blocks.get_or_insert_with(lbn, || CachedBlock {
-                        phys,
-                        data: BlockData::Fill(0),
-                        dirty: false,
-                        resident: true,
-                    });
-                    block.phys = phys;
-                    let bytes = block.data.make_bytes(BLOCK_SIZE as usize);
-                    match source {
-                        WriteSource::Bytes(src) => {
-                            bytes[dst_from..dst_to].copy_from_slice(&src[src_from..src_to])
-                        }
-                        WriteSource::Fill { byte, .. } => bytes[dst_from..dst_to].fill(byte),
-                    }
-                    block.dirty = true;
-                    block.resident = true;
-                }
-            }
+            let block = n.blocks.get_or_insert_with(lbn, || CachedBlock {
+                data: Payload::fill(0, BLOCK_SIZE as u32),
+                dirty: false,
+                resident: true,
+            });
+            let was_dirty = block.dirty;
+            block.data.write_at((from - block_start) as usize, piece);
+            block.dirty = true;
+            block.resident = true;
             if cache_armed {
                 if !was_dirty {
                     self.cache_dirty += 1;
@@ -674,8 +642,8 @@ impl Ufs {
         Ok(WriteOutcome { io })
     }
 
-    /// Mark the blocks in `[first_lbn, last_lbn]` clean and return the
-    /// clustered write requests covering the ones that were dirty.
+    /// Mark the cached blocks in `[first_lbn, last_lbn]` clean and return
+    /// the clustered write requests covering the ones that were dirty.
     fn flush_extents(
         &mut self,
         ino: InodeNumber,
@@ -684,18 +652,15 @@ impl Ufs {
     ) -> Result<Vec<DiskRequest>, FsError> {
         let n = self.inode_mut(ino)?;
         let mut extents = Vec::new();
-        let mut cleaned = 0u64;
-        for lbn in first_lbn..=last_lbn {
-            if let Some(block) = n.blocks.get_mut(lbn) {
-                if block.dirty {
-                    block.dirty = false;
-                    cleaned += 1;
-                    extents.push((block.phys, BLOCK_SIZE));
-                }
+        for (lbn, block) in n.blocks.range_mut(first_lbn, last_lbn) {
+            if block.dirty {
+                block.dirty = false;
+                let addr = n.pointers.get(lbn).expect("a cached block is mapped");
+                extents.push((*addr, BLOCK_SIZE));
             }
         }
         if self.cache_armed() {
-            self.cache_dirty -= cleaned;
+            self.cache_dirty -= extents.len() as u64;
         }
         Ok(cluster_requests(extents))
     }
@@ -706,30 +671,18 @@ impl Ufs {
     /// becomes the metadata writer.
     pub fn sync_data(&mut self, ino: InodeNumber, from: u64, to: u64) -> Result<IoPlan, FsError> {
         self.counters.syncdatas += 1;
-        let n = self.inode_mut(ino)?;
-        let mut extents = Vec::new();
-        let mut cleaned = 0u64;
-        // Only blocks whose [start, end) span overlaps [from, to) can match,
-        // i.e. lbns in [from/bs, (to-1)/bs]; walking just that range keeps a
-        // flush of a small gathered span O(span), not O(file blocks).
-        if to > from {
-            let first_lbn = from / BLOCK_SIZE;
-            let last_lbn = (to - 1) / BLOCK_SIZE;
-            for (lbn, block) in n.blocks.range_mut(first_lbn, last_lbn) {
-                let start = lbn * BLOCK_SIZE;
-                let end = start + BLOCK_SIZE;
-                if block.dirty && start < to && end > from {
-                    block.dirty = false;
-                    cleaned += 1;
-                    extents.push((block.phys, BLOCK_SIZE));
-                }
-            }
-        }
-        if self.cache_armed() {
-            self.cache_dirty -= cleaned;
-        }
+        // The blocks overlapping [from, to) are lbns [from/bs, (to-1)/bs];
+        // walking just those keeps a flush of a small gathered span
+        // O(span), not O(file blocks).
+        let data = if to > from {
+            self.flush_extents(ino, from / BLOCK_SIZE, (to - 1) / BLOCK_SIZE)?
+        } else {
+            // An empty range flushes nothing, but a stale inode is an error.
+            self.inode(ino)?;
+            Vec::new()
+        };
         Ok(IoPlan {
-            data: cluster_requests(extents),
+            data,
             metadata: Vec::new(),
         })
     }
@@ -775,10 +728,10 @@ impl Ufs {
     /// `VOP_READ`: read up to `len` bytes at `offset`.
     ///
     /// The result carries a zero-copy [`wg_nfsproto::Payload`] instead of a
-    /// freshly filled buffer: fill-pattern blocks come back as the pattern,
-    /// materialised blocks as refcounted views of the cache, holes and
-    /// uncached blocks as a zero fill (see [`ReadOutcome`]).  Block-aligned
-    /// reads — every READ the simulated workloads issue — allocate nothing.
+    /// freshly filled buffer: the parts of the blocks the read covers, joined
+    /// by [`Payload::concat`] (see [`ReadOutcome`]).  Holes and uncached
+    /// blocks read as a zero fill.  Block-aligned reads — every READ the
+    /// simulated workloads issue — allocate nothing.
     pub fn read(
         &mut self,
         ino: InodeNumber,
@@ -790,29 +743,23 @@ impl Ufs {
         if n.kind != FileKind::Regular {
             return Err(FsError::IsADirectory);
         }
-        if offset >= n.size {
+        if len == 0 || offset >= n.size {
             return Ok(ReadOutcome::empty());
         }
         let end = (offset + len).min(n.size);
         let cache_reads = self.params.read_caching;
         let cache_armed = self.params.cache_pages > 0;
-        let mut acc = ReadAccumulator::new();
         let mut misses = Vec::new();
         // Only tracked when read caching is on; the default cold-cache read
         // path stays free of this bookkeeping.
-        let mut missed_blocks: Vec<(u64, u64)> = Vec::new();
+        let mut missed_blocks: Vec<u64> = Vec::new();
         // Resident blocks this read hit — with the bounded cache armed their
         // LRU recency must advance, or a scan would evict the hot set.
         let mut hits: Vec<u64> = Vec::new();
         let first_lbn = offset / BLOCK_SIZE;
         let last_lbn = (end - 1) / BLOCK_SIZE;
         for lbn in first_lbn..=last_lbn {
-            let block_start = lbn * BLOCK_SIZE;
-            let from = offset.max(block_start);
-            let to = end.min(block_start + BLOCK_SIZE);
-            let seg_len = to - from;
-            let block = n.blocks.get(lbn);
-            match block {
+            match n.blocks.get(lbn) {
                 Some(b) if b.resident => {
                     if cache_armed {
                         hits.push(lbn);
@@ -824,22 +771,24 @@ impl Ufs {
                     if let Some(phys) = n.block_addr(lbn) {
                         misses.push(DiskRequest::read(phys, BLOCK_SIZE));
                         if cache_reads {
-                            missed_blocks.push((lbn, phys));
+                            missed_blocks.push(lbn);
                         }
                     }
                 }
             }
-            // The contents of an evicted block are what was written to it;
-            // those of a block never written through the cache (a
-            // pre-populated file) read as zeros, as do holes.
-            match block.map(|b| &b.data) {
-                Some(BlockData::Fill(byte)) => acc.push_fill(*byte, seg_len),
-                Some(BlockData::Bytes(buf)) => {
-                    acc.push_shared(buf, (from - block_start) as usize, seg_len as usize)
-                }
-                None => acc.push_fill(0, seg_len),
-            }
         }
+        // The contents of an evicted block are what was written to it;
+        // those of a block never written through the cache (a pre-populated
+        // file) read as zeros, as do holes.
+        let data = Payload::concat((first_lbn..=last_lbn).map(|lbn| {
+            let block_start = lbn * BLOCK_SIZE;
+            let from = (offset.max(block_start) - block_start) as usize;
+            let to = (end.min(block_start + BLOCK_SIZE) - block_start) as usize;
+            match n.blocks.get(lbn) {
+                Some(b) => b.data.slice(from..to),
+                None => Payload::fill(0, (to - from) as u32),
+            }
+        }));
         // With read caching on, the blocks this read fetched from disk stay
         // resident (clean, as the zero fill the caller was handed), so the
         // next read of the same block is a cache hit instead of another disk
@@ -855,10 +804,9 @@ impl Ufs {
         // better with) and vanishes once the working set has been touched.
         if !missed_blocks.is_empty() {
             let n = self.inode_mut(ino)?;
-            for &(lbn, phys) in &missed_blocks {
+            for &lbn in &missed_blocks {
                 let block = n.blocks.get_or_insert_with(lbn, || CachedBlock {
-                    phys,
-                    data: BlockData::Fill(0),
+                    data: Payload::fill(0, BLOCK_SIZE as u32),
                     dirty: false,
                     resident: true,
                 });
@@ -869,17 +817,14 @@ impl Ufs {
             for lbn in hits {
                 self.cache_touch(ino, lbn);
             }
-            for (lbn, _) in missed_blocks {
+            for lbn in missed_blocks {
                 self.cache_touch(ino, lbn);
             }
             // Read-inserted pages count against the same bound as written
             // ones — that is the "unified" in unified buffer cache.
             self.cache_evict_clean();
         }
-        Ok(ReadOutcome {
-            data: acc.finish(),
-            misses,
-        })
+        Ok(ReadOutcome { data, misses })
     }
 
     /// Create a file of `size` bytes whose blocks are allocated on disk but
@@ -1061,7 +1006,7 @@ mod tests {
         let root = u.root();
         let f = u.create(root, "f", 0o644, 0).unwrap();
         let out = u
-            .write(f, 0, &vec![7u8; BS as usize], WriteFlags::Sync, 100)
+            .write(f, 0, &[7u8; BS as usize], WriteFlags::Sync, 100)
             .unwrap();
         assert_eq!(u.getattr(f).unwrap().size, BS);
         assert_eq!(out.io.data.len(), 1);
@@ -1077,10 +1022,10 @@ mod tests {
         let mut u = fs();
         let root = u.root();
         let f = u.create(root, "f", 0o644, 0).unwrap();
-        u.write(f, 0, &vec![1u8; BS as usize], WriteFlags::Sync, 100)
+        u.write(f, 0, &[1u8; BS as usize], WriteFlags::Sync, 100)
             .unwrap();
         let out = u
-            .write(f, 0, &vec![2u8; BS as usize], WriteFlags::Sync, 200)
+            .write(f, 0, &[2u8; BS as usize], WriteFlags::Sync, 200)
             .unwrap();
         assert_eq!(u.getattr(f).unwrap().size, BS);
         assert_eq!(out.io.data.len(), 1);
@@ -1096,7 +1041,7 @@ mod tests {
         // Write 13 blocks; block 12 needs the indirect block.
         for i in 0..13u64 {
             let out = u
-                .write(f, i * BS, &vec![i as u8; BS as usize], WriteFlags::Sync, i)
+                .write(f, i * BS, &[i as u8; BS as usize], WriteFlags::Sync, i)
                 .unwrap();
             if i == 12 {
                 // Metadata now includes the inode block and the indirect block.
@@ -1114,7 +1059,7 @@ mod tests {
         let f = u.create(root, "g", 0o644, 0).unwrap();
         for i in 0..8u64 {
             let out = u
-                .write(f, i * BS, &vec![3u8; BS as usize], WriteFlags::DelayData, i)
+                .write(f, i * BS, &[3u8; BS as usize], WriteFlags::DelayData, i)
                 .unwrap();
             assert!(out.io.is_empty());
         }
@@ -1137,10 +1082,10 @@ mod tests {
         let root = u.root();
         let f = u.create(root, "victim", 0o644, 0).unwrap();
         // Block 0 reaches stable storage; blocks 1..4 stay volatile.
-        u.write(f, 0, &vec![7u8; BS as usize], WriteFlags::Sync, 1)
+        u.write(f, 0, &[7u8; BS as usize], WriteFlags::Sync, 1)
             .unwrap();
         for i in 1..4u64 {
-            u.write(f, i * BS, &vec![9u8; BS as usize], WriteFlags::DelayData, i)
+            u.write(f, i * BS, &[9u8; BS as usize], WriteFlags::DelayData, i)
                 .unwrap();
         }
         assert!(u.block_is_dirty(f, 1));
@@ -1174,7 +1119,7 @@ mod tests {
         let mut standard_ops = 0usize;
         for i in 0..n_blocks {
             let out = standard
-                .write(f, i * BS, &vec![0u8; BS as usize], WriteFlags::Sync, i)
+                .write(f, i * BS, &[0u8; BS as usize], WriteFlags::Sync, i)
                 .unwrap();
             standard_ops += out.io.transactions();
         }
@@ -1184,7 +1129,7 @@ mod tests {
         let g = gathered.create(root, "gth", 0o644, 0).unwrap();
         for i in 0..n_blocks {
             gathered
-                .write(g, i * BS, &vec![0u8; BS as usize], WriteFlags::DelayData, i)
+                .write(g, i * BS, &[0u8; BS as usize], WriteFlags::DelayData, i)
                 .unwrap();
         }
         let mut gathered_ops = gathered
@@ -1215,7 +1160,7 @@ mod tests {
         let root = u.root();
         let f = u.create(root, "p", 0o644, 0).unwrap();
         let out = u
-            .write(f, 0, &vec![9u8; BS as usize], WriteFlags::SyncDataOnly, 5)
+            .write(f, 0, &[9u8; BS as usize], WriteFlags::SyncDataOnly, 5)
             .unwrap();
         assert_eq!(out.io.data.len(), 1);
         assert!(out.io.metadata.is_empty());
@@ -1252,32 +1197,25 @@ mod tests {
         let root = u.root();
         let f = u.create(root, "z", 0o644, 0).unwrap();
         // A fill-pattern block reads back as the pattern itself.
-        u.write(
-            f,
-            0,
-            WriteSource::Fill { byte: 5, len: BS },
-            WriteFlags::DelayData,
-            1,
-        )
-        .unwrap();
+        let fill = Payload::fill(5, BS as u32);
+        u.write(f, 0, &fill, WriteFlags::DelayData, 1).unwrap();
         let got = u.read(f, 0, BS).unwrap();
-        assert_eq!(got.data, wg_nfsproto::Payload::fill(5, BS as u32));
-        assert!(matches!(got.data, wg_nfsproto::Payload::Fill { .. }));
+        assert_eq!(got.data, fill);
+        assert!(matches!(got.data, Payload::Fill { .. }));
         // A materialised block reads back as a refcounted view of the cache.
         let real: Vec<u8> = (0..BS).map(|i| (i % 251) as u8).collect();
         u.write(f, BS, &real, WriteFlags::DelayData, 2).unwrap();
         let got = u.read(f, BS, BS).unwrap();
-        match &got.data {
-            wg_nfsproto::Payload::Shared(out) => {
-                let n = u.inode(f).unwrap();
-                let cached = n.blocks.get(1).unwrap().data.shared_bytes().unwrap();
+        let n = u.inode(f).unwrap();
+        match (&got.data, &n.blocks.get(1).unwrap().data) {
+            (Payload::Shared(out), Payload::Shared(cached)) => {
                 assert!(Arc::ptr_eq(out, cached), "aligned read copied the block");
             }
             other => panic!("unexpected {other:?}"),
         }
         // Overwriting the block does not disturb the outstanding view.
         let snapshot = got.data.clone();
-        u.write(f, BS, &vec![0u8; BS as usize], WriteFlags::DelayData, 3)
+        u.write(f, BS, &[0u8; BS as usize], WriteFlags::DelayData, 3)
             .unwrap();
         assert_eq!(snapshot.materialize()[..], real[..]);
         assert_eq!(u.read(f, BS, BS).unwrap().to_vec(), vec![0u8; BS as usize]);
@@ -1311,6 +1249,23 @@ mod tests {
         // The default cache is cold for reads: the same block misses again.
         let again = u.read(f, 0, 8192).unwrap();
         assert_eq!(again.misses.len(), 1);
+    }
+
+    /// A zero-byte read returns before any block arithmetic: it is empty
+    /// and plans no disk read, even of a block that is not resident.
+    #[test]
+    fn zero_length_read_is_empty_and_plans_no_io() {
+        let mut u = fs();
+        let root = u.root();
+        let f = u.create_prefilled(root, "cold", 4 * BS, 0).unwrap();
+        u.write(f, BS, &[9u8; 100], WriteFlags::DelayData, 1)
+            .unwrap();
+        for offset in [0, BS + 10] {
+            let got = u.read(f, offset, 0).unwrap();
+            assert!(got.is_empty(), "offset {offset}");
+            assert!(got.misses.is_empty(), "offset {offset}");
+        }
+        assert_eq!(u.read(f, 0, 1).unwrap().misses.len(), 1);
     }
 
     #[test]
@@ -1350,7 +1305,7 @@ mod tests {
         let f = u.create(root, "fill", 0o644, 0).unwrap();
         let mut hit_enospc = false;
         for i in 0..100u64 {
-            match u.write(f, i * BS, &vec![0u8; BS as usize], WriteFlags::Sync, i) {
+            match u.write(f, i * BS, &[0u8; BS as usize], WriteFlags::Sync, i) {
                 Ok(_) => {}
                 Err(FsError::NoSpace) => {
                     hit_enospc = true;
@@ -1441,7 +1396,7 @@ mod tests {
         let root = u.root();
         let f = u.create(root, "t", 0o644, 0).unwrap();
         for i in 0..4u64 {
-            u.write(f, i * BS, &vec![1u8; BS as usize], WriteFlags::Sync, i)
+            u.write(f, i * BS, &[1u8; BS as usize], WriteFlags::Sync, i)
                 .unwrap();
         }
         let free_before = u.free_block_count();
@@ -1461,7 +1416,7 @@ mod tests {
         assert!(u.total_block_count() > 0);
         let before_free = u.free_block_count();
         let f = u.create(root, "c", 0o644, 0).unwrap();
-        u.write(f, 0, &vec![0u8; BS as usize], WriteFlags::Sync, 1)
+        u.write(f, 0, &[0u8; BS as usize], WriteFlags::Sync, 1)
             .unwrap();
         assert_eq!(u.free_block_count(), before_free - 1);
         let c = u.counters();
@@ -1510,7 +1465,7 @@ mod tests {
         let root = u.root();
         let f = u.create(root, "f", 0o644, 0).unwrap();
         for lbn in 0..14u64 {
-            u.write(f, lbn * BS, &vec![1u8; BS as usize], WriteFlags::Sync, lbn)
+            u.write(f, lbn * BS, &[1u8; BS as usize], WriteFlags::Sync, lbn)
                 .unwrap();
         }
         let n = u.inode(f).unwrap();
@@ -1530,7 +1485,7 @@ mod tests {
         let root = u.root();
         let f = u.create(root, "fa", 0o644, 0).unwrap();
         for i in 0..4u64 {
-            u.write(f, i * BS, &vec![5u8; BS as usize], WriteFlags::DelayData, i)
+            u.write(f, i * BS, &[5u8; BS as usize], WriteFlags::DelayData, i)
                 .unwrap();
         }
         let plan = u.fsync(f, FsyncFlags::All).unwrap();
@@ -1558,7 +1513,7 @@ mod tests {
         let root = u.root();
         let f = u.create(root, "f", 0o644, 0).unwrap();
         for i in 0..32u64 {
-            u.write(f, i * BS, &vec![1u8; BS as usize], WriteFlags::DelayData, i)
+            u.write(f, i * BS, &[1u8; BS as usize], WriteFlags::DelayData, i)
                 .unwrap();
         }
         assert_eq!(u.resident_pages(), 0, "unbounded cache tracks nothing");
@@ -1578,7 +1533,7 @@ mod tests {
         // Sync writes leave every block clean, so eviction alone bounds
         // residency.
         for i in 0..6u64 {
-            u.write(f, i * BS, &vec![1u8; BS as usize], WriteFlags::Sync, i)
+            u.write(f, i * BS, &[1u8; BS as usize], WriteFlags::Sync, i)
                 .unwrap();
         }
         assert_eq!(u.resident_pages(), 4);
@@ -1597,10 +1552,10 @@ mod tests {
         let mut u = bounded(1, 1.0, false);
         let root = u.root();
         let f = u.create(root, "f", 0o644, 0).unwrap();
-        u.write(f, 0, &vec![0xABu8; BS as usize], WriteFlags::DelayData, 0)
+        u.write(f, 0, &[0xABu8; BS as usize], WriteFlags::DelayData, 0)
             .unwrap();
         assert_eq!(u.writeback_batch(1).len(), 1);
-        u.write(f, BS, &vec![1u8; BS as usize], WriteFlags::Sync, 1)
+        u.write(f, BS, &[1u8; BS as usize], WriteFlags::Sync, 1)
             .unwrap();
         assert_eq!(u.counters().cache_evictions, 1);
         // Reading it back pays one disk read and returns what was written.
@@ -1618,14 +1573,14 @@ mod tests {
         // I/O...
         for i in 0..4u64 {
             let out = u
-                .write(f, i * BS, &vec![2u8; BS as usize], WriteFlags::DelayData, i)
+                .write(f, i * BS, &[2u8; BS as usize], WriteFlags::DelayData, i)
                 .unwrap();
             assert!(out.io.is_empty(), "write {i} under threshold issued I/O");
         }
         // ...the fifth crosses the threshold and pays for the forced
         // writeback of the oldest dirty page inline.
         let out = u
-            .write(f, 4 * BS, &vec![2u8; BS as usize], WriteFlags::DelayData, 4)
+            .write(f, 4 * BS, &[2u8; BS as usize], WriteFlags::DelayData, 4)
             .unwrap();
         assert_eq!(out.io.data.len(), 1, "throttled write carries the flush");
         let c = u.counters();
@@ -1645,7 +1600,7 @@ mod tests {
         let root = u.root();
         let f = u.create(root, "f", 0o644, 0).unwrap();
         for i in 0..8u64 {
-            u.write(f, i * BS, &vec![3u8; BS as usize], WriteFlags::DelayData, i)
+            u.write(f, i * BS, &[3u8; BS as usize], WriteFlags::DelayData, i)
                 .unwrap();
         }
         assert_eq!(u.dirty_resident_pages(), 8);
@@ -1696,8 +1651,7 @@ mod tests {
             } else {
                 WriteFlags::DelayData
             };
-            u.write(f, i * BS, &vec![4u8; BS as usize], flags, i)
-                .unwrap();
+            u.write(f, i * BS, &[4u8; BS as usize], flags, i).unwrap();
         }
         assert_eq!(u.resident_pages(), 8);
         assert_eq!(u.dirty_resident_pages(), 4);
@@ -1740,13 +1694,16 @@ mod tests {
 
     /// Every cached block with its flags and contents, and every inode's
     /// metadata flags, in (ino, lbn) order.
-    type BlockState = (InodeNumber, u64, u64, BlockData, bool, bool);
+    type BlockState = (InodeNumber, u64, Option<u64>, Payload, bool, bool);
     type InodeFlags = (InodeNumber, bool, bool, bool);
     fn cache_state(u: &Ufs) -> (Vec<BlockState>, Vec<InodeFlags>) {
         let inodes = u.inodes.iter().flatten();
         let blocks = inodes.clone().flat_map(|n| {
             let each = n.blocks.iter();
-            each.map(|(lbn, b)| (n.ino, lbn, b.phys, b.data.clone(), b.dirty, b.resident))
+            each.map(|(lbn, b)| {
+                let addr = n.block_addr(lbn);
+                (n.ino, lbn, addr, b.data.clone(), b.dirty, b.resident)
+            })
         });
         let flags = inodes.map(|n| (n.ino, n.inode_dirty, n.mtime_only_dirty, n.indirect_dirty));
         (blocks.collect(), flags.collect())
@@ -1795,7 +1752,7 @@ mod tests {
                         let f = u.lookup(root, name).unwrap();
                         match op {
                             0..=9 => {
-                                let data = WriteSource::Fill { byte, len };
+                                let data = Payload::fill(byte, len as u32);
                                 u.write(f, offset, data, flags, step).unwrap();
                             }
                             10..=12 => drop(u.read(f, offset, len).unwrap()),

@@ -12,7 +12,7 @@
 use crate::params::POINTERS_PER_BLOCK;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use wg_nfsproto::DirListing;
+use wg_nfsproto::{DirListing, Payload};
 
 /// Number of direct block pointers in an FFS inode.
 pub const NDADDR: usize = 12;
@@ -29,71 +29,20 @@ pub enum FileKind {
     Directory,
 }
 
-/// Contents of one cached file block.
+/// One file block the filesystem knows the contents of: its contents,
+/// whether it is dirty (written but not yet flushed to the disk) and whether
+/// it is resident in memory.  Its disk address is the inode's pointer for
+/// the same lbn ([`Inode::pointers`]): a block is cached only once mapped.
 ///
-/// The zero-copy write datapath stores whole-block fill-pattern writes (the
-/// synthetic-workload case) as a single byte instead of materialising an 8 KB
-/// buffer per block; reads and partial overwrites expand the pattern lazily.
-///
-/// Materialised contents sit behind an [`Arc`] so the read datapath can hand
-/// out refcounted views of a block ([`BlockData::shared_bytes`]) instead of
-/// copying it into a fresh buffer per READ.  Writes that land on a block
-/// whose bytes are still shared with an outstanding reply un-share it first
-/// (copy-on-write in [`BlockData::make_bytes`]), so readers always keep the
+/// The contents are a [`Payload`]: a whole-block fill write (the synthetic
+/// workloads' case) stays an 8-byte pattern, and real bytes sit behind an
+/// `Arc` that a READ shares instead of copying.  A later partial write
+/// un-shares them first (see [`Payload::write_at`]), so readers keep the
 /// snapshot they were given.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BlockData {
-    /// Every byte of the block has this value (no backing allocation).
-    Fill(u8),
-    /// Materialised contents, always exactly one filesystem block long.
-    Bytes(Arc<[u8]>),
-}
-
-impl BlockData {
-    /// A refcounted view of materialised contents, if the block has any.
-    /// Cloning the returned [`Arc`] is how a READ shares the block without
-    /// copying it.
-    pub fn shared_bytes(&self) -> Option<&Arc<[u8]>> {
-        match self {
-            BlockData::Fill(_) => None,
-            BlockData::Bytes(bytes) => Some(bytes),
-        }
-    }
-
-    /// Mutable access to materialised contents, expanding a fill pattern into
-    /// a real `block_size`-byte buffer first if needed.
-    ///
-    /// If the bytes are currently shared with a reader (refcount > 1), the
-    /// block is un-shared by copying it once — the copy-on-write half of the
-    /// zero-copy read contract.
-    pub fn make_bytes(&mut self, block_size: usize) -> &mut [u8] {
-        match self {
-            BlockData::Fill(byte) => {
-                *self = BlockData::Bytes(vec![*byte; block_size].into());
-            }
-            BlockData::Bytes(bytes) => {
-                if Arc::get_mut(bytes).is_none() {
-                    let unshared: Arc<[u8]> = Arc::from(&bytes[..]);
-                    *self = BlockData::Bytes(unshared);
-                }
-            }
-        }
-        match self {
-            BlockData::Bytes(bytes) => Arc::get_mut(bytes).expect("uniquely owned"),
-            BlockData::Fill(_) => unreachable!("just materialised"),
-        }
-    }
-}
-
-/// One file block the filesystem knows the contents of: its physical disk
-/// address, its contents, whether it is dirty (written but not yet flushed
-/// to the disk) and whether it is resident in memory.
 #[derive(Clone, Debug)]
 pub struct CachedBlock {
-    /// Physical byte address of the block on the device.
-    pub phys: u64,
-    /// Block contents.
-    pub data: BlockData,
+    /// Block contents, always exactly one filesystem block long.
+    pub data: Payload,
     /// `true` if the cached contents have not been written to the device.
     pub dirty: bool,
     /// `false` once the bounded cache evicted the (clean) page: its contents
@@ -357,6 +306,18 @@ mod tests {
         );
     }
 
+    /// Pin a cached block's footprint: one per block a file holds in the
+    /// cache, which a 10 MB copy fills with 1,280 of them.  The block's disk
+    /// address lives in the inode's pointer map, not here.
+    #[test]
+    fn cached_block_stays_within_its_pinned_footprint() {
+        assert!(
+            std::mem::size_of::<CachedBlock>() <= 24,
+            "CachedBlock grew to {} bytes",
+            std::mem::size_of::<CachedBlock>()
+        );
+    }
+
     #[test]
     fn direct_and_indirect_mapping() {
         let mut ino = Inode::new(5, 1, FileKind::Regular, 0o644, 0);
@@ -401,46 +362,6 @@ mod tests {
         assert!(!ino.has_dirty_metadata()); // mtime-only changes may be async
         ino.indirect_dirty = true;
         assert!(ino.has_dirty_metadata());
-    }
-
-    #[test]
-    fn block_data_fill_materialises_lazily() {
-        let mut data = BlockData::Fill(7);
-        assert!(data.shared_bytes().is_none());
-        let bytes = data.make_bytes(8192);
-        assert_eq!(bytes.len(), 8192);
-        bytes[0] = 1;
-        let bytes = data.shared_bytes().expect("materialised");
-        assert_eq!(bytes[..2], [1, 7]);
-    }
-
-    #[test]
-    fn make_bytes_unshares_a_block_held_by_a_reader() {
-        let mut data = BlockData::Bytes(vec![5u8; 16].into());
-        // A reader takes a refcounted view of the block.
-        let reader = Arc::clone(data.shared_bytes().expect("materialised"));
-        // A writer then mutates the block: the reader's snapshot must survive.
-        let bytes = data.make_bytes(16);
-        bytes[0] = 9;
-        assert_eq!(reader[0], 5, "reader's shared view was mutated in place");
-        match &data {
-            BlockData::Bytes(now) => {
-                assert!(!Arc::ptr_eq(now, &reader), "write did not un-share");
-                assert_eq!(now[0], 9);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // With no outstanding reader the next write mutates in place.
-        let before = match &data {
-            BlockData::Bytes(arc) => Arc::as_ptr(arc),
-            _ => unreachable!(),
-        };
-        data.make_bytes(16)[1] = 8;
-        match &data {
-            BlockData::Bytes(now) => assert_eq!(Arc::as_ptr(now), before),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(BlockData::Fill(3).shared_bytes().is_none());
     }
 
     #[test]

@@ -40,6 +40,6 @@ pub mod vnode;
 pub use cluster::cluster_requests;
 pub use error::FsError;
 pub use fs::{FileAttributes, Ufs};
-pub use inode::{BlockData, FileKind, Inode, InodeNumber};
+pub use inode::{FileKind, Inode, InodeNumber};
 pub use params::{FsParams, BLOCK_SIZE, CLUSTER_SIZE};
-pub use vnode::{FsyncFlags, IoPlan, ReadOutcome, WriteFlags, WriteOutcome, WriteSource};
+pub use vnode::{FsyncFlags, IoPlan, ReadOutcome, WriteFlags, WriteOutcome};

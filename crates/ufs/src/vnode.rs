@@ -15,8 +15,6 @@
 //! synchronously, which the server model then plays against a
 //! [`wg_disk::BlockDevice`].
 
-use std::sync::Arc;
-
 use wg_disk::DiskRequest;
 use wg_nfsproto::Payload;
 
@@ -81,59 +79,6 @@ impl IoPlan {
     }
 }
 
-/// The data handed to `VOP_WRITE`, without forcing the caller to materialise
-/// synthetic payloads.
-///
-/// The NFS server converts a `wg_nfsproto` payload into a `WriteSource`; the
-/// filesystem stores whole-block fill writes as
-/// [`BlockData::Fill`](crate::inode::BlockData::Fill) so the hot path of a
-/// simulated file copy allocates no payload bytes at all.
-#[derive(Clone, Copy, Debug)]
-pub enum WriteSource<'a> {
-    /// Real bytes to copy into the cache.
-    Bytes(&'a [u8]),
-    /// `len` repetitions of `byte`.
-    Fill {
-        /// The repeated byte value.
-        byte: u8,
-        /// Number of repetitions.
-        len: u64,
-    },
-}
-
-impl WriteSource<'_> {
-    /// Number of bytes the write carries.
-    pub fn len(&self) -> usize {
-        match self {
-            WriteSource::Bytes(b) => b.len(),
-            WriteSource::Fill { len, .. } => *len as usize,
-        }
-    }
-
-    /// `true` if the write carries no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<'a> From<&'a [u8]> for WriteSource<'a> {
-    fn from(bytes: &'a [u8]) -> Self {
-        WriteSource::Bytes(bytes)
-    }
-}
-
-impl<'a> From<&'a Vec<u8>> for WriteSource<'a> {
-    fn from(bytes: &'a Vec<u8>) -> Self {
-        WriteSource::Bytes(bytes)
-    }
-}
-
-impl<'a, const N: usize> From<&'a [u8; N]> for WriteSource<'a> {
-    fn from(bytes: &'a [u8; N]) -> Self {
-        WriteSource::Bytes(bytes)
-    }
-}
-
 /// The result of a `VOP_WRITE`.
 #[derive(Clone, Debug)]
 pub struct WriteOutcome {
@@ -145,12 +90,12 @@ pub struct WriteOutcome {
 /// The result of a read.
 ///
 /// The data comes back as a [`Payload`], not a freshly filled `Vec<u8>`:
-/// fill-pattern blocks stay the 8-byte `Payload::Fill` form, materialised
-/// blocks are handed out as refcounted `Payload::Shared` views of the buffer
-/// cache, and holes or uncached blocks read as a zero fill.  On the
-/// steady-state path of the simulated workloads (block-aligned reads of
-/// fill-pattern files) a read therefore allocates nothing at all — the read
-/// side of the zero-copy discipline PR 1 established for writes.
+/// fill-pattern blocks stay the 8-byte `Payload::Fill` form, a whole block
+/// of real bytes is handed out as the cache's own refcounted
+/// `Payload::Shared` buffer, and holes or uncached blocks read as a zero
+/// fill.  On the steady-state path of the simulated workloads
+/// (block-aligned reads of fill-pattern files) a read therefore allocates
+/// nothing at all, as the write path allocates nothing for fill payloads.
 #[derive(Clone, Debug)]
 pub struct ReadOutcome {
     /// The bytes read (shorter than requested at end of file), as a zero-copy
@@ -162,7 +107,8 @@ pub struct ReadOutcome {
 }
 
 impl ReadOutcome {
-    /// A read that returned nothing (offset at or past end of file).
+    /// A read that returned nothing (zero bytes asked for, or an offset at
+    /// or past end of file).
     pub fn empty() -> Self {
         ReadOutcome {
             data: Payload::empty(),
@@ -190,134 +136,6 @@ impl ReadOutcome {
     }
 }
 
-/// Builds the payload of one read from per-block segments without copying on
-/// the common paths.
-///
-/// The accumulator tracks the cheapest representation that still describes
-/// everything pushed so far and only degrades when it must:
-///
-/// * nothing yet → `Empty`;
-/// * fill segments of one byte value (fill blocks, holes, uncached blocks)
-///   coalesce into a single `Fill` — the steady-state case for synthetic
-///   workloads, zero allocation;
-/// * a single contiguous range of one materialised block stays a refcounted
-///   `Shared` view — an aligned read of a real-bytes block, zero copy;
-/// * anything mixed falls back to a flat buffer, counting any fill expansion
-///   toward [`wg_nfsproto::payload::materialize_count`] so the probe tests
-///   catch hot paths that degenerate into copies.
-#[derive(Debug, Default)]
-pub struct ReadAccumulator {
-    state: AccState,
-}
-
-#[derive(Debug, Default)]
-enum AccState {
-    #[default]
-    Empty,
-    Fill {
-        byte: u8,
-        len: u64,
-    },
-    Shared {
-        buf: Arc<[u8]>,
-        from: usize,
-        len: usize,
-    },
-    Mixed(Vec<u8>),
-}
-
-impl ReadAccumulator {
-    /// An accumulator with nothing pushed yet.
-    pub fn new() -> Self {
-        ReadAccumulator::default()
-    }
-
-    /// Append `len` repetitions of `byte` (a fill block, a hole, or an
-    /// uncached block reading as zeros).
-    pub fn push_fill(&mut self, byte: u8, len: u64) {
-        if len == 0 {
-            return;
-        }
-        match &mut self.state {
-            AccState::Empty => self.state = AccState::Fill { byte, len },
-            AccState::Fill {
-                byte: have,
-                len: have_len,
-            } if *have == byte => *have_len += len,
-            _ => {
-                let mixed = self.spill();
-                Payload::fill(byte, len as u32).append_to(mixed);
-            }
-        }
-    }
-
-    /// Append `len` bytes starting at `from` within a materialised block.
-    pub fn push_shared(&mut self, buf: &Arc<[u8]>, from: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
-        match &mut self.state {
-            AccState::Empty => {
-                self.state = AccState::Shared {
-                    buf: Arc::clone(buf),
-                    from,
-                    len,
-                }
-            }
-            AccState::Shared {
-                buf: have,
-                from: have_from,
-                len: have_len,
-            } if Arc::ptr_eq(have, buf) && *have_from + *have_len == from => *have_len += len,
-            _ => {
-                let mixed = self.spill();
-                mixed.extend_from_slice(&buf[from..from + len]);
-            }
-        }
-    }
-
-    /// Degrade the current state to a flat buffer and return it for appending.
-    fn spill(&mut self) -> &mut Vec<u8> {
-        if !matches!(self.state, AccState::Mixed(_)) {
-            let mut mixed = Vec::new();
-            match std::mem::take(&mut self.state) {
-                AccState::Empty | AccState::Mixed(_) => {}
-                AccState::Fill { byte, len } => {
-                    Payload::fill(byte, len as u32).append_to(&mut mixed)
-                }
-                AccState::Shared { buf, from, len } => {
-                    mixed.extend_from_slice(&buf[from..from + len])
-                }
-            }
-            self.state = AccState::Mixed(mixed);
-        }
-        match &mut self.state {
-            AccState::Mixed(v) => v,
-            _ => unreachable!("just degraded to Mixed"),
-        }
-    }
-
-    /// The accumulated payload.
-    pub fn finish(self) -> Payload {
-        match self.state {
-            AccState::Empty => Payload::empty(),
-            AccState::Fill { byte, len } => Payload::fill(byte, len as u32),
-            AccState::Shared { buf, from, len } => {
-                if from == 0 && len == buf.len() {
-                    // A whole-block read: the reply aliases the cache buffer.
-                    Payload::Shared(buf)
-                } else {
-                    // A sub-range of real bytes: Arc slices cannot be
-                    // sub-sliced without a copy, so pay it here (partial reads
-                    // of materialised blocks are off the steady-state path).
-                    Payload::Shared(buf[from..from + len].into())
-                }
-            }
-            AccState::Mixed(bytes) => Payload::from_vec(bytes),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,47 +156,6 @@ mod tests {
         plan.extend(other);
         assert_eq!(plan.transactions(), 3);
         assert_eq!(plan.data.len(), 2);
-    }
-
-    #[test]
-    fn accumulator_coalesces_same_byte_fills_without_alloc() {
-        let mut acc = ReadAccumulator::new();
-        acc.push_fill(7, 4096);
-        acc.push_fill(7, 4096);
-        acc.push_fill(9, 0); // empty segments are ignored
-        assert_eq!(acc.finish(), Payload::fill(7, 8192));
-    }
-
-    #[test]
-    fn accumulator_passes_whole_block_shared_views_through() {
-        let buf: Arc<[u8]> = vec![1u8, 2, 3, 4].into();
-        let mut acc = ReadAccumulator::new();
-        acc.push_shared(&buf, 0, 4);
-        match acc.finish() {
-            Payload::Shared(out) => assert!(Arc::ptr_eq(&out, &buf), "copied a whole-block read"),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn accumulator_extends_contiguous_ranges_of_one_buffer() {
-        let buf: Arc<[u8]> = (0u8..16).collect();
-        let mut acc = ReadAccumulator::new();
-        acc.push_shared(&buf, 2, 4);
-        acc.push_shared(&buf, 6, 4);
-        assert_eq!(acc.finish(), Payload::Shared((2u8..10).collect()));
-    }
-
-    #[test]
-    fn accumulator_mixes_fills_and_bytes_into_one_payload() {
-        let buf: Arc<[u8]> = vec![9u8; 4].into();
-        let mut acc = ReadAccumulator::new();
-        acc.push_fill(1, 2);
-        acc.push_shared(&buf, 0, 4);
-        acc.push_fill(2, 2);
-        let flat: Vec<u8> = acc.finish().iter_bytes().collect();
-        assert_eq!(flat, vec![1, 1, 9, 9, 9, 9, 2, 2]);
-        assert_eq!(ReadAccumulator::new().finish(), Payload::empty());
     }
 
     #[test]

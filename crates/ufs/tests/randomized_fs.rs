@@ -5,6 +5,7 @@
 //! original `proptest` strategies because the build environment is offline;
 //! the invariants checked are unchanged.
 
+use wg_nfsproto::Payload;
 use wg_simcore::SimRng;
 use wg_ufs::{FsyncFlags, Ufs, WriteFlags};
 
@@ -19,8 +20,18 @@ fn apply_reference(reference: &mut Vec<u8>, offset: u64, data: &[u8]) {
     reference[offset as usize..end].copy_from_slice(data);
 }
 
-/// Whatever sequence of writes is applied, reading the file back returns
-/// exactly what a plain byte-vector model says it should contain.
+/// What a read of `len` bytes at `offset` returns by the reference model.
+fn read_reference(reference: &[u8], offset: u64, len: u64) -> Vec<u8> {
+    let from = (offset as usize).min(reference.len());
+    let to = ((offset + len) as usize).min(reference.len());
+    reference[from..to].to_vec()
+}
+
+/// Whatever sequence of writes is applied — fill payloads, uniform and
+/// non-uniform real bytes, whole blocks and unaligned spans — a read of any
+/// range returns exactly what a plain byte-vector model says it holds, and
+/// every payload an earlier read returned still holds what it held then:
+/// later writes copy a block a reader shares instead of changing it.
 #[test]
 fn write_read_matches_reference_model() {
     for seed in 0..64u64 {
@@ -29,27 +40,54 @@ fn write_read_matches_reference_model() {
         let root = fs.root();
         let ino = fs.create(root, "file", 0o644, 0).unwrap();
         let mut reference: Vec<u8> = Vec::new();
+        // Every payload read so far, with the bytes it held when read.
+        let mut reads: Vec<(Payload, Vec<u8>)> = Vec::new();
 
         let ops = 1 + rng.next_below(24);
         for i in 0..ops {
             // Keep offsets within the single-indirect limit.
-            let offset = rng.next_below(100) * 1024;
-            let len = 1 + rng.next_below(2999) as usize;
-            let fill = rng.next_below(256) as u8;
+            let (offset, len) = if rng.chance(0.5) {
+                (rng.next_below(12) * BS, (1 + rng.next_below(2)) * BS)
+            } else {
+                (rng.next_below(100 * 1024), 1 + rng.next_below(2999))
+            };
             let flags = if rng.chance(0.5) {
                 WriteFlags::DelayData
             } else {
                 WriteFlags::Sync
             };
-            let data = vec![fill; len];
-            fs.write(ino, offset, &data, flags, i).unwrap();
+            let fill = rng.next_below(256) as u8;
+            let mut data = vec![fill; len as usize];
+            match rng.next_below(3) {
+                0 => fs.write(ino, offset, Payload::fill(fill, len as u32), flags, i),
+                1 => fs.write(ino, offset, &data, flags, i),
+                _ => {
+                    rng.fill_bytes(&mut data);
+                    fs.write(ino, offset, &data, flags, i)
+                }
+            }
+            .unwrap();
             apply_reference(&mut reference, offset, &data);
+
+            let at = rng.next_below(reference.len() as u64 + BS);
+            let len = rng.next_below(3 * BS);
+            let read = fs.read(ino, at, len).unwrap();
+            let want = read_reference(&reference, at, len);
+            assert_eq!(read.to_vec(), want, "seed {seed} op {i}");
+            reads.push((read.data, want));
         }
 
         let attrs = fs.getattr(ino).unwrap();
         assert_eq!(attrs.size, reference.len() as u64, "seed {seed}");
         let read = fs.read(ino, 0, reference.len() as u64).unwrap();
         assert_eq!(read.to_vec(), reference, "seed {seed}");
+        for (n, (payload, want)) in reads.iter().enumerate() {
+            let held: Vec<u8> = payload.iter_bytes().collect();
+            assert_eq!(
+                held, *want,
+                "seed {seed}: read {n} changed under its reader"
+            );
+        }
     }
 }
 
@@ -69,7 +107,7 @@ fn fsync_is_idempotent() {
             fs.write(
                 ino,
                 block * BS,
-                &vec![fill; BS as usize],
+                &[fill; BS as usize],
                 WriteFlags::DelayData,
                 i,
             )
@@ -102,13 +140,7 @@ fn gathering_never_issues_more_transactions() {
         let mut sync_ops = 0usize;
         for (i, b) in blocks.iter().enumerate() {
             let out = sync_fs
-                .write(
-                    a,
-                    b * BS,
-                    &vec![1u8; BS as usize],
-                    WriteFlags::Sync,
-                    i as u64,
-                )
+                .write(a, b * BS, &[1u8; BS as usize], WriteFlags::Sync, i as u64)
                 .unwrap();
             sync_ops += out.io.transactions();
         }
@@ -121,7 +153,7 @@ fn gathering_never_issues_more_transactions() {
                 .write(
                     b_ino,
                     b * BS,
-                    &vec![1u8; BS as usize],
+                    &[1u8; BS as usize],
                     WriteFlags::DelayData,
                     i as u64,
                 )
@@ -164,7 +196,7 @@ fn clustered_transfers_respect_cluster_size() {
             fs.write(
                 ino,
                 (start + i) * BS,
-                &vec![7u8; BS as usize],
+                &[7u8; BS as usize],
                 WriteFlags::DelayData,
                 i,
             )

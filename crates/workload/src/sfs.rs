@@ -74,7 +74,7 @@ use wg_client::{backoff, partition, XidWindow};
 use wg_nfsproto::{
     CommitArgs, CreateArgs, DirOpArgs, FileHandle, GetattrArgs, LockArgs, NfsCall, NfsCallBody,
     NfsReply, NfsReplyBody, NfsStatus, ReadArgs, ReaddirArgs, RenewArgs, Sattr, StatusReply,
-    WriteArgs, Xid,
+    WriteArgs, Xid, NFS_MAXDATA,
 };
 use wg_server::{NfsServer, StabilityMode, WritePolicy};
 use wg_simcore::{Duration, FaultPlan, Reservation, SimRng, SimTime};
@@ -160,8 +160,9 @@ impl SfsMix {
 /// Number of scratch files each generator's write bursts rotate over.
 const SCRATCH_SLOTS: usize = 32;
 
-/// Size of one write burst chunk (NFS v2 clients write in 8 KB blocks).
-const CHUNK: u64 = 8192;
+/// Size of one write burst chunk: one full-size v2 WRITE (NFS v2 clients
+/// write in 8 KB blocks).
+const CHUNK: u64 = NFS_MAXDATA as u64;
 
 /// Number of consecutive sequential 8 KB writes issued when a write is drawn
 /// from the mix.  LADDIS writes whole files in sequential chunks, which is
