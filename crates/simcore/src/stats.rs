@@ -143,14 +143,27 @@ fn bucket(ns: u64) -> usize {
     (msb - SUB_BITS + 1) as usize * SUBS + sub
 }
 
+/// Samples per chunk of a [`LatencyStat`]'s store: 64 KiB of `u32`s.
+const CHUNK: usize = 1 << 14;
+
 /// Accumulates request latencies and reports summary statistics.
 ///
-/// Samples are stored so exact percentiles can be computed: 8 bytes per
-/// completed operation, which a sketch of bounded size could only
-/// approximate.
+/// Every sample is kept, so percentiles are exact, which a sketch of
+/// bounded size could only approximate.  A sample below 2^32 ns (4.29 s)
+/// costs 4 bytes: it is stored as `u32` nanoseconds in chunks of 16,384.  A
+/// longer one goes to a `u64` overflow list.  The first chunk grows by
+/// doubling, so a stat with few samples holds few bytes; each later chunk
+/// is allocated whole, so the store grows by adding a chunk and never
+/// copies itself.  A chunk is 64 KiB, under glibc's default 128 KiB mmap
+/// threshold, so chunks come from the heap, and the chunks one run frees
+/// serve the next instead of being mapped and unmapped afresh.
 #[derive(Clone, Debug, Default, serde::Serialize)]
 pub struct LatencyStat {
-    samples: Vec<Duration>,
+    /// Samples below 2^32 ns, in recording order; every chunk but the last
+    /// is full.
+    chunks: Vec<Vec<u32>>,
+    /// Samples of 2^32 ns or more.
+    overflow: Vec<u64>,
     sum: Duration,
 }
 
@@ -163,35 +176,61 @@ impl LatencyStat {
     /// Record the latency of one completed operation.
     pub fn record(&mut self, latency: Duration) {
         self.sum += latency;
-        self.samples.push(latency);
+        self.push(latency.as_nanos());
+    }
+
+    /// Store one sample of `ns` nanoseconds.
+    fn push(&mut self, ns: u64) {
+        let Ok(short) = u32::try_from(ns) else {
+            self.overflow.push(ns);
+            return;
+        };
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(short),
+            _ => {
+                // The first chunk doubles its way up to `CHUNK`; a later
+                // one starts whole.
+                let capacity = if self.chunks.is_empty() { 0 } else { CHUNK };
+                let mut chunk = Vec::with_capacity(capacity);
+                chunk.push(short);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    /// Every sample in nanoseconds: the chunks' in recording order, then
+    /// the overflow list's.
+    fn samples(&self) -> impl Iterator<Item = u64> + '_ {
+        let short = self.chunks.iter().flatten().map(|&ns| u64::from(ns));
+        short.chain(self.overflow.iter().copied())
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> usize {
-        self.samples.len()
+        self.chunks.iter().map(Vec::len).sum::<usize>() + self.overflow.len()
     }
 
     /// `true` if no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.chunks.is_empty() && self.overflow.is_empty()
     }
 
     /// Mean latency (zero when empty).
     pub fn mean(&self) -> Duration {
-        if self.samples.is_empty() {
-            return Duration::ZERO;
+        match self.count() {
+            0 => Duration::ZERO,
+            n => Duration::from_nanos(self.sum.as_nanos() / n as u64),
         }
-        Duration::from_nanos(self.sum.as_nanos() / self.samples.len() as u64)
     }
 
     /// Minimum latency (zero when empty).
     pub fn min(&self) -> Duration {
-        self.samples.iter().copied().min().unwrap_or(Duration::ZERO)
+        Duration::from_nanos(self.samples().min().unwrap_or(0))
     }
 
     /// Maximum latency (zero when empty).
     pub fn max(&self) -> Duration {
-        self.samples.iter().copied().max().unwrap_or(Duration::ZERO)
+        Duration::from_nanos(self.samples().max().unwrap_or(0))
     }
 
     /// The `p`-th percentile (0 ≤ p ≤ 100) using nearest-rank on the sorted
@@ -203,14 +242,13 @@ impl LatencyStat {
     /// buckets are monotone in the value, so the result is the exact
     /// element at the rank.
     pub fn percentile(&self, p: f64) -> Duration {
-        if self.samples.is_empty() {
+        let n = self.count();
+        if n == 0 {
             return Duration::ZERO;
         }
-        let rank = Self::rank(p, self.samples.len());
+        let rank = Self::rank(p, n);
         let mut counts = [0usize; BUCKETS];
-        for sample in &self.samples {
-            counts[bucket(sample.as_nanos())] += 1;
-        }
+        self.samples().for_each(|ns| counts[bucket(ns)] += 1);
         // Skip whole buckets below the rank.
         let (mut held, mut below) = (0, 0);
         while below + counts[held] <= rank {
@@ -218,12 +256,10 @@ impl LatencyStat {
             held += 1;
         }
         let mut bucket_samples = Vec::with_capacity(counts[held]);
-        bucket_samples.extend(
-            self.samples
-                .iter()
-                .filter(|sample| bucket(sample.as_nanos()) == held),
-        );
-        *bucket_samples.select_nth_unstable(rank - below).1
+        self.samples()
+            .filter(|&ns| bucket(ns) == held)
+            .for_each(|ns| bucket_samples.push(ns));
+        Duration::from_nanos(*bucket_samples.select_nth_unstable(rank - below).1)
     }
 
     /// The nearest-rank index of the `p`-th percentile among `n > 0`
@@ -232,24 +268,6 @@ impl LatencyStat {
         let p = p.clamp(0.0, 100.0);
         let rank = ((p / 100.0) * (n as f64 - 1.0)).round() as usize;
         rank.min(n - 1)
-    }
-
-    /// The full-sort [`LatencyStat::percentile`] it replaced, kept as the
-    /// reference the selection is tested against.
-    #[cfg(test)]
-    fn percentile_by_sort(&self, p: f64) -> Duration {
-        if self.samples.is_empty() {
-            return Duration::ZERO;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        sorted[Self::rank(p, sorted.len())]
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &LatencyStat) {
-        self.sum += other.sum;
-        self.samples.extend_from_slice(&other.samples);
     }
 }
 
@@ -331,66 +349,91 @@ mod tests {
         assert_eq!(bucket(SUBS as u64 - 1) + 1, bucket(SUBS as u64));
     }
 
-    /// An accumulator holding `samples` nanosecond values, built directly
-    /// so values near `u64::MAX` need not fit the running sum.
-    fn holding(samples: impl IntoIterator<Item = u64>) -> LatencyStat {
-        LatencyStat {
-            samples: samples.into_iter().map(Duration::from_nanos).collect(),
-            sum: Duration::ZERO,
+    /// An accumulator holding `samples` nanosecond values, filled through
+    /// the store's own `push` (the one `record` uses) but without the
+    /// running sum, which values near `u64::MAX` would overflow.
+    fn holding(samples: &[u64]) -> LatencyStat {
+        let mut l = LatencyStat::new();
+        for &ns in samples {
+            l.push(ns);
         }
+        l
     }
 
     #[test]
-    fn selected_percentiles_match_the_full_sort() {
+    fn differential_fuzz_percentiles_match_the_full_sort() {
         // Seeded sample sets of awkward sizes, with heavy duplication (a
-        // deterministic service time repeats) and a long tail; then all
-        // samples equal, one deterministic value dominating, and values
-        // crowding the top of the range.
+        // deterministic service time repeats), a long tail and values either
+        // side of the store's 2^32 ns overflow edge; sizes at the chunk
+        // edges, all of them below 2^32 so that they fill the chunks
+        // exactly, and again with overflow samples added; then all samples
+        // equal, one deterministic value dominating, and values crowding the
+        // top of the range.  Each set's count, min, max and percentiles must
+        // be those of the set sorted.
+        const EDGE: u64 = 1 << 32;
         let mut rng = crate::SimRng::seed_from(0x5EED);
-        let mut sets: Vec<(String, LatencyStat)> = Vec::new();
+        let mut sets: Vec<(String, Vec<u64>)> = Vec::new();
         for n in [1usize, 2, 3, 10, 99, 100, 101, 1000, 4097] {
             let samples: Vec<u64> = (0..n)
-                .map(|_| match rng.next_below(4) {
+                .map(|_| match rng.next_below(5) {
                     0 => 390_000,
                     1 => rng.next_below(1_000),
+                    2 => EDGE - 1 + rng.next_below(3),
                     _ => rng.next_below(50_000_000),
                 })
                 .collect();
-            sets.push((format!("mixed n {n}"), holding(samples)));
+            sets.push((format!("mixed n {n}"), samples));
         }
-        sets.push(("all equal".into(), holding([390_000; 1000])));
+        for n in [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
+            let mut samples: Vec<u64> = (0..n)
+                .map(|_| match rng.next_below(4) {
+                    0 => 390_000,
+                    1 => EDGE - 1,
+                    _ => rng.next_below(50_000_000),
+                })
+                .collect();
+            sets.push((format!("short n {n}"), samples.clone()));
+            samples.extend((0..64).map(|_| EDGE + rng.next_below(2)));
+            sets.push((format!("short n {n} + 64 overflow"), samples));
+        }
+        sets.push(("all equal".into(), vec![390_000; 1000]));
         let dominated: Vec<u64> = (0..4097)
             .map(|_| match rng.next_below(100) {
                 0..=94 => 390_000,
                 _ => rng.next_below(50_000_000),
             })
             .collect();
-        sets.push(("dominated".into(), holding(dominated)));
+        sets.push(("dominated".into(), dominated));
         let top: Vec<u64> = (0..1000)
             .map(|_| match rng.next_below(4) {
                 0 => u64::MAX,
                 _ => u64::MAX - rng.next_below(1 << 62),
             })
             .collect();
-        sets.push(("near u64::MAX".into(), holding(top)));
-        for (label, l) in &sets {
+        sets.push(("near u64::MAX".into(), top));
+        for (label, samples) in &sets {
+            let l = holding(samples);
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            assert_eq!(l.count(), sorted.len(), "{label}");
+            assert_eq!(l.min().as_nanos(), sorted[0], "{label}");
+            assert_eq!(l.max().as_nanos(), sorted[sorted.len() - 1], "{label}");
             for p in [
                 0.0, 0.1, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0, -5.0, 150.0,
             ] {
-                assert_eq!(l.percentile(p), l.percentile_by_sort(p), "{label}, p {p}");
+                let by_sort = sorted[LatencyStat::rank(p, sorted.len())];
+                assert_eq!(l.percentile(p).as_nanos(), by_sort, "{label}, p {p}");
             }
         }
     }
 
     #[test]
-    fn latency_record_span_and_merge() {
-        let mut a = LatencyStat::new();
-        a.record(SimTime::from_millis(4).since(SimTime::from_millis(1)));
-        let mut b = LatencyStat::new();
-        b.record(Duration::from_millis(7));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), Duration::from_millis(7));
-        assert_eq!(a.mean(), Duration::from_millis(5));
+    fn latency_record_span_and_mean() {
+        let mut l = LatencyStat::new();
+        l.record(SimTime::from_millis(4).since(SimTime::from_millis(1)));
+        l.record(Duration::from_millis(7));
+        assert_eq!(l.count(), 2);
+        assert_eq!(l.max(), Duration::from_millis(7));
+        assert_eq!(l.mean(), Duration::from_millis(5));
     }
 }

@@ -122,13 +122,14 @@ impl Duration {
         Duration(s * 1_000_000_000)
     }
 
-    /// Construct from fractional seconds.  Negative and non-finite inputs are
-    /// clamped to zero.
+    /// Construct from fractional seconds, rounded to the nearest nanosecond
+    /// (a half rounds up).  Negative and non-finite inputs are clamped to
+    /// zero, and spans of 2^64 ns or more saturate.
     pub fn from_secs_f64(s: f64) -> Self {
         if !s.is_finite() || s <= 0.0 {
             return Duration(0);
         }
-        Duration((s * 1e9).round() as u64)
+        Duration(round_positive(s * 1e9))
     }
 
     /// Raw nanoseconds.
@@ -178,6 +179,16 @@ impl Duration {
     pub fn saturating_mul(self, k: u64) -> Duration {
         Duration(self.0.saturating_mul(k))
     }
+}
+
+/// `x.round() as u64` for `x > 0`, by truncation and one comparison
+/// instead of a call to libm's `round`.  Below 2^52 both the truncation
+/// and the subtraction are exact; from 2^52 up `x` is already an integer,
+/// so the difference is zero; from 2^64 up the cast saturates, and so does
+/// the increment.
+fn round_positive(x: f64) -> u64 {
+    let truncated = x as u64;
+    truncated.saturating_add(u64::from(x - truncated as f64 >= 0.5))
 }
 
 impl Add<Duration> for SimTime {
@@ -288,6 +299,65 @@ mod tests {
         assert!((d.as_millis_f64() - 1.0).abs() < 1e-9);
         assert_eq!(Duration::from_secs_f64(-3.0), Duration::ZERO);
         assert_eq!(Duration::from_secs_f64(f64::NAN), Duration::ZERO);
+    }
+
+    /// The expression `from_secs_f64` rounded with before it stopped
+    /// calling libm's `round`, kept as the reference it is tested against.
+    fn from_secs_f64_by_round(s: f64) -> Duration {
+        if !s.is_finite() || s <= 0.0 {
+            return Duration::ZERO;
+        }
+        Duration((s * 1e9).round() as u64)
+    }
+
+    #[test]
+    fn differential_fuzz_from_secs_f64_matches_libm_round() {
+        let check = |s: f64| {
+            assert_eq!(
+                Duration::from_secs_f64(s),
+                from_secs_f64_by_round(s),
+                "{s:e} s"
+            );
+        };
+        let mut rng = crate::SimRng::seed_from(0xF10A7);
+        for _ in 0..400_000 {
+            // Any bit pattern: both signs, subnormals, NaNs and infinities.
+            check(f64::from_bits(rng.next_u64()));
+            // Seconds in [0, 10), the range the model's timings take.
+            check(rng.next_f64() * 10.0);
+            // A half-nanosecond point and the values an ulp either side.
+            let half = (rng.next_below(10_000_000_000) as f64 + 0.5) / 1e9;
+            for s in [half, half.next_down(), half.next_up()] {
+                check(s);
+            }
+        }
+        // Where the truncation stops being exact (2^52 ns) and where the
+        // cast saturates (2^64 ns), a few ulps either side.
+        for edge in [2f64.powi(52), 2f64.powi(63), 2f64.powi(64)] {
+            let mut s = (edge / 1e9).next_down().next_down().next_down();
+            for _ in 0..7 {
+                check(s);
+                s = s.next_up();
+            }
+        }
+        // The rounding itself at its edges, including the largest double
+        // below one half and values far past saturation.
+        for x in [
+            0.499_999_999_999_999_94,
+            0.5,
+            1.5,
+            2.5,
+            2f64.powi(52) - 0.5,
+            2f64.powi(52),
+            2f64.powi(53) + 2.0,
+            2f64.powi(64).next_down(),
+            2f64.powi(64),
+            2f64.powi(65),
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            assert_eq!(round_positive(x), x.round() as u64, "{x:e}");
+        }
     }
 
     #[test]

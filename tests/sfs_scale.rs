@@ -12,16 +12,18 @@
 //!   (LOOKUP / READ / GETATTR / WRITE bursts) and the event queue's
 //!   schedule/pop cycle perform **zero** heap allocations, pinned by a
 //!   counting global allocator, not by eyeball,
-//! * and the fleet's build heap: building the benchmark's 256-client fleet
+//! * the fleet's build heap: building the benchmark's 256-client fleet
 //!   (8,393 files) peaks under 4 MiB, pinned by the same allocator's byte
-//!   counters.
+//!   counters,
+//! * and a latency sample's cost: a million samples peak at 4 bytes each
+//!   plus one chunk, so a stat's growth never copies its store.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use wg_nfsproto::payload::materialize_count;
 use wg_server::WritePolicy;
-use wg_simcore::{Duration, EventQueue, SimRng, SimTime};
+use wg_simcore::{Duration, EventQueue, LatencyStat, SimRng, SimTime};
 use wg_workload::sfs::SfsSystem;
 use wg_workload::{SfsConfig, SfsMix, SfsSweep};
 
@@ -205,6 +207,31 @@ fn fleet_build_peaks_under_four_mib_of_heap() {
         peak < 4 << 20,
         "building the fleet peaked at {:.2} MiB of heap",
         peak as f64 / (1 << 20) as f64
+    );
+}
+
+#[test]
+fn latency_samples_cost_four_bytes_each_plus_one_chunk() {
+    // A million residences below 2^32 ns, about three `sfs_crash` cells'
+    // worth.  `LatencyStat` keeps them as `u32`s in 64 KiB chunks of 16,384
+    // and grows by adding a chunk, so its peak is the samples' 4 bytes each
+    // plus the last chunk's unused tail and the small list of chunks.  One
+    // `Vec<Duration>` grown by doubling peaked near 12 MiB here: 8 MiB of
+    // capacity plus the 4 MiB block its last doubling copied from.
+    const SAMPLES: i64 = 1_000_000;
+    const CHUNK_BYTES: i64 = 64 << 10;
+    let mut rng = SimRng::seed_from(35);
+    let start = reset_peak();
+    let mut residence = LatencyStat::new();
+    for _ in 0..SAMPLES {
+        residence.record(Duration::from_nanos(rng.next_below(1 << 32)));
+    }
+    let peak = peak_bytes() - start;
+    assert_eq!(residence.count() as i64, SAMPLES);
+    drop(residence);
+    assert!(
+        peak <= 4 * SAMPLES + CHUNK_BYTES,
+        "a million latency samples peaked at {peak} bytes of heap"
     );
 }
 
