@@ -1,5 +1,6 @@
 //! The sequential file-writer client.
 
+use std::collections::VecDeque;
 use std::ops::Range;
 
 use wg_nfsproto::{
@@ -213,9 +214,11 @@ enum AppState {
 pub struct FileWriterClient {
     config: ClientConfig,
     handle: FileHandle,
-    /// Block indices still to be issued, in issue order (front = next).
-    remaining: Vec<u64>,
-    next_block_cursor: usize,
+    /// The blocks not yet issued once, in order: a cursor, not a list.
+    unsent: Range<u64>,
+    /// Blocks whose acknowledgement a verifier mismatch voided, in the
+    /// order they were voided.  They are re-sent once `unsent` is empty.
+    resend: VecDeque<u64>,
     biod_busy: Vec<bool>,
     /// The requests in flight, which also hands out their xids.
     outstanding: XidWindow<Outstanding>,
@@ -243,18 +246,18 @@ pub struct FileWriterClient {
 
 impl FileWriterClient {
     /// Create a client that will write `config.file_size` bytes to the file
-    /// identified by `handle`.
+    /// identified by `handle`.  Only the biod table is allocated here,
+    /// whatever the file's size.
     pub fn new(config: ClientConfig, handle: FileHandle) -> Self {
-        let blocks = config.file_size.div_ceil(CHUNK_SIZE);
         FileWriterClient {
             biod_busy: vec![false; config.biods],
-            remaining: (0..blocks).collect(),
-            next_block_cursor: 0,
+            unsent: 0..config.file_size.div_ceil(CHUNK_SIZE),
+            resend: VecDeque::new(),
             outstanding: XidWindow::new(config.xids.clone()),
             app: AppState::Idle,
             stats: ClientStats::default(),
             blocked_since: None,
-            acked_writes: Vec::with_capacity(blocks as usize),
+            acked_writes: Vec::new(),
             uncommitted: Vec::new(),
             commit_gave_up: false,
             paced_commit_inflight: false,
@@ -338,7 +341,7 @@ impl FileWriterClient {
     }
 
     fn start_generating(&mut self, now: SimTime, actions: &mut Vec<ClientAction>) {
-        if self.next_block_cursor >= self.remaining.len() {
+        if self.unsent.is_empty() && self.resend.is_empty() {
             self.enter_close(now, actions);
             return;
         }
@@ -351,8 +354,10 @@ impl FileWriterClient {
 
     /// The application produced a chunk that must go to the wire.
     fn on_chunk_ready(&mut self, now: SimTime, actions: &mut Vec<ClientAction>) {
-        let block = self.remaining[self.next_block_cursor];
-        self.next_block_cursor += 1;
+        // Every block in order, then the re-sends in the order they were
+        // voided.
+        let block = self.unsent.next().or_else(|| self.resend.pop_front());
+        let block = block.expect("a chunk was generated for a block");
         let offset = block * CHUNK_SIZE;
         let len = CHUNK_SIZE.min(self.config.file_size - offset.min(self.config.file_size));
 
@@ -452,14 +457,7 @@ impl FileWriterClient {
                 // the close path below decides whether to try again.
             }
         }
-        if let Some(b) = out.biod {
-            self.biod_busy[b] = false;
-        }
-        if out.app_blocking {
-            if let Some(since) = self.blocked_since.take() {
-                self.stats.blocked_time += now.since(since);
-            }
-        }
+        self.retire(now, &out);
         match self.app {
             AppState::BlockedOnRequest(xid) if xid == reply.xid => {
                 // The application wakes up and keeps writing (after a
@@ -472,6 +470,19 @@ impl FileWriterClient {
                 self.enter_close(now, actions);
             }
             _ => {}
+        }
+    }
+
+    /// A request left the window, answered or given up: free its biod,
+    /// and stop the blocked clock if the application was waiting on it.
+    fn retire(&mut self, now: SimTime, out: &Outstanding) {
+        if let Some(b) = out.biod {
+            self.biod_busy[b] = false;
+        }
+        if out.app_blocking {
+            if let Some(since) = self.blocked_since.take() {
+                self.stats.blocked_time += now.since(since);
+            }
         }
     }
 
@@ -518,7 +529,6 @@ impl FileWriterClient {
     /// different boot's verifier were lost to a reboot and must be re-sent.
     fn on_commit_ok(&mut self, verf: u64) {
         let mut mismatched = false;
-        let mut requeue: Vec<u64> = Vec::new();
         for &(offset, len, wverf) in &self.uncommitted {
             if wverf == verf {
                 self.acked_writes.push((offset, len));
@@ -528,13 +538,12 @@ impl FileWriterClient {
                 // re-sent write will count these bytes again.
                 self.stats.bytes_acked -= len;
                 self.stats.resent_bytes += len;
-                requeue.push(offset / CHUNK_SIZE);
+                self.resend.push_back(offset / CHUNK_SIZE);
             }
         }
         self.uncommitted.clear();
         if mismatched {
             self.stats.verifier_mismatches += 1;
-            self.remaining.extend(requeue);
         }
     }
 
@@ -562,9 +571,7 @@ impl FileWriterClient {
                 self.commit_gave_up = true;
                 self.paced_commit_inflight = false;
             }
-            if let Some(b) = out.biod {
-                self.biod_busy[b] = false;
-            }
+            self.retire(now, &out);
             if self.app == AppState::BlockedOnRequest(xid) {
                 self.start_generating(now, actions);
             } else if self.app == AppState::Closing && self.outstanding.is_empty() {
@@ -801,6 +808,40 @@ mod tests {
     }
 
     #[test]
+    fn a_write_that_gives_up_stops_the_blocked_clock() {
+        // Three chunks with no biod, so the application sends each write
+        // itself and blocks on it.  The second write is never answered: the
+        // application waits through its send and two retransmissions (100,
+        // 200 and 400 ms) until it gives up, then sends the third.
+        let cfg = ClientConfig {
+            file_size: 24 * 1024,
+            biods: 0,
+            initial_timeout: Duration::from_millis(100),
+            max_retransmits: 2,
+            ..ClientConfig::default()
+        };
+        let mut client = FileWriterClient::new(cfg, handle());
+        drive(&mut client, |_, call| {
+            let NfsCallBody::Write(args) = &call.body else {
+                panic!("unexpected call {:?}", call.body);
+            };
+            (args.offset != 8192).then(|| (Duration::from_millis(1), ok_reply(call.xid)))
+        });
+        let stats = client.stats();
+        assert_eq!(stats.gave_up, 1);
+        assert_eq!(stats.retransmissions, 2);
+        // Blocked for all of the run but the three chunks' generation: the
+        // abandoned write's 700 ms count as well as the answered ones.
+        let run = stats.completed_at.since(stats.started_at);
+        assert_eq!(run, Duration::from_micros(702_900));
+        assert!(
+            stats.blocked_time >= Duration::from_millis(700),
+            "blocked {} of a {run} run",
+            stats.blocked_time
+        );
+    }
+
+    #[test]
     fn a_finished_writers_wakeups_fire_nothing_in_the_next_writer() {
         // A writer finishes its segment with the retransmission wake-ups of
         // its answered writes still pending, as a rolling fleet client does
@@ -856,15 +897,19 @@ mod tests {
     /// A toy unstable-mode server: acknowledges writes `UNSTABLE` under the
     /// current verifier, answers COMMIT with the current verifier, and
     /// "crashes" (verifier bump) just before acknowledging the given write.
+    /// Returns the finished client and the block of each WRITE in the order
+    /// they were sent.
     fn run_unstable_client(
         mut client: FileWriterClient,
         crash_after_writes: Option<u64>,
-    ) -> FileWriterClient {
+    ) -> (FileWriterClient, Vec<u64>) {
         let mut verf = 100u64;
         let mut writes_seen = 0u64;
+        let mut blocks = Vec::new();
         drive(&mut client, |_, call| {
             let body = match &call.body {
-                NfsCallBody::Write(_) => {
+                NfsCallBody::Write(args) => {
+                    blocks.push(u64::from(args.offset) / CHUNK_SIZE);
                     writes_seen += 1;
                     if Some(writes_seen) == crash_after_writes {
                         // The server reboots: cached data dies, the next
@@ -887,7 +932,7 @@ mod tests {
             };
             Some((Duration::from_millis(1), NfsReply::new(call.xid, body)))
         });
-        client
+        (client, blocks)
     }
 
     #[test]
@@ -898,7 +943,7 @@ mod tests {
             stability: StableHow::Unstable,
             ..ClientConfig::default()
         };
-        let client = run_unstable_client(FileWriterClient::new(cfg, handle()), None);
+        let (client, _) = run_unstable_client(FileWriterClient::new(cfg, handle()), None);
         let stats = client.stats();
         assert_eq!(stats.commits_sent, 1);
         assert_eq!(stats.verifier_mismatches, 0);
@@ -920,7 +965,7 @@ mod tests {
             commit_interval: 16 * 1024,
             ..ClientConfig::default()
         };
-        let client = run_unstable_client(FileWriterClient::new(cfg, handle()), None);
+        let (client, _) = run_unstable_client(FileWriterClient::new(cfg, handle()), None);
         let stats = client.stats();
         assert!(
             stats.paced_commits >= 3,
@@ -938,7 +983,7 @@ mod tests {
             stability: StableHow::Unstable,
             ..ClientConfig::default()
         };
-        let baseline = run_unstable_client(FileWriterClient::new(cfg_off, handle()), None);
+        let (baseline, _) = run_unstable_client(FileWriterClient::new(cfg_off, handle()), None);
         assert_eq!(baseline.stats().commits_sent, 1);
         assert_eq!(baseline.stats().paced_commits, 0);
     }
@@ -954,7 +999,7 @@ mod tests {
         // The server "reboots" before acknowledging the 6th write: writes
         // 1–5 carry the old verifier, 6–8 the new one.  The close-time
         // COMMIT returns the new verifier, voiding writes 1–5.
-        let client = run_unstable_client(FileWriterClient::new(cfg, handle()), Some(6));
+        let (client, _) = run_unstable_client(FileWriterClient::new(cfg, handle()), Some(6));
         let stats = client.stats();
         assert_eq!(stats.verifier_mismatches, 1);
         assert_eq!(stats.resent_bytes, 5 * 8192);
@@ -965,6 +1010,30 @@ mod tests {
         let mut offsets: Vec<u64> = client.acked_writes().iter().map(|(o, _)| *o).collect();
         offsets.sort_unstable();
         assert_eq!(offsets, (0..8u64).map(|b| b * 8192).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn voided_blocks_are_resent_after_every_unsent_block() {
+        // Eight chunks with no biod and a paced COMMIT every two.  The
+        // server reboots before answering the 4th WRITE, so blocks 2 and 3
+        // sit uncommitted under two verifiers when the second paced COMMIT
+        // goes out, and its reply (the new boot's verifier) voids block 2
+        // while the application is already writing block 4.
+        let cfg = ClientConfig {
+            file_size: 64 * 1024,
+            biods: 0,
+            stability: StableHow::Unstable,
+            commit_interval: 16 * 1024,
+            ..ClientConfig::default()
+        };
+        let (client, blocks) = run_unstable_client(FileWriterClient::new(cfg, handle()), Some(4));
+        // Block 2 goes out again only after the blocks never sent.
+        assert_eq!(blocks, [0, 1, 2, 3, 4, 5, 6, 7, 2]);
+        let stats = client.stats();
+        assert_eq!(stats.verifier_mismatches, 1);
+        assert_eq!(stats.resent_bytes, 8192);
+        assert_eq!(stats.bytes_acked, 64 * 1024);
+        assert!(client.uncommitted_ranges().is_empty());
     }
 
     #[test]

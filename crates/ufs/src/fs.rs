@@ -10,7 +10,7 @@ use wg_disk::DiskRequest;
 
 use crate::cluster::cluster_requests;
 use crate::error::FsError;
-use crate::inode::{CachedBlock, FileKind, Inode, InodeNumber};
+use crate::inode::{block_address, CachedBlock, FileKind, Inode, InodeNumber};
 use crate::params::{FsParams, BLOCK_SIZE, DATA_REGION_START};
 use crate::vnode::{FsyncFlags, IoPlan, ReadOutcome, WriteFlags, WriteOutcome};
 
@@ -182,14 +182,19 @@ impl Ufs {
         Ok(self.inode(ino)?.generation)
     }
 
+    /// A free block's address: the last one freed, or the next one the
+    /// cursor reaches.  A block whose number would not fit an inode's 4-byte
+    /// pointer is out of space, as past FFS's 32-bit `daddr_t`.
     fn allocate_block(&mut self) -> Result<u64, FsError> {
         if let Some(addr) = self.free_blocks.pop() {
             return Ok(addr);
         }
-        if self.alloc_cursor + BLOCK_SIZE > self.params.data_capacity {
+        let addr = DATA_REGION_START + self.alloc_cursor;
+        if self.alloc_cursor + BLOCK_SIZE > self.params.data_capacity
+            || addr / BLOCK_SIZE > u64::from(u32::MAX)
+        {
             return Err(FsError::NoSpace);
         }
-        let addr = DATA_REGION_START + self.alloc_cursor;
         self.alloc_cursor += BLOCK_SIZE;
         Ok(addr)
     }
@@ -283,8 +288,8 @@ impl Ufs {
             let Ok(n) = self.inode_mut(ino) else { continue };
             if let Some(block) = n.blocks.get_mut(lbn) {
                 block.dirty = false;
-                let addr = n.pointers.get(lbn).expect("a cached block is mapped");
-                extents.push((*addr, BLOCK_SIZE));
+                let number = n.pointers.get(lbn).expect("a cached block is mapped");
+                extents.push((block_address(*number), BLOCK_SIZE));
             }
         }
         self.cache_dirty -= extents.len() as u64;
@@ -383,7 +388,8 @@ impl Ufs {
         };
         // Free the target's blocks: ascending lbn, then the indirect block.
         if let Some(t) = self.inodes[target as usize].take() {
-            self.free_blocks.extend(t.pointers.values());
+            self.free_blocks
+                .extend(t.pointers.values().map(|&block| block_address(block)));
             self.free_blocks.extend(t.indirect);
             if self.cache_armed() {
                 for (lbn, b) in t.blocks.iter() {
@@ -466,8 +472,8 @@ impl Ufs {
                     // Truncate: drop blocks wholly beyond the new size.
                     let keep_blocks = size.div_ceil(BLOCK_SIZE);
                     for lbn in keep_blocks..=Inode::MAX_LBN {
-                        if let Some(addr) = n.pointers.remove(lbn) {
-                            freed.push(addr);
+                        if let Some(block) = n.pointers.remove(lbn) {
+                            freed.push(block_address(block));
                             n.indirect_dirty |= Inode::needs_indirect(lbn);
                             if let Some(b) = n.blocks.remove(lbn) {
                                 dropped.push((lbn, b.dirty));
@@ -655,8 +661,8 @@ impl Ufs {
         for (lbn, block) in n.blocks.range_mut(first_lbn, last_lbn) {
             if block.dirty {
                 block.dirty = false;
-                let addr = n.pointers.get(lbn).expect("a cached block is mapped");
-                extents.push((*addr, BLOCK_SIZE));
+                let number = n.pointers.get(lbn).expect("a cached block is mapped");
+                extents.push((block_address(*number), BLOCK_SIZE));
             }
         }
         if self.cache_armed() {
@@ -1315,6 +1321,33 @@ mod tests {
             }
         }
         assert!(hit_enospc);
+    }
+
+    /// An inode's block pointer is a 4-byte block number, as in FFS.  The
+    /// last block one can hold maps, and its data flushes to its address;
+    /// the allocator refuses the block past it with `NoSpace` even though
+    /// the configured capacity has room for it.
+    #[test]
+    fn blocks_past_a_four_byte_pointer_are_no_space() {
+        let last = u64::from(u32::MAX) * BS;
+        let mut u = Ufs::new(
+            1,
+            FsParams {
+                data_capacity: last - DATA_REGION_START + 2 * BS,
+                ..FsParams::default()
+            },
+        );
+        u.alloc_cursor = last - DATA_REGION_START;
+        let root = u.root();
+        let f = u.create(root, "edge", 0o644, 0).unwrap();
+        let out = u
+            .write(f, 0, &[3u8; BS as usize], WriteFlags::SyncDataOnly, 1)
+            .unwrap();
+        assert_eq!(u.inode(f).unwrap().block_addr(0), Some(last));
+        assert_eq!(out.io.data.len(), 1);
+        assert_eq!(out.io.data[0].addr, last);
+        let past = u.write(f, BS, &[4u8; BS as usize], WriteFlags::Sync, 2);
+        assert_eq!(past.err(), Some(FsError::NoSpace));
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! an indirect block.  [`Inode`] therefore tracks the FFS block map together
 //! with dirty flags for the inode and the indirect block, which is exactly
 //! the metadata a `VOP_FSYNC(FWRITE_METADATA)` must flush.  The block map is
-//! one dense map from logical block to physical address: its first 12 slots
-//! are the inode's direct pointers, and the rest are the pointers its single
-//! indirect block holds.
+//! one dense map from logical block to physical block number: its first 12
+//! slots are the inode's direct pointers, and the rest are the pointers its
+//! single indirect block holds.
 
-use crate::params::POINTERS_PER_BLOCK;
+use crate::params::{BLOCK_SIZE, POINTERS_PER_BLOCK};
 use std::collections::BTreeMap;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 use wg_nfsproto::{DirListing, Payload};
 
@@ -50,6 +51,11 @@ pub struct CachedBlock {
     pub resident: bool,
 }
 
+/// The byte address of physical block number `block`.
+pub(crate) fn block_address(block: NonZeroU32) -> u64 {
+    u64::from(block.get()) * BLOCK_SIZE
+}
+
 /// A dense map keyed by logical block index (lbn).
 ///
 /// A file addressable through one single-indirect block spans at most
@@ -60,7 +66,7 @@ pub struct CachedBlock {
 /// Iteration walks the slots in index order, so every traversal is
 /// ascending-lbn: flush order and free order, and with them the simulated
 /// event order, follow from it.  An inode keeps two: its cached blocks (the
-/// default, [`CachedBlock`]) and its block pointers (physical addresses).
+/// default, [`CachedBlock`]) and its block pointers (block numbers).
 #[derive(Clone, Debug)]
 pub struct BlockMap<T = CachedBlock> {
     slots: Vec<Option<T>>,
@@ -195,10 +201,12 @@ pub struct Inode {
     pub atime_nanos: u64,
     /// Inode-change time in simulation nanoseconds.
     pub ctime_nanos: u64,
-    /// Block pointers (logical block index -> physical address).  The 12
-    /// direct pointers are the map's first 12 slots; the slots from
-    /// `NDADDR` on are the pointers the single indirect block holds.
-    pub pointers: BlockMap<u64>,
+    /// Block pointers (logical block index -> physical block number), 4
+    /// bytes each as in FFS.  The 12 direct pointers are the map's first 12
+    /// slots; the slots from `NDADDR` on are the pointers the single
+    /// indirect block holds.  No block number is 0: the data region starts
+    /// at block 8,192.
+    pub pointers: BlockMap<NonZeroU32>,
     /// Physical address of the single indirect block, if allocated.
     pub indirect: Option<u64>,
     /// Directory entries (name -> inode), present only for directories.
@@ -254,14 +262,22 @@ impl Inode {
 
     /// Look up the physical address of logical block `lbn`, if mapped.
     pub fn block_addr(&self, lbn: u64) -> Option<u64> {
-        self.pointers.get(lbn).copied()
+        self.pointers.get(lbn).map(|&block| block_address(block))
     }
 
     /// Record a mapping from logical block `lbn` to physical address `phys`,
     /// returning `true` if the mapping lives in the indirect block (and thus
     /// dirties it) rather than in the inode proper.
+    ///
+    /// Panics unless `phys` is a block address past block 0 whose number
+    /// fits a 4-byte pointer, as every block the allocator hands out is.
     pub fn map_block(&mut self, lbn: u64, phys: u64) -> bool {
-        self.pointers.insert(lbn, phys);
+        assert_eq!(phys % BLOCK_SIZE, 0, "{phys} is not a block address");
+        let block = u32::try_from(phys / BLOCK_SIZE)
+            .ok()
+            .and_then(NonZeroU32::new);
+        let block = block.unwrap_or_else(|| panic!("{phys} has no 4-byte block number"));
+        self.pointers.insert(lbn, block);
         Inode::needs_indirect(lbn)
     }
 
@@ -343,11 +359,12 @@ mod tests {
     fn sectors_counts_mapped_blocks_and_indirect() {
         let mut ino = Inode::new(7, 1, FileKind::Regular, 0o644, 0);
         assert_eq!(ino.sectors(), 0);
-        ino.map_block(0, 1000);
-        ino.map_block(1, 2000);
+        let data = |k: u64| crate::params::DATA_REGION_START + k * BLOCK_SIZE;
+        ino.map_block(0, data(0));
+        ino.map_block(1, data(1));
         assert_eq!(ino.sectors(), 32);
-        ino.indirect = Some(3000);
-        ino.map_block(12, 4000);
+        ino.indirect = Some(data(2));
+        ino.map_block(12, data(3));
         assert_eq!(ino.sectors(), 64);
     }
 

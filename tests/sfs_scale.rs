@@ -15,6 +15,8 @@
 //! * the fleet's build heap: building the benchmark's 256-client fleet
 //!   (8,393 files) peaks under 4 MiB, pinned by the same allocator's byte
 //!   counters,
+//! * a copy cell's build heap: building a Table 1 cell costs the same
+//!   bytes, under 4 KiB, whatever the size of the file it will copy,
 //! * and a latency sample's cost: a million samples peak at 4 bytes each
 //!   plus one chunk, so a stat's growth never copies its store.
 
@@ -25,7 +27,7 @@ use wg_nfsproto::payload::materialize_count;
 use wg_server::WritePolicy;
 use wg_simcore::{Duration, EventQueue, LatencyStat, SimRng, SimTime};
 use wg_workload::sfs::SfsSystem;
-use wg_workload::{SfsConfig, SfsMix, SfsSweep};
+use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind, SfsConfig, SfsMix, SfsSweep};
 
 /// A pass-through allocator that counts every allocation and the heap
 /// bytes held, per thread.
@@ -207,6 +209,30 @@ fn fleet_build_peaks_under_four_mib_of_heap() {
         peak < 4 << 20,
         "building the fleet peaked at {:.2} MiB of heap",
         peak as f64 / (1 << 20) as f64
+    );
+}
+
+#[test]
+fn copy_cell_build_heap_does_not_grow_with_the_file() {
+    // The benchmark's `copy_tables` builds all 68 cells of Tables 1-6
+    // before it runs any, so a cell's build cost is paid 68 times over.
+    // The writer keeps a block counter, not a list of the blocks to send,
+    // and its acknowledged ranges grow as replies land; a writer that
+    // sized both by the file took 33,003 bytes at 10 MB and 51,435 at
+    // 16 MB.
+    let build_peak = |mb: u64| {
+        let cfg = ExperimentConfig::new(NetworkKind::Ethernet, 15, WritePolicy::Gathering)
+            .with_file_size(mb << 20);
+        let start = reset_peak();
+        let system = FileCopySystem::new(cfg);
+        let peak = peak_bytes() - start;
+        drop(system);
+        peak
+    };
+    let peaks = [1, 10, 16].map(build_peak);
+    assert!(
+        peaks.iter().all(|&peak| peak == peaks[0] && peak < 4 << 10),
+        "building a Table 1 cell of 1, 10 and 16 MB peaked at {peaks:?} bytes of heap"
     );
 }
 
