@@ -32,7 +32,6 @@
 
 use std::time::Instant;
 
-use wg_bench::cli::flag_value;
 use wg_bench::metrics;
 use wg_bench::report::{self, host_parallelism, median_wall, Json};
 use wg_nfsproto::payload::materialize_count;
@@ -64,7 +63,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => out = flag_value(&mut args, &arg),
+            "--out" => out = args.next().expect("--out needs a value"),
             "--smoke" => smoke = true,
             name => match SUITES.iter().find(|suite| suite.0 == name) {
                 Some(suite) => suites.push(suite),

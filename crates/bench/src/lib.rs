@@ -13,13 +13,15 @@
 //!
 //! [`TableSpec`] captures the configuration of each table;
 //! [`run_table`] executes every cell and returns rows shaped like the paper's.
-//! The binaries (`tables`, `figure1`, `figure2_3`, `ablations`) print the
-//! regenerated artefacts.
+//! One binary, `paper`, takes no arguments and prints the whole evaluation
+//! at fixed sizes: the six tables, Figure 1's timeline, Figures 2 and 3 and
+//! ablations of §6's design choices.
 //!
-//! One binary, `sweep`, records `BENCH_writepath.json` through [`report`], a
-//! small JSON value type: one suite per report key (`current`, `faults`,
-//! `scale`, `sfs_scale`, `stability`, `state_storms`), each running exactly
-//! the cells its key records from [`metrics`] snapshots of their runs.
+//! The other binary, `sweep`, records `BENCH_writepath.json` through
+//! [`report`], a small JSON value type: one suite per report key (`current`,
+//! `faults`, `scale`, `sfs_scale`, `stability`, `state_storms`), each running
+//! exactly the cells its key records from [`metrics`] snapshots of their
+//! runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -98,11 +100,6 @@ pub const TABLES: [TableSpec; 6] = [
     },
 ];
 
-/// Find a table spec by number.
-pub fn table_spec(number: u8) -> Option<&'static TableSpec> {
-    TABLES.iter().find(|t| t.number == number)
-}
-
 /// The complete output of one table: the per-biod results for both policies.
 #[derive(Clone, Debug)]
 pub struct TableOutput {
@@ -172,8 +169,7 @@ pub fn run_table(spec: &TableSpec, file_size: u64) -> TableOutput {
 
 /// Run every cell of a table with a final hook over each cell's derived
 /// [`wg_server::ServerConfig`].  The golden-parity tests use this to pin an
-/// *explicit* `shards = 1, cores = 1` server to the paper's snapshot, and the
-/// ablation harness to vary knobs the tables do not sweep.
+/// *explicit* `shards = 1, cores = 1` server to the paper's snapshot.
 pub fn run_table_with(
     spec: &TableSpec,
     file_size: u64,
@@ -250,52 +246,13 @@ pub fn render_figure(figure: u8, without: &[SfsPoint], with: &[SfsPoint]) -> Str
     out
 }
 
-/// Command-line parsing shared by the bench binaries.
-pub mod cli {
-    use std::str::FromStr;
-
-    /// Parse the value that follows `flag` on the command line.  A missing
-    /// or unparsable value panics with a message naming the flag.
-    pub fn flag_value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
-        let text = args
-            .next()
-            .unwrap_or_else(|| panic!("{flag} needs a value"));
-        text.parse()
-            .unwrap_or_else(|_| panic!("{flag} cannot parse {text:?}"))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn a_value_parses() {
-            assert_eq!(
-                flag_value::<u64>(&mut ["12".to_string()].into_iter(), "--secs"),
-                12
-            );
-        }
-
-        #[test]
-        #[should_panic(expected = "--secs needs a value")]
-        fn a_missing_value_names_its_flag() {
-            flag_value::<u64>(&mut std::iter::empty(), "--secs");
-        }
-
-        #[test]
-        #[should_panic(expected = "--file-mb cannot parse \"four\"")]
-        fn an_unparsable_value_names_its_flag() {
-            flag_value::<u64>(&mut ["four".to_string()].into_iter(), "--file-mb");
-        }
-    }
-}
-
 pub mod metrics;
 pub mod report;
 
-/// Reference values transcribed from the paper, used by the harness to print
-/// a paper-vs-measured comparison and by the `table_shapes` integration test
-/// to check that the qualitative shape holds.
+/// Reference values transcribed from the paper.  Only the benchmark package
+/// reads them, to score its Table 1 and Table 3 cells against the paper
+/// (`paper_errors`); the Table 2 and Figure 2 values wait for a fidelity
+/// scorecard that prints every one of them next to its simulated twin.
 pub mod paper {
     /// Client write speed (KB/s) from Table 1, without gathering.
     pub const T1_WITHOUT_KBS: [f64; 5] = [165.0, 194.0, 201.0, 203.0, 205.0];
@@ -321,13 +278,8 @@ mod tests {
 
     #[test]
     fn specs_cover_all_six_tables() {
-        assert_eq!(TABLES.len(), 6);
-        for n in 1..=6u8 {
-            let spec = table_spec(n).expect("table exists");
-            assert_eq!(spec.number, n);
-            assert!(!spec.biods.is_empty());
-        }
-        assert!(table_spec(7).is_none());
+        assert_eq!(TABLES.map(|t| t.number), [1, 2, 3, 4, 5, 6]);
+        assert!(TABLES.iter().all(|t| !t.biods.is_empty()));
         assert!(TABLES[4].biods.len() == 7 && TABLES[5].biods.len() == 7);
         assert!(TABLES[1].prestoserve && TABLES[3].prestoserve && TABLES[5].prestoserve);
     }

@@ -1,5 +1,6 @@
 //! The `sweep` runner's command line and its `current` suite, run as a
-//! process against a temporary report.
+//! process against a temporary report, and the `paper` bin's empty command
+//! line.
 
 use std::process::{Command, Output};
 
@@ -72,5 +73,41 @@ fn a_flag_beyond_out_and_smoke_is_refused_with_the_usage() {
             "{stderr}"
         );
         assert_eq!(text, None, "{flag}: a refused command line wrote a report");
+    }
+}
+
+#[test]
+fn a_missing_out_value_is_refused_naming_the_flag() {
+    let run = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(["current", "--smoke", "--out"])
+        .output()
+        .expect("the runner starts");
+    assert!(!run.status.success(), "a bare --out was accepted");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(stderr.contains("--out needs a value"), "{stderr}");
+}
+
+/// The flags the paper's four former bins read, and one former bin's name.
+const PAPER_RETIRED: [&[&str]; 7] = [
+    &["--table", "3"],
+    &["--file-mb", "1"],
+    &["--json"],
+    &["--kb", "128"],
+    &["--figure", "2"],
+    &["--secs", "1"],
+    &["tables"],
+];
+
+#[test]
+fn paper_refuses_every_argument_before_it_runs_a_cell() {
+    for args in PAPER_RETIRED {
+        let run = Command::new(env!("CARGO_BIN_EXE_paper"))
+            .args(args)
+            .output()
+            .expect("the paper bin starts");
+        assert!(!run.status.success(), "{args:?} was accepted");
+        assert!(run.stdout.is_empty(), "{args:?} printed before refusing");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains("usage: paper"), "{args:?}: {stderr}");
     }
 }

@@ -25,5 +25,5 @@
 pub mod medium;
 pub mod sockbuf;
 
-pub use medium::{Medium, MediumKind, MediumParams, TransmitOutcome};
+pub use medium::{Medium, MediumParams, TransmitOutcome};
 pub use sockbuf::SocketBuffer;

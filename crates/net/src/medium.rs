@@ -2,20 +2,9 @@
 
 use wg_simcore::{Counter, Duration, SimRng, SimTime, Utilization};
 
-/// Which physical medium a [`MediumParams`] describes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum MediumKind {
-    /// 10 Mb/s shared Ethernet.
-    Ethernet,
-    /// 100 Mb/s FDDI ring.
-    Fddi,
-}
-
 /// Calibration of one network segment.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct MediumParams {
-    /// Which medium this is.
-    pub kind: MediumKind,
     /// Raw signalling rate in bits per second.
     pub bits_per_sec: f64,
     /// Maximum link-layer payload per packet (the IP fragment size).
@@ -35,7 +24,6 @@ impl MediumParams {
     /// Private 10 Mb/s Ethernet, as used in Tables 1 and 2.
     pub fn ethernet() -> Self {
         MediumParams {
-            kind: MediumKind::Ethernet,
             bits_per_sec: 10e6,
             mtu_payload: 1472,
             header_bytes: 42,
@@ -48,7 +36,6 @@ impl MediumParams {
     /// Private 100 Mb/s FDDI ring, as used in Tables 3–6 and Figures 1–3.
     pub fn fddi() -> Self {
         MediumParams {
-            kind: MediumKind::Fddi,
             bits_per_sec: 100e6,
             mtu_payload: 4312,
             header_bytes: 40,
@@ -151,11 +138,6 @@ impl Medium {
     /// The segment's calibration.
     pub fn params(&self) -> &MediumParams {
         &self.params
-    }
-
-    /// The procrastination interval the paper prescribes for this medium.
-    pub fn procrastination(&self) -> Duration {
-        self.params.procrastination
     }
 
     /// Inject a loss window: between `from` (inclusive) and `until`
@@ -317,10 +299,6 @@ mod tests {
         );
         assert_eq!(
             MediumParams::fddi().procrastination,
-            Duration::from_millis(5)
-        );
-        assert_eq!(
-            Medium::new(MediumParams::fddi()).procrastination(),
             Duration::from_millis(5)
         );
     }

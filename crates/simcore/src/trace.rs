@@ -4,7 +4,7 @@
 //! server against a gathering server for a 4-biod sequential writer: write
 //! requests arriving, data and metadata going to disk, and replies leaving.
 //! [`Trace`] records exactly that information from the simulation so the
-//! `figure1` harness can print the same picture.
+//! `paper` bin's Figure 1 section can print the same picture.
 
 use crate::time::SimTime;
 
@@ -107,21 +107,6 @@ impl Trace {
     pub fn count_of(&self, kind: TraceKind) -> usize {
         self.events_of(kind).count()
     }
-
-    /// Render the trace as a human-readable timeline, one line per event.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&format!(
-                "{:>12.3} ms  {:<18} #{:<6} {}\n",
-                e.at.as_millis_f64(),
-                format!("{:?}", e.kind),
-                e.subject,
-                e.detail
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -163,16 +148,5 @@ mod tests {
                 .detail,
             "8K write"
         );
-    }
-
-    #[test]
-    fn render_contains_one_line_per_event() {
-        let mut t = Trace::enabled();
-        t.record(SimTime::from_millis(1), TraceKind::ReplySent, 7, "fifo");
-        t.record(SimTime::from_millis(2), TraceKind::RequestArrived, 7, "");
-        let text = t.render();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("ReplySent"));
-        assert!(text.contains("#7"));
     }
 }

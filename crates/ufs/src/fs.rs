@@ -49,20 +49,14 @@ pub struct FileAttributes {
     pub ctime_nanos: u64,
 }
 
-/// Cumulative operation counters, used by the server to charge CPU costs per
-/// filesystem trip and by tests to verify call patterns.
+/// Cumulative counters of `VOP_READ` calls and of the unified cache's
+/// evictions, throttle stalls and write-behind, for tests and metric
+/// snapshots.  The server charges each filesystem trip's CPU cost from its
+/// own cost table, not from these.
 #[derive(Clone, Copy, Debug, Default, serde::Serialize)]
 pub struct UfsCounters {
-    /// `VOP_WRITE` calls.
-    pub writes: u64,
     /// `VOP_READ` calls.
     pub reads: u64,
-    /// `VOP_FSYNC` calls.
-    pub fsyncs: u64,
-    /// `VOP_SYNCDATA` calls.
-    pub syncdatas: u64,
-    /// Namespace operations (create/lookup/remove/readdir/setattr).
-    pub namespace_ops: u64,
     /// Clean pages evicted by the bounded unified cache (0 while the cache is
     /// unbounded).
     pub cache_evictions: u64,
@@ -329,7 +323,6 @@ impl Ufs {
 
     /// Look up `name` in directory `dir`.
     pub fn lookup(&mut self, dir: InodeNumber, name: &str) -> Result<InodeNumber, FsError> {
-        self.counters.namespace_ops += 1;
         let d = self.inode(dir)?;
         if d.kind != FileKind::Directory {
             return Err(FsError::NotADirectory);
@@ -345,7 +338,6 @@ impl Ufs {
         mode: u32,
         now_nanos: u64,
     ) -> Result<InodeNumber, FsError> {
-        self.counters.namespace_ops += 1;
         if name.is_empty() || name.len() > MAX_NAME_LEN {
             return Err(FsError::NameTooLong);
         }
@@ -378,7 +370,6 @@ impl Ufs {
     /// Remove a file.  The freed inode's blocks return to the allocator and
     /// later handles to it become stale.
     pub fn remove(&mut self, dir: InodeNumber, name: &str, now_nanos: u64) -> Result<(), FsError> {
-        self.counters.namespace_ops += 1;
         let target = {
             let d = self.inode(dir)?;
             if d.kind != FileKind::Directory {
@@ -418,7 +409,6 @@ impl Ufs {
     /// onward without copying names.  Building at first readdir rather than
     /// at create keeps directories nobody lists free of the cost.
     pub fn readdir(&mut self, dir: InodeNumber) -> Result<DirListing, FsError> {
-        self.counters.namespace_ops += 1;
         let d = self.inode_mut(dir)?;
         if d.kind != FileKind::Directory {
             return Err(FsError::NotADirectory);
@@ -457,7 +447,6 @@ impl Ufs {
         new_size: Option<u64>,
         now_nanos: u64,
     ) -> Result<(FileAttributes, IoPlan), FsError> {
-        self.counters.namespace_ops += 1;
         let mut freed: Vec<u64> = Vec::new();
         let mut dropped: Vec<(u64, bool)> = Vec::new();
         {
@@ -521,7 +510,6 @@ impl Ufs {
         now_nanos: u64,
     ) -> Result<WriteOutcome, FsError> {
         let data = data.into();
-        self.counters.writes += 1;
         let cache_armed = self.cache_armed();
         let data_len = data.len() as u64;
 
@@ -676,7 +664,6 @@ impl Ufs {
     /// server calls this with beginning/ending offsets as hints once it
     /// becomes the metadata writer.
     pub fn sync_data(&mut self, ino: InodeNumber, from: u64, to: u64) -> Result<IoPlan, FsError> {
-        self.counters.syncdatas += 1;
         // The blocks overlapping [from, to) are lbns [from/bs, (to-1)/bs];
         // walking just those keeps a flush of a small gathered span
         // O(span), not O(file blocks).
@@ -696,14 +683,11 @@ impl Ufs {
     /// `VOP_FSYNC`: flush metadata (and, for [`FsyncFlags::All`], any dirty
     /// data) of the file.
     pub fn fsync(&mut self, ino: InodeNumber, flags: FsyncFlags) -> Result<IoPlan, FsError> {
-        self.counters.fsyncs += 1;
         let mut plan = IoPlan::empty();
         if flags == FsyncFlags::All {
             let size = self.inode(ino)?.size;
             let data_plan = self.sync_data(ino, 0, size.max(1))?;
             plan.extend(data_plan);
-            // sync_data counts itself; do not double count the fsync wrapper.
-            self.counters.syncdatas -= 1;
         }
         let metadata = self.metadata_requests(ino)?;
         plan.metadata.extend(metadata);
@@ -1443,7 +1427,7 @@ mod tests {
     }
 
     #[test]
-    fn statfs_counters_and_op_counters() {
+    fn statfs_counts_fsid_and_root() {
         let mut u = fs();
         let root = u.root();
         assert!(u.total_block_count() > 0);
@@ -1452,9 +1436,6 @@ mod tests {
         u.write(f, 0, &[0u8; BS as usize], WriteFlags::Sync, 1)
             .unwrap();
         assert_eq!(u.free_block_count(), before_free - 1);
-        let c = u.counters();
-        assert_eq!(c.writes, 1);
-        assert!(c.namespace_ops >= 1);
         assert_eq!(u.fsid(), 1);
         assert_eq!(u.root(), ROOT_INO);
     }

@@ -454,11 +454,6 @@ impl FileCopySystem {
     }
 }
 
-/// Run one cell: convenience wrapper used by the benches and examples.
-pub fn run_cell(config: ExperimentConfig) -> FileCopyResult {
-    FileCopySystem::new(config).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,11 +483,12 @@ mod tests {
         policy: WritePolicy,
         presto: bool,
     ) -> FileCopyResult {
-        run_cell(
+        FileCopySystem::new(
             ExperimentConfig::new(network, biods, policy)
                 .with_presto(presto)
                 .with_file_size(SMALL),
         )
+        .run()
     }
 
     #[test]

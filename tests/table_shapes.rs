@@ -2,11 +2,11 @@
 //!
 //! The reproduction is not expected to match 1993 absolute numbers, but the
 //! qualitative claims of the Results section must hold.  Each test states the
-//! claim it checks.  A reduced (2 MB) copy keeps the suite fast; the `tables`
+//! claim it checks.  A reduced (2 MB) copy keeps the suite fast; the `paper`
 //! binary regenerates the full 10 MB versions.
 
 use wg_server::WritePolicy;
-use wg_workload::{system::run_cell, ExperimentConfig, FileCopyResult, NetworkKind};
+use wg_workload::{ExperimentConfig, FileCopyResult, FileCopySystem, NetworkKind};
 
 const FILE: u64 = 2 * 1024 * 1024;
 
@@ -17,12 +17,13 @@ fn cell(
     presto: bool,
     spindles: usize,
 ) -> FileCopyResult {
-    run_cell(
+    FileCopySystem::new(
         ExperimentConfig::new(network, biods, policy)
             .with_presto(presto)
             .with_spindles(spindles)
             .with_file_size(FILE),
     )
+    .run()
 }
 
 /// Table 1/3 claim: without gathering, client write speed is pinned by the
