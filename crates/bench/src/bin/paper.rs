@@ -19,7 +19,7 @@
 
 use wg_bench::{render_figure, run_figure, run_table, TABLES};
 use wg_server::{ReplyOrder, ServerConfig, WritePolicy};
-use wg_simcore::{Duration, TraceKind};
+use wg_simcore::{Duration, Trace, TraceEvent, TraceKind};
 use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind, SfsPoint};
 
 /// The copy every table cell makes, as in the paper.
@@ -63,25 +63,10 @@ fn figure1() {
         ("STANDARD SERVER", WritePolicy::Standard),
         ("GATHERING SERVER", WritePolicy::Gathering),
     ] {
-        let mut system = FileCopySystem::new(
-            ExperimentConfig::new(NetworkKind::Fddi, 4, policy)
-                .with_file_size(FIGURE1_KB * 1024)
-                .with_trace(true),
-        );
+        let mut system = figure1_system(policy);
         let result = system.run();
         println!("==== {name} ====");
-        let shown = system.trace().events().iter().filter(|event| {
-            matches!(
-                event.kind,
-                TraceKind::RequestArrived
-                    | TraceKind::DataToDisk
-                    | TraceKind::MetadataToDisk
-                    | TraceKind::ReplySent
-                    | TraceKind::Procrastinate
-                    | TraceKind::ReplyDeferred
-            )
-        });
-        for (i, event) in shown.enumerate() {
+        for (i, event) in figure1_events(system.trace()).into_iter().enumerate() {
             if i == FIGURE1_EXCERPT {
                 println!("  ... (trace truncated)");
                 break;
@@ -101,6 +86,39 @@ fn figure1() {
             result.mean_batch_size.max(1.0),
         );
     }
+}
+
+/// Figure 1's traced copy under one server policy.
+fn figure1_system(policy: WritePolicy) -> FileCopySystem {
+    FileCopySystem::new(
+        ExperimentConfig::new(NetworkKind::Fddi, 4, policy)
+            .with_file_size(FIGURE1_KB * 1024)
+            .with_trace(true),
+    )
+}
+
+/// The traced events Figure 1 shows, in time order.  The trace itself is
+/// in recording order, which steps back in time wherever the server
+/// recorded a disk or reply event when it planned it; the sort is stable,
+/// so events at one instant keep the order they were recorded in.
+fn figure1_events(trace: &Trace) -> Vec<&TraceEvent> {
+    let mut shown: Vec<&TraceEvent> = trace
+        .events()
+        .iter()
+        .filter(|event| {
+            matches!(
+                event.kind,
+                TraceKind::RequestArrived
+                    | TraceKind::DataToDisk
+                    | TraceKind::MetadataToDisk
+                    | TraceKind::ReplySent
+                    | TraceKind::Procrastinate
+                    | TraceKind::ReplyDeferred
+            )
+        })
+        .collect();
+    shown.sort_by_key(|event| event.at);
+    shown
 }
 
 /// SPEC SFS 1.0-style throughput vs average latency, with and without write
@@ -228,5 +246,30 @@ fn ablations() {
             r.client_write_kb_per_sec,
             r.mean_batch_size
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Both of Figure 1's excerpts go forward in time, though the standard
+    /// server's trace, in recording order, steps back.
+    #[test]
+    fn figure1_excerpts_never_go_back_in_time() {
+        for policy in [WritePolicy::Standard, WritePolicy::Gathering] {
+            let mut system = figure1_system(policy);
+            system.run();
+            let shown = figure1_events(system.trace());
+            assert!(shown.len() > FIGURE1_EXCERPT, "{policy:?}");
+            let excerpt = &shown[..FIGURE1_EXCERPT];
+            assert!(
+                excerpt.windows(2).all(|pair| pair[0].at <= pair[1].at),
+                "{policy:?}"
+            );
+            let recorded = system.trace().events();
+            let steps_back = recorded.windows(2).any(|pair| pair[0].at > pair[1].at);
+            assert!(steps_back || policy != WritePolicy::Standard);
+        }
     }
 }

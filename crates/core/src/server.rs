@@ -573,7 +573,6 @@ impl NfsServer {
             self.trace.record(
                 now,
                 TraceKind::RequestArrived,
-                call.xid.0 as u64,
                 format!("{:?} ({} bytes)", call.body.procedure(), wire_size),
             );
         }
@@ -610,7 +609,7 @@ impl NfsServer {
         if !self.shards[shard].sockbuf.offer(wire_size, incoming) {
             self.stats.socket_drops += 1;
             self.trace
-                .record(now, TraceKind::RequestDropped, 0, "socket buffer full");
+                .record(now, TraceKind::RequestDropped, "socket buffer full");
             return;
         }
         self.dispatch(now, shard, actions);
@@ -697,7 +696,6 @@ impl NfsServer {
             self.trace.record(
                 now,
                 TraceKind::NfsdStart,
-                nfsd as u64,
                 format!("xid {} {:?}", call.xid.0, call.body.procedure()),
             );
         }
@@ -957,7 +955,6 @@ impl NfsServer {
             self.trace.record(
                 submit_at,
                 TraceKind::DataToDisk,
-                req.len,
                 format!("{kind} {} bytes @ {}", req.len, req.addr),
             );
         }
@@ -1055,8 +1052,7 @@ impl NfsServer {
         self.stats.evicted_in_progress += u64::from(forced);
         self.stats.replies_sent += 1;
         self.stats.residence.record(at.since(req.arrived));
-        self.trace
-            .record(at, TraceKind::ReplySent, req.xid.0 as u64, "");
+        self.trace.record(at, TraceKind::ReplySent, "");
         let client = req.client;
         actions.push(ServerAction::Reply { at, client, reply });
         at
@@ -1219,7 +1215,7 @@ impl NfsServer {
         let done = self.run_io_plan(t1, io.data.iter().chain(io.metadata.iter()));
         if !io.metadata.is_empty() {
             self.trace
-                .record(done, TraceKind::MetadataToDisk, ino, "inode/indirect");
+                .record(done, TraceKind::MetadataToDisk, "inode/indirect");
             self.stats.metadata_flushes += 1;
         }
         self.vnode(ino).free_at = done;
@@ -1345,8 +1341,7 @@ impl NfsServer {
         };
         if let Some(how) = handoff {
             self.stats.writes_gathered += 1;
-            let xid = req.xid.0 as u64;
-            self.trace.record(t2, TraceKind::ReplyDeferred, xid, how);
+            self.trace.record(t2, TraceKind::ReplyDeferred, how);
             self.occupy_nfsd(nfsd, t2, actions);
             return;
         }
@@ -1362,12 +1357,8 @@ impl NfsServer {
                     .sync_data(ino, offset, offset + len)
                     .unwrap_or_default();
                 let window_end = self.run_io_plan(t2, own_plan.data.iter());
-                self.trace.record(
-                    t2,
-                    TraceKind::Procrastinate,
-                    nfsd as u64,
-                    "first-write latency window",
-                );
+                self.trace
+                    .record(t2, TraceKind::Procrastinate, "first-write latency window");
                 window_end
             }
             _ => {
@@ -1377,7 +1368,6 @@ impl NfsServer {
                     self.trace.record(
                         t2,
                         TraceKind::Procrastinate,
-                        nfsd as u64,
                         format!("{} procrastination", self.config.procrastination),
                     );
                 }
@@ -1464,12 +1454,8 @@ impl NfsServer {
         let mut done = self.run_io_plan(t1, data_plan.data.iter());
         if !meta_plan.metadata.is_empty() {
             done = self.run_io_plan(done, meta_plan.metadata.iter());
-            self.trace.record(
-                done,
-                TraceKind::MetadataToDisk,
-                ino,
-                "gathered metadata flush",
-            );
+            self.trace
+                .record(done, TraceKind::MetadataToDisk, "gathered metadata flush");
         }
         self.stats.record_batch(batch.len());
 
@@ -1617,7 +1603,7 @@ impl NfsServer {
         // back.  A no-op on an empty table.
         self.state.crash(recovered);
         self.trace
-            .record(now, TraceKind::RequestDropped, 0, "server crash");
+            .record(now, TraceKind::RequestDropped, "server crash");
         recovered
     }
 

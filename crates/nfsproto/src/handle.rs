@@ -89,6 +89,10 @@ impl XdrEncode for FileHandle {
     fn encode(&self, enc: &mut XdrEncoder) {
         enc.put_opaque_fixed(&self.to_wire_bytes());
     }
+
+    fn xdr_size(&self) -> usize {
+        NFS_FHSIZE
+    }
 }
 
 impl XdrDecode for FileHandle {
@@ -117,6 +121,7 @@ mod tests {
     fn wire_size_is_32_bytes() {
         let fh = FileHandle::new(1, 2, 3);
         assert_eq!(to_bytes(&fh).len(), NFS_FHSIZE);
+        assert_eq!(fh.xdr_size(), NFS_FHSIZE);
     }
 
     #[test]

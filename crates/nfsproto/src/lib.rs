@@ -23,13 +23,20 @@
 //!   as one Rust value plus its wire size, which is what the network and
 //!   socket-buffer models operate on.
 //!
-//! The encoding layer keeps the simulated wire honest about sizes: messages
-//! cross the simulated network as typed values, and the network and socket
-//! buffer charge each one its arithmetic `wire_size()`, which tests pin to
-//! the length of its real XDR encoding.  Encoded bytes exist only in
-//! `to_wire`/`from_wire` (a plain `Vec<u8>` and `&[u8]`), which the
-//! round-trip tests, `wire_sizes_match_real_encodings` and the benchmark's
-//! encode/decode micro replays call.
+//! Each type states its wire layout once.  The plain argument and result
+//! structs, [`Fattr`], [`Sattr`] and [`Timeval`] are declared with
+//! [`wg_xdr::xdr_struct!`], and the code tables [`NfsStatus`], [`FileType`]
+//! and [`ProcNumber`] with [`wg_xdr::xdr_enum!`]: one field or value list
+//! gives each its encoder, its decoder and its `xdr_size`.  The types whose
+//! wire form is not their fields in order ([`FileHandle`], [`Xid`], the two
+//! RPC headers, [`StatusReply`], [`DirListing`], [`Payload`], and
+//! [`StableHow`] with its lenient decode) write `xdr_size` beside `encode`.
+//!
+//! Messages cross the simulated network as typed values, and the network
+//! and socket buffer charge each one its `wire_size()`, the sum of the
+//! `xdr_size` of the values `to_wire` encodes.  Encoded bytes exist only in
+//! `to_wire`/`from_wire`, which the round-trip tests, the wire-size tests
+//! and the benchmark's encode/decode micro replays call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,8 +13,6 @@ use std::sync::Arc;
 
 use wg_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
 
-use crate::message::opaque_wire_size;
-
 /// Most names one run holds; an insert into a full run splits it in half.
 const MAX_RUN: usize = 128;
 
@@ -34,9 +32,9 @@ type Run = Arc<Vec<Arc<str>>>;
 /// change after a snapshot also costs one reference-count update per run,
 /// n / `MAX_RUN` to n / `MIN_RUN` of them (66 to 262 for 8,392 names), and
 /// dropping the old snapshot later undoes them.  Dropping a snapshot frees
-/// only the runs that no other listing shares.  [`DirListing::len`] and
-/// [`DirListing::xdr_size`] are kept up to date by every change, so sizing
-/// a reply never walks the names.
+/// only the runs that no other listing shares.  [`DirListing::len`] and the
+/// wire size behind [`XdrEncode::xdr_size`] are kept up to date by every
+/// change, so sizing a reply never walks the names.
 ///
 /// On the wire a listing is an ordinary XDR array of strings.
 #[derive(Clone, Default)]
@@ -69,7 +67,7 @@ impl DirListing {
                 return None;
             }
             spine.len += 1;
-            spine.name_bytes += opaque_wire_size(name.len());
+            spine.name_bytes += name.xdr_size();
             run.push(name);
             if run.len() == MAX_RUN {
                 spine.runs.push(Arc::new(std::mem::take(&mut run)));
@@ -89,12 +87,6 @@ impl DirListing {
     /// `true` if the directory has no names.
     pub fn is_empty(&self) -> bool {
         self.0.len == 0
-    }
-
-    /// Size of the listing as an XDR array of strings: the count word plus
-    /// every name.  Pure arithmetic — the names are not visited.
-    pub fn xdr_size(&self) -> usize {
-        4 + self.0.name_bytes
     }
 
     /// The names in ascending order.
@@ -136,7 +128,7 @@ impl DirListing {
         }
         let spine = Arc::make_mut(&mut self.0);
         spine.len += 1;
-        spine.name_bytes += opaque_wire_size(name.len());
+        spine.name_bytes += name.xdr_size();
         let Some((run, Err(pos))) = found else {
             spine.runs.push(Arc::new(vec![name]));
             return true;
@@ -158,7 +150,7 @@ impl DirListing {
         let spine = Arc::make_mut(&mut self.0);
         let removed = Arc::make_mut(&mut spine.runs[run]).remove(pos);
         spine.len -= 1;
-        spine.name_bytes -= opaque_wire_size(removed.len());
+        spine.name_bytes -= removed.xdr_size();
         let runs = &mut spine.runs;
         if runs.len() == 1 {
             if runs[0].is_empty() {
@@ -198,8 +190,14 @@ impl XdrEncode for DirListing {
     fn encode(&self, enc: &mut XdrEncoder) {
         enc.put_u32(self.len() as u32);
         for name in self.iter() {
-            enc.put_string(name);
+            name.encode(enc);
         }
+    }
+
+    /// The count word plus every name, kept as a running total: the names
+    /// are not visited.
+    fn xdr_size(&self) -> usize {
+        4 + self.0.name_bytes
     }
 }
 
@@ -223,10 +221,7 @@ mod tests {
     fn check(listing: &DirListing, oracle: &BTreeSet<Arc<str>>) {
         assert_eq!(listing.len(), oracle.len());
         assert!(listing.iter().eq(oracle.iter()), "order diverged");
-        let wire = 4 + oracle
-            .iter()
-            .map(|n| opaque_wire_size(n.len()))
-            .sum::<usize>();
+        let wire = 4 + oracle.iter().map(|n| n.xdr_size()).sum::<usize>();
         assert_eq!(listing.xdr_size(), wire);
         assert_eq!(to_bytes(listing).len(), wire);
         for run in &listing.0.runs {

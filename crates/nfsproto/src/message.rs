@@ -8,11 +8,11 @@
 //! transmission and what the server socket-buffer model counts against its
 //! capacity, so the sizes here must be faithful: an 8 KB write really
 //! occupies a little more than 8 KB on the wire once RPC and NFS headers are
-//! added.
+//! added.  `wire_size` sums the `xdr_size` of the very values `to_wire`
+//! encodes (the header, then the body's arguments, or its tag and results),
+//! so a size can never drift from its encoding.
 
-use std::sync::OnceLock;
-
-use crate::attr::{Fattr, NfsStatus, Sattr};
+use crate::attr::{Fattr, NfsStatus};
 use crate::listing::DirListing;
 use crate::procs::{
     CommitArgs, CommitOk, CreateArgs, DirOpArgs, DirOpOk, GetattrArgs, LockArgs, LockOk,
@@ -20,35 +20,7 @@ use crate::procs::{
     StatusReply, WriteArgs, WriteVerfOk,
 };
 use crate::rpc::{RpcCallHeader, RpcReplyHeader, Xid};
-use crate::NFS_FHSIZE;
 use wg_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
-
-/// Wire size of an XDR variable-length opaque (or string) of `len` bytes:
-/// the length word plus the data padded to a 4-byte boundary.
-pub(crate) fn opaque_wire_size(len: usize) -> usize {
-    4 + len.div_ceil(4) * 4
-}
-
-/// Wire size of a full attribute block (fixed at 68 bytes per RFC 1094, but
-/// derived from the encoder so the two can never disagree).
-fn fattr_wire_size() -> usize {
-    static SIZE: OnceLock<usize> = OnceLock::new();
-    *SIZE.get_or_init(|| {
-        let mut enc = XdrEncoder::new();
-        Fattr::default().encode(&mut enc);
-        enc.len()
-    })
-}
-
-/// Wire size of a settable-attribute block (fixed at 32 bytes).
-fn sattr_wire_size() -> usize {
-    static SIZE: OnceLock<usize> = OnceLock::new();
-    *SIZE.get_or_init(|| {
-        let mut enc = XdrEncoder::new();
-        Sattr::default().encode(&mut enc);
-        enc.len()
-    })
-}
 
 /// The typed body of an NFS call.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -79,6 +51,27 @@ pub enum NfsCallBody {
     Lock(LockArgs),
 }
 
+/// Evaluate `$then` with `$args` bound to a call body's arguments, the value
+/// the wire carries after the RPC header: the one match `to_wire` encodes
+/// and `wire_size` sizes.  A macro rather than a `&dyn XdrEncode`, so the
+/// size the hot loop takes of every message is a static match.
+macro_rules! with_args {
+    ($body:expr, |$args:ident| $then:expr) => {
+        match $body {
+            NfsCallBody::Getattr($args) | NfsCallBody::Statfs($args) => $then,
+            NfsCallBody::Setattr($args) => $then,
+            NfsCallBody::Lookup($args) | NfsCallBody::Remove($args) => $then,
+            NfsCallBody::Read($args) => $then,
+            NfsCallBody::Write($args) => $then,
+            NfsCallBody::Create($args) => $then,
+            NfsCallBody::Readdir($args) => $then,
+            NfsCallBody::Commit($args) => $then,
+            NfsCallBody::Renew($args) => $then,
+            NfsCallBody::Lock($args) => $then,
+        }
+    };
+}
+
 impl NfsCallBody {
     /// The procedure this body belongs to.
     pub fn procedure(&self) -> ProcNumber {
@@ -95,48 +88,6 @@ impl NfsCallBody {
             NfsCallBody::Commit(_) => ProcNumber::Commit,
             NfsCallBody::Renew(_) => ProcNumber::Renew,
             NfsCallBody::Lock(_) => ProcNumber::Lock,
-        }
-    }
-
-    fn encode_args(&self, enc: &mut XdrEncoder) {
-        match self {
-            NfsCallBody::Getattr(a) | NfsCallBody::Statfs(a) => a.encode(enc),
-            NfsCallBody::Setattr(a) => a.encode(enc),
-            NfsCallBody::Lookup(a) | NfsCallBody::Remove(a) => a.encode(enc),
-            NfsCallBody::Read(a) => a.encode(enc),
-            NfsCallBody::Write(a) => a.encode(enc),
-            NfsCallBody::Create(a) => a.encode(enc),
-            NfsCallBody::Readdir(a) => a.encode(enc),
-            NfsCallBody::Commit(a) => a.encode(enc),
-            NfsCallBody::Renew(a) => a.encode(enc),
-            NfsCallBody::Lock(a) => a.encode(enc),
-        }
-    }
-
-    /// Encoded size of the procedure arguments, computed arithmetically.
-    ///
-    /// The simulation's hot loop needs wire sizes for network serialisation
-    /// and socket-buffer accounting on every message; materialising the full
-    /// encoding (8 KB+ per write) just to measure it was the single largest
-    /// allocation source in the simulator.  [`NfsCall::wire_size`] asserts
-    /// equality with the real encoder in tests.
-    fn args_wire_size(&self) -> usize {
-        const FH: usize = NFS_FHSIZE; // file handles are fixed-size opaques
-        match self {
-            NfsCallBody::Getattr(_) | NfsCallBody::Statfs(_) => FH,
-            NfsCallBody::Setattr(_) => FH + sattr_wire_size(),
-            NfsCallBody::Lookup(a) | NfsCallBody::Remove(a) => FH + opaque_wire_size(a.name.len()),
-            NfsCallBody::Read(_) => FH + 12,
-            NfsCallBody::Write(a) => FH + 12 + a.data.xdr_size(),
-            NfsCallBody::Create(a) => {
-                FH + opaque_wire_size(a.where_.name.len()) + sattr_wire_size()
-            }
-            NfsCallBody::Readdir(_) => FH + 8,
-            NfsCallBody::Commit(_) => FH + 8,
-            // client_id word + 8-byte verifier.
-            NfsCallBody::Renew(_) => 12,
-            // client_id, stateid, seqid, offset, count, reclaim words.
-            NfsCallBody::Lock(_) => FH + 24,
         }
     }
 
@@ -173,15 +124,19 @@ impl NfsCall {
         NfsCall { xid, body }
     }
 
-    /// Serialise to wire bytes (RPC call header + XDR arguments).
-    pub fn to_wire(&self) -> Vec<u8> {
-        let mut enc = XdrEncoder::with_capacity(256);
+    /// The RPC header the call travels under.
+    fn header(&self) -> RpcCallHeader {
         RpcCallHeader {
             xid: self.xid,
             procedure: self.body.procedure(),
         }
-        .encode(&mut enc);
-        self.body.encode_args(&mut enc);
+    }
+
+    /// Serialise to wire bytes (RPC call header + XDR arguments).
+    pub fn to_wire(&self) -> Vec<u8> {
+        let mut enc = XdrEncoder::with_capacity(self.wire_size());
+        self.header().encode(&mut enc);
+        with_args!(&self.body, |args| args.encode(&mut enc));
         enc.into_bytes()
     }
 
@@ -199,13 +154,11 @@ impl NfsCall {
         })
     }
 
-    /// The size of this call on the wire, in bytes.
-    ///
-    /// Pure arithmetic — nothing is encoded and nothing is allocated.  The
-    /// `wire_sizes_match_real_encodings` test pins this against
-    /// [`NfsCall::to_wire`] for every procedure.
+    /// The size of this call on the wire, in bytes: the sizes of the two
+    /// values [`NfsCall::to_wire`] encodes, read off their layouts without
+    /// encoding or allocating anything.
     pub fn wire_size(&self) -> usize {
-        RpcCallHeader::WIRE_SIZE + self.body.args_wire_size()
+        self.header().xdr_size() + with_args!(&self.body, |args| args.xdr_size())
     }
 }
 
@@ -238,6 +191,26 @@ pub enum NfsReplyBody {
     Renew(StatusReply<RenewOk>),
     /// LOCK reply (lease protocol).
     Lock(StatusReply<LockOk>),
+}
+
+/// Evaluate `$then` with `$results` bound to a reply body's results, the
+/// value the wire carries after the body tag: the one match `to_wire`
+/// encodes and `wire_size` sizes, static for the reason `with_args!` is.
+macro_rules! with_results {
+    ($body:expr, |$results:ident| $then:expr) => {
+        match $body {
+            NfsReplyBody::Attr($results) => $then,
+            NfsReplyBody::DirOp($results) => $then,
+            NfsReplyBody::Read($results) => $then,
+            NfsReplyBody::Status($results) => $then,
+            NfsReplyBody::Readdir($results) => $then,
+            NfsReplyBody::Statfs($results) => $then,
+            NfsReplyBody::WriteVerf($results) => $then,
+            NfsReplyBody::Commit($results) => $then,
+            NfsReplyBody::Renew($results) => $then,
+            NfsReplyBody::Lock($results) => $then,
+        }
+    };
 }
 
 impl NfsReplyBody {
@@ -276,37 +249,6 @@ impl NfsReplyBody {
             NfsReplyBody::Lock(_) => 10,
         }
     }
-
-    /// Encoded size of the reply results (excluding header and body tag),
-    /// computed arithmetically — see [`NfsCallBody::args_wire_size`].
-    fn results_wire_size(&self) -> usize {
-        // Every status-discriminated reply starts with the 4-byte status word.
-        match self {
-            NfsReplyBody::Attr(StatusReply::Ok(_)) => 4 + fattr_wire_size(),
-            NfsReplyBody::DirOp(StatusReply::Ok(_)) => 4 + NFS_FHSIZE + fattr_wire_size(),
-            NfsReplyBody::Read(StatusReply::Ok(r)) => 4 + fattr_wire_size() + r.data.xdr_size(),
-            NfsReplyBody::Readdir(StatusReply::Ok(names)) => 4 + names.xdr_size(),
-            NfsReplyBody::Statfs(StatusReply::Ok(_)) => 4 + 20,
-            // status + fattr + stable_how word + 8-byte verifier.
-            NfsReplyBody::WriteVerf(StatusReply::Ok(_)) => 4 + fattr_wire_size() + 4 + 8,
-            // status + fattr + 8-byte verifier.
-            NfsReplyBody::Commit(StatusReply::Ok(_)) => 4 + fattr_wire_size() + 8,
-            // status + 8-byte verifier + in_grace word.
-            NfsReplyBody::Renew(StatusReply::Ok(_)) => 4 + 12,
-            // status + stateid + seqid words.
-            NfsReplyBody::Lock(StatusReply::Ok(_)) => 4 + 8,
-            NfsReplyBody::Attr(StatusReply::Err(_))
-            | NfsReplyBody::DirOp(StatusReply::Err(_))
-            | NfsReplyBody::Read(StatusReply::Err(_))
-            | NfsReplyBody::Readdir(StatusReply::Err(_))
-            | NfsReplyBody::Statfs(StatusReply::Err(_))
-            | NfsReplyBody::WriteVerf(StatusReply::Err(_))
-            | NfsReplyBody::Commit(StatusReply::Err(_))
-            | NfsReplyBody::Renew(StatusReply::Err(_))
-            | NfsReplyBody::Lock(StatusReply::Err(_))
-            | NfsReplyBody::Status(_) => 4,
-        }
-    }
 }
 
 /// A complete NFS reply: the transaction id it answers plus a typed body.
@@ -332,21 +274,10 @@ impl NfsReply {
     /// is stateless, so the tag makes parsing self-contained.  The size cost
     /// (4 bytes) is negligible relative to header sizes.
     pub fn to_wire(&self) -> Vec<u8> {
-        let mut enc = XdrEncoder::with_capacity(128);
+        let mut enc = XdrEncoder::with_capacity(self.wire_size());
         RpcReplyHeader { xid: self.xid }.encode(&mut enc);
-        enc.put_u32(self.body.tag());
-        match &self.body {
-            NfsReplyBody::Attr(r) => r.encode(&mut enc),
-            NfsReplyBody::DirOp(r) => r.encode(&mut enc),
-            NfsReplyBody::Read(r) => r.encode(&mut enc),
-            NfsReplyBody::Status(s) => s.encode(&mut enc),
-            NfsReplyBody::Readdir(r) => r.encode(&mut enc),
-            NfsReplyBody::Statfs(r) => r.encode(&mut enc),
-            NfsReplyBody::WriteVerf(r) => r.encode(&mut enc),
-            NfsReplyBody::Commit(r) => r.encode(&mut enc),
-            NfsReplyBody::Renew(r) => r.encode(&mut enc),
-            NfsReplyBody::Lock(r) => r.encode(&mut enc),
-        }
+        self.body.tag().encode(&mut enc);
+        with_results!(&self.body, |results| results.encode(&mut enc));
         enc.into_bytes()
     }
 
@@ -382,12 +313,13 @@ impl NfsReply {
         })
     }
 
-    /// The size of this reply on the wire, in bytes.
-    ///
-    /// Pure arithmetic — nothing is encoded and nothing is allocated (the
-    /// body tag word is included).
+    /// The size of this reply on the wire, in bytes: the sizes of the three
+    /// values [`NfsReply::to_wire`] encodes, read off their layouts without
+    /// encoding or allocating anything.
     pub fn wire_size(&self) -> usize {
-        RpcReplyHeader::WIRE_SIZE + 4 + self.body.results_wire_size()
+        RpcReplyHeader { xid: self.xid }.xdr_size()
+            + self.body.tag().xdr_size()
+            + with_results!(&self.body, |results| results.xdr_size())
     }
 }
 
@@ -687,6 +619,243 @@ mod tests {
         }
     }
 
+    /// Random draws for the fuzz below.
+    mod draw {
+        use super::*;
+        use crate::attr::{FileType, Sattr, Timeval};
+        use crate::payload::Payload;
+        use crate::procs::StableHow;
+        use std::collections::BTreeSet;
+        use std::sync::Arc;
+        use wg_simcore::SimRng;
+
+        pub fn word(rng: &mut SimRng) -> u32 {
+            rng.next_u64() as u32
+        }
+
+        pub fn handle(rng: &mut SimRng) -> FileHandle {
+            FileHandle::new(word(rng), rng.next_u64(), word(rng))
+        }
+
+        fn time(rng: &mut SimRng) -> Timeval {
+            Timeval {
+                seconds: word(rng),
+                useconds: word(rng),
+            }
+        }
+
+        pub fn fattr(rng: &mut SimRng) -> Fattr {
+            Fattr {
+                ftype: FileType::from_code(rng.next_below(6) as u32).unwrap(),
+                mode: word(rng),
+                nlink: word(rng),
+                uid: word(rng),
+                gid: word(rng),
+                size: word(rng),
+                blocksize: word(rng),
+                rdev: word(rng),
+                blocks: word(rng),
+                fsid: word(rng),
+                fileid: word(rng),
+                atime: time(rng),
+                mtime: time(rng),
+                ctime: time(rng),
+            }
+        }
+
+        pub fn sattr(rng: &mut SimRng) -> Sattr {
+            Sattr {
+                mode: word(rng),
+                uid: word(rng),
+                gid: word(rng),
+                size: word(rng),
+                atime: time(rng),
+                mtime: time(rng),
+            }
+        }
+
+        pub fn stable(rng: &mut SimRng) -> StableHow {
+            StableHow::from_wire(rng.next_below(2) as u32)
+        }
+
+        /// A name of 0 to 255 bytes.
+        pub fn name(rng: &mut SimRng) -> Arc<str> {
+            let len = rng.next_below(256);
+            let name: String = (0..len)
+                .map(|_| char::from(b'a' + rng.next_below(26) as u8))
+                .collect();
+            name.into()
+        }
+
+        pub fn dir_op(rng: &mut SimRng) -> DirOpArgs {
+            DirOpArgs {
+                dir: handle(rng),
+                name: name(rng),
+            }
+        }
+
+        /// A fill or a shared payload of 0 to 8,192 bytes.
+        pub fn payload(rng: &mut SimRng) -> Payload {
+            let len = rng.next_below(8193) as usize;
+            if rng.chance(0.5) {
+                return Payload::fill(word(rng) as u8, len as u32);
+            }
+            let mut bytes = vec![0; len];
+            rng.fill_bytes(&mut bytes);
+            Payload::from(bytes.as_slice())
+        }
+
+        /// A listing of 0 to 300 names.
+        pub fn listing(rng: &mut SimRng) -> DirListing {
+            let len = rng.next_below(301) as usize;
+            let mut names = BTreeSet::new();
+            while names.len() < len {
+                names.insert(name(rng));
+            }
+            DirListing::from_sorted(names).expect("a set iterates in order")
+        }
+
+        /// Any status but `Ok`, drawn from the RFC 1094 range and the
+        /// grafted codes without restating the table.
+        pub fn error(rng: &mut SimRng) -> NfsStatus {
+            loop {
+                let code = match rng.next_below(2) {
+                    0 => 1 + rng.next_below(70),
+                    _ => 10_010 + rng.next_below(4),
+                };
+                if let Ok(status) = NfsStatus::from_code(code as u32) {
+                    return status;
+                }
+            }
+        }
+
+        /// Either arm of a status reply.
+        pub fn reply<T>(rng: &mut SimRng, ok: impl FnOnce(&mut SimRng) -> T) -> StatusReply<T> {
+            if rng.chance(0.5) {
+                StatusReply::Ok(ok(rng))
+            } else {
+                StatusReply::Err(error(rng))
+            }
+        }
+    }
+
+    /// Seeded random values of every call and reply body: both arms of
+    /// every status reply, both `StableHow` values, fill and shared payloads
+    /// of 0 to 8,192 bytes, names of 0 to 255 bytes, listings of 0 to 300
+    /// names and random attributes.  Each message's `wire_size` must equal
+    /// the length of its encoding, each body value's `xdr_size` the length
+    /// of its own, and `from_wire` must give the message back.  The CI
+    /// release step reruns it at optimised speed.
+    #[test]
+    fn differential_fuzz_wire_sizes_match_encodings() {
+        use draw::*;
+        use wg_simcore::SimRng;
+        use wg_xdr::to_bytes;
+        let mut rng = SimRng::seed_from(38);
+        for _ in 0..4_000 {
+            let r = &mut rng;
+            let body = match r.next_below(12) {
+                0 => NfsCallBody::Getattr(GetattrArgs { file: handle(r) }),
+                1 => NfsCallBody::Setattr(SetattrArgs {
+                    file: handle(r),
+                    attributes: sattr(r),
+                }),
+                2 => NfsCallBody::Lookup(dir_op(r)),
+                3 => NfsCallBody::Read(ReadArgs {
+                    file: handle(r),
+                    offset: word(r),
+                    count: word(r),
+                    totalcount: word(r),
+                }),
+                4 => NfsCallBody::Write(
+                    WriteArgs::new(handle(r), word(r), payload(r)).with_stability(stable(r)),
+                ),
+                5 => NfsCallBody::Create(CreateArgs {
+                    where_: dir_op(r),
+                    attributes: sattr(r),
+                }),
+                6 => NfsCallBody::Remove(dir_op(r)),
+                7 => NfsCallBody::Readdir(ReaddirArgs {
+                    dir: handle(r),
+                    cookie: word(r),
+                    count: word(r),
+                }),
+                8 => NfsCallBody::Statfs(GetattrArgs { file: handle(r) }),
+                9 => NfsCallBody::Commit(CommitArgs {
+                    file: handle(r),
+                    offset: word(r),
+                    count: word(r),
+                }),
+                10 => NfsCallBody::Renew(RenewArgs {
+                    client_id: word(r),
+                    verifier: r.next_u64(),
+                }),
+                _ => NfsCallBody::Lock(LockArgs {
+                    file: handle(r),
+                    client_id: word(r),
+                    stateid: word(r),
+                    seqid: word(r),
+                    offset: word(r),
+                    count: word(r),
+                    reclaim: r.chance(0.5),
+                }),
+            };
+            let call = NfsCall::new(Xid(word(r)), body);
+            let wire = call.to_wire();
+            assert_eq!(call.wire_size(), wire.len(), "{call:?}");
+            with_args!(&call.body, |args| {
+                assert_eq!(args.xdr_size(), to_bytes(args).len(), "{call:?}")
+            });
+            assert_eq!(NfsCall::from_wire(&wire).as_ref(), Ok(&call));
+
+            let body = match r.next_below(10) {
+                0 => NfsReplyBody::Attr(reply(r, fattr)),
+                1 => NfsReplyBody::DirOp(reply(r, |r| DirOpOk {
+                    file: handle(r),
+                    attributes: fattr(r),
+                })),
+                2 => NfsReplyBody::Read(reply(r, |r| ReadOk {
+                    attributes: fattr(r),
+                    data: payload(r),
+                })),
+                3 if r.chance(0.5) => NfsReplyBody::Status(NfsStatus::Ok),
+                3 => NfsReplyBody::Status(error(r)),
+                4 => NfsReplyBody::Readdir(reply(r, listing)),
+                5 => NfsReplyBody::Statfs(reply(r, |r| StatfsOk {
+                    tsize: word(r),
+                    bsize: word(r),
+                    blocks: word(r),
+                    bfree: word(r),
+                    bavail: word(r),
+                })),
+                6 => NfsReplyBody::WriteVerf(reply(r, |r| WriteVerfOk {
+                    attributes: fattr(r),
+                    committed: stable(r),
+                    verf: r.next_u64(),
+                })),
+                7 => NfsReplyBody::Commit(reply(r, |r| CommitOk {
+                    attributes: fattr(r),
+                    verf: r.next_u64(),
+                })),
+                8 => NfsReplyBody::Renew(reply(r, |r| RenewOk {
+                    verf: r.next_u64(),
+                    in_grace: r.chance(0.5),
+                })),
+                _ => NfsReplyBody::Lock(reply(r, |r| LockOk {
+                    stateid: word(r),
+                    seqid: word(r),
+                })),
+            };
+            let reply = NfsReply::new(Xid(word(r)), body);
+            let wire = reply.to_wire();
+            assert_eq!(reply.wire_size(), wire.len(), "{reply:?}");
+            with_results!(&reply.body, |results| {
+                assert_eq!(results.xdr_size(), to_bytes(results).len(), "{reply:?}")
+            });
+            assert_eq!(NfsReply::from_wire(&wire).as_ref(), Ok(&reply));
+        }
+    }
+
     #[test]
     fn reply_status_helpers() {
         let ok = NfsReplyBody::Attr(StatusReply::Ok(Fattr::default()));
@@ -712,7 +881,7 @@ mod tests {
         assert!(NfsCall::from_wire(&[]).is_err());
         // Tag 0, the NULL reply's, is no reply the server sends.
         let mut null_reply = NfsReply::new(Xid(5), NfsReplyBody::Status(NfsStatus::Ok)).to_wire();
-        let tag = RpcReplyHeader::WIRE_SIZE;
+        let tag = RpcReplyHeader { xid: Xid(5) }.xdr_size();
         null_reply[tag..tag + 4].fill(0);
         assert_eq!(
             NfsReply::from_wire(&null_reply),

@@ -29,7 +29,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use wg_xdr::{XdrDecoder, XdrEncoder, XdrError};
+use wg_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
 
 /// Number of times a [`Payload::Fill`] has been expanded into a real byte
 /// buffer since process start (see [`materialize_count`]).
@@ -212,26 +212,6 @@ impl Payload {
         }
     }
 
-    /// Size of this payload as an XDR variable-length opaque: the 4-byte
-    /// length prefix plus the data padded to a 4-byte boundary.  Pure
-    /// arithmetic — no encoding happens.
-    pub fn xdr_size(&self) -> usize {
-        4 + self.len().div_ceil(4) * 4
-    }
-
-    /// Append the payload as XDR variable-length opaque data.
-    pub fn encode(&self, enc: &mut XdrEncoder) {
-        match self {
-            Payload::Fill { byte, len } => enc.put_opaque_fill(*byte, *len as usize),
-            Payload::Shared(bytes) => enc.put_opaque(bytes),
-        }
-    }
-
-    /// Read a payload from XDR variable-length opaque data.
-    pub fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(Payload::from_vec(dec.get_opaque()?))
-    }
-
     /// Iterate the payload's bytes without materialising it (test helper and
     /// slow-path consumer).
     pub fn iter_bytes(&self) -> impl Iterator<Item = u8> + '_ {
@@ -272,6 +252,27 @@ impl PartialEq for Payload {
 
 impl Eq for Payload {}
 
+/// On the wire a payload is an XDR variable-length opaque, whichever form
+/// it has; a decoded one takes the form [`Payload::from_vec`] picks.
+impl XdrEncode for Payload {
+    fn encode(&self, enc: &mut XdrEncoder) {
+        match self {
+            Payload::Fill { byte, len } => enc.put_opaque_fill(*byte, *len as usize),
+            Payload::Shared(bytes) => enc.put_opaque(bytes),
+        }
+    }
+
+    fn xdr_size(&self) -> usize {
+        wg_xdr::opaque_size(self.len())
+    }
+}
+
+impl XdrDecode for Payload {
+    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
+        Ok(Payload::from_vec(dec.get_opaque()?))
+    }
+}
+
 impl From<Vec<u8>> for Payload {
     fn from(bytes: Vec<u8>) -> Self {
         Payload::from_vec(bytes)
@@ -309,7 +310,6 @@ impl From<&Payload> for Payload {
 mod tests {
     use super::*;
     use std::sync::{Mutex, MutexGuard, PoisonError};
-    use wg_xdr::XdrDecoder;
 
     /// Held by every test that moves the global probe counter or reads it
     /// for an exact count: cargo runs tests on parallel threads.

@@ -12,233 +12,122 @@ use crate::attr::Sattr;
 use crate::handle::FileHandle;
 use crate::payload::Payload;
 use crate::{Fattr, NfsStatus};
-use wg_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
+use wg_xdr::{xdr_enum, xdr_struct, XdrDecode, XdrDecoder, XdrEncode, XdrEncoder, XdrError};
 
-/// The procedures the simulated clients call, with their wire numbers: the
-/// nine LADDIS operations keep their NFS version 2 numbers (RFC 1094 §2.2),
-/// and three more are grafted past the v2 range.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum ProcNumber {
-    /// Get file attributes.
-    Getattr = 1,
-    /// Set file attributes.
-    Setattr = 2,
-    /// Look up a file name in a directory.
-    Lookup = 4,
-    /// Read from a file.
-    Read = 6,
-    /// Write to a file — the operation this whole repository is about.
-    Write = 8,
-    /// Create a file.
-    Create = 9,
-    /// Remove a file.
-    Remove = 10,
-    /// Read entries from a directory.
-    Readdir = 16,
-    /// Get filesystem statistics.
-    Statfs = 17,
-    /// Commit cached unstable writes to stable storage (the NFSv3 procedure
-    /// this reproduction grafts onto the v2 table as number 18, one past the
-    /// v2 range, so the paper's procedures keep their original numbers).
-    Commit = 18,
-    /// Register a client and renew its lease (the NFSv4 RENEW/SETCLIENTID
-    /// pair collapsed into one procedure, grafted past the v2 range like
-    /// COMMIT; carries the client's boot verifier so a changed verifier
-    /// doubles as re-registration after a client reboot).
-    Renew = 19,
-    /// Acquire or reclaim a byte-range lock under the client's lease.
-    Lock = 20,
-}
-
-impl ProcNumber {
-    /// The wire procedure number.
-    pub fn number(self) -> u32 {
-        self as u32
-    }
-
-    /// Parse a wire procedure number; a number no client calls is refused.
-    pub fn from_number(n: u32) -> Result<Self, XdrError> {
-        Ok(match n {
-            1 => ProcNumber::Getattr,
-            2 => ProcNumber::Setattr,
-            4 => ProcNumber::Lookup,
-            6 => ProcNumber::Read,
-            8 => ProcNumber::Write,
-            9 => ProcNumber::Create,
-            10 => ProcNumber::Remove,
-            16 => ProcNumber::Readdir,
-            17 => ProcNumber::Statfs,
-            18 => ProcNumber::Commit,
-            19 => ProcNumber::Renew,
-            20 => ProcNumber::Lock,
-            other => {
-                return Err(XdrError::InvalidEnum {
-                    type_name: "ProcNumber",
-                    value: other,
-                })
-            }
-        })
+xdr_enum! {
+    /// The procedures the simulated clients call, with their wire numbers:
+    /// the nine LADDIS operations keep their NFS version 2 numbers (RFC 1094
+    /// §2.2), and three more are grafted past the v2 range.  A number no
+    /// client calls is refused.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+    pub enum ProcNumber {
+        /// Get file attributes.
+        Getattr = 1,
+        /// Set file attributes.
+        Setattr = 2,
+        /// Look up a file name in a directory.
+        Lookup = 4,
+        /// Read from a file.
+        Read = 6,
+        /// Write to a file — the operation this whole repository is about.
+        Write = 8,
+        /// Create a file.
+        Create = 9,
+        /// Remove a file.
+        Remove = 10,
+        /// Read entries from a directory.
+        Readdir = 16,
+        /// Get filesystem statistics.
+        Statfs = 17,
+        /// Commit cached unstable writes to stable storage (the NFSv3
+        /// procedure this reproduction grafts onto the v2 table as number 18,
+        /// one past the v2 range, so the paper's procedures keep their
+        /// original numbers).
+        Commit = 18,
+        /// Register a client and renew its lease (the NFSv4
+        /// RENEW/SETCLIENTID pair collapsed into one procedure, grafted past
+        /// the v2 range like COMMIT; carries the client's boot verifier so a
+        /// changed verifier doubles as re-registration after a client
+        /// reboot).
+        Renew = 19,
+        /// Acquire or reclaim a byte-range lock under the client's lease.
+        Lock = 20,
     }
 }
 
-/// Arguments of GETATTR: just the file handle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct GetattrArgs {
-    /// Target file.
-    pub file: FileHandle,
-}
-
-impl XdrEncode for GetattrArgs {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.file.encode(enc);
+xdr_struct! {
+    /// Arguments of GETATTR: just the file handle.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct GetattrArgs {
+        /// Target file.
+        pub file: FileHandle,
     }
 }
 
-impl XdrDecode for GetattrArgs {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(GetattrArgs {
-            file: FileHandle::decode(dec)?,
-        })
+xdr_struct! {
+    /// Arguments of SETATTR.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct SetattrArgs {
+        /// Target file.
+        pub file: FileHandle,
+        /// Attributes to change.
+        pub attributes: Sattr,
     }
 }
 
-/// Arguments of SETATTR.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct SetattrArgs {
-    /// Target file.
-    pub file: FileHandle,
-    /// Attributes to change.
-    pub attributes: Sattr,
-}
-
-impl XdrEncode for SetattrArgs {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.file.encode(enc);
-        self.attributes.encode(enc);
+xdr_struct! {
+    /// Arguments naming an entry within a directory (LOOKUP and REMOVE, and
+    /// the directory half of CREATE).
+    ///
+    /// The name is a refcounted `Arc<str>` rather than an owned `String`: load
+    /// generators issue millions of LOOKUPs against a fixed namespace, and an
+    /// interned name lets them build each call body with a pointer bump instead
+    /// of a heap allocation per operation.
+    #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct DirOpArgs {
+        /// The directory file handle.
+        pub dir: FileHandle,
+        /// The entry name (shared, clone-without-allocating).
+        pub name: std::sync::Arc<str>,
     }
 }
 
-impl XdrDecode for SetattrArgs {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(SetattrArgs {
-            file: FileHandle::decode(dec)?,
-            attributes: Sattr::decode(dec)?,
-        })
+xdr_struct! {
+    /// The successful result of LOOKUP and CREATE: the new handle plus its
+    /// attributes.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct DirOpOk {
+        /// Handle of the found or created file.
+        pub file: FileHandle,
+        /// Its attributes.
+        pub attributes: Fattr,
     }
 }
 
-/// Arguments naming an entry within a directory (LOOKUP and REMOVE, and
-/// the directory half of CREATE).
-///
-/// The name is a refcounted `Arc<str>` rather than an owned `String`: load
-/// generators issue millions of LOOKUPs against a fixed namespace, and an
-/// interned name lets them build each call body with a pointer bump instead
-/// of a heap allocation per operation.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct DirOpArgs {
-    /// The directory file handle.
-    pub dir: FileHandle,
-    /// The entry name (shared, clone-without-allocating).
-    pub name: std::sync::Arc<str>,
-}
-
-impl XdrEncode for DirOpArgs {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.dir.encode(enc);
-        enc.put_string(&self.name);
+xdr_struct! {
+    /// Arguments of READ.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct ReadArgs {
+        /// Target file.
+        pub file: FileHandle,
+        /// Byte offset to read from.
+        pub offset: u32,
+        /// Number of bytes to read (at most [`crate::NFS_MAXDATA`]).
+        pub count: u32,
+        /// Hint field present in the v2 protocol but unused by servers.
+        pub totalcount: u32,
     }
 }
 
-impl XdrDecode for DirOpArgs {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(DirOpArgs {
-            dir: FileHandle::decode(dec)?,
-            name: dec.get_string()?.into(),
-        })
-    }
-}
-
-/// The successful result of LOOKUP and CREATE: the new handle plus its
-/// attributes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct DirOpOk {
-    /// Handle of the found or created file.
-    pub file: FileHandle,
-    /// Its attributes.
-    pub attributes: Fattr,
-}
-
-impl XdrEncode for DirOpOk {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.file.encode(enc);
-        self.attributes.encode(enc);
-    }
-}
-
-impl XdrDecode for DirOpOk {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(DirOpOk {
-            file: FileHandle::decode(dec)?,
-            attributes: Fattr::decode(dec)?,
-        })
-    }
-}
-
-/// Arguments of READ.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct ReadArgs {
-    /// Target file.
-    pub file: FileHandle,
-    /// Byte offset to read from.
-    pub offset: u32,
-    /// Number of bytes to read (at most [`crate::NFS_MAXDATA`]).
-    pub count: u32,
-    /// Hint field present in the v2 protocol but unused by servers.
-    pub totalcount: u32,
-}
-
-impl XdrEncode for ReadArgs {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.file.encode(enc);
-        enc.put_u32(self.offset);
-        enc.put_u32(self.count);
-        enc.put_u32(self.totalcount);
-    }
-}
-
-impl XdrDecode for ReadArgs {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(ReadArgs {
-            file: FileHandle::decode(dec)?,
-            offset: dec.get_u32()?,
-            count: dec.get_u32()?,
-            totalcount: dec.get_u32()?,
-        })
-    }
-}
-
-/// The successful result of READ: post-read attributes and the data.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct ReadOk {
-    /// File attributes after the read.
-    pub attributes: Fattr,
-    /// The bytes read (shared, so caching and replaying the reply is cheap).
-    pub data: Payload,
-}
-
-impl XdrEncode for ReadOk {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.attributes.encode(enc);
-        self.data.encode(enc);
-    }
-}
-
-impl XdrDecode for ReadOk {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(ReadOk {
-            attributes: Fattr::decode(dec)?,
-            data: Payload::decode(dec)?,
-        })
+xdr_struct! {
+    /// The successful result of READ: post-read attributes and the data.
+    #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct ReadOk {
+        /// File attributes after the read.
+        pub attributes: Fattr,
+        /// The bytes read (shared, so caching and replaying the reply is
+        /// cheap).
+        pub data: Payload,
     }
 }
 
@@ -283,24 +172,43 @@ impl StableHow {
     }
 }
 
+impl XdrEncode for StableHow {
+    fn encode(&self, enc: &mut XdrEncoder) {
+        enc.put_u32(self.to_wire());
+    }
+
+    fn xdr_size(&self) -> usize {
+        4
+    }
+}
+
+/// Lenient, as [`StableHow::from_wire`] is: no word is refused.
+impl XdrDecode for StableHow {
+    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
+        Ok(StableHow::from_wire(dec.get_u32()?))
+    }
+}
+
 /// A server boot instance verifier: changes on every reboot so clients can
 /// detect that cached unstable writes died with a crash and must be re-sent.
 pub type WriteVerf = u64;
 
-/// Arguments of WRITE — the request at the heart of the paper.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct WriteArgs {
-    /// Target file.
-    pub file: FileHandle,
-    /// Obsolete field kept for wire compatibility ("beginoffset").
-    pub beginoffset: u32,
-    /// Byte offset at which to write.
-    pub offset: u32,
-    /// Obsolete field kept for wire compatibility ("totalcount").
-    pub totalcount: u32,
-    /// The data to write (at most [`crate::NFS_MAXDATA`] bytes), carried
-    /// without per-copy allocation (see [`Payload`]).
-    pub data: Payload,
+xdr_struct! {
+    /// Arguments of WRITE — the request at the heart of the paper.
+    #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct WriteArgs {
+        /// Target file.
+        pub file: FileHandle,
+        /// Obsolete field kept for wire compatibility ("beginoffset").
+        pub beginoffset: u32,
+        /// Byte offset at which to write.
+        pub offset: u32,
+        /// Obsolete field kept for wire compatibility ("totalcount").
+        pub totalcount: u32,
+        /// The data to write (at most [`crate::NFS_MAXDATA`] bytes), carried
+        /// without per-copy allocation (see [`Payload`]).
+        pub data: Payload,
+    }
 }
 
 impl WriteArgs {
@@ -346,332 +254,148 @@ impl WriteArgs {
     }
 }
 
-impl XdrEncode for WriteArgs {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.file.encode(enc);
-        enc.put_u32(self.beginoffset);
-        enc.put_u32(self.offset);
-        enc.put_u32(self.totalcount);
-        self.data.encode(enc);
+xdr_struct! {
+    /// Arguments of COMMIT: flush the given byte range (count = 0 means "to the
+    /// end of the file") of previously-unstable writes to stable storage.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct CommitArgs {
+        /// Target file.
+        pub file: FileHandle,
+        /// Start of the range to commit.
+        pub offset: u32,
+        /// Length of the range (0 = everything from `offset` on).
+        pub count: u32,
     }
 }
 
-impl XdrDecode for WriteArgs {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(WriteArgs {
-            file: FileHandle::decode(dec)?,
-            beginoffset: dec.get_u32()?,
-            offset: dec.get_u32()?,
-            totalcount: dec.get_u32()?,
-            data: Payload::decode(dec)?,
-        })
+xdr_struct! {
+    /// The successful result of a WRITE answered by a server running the
+    /// unstable-write protocol: post-write attributes, how far the data
+    /// actually got, and the boot verifier the client checks at COMMIT time.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct WriteVerfOk {
+        /// File attributes after the write.
+        pub attributes: Fattr,
+        /// The stability the server actually provided (it may promote an
+        /// UNSTABLE request to `FileSync`, e.g. while NVRAM runs degraded).
+        pub committed: StableHow,
+        /// The server's boot instance verifier.
+        pub verf: WriteVerf,
     }
 }
 
-/// Arguments of COMMIT: flush the given byte range (count = 0 means "to the
-/// end of the file") of previously-unstable writes to stable storage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct CommitArgs {
-    /// Target file.
-    pub file: FileHandle,
-    /// Start of the range to commit.
-    pub offset: u32,
-    /// Length of the range (0 = everything from `offset` on).
-    pub count: u32,
-}
-
-impl XdrEncode for CommitArgs {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.file.encode(enc);
-        enc.put_u32(self.offset);
-        enc.put_u32(self.count);
+xdr_struct! {
+    /// The successful result of COMMIT: post-flush attributes plus the boot
+    /// verifier (a mismatch against the one seen at write time tells the client
+    /// the server rebooted and its cached writes must be re-sent).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct CommitOk {
+        /// File attributes after the flush.
+        pub attributes: Fattr,
+        /// The server's boot instance verifier.
+        pub verf: WriteVerf,
     }
 }
 
-impl XdrDecode for CommitArgs {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(CommitArgs {
-            file: FileHandle::decode(dec)?,
-            offset: dec.get_u32()?,
-            count: dec.get_u32()?,
-        })
+xdr_struct! {
+    /// Arguments of RENEW: register (or re-register) the client and renew its
+    /// lease.  A verifier that differs from the one on record means the client
+    /// rebooted: the server discards the old incarnation's state.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct RenewArgs {
+        /// The client's stable identity.
+        pub client_id: u32,
+        /// The client's boot instance verifier.
+        pub verifier: u64,
     }
 }
 
-/// The successful result of a WRITE answered by a server running the
-/// unstable-write protocol: post-write attributes, how far the data actually
-/// got, and the boot verifier the client checks at COMMIT time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct WriteVerfOk {
-    /// File attributes after the write.
-    pub attributes: Fattr,
-    /// The stability the server actually provided (it may promote an
-    /// UNSTABLE request to `FileSync`, e.g. while NVRAM runs degraded).
-    pub committed: StableHow,
-    /// The server's boot instance verifier.
-    pub verf: WriteVerf,
-}
-
-impl XdrEncode for WriteVerfOk {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.attributes.encode(enc);
-        enc.put_u32(self.committed.to_wire());
-        enc.put_u64(self.verf);
+xdr_struct! {
+    /// The successful result of RENEW: the server's boot verifier (a change
+    /// tells the client the server rebooted and held locks must be reclaimed)
+    /// and whether the server is currently in its grace period.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct RenewOk {
+        /// The server's boot instance verifier.
+        pub verf: WriteVerf,
+        /// `true` while the post-crash grace period is open.
+        pub in_grace: bool,
     }
 }
 
-impl XdrDecode for WriteVerfOk {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(WriteVerfOk {
-            attributes: Fattr::decode(dec)?,
-            committed: StableHow::from_wire(dec.get_u32()?),
-            verf: dec.get_u64()?,
-        })
+xdr_struct! {
+    /// Arguments of LOCK: acquire (or, during grace, reclaim) a byte-range lock
+    /// keyed by `(client_id, stateid, seqid)`.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct LockArgs {
+        /// Target file.
+        pub file: FileHandle,
+        /// The owning client.
+        pub client_id: u32,
+        /// The lock-owner state identifier chosen by the client.
+        pub stateid: u32,
+        /// Per-owner sequence number; the server rejects replays and reordering
+        /// by requiring strict monotonicity.
+        pub seqid: u32,
+        /// Start of the locked range.
+        pub offset: u32,
+        /// Length of the locked range (0 = to end of file).
+        pub count: u32,
+        /// `true` when re-asserting a lock held before a server crash; only
+        /// admitted during the grace period.
+        pub reclaim: bool,
     }
 }
 
-/// The successful result of COMMIT: post-flush attributes plus the boot
-/// verifier (a mismatch against the one seen at write time tells the client
-/// the server rebooted and its cached writes must be re-sent).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct CommitOk {
-    /// File attributes after the flush.
-    pub attributes: Fattr,
-    /// The server's boot instance verifier.
-    pub verf: WriteVerf,
-}
-
-impl XdrEncode for CommitOk {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.attributes.encode(enc);
-        enc.put_u64(self.verf);
+xdr_struct! {
+    /// The successful result of LOCK: the granted state identity echoed back.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct LockOk {
+        /// The lock-owner state identifier.
+        pub stateid: u32,
+        /// The sequence number the grant consumed.
+        pub seqid: u32,
     }
 }
 
-impl XdrDecode for CommitOk {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(CommitOk {
-            attributes: Fattr::decode(dec)?,
-            verf: dec.get_u64()?,
-        })
+xdr_struct! {
+    /// Arguments of CREATE.
+    #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct CreateArgs {
+        /// Directory and name to create in.
+        pub where_: DirOpArgs,
+        /// Initial attributes.
+        pub attributes: Sattr,
     }
 }
 
-/// Arguments of RENEW: register (or re-register) the client and renew its
-/// lease.  A verifier that differs from the one on record means the client
-/// rebooted: the server discards the old incarnation's state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct RenewArgs {
-    /// The client's stable identity.
-    pub client_id: u32,
-    /// The client's boot instance verifier.
-    pub verifier: u64,
-}
-
-impl XdrEncode for RenewArgs {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u32(self.client_id);
-        enc.put_u64(self.verifier);
+xdr_struct! {
+    /// Arguments of READDIR.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct ReaddirArgs {
+        /// Directory to list.
+        pub dir: FileHandle,
+        /// Opaque resume cookie (0 to start).
+        pub cookie: u32,
+        /// Maximum reply size the client will accept.
+        pub count: u32,
     }
 }
 
-impl XdrDecode for RenewArgs {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(RenewArgs {
-            client_id: dec.get_u32()?,
-            verifier: dec.get_u64()?,
-        })
-    }
-}
-
-/// The successful result of RENEW: the server's boot verifier (a change
-/// tells the client the server rebooted and held locks must be reclaimed)
-/// and whether the server is currently in its grace period.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct RenewOk {
-    /// The server's boot instance verifier.
-    pub verf: WriteVerf,
-    /// `true` while the post-crash grace period is open.
-    pub in_grace: bool,
-}
-
-impl XdrEncode for RenewOk {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u64(self.verf);
-        enc.put_bool(self.in_grace);
-    }
-}
-
-impl XdrDecode for RenewOk {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(RenewOk {
-            verf: dec.get_u64()?,
-            in_grace: dec.get_bool()?,
-        })
-    }
-}
-
-/// Arguments of LOCK: acquire (or, during grace, reclaim) a byte-range lock
-/// keyed by `(client_id, stateid, seqid)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct LockArgs {
-    /// Target file.
-    pub file: FileHandle,
-    /// The owning client.
-    pub client_id: u32,
-    /// The lock-owner state identifier chosen by the client.
-    pub stateid: u32,
-    /// Per-owner sequence number; the server rejects replays and reordering
-    /// by requiring strict monotonicity.
-    pub seqid: u32,
-    /// Start of the locked range.
-    pub offset: u32,
-    /// Length of the locked range (0 = to end of file).
-    pub count: u32,
-    /// `true` when re-asserting a lock held before a server crash; only
-    /// admitted during the grace period.
-    pub reclaim: bool,
-}
-
-impl XdrEncode for LockArgs {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.file.encode(enc);
-        enc.put_u32(self.client_id);
-        enc.put_u32(self.stateid);
-        enc.put_u32(self.seqid);
-        enc.put_u32(self.offset);
-        enc.put_u32(self.count);
-        enc.put_bool(self.reclaim);
-    }
-}
-
-impl XdrDecode for LockArgs {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(LockArgs {
-            file: FileHandle::decode(dec)?,
-            client_id: dec.get_u32()?,
-            stateid: dec.get_u32()?,
-            seqid: dec.get_u32()?,
-            offset: dec.get_u32()?,
-            count: dec.get_u32()?,
-            reclaim: dec.get_bool()?,
-        })
-    }
-}
-
-/// The successful result of LOCK: the granted state identity echoed back.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct LockOk {
-    /// The lock-owner state identifier.
-    pub stateid: u32,
-    /// The sequence number the grant consumed.
-    pub seqid: u32,
-}
-
-impl XdrEncode for LockOk {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u32(self.stateid);
-        enc.put_u32(self.seqid);
-    }
-}
-
-impl XdrDecode for LockOk {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(LockOk {
-            stateid: dec.get_u32()?,
-            seqid: dec.get_u32()?,
-        })
-    }
-}
-
-/// Arguments of CREATE.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct CreateArgs {
-    /// Directory and name to create in.
-    pub where_: DirOpArgs,
-    /// Initial attributes.
-    pub attributes: Sattr,
-}
-
-impl XdrEncode for CreateArgs {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.where_.encode(enc);
-        self.attributes.encode(enc);
-    }
-}
-
-impl XdrDecode for CreateArgs {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(CreateArgs {
-            where_: DirOpArgs::decode(dec)?,
-            attributes: Sattr::decode(dec)?,
-        })
-    }
-}
-
-/// Arguments of READDIR.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct ReaddirArgs {
-    /// Directory to list.
-    pub dir: FileHandle,
-    /// Opaque resume cookie (0 to start).
-    pub cookie: u32,
-    /// Maximum reply size the client will accept.
-    pub count: u32,
-}
-
-impl XdrEncode for ReaddirArgs {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        self.dir.encode(enc);
-        enc.put_u32(self.cookie);
-        enc.put_u32(self.count);
-    }
-}
-
-impl XdrDecode for ReaddirArgs {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(ReaddirArgs {
-            dir: FileHandle::decode(dec)?,
-            cookie: dec.get_u32()?,
-            count: dec.get_u32()?,
-        })
-    }
-}
-
-/// The successful result of STATFS.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct StatfsOk {
-    /// Optimal transfer size.
-    pub tsize: u32,
-    /// Filesystem block size.
-    pub bsize: u32,
-    /// Total blocks.
-    pub blocks: u32,
-    /// Free blocks.
-    pub bfree: u32,
-    /// Blocks available to non-superusers.
-    pub bavail: u32,
-}
-
-impl XdrEncode for StatfsOk {
-    fn encode(&self, enc: &mut XdrEncoder) {
-        enc.put_u32(self.tsize);
-        enc.put_u32(self.bsize);
-        enc.put_u32(self.blocks);
-        enc.put_u32(self.bfree);
-        enc.put_u32(self.bavail);
-    }
-}
-
-impl XdrDecode for StatfsOk {
-    fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        Ok(StatfsOk {
-            tsize: dec.get_u32()?,
-            bsize: dec.get_u32()?,
-            blocks: dec.get_u32()?,
-            bfree: dec.get_u32()?,
-            bavail: dec.get_u32()?,
-        })
+xdr_struct! {
+    /// The successful result of STATFS.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+    pub struct StatfsOk {
+        /// Optimal transfer size.
+        pub tsize: u32,
+        /// Filesystem block size.
+        pub bsize: u32,
+        /// Total blocks.
+        pub blocks: u32,
+        /// Free blocks.
+        pub bfree: u32,
+        /// Blocks available to non-superusers.
+        pub bavail: u32,
     }
 }
 
@@ -718,6 +442,13 @@ impl<T: XdrEncode> XdrEncode for StatusReply<T> {
             StatusReply::Err(s) => s.encode(enc),
         }
     }
+
+    fn xdr_size(&self) -> usize {
+        match self {
+            StatusReply::Ok(v) => 4 + v.xdr_size(),
+            StatusReply::Err(_) => 4,
+        }
+    }
 }
 
 impl<T: XdrDecode> XdrDecode for StatusReply<T> {
@@ -744,24 +475,24 @@ mod tests {
     fn proc_numbers_roundtrip() {
         let called = [1, 2, 4, 6, 8, 9, 10, 16, 17, 18, 19, 20];
         for n in called {
-            let p = ProcNumber::from_number(n).unwrap();
-            assert_eq!(p.number(), n);
+            let p = ProcNumber::from_code(n).unwrap();
+            assert_eq!(p.code(), n);
         }
         // NULL, ROOT, READLINK, WRITECACHE, RENAME, LINK, SYMLINK, MKDIR and
         // RMDIR, and the two numbers past LOCK: no client calls them.
         for n in [0, 3, 5, 7, 11, 12, 13, 14, 15, 21, 22] {
             assert_eq!(
-                ProcNumber::from_number(n),
+                ProcNumber::from_code(n),
                 Err(XdrError::InvalidEnum {
                     type_name: "ProcNumber",
                     value: n
                 })
             );
         }
-        assert_eq!(ProcNumber::Write.number(), 8);
-        assert_eq!(ProcNumber::Commit.number(), 18);
-        assert_eq!(ProcNumber::Renew.number(), 19);
-        assert_eq!(ProcNumber::Lock.number(), 20);
+        assert_eq!(ProcNumber::Write.code(), 8);
+        assert_eq!(ProcNumber::Commit.code(), 18);
+        assert_eq!(ProcNumber::Renew.code(), 19);
+        assert_eq!(ProcNumber::Lock.code(), 20);
     }
 
     #[test]

@@ -21,6 +21,10 @@ impl XdrEncode for Xid {
     fn encode(&self, enc: &mut XdrEncoder) {
         enc.put_u32(self.0);
     }
+
+    fn xdr_size(&self) -> usize {
+        4
+    }
 }
 
 impl XdrDecode for Xid {
@@ -89,13 +93,6 @@ pub struct RpcCallHeader {
     pub procedure: ProcNumber,
 }
 
-impl RpcCallHeader {
-    /// Bytes on the wire: ten words (xid, message type, RPC version,
-    /// program, version, procedure, and the flavor and body length of the
-    /// credential and of the verifier) and the credential body.
-    pub const WIRE_SIZE: usize = 4 * 10 + UNIX_CREDENTIAL.len();
-}
-
 impl XdrEncode for RpcCallHeader {
     fn encode(&self, enc: &mut XdrEncoder) {
         self.xid.encode(enc);
@@ -103,11 +100,18 @@ impl XdrEncode for RpcCallHeader {
         enc.put_u32(RPC_VERSION);
         enc.put_u32(crate::NFS_PROGRAM);
         enc.put_u32(crate::NFS_VERSION);
-        enc.put_u32(self.procedure.number());
+        self.procedure.encode(enc);
         enc.put_u32(AUTH_UNIX);
         enc.put_opaque(&UNIX_CREDENTIAL);
         enc.put_u32(AUTH_NULL);
         enc.put_opaque(&[]);
+    }
+
+    /// Ten words (xid, message type, RPC version, program, version,
+    /// procedure, and the flavor and body length of the credential and of
+    /// the verifier) and the credential body.
+    fn xdr_size(&self) -> usize {
+        4 * 10 + UNIX_CREDENTIAL.len()
     }
 }
 
@@ -118,7 +122,7 @@ impl XdrDecode for RpcCallHeader {
         expect_word(dec, RPC_VERSION, "RpcVersion")?;
         expect_word(dec, crate::NFS_PROGRAM, "RpcProgram")?;
         expect_word(dec, crate::NFS_VERSION, "RpcProgramVersion")?;
-        let procedure = ProcNumber::from_number(dec.get_u32()?)?;
+        let procedure = ProcNumber::decode(dec)?;
         expect_auth(dec, AUTH_UNIX, &UNIX_CREDENTIAL, "RpcCredentialFlavor")?;
         expect_auth(dec, AUTH_NULL, &[], "RpcVerifierFlavor")?;
         Ok(RpcCallHeader { xid, procedure })
@@ -135,12 +139,6 @@ pub struct RpcReplyHeader {
     pub xid: Xid,
 }
 
-impl RpcReplyHeader {
-    /// Bytes on the wire: six words (xid, message type, disposition, the
-    /// verifier's flavor and body length, accept status).
-    pub const WIRE_SIZE: usize = 4 * 6;
-}
-
 impl XdrEncode for RpcReplyHeader {
     fn encode(&self, enc: &mut XdrEncoder) {
         self.xid.encode(enc);
@@ -149,6 +147,12 @@ impl XdrEncode for RpcReplyHeader {
         enc.put_u32(AUTH_NULL);
         enc.put_opaque(&[]);
         enc.put_u32(ACCEPT_SUCCESS);
+    }
+
+    /// Six words: xid, message type, disposition, the verifier's flavor and
+    /// body length, accept status.
+    fn xdr_size(&self) -> usize {
+        4 * 6
     }
 }
 
@@ -177,7 +181,7 @@ mod tests {
         let bytes = to_bytes(&hdr);
         let back: RpcCallHeader = from_bytes(&bytes).unwrap();
         assert_eq!(back, hdr);
-        assert_eq!(bytes.len(), RpcCallHeader::WIRE_SIZE);
+        assert_eq!(bytes.len(), hdr.xdr_size());
         // RPC version 2, program 100003, NFS version 2, procedure 8.
         let word = |i: usize| u32::from_be_bytes(bytes[4 * i..4 * i + 4].try_into().unwrap());
         assert_eq!([word(2), word(3), word(4), word(5)], [2, 100003, 2, 8]);
@@ -189,7 +193,7 @@ mod tests {
         let bytes = to_bytes(&hdr);
         let back: RpcReplyHeader = from_bytes(&bytes).unwrap();
         assert_eq!(back, hdr);
-        assert_eq!(bytes.len(), RpcReplyHeader::WIRE_SIZE);
+        assert_eq!(bytes.len(), hdr.xdr_size());
     }
 
     /// A call or reply that differs from the simulation's framing in one

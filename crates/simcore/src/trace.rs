@@ -36,8 +36,6 @@ pub struct TraceEvent {
     pub at: SimTime,
     /// What happened.
     pub kind: TraceKind,
-    /// Which entity it happened to (request sequence number, nfsd id, ...).
-    pub subject: u64,
     /// Free-form detail (byte counts, offsets, block numbers).
     pub detail: String,
 }
@@ -76,24 +74,20 @@ impl Trace {
     }
 
     /// Record an event (no-op when disabled).
-    pub fn record(
-        &mut self,
-        at: SimTime,
-        kind: TraceKind,
-        subject: u64,
-        detail: impl Into<String>,
-    ) {
+    pub fn record(&mut self, at: SimTime, kind: TraceKind, detail: impl Into<String>) {
         if self.enabled {
             self.events.push(TraceEvent {
                 at,
                 kind,
-                subject,
                 detail: detail.into(),
             });
         }
     }
 
-    /// All recorded events in chronological (insertion) order.
+    /// All recorded events in recording order.  That is not time order: the
+    /// server records a write's disk and reply events when it plans them,
+    /// with the future times they happen at, before events it records later
+    /// with earlier times.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
@@ -116,7 +110,7 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
-        t.record(SimTime::ZERO, TraceKind::RequestArrived, 1, "w0");
+        t.record(SimTime::ZERO, TraceKind::RequestArrived, "w0");
         assert!(!t.is_enabled());
         assert!(t.events().is_empty());
     }
@@ -127,17 +121,11 @@ mod tests {
         t.record(
             SimTime::from_millis(1),
             TraceKind::RequestArrived,
-            1,
             "8K write",
         );
-        t.record(SimTime::from_millis(2), TraceKind::DataToDisk, 1, "8K");
-        t.record(
-            SimTime::from_millis(3),
-            TraceKind::MetadataToDisk,
-            1,
-            "inode",
-        );
-        t.record(SimTime::from_millis(4), TraceKind::ReplySent, 1, "");
+        t.record(SimTime::from_millis(2), TraceKind::DataToDisk, "8K");
+        t.record(SimTime::from_millis(3), TraceKind::MetadataToDisk, "inode");
+        t.record(SimTime::from_millis(4), TraceKind::ReplySent, "");
         assert_eq!(t.events().len(), 4);
         assert_eq!(t.count_of(TraceKind::DataToDisk), 1);
         assert_eq!(t.count_of(TraceKind::RequestDropped), 0);

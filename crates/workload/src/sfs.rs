@@ -187,8 +187,12 @@ pub struct SfsConfig {
     pub policy: WritePolicy,
     /// Prestoserve acceleration (Figure 3).
     pub prestoserve: bool,
-    /// Server spindles (the Figure 2/3 server has a large disk farm; several
-    /// spindles keep the disk from being the first bottleneck).
+    /// Server spindles (the Figure 2/3 server has a large disk farm).  They
+    /// serve one transfer at a time unless [`SfsConfig::io_overlap`] is set,
+    /// so the disks, not the CPU, can be the first bottleneck: at 200 ops/s
+    /// under the standard policy, a 15 s Figure 2 point reads 996.5 ms mean
+    /// latency at 7.8 % CPU with six spindles, 870.2 ms with twenty, and
+    /// 122.8 ms with twenty and `io_overlap`.
     pub spindles: usize,
     /// *Total* offered load in operations per second, split evenly across the
     /// generator streams.
@@ -290,8 +294,9 @@ impl SfsConfig {
             policy,
             prestoserve: false,
             // The Figure 2/3 server is a DEC 3800 with "20 DISKS, 5 SCSI
-            // BUSES"; six spindles keeps the disk farm from being the first
-            // bottleneck without simulating all twenty.
+            // BUSES"; six serial spindles stand for them, and they do not
+            // keep the disks from being the first bottleneck (see
+            // `spindles`).
             spindles: 6,
             offered_ops_per_sec,
             duration: Duration::from_secs(20),
