@@ -40,9 +40,9 @@ pub(crate) trait Population {
     /// A client-side event (start, timer, reply delivery, ...).
     type Event;
 
-    /// Schedule the clients' first events.  Runs before the fault plan is
-    /// queued, so a client event and a fault at the same instant fire
-    /// client first.
+    /// Schedule the clients' first events.  Runs before the fault plan's
+    /// places are reserved, so a client event scheduled here and a fault at
+    /// the same instant fire client first.
     fn start(&mut self, core: &mut Core<Self::Event>);
 
     /// `reply` to `client` crossed the wire and reaches the client at
@@ -165,6 +165,9 @@ pub(crate) struct Core<E> {
     pub(crate) server: NfsServer,
     pub(crate) lans: ClientLans,
     queue: EventQueue<Ev<E>>,
+    /// The faults fired so far, in firing order.
+    #[cfg(test)]
+    faults_fired: Vec<FaultKind>,
 }
 
 impl<E> Core<E> {
@@ -216,7 +219,17 @@ impl<E> Core<E> {
         &self.queue
     }
 
+    /// Queue the next fault of the plan, if any, in the place reserved for
+    /// it.
+    fn queue_next_fault(&mut self, faults: &mut impl Iterator<Item = (Reservation, FaultKind)>) {
+        if let Some((place, kind)) = faults.next() {
+            self.queue.schedule_reserved(place, Ev::Fault(kind));
+        }
+    }
+
     fn fault(&mut self, t: SimTime, kind: FaultKind) {
+        #[cfg(test)]
+        self.faults_fired.push(kind);
         match kind {
             FaultKind::ServerCrash => {
                 self.server.crash(t);
@@ -261,6 +274,8 @@ impl<P: Population> Harness<P> {
                 server,
                 lans,
                 queue: EventQueue::new(),
+                #[cfg(test)]
+                faults_fired: Vec::new(),
             },
             clients,
             faults,
@@ -278,13 +293,22 @@ impl<P: Population> Harness<P> {
     /// runaway guard (a retransmission storm that never converges), not a
     /// horizon.  The server-action buffer is allocated once, so the steady
     /// loop performs no per-event allocation.
+    ///
+    /// Every fault's place is reserved up front, in plan order (which is
+    /// firing order), but only the next one due is queued: each fault queues
+    /// its successor as it fires, so a long plan costs one queued event.
     pub(crate) fn run(&mut self, max_events: u64) {
         self.events_processed = 0;
         self.clients.start(&mut self.core);
-        for event in self.faults.events() {
-            self.core.queue.schedule_at(event.at, Ev::Fault(event.kind));
-        }
         let core = &mut self.core;
+        let mut faults = self
+            .faults
+            .events()
+            .iter()
+            .map(|event| (core.queue.reserve(event.at), event.kind))
+            .collect::<Vec<_>>()
+            .into_iter();
+        core.queue_next_fault(&mut faults);
         let mut server_actions: Vec<ServerAction> = Vec::new();
         while let Some((t, ev)) = core.queue.pop() {
             self.events_processed += 1;
@@ -322,7 +346,10 @@ impl<P: Population> Harness<P> {
                         }
                     }
                 }
-                Ev::Fault(kind) => core.fault(t, kind),
+                Ev::Fault(kind) => {
+                    core.queue_next_fault(&mut faults);
+                    core.fault(t, kind);
+                }
                 Ev::BatteryRepair => {
                     core.server.set_battery(true, t);
                 }
@@ -473,6 +500,74 @@ pub(crate) use harness_readouts;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wg_simcore::Duration;
+
+    /// One client event at `at`, which notes how many faults had fired
+    /// when it ran.
+    struct Probe {
+        at: SimTime,
+        faults_seen: Option<usize>,
+    }
+
+    impl Population for Probe {
+        type Event = ();
+
+        fn start(&mut self, core: &mut Core<()>) {
+            core.schedule(self.at, ());
+        }
+
+        fn reply(&mut self, _: u32, _: NfsReply, _: SimTime) -> Option<()> {
+            None
+        }
+
+        fn handle(&mut self, _: SimTime, _: (), core: &mut Core<()>) {
+            self.faults_seen = Some(core.faults_fired.len());
+        }
+    }
+
+    #[test]
+    fn a_long_fault_plan_is_queued_one_fault_at_a_time_in_plan_order() {
+        // 200 crashes 10 ms apart, and two more faults at the 100th's
+        // instant, where the probe's client event falls too.
+        let at = SimTime::from_secs(1);
+        let plan = FaultPlan::crash_every(Duration::from_millis(10), Duration::from_secs(2))
+            .at(
+                at,
+                FaultKind::LossBurst {
+                    duration: Duration::from_millis(5),
+                    probability: 0.5,
+                    segment: None,
+                },
+            )
+            .at(
+                at,
+                FaultKind::DiskDegrade {
+                    duration: Duration::from_millis(5),
+                    stall: Duration::from_millis(1),
+                    retries: 1,
+                },
+            );
+        let network = NetworkKind::Fddi;
+        let server = NfsServer::new(server_config(network, WritePolicy::Gathering, 8));
+        let lans = ClientLans::new(&network.params(), 1, false);
+        let probe = Probe {
+            at,
+            faults_seen: None,
+        };
+        let mut harness = Harness::new(server, lans, probe, plan.clone());
+        harness.run(u64::MAX);
+        // Every fault fired, the three at one instant in plan order.
+        let planned: Vec<FaultKind> = plan.events().iter().map(|e| e.kind).collect();
+        assert_eq!(harness.core.faults_fired, planned);
+        // The client event started before the plan, so it fired before
+        // every fault at its instant.
+        let earlier = plan.events().iter().filter(|e| e.at < at).count();
+        assert_eq!(earlier, 99);
+        assert_eq!(harness.clients.faults_seen, Some(earlier));
+        // The queue held the probe's event and one fault, never the plan.
+        assert_eq!(harness.core.queue.sched_stats().max_depth, 2);
+        assert_eq!(harness.events_processed(), 1 + plan.len() as u64);
+    }
 
     /// The violations of a gathering run, with the fault layer `armed` or
     /// not, once `edit` has broken it.

@@ -47,28 +47,45 @@
 //! ([`backoff`], which times the writer's retransmissions too).  Most calls
 //! are answered long before their check is due, so a stream
 //! keeps its checks outside the event queue: one FIFO per retry attempt
-//! level, each entry a [`Reservation`] of the place the check would have
-//! taken in the queue.  Only each level's head is queued; when it fires it
-//! skips the entries whose call was answered meanwhile and queues the next
-//! live one in its reserved place.  Every check that can act fires exactly
-//! where a check per call would have, and the ones that would find their
-//! call answered never enter the queue.
+//! level, each entry `(place, call)`, the [`Reservation`] of the place the
+//! check would have taken in the queue and the call it re-sends.  Only each
+//! level's head is queued; when it fires it skips the entries whose call
+//! was answered meanwhile and queues the next live one in its reserved
+//! place.  Every check that can act fires exactly where a check per call
+//! would have, and the ones that would find their call answered never
+//! enter the queue.  A check fires at its reserved place and reserves the
+//! next one a backoff later, so a call's pending check falls at its first
+//! send plus the backoff of every level up to the one it has reached: the
+//! window keeps only that level, in a byte of the call's entry.
 //!
 //! # Settled replies
 //!
 //! LADDIS streams are open loop: each sends on its Poisson schedule whatever
 //! the server answers, so a workload reply only stops its call's clock.
-//! With the fault layer disarmed no call is re-sent and no retry check reads
-//! the window of calls in flight, so nothing can observe a reply between
-//! its send and its arrival.  Such a reply is settled as the server sends
-//! it: its call retires with the arrival time as its completion, and no
-//! delivery event is queued.  RENEW and LOCK replies drive the lease
-//! machine, whose next tick must see them only once they have landed, and
-//! every reply of an armed run may race a retry check; both stay events.
+//! Only a retry check reads the window of calls in flight before the reply
+//! lands, so a reply no check can race is settled as the server sends it:
+//! its call retires with the arrival time as its completion, and no
+//! delivery event is queued.  With the fault layer disarmed there are no
+//! checks, and every workload reply is settled.  With it armed a reply
+//! stays an event when:
+//!
+//! * its call's pending check falls at or before the arrival.  The check's
+//!   place was reserved when the call was last sent, before this reply
+//!   existed, so on a tie it pops first, and it must find the call
+//!   unanswered;
+//! * an earlier reply to the same call is already queued.  A client's
+//!   replies cross one FIFO segment in send order, so the queued one lands
+//!   first and its arrival is the call's completion.
+//!
+//! A settled call is retired before its reply lands, so a level scan in
+//! between skips its check rather than queueing it; that check falls after
+//! the arrival and would only have found the call answered.  Every check
+//! that acts fires as before.  RENEW and LOCK replies drive the lease
+//! machine, whose next tick must see them only once they have landed, so
+//! they stay events.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use wg_simcore::FxHashMap;
 
 use wg_client::{backoff, partition, XidWindow};
 use wg_nfsproto::{
@@ -253,7 +270,8 @@ pub struct SfsConfig {
     /// Retransmit timeout of the first retry, when the fault layer is armed.
     pub retry_initial_timeout: Duration,
     /// Attempts after which an unanswered call is abandoned and counted in
-    /// `gave_up` — a counted failure, never a silent success.
+    /// `gave_up` — a counted failure, never a silent success.  At most 255:
+    /// a call in flight keeps its retry level in one byte.
     pub max_retransmits: u32,
     /// Pages of the server's bounded unified buffer cache (`0`, the default,
     /// keeps the paper's unbounded delayed-write pool and replays every
@@ -633,6 +651,37 @@ impl MeanLatency {
     }
 }
 
+/// One call in flight, as its stream's xid window holds it: 16 bytes, the
+/// level and the flag riding in the send time's padding.
+#[derive(Clone, Copy)]
+struct InFlight {
+    /// When the call was first sent.
+    sent: SimTime,
+    kind: OpKind,
+    /// Retry checks the call has passed: its pending check is the one of
+    /// this level (armed runs only).
+    level: u8,
+    /// A reply to the call is queued as a delivery event.
+    reply_queued: bool,
+}
+
+impl InFlight {
+    fn new(sent: SimTime, kind: OpKind) -> Self {
+        InFlight {
+            sent,
+            kind,
+            level: 0,
+            reply_queued: false,
+        }
+    }
+
+    /// When the call's pending retry check fires: each check fires at its
+    /// reserved place and reserves the next one a backoff later.
+    fn check_at(&self, initial_timeout: Duration) -> SimTime {
+        (0..=u32::from(self.level)).fold(self.sent, |at, k| at + backoff(initial_timeout, k))
+    }
+}
+
 /// One independent load-generator stream: its own RNG, scratch-file
 /// namespace and window of calls in flight, which hands out its xids.
 struct SfsGenerator {
@@ -645,9 +694,8 @@ struct SfsGenerator {
     /// Remaining bodies of an in-progress write burst; drained one per
     /// arrival before a new operation is drawn from the mix.
     burst_queue: Vec<NfsCallBody>,
-    /// `(sent, kind)` of each call in flight, in this stream's xid window
-    /// (16 bytes per call).
-    outstanding: XidWindow<(SimTime, OpKind)>,
+    /// Each call in flight, in this stream's xid window (16 bytes per call).
+    outstanding: XidWindow<InFlight>,
     issued: u64,
     completed: u64,
     /// Name-minting allocations this stream performed (fresh CREATE names and
@@ -659,16 +707,13 @@ struct SfsGenerator {
     /// Calls abandoned after [`SfsConfig::max_retransmits`] attempts — every
     /// one a counted failure.
     gave_up: u64,
-    /// Retained copies of unanswered calls, keyed by xid, so a retry timer
-    /// can re-send them.  Populated only when [`SfsConfig::faults_enabled`];
-    /// otherwise never touched, keeping the steady-state loop allocation-free
-    /// and bit-identical to the pre-fault harness.
-    retry_calls: FxHashMap<Xid, NfsCall>,
     /// Pending retry checks, one FIFO per attempt level reached so far,
-    /// each entry the reserved place of one check and the xid it checks.  A
-    /// level's head is the one check of that level in the event queue.
-    /// Populated only when [`SfsConfig::faults_enabled`].
-    retry_timers: Vec<VecDeque<(Reservation, Xid)>>,
+    /// each entry the reserved place of one check and a copy of the call it
+    /// re-sends.  A level's head is the one check of that level in the
+    /// event queue.  Populated only when [`SfsConfig::faults_enabled`];
+    /// otherwise never touched, keeping the steady-state loop
+    /// allocation-free and bit-identical to the pre-fault harness.
+    retry_timers: Vec<VecDeque<(Reservation, NfsCall)>>,
     /// Lease/lock client state (inert unless [`SfsConfig::leases`]).
     lease: LeaseState,
 }
@@ -744,7 +789,7 @@ impl SfsGenerator {
             } else {
                 OpKind::Write
             };
-            let xid = self.outstanding.push((now, kind));
+            let xid = self.outstanding.push(InFlight::new(now, kind));
             return NfsCall::new(xid, body);
         }
         // Scale the write weight down by the burst length so that writes stay
@@ -870,7 +915,7 @@ impl SfsGenerator {
                 unreachable!("not a mix operation")
             }
         };
-        let xid = self.outstanding.push((now, kind));
+        let xid = self.outstanding.push(InFlight::new(now, kind));
         NfsCall::new(xid, body)
     }
 
@@ -925,7 +970,7 @@ impl SfsGenerator {
         } else {
             OpKind::Renew
         };
-        let xid = self.outstanding.push((now, kind));
+        let xid = self.outstanding.push(InFlight::new(now, kind));
         self.lease.issued += 1;
         Some(NfsCall::new(xid, body))
     }
@@ -1020,8 +1065,8 @@ fn churn_origin(churn: Duration, client: usize, clients: usize) -> SimTime {
 /// Client-side events of the SFS streams.
 enum SfsEvent {
     NextArrival(usize),
-    /// A reply lands: a lease reply, or any reply of a run with the fault
-    /// layer armed (the rest are settled as they are sent).
+    /// A reply lands: a lease reply, or a reply a retry check may race (the
+    /// rest are settled as they are sent).
     Reply(u32, NfsReply),
     /// The head retry check of one attempt level of one client:
     /// `(client, attempts already made)`.
@@ -1044,13 +1089,20 @@ struct SfsClients {
     /// End of the measured window: arrivals and ticks stop here.
     end: SimTime,
     /// With no injected faults and no loss the retry machinery is fully
-    /// disarmed (no cloned calls, no timers, no extra events), and workload
-    /// replies are settled as they are sent.
+    /// disarmed (no cloned calls, no timers, no extra events), and every
+    /// workload reply is settled as it is sent.
     faults_armed: bool,
     /// Queue every reply as a delivery event: the reference run the
     /// differential test holds settlement against.
     #[cfg(test)]
     replies_as_events: bool,
+    /// Replies settled as they were sent, each one delivery event the
+    /// reference run queues.
+    #[cfg(test)]
+    settled_replies: u64,
+    /// Retry checks that fired and found their call answered.
+    #[cfg(test)]
+    vain_checks: u64,
 }
 
 impl SfsClients {
@@ -1072,46 +1124,49 @@ impl SfsClients {
     /// answer to a re-sent call) changes nothing.
     fn retire(&mut self, at: SimTime, client: u32, reply: &NfsReply) {
         let generator = &mut self.generators[client as usize];
-        let Some((sent, kind)) = generator.outstanding.take(reply.xid) else {
+        let Some(call) = generator.outstanding.take(reply.xid) else {
             return;
         };
-        if kind.is_lease() {
+        if call.kind.is_lease() {
             generator.lease.completed += 1;
             generator.on_state_reply(&reply.body);
         } else {
-            self.latency.record(at.since(sent));
+            self.latency.record(at.since(call.sent));
             generator.completed += 1;
-        }
-        if self.faults_armed {
-            generator.retry_calls.remove(&reply.xid);
         }
     }
 
-    /// Whether a workload reply is settled as it is sent (see the module
-    /// docs): only when the fault layer is disarmed.
-    fn settles_replies(&self) -> bool {
+    /// Whether the reply to `client`'s `xid` arriving at `arrives_at` is
+    /// settled as it is sent (see the module docs).  One that is not marks
+    /// its call's reply queued.  A reply to a retired call changes nothing
+    /// wherever it lands, so it is settled.
+    fn settles(&mut self, client: u32, xid: Xid, arrives_at: SimTime) -> bool {
         #[cfg(test)]
         if self.replies_as_events {
             return false;
         }
-        !self.faults_armed
+        let Some(call) = self.generators[client as usize].outstanding.get_mut(xid) else {
+            return true;
+        };
+        let raced = self.faults_armed
+            && (call.reply_queued
+                || call.check_at(self.config.retry_initial_timeout) <= arrives_at);
+        let queued = raced || call.kind.is_lease();
+        call.reply_queued |= queued;
+        !queued
     }
 
-    /// Send a fresh call.  With the fault layer armed, retain a copy first
-    /// so the retry timer can re-send it; the timer chain always ends in a
+    /// Send a fresh call.  With the fault layer armed, its retry check keeps
+    /// a copy first so it can re-send it; the check chain always ends in a
     /// reply or a counted give-up.
     fn issue(&mut self, t: SimTime, client: usize, call: NfsCall, core: &mut Core<SfsEvent>) {
         if self.faults_armed {
-            let xid = call.xid;
-            self.generators[client]
-                .retry_calls
-                .insert(xid, call.clone());
-            self.arm_retry(t, client, 0, xid, core);
+            self.arm_retry(t, client, 0, call.clone(), core);
         }
         core.send(t, client, call);
     }
 
-    /// Reserve the retry check of `xid` at `level`, one retry delay after
+    /// Reserve the retry check of `call` at `level`, one retry delay after
     /// `t`, at the back of the level's FIFO.  Entries of one level are
     /// reserved in pop order with one delay, so the FIFO stays in place
     /// order; only a check that becomes its level's head is queued now.
@@ -1120,7 +1175,7 @@ impl SfsClients {
         t: SimTime,
         client: usize,
         level: u32,
-        xid: Xid,
+        call: NfsCall,
         core: &mut Core<SfsEvent>,
     ) {
         let place = core.reserve(t + backoff(self.config.retry_initial_timeout, level));
@@ -1129,7 +1184,7 @@ impl SfsClients {
             levels.resize_with(level as usize + 1, VecDeque::new);
         }
         let timers = &mut levels[level as usize];
-        timers.push_back((place, xid));
+        timers.push_back((place, call));
         if timers.len() == 1 {
             core.schedule_reserved(place, SfsEvent::RetryCheck(client, level));
         }
@@ -1140,33 +1195,38 @@ impl SfsClients {
     /// still unanswered in its reserved place, dropping the answered ones.
     fn retry_check(&mut self, t: SimTime, client: usize, level: u32, core: &mut Core<SfsEvent>) {
         let generator = &mut self.generators[client];
-        let (_, xid) = generator.retry_timers[level as usize]
+        let (_, call) = generator.retry_timers[level as usize]
             .pop_front()
             .expect("a firing retry check is its level's head");
-        // A call answered while its check was queued needs nothing: the
-        // reply already dropped its retained copy.
-        if generator.outstanding.get(xid).is_some() {
+        // A call answered while its check was queued needs nothing.
+        if let Some(entry) = generator.outstanding.get_mut(call.xid) {
+            debug_assert_eq!(u32::from(entry.level), level);
             if level >= self.config.max_retransmits {
                 // Exhausted: abandon the call as a counted failure — never a
                 // silent success — on the ledger it was issued on.
-                let kind = generator.outstanding.take(xid).map(|(_, kind)| kind);
-                generator.retry_calls.remove(&xid);
-                if kind.is_some_and(OpKind::is_lease) {
+                if entry.kind.is_lease() {
                     generator.lease.gave_up += 1;
                 } else {
                     generator.gave_up += 1;
                 }
-            } else if let Some(call) = generator.retry_calls.get(&xid).cloned() {
+                generator.outstanding.take(call.xid);
+            } else {
+                entry.level += 1;
                 generator.retransmissions += 1;
-                core.send(t, client, call);
-                self.arm_retry(t, client, level + 1, xid, core);
+                core.send(t, client, call.clone());
+                self.arm_retry(t, client, level + 1, call, core);
+            }
+        } else {
+            #[cfg(test)]
+            {
+                self.vain_checks += 1;
             }
         }
         let generator = &mut self.generators[client];
         let timers = &mut generator.retry_timers[level as usize];
-        while let Some(&(place, xid)) = timers.front() {
-            if generator.outstanding.get(xid).is_some() {
-                core.schedule_reserved(place, SfsEvent::RetryCheck(client, level));
+        while let Some((place, call)) = timers.front() {
+            if generator.outstanding.get(call.xid).is_some() {
+                core.schedule_reserved(*place, SfsEvent::RetryCheck(client, level));
                 break;
             }
             timers.pop_front();
@@ -1205,12 +1265,12 @@ impl Population for SfsClients {
     }
 
     fn reply(&mut self, client: u32, reply: NfsReply, arrives_at: SimTime) -> Option<SfsEvent> {
-        let outstanding = &self.generators[client as usize].outstanding;
-        let lease = outstanding
-            .get(reply.xid)
-            .is_some_and(|(_, kind)| kind.is_lease());
-        if lease || !self.settles_replies() {
+        if !self.settles(client, reply.xid, arrives_at) {
             return Some(SfsEvent::Reply(client, reply));
+        }
+        #[cfg(test)]
+        {
+            self.settled_replies += 1;
         }
         self.retire(arrives_at, client, &reply);
         None
@@ -1276,6 +1336,10 @@ impl SfsSystem {
         assert!(
             !config.leases || config.lease_renew_interval > Duration::ZERO,
             "lease_renew_interval must be non-zero when leases are armed"
+        );
+        assert!(
+            config.max_retransmits <= u32::from(u8::MAX),
+            "max_retransmits must fit a call's one-byte retry level"
         );
         let mut server_config = server_config(NETWORK, config.policy, NFSDS)
             .with_presto(config.prestoserve)
@@ -1350,7 +1414,6 @@ impl SfsSystem {
                 name_mints: 0,
                 retransmissions: 0,
                 gave_up: 0,
-                retry_calls: FxHashMap::default(),
                 retry_timers: Vec::new(),
                 lease: LeaseState::new(client as u32),
             });
@@ -1374,6 +1437,10 @@ impl SfsSystem {
             faults_armed: config.faults_enabled(),
             #[cfg(test)]
             replies_as_events: false,
+            #[cfg(test)]
+            settled_replies: 0,
+            #[cfg(test)]
+            vain_checks: 0,
             config,
         };
         SfsSystem {
@@ -1649,6 +1716,16 @@ mod tests {
         );
     }
 
+    /// Pin a call's entry in its stream's xid window at 16 bytes, the level
+    /// and the flag riding in the send time's padding.  One unanswered
+    /// call holds the window open across every later call, so each byte
+    /// here is paid per call sent meanwhile, and the `VecDeque` doubles.
+    #[test]
+    fn window_entry_stays_within_its_pinned_footprint() {
+        assert_eq!(std::mem::size_of::<InFlight>(), 16);
+        assert_eq!(std::mem::size_of::<Option<InFlight>>(), 16);
+    }
+
     fn quick_config(load: f64, policy: WritePolicy) -> SfsConfig {
         SfsConfig {
             duration: Duration::from_secs(4),
@@ -1878,15 +1955,8 @@ mod tests {
             .with_scratch_file_limit(limit)
             .with_clients(1);
         config.mix = SfsMix {
-            lookup: 0.0,
-            read: 0.0,
             write: 100.0,
-            getattr: 0.0,
-            readdir: 0.0,
-            create: 0.0,
-            remove: 0.0,
-            setattr: 0.0,
-            statfs: 0.0,
+            ..no_ops()
         };
         config.duration = Duration::from_secs(8);
         let mut system = SfsSystem::new(config);
@@ -2051,15 +2121,130 @@ mod tests {
             assert_eq!(unscheduled, completed, "{name}");
         }
 
-        // With the fault layer armed a reply may race a retry check, so
-        // every reply stays an event.
+        // With the fault layer armed a reply is settled unless a retry check
+        // may race it: the lossy cell, `sfs_crash`'s shape, and
+        // `faults.presto_battery_unstable`'s, whose calls outlive their
+        // timeout, so a call's later reply is often sent before its first
+        // queued one lands.
         let lossy = quick_config(250.0, WritePolicy::Gathering).with_loss(0.01);
-        let (settled, settled_point) = run_with_replies_as_events(&lossy, false);
-        let (queued, queued_point) = run_with_replies_as_events(&lossy, true);
-        assert_eq!(format!("{settled_point:?}"), format!("{queued_point:?}"));
-        assert!(settled.retransmissions() > 0, "the loss rate bit");
-        assert_eq!(settled.events_processed(), queued.events_processed());
-        assert_eq!(settled.scheduled_total(), queued.scheduled_total());
+        let crash = SfsConfig {
+            duration: Duration::from_secs(20),
+            ..SfsConfig::figure2(250.0, WritePolicy::Gathering)
+        }
+        .with_stability(StabilityMode::Unstable)
+        .with_unified_cache(256)
+        .with_dirty_ratio(0.1)
+        .with_loss(0.01)
+        .with_fault_plan(jittered_crashes(
+            31,
+            Duration::from_secs(5),
+            Duration::from_secs(20),
+        ));
+        let battery = SfsConfig {
+            duration: Duration::from_secs(20),
+            ..SfsConfig::figure3(800.0, WritePolicy::Gathering)
+        }
+        .with_unified_cache(4096)
+        .with_stability(StabilityMode::Unstable)
+        .with_fault_plan(FaultPlan::new().at(
+            SimTime::from_secs(6),
+            FaultKind::BatteryFailure {
+                repair_after: Duration::from_secs(6),
+            },
+        ));
+        for (name, config) in [("lossy", lossy), ("crash", crash), ("battery", battery)] {
+            assert_armed_settlement_matches_the_event_path(name, &config);
+        }
+
+        // A GETATTR on this idle server takes exactly `ROUND_TRIP`, so with
+        // that timeout nearly every call's first reply lands at the very
+        // instant of its retry check.  The check pops first and re-sends.
+        const ROUND_TRIP: Duration = Duration::from_nanos(500_220);
+        let mut tie = SfsConfig {
+            duration: Duration::from_secs(10),
+            file_count: 30,
+            file_size: 64 * 1024,
+            ..SfsConfig::figure2(20.0, WritePolicy::Gathering)
+        }
+        .with_loss(0.01)
+        .with_retry(ROUND_TRIP, 8);
+        tie.mix = SfsMix {
+            getattr: 100.0,
+            ..no_ops()
+        };
+        let settled = assert_armed_settlement_matches_the_event_path("tie", &tie);
+        let (issued, _) = settled.counts();
+        assert!(
+            settled.retransmissions() > issued * 9 / 10,
+            "{} of {issued} calls tied their check: has the GETATTR round trip moved?",
+            settled.retransmissions()
+        );
+    }
+
+    /// A mix of no operations, to set the ones a cell runs.
+    fn no_ops() -> SfsMix {
+        SfsMix {
+            lookup: 0.0,
+            read: 0.0,
+            write: 0.0,
+            getattr: 0.0,
+            readdir: 0.0,
+            create: 0.0,
+            remove: 0.0,
+            setattr: 0.0,
+            statfs: 0.0,
+        }
+    }
+
+    /// Run an armed `config` with its replies settled as shipped and as
+    /// events, assert the two runs agree, and return the settled one.
+    fn assert_armed_settlement_matches_the_event_path(name: &str, config: &SfsConfig) -> SfsSystem {
+        assert!(config.faults_enabled(), "{name}");
+        let (settled, settled_point) = run_with_replies_as_events(config, false);
+        let (queued, queued_point) = run_with_replies_as_events(config, true);
+        assert_eq!(
+            format!("{settled_point:?}"),
+            format!("{queued_point:?}"),
+            "{name}"
+        );
+        assert_eq!(settled.counts(), queued.counts(), "{name}");
+        assert!(settled.retransmissions() > 0, "{name}: no call was re-sent");
+        assert_eq!(
+            settled.retransmissions(),
+            queued.retransmissions(),
+            "{name}"
+        );
+        assert_eq!(settled.gave_up(), queued.gave_up(), "{name}");
+        assert_eq!(settled.lease_counts(), queued.lease_counts(), "{name}");
+        let residence = |s: &SfsSystem| {
+            let r = &s.server().stats().residence;
+            (r.mean(), r.percentile(99.0))
+        };
+        assert_eq!(residence(&settled), residence(&queued), "{name}");
+        // Every settled reply is one delivery event the reference run
+        // queued.  A settled call also leaves the level scans before its
+        // reply would have landed, so a check that would only have found it
+        // answered may never be queued; the checks that act are the same.
+        let (ours, reference) = (&settled.harness.clients, &queued.harness.clients);
+        assert!(ours.settled_replies > 0, "{name}");
+        assert_eq!(reference.settled_replies, 0, "{name}");
+        let saved = ours.settled_replies + reference.vain_checks - ours.vain_checks;
+        let processed = queued.events_processed() - settled.events_processed();
+        assert_eq!(processed, saved, "{name}");
+        let scheduled = queued.scheduled_total() - settled.scheduled_total();
+        assert_eq!(scheduled, saved, "{name}");
+        settled
+    }
+
+    /// A crash about every `interval` until `horizon`, each drawn uniformly
+    /// within half an interval of its slot.
+    fn jittered_crashes(seed: u64, interval: Duration, horizon: Duration) -> FaultPlan {
+        let mut rng = SimRng::seed_from(seed);
+        let step = interval.as_nanos();
+        (1..horizon.as_nanos() / step).fold(FaultPlan::new(), |plan, k| {
+            let at = k * step - step / 2 + rng.next_below(step);
+            plan.at(SimTime::from_nanos(at), FaultKind::ServerCrash)
+        })
     }
 
     #[test]

@@ -23,11 +23,6 @@ impl<'a> XdrDecoder<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Current byte offset from the start of the buffer.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], XdrError> {
         if self.remaining() < n {
             return Err(XdrError::UnexpectedEof {
@@ -185,9 +180,10 @@ mod tests {
         e.put_u32(2);
         let bytes = e.into_bytes();
         let mut d = XdrDecoder::new(&bytes);
-        assert_eq!(d.position(), 0);
+        assert_eq!(d.remaining(), 8);
         d.get_u32().unwrap();
-        assert_eq!(d.position(), 4);
         assert_eq!(d.remaining(), 4);
+        d.get_u32().unwrap();
+        assert_eq!(d.remaining(), 0);
     }
 }

@@ -23,24 +23,9 @@ impl XdrEncoder {
         }
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consume the encoder and return the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// A view of the encoded bytes without consuming the encoder.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
     }
 
     /// Append an unsigned 32-bit integer.
@@ -102,10 +87,10 @@ mod tests {
     fn integers_are_big_endian() {
         let mut e = XdrEncoder::new();
         e.put_u32(0x0102_0304);
-        assert_eq!(e.as_bytes(), &[1, 2, 3, 4]);
+        assert_eq!(e.into_bytes(), [1, 2, 3, 4]);
         let mut e = XdrEncoder::new();
         e.put_u64(0x0102_0304_0506_0708);
-        assert_eq!(e.as_bytes(), &[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(e.into_bytes(), [1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]
@@ -113,19 +98,20 @@ mod tests {
         let mut e = XdrEncoder::new();
         e.put_opaque(b"abcde");
         // 4 length bytes + 5 data bytes + 3 padding bytes.
-        assert_eq!(e.len(), 12);
-        assert_eq!(&e.as_bytes()[..4], &[0, 0, 0, 5]);
-        assert_eq!(&e.as_bytes()[9..], &[0, 0, 0]);
+        let bytes = e.into_bytes();
+        assert_eq!(bytes.len(), 12);
+        assert_eq!(bytes[..4], [0, 0, 0, 5]);
+        assert_eq!(bytes[9..], [0, 0, 0]);
     }
 
     #[test]
     fn fixed_opaque_has_no_length_prefix() {
         let mut e = XdrEncoder::new();
         e.put_opaque_fixed(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(e.len(), 8);
+        assert_eq!(e.into_bytes(), [1, 2, 3, 4, 5, 6, 7, 8]);
         let mut e = XdrEncoder::new();
         e.put_opaque_fixed(&[9]);
-        assert_eq!(e.len(), 4);
+        assert_eq!(e.into_bytes(), [9, 0, 0, 0]);
     }
 
     #[test]
@@ -135,8 +121,8 @@ mod tests {
         e.put_bool(false);
         e.put_string("ok");
         assert_eq!(
-            e.as_bytes(),
-            &[0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, b'o', b'k', 0, 0]
+            e.into_bytes(),
+            [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, b'o', b'k', 0, 0]
         );
     }
 
@@ -147,14 +133,15 @@ mod tests {
             fill.put_opaque_fill(0xAB, len);
             let mut plain = XdrEncoder::new();
             plain.put_opaque(&vec![0xAB; len]);
-            assert_eq!(fill.as_bytes(), plain.as_bytes(), "len {len}");
+            assert_eq!(fill.into_bytes(), plain.into_bytes(), "len {len}");
         }
     }
 
     #[test]
     fn with_capacity_and_len_helpers() {
-        let e = XdrEncoder::with_capacity(64);
-        assert!(e.is_empty());
-        assert_eq!(e.len(), 0);
+        assert!(XdrEncoder::with_capacity(64).into_bytes().is_empty());
+        let mut e = XdrEncoder::with_capacity(8);
+        e.put_u64(0x0102_0304_0506_0708);
+        assert_eq!(e.into_bytes().len(), 8);
     }
 }
