@@ -19,7 +19,7 @@
 
 use wg_bench::{render_figure, run_figure, run_table, TABLES};
 use wg_server::{ReplyOrder, ServerConfig, WritePolicy};
-use wg_simcore::{Duration, Trace, TraceEvent, TraceKind};
+use wg_simcore::{Duration, Trace, TraceEvent};
 use wg_workload::{ExperimentConfig, FileCopySystem, NetworkKind, SfsPoint};
 
 /// The copy every table cell makes, as in the paper.
@@ -102,21 +102,7 @@ fn figure1_system(policy: WritePolicy) -> FileCopySystem {
 /// recorded a disk or reply event when it planned it; the sort is stable,
 /// so events at one instant keep the order they were recorded in.
 fn figure1_events(trace: &Trace) -> Vec<&TraceEvent> {
-    let mut shown: Vec<&TraceEvent> = trace
-        .events()
-        .iter()
-        .filter(|event| {
-            matches!(
-                event.kind,
-                TraceKind::RequestArrived
-                    | TraceKind::DataToDisk
-                    | TraceKind::MetadataToDisk
-                    | TraceKind::ReplySent
-                    | TraceKind::Procrastinate
-                    | TraceKind::ReplyDeferred
-            )
-        })
-        .collect();
+    let mut shown: Vec<&TraceEvent> = trace.events().iter().collect();
     shown.sort_by_key(|event| event.at);
     shown
 }

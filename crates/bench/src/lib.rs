@@ -140,7 +140,7 @@ impl TableOutput {
 }
 
 /// Build the four paper rows from a set of per-biod results.
-pub fn rows_for(results: &[FileCopyResult]) -> Vec<TableRow> {
+fn rows_for(results: &[FileCopyResult]) -> Vec<TableRow> {
     vec![
         TableRow {
             label: "client write speed (KB/sec.)".into(),

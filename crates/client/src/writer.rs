@@ -273,7 +273,8 @@ impl FileWriterClient {
     }
 
     /// `true` once the transfer (including sync-on-close) has finished.
-    pub fn is_done(&self) -> bool {
+    #[cfg(test)]
+    fn is_done(&self) -> bool {
         self.app == AppState::Done
     }
 

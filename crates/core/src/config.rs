@@ -1,7 +1,9 @@
-//! Server configuration: write policy, storage, nfsd pool and CPU cost table.
+//! Server configuration: write policy, storage, filesystem, nfsd pool and
+//! CPU cost table.
 
 use wg_nfsproto::StableHow;
 use wg_simcore::Duration;
+use wg_ufs::FsParams;
 
 /// Which write-commit strategy the server uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -69,16 +71,6 @@ pub struct StorageConfig {
     pub spindles: usize,
     /// Whether a Prestoserve NVRAM board accelerates the filesystem.
     pub prestoserve: bool,
-}
-
-impl StorageConfig {
-    /// A single RZ26 disk.
-    pub fn single_rz26() -> Self {
-        StorageConfig {
-            spindles: 1,
-            prestoserve: false,
-        }
-    }
 }
 
 /// Per-operation CPU costs, in time on the reference (DEC 3400/3800-class)
@@ -159,22 +151,15 @@ pub struct ServerConfig {
     pub cpu_speed: f64,
     /// Duplicate request cache capacity (entries).
     pub dupcache_entries: usize,
-    /// Usable capacity of the exported filesystem's data region, in bytes.
-    /// Defaults to the single-RZ26 geometry; multi-client GB-scale sweeps
-    /// raise it so aggregate working sets beyond one spindle's worth fit
-    /// (addresses past the physical capacity simply pay full-stroke seeks).
-    pub data_capacity: u64,
-    /// Number of FFS-style inode groups the exported filesystem spreads its
-    /// inodes over (see [`wg_ufs::FsParams::inode_groups`]).  `1` (the
-    /// default) is the flat layout the paper's tables imply — every inode
-    /// block of a small working set shares one stripe unit, so one member of
-    /// a stripe set absorbs all metadata writes.  Scaled-out configurations
-    /// raise it so metadata I/O spreads across the whole disk farm.
-    pub inode_groups: usize,
-    /// Whether disk blocks fetched by reads stay resident in the buffer
-    /// cache (see [`wg_ufs::FsParams::read_caching`]).  Off by default: the
-    /// paper's figures measure a cold cache.
-    pub read_caching: bool,
+    /// The exported filesystem's capacity, inode layout and cache policy
+    /// ([`FsParams`]), handed to UFS as they are.  The default is the
+    /// paper's: the single-RZ26 data region, one flat inode group, a cold
+    /// read cache and an unbounded buffer cache with no write-behind.
+    /// Multi-client GB-scale cells raise `data_capacity` so their aggregate
+    /// working set fits (addresses past the physical capacity simply pay
+    /// full-stroke seeks), and scaled-out cells spread inodes over groups
+    /// and keep read blocks resident.
+    pub fs: FsParams,
     /// Number of request-path shards.  Each shard owns its own incoming
     /// socket queue, nfsd sub-pool and duplicate-request-cache partition;
     /// requests are routed by `inode % shards`, so per-file state (vnode
@@ -197,16 +182,6 @@ pub struct ServerConfig {
     /// of different shards, overlap on independent spindles of a stripe set.
     /// `false` is bit-identical to the pre-pipeline server.
     pub io_overlap: bool,
-    /// Capacity of the bounded unified buffer cache in 8 KB pages (see
-    /// [`wg_ufs::FsParams::cache_pages`]).  `0` (the default) disarms it:
-    /// the paper's server has an effectively unbounded cache and no
-    /// write-behind, which is exactly what the golden tables pin.  An armed
-    /// cache is required for `WRITE(UNSTABLE)` to be honoured — without it
-    /// there is no write-behind machinery to make unstable data stable later.
-    pub cache_pages: u64,
-    /// Fraction of the unified cache that may be dirty before writers are
-    /// throttled (see [`wg_ufs::FsParams::dirty_ratio`]).
-    pub dirty_ratio: f64,
     /// Inert: the server honours the `stable_how` of each arriving WRITE,
     /// and nothing outside this module's tests reads the field (the bench
     /// cells take their stability label from the driver configs).  It stays
@@ -231,20 +206,19 @@ impl ServerConfig {
             nfsds: 8,
             policy: WritePolicy::Standard,
             reply_order: ReplyOrder::Fifo,
-            storage: StorageConfig::single_rz26(),
+            storage: StorageConfig {
+                spindles: 1,
+                prestoserve: false,
+            },
             procrastination: Duration::from_millis(8),
             mbuf_hunter: true,
             socket_buffer_bytes: 256 * 1024,
             cpu_speed: 1.0,
             dupcache_entries: 512,
-            data_capacity: wg_ufs::FsParams::default().data_capacity,
-            inode_groups: 1,
-            read_caching: false,
+            fs: FsParams::default(),
             shards: 1,
             cores: 1,
             io_overlap: false,
-            cache_pages: 0,
-            dirty_ratio: 0.5,
             stability: StabilityMode::Stable,
             lease_duration: Duration::from_secs(30),
             grace_period: Duration::from_secs(15),
@@ -304,30 +278,32 @@ impl ServerConfig {
     }
 
     /// Spread the filesystem's inodes over `n` FFS-style groups (see
-    /// [`ServerConfig::inode_groups`]).
+    /// [`FsParams::inode_groups`]).
     pub fn with_inode_groups(mut self, n: usize) -> Self {
-        self.inode_groups = n.max(1);
+        self.fs.inode_groups = n.max(1) as u64;
         self
     }
 
     /// Keep read-fetched blocks resident in the buffer cache (see
-    /// [`ServerConfig::read_caching`]).
+    /// [`FsParams::read_caching`]).
     pub fn with_read_caching(mut self, on: bool) -> Self {
-        self.read_caching = on;
+        self.fs.read_caching = on;
         self
     }
 
     /// Arm the bounded unified buffer cache with `pages` 8 KB pages (see
-    /// [`ServerConfig::cache_pages`]).  `pages == 0` disarms it.
+    /// [`FsParams::cache_pages`]).  `pages == 0` disarms it.  An armed cache
+    /// is required for `WRITE(UNSTABLE)` to be honoured: without it there is
+    /// no write-behind to make unstable data stable later.
     pub fn with_unified_cache(mut self, pages: u64) -> Self {
-        self.cache_pages = pages;
+        self.fs.cache_pages = pages;
         self
     }
 
     /// Set the dirty-ratio writer throttle of the unified cache (see
-    /// [`ServerConfig::dirty_ratio`]).
+    /// [`FsParams::dirty_ratio`]).
     pub fn with_dirty_ratio(mut self, ratio: f64) -> Self {
-        self.dirty_ratio = ratio;
+        self.fs.dirty_ratio = ratio;
         self
     }
 
@@ -357,24 +333,64 @@ mod tests {
 
     #[test]
     fn presets_match_the_paper() {
-        let std = ServerConfig::standard();
-        assert_eq!(std.nfsds, 8);
-        assert_eq!(std.policy, WritePolicy::Standard);
-        assert_eq!(std.reply_order, ReplyOrder::Fifo);
-        assert_eq!(std.socket_buffer_bytes, 256 * 1024);
+        // Every field is named, with no `..`, so a knob added later fails to
+        // compile here until its default is pinned.
+        let ServerConfig {
+            nfsds,
+            policy,
+            reply_order,
+            storage:
+                StorageConfig {
+                    spindles,
+                    prestoserve,
+                },
+            procrastination,
+            mbuf_hunter,
+            socket_buffer_bytes,
+            cpu_speed,
+            dupcache_entries,
+            fs:
+                FsParams {
+                    data_capacity,
+                    read_caching,
+                    cache_pages,
+                    dirty_ratio,
+                    inode_groups,
+                },
+            shards,
+            cores,
+            io_overlap,
+            stability,
+            lease_duration,
+            grace_period,
+        } = ServerConfig::standard();
+        assert_eq!(nfsds, 8);
+        assert_eq!(policy, WritePolicy::Standard);
+        assert_eq!(reply_order, ReplyOrder::Fifo);
+        assert_eq!(procrastination, Duration::from_millis(8));
+        assert!(mbuf_hunter);
+        assert_eq!(socket_buffer_bytes, 256 * 1024);
+        assert_eq!(cpu_speed, 1.0);
+        assert_eq!(dupcache_entries, 512);
         // The paper's machine: one RZ26 without Presto, one dispatch queue,
         // one CPU, serial driver.
-        assert_eq!(std.storage.spindles, 1);
-        assert!(!std.storage.prestoserve);
-        assert_eq!(std.shards, 1);
-        assert_eq!(std.cores, 1);
-        assert!(!std.io_overlap);
+        assert_eq!(spindles, 1);
+        assert!(!prestoserve);
+        assert_eq!(shards, 1);
+        assert_eq!(cores, 1);
+        assert!(!io_overlap);
+        // Its filesystem: room for ~900 MB on the RZ26, one flat inode
+        // group, a cold read cache.
+        assert_eq!(data_capacity, 900 * 1024 * 1024);
+        assert_eq!(inode_groups, 1);
+        assert!(!read_caching);
         // The unified cache and unstable writes post-date the paper: off by
         // default so every golden table keeps its original write path.
-        assert_eq!(std.cache_pages, 0);
-        assert_eq!(std.stability, StabilityMode::Stable);
-        assert_eq!(std.lease_duration, Duration::from_secs(30));
-        assert_eq!(std.grace_period, Duration::from_secs(15));
+        assert_eq!(cache_pages, 0);
+        assert_eq!(dirty_ratio, 0.5);
+        assert_eq!(stability, StabilityMode::Stable);
+        assert_eq!(lease_duration, Duration::from_secs(30));
+        assert_eq!(grace_period, Duration::from_secs(15));
         let g = ServerConfig::gathering();
         assert_eq!(g.policy, WritePolicy::Gathering);
     }
@@ -400,10 +416,15 @@ mod tests {
             .with_unified_cache(512)
             .with_dirty_ratio(0.25)
             .with_stability(StabilityMode::Unstable);
-        assert_eq!(cell.cache_pages, 512);
-        assert_eq!(cell.dirty_ratio, 0.25);
+        assert_eq!(cell.fs.cache_pages, 512);
+        assert_eq!(cell.fs.dirty_ratio, 0.25);
         assert_eq!(cell.stability, StabilityMode::Unstable);
-        assert_eq!(cell.with_unified_cache(0).cache_pages, 0);
+        assert_eq!(cell.with_unified_cache(0).fs.cache_pages, 0);
+        let spread = ServerConfig::standard()
+            .with_inode_groups(0)
+            .with_read_caching(true);
+        assert_eq!(spread.fs.inode_groups, 1, "at least one inode group");
+        assert!(spread.fs.read_caching);
         let leased = ServerConfig::standard()
             .with_lease_duration(Duration::from_millis(750))
             .with_grace_period(Duration::from_millis(400));

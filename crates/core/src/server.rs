@@ -277,7 +277,6 @@ pub struct NfsServer {
     config: ServerConfig,
     fs: Ufs,
     device: Box<dyn BlockDevice>,
-    accelerated: bool,
     cpu: MultiCpu,
     shards: Vec<Shard>,
     nfsds: Vec<Nfsd>,
@@ -330,13 +329,9 @@ impl NfsServer {
             match (config.storage.spindles, config.storage.prestoserve) {
                 (1, false) => Box::new(Disk::rz26()),
                 (1, true) => Box::new(Presto::new(Disk::rz26(), config.io_overlap)),
-                (n, false) => Box::new(StripeSet::new(n, wg_disk::DiskParams::rz26(), 64 * 1024)),
-                (n, true) => Box::new(Presto::new(
-                    StripeSet::new(n, wg_disk::DiskParams::rz26(), 64 * 1024),
-                    config.io_overlap,
-                )),
+                (n, false) => Box::new(StripeSet::new(n)),
+                (n, true) => Box::new(Presto::new(StripeSet::new(n), config.io_overlap)),
             };
-        let accelerated = config.storage.prestoserve;
         let shard_count = config.shards.max(1);
         // Every shard needs at least one nfsd; round-robin assignment keeps
         // the sub-pools balanced and, at shards = 1, reproduces the original
@@ -351,18 +346,10 @@ impl NfsServer {
         let shards = (0..shard_count)
             .map(|_| Shard::new(&config, shard_count))
             .collect();
-        let fs_params = wg_ufs::FsParams {
-            data_capacity: config.data_capacity,
-            inode_groups: config.inode_groups.max(1) as u64,
-            read_caching: config.read_caching,
-            cache_pages: config.cache_pages,
-            dirty_ratio: config.dirty_ratio,
-        };
         NfsServer {
             cpu: MultiCpu::with_speed(config.cores.max(1), config.cpu_speed),
-            fs: Ufs::new(1, fs_params),
+            fs: Ufs::new(1, config.fs),
             device,
-            accelerated,
             shards,
             nfsds,
             vnodes: FxHashMap::default(),
@@ -608,8 +595,6 @@ impl NfsServer {
         };
         if !self.shards[shard].sockbuf.offer(wire_size, incoming) {
             self.stats.socket_drops += 1;
-            self.trace
-                .record(now, TraceKind::RequestDropped, "socket buffer full");
             return;
         }
         self.dispatch(now, shard, actions);
@@ -692,13 +677,6 @@ impl NfsServer {
         let shard = self.nfsds[nfsd].shard;
         let forced = self.shards[shard].dupcache.start(client, call.xid);
         self.stats.evicted_in_progress += u64::from(forced);
-        if self.trace.is_enabled() {
-            self.trace.record(
-                now,
-                TraceKind::NfsdStart,
-                format!("xid {} {:?}", call.xid.0, call.body.procedure()),
-            );
-        }
         // Per-fragment reassembly plus RPC dispatch.
         let cost = costs::PACKET_REASSEMBLY.saturating_mul(fragments as u64) + costs::RPC_DISPATCH;
         let t = self.cpu.run(now, cost);
@@ -938,7 +916,7 @@ impl NfsServer {
     /// of the payload into NVRAM; plain disks only pay the driver setup (the
     /// data moves by DMA).
     fn driver_trip_cost(&self, req: &DiskRequest) -> Duration {
-        if self.accelerated {
+        if self.config.storage.prestoserve {
             costs::DRIVER_TRIP + costs::PRESTO_TRIP + costs::copy(req.len)
         } else {
             costs::DRIVER_TRIP
@@ -1144,12 +1122,7 @@ impl NfsServer {
     /// write-through as the only stable path, so the server degrades to
     /// synchronous FILE_SYNC exactly as the real board does.
     fn unstable_write_allowed(&self) -> bool {
-        self.unified_cache() && (self.battery_ok || !self.config.storage.prestoserve)
-    }
-
-    /// Whether the bounded unified cache (and its write-behind) is armed.
-    fn unified_cache(&self) -> bool {
-        self.config.cache_pages > 0
+        self.fs.cache_armed() && (self.battery_ok || !self.config.storage.prestoserve)
     }
 
     /// VOP_WRITE, the step every write path shares: wait for the vnode lock
@@ -1173,7 +1146,7 @@ impl NfsServer {
             // Accelerated filesystems take gathered data synchronously (it
             // lands in NVRAM); plain disks keep it delayed in the cache so
             // the later flush can cluster it.
-            WritePath::Gathering if self.accelerated => {
+            WritePath::Gathering if self.config.storage.prestoserve => {
                 (WriteFlags::SyncDataOnly, costs::GATHER_BOOKKEEPING)
             }
             WritePath::Gathering => (WriteFlags::DelayData, costs::GATHER_BOOKKEEPING),
@@ -1255,7 +1228,7 @@ impl NfsServer {
     /// Put a write-behind pass on the timer wheel unless one is already
     /// pending or there is nothing dirty to drain.
     fn ensure_writeback_scheduled(&mut self, now: SimTime, actions: &mut Vec<ServerAction>) {
-        if !self.unified_cache() || self.writeback_scheduled || self.fs.dirty_resident_pages() == 0
+        if !self.fs.cache_armed() || self.writeback_scheduled || self.fs.dirty_resident_pages() == 0
         {
             return;
         }
@@ -1268,7 +1241,7 @@ impl NfsServer {
     /// configured) and reschedule while dirty pages remain.
     fn background_writeback(&mut self, now: SimTime, actions: &mut Vec<ServerAction>) {
         self.writeback_scheduled = false;
-        if !self.unified_cache() {
+        if !self.fs.cache_armed() {
             return;
         }
         let reqs = self.fs.writeback_batch(WRITEBACK_BATCH_PAGES);
@@ -1525,16 +1498,17 @@ impl NfsServer {
         }
         // Drain whatever the unified cache still holds dirty (unstable data
         // no COMMIT covered); with the cache disarmed the batch is empty.
-        if self.unified_cache() {
+        if self.fs.cache_armed() {
             let reqs = self.fs.writeback_batch(u64::MAX);
             done = done.max(self.run_io_plan(now, reqs.iter()));
         }
         done.max(self.device.free_at())
     }
 
-    /// The current boot instance's write/commit verifier (tests and clients
-    /// obtain the live value from replies; this accessor is for assertions).
-    pub fn boot_verifier(&self) -> u64 {
+    /// The current boot instance's write/commit verifier (clients obtain
+    /// the live value from replies; this accessor is for assertions).
+    #[cfg(test)]
+    fn boot_verifier(&self) -> u64 {
         self.boot_verifier
     }
 
@@ -1544,7 +1518,8 @@ impl NfsServer {
 
     /// The server is unreachable until this time (always in the past unless
     /// a fault plan crashed it).
-    pub fn recovering_until(&self) -> SimTime {
+    #[cfg(test)]
+    fn recovering_until(&self) -> SimTime {
         self.recovering_until
     }
 
@@ -1602,8 +1577,6 @@ impl NfsServer {
         // image, records die, and the grace window opens once the server is
         // back.  A no-op on an empty table.
         self.state.crash(recovered);
-        self.trace
-            .record(now, TraceKind::RequestDropped, "server crash");
         recovered
     }
 
@@ -1935,7 +1908,7 @@ mod tests {
         // ~35 TB of configured capacity: the true block count exceeds u32 and
         // used to wrap to a tiny number through the `as u32` casts.
         let mut cfg = ServerConfig::standard();
-        cfg.data_capacity = (u32::MAX as u64 + 1_000) * 8192;
+        cfg.fs.data_capacity = (u32::MAX as u64 + 1_000) * 8192;
         let mut server = NfsServer::new(cfg);
         let root_fh = server.root_handle();
         let call = NfsCall::new(
@@ -2115,7 +2088,7 @@ mod tests {
         for policy in policies {
             let mut cfg = ServerConfig::standard().with_unified_cache(1024);
             cfg.policy = policy;
-            cfg.data_capacity = 0;
+            cfg.fs.data_capacity = 0;
             let mut server = NfsServer::new(cfg);
             let root = server.fs().root();
             let ino = server.fs_mut().create(root, "t", 0o644, 0).unwrap();
@@ -2180,7 +2153,7 @@ mod tests {
         // path; without it the server promotes it to FILE_SYNC on the
         // standard path.  Neither joins the batch.
         for pages in [1024, 0] {
-            let (server, ino) = one_nfsd_gathering(|c| c.cache_pages = pages);
+            let (server, ino) = one_nfsd_gathering(|c| c.fs.cache_pages = pages);
             let first = write_call(&server, ino, 1, 0, 8192);
             let handed = datagram(unstable_write_call(&server, ino, 2, 8192, 8192));
             assert_handed_batch_is_flushed(server, Vec::new(), SimTime::ZERO, first, handed);
@@ -2251,7 +2224,7 @@ mod tests {
     fn a_failed_write_handed_a_batch_flushes_it() {
         // One data block: the first write takes it, the handed one finds
         // the filesystem full and VOP_WRITE replies with an error.
-        let (server, ino) = one_nfsd_gathering(|c| c.data_capacity = 8192);
+        let (server, ino) = one_nfsd_gathering(|c| c.fs.data_capacity = 8192);
         let first = write_call(&server, ino, 1, 0, 8192);
         let handed = datagram(write_call(&server, ino, 2, 8192, 8192));
         let replies =

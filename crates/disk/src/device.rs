@@ -154,9 +154,6 @@ pub trait BlockDevice {
     /// so far.
     fn free_at(&self) -> SimTime;
 
-    /// A short human-readable description (e.g. `"RZ26"`, `"3 x RZ26 stripe"`).
-    fn describe(&self) -> String;
-
     /// Server crash/reboot recovery hook: replay any battery-backed contents
     /// to the medium and return the time the replay completes.  Plain disks
     /// hold nothing volatile (the server discards its own dirty cache), so

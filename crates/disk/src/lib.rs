@@ -6,12 +6,11 @@
 //! write costs almost the same — which is exactly why write gathering plus UFS
 //! clustering wins.  This crate models that behaviour:
 //!
-//! * [`DiskParams`] — mechanical/interface parameters with an
-//!   [`DiskParams::rz26`] calibration for the drive used in every table,
-//! * [`Disk`] — a FIFO, non-preemptive single-spindle model that tracks head
-//!   position so sequential transfers avoid seek and rotation costs,
+//! * [`Disk`] — a FIFO, non-preemptive single-spindle RZ26 whose timings are
+//!   the [`model`] module's constants; it tracks head position so sequential
+//!   transfers avoid seek and rotation costs,
 //! * [`StripeSet`] — the simple striping driver from the paper's Results
-//!   section (3 × RZ26 in Tables 5 and 6),
+//!   section (3 × RZ26 in Tables 5 and 6) over [`STRIPE_UNIT`]-sized units,
 //! * [`BlockDevice`] — the object-safe interface the filesystem and NVRAM
 //!   layers drive, with uniform [`DeviceStats`] (KB/s and transactions/s, the
 //!   two disk columns in every table), queued submission
@@ -27,5 +26,5 @@ pub mod model;
 pub mod stripe;
 
 pub use device::{BlockDevice, DeviceStats, DiskRequest, IoKind, SpindleStats};
-pub use model::{Disk, DiskParams};
-pub use stripe::StripeSet;
+pub use model::Disk;
+pub use stripe::{StripeSet, STRIPE_UNIT};

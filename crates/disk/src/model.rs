@@ -1,54 +1,33 @@
-//! The single-spindle disk model.
+//! The single-spindle disk model: the DEC RZ26, a 1.05 GB, 5400 RPM SCSI
+//! drive of the early 1990s and the disk in every table of the paper.
+//!
+//! Its timings are constants, calibrated so that:
+//!
+//! * a synchronous, non-sequential 8 KB write takes ≈13–16 ms (the paper's
+//!   baseline tables show 61–77 such transactions per second), and
+//! * large clustered sequential writes sustain ≈1.8–1.9 MB/s (the paper notes
+//!   Table 4 drives the RZ26 "at the raw device write bandwidth limit for 64 K
+//!   transfers").
 
 use std::collections::VecDeque;
 
 use crate::device::{BlockDevice, DeviceStats, DiskRequest, SpindleStats};
 use wg_simcore::{Duration, SimTime};
 
-/// Mechanical and interface parameters of a disk drive.
-///
-/// The values behind [`DiskParams::rz26`] are calibrated so that:
-///
-/// * a synchronous, non-sequential 8 KB write takes ≈13–16 ms (the paper's
-///   baseline tables show 61–77 such transactions per second), and
-/// * large clustered sequential writes sustain ≈1.8–1.9 MB/s (the paper notes
-///   Table 4 drives the RZ26 "at the raw device write bandwidth limit for 64 K
-///   transfers").
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct DiskParams {
-    /// Human-readable model name.
-    pub name: String,
-    /// Fixed per-request controller/driver overhead.
-    pub controller_overhead: Duration,
-    /// Shortest (track-to-track) seek.
-    pub track_to_track_seek: Duration,
-    /// Average seek (roughly a 1/3-stroke seek).
-    pub average_seek: Duration,
-    /// Time for one full platter rotation.
-    pub rotation_time: Duration,
-    /// Sustained media transfer rate in bytes per second.
-    pub media_rate: f64,
-    /// Usable capacity in bytes (used to scale seek distances).
-    pub capacity: u64,
-}
+/// Fixed per-request controller overhead.
+const CONTROLLER_OVERHEAD: Duration = Duration::from_micros(1_000);
+/// Shortest (track-to-track) seek.
+const TRACK_TO_TRACK_SEEK: Duration = Duration::from_micros(1_700);
+/// Average seek (roughly a 1/3-stroke seek).
+const AVERAGE_SEEK: Duration = Duration::from_micros(9_500);
+/// Time for one full platter rotation (5400 RPM).
+const ROTATION_TIME: Duration = Duration::from_micros(11_111);
+/// Sustained media transfer rate in bytes per second.
+const MEDIA_RATE: f64 = 2.3e6;
+/// Usable capacity in bytes (scales seek distances).
+const CAPACITY: u64 = 1_050_000_000;
 
-impl DiskParams {
-    /// Parameters approximating the DEC RZ26: a 1.05 GB, 5400 RPM SCSI drive
-    /// of the early 1990s.
-    pub fn rz26() -> Self {
-        DiskParams {
-            name: "RZ26".to_string(),
-            controller_overhead: Duration::from_micros(1_000),
-            track_to_track_seek: Duration::from_micros(1_700),
-            average_seek: Duration::from_micros(9_500),
-            rotation_time: Duration::from_micros(11_111), // 5400 RPM
-            media_rate: 2.3e6,
-            capacity: 1_050_000_000,
-        }
-    }
-}
-
-/// A FIFO, non-preemptive single-spindle disk.
+/// A FIFO, non-preemptive single-spindle RZ26.
 ///
 /// The model tracks the byte address just past the previous transfer; a
 /// request that starts exactly there is *sequential* and pays neither seek nor
@@ -57,7 +36,6 @@ impl DiskParams {
 /// seek plus half a rotation on average.
 #[derive(Clone, Debug)]
 pub struct Disk {
-    params: DiskParams,
     head_pos: u64,
     busy_until: SimTime,
     stats: DeviceStats,
@@ -71,10 +49,9 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// Create a disk that is idle with its head at address zero.
-    pub fn new(params: DiskParams) -> Self {
+    /// An idle RZ26 with its head at address zero.
+    pub fn rz26() -> Self {
         Disk {
-            params,
             head_pos: 0,
             busy_until: SimTime::ZERO,
             stats: DeviceStats::new(),
@@ -83,29 +60,18 @@ impl Disk {
         }
     }
 
-    /// An RZ26 drive (the disk used in every table of the paper).
-    pub fn rz26() -> Self {
-        Disk::new(DiskParams::rz26())
-    }
-
-    /// The drive's parameters.
-    pub fn params(&self) -> &DiskParams {
-        &self.params
-    }
-
     /// Pure service-time computation for a request that would start with the
-    /// head at `head_pos`.  Exposed for unit testing and for capacity
-    /// estimation in the benchmark harness.
-    pub fn service_time(&self, req: DiskRequest) -> Duration {
+    /// head at `head_pos`.
+    fn service_time(&self, req: DiskRequest) -> Duration {
         let sequential = req.addr == self.head_pos;
-        let mut t = self.params.controller_overhead;
+        let mut t = CONTROLLER_OVERHEAD;
         if !sequential {
             t += self.seek_time(req.addr);
             // Half a rotation of latency on average for a non-sequential
             // access.
-            t += Duration::from_nanos(self.params.rotation_time.as_nanos() / 2);
+            t += Duration::from_nanos(ROTATION_TIME.as_nanos() / 2);
         }
-        t += Duration::from_secs_f64(req.len as f64 / self.params.media_rate);
+        t += Duration::from_secs_f64(req.len as f64 / MEDIA_RATE);
         t
     }
 
@@ -114,31 +80,24 @@ impl Disk {
         if distance == 0 {
             return Duration::ZERO;
         }
-        let frac = (distance as f64 / self.params.capacity as f64).clamp(0.0, 1.0);
+        let frac = (distance as f64 / CAPACITY as f64).clamp(0.0, 1.0);
         // Square-root seek curve pinned so that a 1/3-stroke seek costs the
         // quoted average: seek(d) = t2t + (avg - t2t) * sqrt(3 d), capped at a
         // full-stroke seek of roughly twice the average.
-        let t2t = self.params.track_to_track_seek.as_secs_f64();
-        let avg = self.params.average_seek.as_secs_f64();
+        let t2t = TRACK_TO_TRACK_SEEK.as_secs_f64();
+        let avg = AVERAGE_SEEK.as_secs_f64();
         let full = avg * 2.0;
         let seek = (t2t + (avg - t2t) * (3.0 * frac).sqrt()).min(full);
         Duration::from_secs_f64(seek)
     }
-}
 
-impl Disk {
     /// The number of requests enqueued but not yet completed at `now`
     /// (including any in service).  Drains finished entries from the queue.
-    pub fn queue_depth_at(&mut self, now: SimTime) -> u64 {
+    fn queue_depth_at(&mut self, now: SimTime) -> u64 {
         while self.queue.front().is_some_and(|&done| done <= now) {
             self.queue.pop_front();
         }
         self.queue.len() as u64
-    }
-
-    /// Deepest the FIFO queue ever got since the last stats reset.
-    pub fn max_queue_depth(&self) -> u64 {
-        self.max_queue_depth
     }
 }
 
@@ -170,16 +129,11 @@ impl BlockDevice for Disk {
     fn free_at(&self) -> SimTime {
         self.busy_until
     }
-
-    fn describe(&self) -> String {
-        self.params.name.clone()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::IoKind;
 
     #[test]
     fn sequential_writes_avoid_seek_and_rotation() {
@@ -212,6 +166,42 @@ mod tests {
         assert!(
             t > Duration::from_millis(10) && t < Duration::from_millis(20),
             "8K mid-seek write took {t}"
+        );
+    }
+
+    /// Completion times, in ns, of one request sequence submitted back to
+    /// back (each as the previous one completes): a sequential 8 KB write,
+    /// a sequential 64 KB write, an 8 KB write 300 MB further on, a seek to
+    /// the end of the disk, and a full-stroke seek back to the start.
+    fn pinned_sequence(device: &mut impl BlockDevice) -> Vec<u64> {
+        let far = 8192 + 65_536 + 300_000_000;
+        let reqs = [
+            DiskRequest::write(0, 8192),
+            DiskRequest::write(8192, 65_536),
+            DiskRequest::write(far, 8192),
+            DiskRequest::write(1_050_000_000, 8192),
+            DiskRequest::write(0, 8192),
+        ];
+        let mut now = SimTime::ZERO;
+        reqs.iter()
+            .map(|&req| {
+                now = device.submit(now, req);
+                now.as_nanos()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rz26_completion_times_are_pinned_to_the_nanosecond() {
+        let disk = pinned_sequence(&mut Disk::rz26());
+        let stripe = pinned_sequence(&mut crate::StripeSet::three_rz26());
+        assert_eq!(
+            disk,
+            [4_561_739, 34_055_652, 53_094_288, 76_328_934, 101_656_169]
+        );
+        assert_eq!(
+            stripe,
+            [4_561_739, 30_493_913, 46_480_267, 66_097_526, 82_085_417]
         );
     }
 
@@ -254,34 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn describe_and_params_expose_calibration() {
-        let disk = Disk::rz26();
-        assert_eq!(disk.describe(), "RZ26");
-        assert_eq!(disk.params().capacity, 1_050_000_000);
-        // A deliberately slow disk: long seeks, low media rate.
-        let slow = Disk::new(DiskParams {
-            name: "slow-test".to_string(),
-            controller_overhead: Duration::from_millis(2),
-            track_to_track_seek: Duration::from_millis(5),
-            average_seek: Duration::from_millis(20),
-            rotation_time: Duration::from_millis(16),
-            media_rate: 1.0e6,
-            capacity: 100_000_000,
-        });
-        let fast_t = disk.service_time(DiskRequest {
-            addr: 300_000_000,
-            len: 8192,
-            kind: IoKind::Write,
-        });
-        let slow_t = slow.service_time(DiskRequest {
-            addr: 30_000_000,
-            len: 8192,
-            kind: IoKind::Write,
-        });
-        assert!(slow_t > fast_t);
-    }
-
-    #[test]
     fn queue_depth_tracks_outstanding_requests() {
         let mut disk = Disk::rz26();
         assert_eq!(disk.queue_depth_at(SimTime::ZERO), 0);
@@ -289,7 +251,6 @@ mod tests {
         let d1 = disk.submit(SimTime::ZERO, DiskRequest::write(100_000_000, 8192));
         disk.submit(SimTime::ZERO, DiskRequest::write(300_000_000, 8192));
         let d3 = disk.submit(SimTime::ZERO, DiskRequest::write(500_000_000, 8192));
-        assert_eq!(disk.max_queue_depth(), 3);
         assert_eq!(disk.queue_depth_at(SimTime::ZERO), 3);
         // After the first completes, two remain; after the last, none.
         assert_eq!(disk.queue_depth_at(d1), 2);

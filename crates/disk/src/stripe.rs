@@ -2,48 +2,41 @@
 //!
 //! Tables 5 and 6 of the paper use "a stripe set of three RZ26 disks"
 //! (provided by a disk striping driver in ULTRIX).  [`StripeSet`] reproduces
-//! that: the logical byte address space is split into fixed-size stripe units
-//! distributed round-robin over the member disks, a logical request is split
-//! at stripe-unit boundaries, and the logical completion time is the latest
-//! completion among the pieces.
+//! that: the logical byte address space is split into [`STRIPE_UNIT`]-sized
+//! stripe units distributed round-robin over the member disks, a logical
+//! request is split at stripe-unit boundaries, and the logical completion
+//! time is the latest completion among the pieces.
 
 use crate::device::{BlockDevice, DeviceStats, DiskRequest, SpindleStats};
-use crate::model::{Disk, DiskParams};
+use crate::model::Disk;
 use wg_simcore::SimTime;
 
-/// A round-robin striping driver over identical member disks.
+/// The stripe unit in bytes: 64 KB, matching the UFS cluster size.
+pub const STRIPE_UNIT: u64 = 64 * 1024;
+
+/// Round-robin striping over RZ26 members.
 #[derive(Clone, Debug)]
 pub struct StripeSet {
     disks: Vec<Disk>,
-    stripe_unit: u64,
 }
 
 impl StripeSet {
-    /// Build a stripe set of `n` disks with the given parameters and stripe
-    /// unit (bytes).  Panics if `n` is zero or the stripe unit is zero.
-    pub fn new(n: usize, params: DiskParams, stripe_unit: u64) -> Self {
+    /// A stripe set of `n` RZ26s.  Panics if `n` is zero.
+    pub fn new(n: usize) -> Self {
         assert!(n > 0, "stripe set needs at least one disk");
-        assert!(stripe_unit > 0, "stripe unit must be non-zero");
         StripeSet {
-            disks: (0..n).map(|_| Disk::new(params.clone())).collect(),
-            stripe_unit,
+            disks: (0..n).map(|_| Disk::rz26()).collect(),
         }
     }
 
-    /// The 3 × RZ26 stripe set used in Tables 5 and 6, with a 64 KB stripe
-    /// unit matching the UFS cluster size.
+    /// The 3 × RZ26 stripe set used in Tables 5 and 6.
     pub fn three_rz26() -> Self {
-        StripeSet::new(3, DiskParams::rz26(), 64 * 1024)
+        StripeSet::new(3)
     }
 
     /// Number of member disks.
     pub fn width(&self) -> usize {
         self.disks.len()
-    }
-
-    /// The stripe unit in bytes.
-    pub fn stripe_unit(&self) -> u64 {
-        self.stripe_unit
     }
 
     /// The earliest time member `index` becomes idle (None past the width).
@@ -63,14 +56,14 @@ impl StripeSet {
         let mut addr = req.addr;
         let end = req.addr + req.len;
         while addr < end {
-            let stripe_index = addr / self.stripe_unit;
-            let within = addr % self.stripe_unit;
-            let take = (self.stripe_unit - within).min(end - addr);
+            let stripe_index = addr / STRIPE_UNIT;
+            let within = addr % STRIPE_UNIT;
+            let take = (STRIPE_UNIT - within).min(end - addr);
             let disk_index = (stripe_index % n) as usize;
             // Physical address: which stripe row this is on the member disk,
             // plus the offset within the unit.
             let row = stripe_index / n;
-            let phys_addr = row * self.stripe_unit + within;
+            let phys_addr = row * STRIPE_UNIT + within;
             pieces.push((
                 disk_index,
                 DiskRequest {
@@ -121,15 +114,6 @@ impl BlockDevice for StripeSet {
             .max()
             .unwrap_or(SimTime::ZERO)
     }
-
-    fn describe(&self) -> String {
-        format!(
-            "{} x {} stripe ({}K unit)",
-            self.disks.len(),
-            self.disks[0].describe(),
-            self.stripe_unit / 1024
-        )
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +123,7 @@ mod tests {
 
     #[test]
     fn split_respects_stripe_boundaries() {
-        let set = StripeSet::new(3, DiskParams::rz26(), 64 * 1024);
+        let set = StripeSet::three_rz26();
         // A 128 KB request starting half-way into stripe unit 0.
         let pieces = set.split(DiskRequest::write(32 * 1024, 128 * 1024));
         assert_eq!(pieces.len(), 3);
@@ -166,10 +150,11 @@ mod tests {
 
     #[test]
     fn round_robin_distribution() {
-        let set = StripeSet::new(3, DiskParams::rz26(), 64 * 1024);
+        let set = StripeSet::three_rz26();
+        assert_eq!(set.width(), 3);
         let mut seen = Vec::new();
         for unit in 0..6u64 {
-            let pieces = set.split(DiskRequest::write(unit * 64 * 1024, 1024));
+            let pieces = set.split(DiskRequest::write(unit * STRIPE_UNIT, 1024));
             seen.push(pieces[0].0);
         }
         assert_eq!(seen, vec![0, 1, 2, 0, 1, 2]);
@@ -255,18 +240,8 @@ mod tests {
     }
 
     #[test]
-    fn describe_mentions_width_and_unit() {
-        let set = StripeSet::three_rz26();
-        assert_eq!(set.width(), 3);
-        assert_eq!(set.stripe_unit(), 64 * 1024);
-        let d = set.describe();
-        assert!(d.contains("3 x RZ26"));
-        assert!(d.contains("64K"));
-    }
-
-    #[test]
     #[should_panic(expected = "at least one disk")]
     fn zero_width_panics() {
-        let _ = StripeSet::new(0, DiskParams::rz26(), 64 * 1024);
+        let _ = StripeSet::new(0);
     }
 }

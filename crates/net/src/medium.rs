@@ -57,7 +57,7 @@ impl MediumParams {
     /// Pure serialisation time of a datagram of `bytes` payload bytes
     /// (fragment headers and inter-packet gaps included, propagation
     /// excluded).
-    pub fn serialisation_time(&self, bytes: usize) -> Duration {
+    fn serialisation_time(&self, bytes: usize) -> Duration {
         let fragments = self.fragments_for(bytes) as u64;
         let wire_bytes = bytes as u64 + fragments * self.header_bytes as u64;
         let bits = wire_bytes as f64 * 8.0;

@@ -74,7 +74,7 @@ impl Payload {
     /// Wrap real bytes.  If the bytes are one repeated value the compact
     /// [`Payload::Fill`] form is chosen, which keeps payloads decoded from
     /// the wire as cheap as the ones the workload generators build directly.
-    pub fn from_vec(bytes: Vec<u8>) -> Self {
+    fn from_vec(bytes: Vec<u8>) -> Self {
         match bytes.split_first() {
             None => Payload::empty(),
             Some((first, rest)) if rest.iter().all(|b| b == first) => Payload::Fill {
@@ -156,8 +156,8 @@ impl Payload {
     /// Adjacent same-byte fills coalesce into one fill, and a lone piece is
     /// returned as it is (a whole-block `Shared` piece stays the cache's own
     /// buffer), so neither allocates.  Anything else is flattened once into
-    /// one buffer by [`Payload::append_to`], which counts every fill it
-    /// expands toward [`materialize_count`].
+    /// one buffer, and every fill that expands counts toward
+    /// [`materialize_count`].
     pub fn concat(pieces: impl IntoIterator<Item = Payload>) -> Payload {
         let mut pieces = pieces.into_iter().filter(|piece| !piece.is_empty());
         let mut joined = pieces.next().unwrap_or_else(Payload::empty);
@@ -200,7 +200,7 @@ impl Payload {
     /// [`Payload::materialize`]: this is the honest flattening primitive
     /// [`Payload::concat`] uses, so the zero-copy probe still catches a hot
     /// path that degenerates into byte copies.
-    pub fn append_to(&self, out: &mut Vec<u8>) {
+    fn append_to(&self, out: &mut Vec<u8>) {
         match self {
             Payload::Fill { byte, len } => {
                 if *len > 0 {
@@ -253,7 +253,8 @@ impl PartialEq for Payload {
 impl Eq for Payload {}
 
 /// On the wire a payload is an XDR variable-length opaque, whichever form
-/// it has; a decoded one takes the form [`Payload::from_vec`] picks.
+/// it has; a decoded one takes the form its bytes convert to (see
+/// `From<Vec<u8>>`).
 impl XdrEncode for Payload {
     fn encode(&self, enc: &mut XdrEncoder) {
         match self {
@@ -273,6 +274,8 @@ impl XdrDecode for Payload {
     }
 }
 
+/// Owned bytes become a [`Payload::Fill`] if they are one repeated value,
+/// and a `Shared` buffer otherwise.
 impl From<Vec<u8>> for Payload {
     fn from(bytes: Vec<u8>) -> Self {
         Payload::from_vec(bytes)
@@ -280,7 +283,7 @@ impl From<Vec<u8>> for Payload {
 }
 
 /// Borrowed bytes are copied into a `Shared` buffer as they are, without the
-/// fill detection of [`Payload::from_vec`]: a caller that passes real bytes
+/// fill detection of `From<Vec<u8>>`: a caller that passes real bytes
 /// (a test, or the benchmark's UFS replay) gets real bytes stored.
 impl From<&[u8]> for Payload {
     fn from(bytes: &[u8]) -> Self {

@@ -359,10 +359,9 @@ impl<D: BlockDevice> Presto<D> {
     }
 
     /// Force all dirty data to be issued to the underlying device, returning
-    /// the time at which the NVRAM would be fully clean.  Used at the end of
-    /// an experiment so disk statistics include the trailing drain, and by
-    /// crash-consistency tests.
-    pub fn flush_all(&mut self, now: SimTime) -> SimTime {
+    /// the time at which the NVRAM would be fully clean: the boot-time replay
+    /// and a dead battery's emergency drain.
+    fn flush_all(&mut self, now: SimTime) -> SimTime {
         let mut t = now;
         loop {
             self.advance(t);
@@ -401,14 +400,6 @@ impl<D: BlockDevice> BlockDevice for Presto<D> {
 
     fn free_at(&self) -> SimTime {
         self.disk.free_at()
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "Presto({} KB) over {}",
-            CACHE_BYTES / 1024,
-            self.disk.describe()
-        )
     }
 
     /// Boot-time recovery: the battery preserved the board's contents across
@@ -602,13 +593,6 @@ mod tests {
             p.flush_all(SimTime::from_millis(3)),
             SimTime::from_millis(3)
         );
-    }
-
-    #[test]
-    fn describe_names_the_board_and_its_disk() {
-        let p = presto();
-        assert!(p.describe().contains("Presto"));
-        assert!(p.describe().contains("RZ26"));
     }
 
     #[test]

@@ -277,7 +277,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Peek at the timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    #[cfg(test)]
+    fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|&Reverse(key)| key_time(key))
     }
 

@@ -13,10 +13,6 @@ use crate::time::SimTime;
 pub enum TraceKind {
     /// A write request datagram arrived at the server socket buffer.
     RequestArrived,
-    /// A request was dropped because the server socket buffer was full.
-    RequestDropped,
-    /// An nfsd began processing a request.
-    NfsdStart,
     /// An nfsd queued its reply on the active-write queue (gathering).
     ReplyDeferred,
     /// An nfsd began procrastinating, waiting for a follow-on write.
@@ -92,14 +88,9 @@ impl Trace {
         &self.events
     }
 
-    /// Events of one kind, in order.
-    pub fn events_of(&self, kind: TraceKind) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.kind == kind)
-    }
-
     /// Number of recorded events of one kind.
     pub fn count_of(&self, kind: TraceKind) -> usize {
-        self.events_of(kind).count()
+        self.events.iter().filter(|e| e.kind == kind).count()
     }
 }
 
@@ -128,13 +119,17 @@ mod tests {
         t.record(SimTime::from_millis(4), TraceKind::ReplySent, "");
         assert_eq!(t.events().len(), 4);
         assert_eq!(t.count_of(TraceKind::DataToDisk), 1);
-        assert_eq!(t.count_of(TraceKind::RequestDropped), 0);
+        assert_eq!(t.count_of(TraceKind::ReplyDeferred), 0);
+        let kinds: Vec<TraceKind> = t.events().iter().map(|e| e.kind).collect();
         assert_eq!(
-            t.events_of(TraceKind::RequestArrived)
-                .next()
-                .unwrap()
-                .detail,
-            "8K write"
+            kinds,
+            [
+                TraceKind::RequestArrived,
+                TraceKind::DataToDisk,
+                TraceKind::MetadataToDisk,
+                TraceKind::ReplySent
+            ]
         );
+        assert_eq!(t.events()[0].detail, "8K write");
     }
 }

@@ -202,7 +202,9 @@ impl Ufs {
     // configuration) skips every hook below.
     // ------------------------------------------------------------------
 
-    fn cache_armed(&self) -> bool {
+    /// Whether the bounded unified cache (and with it the dirty-ratio
+    /// throttle and write-behind) is armed.
+    pub fn cache_armed(&self) -> bool {
         self.params.cache_pages > 0
     }
 
@@ -308,7 +310,8 @@ impl Ufs {
 
     /// Resident pages currently tracked by the unified cache (0 while
     /// unbounded — the default does no accounting).
-    pub fn resident_pages(&self) -> u64 {
+    #[cfg(test)]
+    fn resident_pages(&self) -> u64 {
         self.lru_index.len() as u64
     }
 
@@ -738,7 +741,7 @@ impl Ufs {
         }
         let end = (offset + len).min(n.size);
         let cache_reads = self.params.read_caching;
-        let cache_armed = self.params.cache_pages > 0;
+        let cache_armed = self.cache_armed();
         let mut misses = Vec::new();
         // Only tracked when read caching is on; the default cold-cache read
         // path stays free of this bookkeeping.

@@ -31,7 +31,7 @@ pub const INODES_PER_BLOCK: u64 = BLOCK_SIZE / INODE_SIZE;
 pub const POINTERS_PER_BLOCK: u64 = BLOCK_SIZE / 4;
 
 /// Capacity and policy of one filesystem instance.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Copy, Debug, serde::Serialize)]
 pub struct FsParams {
     /// Usable capacity of the data region in bytes.
     pub data_capacity: u64,
@@ -87,10 +87,10 @@ impl Default for FsParams {
 
 impl FsParams {
     /// Distance between the starts of two consecutive inode groups: seven
-    /// 64 KB stripe units.  Being coprime to every stripe width up to 13
-    /// (other than 7), consecutive groups walk all members of a stripe set
-    /// instead of aliasing onto a subset.
-    pub const INODE_GROUP_SPAN: u64 = 7 * 64 * 1024;
+    /// stripe units.  Being coprime to every stripe width up to 13 (other
+    /// than 7), consecutive groups walk all members of a stripe set instead
+    /// of aliasing onto a subset.
+    pub const INODE_GROUP_SPAN: u64 = 7 * wg_disk::STRIPE_UNIT;
 
     /// The disk address of the block containing inode `ino`.
     ///
@@ -174,7 +174,7 @@ mod tests {
             FsParams::INODE_GROUP_SPAN
         );
         // ...and therefore on different members of any stripe (6-wide here).
-        let stripe_unit = 64 * 1024;
+        let stripe_unit = wg_disk::STRIPE_UNIT;
         let member = |ino: u64| (grouped.inode_block_addr(ino) / stripe_unit) % 6;
         let members: std::collections::BTreeSet<u64> = (0..64).map(member).collect();
         assert_eq!(members.len(), 6, "all six members carry inode blocks");

@@ -241,13 +241,13 @@ pub struct SfsConfig {
     /// [`wg_server::ServerConfig::io_overlap`]).
     pub io_overlap: bool,
     /// FFS-style inode groups on the exported filesystem (see
-    /// [`wg_server::ServerConfig::inode_groups`]).  `1` keeps the flat
+    /// [`wg_server::ServerConfig::with_inode_groups`]).  `1` keeps the flat
     /// layout of the original figures; the scaled harness spreads the
     /// working set's inode blocks across the stripe so one member spindle
     /// does not absorb every metadata flush.
     pub inode_groups: usize,
     /// Buffer-cache read caching on the server (see
-    /// [`wg_server::ServerConfig::read_caching`]).  Off in the original
+    /// [`wg_server::ServerConfig::with_read_caching`]).  Off in the original
     /// figures (every read of the pre-populated set pays a disk trip); the
     /// scaled harness turns it on so the bounded working set stops
     /// re-reading the same blocks from a saturated disk farm.
@@ -278,7 +278,7 @@ pub struct SfsConfig {
     /// original figure point byte-for-byte).
     pub cache_pages: u64,
     /// Dirty-page throttle fraction of the unified cache (see
-    /// [`wg_server::ServerConfig::dirty_ratio`]).
+    /// [`wg_server::ServerConfig::with_dirty_ratio`]).
     pub dirty_ratio: f64,
     /// Write-stability regime of the cell.  Under
     /// [`StabilityMode::Unstable`] every write burst is issued as
@@ -1623,7 +1623,8 @@ impl SfsSystem {
     }
 
     /// How many scratch-file rotations have happened across all streams.
-    pub fn scratch_rotations(&self) -> u64 {
+    #[cfg(test)]
+    fn scratch_rotations(&self) -> u64 {
         self.generators()
             .iter()
             .flat_map(|g| g.write_files.iter().map(|f| f.generation as u64))

@@ -9,7 +9,7 @@ use wg_server::{NfsServer, ServerConfig, StabilityMode, WritePolicy};
 use wg_simcore::{Duration, FaultPlan, Trace};
 
 use crate::harness::{harness_readouts, server_config, ClientLans, Harness, Ledger};
-use crate::multi::{fill_salt, FileName, WriterFleet};
+use crate::multi::{FileName, WriterFleet};
 use crate::results::{FileCopyResult, MultiClientResult};
 
 /// Which network the experiment runs over.
@@ -273,7 +273,10 @@ impl FileCopySystem {
         // GB-scale aggregates must fit the data region; keep the default
         // geometry unless the cell actually needs more.
         let aggregate = config.clients as u64 * config.file_size;
-        server_config.data_capacity = server_config.data_capacity.max(aggregate + aggregate / 4);
+        server_config.fs.data_capacity = server_config
+            .fs
+            .data_capacity
+            .max(aggregate + aggregate / 4);
         customize(&mut server_config);
         let mut server = NfsServer::new(server_config);
         if config.trace {
@@ -397,8 +400,7 @@ impl FileCopySystem {
         let root = fs.root();
         // The writer fills each of its full-size (8 KB) WRITEs with one byte.
         let block = u64::from(wg_nfsproto::NFS_MAXDATA);
-        for client in 0..self.config.clients {
-            let salt = fill_salt(client);
+        for (client, slot) in self.harness.clients.slots.iter().enumerate() {
             for segment in 0..self.config.segments_per_client() {
                 let name = Self::file_name(client, segment);
                 let size = self.config.segment_size(segment);
@@ -415,7 +417,8 @@ impl FileCopySystem {
                     ));
                 }
                 for lbn in 0..size.div_ceil(block) {
-                    let want = (lbn as u8).wrapping_add(salt);
+                    // Every segment of a client carries the client's salt.
+                    let want = slot.writer.fill_byte_for(lbn * block);
                     let got = fs
                         .read(ino, lbn * block, block)
                         .map_err(|e| format!("client {client}: {name} read: {e}"))?;
