@@ -10,19 +10,24 @@
 //! write whose reply is deferred) are recognised and dropped rather than
 //! re-executed — the paper's §6.9 notes that being too hasty about discarding
 //! these is exactly how one orphans writes on the active write queue.
+//!
+//! Every request crosses the cache, so each step probes its hash map once:
+//! recording a start or a reply is one `entry`, and evicting the oldest
+//! entry is one `entry` on its key that removes it, or keeps it and moves
+//! it to the back of the eviction order if it is in progress.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
-use std::sync::Arc;
 use wg_simcore::FxHashMap;
 
 use wg_nfsproto::{NfsReply, Xid};
 
 /// What the cache knows about a transaction id.
 ///
-/// Completed replies are held (and handed back) behind an [`Arc`], so
-/// answering a retransmission from the cache never copies the reply body —
-/// for a cached READ reply that used to mean cloning the whole data payload
-/// on every lookup hit.
+/// A completed reply is held by value, so caching it allocates nothing.
+/// Handing it back copies no payload bytes either: every reply payload is a
+/// fill pattern or an `Arc`, so a cached READ reply over shared data hands
+/// back the same `Arc` on every hit.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DupState {
     /// Never seen: execute it.
@@ -31,7 +36,7 @@ pub enum DupState {
     /// queue): drop the retransmission, the reply will go out when ready.
     InProgress,
     /// Completed: the cached reply can be resent without re-executing.
-    Done(Arc<NfsReply>),
+    Done(NfsReply),
 }
 
 /// Key identifying a request: the client plus its transaction id.
@@ -39,20 +44,21 @@ pub type DupKey = (u32, Xid);
 
 /// A bounded duplicate request cache.
 ///
-/// Eviction is FIFO over `Done` (and stale) entries only: an `InProgress`
-/// entry is the *only* record that a gathered write's reply is still deferred
-/// on the active write queue, so evicting one under capacity pressure would
-/// let the client's retransmission re-execute as `New` — the §6.9 hazard that
-/// re-runs the write and orphans the deferred reply.  `InProgress` keys are
-/// rotated to the back of the eviction order instead; only if *every* cached
-/// entry is in progress (a pathologically undersized cache) is one forcibly
-/// evicted.  [`DuplicateRequestCache::start`] and
-/// [`DuplicateRequestCache::complete`] report each forced eviction, and the
-/// server counts them across crashes so the run audit can assert zero.
+/// Eviction is FIFO over `Done` entries only: an `InProgress` entry is the
+/// *only* record that a gathered write's reply is still deferred on the
+/// active write queue, so evicting one under capacity pressure would let the
+/// client's retransmission re-execute as `New` — the §6.9 hazard that re-runs
+/// the write and orphans the deferred reply.  `InProgress` keys are rotated
+/// to the back of the eviction order instead; only if *every* cached entry is
+/// in progress (a pathologically undersized cache) is one forcibly evicted.
+/// [`DuplicateRequestCache::start`] and [`DuplicateRequestCache::complete`]
+/// report each forced eviction, and the server counts them across crashes so
+/// the run audit can assert zero.
 #[derive(Clone, Debug)]
 pub struct DuplicateRequestCache {
     capacity: usize,
     entries: FxHashMap<DupKey, DupState>,
+    /// The cached keys, oldest first: exactly the keys of `entries`.
     order: VecDeque<DupKey>,
 }
 
@@ -69,7 +75,7 @@ impl DuplicateRequestCache {
     /// Look up a request.  A miss registers nothing; callers that decide to
     /// execute the request must call [`DuplicateRequestCache::start`].
     ///
-    /// A `Done` hit is a reference-count bump, not a reply copy.
+    /// A `Done` hit clones the cached reply, which shares its payload.
     pub fn lookup(&self, client: u32, xid: Xid) -> DupState {
         let state = self.entries.get(&(client, xid));
         state.cloned().unwrap_or(DupState::New)
@@ -85,23 +91,25 @@ impl DuplicateRequestCache {
     /// Record the reply sent for a request so retransmissions can be answered
     /// from the cache.  Returns `true` if making room forced an `InProgress`
     /// entry out.
-    pub fn complete(&mut self, client: u32, xid: Xid, reply: Arc<NfsReply>) -> bool {
+    pub fn complete(&mut self, client: u32, xid: Xid, reply: NfsReply) -> bool {
         self.insert((client, xid), DupState::Done(reply))
     }
 
     fn insert(&mut self, key: DupKey, state: DupState) -> bool {
-        let fresh = !self.entries.contains_key(&key);
-        // Insert before evicting so the new entry's own state takes part in
-        // the InProgress-protection scan below (a fresh `start` must never be
-        // the entry chosen for eviction).
-        self.entries.insert(key, state);
-        if fresh {
-            self.order.push_back(key);
-            if self.order.len() > self.capacity {
-                return self.evict_one();
+        match self.entries.entry(key) {
+            Entry::Occupied(mut entry) => {
+                entry.insert(state);
+                false
+            }
+            Entry::Vacant(entry) => {
+                // Insert before evicting so the new entry's own state takes
+                // part in the InProgress protection below (a fresh `start`
+                // must never be the entry chosen for eviction).
+                entry.insert(state);
+                self.order.push_back(key);
+                self.order.len() > self.capacity && self.evict_one()
             }
         }
-        false
     }
 
     /// Evict one entry, preferring the oldest that is not `InProgress`.
@@ -115,11 +123,15 @@ impl DuplicateRequestCache {
             let Some(front) = self.order.pop_front() else {
                 return false;
             };
-            if matches!(self.entries.get(&front), Some(DupState::InProgress)) {
-                self.order.push_back(front);
-            } else {
-                self.entries.remove(&front);
-                return false;
+            match self.entries.entry(front) {
+                Entry::Occupied(entry) if matches!(entry.get(), DupState::InProgress) => {
+                    self.order.push_back(front);
+                }
+                Entry::Occupied(entry) => {
+                    entry.remove();
+                    return false;
+                }
+                Entry::Vacant(_) => return false,
             }
         }
         let Some(front) = self.order.pop_front() else {
@@ -143,10 +155,11 @@ impl DuplicateRequestCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wg_nfsproto::{NfsReplyBody, NfsStatus};
+    use std::sync::Arc;
+    use wg_nfsproto::{Fattr, NfsReplyBody, NfsStatus, Payload, ReadOk, StatusReply};
 
-    fn reply(xid: u32) -> Arc<NfsReply> {
-        Arc::new(NfsReply::new(Xid(xid), NfsReplyBody::Status(NfsStatus::Ok)))
+    fn reply(xid: u32) -> NfsReply {
+        NfsReply::new(Xid(xid), NfsReplyBody::Status(NfsStatus::Ok))
     }
 
     #[test]
@@ -164,17 +177,29 @@ mod tests {
 
     #[test]
     fn done_hits_share_the_cached_reply() {
+        // A READ reply over real bytes, cached by value: every hit hands
+        // back the same shared buffer, so replaying a retransmission's
+        // answer copies no data.
+        let data: Arc<[u8]> = (0..=255u8).collect();
+        let read = NfsReplyBody::Read(StatusReply::Ok(ReadOk {
+            attributes: Fattr::default(),
+            data: Payload::Shared(Arc::clone(&data)),
+        }));
         let mut c = DuplicateRequestCache::new(4);
-        let cached = reply(7);
-        c.complete(1, Xid(7), Arc::clone(&cached));
-        let (DupState::Done(a), DupState::Done(b)) = (c.lookup(1, Xid(7)), c.lookup(1, Xid(7)))
-        else {
-            panic!("expected Done hits");
-        };
-        // Both hits alias the one cached allocation: replaying a
-        // retransmission answer is copy-free.
-        assert!(Arc::ptr_eq(&a, &cached));
-        assert!(Arc::ptr_eq(&a, &b));
+        c.complete(1, Xid(7), NfsReply::new(Xid(7), read));
+        for _ in 0..2 {
+            let DupState::Done(hit) = c.lookup(1, Xid(7)) else {
+                panic!("expected a Done hit");
+            };
+            let NfsReplyBody::Read(StatusReply::Ok(ReadOk {
+                data: Payload::Shared(bytes),
+                ..
+            })) = hit.body
+            else {
+                panic!("expected the cached READ reply");
+            };
+            assert!(Arc::ptr_eq(&bytes, &data));
+        }
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! used to pull more work from the socket buffer).
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 use wg_simcore::FxHashMap;
 
 use wg_disk::{BlockDevice, DeviceStats, Disk, DiskRequest, StripeSet};
@@ -576,13 +575,7 @@ impl NfsServer {
             DupState::Done(reply) => {
                 self.stats.duplicate_requests += 1;
                 let at = self.cpu.run(now, costs::REPLY_SEND);
-                // The cached reply is shared; cloning it re-uses the payload
-                // allocation (if any) rather than copying it.
-                actions.push(ServerAction::Reply {
-                    at,
-                    client,
-                    reply: (*reply).clone(),
-                });
+                actions.push(ServerAction::Reply { at, client, reply });
                 return;
             }
             DupState::New => {}
@@ -1026,7 +1019,7 @@ impl NfsServer {
         // either a pattern or an Arc), so this is cheap even for READ data.
         let shard = self.nfsds[req.nfsd].shard;
         let dupcache = &mut self.shards[shard].dupcache;
-        let forced = dupcache.complete(req.client, req.xid, Arc::new(reply.clone()));
+        let forced = dupcache.complete(req.client, req.xid, reply.clone());
         self.stats.evicted_in_progress += u64::from(forced);
         self.stats.replies_sent += 1;
         self.stats.residence.record(at.since(req.arrived));

@@ -8,6 +8,10 @@
 //! * large clustered sequential writes sustain ≈1.8–1.9 MB/s (the paper notes
 //!   Table 4 drives the RZ26 "at the raw device write bandwidth limit for 64 K
 //!   transfers").
+//!
+//! The 2.3 MB/s media rate is charged in integer nanoseconds
+//! (`transfer_time`), which round as the f64 rate did at every length up to
+//! 1 MiB; only the seek's square-root curve is computed in f64.
 
 use std::collections::VecDeque;
 
@@ -22,10 +26,16 @@ const TRACK_TO_TRACK_SEEK: Duration = Duration::from_micros(1_700);
 const AVERAGE_SEEK: Duration = Duration::from_micros(9_500);
 /// Time for one full platter rotation (5400 RPM).
 const ROTATION_TIME: Duration = Duration::from_micros(11_111);
-/// Sustained media transfer rate in bytes per second.
-const MEDIA_RATE: f64 = 2.3e6;
 /// Usable capacity in bytes (scales seek distances).
 const CAPACITY: u64 = 1_050_000_000;
+
+/// Media transfer time of `len` bytes at the sustained 2.3 MB/s, rounded
+/// to the nearest nanosecond: `len × 10⁹ / 2.3 × 10⁶ = len × 10,000 / 23`
+/// ns.  Doubling numerator and denominator turns the round-half-up into one
+/// integer division (23 is odd, so no length falls on a tie).
+fn transfer_time(len: u64) -> Duration {
+    Duration::from_nanos((len * 20_000 + 23) / 46)
+}
 
 /// A FIFO, non-preemptive single-spindle RZ26.
 ///
@@ -71,7 +81,7 @@ impl Disk {
             // access.
             t += Duration::from_nanos(ROTATION_TIME.as_nanos() / 2);
         }
-        t += Duration::from_secs_f64(req.len as f64 / MEDIA_RATE);
+        t += transfer_time(req.len);
         t
     }
 
@@ -82,13 +92,12 @@ impl Disk {
         }
         let frac = (distance as f64 / CAPACITY as f64).clamp(0.0, 1.0);
         // Square-root seek curve pinned so that a 1/3-stroke seek costs the
-        // quoted average: seek(d) = t2t + (avg - t2t) * sqrt(3 d), capped at a
-        // full-stroke seek of roughly twice the average.
+        // quoted average: seek(d) = t2t + (avg - t2t) * sqrt(3 d).  The
+        // fraction is at most 1, so a full-stroke seek costs
+        // 1.7 + 7.8 × √3 ≈ 15.21 ms.
         let t2t = TRACK_TO_TRACK_SEEK.as_secs_f64();
         let avg = AVERAGE_SEEK.as_secs_f64();
-        let full = avg * 2.0;
-        let seek = (t2t + (avg - t2t) * (3.0 * frac).sqrt()).min(full);
-        Duration::from_secs_f64(seek)
+        Duration::from_secs_f64(t2t + (avg - t2t) * (3.0 * frac).sqrt())
     }
 
     /// The number of requests enqueued but not yet completed at `now`
@@ -203,6 +212,17 @@ mod tests {
             stripe,
             [4_561_739, 30_493_913, 46_480_267, 66_097_526, 82_085_417]
         );
+    }
+
+    #[test]
+    fn differential_fuzz_transfer_time_matches_the_f64_rate() {
+        // The integer transfer time against the f64 expression it replaced,
+        // the length over 2.3e6 bytes per second rounded to the nearest
+        // nanosecond: equal at every length up to 1 MiB.
+        for len in 0..=1u64 << 20 {
+            let want = Duration::from_secs_f64(len as f64 / 2.3e6);
+            assert_eq!(transfer_time(len), want, "{len} bytes");
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@ use wg_simcore::{Counter, Duration, SimRng, SimTime, Utilization};
 /// Calibration of one network segment.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct MediumParams {
-    /// Raw signalling rate in bits per second.
-    pub bits_per_sec: f64,
+    /// Signalling time of one bit, in nanoseconds: the raw rate's inverse,
+    /// exact in integer nanoseconds for both of the paper's networks
+    /// (100 ns at 10 Mb/s, 10 ns at 100 Mb/s).
+    pub ns_per_bit: u64,
     /// Maximum link-layer payload per packet (the IP fragment size).
     pub mtu_payload: u32,
     /// Link + IP/UDP header bytes charged per packet.
@@ -24,7 +26,7 @@ impl MediumParams {
     /// Private 10 Mb/s Ethernet, as used in Tables 1 and 2.
     pub fn ethernet() -> Self {
         MediumParams {
-            bits_per_sec: 10e6,
+            ns_per_bit: 100,
             mtu_payload: 1472,
             header_bytes: 42,
             per_packet_gap: Duration::from_micros(50),
@@ -36,7 +38,7 @@ impl MediumParams {
     /// Private 100 Mb/s FDDI ring, as used in Tables 3–6 and Figures 1–3.
     pub fn fddi() -> Self {
         MediumParams {
-            bits_per_sec: 100e6,
+            ns_per_bit: 10,
             mtu_payload: 4312,
             header_bytes: 40,
             per_packet_gap: Duration::from_micros(15),
@@ -60,8 +62,7 @@ impl MediumParams {
     fn serialisation_time(&self, bytes: usize) -> Duration {
         let fragments = self.fragments_for(bytes) as u64;
         let wire_bytes = bytes as u64 + fragments * self.header_bytes as u64;
-        let bits = wire_bytes as f64 * 8.0;
-        Duration::from_secs_f64(bits / self.bits_per_sec)
+        Duration::from_nanos(wire_bytes * 8 * self.ns_per_bit)
             + self.per_packet_gap.saturating_mul(fragments)
     }
 }
@@ -252,6 +253,26 @@ mod tests {
         // And well under 1 ms on FDDI.
         let fddi = MediumParams::fddi();
         assert!(fddi.serialisation_time(8300) < Duration::from_millis(1));
+    }
+
+    #[test]
+    fn differential_fuzz_serialisation_matches_the_f64_rate() {
+        // The integer charge against the f64 expression it replaced, which
+        // divided the wire bits by the rate in bits per second and rounded
+        // the seconds to the nearest nanosecond: equal at every datagram
+        // size up to 1 MiB on both networks.
+        for (params, bits_per_sec) in [
+            (MediumParams::ethernet(), 10e6),
+            (MediumParams::fddi(), 100e6),
+        ] {
+            for bytes in 0..=1 << 20 {
+                let fragments = params.fragments_for(bytes) as u64;
+                let wire_bytes = bytes as u64 + fragments * params.header_bytes as u64;
+                let want = Duration::from_secs_f64(wire_bytes as f64 * 8.0 / bits_per_sec)
+                    + params.per_packet_gap.saturating_mul(fragments);
+                assert_eq!(params.serialisation_time(bytes), want, "{bytes} bytes");
+            }
+        }
     }
 
     #[test]

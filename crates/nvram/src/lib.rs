@@ -52,9 +52,9 @@ const MAX_REQUEST: u64 = 8192;
 /// Fixed driver overhead per accepted request.
 const PER_REQUEST_OVERHEAD: Duration = Duration::from_micros(120);
 
-/// Host-memory-to-NVRAM copy bandwidth in bytes per second (this copy is CPU
-/// work; the server model charges it to the CPU as well).
-const COPY_RATE: f64 = 40e6;
+/// Host-memory-to-NVRAM copy time per byte: 40 MB/s, exactly 25 ns a byte
+/// (this copy is CPU work; the server model charges it to the CPU as well).
+const COPY_PER_BYTE: Duration = Duration::from_nanos(25);
 
 /// Transfer size Presto uses when draining contiguous dirty data to disk.
 const DRAIN_TRANSFER: u64 = 128 * 1024;
@@ -280,7 +280,7 @@ impl<D: BlockDevice> Presto<D> {
         let new_bytes = req.len.saturating_sub(already);
         let space_at = self.time_for_space(now, new_bytes);
         self.advance(space_at);
-        let copy = Duration::from_secs_f64(req.len as f64 / COPY_RATE);
+        let copy = COPY_PER_BYTE * req.len;
         let done = space_at + PER_REQUEST_OVERHEAD + copy;
         self.insert_dirty(req.addr, req.len);
 
@@ -448,7 +448,7 @@ mod tests {
     fn accelerated_write_is_much_faster_than_disk() {
         let mut p = presto();
         let done = p.submit(SimTime::ZERO, DiskRequest::write(100_000_000, 8192));
-        // Copy of 8 KB at 25 MB/s plus overhead: well under a millisecond.
+        // Copy of 8 KB at 40 MB/s plus overhead: well under a millisecond.
         assert!(done < SimTime::from_millis(1), "{done:?}");
         let mut raw = Disk::rz26();
         let raw_done = raw.submit(SimTime::ZERO, DiskRequest::write(100_000_000, 8192));
@@ -703,6 +703,18 @@ mod tests {
         assert_eq!(p.dirty.len(), 1);
         assert_eq!(p.dirty_bytes, 5 * 8192);
         assert_eq!(*p.dirty.get(&0).unwrap(), 5 * 8192);
+    }
+
+    /// The integer copy charge against the f64 expression it replaced, the
+    /// length over 40e6 bytes per second rounded to the nearest nanosecond:
+    /// equal at every length up to 1 MiB, far past the largest request the
+    /// board accepts.
+    #[test]
+    fn differential_fuzz_copy_time_matches_the_f64_rate() {
+        for len in 0..=1u64 << 20 {
+            let want = Duration::from_secs_f64(len as f64 / 40e6);
+            assert_eq!(COPY_PER_BYTE * len, want, "{len} bytes");
+        }
     }
 
     /// `insert_dirty` against its original full-scan version: random

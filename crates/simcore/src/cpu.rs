@@ -63,7 +63,7 @@ impl MultiCpu {
     /// begin before `ready`, on the core that can start it earliest.  Returns
     /// the completion time.
     pub fn run(&mut self, ready: SimTime, cost: Duration) -> SimTime {
-        let scaled = Duration::from_secs_f64(cost.as_secs_f64() / self.speed_factor);
+        let scaled = self.scaled(cost);
         let idx = self
             .cores
             .iter()
@@ -82,9 +82,24 @@ impl MultiCpu {
     /// overlap with other work in reality, such as DMA completion handling
     /// spread across many devices).  Returns `ready + cost` scaled.
     pub fn run_overlapped(&mut self, ready: SimTime, cost: Duration) -> SimTime {
-        let scaled = Duration::from_secs_f64(cost.as_secs_f64() / self.speed_factor);
+        let scaled = self.scaled(cost);
         self.util.add_busy(scaled);
         ready + scaled
+    }
+
+    /// `cost` at this pool's speed, rounded to the nearest nanosecond.  A
+    /// unit-speed pool charges it as it is: there, the f64 division below
+    /// gives back every cost under 2^51 ns unchanged.  At any other speed
+    /// the f64 expression is the model, ties and all (at 1.6 it rounds
+    /// exact half-nanosecond ties both ways), so no integer rule stands in
+    /// for it.
+    #[inline]
+    fn scaled(&self, cost: Duration) -> Duration {
+        if self.speed_factor == 1.0 {
+            cost
+        } else {
+            Duration::from_secs_f64(cost.as_secs_f64() / self.speed_factor)
+        }
     }
 
     /// The earliest time at which a new processing step could start on some
@@ -135,6 +150,68 @@ mod tests {
             self.busy_until = end;
             self.util.add_busy(scaled);
             end
+        }
+
+        fn run_overlapped(&mut self, ready: SimTime, cost: Duration) -> SimTime {
+            let scaled = Duration::from_secs_f64(cost.as_secs_f64() / self.speed_factor);
+            self.util.add_busy(scaled);
+            ready + scaled
+        }
+    }
+
+    #[test]
+    fn differential_fuzz_matches_the_reference_cpu() {
+        // A one-core pool against the f64 reference at unit speed, where it
+        // charges each cost as it is, and at 1.3 and the SFS server's 1.6,
+        // where it keeps the f64 expression.  Costs mix the cost table's
+        // whole microseconds with odd-byte copies (20 ns × an odd count:
+        // 12.5 ns per byte at 1.6, a half-nanosecond tie for every odd
+        // count), and each ready time falls before, at or after the busy
+        // edge.
+        for speed in [1.0, 1.3, 1.6] {
+            for seed in 1..=5u64 {
+                let mut rng = crate::SimRng::seed_from(seed.wrapping_mul(0xD1B5_4A32_D192_ED03));
+                let mut serial = Cpu::with_speed(speed);
+                let mut multi = MultiCpu::with_speed(1, speed);
+                for step in 0..20_000 {
+                    let odd_copy = Duration::from_nanos(20 * (2 * rng.next_below(4096) + 1));
+                    let cost = match rng.next_below(3) {
+                        0 => Duration::from_micros(10 * (rng.next_below(40) + 1)),
+                        1 => odd_copy,
+                        _ => Duration::from_micros(180) + odd_copy,
+                    };
+                    let edge = multi.free_at();
+                    let near = Duration::from_nanos(rng.next_below(2_000));
+                    let ready = match rng.next_below(4) {
+                        0 => SimTime::from_nanos(edge.as_nanos().saturating_sub(near.as_nanos())),
+                        1 => edge,
+                        2 => edge + near,
+                        _ => edge + Duration::from_micros(rng.next_below(5_000)),
+                    };
+                    let (want, got) = if rng.next_below(4) == 0 {
+                        (
+                            serial.run_overlapped(ready, cost),
+                            multi.run_overlapped(ready, cost),
+                        )
+                    } else {
+                        (serial.run(ready, cost), multi.run(ready, cost))
+                    };
+                    assert_eq!(got, want, "speed {speed}, seed {seed}, step {step}");
+                }
+                assert_eq!(multi.free_at(), serial.busy_until);
+                assert_eq!(multi.busy_time(), serial.util.busy_time());
+            }
+        }
+        // At unit speed the f64 expression is the identity on any cost
+        // under 2^51 ns.
+        let unit = MultiCpu::new(1);
+        let mut rng = crate::SimRng::seed_from(51);
+        for _ in 0..200_000 {
+            let cost = Duration::from_nanos(rng.next_below(1 << 51));
+            assert_eq!(
+                unit.scaled(cost),
+                Duration::from_secs_f64(cost.as_secs_f64() / 1.0)
+            );
         }
     }
 

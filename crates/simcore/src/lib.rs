@@ -6,8 +6,9 @@
 //! * [`SimTime`] / [`Duration`] — a nanosecond-resolution virtual clock,
 //! * [`EventQueue`] — a deterministic future-event list (ties broken by
 //!   insertion order, so identical inputs always produce identical runs): a
-//!   binary heap of packed 16-byte `(time, seq, slot)` keys over a recycled
-//!   slab that parks each event once, with [`CalStats`] reporting its
+//!   binary heap of packed 16-byte `(time, seq, slot)` keys, beside a FIFO
+//!   lane for keys that arrive in time order, over a recycled slab that
+//!   parks each event once, with [`CalStats`] reporting its
 //!   pending-event high-water mark; a [`Reservation`] holds an event's
 //!   place in that order until the event is scheduled into it,
 //! * [`MultiCpu`] — a shared pool of processor cores with busy-time

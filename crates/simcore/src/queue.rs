@@ -14,6 +14,7 @@
 //!
 //! ```text
 //!   heap: BinaryHeap<Reverse<u128>>        slab: Vec<Option<E>>
+//!   lane: VecDeque<u128>
 //!   ┌──────────── 64 ───────────┬──── 40 ───┬── 24 ──┐
 //!   │ firing time (ns)          │ sequence  │  slot  │ ──────► slab[slot]
 //!   └───────────────────────────┴───────────┴────────┘
@@ -28,6 +29,21 @@
 //!   over the queue's lifetime, so the slot bits never decide an order:
 //!   pops come out in exactly `(time, seq)` order whatever slots the free
 //!   list hands out.
+//! * **The lane** is a FIFO of keys in increasing order.  A key later than
+//!   the lane's tail (or any key, while the lane is empty) is appended to
+//!   it in O(1); any other key goes to the heap.  A pop takes the smaller
+//!   of the two fronts, so pops come out in the order a heap of every key
+//!   would give.
+//!   Timers a stream arms a fixed span after each send arrive already in
+//!   time order, and ride the lane instead of deepening the heap: at seed
+//!   31 the lane carries 19.3 % of `copy_tables`' events (the writer's
+//!   retry timers), 50.4 % of `sfs_ladder`'s, 0.6 % of `sfs_fleet`'s and
+//!   0.03 % of `sfs_crash`'s.
+//!
+//! The heap and the lane each keep room for as many keys as the slab has
+//! slots, grown only when the slab grows: however the pending keys split
+//! between the two, a queue whose depth has peaked schedules without
+//! allocating.
 //!
 //! A heap of whole `(key, event)` entries moves ~128 bytes per sift level
 //! instead of 16, enough to make the scheduler the hot path.  It is kept in
@@ -46,7 +62,7 @@
 //! is never scheduled only skips its sequence number.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::{Duration, SimTime};
 
@@ -141,6 +157,9 @@ pub struct EventQueue<E> {
     /// Packed `(time, seq, slot)` keys; `Reverse` makes std's max-heap pop
     /// the smallest.
     heap: BinaryHeap<Reverse<u128>>,
+    /// Packed keys in strictly increasing order, each later than every key
+    /// before it in the lane.
+    lane: VecDeque<u128>,
     /// The pending events, addressed by the slot bits of their keys.
     slab: Vec<Option<E>>,
     /// Vacant slab slots, most recently vacated last.
@@ -168,6 +187,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
             slab: Vec::new(),
             free: Vec::new(),
             now: SimTime::ZERO,
@@ -250,10 +270,21 @@ impl<E> EventQueue<E> {
             }
             None => {
                 self.slab.push(Some(event));
-                self.slab.len() - 1
+                // Every pending key, this one included, has a slot, so room
+                // for one key per slot in both the heap and the lane covers
+                // any split between them.
+                let depth = self.slab.len();
+                self.heap.reserve(depth - self.heap.len());
+                self.lane.reserve(depth - self.lane.len());
+                depth - 1
             }
         };
-        self.heap.push(Reverse(pack(place.at, place.seq, slot)));
+        let key = pack(place.at, place.seq, slot);
+        if self.lane.back().is_none_or(|&tail| key > tail) {
+            self.lane.push_back(key);
+        } else {
+            self.heap.push(Reverse(key));
+        }
     }
 
     /// Schedule `event` after a delay relative to the current time.
@@ -264,7 +295,15 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest event, advancing the clock to its
     /// timestamp.  Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(key) = self.heap.pop()?;
+        let from_lane = match (self.lane.front(), self.heap.peek()) {
+            (Some(&lane), Some(&Reverse(heap))) => lane < heap,
+            (lane, _) => lane.is_some(),
+        };
+        let key = if from_lane {
+            self.lane.pop_front()?
+        } else {
+            self.heap.pop()?.0
+        };
         let (at, slot) = (key_time(key), key_slot(key));
         let event = self.slab[slot]
             .take()
@@ -279,17 +318,22 @@ impl<E> EventQueue<E> {
     /// Peek at the timestamp of the next event without removing it.
     #[cfg(test)]
     fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|&Reverse(key)| key_time(key))
+        let heap = self.heap.peek().map(|&Reverse(key)| key);
+        let key = match (self.lane.front().copied(), heap) {
+            (Some(lane), Some(heap)) => lane.min(heap),
+            (lane, heap) => lane.or(heap)?,
+        };
+        Some(key_time(key))
     }
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
     }
 
     /// Total number of events ever scheduled (for run statistics /
@@ -441,7 +485,8 @@ mod tests {
 
     /// Slab slots of the pending events, in pop order.
     fn slots_in_pop_order<E>(q: &EventQueue<E>) -> Vec<usize> {
-        let mut keys: Vec<u128> = q.heap.iter().map(|&Reverse(k)| k).collect();
+        let heap = q.heap.iter().map(|&Reverse(k)| k);
+        let mut keys: Vec<u128> = heap.chain(q.lane.iter().copied()).collect();
         keys.sort_unstable();
         keys.into_iter().map(key_slot).collect()
     }
@@ -701,6 +746,88 @@ mod tests {
             }
             assert_eq!(oracle.len(), 0);
             assert_eq!(q.scheduled_total(), scheduled, "empty places were counted");
+        }
+    }
+
+    #[test]
+    fn differential_fuzz_in_order_runs_share_the_lane_and_the_heap() {
+        // Long in-order runs and timers armed a fixed span after `now` ride
+        // the lane; out-of-order keys and places filled late land in the
+        // heap.  Mixed, the two hold events at once, and every pop and peek
+        // must still match the whole-entry heap oracle, given each reserved
+        // event at its reservation step.
+        for seed in 1..=10u64 {
+            let mut rng = crate::SimRng::seed_from(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut q = EventQueue::new();
+            let mut oracle: HeapQueue<(SimTime, u64), u64> = HeapQueue::new();
+            let mut pending: Vec<(Reservation, (SimTime, u64))> = Vec::new();
+            // Schedules left in the current in-order run, and its last time.
+            let (mut run, mut tail) = (0u64, SimTime::ZERO);
+            let (mut seq, mut both_held) = (0u64, 0u32);
+            for step in 0..20_000 {
+                if run == 0 && rng.next_below(40) == 0 {
+                    run = rng.next_below(300) + 20;
+                }
+                match rng.next_below(12) {
+                    0..=3 => {
+                        let at = if run > 0 {
+                            run -= 1;
+                            tail =
+                                tail.max(q.now()) + Duration::from_nanos(rng.next_below(1 << 16));
+                            tail
+                        } else {
+                            q.now() + Duration::from_nanos(rng.next_below(1 << 20))
+                        };
+                        q.schedule_at(at, seq);
+                        oracle.schedule((at, seq), seq);
+                    }
+                    4 => {
+                        let at = q.now() + Duration::from_nanos(1 << 22);
+                        q.schedule_at(at, seq);
+                        oracle.schedule((at, seq), seq);
+                    }
+                    5 => {
+                        let at = q.now() + Duration::from_nanos(rng.next_below(1 << 21));
+                        let place = q.reserve(at);
+                        oracle.schedule((at, seq), seq);
+                        pending.push((place, (at, seq)));
+                    }
+                    6 if !pending.is_empty() => {
+                        let i = rng.next_below(pending.len() as u64) as usize;
+                        let (place, (_, event)) = pending.swap_remove(i);
+                        q.schedule_reserved(place, event);
+                    }
+                    7 => {
+                        let due = oracle.peek_key().copied();
+                        if !pending.iter().any(|&(_, key)| Some(key) == due) {
+                            assert_eq!(q.peek_time(), due.map(|(t, _)| t));
+                        }
+                    }
+                    _ => {
+                        let due = oracle.peek_key().copied();
+                        if let Some(i) = pending.iter().position(|&(_, key)| Some(key) == due) {
+                            let (place, (_, event)) = pending.swap_remove(i);
+                            q.schedule_reserved(place, event);
+                        }
+                        let got = q.pop();
+                        let want = oracle.pop().map(|((t, _), e)| (t, e));
+                        assert_eq!(got, want, "seed {seed} diverged at step {step}");
+                    }
+                }
+                both_held += u32::from(!q.lane.is_empty() && !q.heap.is_empty());
+                seq += 1;
+            }
+            for (place, (_, event)) in pending.drain(..) {
+                q.schedule_reserved(place, event);
+            }
+            while let Some(got) = q.pop() {
+                assert_eq!(Some(got), oracle.pop().map(|((t, _), e)| (t, e)));
+            }
+            assert_eq!(oracle.len(), 0);
+            assert!(
+                both_held > 10_000,
+                "seed {seed}: the lane and the heap both held events after only {both_held} steps"
+            );
         }
     }
 

@@ -120,7 +120,7 @@ fn retransmitted_wire_messages_are_recognised_by_the_dup_cache() {
         parsed.xid,
         NfsReplyBody::Attr(StatusReply::Ok(Fattr::default())),
     );
-    cache.complete(1, parsed.xid, std::sync::Arc::new(reply.clone()));
+    cache.complete(1, parsed.xid, reply.clone());
     match cache.lookup(1, retrans.xid) {
         DupState::Done(cached) => assert_eq!(cached.to_wire(), reply.to_wire()),
         other => panic!("expected Done, got {other:?}"),
