@@ -14,6 +14,10 @@ use crate::rpc::{backoff, XidWindow};
 /// Bytes per write request: one full-size v2 WRITE.
 const CHUNK_SIZE: u64 = NFS_MAXDATA as u64;
 
+/// Client-side CPU time to produce one chunk and traverse the client NFS
+/// code ("a reasonably quick single threaded client" spends little here).
+const GENERATE_COST: Duration = Duration::from_micros(300);
+
 /// Client configuration.
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
@@ -22,9 +26,6 @@ pub struct ClientConfig {
     pub biods: usize,
     /// Total bytes to write (the paper copies a 10 MB file).
     pub file_size: u64,
-    /// Client-side CPU time to produce one chunk and traverse the client NFS
-    /// code ("a reasonably quick single threaded client" spends little here).
-    pub generate_cost: Duration,
     /// Initial retransmission timeout (the paper quotes 1.1 s), doubled
     /// per retransmission by [`backoff`].
     pub initial_timeout: Duration,
@@ -61,7 +62,6 @@ impl Default for ClientConfig {
         ClientConfig {
             biods: 4,
             file_size: 10 * 1024 * 1024,
-            generate_cost: Duration::from_micros(300),
             initial_timeout: Duration::from_millis(1100),
             max_retransmits: 10,
             xids: 0x0001_0000..u32::MAX,
@@ -348,7 +348,7 @@ impl FileWriterClient {
         }
         self.app = AppState::Generating;
         actions.push(ClientAction::Wakeup {
-            at: now + self.config.generate_cost,
+            at: now + GENERATE_COST,
             token: TimerKind::GenerateDone,
         });
     }
@@ -693,7 +693,6 @@ mod tests {
         let cfg = ClientConfig {
             file_size: 80 * 1024, // 10 chunks
             biods: 0,
-            generate_cost: Duration::from_micros(100),
             ..ClientConfig::default()
         };
         let stats = run_against_ideal_server(FileWriterClient::new(cfg, handle()), service);
@@ -710,7 +709,6 @@ mod tests {
             let cfg = ClientConfig {
                 file_size: 400 * 1024,
                 biods,
-                generate_cost: Duration::from_micros(100),
                 ..ClientConfig::default()
             };
             run_against_ideal_server(FileWriterClient::new(cfg, handle()), service)
@@ -734,7 +732,6 @@ mod tests {
         let cfg = ClientConfig {
             file_size: 800 * 1024,
             biods: 3,
-            generate_cost: Duration::from_micros(50),
             ..ClientConfig::default()
         };
         let service = Duration::from_millis(20);

@@ -124,7 +124,8 @@ pub(crate) mod costs {
     }
 }
 
-/// Complete server configuration.
+/// Complete server configuration.  Each knob is set by writing its field;
+/// the three `with_*` builders stay for the benchmark's traced copy replay.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct ServerConfig {
     /// Number of nfsd service threads (the paper's experiments use 8; the SFS
@@ -233,64 +234,6 @@ impl ServerConfig {
         }
     }
 
-    /// Enable or disable Prestoserve acceleration.
-    pub fn with_presto(mut self, on: bool) -> Self {
-        self.storage.prestoserve = on;
-        self
-    }
-
-    /// Use an `n`-spindle stripe set.
-    pub fn with_spindles(mut self, n: usize) -> Self {
-        self.storage.spindles = n;
-        self
-    }
-
-    /// Set the procrastination interval (callers normally pass the medium's
-    /// value).
-    pub fn with_procrastination(mut self, d: Duration) -> Self {
-        self.procrastination = d;
-        self
-    }
-
-    /// Set the number of nfsds.
-    pub fn with_nfsds(mut self, n: usize) -> Self {
-        self.nfsds = n;
-        self
-    }
-
-    /// Shard the request path `n` ways (see [`ServerConfig::shards`]).
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// Give the server `n` CPU cores (see [`ServerConfig::cores`]).
-    pub fn with_cores(mut self, n: usize) -> Self {
-        self.cores = n;
-        self
-    }
-
-    /// Enable or disable pipelined storage-stack execution (see
-    /// [`ServerConfig::io_overlap`]).
-    pub fn with_io_overlap(mut self, on: bool) -> Self {
-        self.io_overlap = on;
-        self
-    }
-
-    /// Spread the filesystem's inodes over `n` FFS-style groups (see
-    /// [`FsParams::inode_groups`]).
-    pub fn with_inode_groups(mut self, n: usize) -> Self {
-        self.fs.inode_groups = n.max(1) as u64;
-        self
-    }
-
-    /// Keep read-fetched blocks resident in the buffer cache (see
-    /// [`FsParams::read_caching`]).
-    pub fn with_read_caching(mut self, on: bool) -> Self {
-        self.fs.read_caching = on;
-        self
-    }
-
     /// Arm the bounded unified buffer cache with `pages` 8 KB pages (see
     /// [`FsParams::cache_pages`]).  `pages == 0` disarms it.  An armed cache
     /// is required for `WRITE(UNSTABLE)` to be honoured: without it there is
@@ -311,18 +254,6 @@ impl ServerConfig {
     /// [`StabilityMode`]).
     pub fn with_stability(mut self, mode: StabilityMode) -> Self {
         self.stability = mode;
-        self
-    }
-
-    /// Set the lease duration (see [`ServerConfig::lease_duration`]).
-    pub fn with_lease_duration(mut self, d: Duration) -> Self {
-        self.lease_duration = d;
-        self
-    }
-
-    /// Set the post-crash grace period (see [`ServerConfig::grace_period`]).
-    pub fn with_grace_period(mut self, d: Duration) -> Self {
-        self.grace_period = d;
         self
     }
 }
@@ -397,21 +328,6 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let cfg = ServerConfig::gathering()
-            .with_presto(true)
-            .with_spindles(3)
-            .with_nfsds(32)
-            .with_shards(4)
-            .with_cores(2)
-            .with_io_overlap(true)
-            .with_procrastination(Duration::from_millis(5));
-        assert!(cfg.storage.prestoserve);
-        assert_eq!(cfg.storage.spindles, 3);
-        assert_eq!(cfg.nfsds, 32);
-        assert_eq!(cfg.shards, 4);
-        assert_eq!(cfg.cores, 2);
-        assert!(cfg.io_overlap);
-        assert_eq!(cfg.procrastination, Duration::from_millis(5));
         let cell = ServerConfig::standard()
             .with_unified_cache(512)
             .with_dirty_ratio(0.25)
@@ -420,16 +336,6 @@ mod tests {
         assert_eq!(cell.fs.dirty_ratio, 0.25);
         assert_eq!(cell.stability, StabilityMode::Unstable);
         assert_eq!(cell.with_unified_cache(0).fs.cache_pages, 0);
-        let spread = ServerConfig::standard()
-            .with_inode_groups(0)
-            .with_read_caching(true);
-        assert_eq!(spread.fs.inode_groups, 1, "at least one inode group");
-        assert!(spread.fs.read_caching);
-        let leased = ServerConfig::standard()
-            .with_lease_duration(Duration::from_millis(750))
-            .with_grace_period(Duration::from_millis(400));
-        assert_eq!(leased.lease_duration, Duration::from_millis(750));
-        assert_eq!(leased.grace_period, Duration::from_millis(400));
     }
 
     #[test]

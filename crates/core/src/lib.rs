@@ -56,3 +56,4 @@ pub use handles::{attributes_to_fattr, fs_error_to_status, handle_for, ino_from_
 pub use server::{ClientId, NfsServer, ServerAction, ServerInput, WakeToken};
 pub use state::{ClientStateTable, StateStats};
 pub use stats::ServerStats;
+pub use wg_ufs::FsParams;

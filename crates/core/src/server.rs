@@ -1922,8 +1922,9 @@ mod tests {
 
     #[test]
     fn sharded_server_serves_independent_files_and_keeps_integrity() {
-        let mut cfg = ServerConfig::gathering().with_shards(4).with_cores(2);
-        cfg.nfsds = 8;
+        let mut cfg = ServerConfig::gathering();
+        cfg.shards = 4;
+        cfg.cores = 2;
         let mut server = NfsServer::new(cfg);
         assert_eq!(server.shard_count(), 4);
         let root = server.fs().root();
@@ -1965,8 +1966,9 @@ mod tests {
     fn sharded_duplicate_write_is_not_reexecuted() {
         // The duplicate-recognition contract holds when the dupcache is
         // partitioned: original and retransmission route to the same shard.
-        let mut cfg = ServerConfig::gathering().with_shards(3);
+        let mut cfg = ServerConfig::gathering();
         cfg.nfsds = 6;
+        cfg.shards = 3;
         let mut server = NfsServer::new(cfg);
         let root = server.fs().root();
         let ino = server.fs_mut().create(root, "t", 0o644, 0).unwrap();
@@ -1989,9 +1991,9 @@ mod tests {
         // units: the pipelined plan drives all three spindles concurrently,
         // the serial plan chains them, and both land exactly the same bytes.
         let run = |overlap: bool| {
-            let cfg = ServerConfig::gathering()
-                .with_spindles(3)
-                .with_io_overlap(overlap);
+            let mut cfg = ServerConfig::gathering();
+            cfg.storage.spindles = 3;
+            cfg.io_overlap = overlap;
             let mut server = NfsServer::new(cfg);
             let root = server.fs().root();
             let ino = server.fs_mut().create(root, "t", 0o644, 0).unwrap();
@@ -2040,7 +2042,8 @@ mod tests {
     #[test]
     fn overlap_on_a_single_disk_changes_nothing_about_the_data() {
         let run = |overlap: bool| {
-            let cfg = ServerConfig::standard().with_io_overlap(overlap);
+            let mut cfg = ServerConfig::standard();
+            cfg.io_overlap = overlap;
             let mut server = NfsServer::new(cfg);
             let root = server.fs().root();
             let ino = server.fs_mut().create(root, "t", 0o644, 0).unwrap();
@@ -2409,7 +2412,8 @@ mod tests {
 
     #[test]
     fn presto_gathering_cuts_metadata_work() {
-        let mut cfg = ServerConfig::gathering().with_presto(true);
+        let mut cfg = ServerConfig::gathering();
+        cfg.storage.prestoserve = true;
         cfg.procrastination = Duration::from_millis(5);
         let mut server = NfsServer::new(cfg);
         let root = server.fs().root();
@@ -2431,10 +2435,10 @@ mod tests {
     // --- the unstable-write / COMMIT path -----------------------------
 
     fn make_unstable_server(presto: bool) -> (NfsServer, InodeNumber) {
-        let cfg = ServerConfig::standard()
-            .with_presto(presto)
+        let mut cfg = ServerConfig::standard()
             .with_unified_cache(1024)
             .with_stability(crate::config::StabilityMode::Unstable);
+        cfg.storage.prestoserve = presto;
         let mut server = NfsServer::new(cfg);
         let root = server.fs().root();
         let ino = server.fs_mut().create(root, "target", 0o644, 0).unwrap();

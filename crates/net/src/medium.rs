@@ -2,21 +2,22 @@
 
 use wg_simcore::{Counter, Duration, SimRng, SimTime, Utilization};
 
-/// Calibration of one network segment.
+/// Calibration of one of the paper's two wires.  Only the presets
+/// ([`MediumParams::ethernet`], [`MediumParams::fddi`]) set its timing.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct MediumParams {
     /// Signalling time of one bit, in nanoseconds: the raw rate's inverse,
     /// exact in integer nanoseconds for both of the paper's networks
     /// (100 ns at 10 Mb/s, 10 ns at 100 Mb/s).
-    pub ns_per_bit: u64,
+    ns_per_bit: u64,
     /// Maximum link-layer payload per packet (the IP fragment size).
-    pub mtu_payload: u32,
+    mtu_payload: u32,
     /// Link + IP/UDP header bytes charged per packet.
-    pub header_bytes: u32,
+    header_bytes: u32,
     /// Fixed per-packet gap (preamble, inter-frame spacing, token latency).
-    pub per_packet_gap: Duration,
+    per_packet_gap: Duration,
     /// One-way propagation/latency floor for a datagram.
-    pub propagation: Duration,
+    propagation: Duration,
     /// The paper's empirically derived procrastination interval for this
     /// medium (§6.6: "approx. 8 msec for Ethernet ... 5 msec for FDDI").
     pub procrastination: Duration,
@@ -310,6 +311,44 @@ mod tests {
         }
         assert_eq!(m.to_server_stats().events(), 1);
         assert_eq!(m.to_client_stats().events(), 1);
+    }
+
+    #[test]
+    fn both_wires_are_pinned_to_the_nanosecond() {
+        // Each size out to the server and back to the client, every
+        // datagram offered at t = 0, so each waits for the one before: a
+        // reply contends with the request ahead of it.  The last pair is two
+        // 8 KB writes, 7.1416 ms apart on Ethernet (8,552 wire bytes at
+        // 10 Mb/s and six 50 us gaps) and 0.7004 ms on FDDI.
+        let arrivals = |params| {
+            let mut medium = Medium::new(params);
+            let mut at = Vec::new();
+            for bytes in [0, 100, 1472, 1473, 8300] {
+                for dir in [Direction::ToServer, Direction::ToClient] {
+                    match medium.transmit(SimTime::ZERO, bytes, dir) {
+                        TransmitOutcome::Delivered { arrives_at } => at.push(arrives_at.as_nanos()),
+                        TransmitOutcome::Lost => panic!("no loss expected"),
+                    }
+                }
+            }
+            assert_eq!(medium.to_server_stats().events(), 5);
+            assert_eq!(medium.to_client_stats().events(), 5);
+            at
+        };
+        assert_eq!(
+            arrivals(MediumParams::ethernet()),
+            [
+                183_600, 267_200, 430_800, 594_400, 1_855_600, 3_116_800, 4_462_400, 5_808_000,
+                12_949_600, 20_091_200
+            ]
+        );
+        assert_eq!(
+            arrivals(MediumParams::fddi()),
+            [
+                98_200, 116_400, 142_600, 168_800, 304_760, 440_720, 576_760, 712_800, 1_413_200,
+                2_113_600
+            ]
+        );
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl FsParams {
             (Self::INODE_GROUP_SPAN / BLOCK_SIZE) * INODES_PER_BLOCK
         );
         let addr = INODE_REGION_START + group * Self::INODE_GROUP_SPAN + block_offset;
-        // Hard assert (the group count comes straight from CLI flags and
+        // Hard assert (any caller may set the public group count, and
         // release builds strip debug_asserts): an inode block past the data
         // region start would alias onto addresses the data allocator hands
         // out, silently corrupting every seek-distance result.

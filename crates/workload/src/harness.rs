@@ -14,26 +14,8 @@
 use wg_net::medium::{Direction, MediumParams};
 use wg_net::{Medium, TransmitOutcome};
 use wg_nfsproto::{NfsCall, NfsReply};
-use wg_server::{NfsServer, ServerAction, ServerConfig, ServerInput, WritePolicy};
+use wg_server::{NfsServer, ServerAction, ServerInput, WritePolicy};
 use wg_simcore::{EventQueue, FaultKind, FaultPlan, Reservation, SimTime};
-
-use crate::system::NetworkKind;
-
-/// The paper's standard server for a driver cell: `policy` and `nfsds`, with
-/// the procrastination interval of the cell's network.  Drivers layer their
-/// storage, dispatch and cache knobs on top.
-pub(crate) fn server_config(
-    network: NetworkKind,
-    policy: WritePolicy,
-    nfsds: usize,
-) -> ServerConfig {
-    ServerConfig {
-        policy,
-        nfsds,
-        ..ServerConfig::standard()
-    }
-    .with_procrastination(network.params().procrastination)
-}
 
 /// The clients of one run: what they do when their events fire.
 pub(crate) trait Population {
@@ -500,6 +482,9 @@ pub(crate) use harness_readouts;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sfs::{SfsConfig, SfsSystem};
+    use crate::system::{ExperimentConfig, FileCopySystem, NetworkKind};
+    use wg_server::{FsParams, ServerConfig, StabilityMode::Unstable, StorageConfig};
     use wg_simcore::Duration;
 
     /// One client event at `at`, which notes how many faults had fired
@@ -547,9 +532,8 @@ mod tests {
                     retries: 1,
                 },
             );
-        let network = NetworkKind::Fddi;
-        let server = NfsServer::new(server_config(network, WritePolicy::Gathering, 8));
-        let lans = ClientLans::new(&network.params(), 1, false);
+        let server = NfsServer::new(ServerConfig::gathering());
+        let lans = ClientLans::new(&MediumParams::fddi(), 1, false);
         let probe = Probe {
             at,
             faults_seen: None,
@@ -649,5 +633,113 @@ mod tests {
         // Under an injected fault an incomplete copy is a legitimate
         // outcome (a client gave up), counted in its result.
         assert!(broken(true, unfinished).is_empty());
+    }
+
+    /// Every server knob as a `name=value` token, durations in nanoseconds.
+    /// Each field is named with no `..`, so a knob added later fails to
+    /// compile here until every driver's lowering of it is pinned below.
+    fn knobs(config: &ServerConfig) -> String {
+        let ServerConfig {
+            nfsds,
+            policy,
+            reply_order,
+            storage:
+                StorageConfig {
+                    spindles,
+                    prestoserve,
+                },
+            procrastination,
+            mbuf_hunter,
+            socket_buffer_bytes,
+            cpu_speed,
+            dupcache_entries,
+            fs:
+                FsParams {
+                    data_capacity,
+                    read_caching,
+                    cache_pages,
+                    dirty_ratio,
+                    inode_groups,
+                },
+            shards,
+            cores,
+            io_overlap,
+            stability,
+            lease_duration,
+            grace_period,
+        } = config;
+        let ns = |d: &Duration| d.as_nanos();
+        format!(
+            "nfsds={nfsds} policy={policy:?} reply_order={reply_order:?} spindles={spindles} \
+             prestoserve={prestoserve} procrastination={} mbuf_hunter={mbuf_hunter} \
+             socket_buffer_bytes={socket_buffer_bytes} cpu_speed={cpu_speed} \
+             dupcache_entries={dupcache_entries} data_capacity={data_capacity} \
+             read_caching={read_caching} cache_pages={cache_pages} dirty_ratio={dirty_ratio} \
+             inode_groups={inode_groups} shards={shards} cores={cores} io_overlap={io_overlap} \
+             stability={stability:?} lease_duration={} grace_period={}",
+            ns(procrastination),
+            ns(lease_duration),
+            ns(grace_period)
+        )
+    }
+
+    #[test]
+    fn each_driver_lowers_its_cells_onto_the_standard_server() {
+        use WritePolicy::{Gathering, Standard};
+
+        // `set` lists what a cell changes; every knob it leaves alone must
+        // read `ServerConfig::standard()`'s value.
+        let pin = |got: &ServerConfig, set: &str| {
+            let standard = knobs(&ServerConfig::standard());
+            let mut want: Vec<&str> = standard.split(' ').collect();
+            for knob in set.split_whitespace() {
+                let name = knob.split('=').next();
+                let at = want.iter().position(|w| w.split('=').next() == name);
+                want[at.expect("a knob name")] = knob;
+            }
+            assert_eq!(knobs(got).split(' ').collect::<Vec<_>>(), want);
+        };
+        let copy = |config, set| pin(FileCopySystem::new(config).server().config(), set);
+        let sfs = |config, set: &str| pin(SfsSystem::new(config).server().config(), set);
+
+        // Table 1: Ethernet, 15 biods, gathering.
+        let table1 = ExperimentConfig::new(NetworkKind::Ethernet, 15, Gathering);
+        copy(table1, "policy=Gathering");
+        // Table 6: FDDI, 23 biods, Presto over the three-spindle stripe.
+        let table6 = ExperimentConfig::new(NetworkKind::Fddi, 23, Standard)
+            .with_presto(true)
+            .with_spindles(3);
+        let set = "spindles=3 prestoserve=true procrastination=5000000";
+        copy(table6, set);
+        // A four-client fleet whose 1 GB aggregate raises the data region.
+        let fleet = ExperimentConfig::fleet(NetworkKind::Fddi, 4, 7, Gathering)
+            .with_shards(4)
+            .with_cores(4)
+            .with_io_overlap(true)
+            .with_per_client_lans(true)
+            .with_unified_cache(4096)
+            .with_stability(Unstable)
+            .with_file_size(256 << 20);
+        let set = "nfsds=16 policy=Gathering procrastination=5000000 data_capacity=1342177280 \
+                   cache_pages=4096 shards=4 cores=4 io_overlap=true";
+        copy(fleet, set);
+        // The SFS server: a DEC 3800 with 32 nfsds and six spindles on FDDI,
+        // under the streams' lease timing.
+        let figure2 = "nfsds=32 spindles=6 procrastination=5000000 cpu_speed=1.6 \
+                       lease_duration=3000000000 grace_period=500000000";
+        sfs(SfsConfig::figure2(200.0, Standard), figure2);
+        let presto = format!("{figure2} policy=Gathering prestoserve=true");
+        sfs(SfsConfig::figure3(200.0, Gathering), &presto);
+        // The benchmark's `sfs_fleet` and `sfs_crash` shapes.
+        let mut fleet = SfsConfig::scaled(1200.0, Gathering, 256).with_leases(true);
+        fleet.prestoserve = true;
+        let set = "read_caching=true inode_groups=64 shards=4 cores=4 io_overlap=true";
+        sfs(fleet, &format!("{presto} {set}"));
+        let crash = SfsConfig::figure2(250.0, Gathering)
+            .with_stability(Unstable)
+            .with_unified_cache(256)
+            .with_dirty_ratio(0.1);
+        let set = "policy=Gathering cache_pages=256 dirty_ratio=0.1";
+        sfs(crash, &format!("{figure2} {set}"));
     }
 }

@@ -157,7 +157,6 @@ impl ExperimentConfig {
             xids: self.xid_window(client, segment),
             fill_salt: fill_salt(client),
             commit_interval: self.commit_interval,
-            ..paper
         }
     }
 }

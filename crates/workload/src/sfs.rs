@@ -93,12 +93,10 @@ use wg_nfsproto::{
     NfsReply, NfsReplyBody, NfsStatus, ReadArgs, ReaddirArgs, RenewArgs, Sattr, StatusReply,
     WriteArgs, Xid, NFS_MAXDATA,
 };
-use wg_server::{NfsServer, StabilityMode, WritePolicy};
+use wg_server::{NfsServer, ServerConfig, StabilityMode, StorageConfig, WritePolicy};
 use wg_simcore::{Duration, FaultPlan, Reservation, SimRng, SimTime};
 
-use crate::harness::{
-    harness_readouts, server_config, ClientLans, Core, Harness, Ledger, Population,
-};
+use crate::harness::{harness_readouts, ClientLans, Core, Harness, Ledger, Population};
 use crate::results::{MultiClientResult, SfsPoint};
 use crate::system::NetworkKind;
 
@@ -241,13 +239,13 @@ pub struct SfsConfig {
     /// [`wg_server::ServerConfig::io_overlap`]).
     pub io_overlap: bool,
     /// FFS-style inode groups on the exported filesystem (see
-    /// [`wg_server::ServerConfig::with_inode_groups`]).  `1` keeps the flat
+    /// [`wg_server::FsParams::inode_groups`]).  `1` keeps the flat
     /// layout of the original figures; the scaled harness spreads the
     /// working set's inode blocks across the stripe so one member spindle
     /// does not absorb every metadata flush.
     pub inode_groups: usize,
     /// Buffer-cache read caching on the server (see
-    /// [`wg_server::ServerConfig::with_read_caching`]).  Off in the original
+    /// [`wg_server::FsParams::read_caching`]).  Off in the original
     /// figures (every read of the pre-populated set pays a disk trip); the
     /// scaled harness turns it on so the bounded working set stops
     /// re-reading the same blocks from a saturated disk farm.
@@ -278,7 +276,7 @@ pub struct SfsConfig {
     /// original figure point byte-for-byte).
     pub cache_pages: u64,
     /// Dirty-page throttle fraction of the unified cache (see
-    /// [`wg_server::ServerConfig::with_dirty_ratio`]).
+    /// [`wg_server::FsParams::dirty_ratio`]).
     pub dirty_ratio: f64,
     /// Write-stability regime of the cell.  Under
     /// [`StabilityMode::Unstable`] every write burst is issued as
@@ -1341,23 +1339,30 @@ impl SfsSystem {
             config.max_retransmits <= u32::from(u8::MAX),
             "max_retransmits must fit a call's one-byte retry level"
         );
-        let mut server_config = server_config(NETWORK, config.policy, NFSDS)
-            .with_presto(config.prestoserve)
-            .with_spindles(config.spindles)
-            .with_shards(config.shards)
-            .with_cores(config.cores)
-            .with_io_overlap(config.io_overlap)
-            .with_inode_groups(config.inode_groups)
-            .with_read_caching(config.read_caching)
-            .with_unified_cache(config.cache_pages)
-            .with_dirty_ratio(config.dirty_ratio)
-            .with_lease_duration(config.lease_duration)
-            .with_grace_period(config.grace_period);
-        // The DEC 3800 of Figures 2/3 is a faster machine than the cost
-        // table's reference; reflect that so the curves reach a few hundred
-        // ops/sec before CPU saturation.
-        server_config.cpu_speed = 1.6;
-        let mut server = NfsServer::new(server_config);
+        let mut standard = ServerConfig::standard();
+        standard.fs.inode_groups = config.inode_groups as u64;
+        standard.fs.read_caching = config.read_caching;
+        standard.fs.cache_pages = config.cache_pages;
+        standard.fs.dirty_ratio = config.dirty_ratio;
+        let mut server = NfsServer::new(ServerConfig {
+            nfsds: NFSDS,
+            policy: config.policy,
+            storage: StorageConfig {
+                spindles: config.spindles,
+                prestoserve: config.prestoserve,
+            },
+            procrastination: NETWORK.params().procrastination,
+            // The DEC 3800 of Figures 2/3 is a faster machine than the cost
+            // table's reference; reflect that so the curves reach a few
+            // hundred ops/sec before CPU saturation.
+            cpu_speed: 1.6,
+            shards: config.shards,
+            cores: config.cores,
+            io_overlap: config.io_overlap,
+            lease_duration: config.lease_duration,
+            grace_period: config.grace_period,
+            ..standard
+        });
 
         let root = server.fs().root();
         let mut files = Vec::with_capacity(config.file_count);

@@ -5,10 +5,10 @@
 
 use wg_client::FileWriterClient;
 use wg_net::MediumParams;
-use wg_server::{NfsServer, ServerConfig, StabilityMode, WritePolicy};
+use wg_server::{NfsServer, ServerConfig, StabilityMode, StorageConfig, WritePolicy};
 use wg_simcore::{Duration, FaultPlan, Trace};
 
-use crate::harness::{harness_readouts, server_config, ClientLans, Harness, Ledger};
+use crate::harness::{harness_readouts, ClientLans, Harness, Ledger};
 use crate::multi::{FileName, WriterFleet};
 use crate::results::{FileCopyResult, MultiClientResult};
 
@@ -262,21 +262,26 @@ impl FileCopySystem {
         // Checked before the server exists: an oversized segment count must
         // fail here, not size a data region for its budget.
         config.check_xid_capacity();
-        let mut server_config = server_config(config.network, config.policy, config.nfsds)
-            .with_presto(config.prestoserve)
-            .with_spindles(config.spindles)
-            .with_shards(config.shards)
-            .with_cores(config.cores)
-            .with_io_overlap(config.io_overlap)
-            .with_unified_cache(config.cache_pages)
-            .with_dirty_ratio(config.dirty_ratio);
+        let mut standard = ServerConfig::standard();
+        standard.fs.cache_pages = config.cache_pages;
+        standard.fs.dirty_ratio = config.dirty_ratio;
         // GB-scale aggregates must fit the data region; keep the default
         // geometry unless the cell actually needs more.
         let aggregate = config.clients as u64 * config.file_size;
-        server_config.fs.data_capacity = server_config
-            .fs
-            .data_capacity
-            .max(aggregate + aggregate / 4);
+        standard.fs.data_capacity = standard.fs.data_capacity.max(aggregate + aggregate / 4);
+        let mut server_config = ServerConfig {
+            nfsds: config.nfsds,
+            policy: config.policy,
+            storage: StorageConfig {
+                spindles: config.spindles,
+                prestoserve: config.prestoserve,
+            },
+            procrastination: config.network.params().procrastination,
+            shards: config.shards,
+            cores: config.cores,
+            io_overlap: config.io_overlap,
+            ..standard
+        };
         customize(&mut server_config);
         let mut server = NfsServer::new(server_config);
         if config.trace {

@@ -117,7 +117,9 @@ fn retransmitted_state_ops_hit_the_dupcache_not_the_state_table() {
     // slipped past, strict seqid monotonicity would refuse it.
     use wg_nfsproto::{LockArgs, NfsCall, NfsCallBody, RenewArgs, WriteArgs, Xid};
 
-    let cfg = ServerConfig::gathering().with_nfsds(4).with_shards(4);
+    let mut cfg = ServerConfig::gathering();
+    cfg.nfsds = 4;
+    cfg.shards = 4;
     let mut server = NfsServer::new(cfg);
     let root = server.fs().root();
     // Pad the inode allocator so the locked file's inode does not hash to
